@@ -13,27 +13,27 @@ user-facing message.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping
 
 from ..prompts import render_response, section_json
 from ..semantics import (
+    Question,
+    QuestionView,
     SchemaView,
-    content_tokens,
     detect_aggregate,
+    name_entry,
     name_match_score,
+    plan_to_sql,
+    question_view,
     score_table,
+    text_token_set,
 )
-from .planning import build_plan, plan_to_json
+from .planning import build_plan, choose_primary_table, plan_to_json
 
 
 def _keyword_query(intent: str) -> str:
-    tokens = content_tokens(intent)
     # Deduplicate while preserving order; cap for index-friendliness.
-    seen: List[str] = []
-    for token in tokens:
-        if token not in seen:
-            seen.append(token)
-    return " ".join(seen[:24])
+    return " ".join(list(dict.fromkeys(question_view(intent).tokens))[:24])
 
 
 def _target_name(table: str) -> str:
@@ -60,6 +60,8 @@ class ConductorPolicy:
         tables = [
             SchemaView.from_payload(d["payload"]) for d in docs if d.get("kind") == "table"
         ]
+        # Tokenised (and embedded) once here; every helper below reads the view.
+        message = question_view(user_message)
 
         # The harness interrupted us at the action limit: end with a
         # user-facing message, as §3.2 prescribes.
@@ -69,7 +71,7 @@ class ConductorPolicy:
                 {
                     "kind": "message_user",
                     "message": self._summary_message(
-                        state, tables, last_result, last_error, user_message
+                        state, tables, last_result, last_error, message
                     ),
                 },
             )
@@ -84,14 +86,14 @@ class ConductorPolicy:
                     "IR System before proposing any schema.",
                     {"kind": "retrieve", "query": _keyword_query(intent)},
                 )
-            residual = self._residual_tokens(user_message, docs, grounded)
+            residual = self._residual_tokens(message, docs, grounded)
             if residual:
                 return self._emit(
                     f"The user now mentions {residual}, which none of my retrieved "
                     "documents cover; retrieving again before replanning.",
                     {"kind": "retrieve", "query": " ".join(residual)},
                 )
-            probe = self._connection_probe(user_message, tables)
+            probe = self._connection_probe(message, tables)
             if probe:
                 anchor_table, query = probe
                 return self._emit(
@@ -119,9 +121,10 @@ class ConductorPolicy:
         effective_intent = intent
         for doc in knowledge:
             effective_intent += " " + doc.get("text", "")
+        need = question_view(effective_intent)
 
         plan_needed = detect_aggregate(effective_intent) is not None
-        sample_plan = build_plan(effective_intent, tables) if plan_needed else None
+        sample_plan = build_plan(need, tables) if plan_needed else None
         anchor = sample_plan.table if sample_plan else (tables[0].table if tables else None)
         anchor_schema = next((t for t in tables if t.table == anchor), None)
         anchor_has_text = bool(anchor_schema and anchor_schema.text_columns())
@@ -145,7 +148,7 @@ class ConductorPolicy:
             and kinds.count("retrieve") == 1
             and "update_state" not in kinds
         ):
-            residual = self._residual_tokens(user_message, docs, grounded)
+            residual = self._residual_tokens(message, docs, grounded)
             if residual:
                 return self._emit(
                     f"The question mentions {residual} but no retrieved document "
@@ -156,7 +159,7 @@ class ConductorPolicy:
         # 3. Reify the (possibly updated) information need as (T, Q).
         if "update_state" not in kinds:
             if plan_needed:
-                plan = build_plan(effective_intent, tables, known_values=grounded)
+                plan = build_plan(need, tables, known_values=grounded)
                 if plan is None:
                     return self._emit(
                         "The user asks for a computation but I cannot identify the "
@@ -169,9 +172,9 @@ class ConductorPolicy:
                 return self._emit(
                     f"Interpreting the need as: {plan.describe()}. I will reify it as "
                     "a target schema and a SQL query over the materialized table.",
-                    self._update_state_action(plan, tables, docs, effective_intent),
+                    self._update_state_action(plan, tables, docs, need),
                 )
-            linked = self._enrichment_targets(user_message, tables)
+            linked = self._enrichment_targets(message, tables)
             if len(linked) >= 2:
                 names = [schema.table for _, schema, _ in linked]
                 return self._emit(
@@ -183,7 +186,7 @@ class ConductorPolicy:
             return self._emit(
                 "The user is exploring; I will reify a browsing schema over the most "
                 "relevant table so they can see what is available.",
-                self._exploratory_state_action(effective_intent, tables),
+                self._exploratory_state_action(need, tables),
             )
 
         # 4. Materialize T if the spec exists but the instance does not.
@@ -219,7 +222,7 @@ class ConductorPolicy:
             "I have enough to report back; ending the sequence with a user-facing "
             "message as instructed.",
             {"kind": "message_user", "message": self._summary_message(
-                state, tables, last_result, last_error, user_message
+                state, tables, last_result, last_error, message
             )},
         )
 
@@ -244,29 +247,34 @@ class ConductorPolicy:
     #: the walk step of an investigation whose endpoint is still unknown.
     _CONNECT_CUES = frozenset("connect connection link trail chain".split())
 
-    def _residual_tokens(self, message: str, docs, grounded) -> List[str]:
+    def _residual_tokens(self, message: QuestionView, docs, grounded) -> List[str]:
         """Question tokens covered by no retrieved document or grounded value."""
-        from ...text.tokenize import tokenize
+        residual = [
+            token
+            for token in dict.fromkeys(message.tokens)
+            if not (token.isdigit() or token in self._QUERY_WORDS)
+        ]
+        unknown = set(residual)
+        for known in self._known_token_sets(docs, grounded):
+            if not unknown:
+                break
+            unknown = unknown - known
+        return [token for token in residual if token in unknown][:6]
 
-        known = set()
+    @staticmethod
+    def _known_token_sets(docs, grounded) -> Iterator[FrozenSet[str]]:
+        """Token sets of everything the working documents already cover."""
         for doc in docs:
-            known.update(tokenize(doc.get("text", "")))
-            known.update(tokenize(doc.get("title", "")))
+            yield text_token_set(doc.get("text", ""))
+            yield name_entry(doc.get("title", "")).token_set
             for col in doc.get("payload", {}).get("columns", []):
-                known.update(tokenize(col["name"]))
+                yield name_entry(col["name"]).token_set
         for columns in grounded.values():
             for values in columns.values():
                 for value in values[:200]:
-                    known.update(tokenize(str(value)))
-        residual = []
-        for token in content_tokens(message):
-            if token.isdigit() or token in self._QUERY_WORDS or token in known:
-                continue
-            if token not in residual:
-                residual.append(token)
-        return residual[:6]
+                    yield name_entry(str(value)).token_set
 
-    def _enrichment_targets(self, message: str, tables: List[SchemaView]):
+    def _enrichment_targets(self, message: QuestionView, tables: List[SchemaView]):
         """Retrieved tables whose columns the message names fully.
 
         An enrichment request ("link X to Y, show x alongside y") names one
@@ -276,29 +284,31 @@ class ConductorPolicy:
         are ordered by where the column is named in the message, so the
         reified spec lists endpoints in the user's order.
         """
-        from ...text.tokenize import tokenize
-
-        tokens = content_tokens(message)
-        if not set(tokens) & self._ENRICH_CUES:
+        tokens = message.tokens
+        if not message.token_set & self._ENRICH_CUES:
             return []
         matched = []
         for schema in tables:
             best_score, best_col = 0.0, None
             for col in schema.columns:
-                score = name_match_score(tokens, col.name)
+                score = name_match_score(message, col.name)
                 if score > best_score:
                     best_score, best_col = score, col
             if best_col is None or best_score <= 0.6:
                 continue
             position = min(
-                (tokens.index(t) for t in tokenize(best_col.name) if t in tokens),
+                (
+                    tokens.index(t)
+                    for t in name_entry(best_col.name).tokens
+                    if t in message.token_set
+                ),
                 default=len(tokens),
             )
             matched.append((position, schema, best_col))
         matched.sort(key=lambda m: m[0])
         return matched
 
-    def _connection_probe(self, message: str, tables: List[SchemaView]):
+    def _connection_probe(self, message: QuestionView, tables: List[SchemaView]):
         """A pivot query for "what connects to <known table>?" questions.
 
         Tables that reference another carry its name inside their
@@ -308,33 +318,33 @@ class ConductorPolicy:
         has a connection cue, names a table already retrieved, and is not
         itself a full enrichment request (which needs no more discovery).
         """
-        from ...text.tokenize import tokenize
-
-        tokens = content_tokens(message)
-        if not set(tokens) & self._CONNECT_CUES:
+        tokens = message.tokens
+        if not message.token_set & self._CONNECT_CUES:
             return None
         if len(self._enrichment_targets(message, tables)) >= 2:
             return None
         named = []
         for schema in tables:
-            table_tokens = tokenize(schema.table)
-            if table_tokens and all(t in tokens for t in table_tokens):
-                named.append((max(tokens.index(t) for t in table_tokens), schema))
+            table = name_entry(schema.table)
+            if table.tokens and table.token_set <= message.token_set:
+                named.append((max(tokens.index(t) for t in table.tokens), schema))
         if not named:
             return None
         named.sort(key=lambda m: m[0])
         anchor = named[-1][1]
-        query_tokens = list(dict.fromkeys(tokenize(anchor.table))) + ["ref", "reference"]
+        query_tokens = list(dict.fromkeys(name_entry(anchor.table).tokens)) + ["ref", "reference"]
         return anchor.table, " ".join(query_tokens)
 
     # ------------------------------------------------------------------
     # Action builders
     # ------------------------------------------------------------------
     def _update_state_action(
-        self, plan, tables: List[SchemaView], docs: Optional[List[Dict[str, Any]]] = None, intent: str = ""
+        self,
+        plan,
+        tables: List[SchemaView],
+        docs: List[Dict[str, Any]],
+        intent: Question,
     ) -> Dict[str, Any]:
-        from ..semantics import plan_to_sql
-
         target = _target_name(plan.table)
         primary = next(s for s in tables if s.table == plan.table)
         columns: List[Dict[str, str]] = []
@@ -343,7 +353,7 @@ class ConductorPolicy:
             if name and all(c["name"] != name for c in columns):
                 columns.append({"name": name, "dtype": dtype, "source": source})
 
-        web_specs = self._web_integration(plan, primary, docs or [], intent)
+        web_specs = self._web_integration(plan, primary, docs, intent)
         for spec in web_specs:
             add_column(spec["new_column"], "DOUBLE", f"web:{spec['doc_id']}")
 
@@ -391,7 +401,7 @@ class ConductorPolicy:
         plan,
         primary: SchemaView,
         docs: List[Dict[str, Any]],
-        intent: str,
+        intent: Question,
     ) -> List[Dict[str, Any]]:
         """Integrate web-page records as new columns (the §3.6 tariff flow).
 
@@ -402,10 +412,8 @@ class ConductorPolicy:
         measure becomes the derived impact expression the paper walks
         through: ``price * (1 + new_tariff - previous_tariff)``.
         """
-        from ..semantics import content_tokens, name_match_score
-
+        intent = question_view(intent)
         specs: List[Dict[str, Any]] = []
-        intent_tokens = content_tokens(intent)
         for doc in docs:
             if doc.get("kind") != "web":
                 continue
@@ -418,7 +426,7 @@ class ConductorPolicy:
             best = 0.0
             for f in fields:
                 for col in primary.text_columns():
-                    score = name_match_score(content_tokens(col.name), f)
+                    score = name_match_score(QuestionView(name_entry(col.name).tokens), f)
                     if score > max(best, 0.45):
                         best = score
                         key_field, key_column = f, col.name
@@ -429,7 +437,7 @@ class ConductorPolicy:
                     continue
                 if not any(isinstance(r.get(f), (int, float)) for r in records):
                     continue
-                if name_match_score(intent_tokens, f) <= 0.05:
+                if name_match_score(intent, f) <= 0.05:
                     continue
                 specs.append(
                     {
@@ -449,7 +457,7 @@ class ConductorPolicy:
             (c for c in new_cols if ("prev" in c.lower() or "old" in c.lower()) and "tariff" in c.lower()),
             None,
         )
-        lowered = intent.lower()
+        lowered = intent.text.lower()
         if plan.measure and tariff_new:
             if tariff_prev and ("previous" in lowered or "relative" in lowered):
                 plan.measure_expr = f"{plan.measure} * (1 + {tariff_new} - {tariff_prev})"
@@ -486,9 +494,9 @@ class ConductorPolicy:
             "plan": None,
         }
 
-    def _exploratory_state_action(self, intent: str, tables: List[SchemaView]) -> Dict[str, Any]:
-        from .planning import choose_primary_table
-
+    def _exploratory_state_action(
+        self, intent: QuestionView, tables: List[SchemaView]
+    ) -> Dict[str, Any]:
         primary = choose_primary_table(intent, tables) or tables[0]
         target = _target_name(primary.table)
         table_spec = {
@@ -525,7 +533,7 @@ class ConductorPolicy:
         tables: List[SchemaView],
         last_result: Any,
         last_error: str,
-        message: str = "",
+        message: QuestionView,
     ) -> str:
         if last_error:
             return (
@@ -547,7 +555,7 @@ class ConductorPolicy:
             ranked = sorted(
                 range(len(tables)),
                 key=lambda i: (-score_table(message, tables[i]), i),
-            ) if message else range(len(tables))
+            ) if message.text else range(len(tables))
             overview = []
             for index in list(ranked)[:3]:
                 schema = tables[index]

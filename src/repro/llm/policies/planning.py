@@ -15,14 +15,15 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from ..semantics import (
     FilterSpec,
     QueryPlan,
+    Question,
     SchemaView,
     best_measure_column,
     candidate_join_keys,
-    content_tokens,
     detect_aggregate,
     detect_round_digits,
     ground_filters,
     name_match_score,
+    question_view,
     score_table,
     wants_first_last,
     wants_interpolation,
@@ -31,28 +32,32 @@ from ..semantics import (
 KnownValues = Mapping[str, Mapping[str, Sequence[Any]]]  # table -> column -> values
 
 
-def choose_primary_table(question: str, schemas: Sequence[SchemaView]) -> Optional[SchemaView]:
+def choose_primary_table(
+    question: Question, schemas: Sequence[SchemaView]
+) -> Optional[SchemaView]:
     """The table a question is most plausibly about (measure-aware)."""
-    q_tokens = content_tokens(question)
+    question = question_view(question)
     best: Optional[Tuple[float, SchemaView]] = None
     for schema in schemas:
         score = score_table(question, schema)
         measure = best_measure_column(question, schema)
         if measure is not None:
-            score += 2.0 * name_match_score(q_tokens, measure.name)
+            score += 2.0 * name_match_score(question, measure.name)
         if best is None or score > best[0]:
             best = (score, schema)
     return best[1] if best else None
 
 
 def build_plan(
-    question: str,
+    question: Question,
     schemas: Sequence[SchemaView],
     known_values: Optional[KnownValues] = None,
     allow_join: bool = True,
 ) -> Optional[QueryPlan]:
     """Interpret a question over concrete schemas; None when no aggregate."""
-    aggregate = detect_aggregate(question)
+    question = question_view(question)
+    text = question.text
+    aggregate = detect_aggregate(text)
     if aggregate is None or not schemas:
         return None
     primary = choose_primary_table(question, schemas)
@@ -72,10 +77,9 @@ def build_plan(
 
     second_measure = None
     if aggregate == "corr":
-        q_tokens = content_tokens(question)
         scored = sorted(
             (
-                (name_match_score(q_tokens, c.name), c.name)
+                (name_match_score(question, c.name), c.name)
                 for c in primary.numeric_columns()
             ),
             reverse=True,
@@ -119,8 +123,8 @@ def build_plan(
             break
 
     order_column = None
-    first_last = wants_first_last(question)
-    interpolate = wants_interpolation(question)
+    first_last = wants_first_last(text)
+    interpolate = wants_interpolation(text)
     if first_last or interpolate:
         date_cols = primary.date_columns()
         if date_cols:
@@ -143,7 +147,7 @@ def build_plan(
         order_column=order_column,
         interpolate=interpolate,
         first_last=first_last,
-        round_digits=detect_round_digits(question),
+        round_digits=detect_round_digits(text),
         join=join,
         second_measure=second_measure,
     )

@@ -11,16 +11,164 @@ they use it: grounded-and-iterative versus one-shot).
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..text.embedding import CachedEmbedder, cosine_similarity
-from ..text.tokenize import tokenize
+import numpy as np
+
+from ..text.embedding import CachedEmbedder
+from ..text.tokenize import stem_vocabulary_stats, token_cache_stats, tokenize
 
 # Memoized: policies re-score the same table/column names on every
 # Conductor step, and under the serving layer's GIL-bound fan-out that
 # redundant feature hashing is the hottest CPU path of a turn.
 _EMBEDDER = CachedEmbedder(dim=192)
+
+
+# ----------------------------------------------------------------------
+# Tokenise once, score many: the question view and the name lexicon
+# ----------------------------------------------------------------------
+#
+# A ReAct step re-reads the same few texts against the same few hundred
+# schema names.  Everything derived from a text alone — its tokens, their
+# set, its embedding and that embedding's norm — is therefore computed
+# once per distinct text and looked up afterwards.  All three tables are
+# keyed by content (so what they return never depends on who filled them)
+# and bounded (so a long-lived service does not grow with its traffic).
+
+
+class _Memo:
+    """A small thread-safe LRU of values built from their key."""
+
+    def __init__(self, bound: int):
+        self._bound = bound
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def get(self, key: str, build: Callable[[str], Any]) -> Any:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return value
+            self._misses += 1
+        # Built outside the lock: two threads racing on one key build equal
+        # values, and tokenising a long text must not stall the others.
+        value = build(key)
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > self._bound:
+                self._entries.popitem(last=False)
+        return value
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"hits": self._hits, "misses": self._misses, "size": len(self._entries)}
+
+
+class _Embedded:
+    """Tokens of a text plus, on first use, its unit vector and norm."""
+
+    __slots__ = ("tokens", "token_set", "_embed_text", "_vector", "_norm")
+
+    def __init__(self, tokens: Sequence[str], embed_text: str):
+        self.tokens: Tuple[str, ...] = tuple(tokens)
+        self.token_set: FrozenSet[str] = frozenset(self.tokens)
+        self._embed_text = embed_text
+        self._vector: Optional[np.ndarray] = None
+        self._norm = 0.0
+
+    def embedding(self) -> Tuple[np.ndarray, float]:
+        """``_EMBEDDER``'s own (read-only) vector for the text, and its norm."""
+        vector = self._vector
+        if vector is None:
+            vector = _EMBEDDER.embed(self._embed_text)
+            # Norm first: a racing reader that sees the vector sees its norm.
+            self._norm = np.linalg.norm(vector)
+            self._vector = vector
+        return vector, self._norm
+
+
+class NameEntry(_Embedded):
+    """One lexicon entry: a table / column / field name or a cell value."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str):
+        super().__init__(tokenize(name), name)
+
+
+class QuestionView(_Embedded):
+    """A question (intent, user message) as the scoring helpers read it.
+
+    Built once per distinct text by :func:`question_view` and passed down,
+    so ``score_table`` / ``best_measure_column`` / ``ground_filters`` share
+    one tokenisation and one embedding.  As before, the embedding is of
+    the *joined content tokens*, not of the raw text.
+    """
+
+    __slots__ = ("text", "name_scores")
+
+    def __init__(self, tokens: Sequence[str], text: str = ""):
+        super().__init__(tokens, " ".join(tokens))
+        self.text = text
+        #: ``name_match_score`` results against this question, by name: one
+        #: ReAct step scores the same few hundred names a dozen times over.
+        self.name_scores: Dict[str, float] = {}
+
+
+Question = Union[str, QuestionView]
+
+_LEXICON = _Memo(bound=16384)  # name -> NameEntry
+_QUESTIONS = _Memo(bound=8)  # question text -> QuestionView
+_TEXTS = _Memo(bound=64)  # document text -> token set
+
+
+def name_entry(name: str) -> NameEntry:
+    """The lexicon entry of ``name`` (tokenised on first sight only)."""
+    return _LEXICON.get(name, NameEntry)
+
+
+def question_view(question: Question) -> QuestionView:
+    """``question`` as a view; the last few distinct texts are remembered."""
+    if isinstance(question, QuestionView):
+        return question
+    return _QUESTIONS.get(question, lambda text: QuestionView(tokenize(text), text))
+
+
+def text_token_set(text: str) -> FrozenSet[str]:
+    """Content-token set of a retrieved document's text (recent ones kept)."""
+    return _TEXTS.get(text, lambda t: frozenset(tokenize(t)))
+
+
+def cache_stats() -> Dict[str, Dict[str, int]]:
+    """Hits, misses and size of every table the policies' text scoring reads
+    through — process-wide, like the tables themselves."""
+    return {
+        "lexicon": _LEXICON.stats(),
+        "questions": _QUESTIONS.stats(),
+        "texts": _TEXTS.stats(),
+        "embedding": _EMBEDDER.stats(),
+        "stems": stem_vocabulary_stats(),
+        **token_cache_stats(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +248,13 @@ _AGGREGATE_CUES: List[Tuple[str, Sequence[str]]] = [
     ("corr", ("correlation", "correlated", "relationship between")),
 ]
 
+# Whole-word matching: "sum" must not fire inside "assume".
+_AGGREGATE_PATTERNS: List[Tuple[str, str, "re.Pattern[str]"]] = [
+    (agg, cue, re.compile(rf"\b{re.escape(cue)}\b"))
+    for agg, cues in _AGGREGATE_CUES
+    for cue in cues
+]
+
 _ROUND_RE = re.compile(r"round(?:ed)?[^0-9]{0,40}?(\d+)\s+decimal", re.IGNORECASE)
 
 
@@ -107,12 +262,11 @@ def detect_aggregate(text: str) -> Optional[str]:
     """Which aggregate the question asks for (earliest whole-word cue wins)."""
     lowered = text.lower()
     best: Optional[Tuple[int, str]] = None
-    for agg, cues in _AGGREGATE_CUES:
-        for cue in cues:
-            # Whole-word matching: "sum" must not fire inside "assume".
-            match = re.search(rf"\b{re.escape(cue)}\b", lowered)
-            if match and (best is None or match.start() < best[0]):
-                best = (match.start(), agg)
+    for agg, cue, pattern in _AGGREGATE_PATTERNS:
+        # A substring test rules most cues out without running their regex.
+        match = pattern.search(lowered) if cue in lowered else None
+        if match and (best is None or match.start() < best[0]):
+            best = (match.start(), agg)
     return best[1] if best else None
 
 
@@ -148,27 +302,35 @@ def extract_years(text: str) -> List[int]:
     return [int(y) for y in _YEAR_RE.findall(text)]
 
 
-def content_tokens(text: str) -> List[str]:
-    """Stemmed content tokens of the question."""
-    return tokenize(text)
-
-
 # ----------------------------------------------------------------------
 # Column and table matching
 # ----------------------------------------------------------------------
 
 
-def name_match_score(question_tokens: Sequence[str], column_name: str) -> float:
-    """Lexical + embedding score of a column name against question tokens."""
-    col_tokens = set(tokenize(column_name))
+def name_match_score(question: Question, column_name: str) -> float:
+    """Lexical + embedding score of a column name against a question.
+
+    Scores feed ``> 0.6`` / ``<= 0.05`` / arg-max comparisons, so the
+    arithmetic is kept float-for-float: token-set overlap, plus the cosine
+    as one dot product over the two cached unit vectors divided by the
+    product of their cached norms (``tests/oracles`` holds the reference).
+    """
+    question = question_view(question)
+    score = question.name_scores.get(column_name)
+    if score is not None:
+        return score
+    name = name_entry(column_name)
+    col_tokens = name.token_set
     if not col_tokens:
-        return 0.0
-    q_tokens = set(question_tokens)
-    overlap = len(col_tokens & q_tokens) / len(col_tokens)
-    emb = cosine_similarity(
-        _EMBEDDER.embed(column_name), _EMBEDDER.embed(" ".join(question_tokens))
-    )
-    return 0.8 * overlap + 0.2 * max(emb, 0.0)
+        score = 0.0
+    else:
+        overlap = len(col_tokens & question.token_set) / len(col_tokens)
+        a, na = name.embedding()
+        b, nb = question.embedding()
+        emb = 0.0 if na == 0 or nb == 0 else float(np.dot(a, b) / (na * nb))
+        score = 0.8 * overlap + 0.2 * max(emb, 0.0)
+    question.name_scores[column_name] = score
+    return score
 
 
 def is_id_like(name: str) -> bool:
@@ -177,14 +339,14 @@ def is_id_like(name: str) -> bool:
     return lowered == "id" or lowered.endswith("_id")
 
 
-def best_measure_column(question: str, schema: SchemaView) -> Optional[ColumnView]:
+def best_measure_column(question: Question, schema: SchemaView) -> Optional[ColumnView]:
     """The numeric column the question most plausibly asks about."""
-    q_tokens = content_tokens(question)
+    question = question_view(question)
     best: Optional[Tuple[float, ColumnView]] = None
     for col in schema.numeric_columns():
         if is_id_like(col.name):
             continue
-        score = name_match_score(q_tokens, col.name)
+        score = name_match_score(question, col.name)
         if score <= 0.05:
             continue
         if best is None or score > best[0]:
@@ -192,11 +354,11 @@ def best_measure_column(question: str, schema: SchemaView) -> Optional[ColumnVie
     return best[1] if best else None
 
 
-def score_table(question: str, schema: SchemaView) -> float:
+def score_table(question: Question, schema: SchemaView) -> float:
     """How relevant a table looks for a question (name + columns)."""
-    q_tokens = content_tokens(question)
-    scores = [name_match_score(q_tokens, schema.table)]
-    scores += [name_match_score(q_tokens, c.name) for c in schema.columns]
+    question = question_view(question)
+    scores = [name_match_score(question, schema.table)]
+    scores += [name_match_score(question, c.name) for c in schema.columns]
     scores.sort(reverse=True)
     return sum(scores[:4])
 
@@ -225,12 +387,8 @@ class FilterSpec:
         return f"{prefix}{self.column} = {self.value}"
 
 
-def _value_tokens(value: Any) -> Set[str]:
-    return set(tokenize(str(value)))
-
-
 def ground_filters(
-    question: str,
+    question: Question,
     schema: SchemaView,
     known_values: Optional[Mapping[str, Sequence[Any]]] = None,
     exclude_columns: Sequence[str] = (),
@@ -243,7 +401,8 @@ def ground_filters(
     rows — which is precisely why ungrounded plans miss filters whose value
     spelling does not appear in the first few rows.
     """
-    q_tokens = set(content_tokens(question))
+    question = question_view(question)
+    q_tokens = question.token_set
     excluded = {c.lower() for c in exclude_columns}
     filters: List[FilterSpec] = []
     for col in schema.text_columns():
@@ -263,7 +422,7 @@ def ground_filters(
             if key in seen:
                 continue
             seen.add(key)
-            v_tokens = _value_tokens(value)
+            v_tokens = name_entry(key).token_set
             if not v_tokens:
                 continue
             # Only a *full* mention counts: every content token of the value
@@ -277,7 +436,7 @@ def ground_filters(
         if best is not None:
             filters.append(FilterSpec(col.name, best[1], "="))
     # Year filters on date columns.
-    years = extract_years(question)
+    years = extract_years(question.text)
     if years and schema.date_columns():
         date_col = schema.date_columns()[0]
         for year in years[:1]:

@@ -189,11 +189,13 @@ class AlignmentCompiler:
         attaches exactly one new table to the already-connected set."""
         if len(tables) <= 1:
             return []
-        adjacency = {t: dict(n) for t, n in self._adjacency.items()}
+        adjacency = self._adjacency
         hint = spec.integration.get("join")
         if hint:
             hinted = self._hinted_candidate(hint, tables)
             if hinted is not None:
+                # The compiled graph outlives this call; the hint gets a copy.
+                adjacency = {t: dict(n) for t, n in adjacency.items()}
                 left = hinted.left_table.lower()
                 right = hinted.right_table.lower()
                 adjacency.setdefault(left, {})[right] = hinted

@@ -43,6 +43,7 @@ class PreparationPipeline:
         self._lock = threading.Lock()
         self._joins: Optional[List[JoinCandidate]] = None
         self._joins_key: Optional[Tuple[int, int]] = None
+        self._compiler: Optional[AlignmentCompiler] = None  # built from self._joins
         self._discoveries = 0
         self._compiled = 0
         self._prepared = 0
@@ -65,6 +66,7 @@ class PreparationPipeline:
         with self._lock:
             self._joins = joins
             self._joins_key = key
+            self._compiler = None
             self._discoveries += 1
         return joins
 
@@ -75,7 +77,17 @@ class PreparationPipeline:
     # Alignment
     # ------------------------------------------------------------------
     def compiler(self) -> AlignmentCompiler:
-        return AlignmentCompiler(self.lake, self.join_candidates())
+        """The compiled candidate graph, kept for as long as the candidates
+        are: until ``lake.version`` or ``store.version`` moves."""
+        joins = self.join_candidates()
+        with self._lock:
+            if self._compiler is not None and self._joins is joins:
+                return self._compiler
+        compiler = AlignmentCompiler(self.lake, joins)
+        with self._lock:
+            if self._joins is joins:
+                self._compiler = compiler
+        return compiler
 
     def compile(self, spec: TargetTable) -> PreparationPlan:
         """Compile ``spec`` to a preparation plan (raises AlignmentError)."""

@@ -57,6 +57,7 @@ from ..ir.docdb import DocumentDatabase
 from ..ir.system import IRSystem, RetrievalResult
 from ..llm.clock import SimulatedLatencyClock
 from ..llm.rule_llm import RuleLLM
+from ..llm.semantics import cache_stats as policy_text_stats
 from ..obs import ObservabilityConfig, SlowTurnLog, Tracer, render_prometheus
 from ..obs import trace as obs
 from ..prep.pipeline import PreparationPipeline
@@ -568,7 +569,9 @@ class PneumaService:
         snapshot = self.metrics.snapshot()
         snapshot["open_sessions"] = self.open_session_count()
         snapshot["index_size"] = len(self.shared.retriever.index)
-        snapshot["caches"] = self.shared.cache_stats()
+        # The bundle's own caches, plus the process-wide tables the RuleLLM
+        # policies score text through (lexicon, question memo, stems, ...).
+        snapshot["caches"] = {**self.shared.cache_stats(), "policy_text": policy_text_stats()}
         # Retrieval-kernel view: which kernel serves the shared index,
         # whether freeze() compiled it, and the fusion-depth knob — the
         # fusion-pool/latency trade-off is tuned per service and must be

@@ -8,6 +8,7 @@ from .tokenize import (
     char_ngrams,
     char_ngrams_cached,
     stem,
+    stem_vocabulary_stats,
     token_cache_stats,
     tokenize,
     tokenize_cached,
@@ -24,6 +25,7 @@ __all__ = [
     "tokenize_cached",
     "char_ngrams_cached",
     "token_cache_stats",
+    "stem_vocabulary_stats",
     "stem",
     "char_ngrams",
     "STOPWORDS",

@@ -299,3 +299,53 @@ class TestPipelineFacade:
         assert stats["plans_compiled"] == 1
         assert stats["plans_executed"] == 1
         assert stats["profile_store"]["size"] == 3
+
+    def test_compiler_is_kept_until_a_version_moves(self, lake):
+        pipeline = PreparationPipeline(lake)
+        compiler = pipeline.compiler()
+        assert pipeline.compiler() is compiler
+        pipeline.prepare(spec("view", [("order_id", ""), ("amount", "")], base=["orders"]))
+        assert pipeline.compiler() is compiler  # prepare()/compile() reuse it
+        assert pipeline.stats()["discoveries"] == 1
+
+        # lake.version moves: a new table the graph must now reach.
+        lake.register(
+            Table.from_columns(
+                "returns",
+                {
+                    "return_id": list(range(60)),
+                    "shipment_ref": [900 + i for i in range(60)],
+                    "reason": [f"reason-{i % 3}" for i in range(60)],
+                },
+            )
+        )
+        recompiled = pipeline.compiler()
+        assert recompiled is not compiler
+        assert pipeline.compiler() is recompiled
+        joined = spec(
+            "returned", [("weight", "shipments.weight"), ("reason", "returns.reason")]
+        )
+        with pytest.raises(AlignmentError, match="no discovered join path"):
+            compiler.compile(joined)  # the graph compiled before `returns` existed
+        assert [e.condition() for e in recompiled.compile(joined).joins] == [
+            "shipments.shipment_id = returns.shipment_ref"
+        ]
+
+        # store.version moves without the lake: profiles re-stored.
+        pipeline.store.clear()
+        assert pipeline.compiler() is not recompiled
+
+    def test_join_hint_does_not_leak_into_the_kept_graph(self, lake):
+        pipeline = PreparationPipeline(lake)
+        hinted = spec(
+            "forced",
+            [("region", "customers.region"), ("weight", "shipments.weight")],
+            integration={"join": {"table": "shipments", "left_on": "cust_id", "right_on": "shipment_id"}},
+        )
+        plain = spec("plain", [("region", "customers.region"), ("weight", "shipments.weight")])
+        before = [e.condition() for e in pipeline.compile(plain).joins]
+        assert [e.condition() for e in pipeline.compile(hinted).joins] == [
+            "customers.cust_id = shipments.shipment_id"
+        ]
+        assert [e.condition() for e in pipeline.compile(plain).joins] == before
+        assert len(before) == 2  # customers - orders - shipments, as discovered

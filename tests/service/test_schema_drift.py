@@ -95,3 +95,24 @@ class TestDriftRecovery:
         materialized = session.state.materialized.resolve_table(target)
         assert new_deep_col in materialized.column_names()
         assert materialized.num_rows > 0
+
+
+class TestAlignmentGraphRecompile:
+    def test_drift_rename_and_reindex_recompile_the_graph(self, scenario, service):
+        compiler = service.prep.compiler()
+        assert service.prep.compiler() is compiler  # kept while nothing moves
+        discoveries = service.stats()["prep"]["discoveries"]
+
+        apply_drift(service, scenario)  # rename + service.reindex()
+        recompiled = service.prep.compiler()
+        assert recompiled is not compiler
+        assert service.prep.compiler() is recompiled
+        assert service.stats()["prep"]["discoveries"] == discoveries + 1
+
+        # The kept graph resolves the renamed column; the stale one cannot.
+        (root, root_col), (deep, deep_col) = scenario.request_columns()
+        assert deep_col == scenario.drift.new_column
+        sid = service.open_session(user="drift-graph")
+        rendered = service.post_turn(sid, enrich_message(scenario)).render()
+        assert deep_col in rendered and "materialized (" in rendered
+        assert service.prep.compiler() is recompiled  # the turn reused it

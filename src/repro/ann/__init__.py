@@ -2,12 +2,10 @@
 
 from .brute import BruteForceIndex, Neighbor
 from .hnsw import HNSWIndex
-from .hnsw_legacy import LegacyHNSWIndex
 from .metrics import METRICS, cosine_distance, inner_product_distance, l2_distance, resolve_metric
 
 __all__ = [
     "HNSWIndex",
-    "LegacyHNSWIndex",
     "BruteForceIndex",
     "Neighbor",
     "METRICS",

@@ -7,9 +7,10 @@ the paper's *heuristic* neighbor selection (Algorithm 4) that preserves
 graph diversity.  This is the vector half of Pneuma-Retriever's hybrid
 index.
 
-The kernel differs from :class:`~repro.ann.hnsw_legacy.LegacyHNSWIndex`
-only in data layout, never in a decision (the equivalence battery holds
-it to identical rankings under the same seed):
+The kernel differs from the scalar ``LegacyHNSWIndex`` oracle in
+``tests/oracles/hnsw_legacy.py`` only in data layout, never in a
+decision (the equivalence battery holds it to identical rankings under
+the same seed):
 
 * vectors live in one contiguous float64 matrix grown by doubling; for
   cosine the rows are pre-normalized so distance is ``1 - dot``;

@@ -15,11 +15,11 @@ Metric = Callable[[np.ndarray, np.ndarray], float]
 #: scalar metric call and a vectorized BLAS matvec one ulp apart, which
 #: would let float noise — not the deterministic node-id tie-break —
 #: decide their order, and the array kernel could then disagree with the
-#: legacy oracle.  On the grid both computations land on the same value;
-#: the perturbation (<= 4.6e-13) is far below the 1e-9 ranking
-#: tolerance.  ``ldexp`` is an exact exponent shift and ``round``/``rint``
-#: are both round-half-to-even, so the scalar and vector forms agree
-#: bit for bit.
+#: scalar oracle (``tests/oracles/hnsw_legacy.py``).  On the grid both
+#: computations land on the same value; the perturbation (<= 4.6e-13) is
+#: far below the 1e-9 ranking tolerance.  ``ldexp`` is an exact exponent
+#: shift and ``round``/``rint`` are both round-half-to-even, so the
+#: scalar and vector forms agree bit for bit.
 DISTANCE_QUANTUM_BITS = 40
 
 

@@ -13,27 +13,39 @@ their kernel compilation (impact-sorted BM25 postings with max-score
 bounds, compacted HNSW matrix with CSR links) and the fusion layer
 interns both halves' ids into one hybrid int space, so RRF accumulates
 over ints and maps back to doc_id strings only for the final top-k.
-
-``legacy=True`` builds the index over the pre-kernel halves
-(:class:`LegacyBM25Index` / :class:`LegacyHNSWIndex`) with the original
-dict-based fusion — the benchmark baseline and the ranking oracle the
-array kernel is tested against.
+An unfrozen index (the Document Database, web search, a standalone
+retriever) runs the same fusion keyed by doc_id.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ann.hnsw import HNSWIndex
-from ..ann.hnsw_legacy import LegacyHNSWIndex
 from ..obs import trace as obs
 from ..text.bm25 import BM25Index
-from ..text.bm25_legacy import LegacyBM25Index
 from ..text.embedding import HashingEmbedder
+
+#: Weighted reciprocal-rank fusion: a document at 0-based ``rank`` in a
+#: half's list scores ``weight / (RRF_K + rank + 1)``.
+RRF_K = 60
+BM25_WEIGHT = 1.0
+VECTOR_WEIGHT = 1.0
+
+#: What every fusion segment records next to ``seed``/``dim``.  A snapshot
+#: whose meta disagrees was ranked with other constants and is never
+#: served (the store cold-builds).  ``fusion_pool: None`` is how the
+#: format has always spelled the ``max(3 * k, 10)`` candidate depth.
+FUSION_META = {
+    "rrf_k": RRF_K,
+    "bm25_weight": BM25_WEIGHT,
+    "vector_weight": VECTOR_WEIGHT,
+    "fusion_pool": None,
+}
 
 
 @dataclass
@@ -51,38 +63,17 @@ class FrozenIndexError(RuntimeError):
 class HybridIndex:
     """Dual lexical/dense index over (doc_id, text) pairs."""
 
-    def __init__(
-        self,
-        dim: int = 192,
-        rrf_k: int = 60,
-        bm25_weight: float = 1.0,
-        vector_weight: float = 1.0,
-        seed: int = 13,
-        embedder=None,
-        fusion_pool: Optional[int] = None,
-        legacy: bool = False,
-    ):
-        if fusion_pool is not None and fusion_pool < 1:
-            raise ValueError(f"fusion_pool must be >= 1, got {fusion_pool}")
+    def __init__(self, dim: int = 192, seed: int = 13, embedder=None):
         self.embedder = embedder if embedder is not None else HashingEmbedder(dim=dim)
-        hnsw_cls = LegacyHNSWIndex if legacy else HNSWIndex
-        self.bm25 = LegacyBM25Index() if legacy else BM25Index()
-        self.vectors = hnsw_cls(
+        self.bm25 = BM25Index()
+        self.vectors = HNSWIndex(
             dim=self.embedder.dim, metric="cosine", m=12, ef_construction=64, seed=seed
         )
-        self.rrf_k = rrf_k
-        self.bm25_weight = bm25_weight
-        self.vector_weight = vector_weight
         self.seed = seed
-        #: Fusion candidate depth per half; ``None`` keeps the adaptive
-        #: default ``max(k * 3, 10)``.  Deeper pools let lower-ranked
-        #: agreement between the halves surface at higher fusion cost.
-        self.fusion_pool = fusion_pool
-        self.legacy = legacy
         self._texts: Dict[str, str] = {}
         self._write_lock = threading.Lock()
         self._frozen = False
-        # Built by freeze() on the kernel path: hybrid int id space.
+        # Built by freeze(): the hybrid int id space.
         self._doc_list: List[str] = []
         self._bm25_map: Optional[np.ndarray] = None  # bm25 slot -> hybrid id
         self._vector_map: Optional[np.ndarray] = None  # hnsw node -> hybrid id
@@ -128,28 +119,21 @@ class HybridIndex:
         """Compile and seal the index: all further mutation raises
         :class:`FrozenIndexError`.
 
-        On the kernel path this compiles both halves (impact-sorted BM25
-        postings, compacted HNSW matrix + CSR links) and interns every
-        doc into the hybrid int id space that fusion accumulates over.
-        Searches on a frozen index are lock-free — the structure can no
-        longer change, so concurrent readers need no coordination.
+        This compiles both halves (impact-sorted BM25 postings, compacted
+        HNSW matrix + CSR links) and interns every doc into the hybrid
+        int id space that fusion accumulates over.  Searches on a frozen
+        index are lock-free — the structure can no longer change, so
+        concurrent readers need no coordination.
         """
         with self._write_lock:
             self._frozen = True
-            if not self.legacy and self._bm25_map is None:
+            if self._bm25_map is None:
                 self.bm25.compile()
                 self.vectors.compile()
-                docs = list(self._texts)
-                hybrid_of = {doc_id: i for i, doc_id in enumerate(docs)}
-                bm25_map = np.full(self.bm25.slot_count, -1, dtype=np.int64)
-                for doc_id, slot in self.bm25.slot_items():
-                    bm25_map[slot] = hybrid_of[doc_id]
-                vector_map = np.full(len(self.vectors), -1, dtype=np.int64)
-                for doc_id, node in self.vectors.node_items():
-                    vector_map[node] = hybrid_of[doc_id]
-                self._doc_list = docs
-                self._bm25_map = bm25_map
-                self._vector_map = vector_map
+                self._doc_list = list(self._texts)
+                self._bm25_map, self._vector_map = fusion_maps_for(
+                    self.bm25, self.vectors, self._doc_list
+                )
         return self
 
     @property
@@ -163,18 +147,11 @@ class HybridIndex:
         """The fusion layer's file-ready view: the hybrid id space, both
         halves' slot→hybrid maps, and every document's indexed text (the
         rebuild source should a half's segment be quarantined).  Requires
-        a frozen, compiled (non-legacy) index."""
-        if self.legacy or self._bm25_map is None:
-            raise RuntimeError("export_fusion requires a frozen, compiled kernel index")
+        a frozen index."""
+        if self._bm25_map is None:
+            raise RuntimeError("export_fusion requires a frozen index")
         return {
-            "meta": {
-                "rrf_k": self.rrf_k,
-                "bm25_weight": self.bm25_weight,
-                "vector_weight": self.vector_weight,
-                "fusion_pool": self.fusion_pool,
-                "seed": self.seed,
-                "dim": self.embedder.dim,
-            },
+            "meta": {**FUSION_META, "seed": self.seed, "dim": self.embedder.dim},
             "doc_list": list(self._doc_list),
             "texts": [self._texts[doc_id] for doc_id in self._doc_list],
             "bm25_map": self._bm25_map,
@@ -195,17 +172,9 @@ class HybridIndex:
     ) -> "HybridIndex":
         """Assemble a frozen hybrid index from restored (or rebuilt)
         halves plus the fusion arrays.  The result serves the compiled
-        int-fusion search path exactly as the index it was exported from."""
-        pool = meta.get("fusion_pool")
-        index = cls(
-            dim=int(meta["dim"]),
-            rrf_k=int(meta["rrf_k"]),
-            bm25_weight=float(meta["bm25_weight"]),
-            vector_weight=float(meta["vector_weight"]),
-            seed=int(meta.get("seed", 13)),
-            embedder=embedder,
-            fusion_pool=None if pool is None else int(pool),
-        )
+        int-fusion search path exactly as the index it was exported from.
+        The caller has checked ``meta`` against :data:`FUSION_META`."""
+        index = cls(dim=int(meta["dim"]), seed=int(meta.get("seed", 13)), embedder=embedder)
         index.bm25 = bm25
         index.vectors = vectors
         index._texts = dict(zip(doc_list, texts))
@@ -224,23 +193,22 @@ class HybridIndex:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._texts
 
+    def doc_ids(self) -> List[str]:
+        """Every indexed doc_id in first-insertion order (the hybrid id
+        order of a frozen index)."""
+        return list(self._texts)
+
     def text_of(self, doc_id: str) -> str:
         return self._texts[doc_id]
 
     def kernel_stats(self) -> Dict[str, object]:
-        """Which kernel serves this index, and how fusion is tuned."""
+        """Which kernel serves this index, and whether it is compiled."""
         return {
-            "kernel": "legacy" if self.legacy else "array",
+            "kernel": "array",
             "compiled": self._bm25_map is not None,
             "frozen": self._frozen,
-            "fusion_pool": self.fusion_pool,
             "docs": len(self._texts),
         }
-
-    def _pool(self, k: int) -> int:
-        if self.fusion_pool is not None:
-            return max(self.fusion_pool, k)
-        return max(k * 3, 10)
 
     # ------------------------------------------------------------------
     # Search
@@ -264,106 +232,92 @@ class HybridIndex:
         """
         if mode not in ("hybrid", "bm25", "vector"):
             raise ValueError(f"unknown search mode {mode!r}")
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         queries = list(queries)
         if not queries:
             return []
-        if self._bm25_map is not None:
-            return self._search_batch_ids(queries, k, mode)
-        return self._search_batch_keys(queries, k, mode)
-
-    def _search_batch_ids(
-        self, queries: List[str], k: int, mode: str
-    ) -> List[List[HybridHit]]:
-        """Compiled path: both halves return rank-ordered int ids, RRF
-        accumulates over hybrid ints, and doc_id strings materialize only
-        for the final top-k."""
-        pool = self._pool(k)
         n = len(queries)
-        empty = np.empty(0, dtype=np.int64)
-        bm25_lists: Sequence[np.ndarray] = [empty] * n
-        vector_lists: Sequence[np.ndarray] = [empty] * n
+        pool = max(k * 3, 10)
+        # Rank-ordered keys per half: hybrid ints once freeze() interned
+        # them, doc_ids before that.
+        compiled = self._bm25_map is not None
+        bm25_lists: Sequence[Sequence[Hashable]] = [()] * n
+        vector_lists: Sequence[Sequence[Hashable]] = [()] * n
         if mode in ("hybrid", "bm25"):
             with obs.span("retrieval.bm25", queries=n, pool=pool):
-                bm25_lists = self.bm25.search_slots(queries, k=pool)
+                if compiled:
+                    bm25_lists = [
+                        self._bm25_map[slots].tolist()
+                        for slots in self.bm25.search_slots(queries, k=pool)
+                    ]
+                else:
+                    bm25_lists = [
+                        [hit.doc_id for hit in hits]
+                        for hits in self.bm25.search_batch(queries, k=pool)
+                    ]
         if mode in ("hybrid", "vector"):
             with obs.span("retrieval.vector", queries=n, pool=pool):
                 vectors = self.embedder.embed_batch(queries)
-                vector_lists = self.vectors.search_batch_ids(vectors, k=pool)
-
-        bm25_map, vector_map, doc_list = self._bm25_map, self._vector_map, self._doc_list
-        results: List[List[HybridHit]] = []
+                if compiled:
+                    vector_lists = [
+                        self._vector_map[nodes].tolist()
+                        for nodes in self.vectors.search_batch_ids(vectors, k=pool)
+                    ]
+                else:
+                    vector_lists = [
+                        [hit.key for hit in hits]
+                        for hits in self.vectors.search_batch(vectors, k=pool)
+                    ]
+        # doc_id keys name themselves: str() of a str is that same str.
+        doc_id_of = self._doc_list.__getitem__ if compiled else str
         with obs.span("retrieval.fusion", queries=n):
-            for bm25_ids, vector_ids in zip(bm25_lists, vector_lists):
-                fused: Dict[int, float] = {}
-                bm25_ranks: Dict[int, int] = {}
-                vector_ranks: Dict[int, int] = {}
-                for rank, slot in enumerate(bm25_ids.tolist()):
-                    hybrid = int(bm25_map[slot])
-                    bm25_ranks[hybrid] = rank
-                    fused[hybrid] = fused.get(hybrid, 0.0) + self.bm25_weight / (
-                        self.rrf_k + rank + 1
-                    )
-                for rank, node in enumerate(vector_ids.tolist()):
-                    hybrid = int(vector_map[node])
-                    vector_ranks[hybrid] = rank
-                    fused[hybrid] = fused.get(hybrid, 0.0) + self.vector_weight / (
-                        self.rrf_k + rank + 1
-                    )
-                ranked = sorted(fused.items(), key=lambda kv: (-kv[1], doc_list[kv[0]]))
-                results.append(
-                    [
-                        HybridHit(
-                            doc_list[hybrid],
-                            score,
-                            bm25_rank=bm25_ranks.get(hybrid),
-                            vector_rank=vector_ranks.get(hybrid),
-                        )
-                        for hybrid, score in ranked[:k]
-                    ]
-                )
-        return results
+            return [
+                _fuse(bm25_keys, vector_keys, k, doc_id_of)
+                for bm25_keys, vector_keys in zip(bm25_lists, vector_lists)
+            ]
 
-    def _search_batch_keys(
-        self, queries: List[str], k: int, mode: str
-    ) -> List[List[HybridHit]]:
-        """Uncompiled/legacy path: the original dict-over-doc_id fusion."""
-        pool = self._pool(k)
-        batch_bm25: List[Dict[str, int]] = [{} for _ in queries]
-        batch_vector: List[Dict[str, int]] = [{} for _ in queries]
-        if mode in ("hybrid", "bm25"):
-            with obs.span("retrieval.bm25", queries=len(queries), pool=pool):
-                for ranks, hits in zip(batch_bm25, self.bm25.search_batch(queries, k=pool)):
-                    for rank, hit in enumerate(hits):
-                        ranks[hit.doc_id] = rank
-        if mode in ("hybrid", "vector"):
-            with obs.span("retrieval.vector", queries=len(queries), pool=pool):
-                vectors = self.embedder.embed_batch(queries)
-                for ranks, hits in zip(batch_vector, self.vectors.search_batch(vectors, k=pool)):
-                    for rank, hit in enumerate(hits):
-                        ranks[hit.key] = rank
 
-        results: List[List[HybridHit]] = []
-        with obs.span("retrieval.fusion", queries=len(queries)):
-            for bm25_ranks, vector_ranks in zip(batch_bm25, batch_vector):
-                fused: Dict[str, float] = {}
-                for doc_id, rank in bm25_ranks.items():
-                    fused[doc_id] = (
-                        fused.get(doc_id, 0.0) + self.bm25_weight / (self.rrf_k + rank + 1)
-                    )
-                for doc_id, rank in vector_ranks.items():
-                    fused[doc_id] = (
-                        fused.get(doc_id, 0.0) + self.vector_weight / (self.rrf_k + rank + 1)
-                    )
-                ranked = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
-                results.append(
-                    [
-                        HybridHit(
-                            doc_id,
-                            score,
-                            bm25_rank=bm25_ranks.get(doc_id),
-                            vector_rank=vector_ranks.get(doc_id),
-                        )
-                        for doc_id, score in ranked[:k]
-                    ]
-                )
-        return results
+def fusion_maps_for(
+    bm25: BM25Index, vectors: HNSWIndex, doc_list: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both halves' slot→hybrid maps: the freeze-time interning, and what
+    the store recomputes for a half it rebuilt rather than hydrated."""
+    hybrid_of = {doc_id: i for i, doc_id in enumerate(doc_list)}
+    bm25_map = np.full(bm25.slot_count, -1, dtype=np.int64)
+    for doc_id, slot in bm25.slot_items():
+        bm25_map[slot] = hybrid_of[doc_id]
+    vector_map = np.full(len(vectors), -1, dtype=np.int64)
+    for doc_id, node in vectors.node_items():
+        vector_map[node] = hybrid_of[doc_id]
+    return bm25_map, vector_map
+
+
+def _fuse(
+    bm25_keys: Sequence[Hashable],
+    vector_keys: Sequence[Hashable],
+    k: int,
+    doc_id_of: Callable[[Hashable], str],
+) -> List[HybridHit]:
+    """Weighted RRF over two rank-ordered key lists: descending fused
+    score, ties by ascending doc_id, top ``k``."""
+    fused: Dict[Hashable, float] = {}
+    bm25_ranks: Dict[Hashable, int] = {}
+    vector_ranks: Dict[Hashable, int] = {}
+    for ranks, keys, weight in (
+        (bm25_ranks, bm25_keys, BM25_WEIGHT),
+        (vector_ranks, vector_keys, VECTOR_WEIGHT),
+    ):
+        for rank, key in enumerate(keys):
+            ranks[key] = rank
+            fused[key] = fused.get(key, 0.0) + weight / (RRF_K + rank + 1)
+    ranked = sorted(fused.items(), key=lambda kv: (-kv[1], doc_id_of(kv[0])))
+    return [
+        HybridHit(
+            doc_id_of(key),
+            score,
+            bm25_rank=bm25_ranks.get(key),
+            vector_rank=vector_ranks.get(key),
+        )
+        for key, score in ranked[:k]
+    ]

@@ -43,7 +43,6 @@ class PneumaRetriever:
         sample_rows: int = 3,
         narration_cache: Optional[NarrationCache] = None,
         embedder=None,
-        fusion_pool: Optional[int] = None,
         vector_breaker=None,
         on_degraded: Optional[Callable[[], None]] = None,
         index=None,
@@ -57,11 +56,7 @@ class PneumaRetriever:
         # snapshot, plus the narrations/fingerprints of the tables that
         # snapshot still covers — the construction-time reindex below then
         # narrates only tables that changed while the service was down.
-        self.index = (
-            index
-            if index is not None
-            else HybridIndex(dim=dim, embedder=embedder, fusion_pool=fusion_pool)
-        )
+        self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
         self.degraded_serves = 0
@@ -75,12 +70,15 @@ class PneumaRetriever:
     def reindex(self) -> Dict[str, int]:
         """Bring the index up to date with the database, skipping unchanged
         tables by content fingerprint.  Returns ``{"indexed": n, "skipped": m}``.
+        A table that left the catalog is forgotten; its index entry stays
+        (the index has no delete) and :meth:`search_batch` skips it.
         """
         pending: List[Tuple[str, str]] = []
         staged_narrations: Dict[str, str] = {}
         staged_fingerprints: Dict[str, Tuple[str, int]] = {}
         skipped = 0
-        for table in self.database.tables():
+        tables = self.database.tables()
+        for table in tables:
             fingerprint = table_fingerprint(table)
             if self._fingerprints.get(table.name) == fingerprint:
                 skipped += 1
@@ -96,11 +94,10 @@ class PneumaRetriever:
             self.index.add_batch(pending)
         self._narrations.update(staged_narrations)
         self._fingerprints.update(staged_fingerprints)
+        for name in self._fingerprints.keys() - {table.name for table in tables}:
+            del self._fingerprints[name]
+            del self._narrations[name]
         return {"indexed": len(pending), "skipped": skipped}
-
-    def refresh(self) -> None:
-        """Re-index tables added to the database since construction."""
-        self.reindex()
 
     def freeze(self) -> "PneumaRetriever":
         """Seal the underlying index for lock-free concurrent searching."""
@@ -134,6 +131,9 @@ class PneumaRetriever:
         for hits in batches:
             documents = []
             for hit in hits:
+                if not self.database.has_table(hit.doc_id):
+                    # Dropped from the catalog; the index cannot delete.
+                    continue
                 table = self.database.resolve_table(hit.doc_id)
                 documents.append(
                     Document(

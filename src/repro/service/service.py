@@ -150,7 +150,6 @@ class PneumaService:
         dim: int = 192,
         llm_factory: Optional[Callable[[], RuleLLM]] = None,
         llm_latency_factor: float = 0.0,
-        fusion_pool: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         storage_dir: Optional[Union[str, Path]] = None,
@@ -158,7 +157,6 @@ class PneumaService:
     ):
         self.lake = lake
         self._dim = dim
-        self._fusion_pool = fusion_pool
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_plan = fault_plan
         self.metrics = ServiceMetrics()
@@ -304,30 +302,20 @@ class PneumaService:
         are narrated (into the delta overlay).  A cold build with a store
         publishes its result so the *next* open warm-starts.
         """
+        wiring = dict(
+            dim=self._dim,
+            narrations=narrations,
+            embedder=embedder,
+            vector_breaker=self.breakers["vector"],
+            on_degraded=self.metrics.record_degraded_retrieval,
+        )
         bundle: Optional[SharedIndexBundle] = None
         if initial and self.store is not None:
-            bundle = restore_shared_retriever(
-                self.lake,
-                self.store,
-                dim=self._dim,
-                fusion_pool=self._fusion_pool,
-                narrations=narrations,
-                embedder=embedder,
-                vector_breaker=self.breakers["vector"],
-                on_degraded=self.metrics.record_degraded_retrieval,
-            )
+            bundle = restore_shared_retriever(self.lake, self.store, **wiring)
             if bundle is not None:
                 self.warm_started = True
         if bundle is None:
-            bundle = build_shared_retriever(
-                self.lake,
-                dim=self._dim,
-                fusion_pool=self._fusion_pool,
-                narrations=narrations,
-                embedder=embedder,
-                vector_breaker=self.breakers["vector"],
-                on_degraded=self.metrics.record_degraded_retrieval,
-            )
+            bundle = build_shared_retriever(self.lake, **wiring)
             if initial and self.store is not None:
                 self._publish_index(bundle.retriever.index)
         if self.fault_plan is not None:
@@ -572,10 +560,9 @@ class PneumaService:
         # The bundle's own caches, plus the process-wide tables the RuleLLM
         # policies score text through (lexicon, question memo, stems, ...).
         snapshot["caches"] = {**self.shared.cache_stats(), "policy_text": policy_text_stats()}
-        # Retrieval-kernel view: which kernel serves the shared index,
-        # whether freeze() compiled it, and the fusion-depth knob — the
-        # fusion-pool/latency trade-off is tuned per service and must be
-        # observable next to the latency percentiles it moves.
+        # Retrieval-kernel view: which kernel serves the shared index
+        # (plain, or a warm start's base+delta overlay) and whether
+        # freeze() compiled it.
         snapshot["retrieval"] = self.shared.retriever.index.kernel_stats()
         snapshot["knowledge_entries"] = len(self.knowledge)
         # All serving-side SQL — lake queries and every session's

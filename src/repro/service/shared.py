@@ -55,10 +55,8 @@ class SharedIndexBundle:
 def build_shared_retriever(
     lake: Database,
     dim: int = 192,
-    sample_rows: int = 3,
     narrations: NarrationCache = None,
     embedder: CachedEmbedder = None,
-    fusion_pool: int = None,
     vector_breaker=None,
     on_degraded: Optional[Callable[[], None]] = None,
 ) -> SharedIndexBundle:
@@ -76,10 +74,8 @@ def build_shared_retriever(
     retriever = PneumaRetriever(
         lake,
         dim=dim,
-        sample_rows=sample_rows,
         narration_cache=narrations,
         embedder=embedder,
-        fusion_pool=fusion_pool,
         vector_breaker=vector_breaker,
         on_degraded=on_degraded,
     )
@@ -96,10 +92,8 @@ def restore_shared_retriever(
     lake: Database,
     store,
     dim: int = 192,
-    sample_rows: int = 3,
     narrations: NarrationCache = None,
     embedder: CachedEmbedder = None,
-    fusion_pool: int = None,
     vector_breaker=None,
     on_degraded: Optional[Callable[[], None]] = None,
 ) -> Optional[SharedIndexBundle]:
@@ -134,17 +128,15 @@ def restore_shared_retriever(
     retriever = PneumaRetriever(
         lake,
         dim=dim,
-        sample_rows=sample_rows,
         narration_cache=narrations,
         embedder=embedder,
-        fusion_pool=fusion_pool,
         vector_breaker=vector_breaker,
         on_degraded=on_degraded,
         index=delta,
         preset_narrations=preset_narrations,
         preset_fingerprints=preset_fingerprints,
     )
-    for doc_id in base._doc_list:
+    for doc_id in base.doc_ids():
         if doc_id not in current:
             delta.mask(doc_id)
     retriever.freeze()

@@ -208,17 +208,3 @@ def rebuild_hnsw_half(
     index.compile()
     return index
 
-
-def fusion_maps_for(
-    bm25: BM25Index, vectors: HNSWIndex, doc_list: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Recompute both halves' slot→hybrid maps (the freeze-time interning)
-    for halves that were rebuilt rather than hydrated."""
-    hybrid_of = {doc_id: i for i, doc_id in enumerate(doc_list)}
-    bm25_map = np.full(bm25.slot_count, -1, dtype=np.int64)
-    for doc_id, slot in bm25.slot_items():
-        bm25_map[slot] = hybrid_of[doc_id]
-    vector_map = np.full(len(vectors), -1, dtype=np.int64)
-    for doc_id, node in vectors.node_items():
-        vector_map[node] = hybrid_of[doc_id]
-    return bm25_map, vector_map

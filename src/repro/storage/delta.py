@@ -33,21 +33,11 @@ __all__ = ["DeltaHybridIndex"]
 class DeltaHybridIndex:
     """A frozen base :class:`HybridIndex` plus a mutable delta overlay."""
 
-    def __init__(self, base: HybridIndex, embedder=None):
+    def __init__(self, base: HybridIndex):
         if not base.frozen:
             raise ValueError("DeltaHybridIndex needs a frozen base index")
         self.base = base
-        if embedder is not None:
-            base.embedder = embedder
-        self.delta = HybridIndex(
-            dim=base.embedder.dim,
-            rrf_k=base.rrf_k,
-            bm25_weight=base.bm25_weight,
-            vector_weight=base.vector_weight,
-            seed=base.seed,
-            embedder=base.embedder,
-            fusion_pool=base.fusion_pool,
-        )
+        self.delta = HybridIndex(dim=base.embedder.dim, seed=base.seed, embedder=base.embedder)
         self._masked: Set[str] = set()
         self._frozen = False
 
@@ -169,20 +159,14 @@ class DeltaHybridIndex:
         fusion (and is what a background merge would publish).
         """
         rebuilt = HybridIndex(
-            dim=self.base.embedder.dim,
-            rrf_k=self.base.rrf_k,
-            bm25_weight=self.base.bm25_weight,
-            vector_weight=self.base.vector_weight,
-            seed=self.base.seed,
-            embedder=self.base.embedder,
-            fusion_pool=self.base.fusion_pool,
+            dim=self.base.embedder.dim, seed=self.base.seed, embedder=self.base.embedder
         )
         items: List[Tuple[str, str]] = []
-        for doc_id in self.base._doc_list:
+        for doc_id in self.base.doc_ids():
             if doc_id in self._masked or doc_id in self.delta:
                 continue
             items.append((doc_id, self.base.text_of(doc_id)))
-        for doc_id in self.delta._texts:
+        for doc_id in self.delta.doc_ids():
             items.append((doc_id, self.delta.text_of(doc_id)))
         rebuilt.add_batch(items)
         return rebuilt.freeze()

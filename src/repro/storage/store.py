@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..obs import trace as obs
-from ..retriever.index import HybridIndex
+from ..retriever.index import FUSION_META, HybridIndex, fusion_maps_for
 from ..text.embedding import HashingEmbedder
 from . import codec
 from .atomic import fsync_dir
@@ -168,6 +168,11 @@ class IndexStore:
             return None
         fusion = codec.load_fusion_parts(fusion_seg)
         meta = fusion["meta"]
+        if any(meta.get(name) != value for name, value in FUSION_META.items()):
+            # Published by a process that fused with other constants; its
+            # rankings are not ours.  The caller cold-builds, and that
+            # build's publish replaces this snapshot.
+            return None
         if embedder is None:
             embedder = HashingEmbedder(dim=int(meta["dim"]))
         docs = list(zip(fusion["doc_list"], fusion["texts"]))
@@ -193,7 +198,7 @@ class IndexStore:
         if rebuilt:
             # Slot/node numbering of a rebuilt half can differ from the
             # stored maps; recompute the interning from the live halves.
-            bm25_map, vector_map = codec.fusion_maps_for(bm25, vectors, fusion["doc_list"])
+            bm25_map, vector_map = fusion_maps_for(bm25, vectors, fusion["doc_list"])
         else:
             bm25_map, vector_map = fusion["bm25_map"], fusion["vector_map"]
         index = HybridIndex.hydrate_fusion(

@@ -1,7 +1,6 @@
-"""text — tokenization, BM25 (array kernel + legacy oracle), embeddings."""
+"""text — tokenization, BM25 (array kernel), embeddings."""
 
 from .bm25 import BM25Hit, BM25Index
-from .bm25_legacy import LegacyBM25Index
 from .embedding import CachedEmbedder, HashingEmbedder, cosine_similarity
 from .tokenize import (
     STOPWORDS,
@@ -16,7 +15,6 @@ from .tokenize import (
 
 __all__ = [
     "BM25Index",
-    "LegacyBM25Index",
     "BM25Hit",
     "HashingEmbedder",
     "CachedEmbedder",

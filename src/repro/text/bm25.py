@@ -3,8 +3,9 @@
 This is the lexical half of Pneuma-Retriever's hybrid index and the whole
 of the FTS baseline.  Scores follow Robertson & Zaragoza (2009) with the
 usual ``k1``/``b`` parameterization and non-negative IDF — numerically
-identical to :class:`~repro.text.bm25_legacy.LegacyBM25Index`, which the
-equivalence battery holds this kernel to.
+identical to the dict-at-a-time ``LegacyBM25Index`` oracle in
+``tests/oracles/bm25_legacy.py``, which the equivalence battery holds
+this kernel to.
 
 Layout (the PR-2 plan/compile approach applied to retrieval):
 

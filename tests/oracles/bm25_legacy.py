@@ -1,16 +1,12 @@
-"""The original dict-at-a-time Okapi BM25 index, kept as oracle + baseline.
+"""The original dict-at-a-time Okapi BM25 index, kept as the ranking oracle.
 
 This is the pre-kernel implementation of :class:`~repro.text.bm25.BM25Index`
 verbatim (scores follow Robertson & Zaragoza, 2009): postings are
 ``term -> {doc_id: tf}`` dicts and a query is scored by dict-accumulate
-plus a full sort.  It survives for two reasons:
-
-* **semantic oracle** — the equivalence battery in
-  ``tests/retriever/test_kernel_equivalence.py`` and the benchmark both
-  require the array-native kernel to reproduce this index's rankings
-  exactly (scores within 1e-9);
-* **benchmark baseline** — ``benchmarks/bench_retrieval_kernel.py``
-  reports the kernel's speedup over this implementation (``--legacy``).
+plus a full sort.  It survives as the **semantic oracle**: the
+equivalence battery in ``tests/retriever/test_kernel_equivalence.py``
+requires the array-native kernel to reproduce this index's rankings
+exactly (scores within 1e-9).
 
 The only change from the original: query terms are iterated in sorted
 order, so per-document score sums accumulate in a deterministic order
@@ -23,8 +19,8 @@ import math
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from .bm25 import BM25Hit
-from .tokenize import tokenize
+from repro.text.bm25 import BM25Hit
+from repro.text.tokenize import tokenize
 
 
 class LegacyBM25Index:

@@ -1,16 +1,12 @@
-"""The original scalar-at-a-time HNSW, kept as oracle + baseline.
+"""The original scalar-at-a-time HNSW, kept as the ranking oracle.
 
 This is the pre-kernel implementation of
 :class:`~repro.ann.hnsw.HNSWIndex` verbatim: vectors in a Python list,
 one ``self._metric`` call per neighbor, a ``set`` for visited tracking.
-It survives for two reasons:
-
-* **semantic oracle** — given the same seed it builds the same graph
-  (decision for decision) as the matrix-backed kernel, so the
-  equivalence battery and the benchmark require identical rankings with
-  distances within 1e-9;
-* **benchmark baseline** — ``benchmarks/bench_retrieval_kernel.py``
-  reports the kernel's search and build speedups over this class.
+It survives as the **semantic oracle**: given the same seed it builds
+the same graph (decision for decision) as the matrix-backed kernel, so
+the equivalence battery requires identical rankings with distances
+within 1e-9.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .brute import Neighbor
-from .metrics import quantize_distance, resolve_metric
+from repro.ann.brute import Neighbor
+from repro.ann.metrics import quantize_distance, resolve_metric
 
 
 class LegacyHNSWIndex:

@@ -3,7 +3,8 @@ reproduce the legacy kernel's rankings identically (scores within 1e-9)
 across corpus sizes, seeds, metrics, and fusion modes.
 
 The legacy classes are the semantic oracles the PR-2-style kernel swap is
-held to — same contract as ``RowExecutor`` for the SQL engine.
+held to — same contract as ``RowExecutor`` for the SQL engine.  They live
+in ``tests/oracles/``, outside the production import graph.
 """
 
 import random
@@ -11,9 +12,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.ann import HNSWIndex, LegacyHNSWIndex
+from repro.ann import HNSWIndex
 from repro.retriever import HybridIndex
-from repro.text import BM25Index, LegacyBM25Index
+from repro.text import BM25Index
+from tests.oracles.bm25_legacy import LegacyBM25Index
+from tests.oracles.hnsw_legacy import LegacyHNSWIndex
+from tests.oracles.hybrid_legacy import LegacyHybridIndex
 
 TOL = 1e-9
 
@@ -170,12 +174,11 @@ class TestHybridEquivalence:
     def test_fusion_matches_across_modes(self, n_docs, vocab, seed, mode):
         docs = corpus(n_docs, vocab, seed)
         qs = queries_for(docs, 20, seed)
-        legacy = HybridIndex(dim=48, legacy=True)
+        legacy = LegacyHybridIndex(dim=48)
         legacy.add_batch(docs)
-        legacy.freeze()
         kernel = HybridIndex(dim=48)
         kernel.add_batch(docs)
-        # Unfrozen kernel: dict-based fusion over the array halves.
+        # Unfrozen kernel: fusion keyed by doc_id over the array halves.
         for legacy_hits, kernel_hits in zip(
             legacy.search_batch(qs, k=5, mode=mode), kernel.search_batch(qs, k=5, mode=mode)
         ):
@@ -191,31 +194,33 @@ class TestHybridEquivalence:
                 assert lhit.bm25_rank == khit.bm25_rank
                 assert lhit.vector_rank == khit.vector_rank
 
-    def test_fusion_pool_respected_by_both_kernels(self):
+    def test_default_fusion_pool_matches(self):
+        """The candidate depth is ``max(3 * k, 10)`` on both sides: the
+        floor of 10 at k=1, 15 at the default k, 36 past it."""
         docs = corpus(300, 80, 6)
         qs = queries_for(docs, 15, 6)
-        legacy = HybridIndex(dim=48, legacy=True, fusion_pool=25)
+        legacy = LegacyHybridIndex(dim=48)
         legacy.add_batch(docs)
-        legacy.freeze()
-        kernel = HybridIndex(dim=48, fusion_pool=25)
+        kernel = HybridIndex(dim=48)
         kernel.add_batch(docs)
         kernel.freeze()
-        for legacy_hits, kernel_hits in zip(
-            legacy.search_batch(qs, k=5), kernel.search_batch(qs, k=5)
-        ):
-            assert_hits_equal(legacy_hits, kernel_hits, "fusion_pool=25")
+        for k in (1, 5, 12):
+            for legacy_hits, kernel_hits in zip(
+                legacy.search_batch(qs, k=k), kernel.search_batch(qs, k=k)
+            ):
+                assert_hits_equal(legacy_hits, kernel_hits, f"k={k}")
 
     def test_reindexed_docs_fuse_correctly_after_freeze(self):
         """Re-adding changed content recycles BM25 slots and updates HNSW
         in place; the freeze-time id interning must still fuse right."""
         docs = corpus(120, 50, 8)
-        legacy = HybridIndex(dim=48, legacy=True)
+        legacy = LegacyHybridIndex(dim=48)
         kernel = HybridIndex(dim=48)
         for index in (legacy, kernel):
             index.add_batch(docs)
             # Replace a third of the corpus with new content.
             for doc_id, text in docs[::3]:
                 index.add(doc_id, text + " t2x t3x")
-            index.freeze()
+        kernel.freeze()
         for query in queries_for(docs, 15, 8):
             assert_hits_equal(legacy.search(query, k=5), kernel.search(query, k=5), query)

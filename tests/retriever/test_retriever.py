@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import build_procurement_lake
 from repro.relational import Database, Table
 from repro.retriever import HybridIndex, PneumaRetriever, narrate_table, sample_rows, table_payload
 
@@ -63,6 +64,19 @@ class TestHybridIndex:
         with pytest.raises(ValueError):
             HybridIndex(dim=64).search("x", mode="psychic")
 
+    def test_negative_k_raises_frozen_or_not(self):
+        """``ranked[:-1]`` used to answer k=-1 with all hits but the last."""
+        index = HybridIndex(dim=64)
+        for i in range(8):
+            index.add(f"d{i}", f"alpha shared token{i}")
+        assert len(index.search("alpha shared", k=8)) == 8
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search("alpha shared", k=-1)
+        index.freeze()
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search_batch(["alpha shared"], k=-1)
+        assert index.search("alpha shared", k=0) == []
+
     def test_fusion_combines_ranks(self):
         index = HybridIndex(dim=64)
         index.add("a", "alpha beta gamma")
@@ -103,6 +117,23 @@ class TestPneumaRetriever:
     def test_refresh_picks_up_new_tables(self, lake):
         retriever = PneumaRetriever(lake)
         lake.register(Table.from_columns("budgets", {"dept": ["IT"], "usd": [1.0]}))
-        retriever.refresh()
+        retriever.reindex()
         docs = retriever.search("department budgets in usd", k=1)
         assert docs[0].title == "budgets"
+
+    def test_reindex_forgets_dropped_tables(self):
+        lake = build_procurement_lake()
+        retriever = PneumaRetriever(lake)
+        query = "department budgets by fiscal year"
+        assert retriever.search(query, k=3)[0].title == "department_budgets"
+        lake.drop_table("department_budgets")
+        # The index entry outlives the table; search skips it either way.
+        assert "department_budgets" not in {d.title for d in retriever.search(query, k=3)}
+        assert retriever.reindex() == {"indexed": 0, "skipped": 2}
+        assert "department_budgets" not in {d.title for d in retriever.search(query, k=3)}
+        with pytest.raises(KeyError):
+            retriever.narration("department_budgets")
+        # A same-named table that comes back is narrated afresh, not skipped.
+        lake.register(Table.from_columns("department_budgets", {"dept": ["IT"], "usd": [1.0]}))
+        assert retriever.reindex() == {"indexed": 1, "skipped": 2}
+        assert retriever.search(query, k=1)[0].title == "department_budgets"

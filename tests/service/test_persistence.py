@@ -1,10 +1,12 @@
 """Service-level persistence: warm starts, knowledge WAL, crash injection."""
 
+import numpy as np
 import pytest
 
 from repro.datasets import build_procurement_lake
 from repro.service import CrashSpec, FaultPlan, PneumaService
 from repro.storage import IndexStore, SimulatedCrash
+from repro.storage.segment import read_segment, write_segment
 from repro.storage.store import CP_PUBLISH_AFTER_SEGMENTS
 
 QUERIES = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
@@ -70,6 +72,61 @@ class TestWarmStart:
         assert response.message
         warm.close_session(sid)
         warm.shutdown(drain=True)
+
+
+#: The fusion segment meta exactly as the commit before the fusion knobs
+#: became constants wrote it (and as every store on disk carries it).
+PARENT_FUSION_META = {
+    "kind": "fusion",
+    "rrf_k": 60,
+    "bm25_weight": 1.0,
+    "vector_weight": 1.0,
+    "fusion_pool": None,
+    "seed": 13,
+    "dim": 192,
+}
+
+
+def rewrite_fusion_meta(store_dir, meta):
+    """Republish the store's fusion segment in place under ``meta``.  The
+    payload (and so the digest the manifest records) does not change."""
+    (path,) = (store_dir / "segments").glob("fusion-*.seg")
+    segment = read_segment(path)
+    arrays = {name: np.array(array) for name, array in segment.arrays.items()}
+    write_segment(path, arrays, meta=meta)
+
+
+class TestFusionMetaCompatibility:
+    def publish_store(self, store_dir):
+        svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        oracle = search_results(svc)
+        svc.shutdown(drain=True)
+        return oracle
+
+    def test_parent_meta_shape_still_warm_starts(self, store_dir):
+        oracle = self.publish_store(store_dir)
+        (path,) = (store_dir / "segments").glob("fusion-*.seg")
+        # The on-disk format did not move with the signatures.
+        assert read_segment(path).meta == PARENT_FUSION_META
+        rewrite_fusion_meta(store_dir, PARENT_FUSION_META)
+        warm = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        assert warm.warm_started is True
+        assert search_results(warm) == oracle
+        warm.shutdown(drain=True)
+
+    def test_other_fusion_constants_are_refused(self, store_dir):
+        oracle = self.publish_store(store_dir)
+        rewrite_fusion_meta(store_dir, {**PARENT_FUSION_META, "rrf_k": 10})
+        cold = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        # Never rank with other weights than the process uses: cold build.
+        assert cold.warm_started is False
+        assert cold.shared.build_report["indexed"] == 3
+        assert search_results(cold) == oracle
+        cold.shutdown(drain=True)
+        # The cold build republished under this process's constants.
+        again = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        assert again.warm_started is True
+        again.shutdown(drain=True)
 
 
 class TestKnowledgeDurability:

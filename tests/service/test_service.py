@@ -69,17 +69,7 @@ class TestLifecycle:
         assert retrieval["kernel"] == "array"
         assert retrieval["compiled"] is True  # freeze() ran the compile step
         assert retrieval["frozen"] is True
-        assert retrieval["fusion_pool"] is None  # adaptive default
         assert retrieval["docs"] == 3
-
-    def test_fusion_pool_is_tunable_and_observable(self, lake):
-        with PneumaService(lake, max_workers=2, fusion_pool=7) as svc:
-            retrieval = svc.stats()["retrieval"]
-            assert retrieval["fusion_pool"] == 7
-            assert svc.shared.retriever.index.fusion_pool == 7
-            # The tuned service still answers discovery queries.
-            results = svc.batch_retrieve(["tariff rates by country"])
-            assert results and results[0].documents
 
 
 class TestConcurrencyIsolation:

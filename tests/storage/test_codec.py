@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ann.hnsw import HNSWIndex
-from repro.retriever.index import HybridIndex
+from repro.retriever.index import HybridIndex, fusion_maps_for
 from repro.storage import read_segment
 from repro.storage.codec import (
-    fusion_maps_for,
     load_bm25,
     load_fusion_parts,
     load_hnsw,

@@ -66,6 +66,14 @@ class TestOverlay:
         survivors = [h.doc_id for h in delta.search(QUERIES[0], k=len(DOCS))]
         assert target not in survivors
 
+    def test_negative_k_rejected_with_and_without_overlay(self):
+        delta = DeltaHybridIndex(frozen_base())
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            delta.search(QUERIES[0], k=-1)
+        delta.mask("doc1")  # base is now asked for k + 1 = 0
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            delta.search(QUERIES[0], k=-1)
+
     def test_freeze_seals_overlay(self):
         delta = DeltaHybridIndex(frozen_base())
         delta.add("x", "extra doc")

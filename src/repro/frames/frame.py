@@ -158,6 +158,7 @@ class DataFrame:
         )
         if len(directions) != len(keys):
             raise FrameError("ascending must match the number of sort keys")
+        from ..relational.semantics import InvertedKey
         from ..relational.types import sort_key
 
         indices = list(range(len(self)))
@@ -172,7 +173,7 @@ class DataFrame:
                 elif asc:
                     parts.append((0, base))
                 else:
-                    parts.append((0, _Inverted(base)))
+                    parts.append((0, InvertedKey(base)))
             return tuple(parts)
 
         indices.sort(key=composite)
@@ -318,18 +319,3 @@ class DataFrame:
     # ------------------------------------------------------------------
     def pretty(self, max_rows: int = 20) -> str:
         return self.to_table("frame").pretty(max_rows=max_rows)
-
-
-class _Inverted:
-    """Inverts ordering for descending sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any):
-        self.key = key
-
-    def __lt__(self, other: "_Inverted") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Inverted) and self.key == other.key

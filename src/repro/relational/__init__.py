@@ -11,7 +11,6 @@ Public API::
 
 from .catalog import Database
 from .csv_io import read_csv, read_csv_text, to_csv_text, write_csv
-from .executor import Executor, RowExecutor
 from .plan import PlanCache, normalize_sql
 from .errors import (
     BindError,
@@ -28,8 +27,6 @@ from .types import DataType, format_value
 
 __all__ = [
     "Database",
-    "Executor",
-    "RowExecutor",
     "PlanCache",
     "normalize_sql",
     "Table",

@@ -6,8 +6,26 @@ planner to match GROUP BY expressions and aggregate calls inside projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator, List, Optional, Tuple
+
+
+def _exprs_in(value: Any) -> Iterator["Expr"]:
+    """The Exprs a node field holds: itself, or inside lists / WHEN pairs."""
+    if isinstance(value, Expr):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _exprs_in(v)
+
+
+def _map_exprs(value: Any, fn: Callable[["Expr"], "Expr"]) -> Any:
+    """``value`` with ``fn`` applied to every Expr :func:`_exprs_in` finds."""
+    if isinstance(value, Expr):
+        return fn(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_map_exprs(v, fn) for v in value)
+    return value
 
 
 class Expr:
@@ -15,6 +33,16 @@ class Expr:
 
     def key(self) -> Tuple:
         raise NotImplementedError
+
+    def children(self) -> Iterator["Expr"]:
+        """Direct sub-expressions in evaluation order; a subquery body is
+        a :class:`Select`, not an Expr, and is not descended into."""
+        for value in vars(self).values():
+            yield from _exprs_in(value)
+
+    def map_children(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
+        """A copy of this node with ``fn`` applied to each direct child."""
+        return replace(self, **{name: _map_exprs(v, fn) for name, v in vars(self).items()})
 
 
 @dataclass
@@ -32,6 +60,20 @@ class ColumnRef(Expr):
 
     def key(self) -> Tuple:
         return ("col", (self.table or "").lower(), self.name.lower())
+
+
+@dataclass
+class Positional(Expr):
+    """Column ``index`` of the chunk an expression is evaluated over.
+
+    Never parsed: the planner substitutes it for group keys and aggregate
+    calls when it lowers HAVING, grouped projections and ORDER keys.
+    """
+
+    index: int
+
+    def key(self) -> Tuple:
+        return ("pos", self.index)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 from ..obs import trace as obs
 from . import ast
 from .errors import CatalogError
-from .executor import Executor
 from .parser import parse, parse_script
 from .plan import PlanCache, execute_statement_planned, normalize_sql, plan_select, run_plan
 from .table import Table
@@ -37,17 +36,16 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        plan_cache_capacity: int = 128,
         plan_cache: Optional[PlanCache] = None,
     ):
         self.name = name
         self._tables: Dict[str, Table] = {}
         self._version = 0
-        self._plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_capacity)
+        self._plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._plan_ns = next(_NAMESPACE_IDS)
 
     # ------------------------------------------------------------------
-    # Catalog protocol (used by the executor)
+    # What the planner needs of a catalog: resolve / put / drop
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -121,8 +119,7 @@ class Database:
 
     def execute_script(self, sql: str) -> List[Table]:
         """Execute a ';'-separated script, returning one result per statement."""
-        executor = Executor(self)
-        return [executor.execute_statement(stmt) for stmt in parse_script(sql)]
+        return [execute_statement_planned(self, stmt) for stmt in parse_script(sql)]
 
     def query_value(self, sql: str) -> Any:
         """Execute a query expected to return a single scalar value."""

@@ -15,11 +15,13 @@ sessions.  :class:`PlanCache` is the LRU that
 ``(normalized SQL text, catalog version)`` — a warm hit skips
 parse+bind+plan entirely.
 
-Semantics are the row engine's, verbatim: the planner reuses
-``RowExecutor``'s binding, star-expansion, GROUP BY/ORDER BY resolution,
-and equi-join splitting helpers, and delegates per-group expression
-evaluation (HAVING and grouped projections — a per-*group*, not per-row,
-cost) to ``RowExecutor._eval_group_expr``.
+This is the only executor: name resolution (star expansion, GROUP BY /
+ORDER BY aliases and ordinals, equi-join splitting) comes from
+:mod:`repro.relational.semantics`, every expression — HAVING, grouped
+projections and ``INSERT ... VALUES`` constants included — is evaluated
+by :func:`repro.relational.vectorized.compile_vector`, and the
+tuple-at-a-time interpreter the results are checked against lives in
+``tests/oracles/row_engine.py``, outside the import graph of ``src/``.
 """
 
 from __future__ import annotations
@@ -30,17 +32,19 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import ast
-from .errors import BindError, ExecutionError
-from .executor import (
-    RowExecutor,
-    _Binding,
-    _collect_aggregates,
-    _contains_aggregate,
-    _to_bool,
-)
 from .aggregates import lookup_aggregate
+from .errors import BindError, ExecutionError
+from .semantics import (
+    Binding,
+    aggregates_in,
+    bind_group_expr,
+    expand_items,
+    resolve_group_exprs,
+    resolve_output_ref,
+    split_equi_condition,
+)
 from .table import Column, Schema, Table
-from .types import common_type, parse_type_name, sort_key
+from .types import DataType, cast_value, common_type, parse_type_name, sort_key
 from .vectorized import (
     Chunk,
     LazyColumns,
@@ -157,7 +161,7 @@ class ProjectNode(PlanNode):
     """Evaluate output expressions (plus optional hidden sort-key columns).
 
     Output column types are inferred here — before DISTINCT / ORDER BY /
-    LIMIT trim rows — exactly where the row engine infers them.
+    LIMIT trim rows, so trimming never changes a column's type.
     """
 
     __slots__ = ("input", "fns", "key_fns", "n_out")
@@ -241,9 +245,9 @@ class LimitNode(PlanNode):
 class JoinNode(PlanNode):
     """Hash join on equi-key pairs, or nested-loop when none exist.
 
-    Mirrors the row engine: NULL keys never match, LEFT/FULL append
-    unmatched left rows (then RIGHT/FULL unmatched right rows) after the
-    matches, USING drops the duplicate right-side key columns.
+    NULL keys never match, LEFT/FULL append unmatched left rows (then
+    RIGHT/FULL unmatched right rows) after the matches, USING drops the
+    duplicate right-side key columns.
     """
 
     __slots__ = (
@@ -347,7 +351,7 @@ class JoinNode(PlanNode):
             for k in range(lchunk.width)
         ]
         # Right side interleaves its NULL padding (for unmatched left rows)
-        # before its own unmatched rows, mirroring the row engine's order.
+        # before its own unmatched rows: matches, left extras, right extras.
         thunks += [
             self._right_thunk(rchunk.cols, k, ridx, n_extra_l, extra_right)
             for k in range(rchunk.width)
@@ -372,114 +376,69 @@ class JoinNode(PlanNode):
 class AggregateNode(PlanNode):
     """Hash aggregation grouping on key columns directly.
 
-    The O(rows) work — key hashing and aggregate accumulation — is
-    vectorized; the O(groups) work (HAVING, grouped projection, ORDER BY
-    keys) reuses ``RowExecutor._eval_group_expr`` so restrictions like
-    "column must appear in GROUP BY" behave identically.
+    Key hashing and aggregate accumulation run over the input chunk; the
+    results form a second chunk, ``[group keys | aggregate results]`` with
+    one row per group, and HAVING, the grouped select list and the ORDER
+    keys are vector closures over *that* chunk (the planner has replaced
+    every group key and aggregate call in them by its column there).
+    HAVING runs first, so projections only see the surviving groups.
     """
 
-    __slots__ = (
-        "input",
-        "key_fns",
-        "agg_specs",
-        "out_exprs",
-        "having",
-        "order_items",
-        "group_key_map",
-        "agg_key_map",
-        "binding",
-    )
+    __slots__ = ("input", "key_fns", "agg_specs", "having", "out_fns", "order_fns", "order_items")
 
     def __init__(
         self,
         input: PlanNode,
         key_fns: List[VecFn],
         agg_specs: List[Tuple],
-        out_exprs: List[ast.Expr],
-        having: Optional[ast.Expr],
+        having: Optional[VecFn],
+        out_fns: List[VecFn],
+        order_fns: List[VecFn],
         order_items: List[ast.OrderItem],
-        group_key_map: Dict[Tuple, int],
-        agg_key_map: Dict[Tuple, int],
-        binding: _Binding,
     ):
         self.input = input
         self.key_fns = key_fns
         self.agg_specs = agg_specs
-        self.out_exprs = out_exprs
         self.having = having
+        self.out_fns = out_fns
+        self.order_fns = order_fns
         self.order_items = order_items
-        self.group_key_map = group_key_map
-        self.agg_key_map = agg_key_map
-        self.binding = binding
 
     def execute(self, ctx: ExecContext) -> Chunk:
         chunk = self.input.execute(ctx)
         if self.key_fns:
-            key_cols = [fn(chunk, ctx) for fn in self.key_fns]
-            gids, key_rows = group_rows(key_cols, chunk.n)
+            gids, key_rows = group_rows([fn(chunk, ctx) for fn in self.key_fns], chunk.n)
             ngroups = len(key_rows)
         else:
             gids, key_rows, ngroups = None, [()], 1
 
-        per_agg: List[List[Any]] = []
+        cols: List[List[Any]] = (
+            [list(col) for col in zip(*key_rows)] if key_rows else [[] for _ in self.key_fns]
+        )
         for agg, arg_fns, is_star, distinct in self.agg_specs:
             arg_cols = [fn(chunk, ctx) for fn in arg_fns]
-            per_agg.append(
+            cols.append(
                 accumulate_aggregate(agg, arg_cols, is_star, distinct, gids, ngroups, chunk.n)
             )
+        groups = Chunk(cols, ngroups)
 
-        evaluator = RowExecutor(ctx.catalog)
+        if self.having is not None:
+            keep = truth_indices(self.having(groups, ctx), "HAVING clause")
+            if len(keep) != ngroups:
+                groups = groups.gather(keep)
 
-        def eval_in_group(expr: ast.Expr, key: Tuple, agg_results: List[Any]) -> Any:
-            return evaluator._eval_group_expr(
-                expr,
-                key,
-                agg_results,
-                self.group_key_map,
-                self.agg_key_map,
-                self.binding,
-                {},
-                None,
-            )
-
-        out_rows: List[Tuple] = []
-        order_keys: List[Tuple] = []
-        for g in range(ngroups):
-            key = key_rows[g]
-            agg_results = [col[g] for col in per_agg]
-            if self.having is not None:
-                verdict = _to_bool(
-                    eval_in_group(self.having, key, agg_results), "HAVING clause"
-                )
-                if verdict is not True:
-                    continue
-            out_rows.append(
-                tuple(eval_in_group(expr, key, agg_results) for expr in self.out_exprs)
-            )
-            if self.order_items:
-                order_keys.append(
-                    tuple(
-                        eval_in_group(item.expr, key, agg_results)
-                        for item in self.order_items
-                    )
-                )
-
-        width = len(self.out_exprs)
-        cols: List[List[Any]] = (
-            [list(col) for col in zip(*out_rows)] if out_rows else [[] for _ in range(width)]
-        )
-        types = [infer_column_type_fast(col) for col in cols]
-        result = Chunk(cols, len(out_rows), types)
-        if self.order_items:
-            order = order_indices(order_keys, self.order_items)
-            result = Chunk(
-                [[col[i] for i in order] for col in cols], result.n, types
-            )
-        return result
+        out = [fn(groups, ctx) for fn in self.out_fns]
+        types = [infer_column_type_fast(col) for col in out]
+        if self.order_fns:
+            key_cols = [fn(groups, ctx) for fn in self.order_fns]
+            order = order_indices(list(zip(*key_cols)), self.order_items)
+            out = [[col[i] for i in order] for col in out]
+        return Chunk(out, groups.n, types)
 
 
 class SetOpNode(PlanNode):
-    """UNION / INTERSECT / EXCEPT with the row engine's bag semantics."""
+    """UNION / INTERSECT / EXCEPT: ``ALL`` keeps the left side's duplicates,
+    otherwise the result is de-duplicated."""
 
     __slots__ = ("left", "right", "op", "all_flag")
 
@@ -549,9 +508,9 @@ class SelectPlan:
 class LazySubplan:
     """Plans an uncorrelated sub-SELECT on first execution.
 
-    The row engine binds subqueries lazily (a subquery under a predicate
-    that never runs is never bound); deferring planning preserves that.
-    The planned tree is memoized, so cached plans keep their subplans.
+    Subqueries bind lazily: one under a predicate that never runs is
+    never bound, so its binding errors never surface.  The planned tree
+    is memoized, so cached plans keep their subplans.
     """
 
     __slots__ = ("_thunk", "_plan")
@@ -575,14 +534,12 @@ class Planner:
 
     ``env`` entries describe FROM-resolvable names beyond the catalog:
     ``("cte", id, names)`` for planned CTEs and ``("table", key)`` for
-    tables bound at execution time (the ``execute_select(select, env)``
-    API).  Binding order matches the row engine: environment first, then
-    the catalog.
+    tables bound at execution time (``plan_select(catalog, select, env)``).
+    Names resolve in the environment first, then in the catalog.
     """
 
     def __init__(self, catalog, env_tables: Optional[Dict[str, Table]] = None):
         self.catalog = catalog
-        self._row = RowExecutor(catalog)
         self._cte_ids = itertools.count(1)
         self.env: Dict[str, Tuple] = {}
         if env_tables:
@@ -623,7 +580,7 @@ class Planner:
         self, select: ast.Select, env: Dict[str, Tuple]
     ) -> Tuple[PlanNode, List[str]]:
         if select.from_clause is None:
-            binding = _Binding([])
+            binding = Binding([])
             node: PlanNode = UnitNode()
         else:
             binding, node = self._plan_table_expr(select.from_clause, env)
@@ -634,10 +591,11 @@ class Planner:
                 node, compile_vector(select.where, binding, subplan), "WHERE clause"
             )
 
-        has_aggregates = (
-            bool(select.group_by)
-            or any(_contains_aggregate(item.expr) for item in select.items)
-            or (select.having is not None and _contains_aggregate(select.having))
+        grouped_exprs = [item.expr for item in select.items]
+        if select.having is not None:
+            grouped_exprs.append(select.having)
+        has_aggregates = bool(select.group_by) or any(
+            next(aggregates_in(expr), None) is not None for expr in grouped_exprs
         )
 
         if has_aggregates:
@@ -655,7 +613,7 @@ class Planner:
     # -- FROM -----------------------------------------------------------
     def _plan_table_expr(
         self, texpr: ast.TableExpr, env: Dict[str, Tuple]
-    ) -> Tuple[_Binding, PlanNode]:
+    ) -> Tuple[Binding, PlanNode]:
         if isinstance(texpr, ast.TableRef):
             lowered = texpr.name.lower()
             entry = env.get(lowered)
@@ -663,21 +621,21 @@ class Planner:
                 kind = entry[0]
                 if kind == "cte":
                     _, cte_id, names = entry
-                    binding = _Binding(
+                    binding = Binding(
                         [(self._qualifier(texpr.binding_name), n) for n in names]
                     )
                     return binding, CTERefNode(cte_id)
                 _, key, names = entry
-                binding = _Binding(
+                binding = Binding(
                     [(self._qualifier(texpr.binding_name), n) for n in names]
                 )
                 return binding, EnvScanNode(key)
             table = self.catalog.resolve_table(texpr.name)
-            binding = _Binding.for_table(texpr.binding_name, table.schema)
+            binding = Binding.for_table(texpr.binding_name, table.schema)
             return binding, ScanNode(texpr.name)
         if isinstance(texpr, ast.SubqueryRef):
             sub_plan = self._plan_select(texpr.select, env)
-            binding = _Binding(
+            binding = Binding(
                 [(self._qualifier(texpr.alias), n) for n in sub_plan.names]
             )
             return binding, SubqueryScanNode(sub_plan)
@@ -691,7 +649,7 @@ class Planner:
 
     def _plan_join(
         self, join: ast.Join, env: Dict[str, Tuple]
-    ) -> Tuple[_Binding, PlanNode]:
+    ) -> Tuple[Binding, PlanNode]:
         left_binding, left_node = self._plan_table_expr(join.left, env)
         right_binding, right_node = self._plan_table_expr(join.right, env)
         merged = left_binding.merge(right_binding)
@@ -710,12 +668,10 @@ class Planner:
         residual_fn: Optional[VecFn] = None
         if using_cols:
             for col in using_cols:
-                left_keys.append(_Binding(left_binding.entries).resolve(col))
-                right_keys.append(_Binding(right_binding.entries).resolve(col))
+                left_keys.append(Binding(left_binding.entries).resolve(col))
+                right_keys.append(Binding(right_binding.entries).resolve(col))
         elif condition is not None:
-            pairs, residual_expr = self._row._split_equi_condition(
-                condition, left_binding, right_binding
-            )
+            pairs, residual_expr = split_equi_condition(condition, left_binding, right_binding)
             left_keys = [p[0] for p in pairs]
             right_keys = [p[1] for p in pairs]
             if pairs:
@@ -729,11 +685,11 @@ class Planner:
             left_width = len(left_binding.entries)
             right_width = len(right_binding.entries)
             drop = {
-                left_width + _Binding(right_binding.entries).resolve(col)
+                left_width + Binding(right_binding.entries).resolve(col)
                 for col in using_cols
             }
             keep = [i for i in range(left_width + right_width) if i not in drop]
-            merged = _Binding([merged.entries[i] for i in keep])
+            merged = Binding([merged.entries[i] for i in keep])
 
         node = JoinNode(
             left_node,
@@ -750,11 +706,11 @@ class Planner:
     def _plan_projection(
         self,
         select: ast.Select,
-        binding: _Binding,
+        binding: Binding,
         node: PlanNode,
         subplan: Callable[[ast.Select], LazySubplan],
     ) -> Tuple[PlanNode, List[str]]:
-        expanded = self._row._expand_items(select.items, binding)
+        expanded = expand_items(select.items, binding)
         names = [name for _, name in expanded]
         out_fns = [compile_vector(expr, binding, subplan) for expr, _ in expanded]
 
@@ -831,38 +787,29 @@ class Planner:
     def _plan_grouped(
         self,
         select: ast.Select,
-        binding: _Binding,
+        binding: Binding,
         node: PlanNode,
         subplan: Callable[[ast.Select], LazySubplan],
     ) -> Tuple[PlanNode, List[str]]:
-        group_exprs = self._row._resolve_group_exprs(select)
+        group_exprs = resolve_group_exprs(select)
         key_fns = [compile_vector(e, binding, subplan) for e in group_exprs]
 
-        agg_calls: Dict[Tuple, ast.FunctionCall] = {}
-        expanded = self._row._expand_items(select.items, binding)
+        expanded = expand_items(select.items, binding)
         names = [name for _, name in expanded]
-        for expr, _ in expanded:
-            _collect_aggregates(expr, agg_calls)
-        if select.having is not None:
-            _collect_aggregates(select.having, agg_calls)
-        # Deliberately NOT gated on select.set_ops: the row engine orders
-        # inside grouped execution even when set ops follow, and that
-        # pre-sort fixes tie order under the (stable) outer output sort.
-        order_items = [
-            ast.OrderItem(
-                self._row._resolve_output_ref(item.expr, select),
-                item.ascending,
-                item.nulls_last,
-            )
-            for item in select.order_by
-        ]
-        for order_item in order_items:
-            _collect_aggregates(order_item.expr, agg_calls)
+        out_exprs = [expr for expr, _ in expanded]
+        # Deliberately NOT gated on select.set_ops: a grouped operand of a
+        # set operation is ordered here, and that pre-sort fixes tie order
+        # under the (stable) outer output sort.
+        order_exprs = [resolve_output_ref(item.expr, select) for item in select.order_by]
+        having = [select.having] if select.having is not None else []
 
-        agg_keys = list(agg_calls)
+        agg_calls: Dict[Tuple, ast.FunctionCall] = {}
+        for expr in out_exprs + having + order_exprs:
+            for call in aggregates_in(expr):
+                agg_calls.setdefault(call.key(), call)
+
         agg_specs: List[Tuple] = []
-        for key in agg_keys:
-            call = agg_calls[key]
+        for call in agg_calls.values():
             agg = lookup_aggregate(call.name)
             assert agg is not None
             if call.is_star:
@@ -877,18 +824,23 @@ class Planner:
                 arg_fns = [compile_vector(a, binding, subplan) for a in call.args]
             agg_specs.append((agg, arg_fns, call.is_star, call.distinct))
 
-        group_key_map = {e.key(): i for i, e in enumerate(group_exprs)}
-        agg_key_map = {k: i for i, k in enumerate(agg_keys)}
+        # Columns of the per-group chunk: group keys, then aggregate results.
+        slots = {e.key(): i for i, e in enumerate(group_exprs)}
+        for i, key in enumerate(agg_calls, start=len(group_exprs)):
+            slots.setdefault(key, i)
+        no_names = Binding([])  # bind_group_expr leaves only positional references
+
+        def lower(expr: ast.Expr) -> VecFn:
+            return compile_vector(bind_group_expr(expr, slots), no_names, subplan)
+
         agg_node = AggregateNode(
             node,
             key_fns,
             agg_specs,
-            [expr for expr, _ in expanded],
-            select.having,
-            order_items,
-            group_key_map,
-            agg_key_map,
-            binding,
+            lower(select.having) if select.having is not None else None,
+            [lower(expr) for expr in out_exprs],
+            [lower(expr) for expr in order_exprs],
+            select.order_by,
         )
         return agg_node, names
 
@@ -944,8 +896,7 @@ def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) 
 
 
 def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
-    """Statement dispatch for the planned engine (same surface as the
-    row engine's ``execute_statement``)."""
+    """Execute one parsed statement (SELECT, DDL or INSERT) against ``catalog``."""
     if isinstance(stmt, ast.Select):
         return run_plan(plan_select(catalog, stmt), catalog)
     if isinstance(stmt, ast.CreateTableAs):
@@ -958,12 +909,47 @@ def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
         catalog.put_table(table, replace=stmt.or_replace)
         return table
     if isinstance(stmt, ast.InsertValues):
-        # Row-at-a-time is the right shape for VALUES lists; reuse it.
-        return RowExecutor(catalog)._execute_insert(stmt)
+        return _execute_insert(catalog, stmt)
     if isinstance(stmt, ast.DropTable):
         catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
         return Table.empty(stmt.name, [])
     raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
+
+
+def _execute_insert(catalog, stmt: ast.InsertValues) -> Table:
+    """Append VALUES rows, each value cast to its column's declared type.
+
+    The table is replaced only after every row evaluated and cast, so a
+    failing INSERT leaves the table and the catalog version untouched.
+    """
+    table = catalog.resolve_table(stmt.table)
+    names = stmt.columns or table.column_names()
+    targets = [table.schema.index_of(n) for n in names]
+    planner = Planner(catalog)
+    subplan = planner._subplanner(planner.env)
+    constants, one_row, ctx = Binding([]), Chunk([], 1), ExecContext(catalog)
+    new_rows = list(table.rows)
+    for row_exprs in stmt.rows:
+        if len(row_exprs) != len(targets):
+            raise ExecutionError(f"INSERT has {len(row_exprs)} values for {len(targets)} columns")
+        # Columns not mentioned default to NULL.
+        row: List[Any] = [None] * len(table.schema)
+        for idx, expr in zip(targets, row_exprs):
+            (value,) = compile_vector(expr, constants, subplan)(one_row, ctx)
+            column = table.schema.columns[idx]
+            # A NULL-typed column was inferred from all-NULL data, not declared.
+            if column.dtype is not DataType.NULL:
+                try:
+                    value = cast_value(value, column.dtype)
+                except ExecutionError as exc:
+                    raise ExecutionError(
+                        f"INSERT into {table.name}.{column.name}: {exc}"
+                    ) from None
+            row[idx] = value
+        new_rows.append(tuple(row))
+    updated = Table(table.name, table.schema, new_rows)
+    catalog.put_table(updated, replace=True)
+    return updated
 
 
 # ----------------------------------------------------------------------

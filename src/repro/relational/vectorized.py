@@ -1,16 +1,20 @@
 """Vectorized (column-at-a-time) operator kernels and expression evaluation.
 
-The planned engine (:mod:`repro.relational.plan`) lowers a SELECT into
-operator nodes whose payloads are *vector expression closures* compiled
-here.  A closure has the shape ``fn(chunk, ctx) -> list`` — it evaluates
-one expression over every row of a :class:`Chunk` at once, so the
-per-row interpreter overhead (closure trees, three-valued-logic dispatch,
-tuple indexing) is paid once per column instead of once per value.
+The engine (:mod:`repro.relational.plan`) lowers a SELECT into operator
+nodes whose payloads are *vector expression closures* compiled here —
+:func:`compile_vector` is the engine's only expression evaluator.  A
+closure has the shape ``fn(chunk, ctx) -> list`` — it evaluates one
+expression over every row of a :class:`Chunk` at once, so the per-row
+interpreter overhead (closure trees, three-valued-logic dispatch, tuple
+indexing) is paid once per column instead of once per value.
 
-Semantics mirror :class:`repro.relational.executor.RowExecutor` exactly:
+The kernels inline the common cases (exact numbers, same-type
+comparisons, already-boolean predicates) and fall back to the
+value-at-a-time rules of :mod:`repro.relational.semantics` for the rest:
 three-valued logic, NULL handling in joins and aggregation, cross-type
-comparison via textual rendering, and lazy CASE branches (implemented by
-masked evaluation over shrinking row subsets).
+comparison via textual rendering.  CASE branches are lazy, implemented by
+masked evaluation over shrinking row subsets.  The row interpreter under
+``tests/oracles/`` holds these results to tuple-at-a-time evaluation.
 """
 
 from __future__ import annotations
@@ -22,15 +26,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from . import ast
 from .aggregates import Aggregate, lookup_aggregate
 from .errors import BindError, ExecutionError
-from .executor import (
-    _Binding,
-    _InvertedKey,
-    _apply_binary,
-    _apply_unary,
-    _like_regex,
-    _to_bool,
-)
 from .functions import lookup_scalar
+from .semantics import Binding, InvertedKey, apply_binary, apply_unary, like_regex, to_bool
 from .types import (
     DataType,
     cast_value,
@@ -88,7 +85,7 @@ class Chunk:
 
     ``cols`` is a list of value lists or a :class:`LazyColumns`.
     ``types`` is optional explicit column typing (set-operation results
-    carry the legacy ``common_type`` schema); ``None`` means "infer from
+    carry their ``common_type`` schema); ``None`` means "infer from
     values", matching how projections type their output.
     """
 
@@ -182,10 +179,10 @@ def truth_indices(values: List[Any], context: str) -> List[int]:
 
 
 def _bool3(v: Any, context: str) -> Optional[bool]:
-    """_to_bool with a fast path for the common already-boolean case."""
+    """to_bool with a fast path for the common already-boolean case."""
     if type(v) is bool or v is None:
         return v
-    return _to_bool(v, context)
+    return to_bool(v, context)
 
 
 def _cmp(a: Any, b: Any) -> int:
@@ -235,11 +232,11 @@ def compare_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any]:
 
 
 def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any]:
-    """Vectorized arithmetic / concat with the legacy slow path as fallback.
+    """Vectorized arithmetic / concat.
 
     The fast path covers exact int/float operands; everything else (dates,
-    booleans, strings, type errors) routes through ``_apply_binary`` so the
-    semantics — and error messages — stay identical to the row engine.
+    booleans, strings, type errors) routes through ``apply_binary``, which
+    owns those rules and their error messages.
     """
     out: List[Any] = []
     append = out.append
@@ -250,7 +247,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     elif op == "-":
         for a, b in zip(lefts, rights):
             if type(a) in _NUM and type(b) in _NUM:
@@ -258,7 +255,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     elif op == "*":
         for a, b in zip(lefts, rights):
             if type(a) in _NUM and type(b) in _NUM:
@@ -266,7 +263,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     elif op == "/":
         for a, b in zip(lefts, rights):
             if type(a) in _NUM and type(b) in _NUM:
@@ -276,7 +273,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     elif op == "%":
         for a, b in zip(lefts, rights):
             if type(a) in _NUM and type(b) in _NUM:
@@ -286,7 +283,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     elif op == "||":
         for a, b in zip(lefts, rights):
             if type(a) is str and type(b) is str:
@@ -294,10 +291,10 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
             elif a is None or b is None:
                 append(None)
             else:
-                append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+                append(apply_binary(op, a, b))
     else:
         for a, b in zip(lefts, rights):
-            append(_apply_binary(op, lambda a=a: a, lambda b=b: b))
+            append(apply_binary(op, a, b))
     return out
 
 
@@ -306,8 +303,8 @@ def order_indices(
 ) -> List[int]:
     """Stable argsort of per-row key tuples under ORDER BY semantics.
 
-    Same key construction as ``RowExecutor._sort_with_keys``: NULLs rank
-    first/last regardless of direction, DESC inverts via ``_InvertedKey``.
+    NULLs rank first/last regardless of direction, DESC inverts via
+    ``InvertedKey``.
     """
     directions = [(item.ascending, 1 if item.nulls_last else -1) for item in order_by]
 
@@ -318,7 +315,7 @@ def order_indices(
                 parts.append((null_rank, (0, 0.0, "")))
             else:
                 base = sort_key(value)
-                parts.append((0, base if ascending else _InvertedKey(base)))
+                parts.append((0, base if ascending else InvertedKey(base)))
         return tuple(parts)
 
     indexed = list(range(len(key_rows)))
@@ -348,7 +345,7 @@ def hash_join_matches(
     """Matching (left, right) row-index pairs for an equi-join.
 
     NULL keys never match (SQL equi-join semantics).  Keys are raw values,
-    exactly like the row engine's hash join, so ``1`` and ``1.0`` unify.
+    so ``1`` and ``1.0`` unify.
     """
     index: Dict[Any, List[int]] = {}
     if len(right_key_cols) == 1:
@@ -387,9 +384,8 @@ def hash_join_matches(
 def group_rows(key_cols: List[List[Any]], n: int) -> Tuple[List[int], List[Tuple]]:
     """Assign each row a dense group id; returns (gids, first-seen keys).
 
-    Grouping hashes ``sort_key`` forms (the row engine's behavior), so
-    ``1``, ``1.0`` and ``TRUE`` land in one group while the group's
-    *reported* key is the first value seen.
+    Grouping hashes ``sort_key`` forms, so ``1``, ``1.0`` and ``TRUE`` land
+    in one group while the group's *reported* key is the first value seen.
     """
     gids: List[int] = []
     key_rows: List[Tuple] = []
@@ -428,7 +424,7 @@ def accumulate_aggregate(
     ``gids is None`` means a single implicit group (no GROUP BY).
     Fast inline loops cover the hot aggregates (COUNT/SUM/AVG/MIN/MAX
     without DISTINCT); everything else funnels through the aggregate's
-    init/step/final triple exactly like the row engine.
+    init/step/final triple.
     """
     name = agg.name
     if gids is None:
@@ -527,7 +523,7 @@ def accumulate_aggregate(
 # ----------------------------------------------------------------------
 def compile_vector(
     expr: ast.Expr,
-    binding: _Binding,
+    binding: Binding,
     subplan: Callable[[ast.Select], Any],
 ) -> VecFn:
     """Compile ``expr`` into a column-at-a-time evaluator.
@@ -535,14 +531,16 @@ def compile_vector(
     ``binding`` resolves column references to positions at compile (plan)
     time.  ``subplan`` lowers an uncorrelated sub-SELECT into something
     with ``execute(ctx) -> Chunk`` — evaluation defers to first use and is
-    memoized per execution in ``ctx``, mirroring the row engine's
-    per-query subquery cache.
+    memoized per execution in ``ctx``.
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda chunk, ctx: [value] * chunk.n
     if isinstance(expr, ast.ColumnRef):
         idx = binding.resolve(expr.name, expr.table)
+        return lambda chunk, ctx: chunk.cols[idx]
+    if isinstance(expr, ast.Positional):
+        idx = expr.index
         return lambda chunk, ctx: chunk.cols[idx]
     if isinstance(expr, ast.Star):
         raise BindError("'*' is only allowed in SELECT lists and COUNT(*)")
@@ -560,11 +558,11 @@ def compile_vector(
                     elif v is None:
                         append(None)
                     else:
-                        append(_apply_unary("-", v))
+                        append(apply_unary("-", v))
                 return out
 
             return neg
-        return lambda chunk, ctx: [_apply_unary(op, v) for v in inner(chunk, ctx)]
+        return lambda chunk, ctx: [apply_unary(op, v) for v in inner(chunk, ctx)]
     if isinstance(expr, ast.Binary):
         return _compile_binary(expr, binding, subplan)
     if isinstance(expr, ast.FunctionCall):
@@ -588,7 +586,7 @@ def compile_vector(
         plan = subplan(expr.subquery)
 
         def scalar_subquery(chunk: Chunk, ctx) -> List[Any]:
-            if chunk.n == 0:  # no row ever evaluates it (lazy, like the row engine)
+            if chunk.n == 0:  # no row ever evaluates it, so it is never bound
                 return []
             key = ("scalar", id(plan))
             if key not in ctx.subq:
@@ -638,13 +636,13 @@ def compile_vector(
     raise BindError(f"cannot compile expression: {expr!r}")
 
 
-def _compile_binary(expr: ast.Binary, binding: _Binding, subplan) -> VecFn:
+def _compile_binary(expr: ast.Binary, binding: Binding, subplan) -> VecFn:
     left = compile_vector(expr.left, binding, subplan)
     right = compile_vector(expr.right, binding, subplan)
     op = expr.op
     if op in ("AND", "OR"):
-        # The row engine evaluates both operands unconditionally (no
-        # short-circuit), so full-column evaluation is semantics-preserving.
+        # AND / OR do not short-circuit: both operand columns are evaluated
+        # in full, so an error in either side surfaces.
         is_and = op == "AND"
 
         def logic(chunk: Chunk, ctx) -> List[Any]:
@@ -675,7 +673,7 @@ def _compile_binary(expr: ast.Binary, binding: _Binding, subplan) -> VecFn:
     return lambda chunk, ctx: arithmetic_columns(op, left(chunk, ctx), right(chunk, ctx))
 
 
-def _compile_function(expr: ast.FunctionCall, binding: _Binding, subplan) -> VecFn:
+def _compile_function(expr: ast.FunctionCall, binding: Binding, subplan) -> VecFn:
     if lookup_aggregate(expr.name):
         raise BindError(
             f"aggregate {expr.name} is not allowed here (no GROUP BY context)"
@@ -699,9 +697,9 @@ def _compile_function(expr: ast.FunctionCall, binding: _Binding, subplan) -> Vec
     return call
 
 
-def _compile_case(expr: ast.Case, binding: _Binding, subplan) -> VecFn:
+def _compile_case(expr: ast.Case, binding: Binding, subplan) -> VecFn:
     """CASE with masked evaluation: each branch only sees the rows that
-    reach it, preserving the row engine's lazy branch semantics (e.g.
+    reach it, which keeps branches lazy (e.g.
     ``CASE WHEN x = 0 THEN 0 ELSE 1/x END`` never divides by zero)."""
     operand_fn = (
         compile_vector(expr.operand, binding, subplan) if expr.operand is not None else None
@@ -750,7 +748,7 @@ def _compile_case(expr: ast.Case, binding: _Binding, subplan) -> VecFn:
     return case
 
 
-def _compile_in_list(expr: ast.InList, binding: _Binding, subplan) -> VecFn:
+def _compile_in_list(expr: ast.InList, binding: Binding, subplan) -> VecFn:
     operand = compile_vector(expr.operand, binding, subplan)
     item_fns = [compile_vector(i, binding, subplan) for i in expr.items]
     negated = expr.negated
@@ -784,7 +782,7 @@ def _compile_in_list(expr: ast.InList, binding: _Binding, subplan) -> VecFn:
     return in_list
 
 
-def _compile_in_subquery(expr: ast.InSubquery, binding: _Binding, subplan) -> VecFn:
+def _compile_in_subquery(expr: ast.InSubquery, binding: Binding, subplan) -> VecFn:
     operand = compile_vector(expr.operand, binding, subplan)
     plan = subplan(expr.subquery)
     negated = expr.negated
@@ -822,13 +820,13 @@ def _compile_in_subquery(expr: ast.InSubquery, binding: _Binding, subplan) -> Ve
     return in_subquery
 
 
-def _compile_like(expr: ast.Like, binding: _Binding, subplan) -> VecFn:
+def _compile_like(expr: ast.Like, binding: Binding, subplan) -> VecFn:
     operand = compile_vector(expr.operand, binding, subplan)
     negated, ci = expr.negated, expr.case_insensitive
     if isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str):
         # The common shape — a constant pattern — compiles its regex once
         # at plan time instead of consulting a per-row cache.
-        regex = _like_regex(expr.pattern.value, ci)
+        regex = like_regex(expr.pattern.value, ci)
 
         def like_const(chunk: Chunk, ctx) -> List[Any]:
             out: List[Any] = []
@@ -860,7 +858,7 @@ def _compile_like(expr: ast.Like, binding: _Binding, subplan) -> VecFn:
                 value = str(value)
             regex = cache.get(pattern)
             if regex is None:
-                regex = cache[pattern] = _like_regex(pattern, ci)
+                regex = cache[pattern] = like_regex(pattern, ci)
             result = bool(regex.match(value))
             append(not result if negated else result)
         return out

@@ -1,19 +1,14 @@
-"""Query executors: bind and evaluate statements against a catalog.
+"""The tuple-at-a-time SQL interpreter, kept as the engine's test oracle.
 
-Two engines share this module's API:
-
-* :class:`RowExecutor` — the original tuple-at-a-time tree-walking
-  interpreter with hash joins for equi-join conditions.  It implements SQL
-  three-valued logic, grouped aggregation, set operations, CTEs, and
-  uncorrelated subqueries.  It re-binds and re-compiles every expression
-  per query, which makes it the reference ("baseline") engine for the
-  benchmarks and the semantic oracle for the planned engine.
-* :class:`Executor` — the default engine: lowers the AST once into a
-  logical plan (:mod:`repro.relational.plan`) whose operators evaluate
-  compiled expression closures column-at-a-time
-  (:mod:`repro.relational.vectorized`).  Plans are cacheable keyed by
-  (normalized SQL, catalog version), so repeated templated queries skip
-  parse+bind+plan entirely.
+:class:`RowExecutor` is the original tree-walking interpreter: it re-binds
+and re-compiles every expression per query and evaluates it one row (or,
+in aggregate context, one group) at a time.  Production has one engine
+(:mod:`repro.relational.plan`); this one exists so the tests can hold it
+to an independent evaluation of the same statement.  It carries its own
+binder (``_Binding``, star expansion, alias/ordinal resolution, equi-join
+splitting), its own aggregate finders and its own grouped evaluator, and
+shares only the scalar kernels of :mod:`repro.relational.semantics` with
+the engine under test.
 """
 
 from __future__ import annotations
@@ -21,13 +16,20 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from . import ast
-from .aggregates import Aggregate, lookup_aggregate
-from .errors import BindError, ExecutionError
-from .functions import lookup_scalar
-from .sql_render import derive_column_name, expr_to_sql
-from .table import Column, Schema, Table
-from .types import (
+from repro.relational import ast
+from repro.relational.aggregates import Aggregate, lookup_aggregate
+from repro.relational.errors import BindError, ExecutionError
+from repro.relational.functions import lookup_scalar
+from repro.relational.semantics import (
+    InvertedKey as _InvertedKey,
+    apply_binary,
+    apply_unary as _apply_unary,
+    like_regex as _like_regex,
+    to_bool as _to_bool,
+)
+from repro.relational.sql_render import derive_column_name, expr_to_sql
+from repro.relational.table import Column, Schema, Table
+from repro.relational.types import (
     cast_value,
     common_type,
     compare_values,
@@ -35,6 +37,12 @@ from .types import (
     parse_type_name,
     sort_key,
 )
+
+
+def _apply_binary(op: str, left_fn: Callable[[], Any], right_fn: Callable[[], Any]) -> Any:
+    # The interpreter's call sites pass operand thunks; the shared kernel takes values.
+    return apply_binary(op, left_fn(), right_fn())
+
 
 Row = Tuple[Any, ...]
 
@@ -84,38 +92,6 @@ class _Binding:
 
     def names(self) -> List[str]:
         return [n for _, n in self.entries]
-
-
-def _like_regex(pattern: str, case_insensitive: bool) -> "re.Pattern[str]":
-    regex = re.escape(pattern).replace(r"%", ".*").replace(r"_", ".")
-    flags = re.IGNORECASE | re.DOTALL if case_insensitive else re.DOTALL
-    return re.compile(f"^{regex}$", flags)
-
-
-def _and3(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
-def _or3(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
-
-
-def _to_bool(value: Any, context: str) -> Optional[bool]:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    raise ExecutionError(f"{context} must be a boolean, got {value!r}")
 
 
 def _contains_aggregate(expr: ast.Expr) -> bool:
@@ -188,9 +164,9 @@ def _collect_aggregates(expr: ast.Expr, out: Dict[Tuple, ast.FunctionCall]) -> N
 
 
 class RowExecutor:
-    """Executes parsed statements tuple-at-a-time (the baseline engine)."""
+    """Executes parsed statements tuple-at-a-time."""
 
-    def __init__(self, catalog: "CatalogProtocol"):
+    def __init__(self, catalog):
         self.catalog = catalog
 
     # ------------------------------------------------------------------
@@ -1085,142 +1061,3 @@ class RowExecutor:
             return else_fn(row) if else_fn is not None else None
 
         return case
-
-
-class _InvertedKey:
-    """Wraps a sort key to invert its ordering (for DESC)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any):
-        self.key = key
-
-    def __lt__(self, other: "_InvertedKey") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _InvertedKey) and self.key == other.key
-
-
-def _apply_unary(op: str, value: Any) -> Any:
-    if op == "NOT":
-        if value is None:
-            return None
-        result = _to_bool(value, "NOT")
-        return None if result is None else not result
-    if value is None:
-        return None
-    if op == "-":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutionError(f"unary '-' requires a number, got {value!r}")
-        return -value
-    if op == "+":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutionError(f"unary '+' requires a number, got {value!r}")
-        return value
-    raise ExecutionError(f"unknown unary operator {op!r}")
-
-
-_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
-
-
-def _apply_binary(op: str, left_fn: Callable[[], Any], right_fn: Callable[[], Any]) -> Any:
-    if op == "AND":
-        return _and3(_to_bool(left_fn(), "AND"), _to_bool(right_fn(), "AND"))
-    if op == "OR":
-        return _or3(_to_bool(left_fn(), "OR"), _to_bool(right_fn(), "OR"))
-
-    left, right = left_fn(), right_fn()
-    if op in _COMPARISONS:
-        cmp = compare_values(left, right)
-        if cmp is None:
-            return None
-        if op == "=":
-            return cmp == 0
-        if op == "!=":
-            return cmp != 0
-        if op == "<":
-            return cmp < 0
-        if op == "<=":
-            return cmp <= 0
-        if op == ">":
-            return cmp > 0
-        return cmp >= 0
-
-    if left is None or right is None:
-        return None
-
-    if op == "||":
-        from .types import format_value
-
-        ls = left if isinstance(left, str) else format_value(left)
-        rs = right if isinstance(right, str) else format_value(right)
-        return ls + rs
-
-    import datetime as _dt
-
-    if op in ("+", "-") and isinstance(left, _dt.date) and isinstance(right, (int,)):
-        delta = _dt.timedelta(days=right)
-        return left + delta if op == "+" else left - delta
-    if op == "-" and isinstance(left, _dt.date) and isinstance(right, _dt.date):
-        return (left - right).days
-
-    for side, value in (("left", left), ("right", right)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ExecutionError(
-                f"operator {op!r} requires numeric operands, got {value!r} on the {side}"
-            )
-
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ExecutionError("division by zero")
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise ExecutionError("modulo by zero")
-        return left % right
-    raise ExecutionError(f"unknown operator {op!r}")
-
-
-class CatalogProtocol:
-    """Structural interface the executor needs from a catalog."""
-
-    def resolve_table(self, name: str) -> Table:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-    def put_table(self, table: Table, replace: bool = False) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def drop_table(self, name: str, if_exists: bool = False) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class Executor:
-    """The default engine: plans once, executes column-at-a-time.
-
-    Same public API as :class:`RowExecutor` (``execute_statement`` /
-    ``execute_select``), but SELECTs are lowered to a logical plan with
-    all column references resolved to positions, then run through the
-    vectorized operators.  Pass a :class:`repro.relational.plan.PlanCache`
-    to reuse plans across statements (the :class:`Database` does).
-    """
-
-    def __init__(self, catalog: "CatalogProtocol", plan_cache=None):
-        self.catalog = catalog
-        self.plan_cache = plan_cache
-
-    def execute_statement(self, stmt: ast.Statement) -> Table:
-        from .plan import execute_statement_planned
-
-        return execute_statement_planned(self.catalog, stmt)
-
-    def execute_select(self, select: ast.Select, env: Dict[str, Table]) -> Table:
-        from .plan import plan_select, run_plan
-
-        return run_plan(plan_select(self.catalog, select, env), self.catalog, env)

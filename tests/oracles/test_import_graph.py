@@ -1,12 +1,16 @@
 """Oracles live with the tests: nothing under ``src/repro`` is a legacy
-twin, and nothing there imports from the test tree."""
+twin or a second SQL engine, and nothing there imports from the test tree."""
 
 import ast
 from pathlib import Path
 
 import repro
+import repro.relational
 
 SRC = Path(repro.__file__).parent
+
+#: What only the row-at-a-time oracle may define or mention.
+ROW_ENGINE_NAMES = ("RowExecutor", "_eval_group_expr")
 
 
 def test_no_legacy_module_and_no_import_from_tests():
@@ -23,3 +27,42 @@ def test_no_legacy_module_and_no_import_from_tests():
                 continue
             for name in imported:
                 assert name.split(".")[0] != "tests", f"{path}: imports {name}"
+
+
+def test_row_engine_is_not_in_src():
+    assert not (SRC / "relational" / "executor.py").exists()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        for name in ROW_ENGINE_NAMES:
+            assert name not in text, f"{path}: names {name}"
+        # compile_vector is the one expression compiler: no row-closure twin.
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_compile", f"{path}:{node.lineno}: defines _compile"
+
+
+def test_relational_public_surface():
+    assert repro.relational.__all__ == [
+        "Database",
+        "PlanCache",
+        "normalize_sql",
+        "Table",
+        "Column",
+        "Schema",
+        "DataType",
+        "format_value",
+        "parse",
+        "parse_script",
+        "expr_to_sql",
+        "select_to_sql",
+        "read_csv",
+        "read_csv_text",
+        "write_csv",
+        "to_csv_text",
+        "RelationalError",
+        "LexError",
+        "ParseError",
+        "BindError",
+        "ExecutionError",
+        "CatalogError",
+    ]

@@ -200,7 +200,9 @@ class TestAggregation:
         ) == 3
 
     def test_bare_column_outside_group_raises(self, db):
-        with pytest.raises(BindError):
+        with pytest.raises(
+            BindError, match="column 'customer' must appear in GROUP BY or inside an aggregate"
+        ):
             db.execute("SELECT customer, COUNT(*) FROM orders GROUP BY country")
 
     def test_group_by_alias(self, db):
@@ -216,7 +218,7 @@ class TestAggregation:
         assert result.column_values("country")[0] == "DE"
 
     def test_having_without_group_raises(self, db):
-        with pytest.raises(BindError):
+        with pytest.raises(BindError, match="HAVING requires GROUP BY or aggregates"):
             db.execute("SELECT id FROM orders HAVING id > 1")
 
 
@@ -363,6 +365,21 @@ class TestDDLAndDML:
         db.execute("INSERT INTO log (msg) VALUES ('solo')")
         assert db.execute("SELECT * FROM log").rows == [("solo", None)]
 
+    def test_insert_casts_to_the_declared_type(self, db):
+        db.execute("CREATE TABLE log (msg VARCHAR, n INTEGER, w DOUBLE)")
+        db.execute("INSERT INTO log VALUES (7, '42', 1), ('b', 2.0, (SELECT 3))")
+        assert db.execute("SELECT * FROM log").rows == [("7", 42, 1.0), ("b", 2, 3.0)]
+        assert db.query_value("SELECT SUM(n) FROM log") == 44
+
+    def test_insert_uncastable_value_names_the_column_and_changes_nothing(self, db):
+        db.execute("CREATE TABLE log (msg VARCHAR, n INTEGER)")
+        db.execute("INSERT INTO log VALUES ('a', 1)")
+        version = db.version
+        with pytest.raises(ExecutionError, match=r"log\.n.*cannot cast 'x' to INTEGER"):
+            db.execute("INSERT INTO log (n) VALUES (2), ('x')")
+        assert db.version == version
+        assert db.execute("SELECT * FROM log").rows == [("a", 1)]
+
     def test_drop_table(self, db):
         db.execute("CREATE TABLE temp AS SELECT 1 AS x")
         db.execute("DROP TABLE temp")
@@ -382,7 +399,7 @@ class TestErrors:
             db.execute("SELECT customer + 1 FROM orders")
 
     def test_aggregate_in_where_raises(self, db):
-        with pytest.raises(BindError):
+        with pytest.raises(BindError, match=r"aggregate SUM is not allowed here \(no GROUP BY"):
             db.execute("SELECT id FROM orders WHERE SUM(amount) > 10")
 
     def test_unknown_function_raises(self, db):

@@ -117,7 +117,7 @@ class TestLRU:
             PlanCache(capacity=0)
 
     def test_database_capacity_plumbs_through(self):
-        database = Database(plan_cache_capacity=1)
+        database = Database(plan_cache=PlanCache(1))
         database.register(Table.from_columns("t", {"x": [1]}))
         database.execute("SELECT x FROM t")
         database.execute("SELECT x + 1 FROM t")

@@ -1,19 +1,25 @@
-"""The planned/vectorized engine must agree with the row engine exactly.
+"""The engine must agree with the row-at-a-time oracle exactly.
 
-``RowExecutor`` is the semantic oracle: every query here runs on both
-engines and the results (rows, column names, inferred types) must match.
-A second battery checks behaviors that vectorization could plausibly
-break: masked CASE branches, lazy subquery binding, and late-materialized
-join columns.
+``tests.oracles.row_engine.RowExecutor`` is the semantic oracle: every
+query in ``EQUIVALENCE_QUERIES`` and every generated query of the
+differential test runs on both and the results (rows, column names,
+inferred types) must match.  The other batteries pin, with literal
+expected rows, behaviors that vectorization could plausibly break (masked
+CASE branches, lazy subquery binding, late-materialized join columns) and
+the grouped forms the oracle refuses but the engine accepts.
 """
 
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.relational import Database, RowExecutor, Table
+from repro.relational import Database, Table
 from repro.relational.errors import BindError, ExecutionError
 from repro.relational.parser import parse
+from repro.relational.plan import plan_select, run_plan
+from tests.oracles.row_engine import RowExecutor
 
 
 @pytest.fixture
@@ -94,14 +100,151 @@ EQUIVALENCE_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
-def test_engines_agree(db, sql):
-    stmt = parse(sql)
-    baseline = RowExecutor(db).execute_statement(stmt)
-    result = db.execute(sql)
+def assert_engines_agree(database, sql):
+    baseline = RowExecutor(database).execute_statement(parse(sql))
+    result = database.execute(sql)
     assert result.rows == baseline.rows, sql
     assert result.column_names() == baseline.column_names(), sql
     assert result.schema == baseline.schema, sql
+
+
+@pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
+def test_engines_agree(db, sql):
+    assert_engines_agree(db, sql)
+
+
+# ----------------------------------------------------------------------
+# Generated inputs: NULL-heavy two-table data x query templates
+# ----------------------------------------------------------------------
+_keys = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+_nums = st.one_of(st.none(), st.integers(min_value=-3, max_value=3), st.sampled_from([0.5, 2.5]))
+_tags = st.one_of(st.none(), st.sampled_from(["a", "ab", "b"]))
+_left_rows = st.lists(st.tuples(_keys, _nums, _tags), max_size=8)
+_right_rows = st.lists(st.tuples(_keys, _nums), max_size=6)
+
+DIFFERENTIAL_TEMPLATES = [
+    "SELECT k, v, s FROM l WHERE v > 0 OR s LIKE 'a%'",
+    "SELECT k, v FROM l WHERE v BETWEEN -1 AND 2 AND k IN (0, 1, NULL)",
+    "SELECT k, COUNT(*) AS n, SUM(v) AS total, MIN(s) AS lo FROM l GROUP BY k "
+    "ORDER BY k NULLS FIRST",
+    "SELECT s, COUNT(v) AS n, AVG(v) AS mean FROM l GROUP BY s "
+    "HAVING COUNT(*) > 1 ORDER BY n DESC, s NULLS LAST",
+    "SELECT k, COUNT(DISTINCT s) AS ds FROM l GROUP BY k HAVING SUM(v) IS NOT NULL "
+    "ORDER BY 2 DESC, 1 NULLS LAST",
+    "SELECT COUNT(*), SUM(v), MAX(s) FROM l WHERE k IS NOT NULL",
+    "SELECT k, v FROM l ORDER BY v DESC NULLS FIRST, k NULLS LAST, s NULLS LAST",
+    "SELECT k, v FROM l ORDER BY v * -1 NULLS LAST, k NULLS FIRST, s NULLS FIRST LIMIT 4",
+    "SELECT l.k, l.v, r.w FROM l JOIN r ON l.k = r.k ORDER BY l.k, l.v NULLS LAST, "
+    "r.w NULLS LAST, l.s NULLS LAST",
+    "SELECT l.k, l.s, r.w FROM l LEFT JOIN r ON l.k = r.k AND r.w > 0",
+    "SELECT l.k, COUNT(r.w) AS n FROM l LEFT JOIN r ON l.k = r.k GROUP BY l.k "
+    "ORDER BY l.k NULLS LAST",
+    "SELECT DISTINCT k, s FROM l",
+    "SELECT DISTINCT v FROM l ORDER BY v NULLS FIRST",
+    "SELECT k FROM l UNION SELECT k FROM r ORDER BY 1 NULLS LAST",
+    "SELECT k FROM l INTERSECT SELECT k FROM r",
+    "SELECT k, v FROM l EXCEPT ALL SELECT k, w FROM r",
+    "SELECT k FROM l UNION ALL SELECT k FROM r",
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_left_rows, _right_rows)
+def test_engines_agree_on_generated_tables(left_rows, right_rows):
+    """Duplicate and NULL join keys, NULL-heavy measures, mixed int/float."""
+    database = Database()
+    database.register(
+        Table.from_columns(
+            "l",
+            {
+                "k": [r[0] for r in left_rows],
+                "v": [r[1] for r in left_rows],
+                "s": [r[2] for r in left_rows],
+            },
+        )
+    )
+    database.register(
+        Table.from_columns(
+            "r", {"k": [r[0] for r in right_rows], "w": [r[1] for r in right_rows]}
+        )
+    )
+    for sql in DIFFERENTIAL_TEMPLATES:
+        assert_engines_agree(database, sql)
+
+
+class TestGroupedExpressions:
+    """Grouped queries accept what ungrouped ones do.  Pinned with literal
+    rows: the oracle's grouped evaluator refuses these forms."""
+
+    @pytest.fixture
+    def t(self):
+        database = Database()
+        database.register(
+            Table.from_columns(
+                "t",
+                {
+                    "g": ["a", "a", "ab", "b", "b", "b", "c"],
+                    "x": [1, 2, 5, 1, 1, 2, None],
+                },
+            )
+        )
+        database.register(Table.from_columns("picks", {"p": ["ab", "c", None]}))
+        return database
+
+    def test_having_between(self, t):
+        result = t.execute(
+            "SELECT g, COUNT(*) AS n FROM t GROUP BY g HAVING COUNT(*) BETWEEN 2 AND 3 ORDER BY g"
+        )
+        assert result.rows == [("a", 2), ("b", 3)]
+
+    def test_having_in_list(self, t):
+        result = t.execute("SELECT g FROM t GROUP BY g HAVING g IN ('a', 'c') ORDER BY g")
+        assert result.rows == [("a",), ("c",)]
+
+    def test_having_like(self, t):
+        result = t.execute("SELECT g, SUM(x) FROM t GROUP BY g HAVING g LIKE 'a%' ORDER BY g")
+        assert result.rows == [("a", 3), ("ab", 5)]
+
+    def test_aggregate_in_list_in_select_list(self, t):
+        result = t.execute("SELECT g, SUM(x) IN (3, 5) AS hit FROM t GROUP BY g ORDER BY g")
+        assert result.rows == [("a", True), ("ab", True), ("b", False), ("c", None)]
+
+    def test_having_scalar_subquery(self, t):
+        result = t.execute(
+            "SELECT g FROM t GROUP BY g HAVING COUNT(*) > (SELECT 1) ORDER BY g"
+        )
+        assert result.rows == [("a",), ("b",)]
+
+    def test_having_in_subquery_and_exists(self, t):
+        result = t.execute(
+            "SELECT g FROM t GROUP BY g "
+            "HAVING g IN (SELECT p FROM picks) AND EXISTS (SELECT 1 FROM picks) ORDER BY g"
+        )
+        assert result.rows == [("ab",), ("c",)]
+        result = t.execute(
+            "SELECT g FROM t GROUP BY g HAVING NOT EXISTS (SELECT 1 FROM picks)"
+        )
+        assert result.rows == []
+
+    def test_grouped_order_by_accepts_the_same_forms(self, t):
+        result = t.execute(
+            "SELECT g FROM t GROUP BY g "
+            "ORDER BY SUM(x) BETWEEN 3 AND 5 DESC NULLS LAST, g LIKE 'a_' DESC, g"
+        )
+        assert result.rows == [("ab",), ("a",), ("b",), ("c",)]
+
+    def test_having_guards_the_projection(self, t):
+        # 'a' sums to 3: HAVING drops it before 1 / (SUM(x) - 3) is evaluated.
+        result = t.execute(
+            "SELECT g, 1 / (SUM(x) - 3) AS r FROM t GROUP BY g HAVING SUM(x) <> 3 ORDER BY g"
+        )
+        assert result.rows == [("ab", 0.5), ("b", 1.0)]
+        with pytest.raises(ExecutionError, match="division by zero"):
+            t.execute("SELECT g, 1 / (SUM(x) - 3) AS r FROM t GROUP BY g")
+
+    def test_bare_column_inside_the_new_forms_still_raises(self, t):
+        with pytest.raises(BindError, match="'x' must appear in GROUP BY or inside an aggregate"):
+            t.execute("SELECT g FROM t GROUP BY g HAVING x BETWEEN 1 AND 2")
 
 
 class TestMaskedCase:
@@ -174,19 +317,16 @@ class TestJoinShapes:
         assert result.rows == [(4, None)]
 
 
-class TestExecutorFacadeApi:
-    """The Executor facade keeps the legacy execute_select(env) surface."""
+class TestPlanSelectApi:
+    """``plan_select`` / ``run_plan`` are the parsed-statement entry points."""
 
-    def test_execute_select_with_env_tables(self, db):
-        from repro.relational.executor import Executor
-
+    def test_env_bound_tables_resolve(self, db):
         env = {"bound": Table.from_columns("bound", {"z": [7, 8]})}
         select = parse("SELECT SUM(z) FROM bound")
-        result = Executor(db).execute_select(select, env)
+        result = run_plan(plan_select(db, select, env), db, env)
         assert result.single_value() == 15
 
-    def test_execute_statement_matches_database_execute(self, db):
-        from repro.relational.executor import Executor
-
-        stmt = parse("SELECT COUNT(*) FROM orders")
-        assert Executor(db).execute_statement(stmt).single_value() == 6
+    def test_planned_statement_matches_execute(self, db):
+        sql = "SELECT COUNT(*) FROM orders"
+        result = run_plan(plan_select(db, parse(sql)), db)
+        assert result.single_value() == db.execute(sql).single_value() == 6

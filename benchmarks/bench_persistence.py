@@ -158,7 +158,7 @@ def run_service_warm_boot(store_dir: Path) -> dict:
     started = time.perf_counter()
     svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
     cold_boot = time.perf_counter() - started
-    oracle = results(svc.retriever.index)
+    oracle = results(svc.shared.retriever.index)
     svc.shutdown(drain=True)
 
     started = time.perf_counter()
@@ -170,7 +170,7 @@ def run_service_warm_boot(store_dir: Path) -> dict:
         "warm_started": warm.warm_started,
         "tables_restored": warm.shared.build_report.get("restored", 0),
         "tables_renarrated": warm.shared.build_report.get("indexed", 0),
-        "bit_identical": results(warm.retriever.index) == oracle,
+        "bit_identical": results(warm.shared.retriever.index) == oracle,
         "open_mode": warm.stats()["storage"]["open_mode"],
     }
     warm.shutdown(drain=True)

@@ -86,7 +86,8 @@ def selftest() -> int:
         observability=ObservabilityConfig(slow_turn_seconds=0.0),
     ) as service:
         session = service.open_session(user="selftest")
-        service.post_turn(session, question)
+        response = service.post_turn(session, question)
+        metrics_text = service.metrics_text()
         with tempfile.TemporaryDirectory() as tmp:
             exported = Path(tmp) / "traces.jsonl"
             slowlog = Path(tmp) / "slow.jsonl"
@@ -101,13 +102,20 @@ def selftest() -> int:
         print("selftest FAILED: slow-turn log (threshold 0) missed the turn", file=sys.stderr)
         return 1
     _, _, tree = traces[0]
+    if not response.trace_id or response.trace_id != tree["trace_id"]:
+        print("selftest FAILED: the response's trace_id is not the exported root's", file=sys.stderr)
+        return 1
+    for family in ("pneuma_sql_plan_cache_", "pneuma_breakers_", "pneuma_admission_"):
+        if not any(line.startswith(family) for line in metrics_text.splitlines()):
+            print(f"selftest FAILED: metrics_text() has no {family}* sample", file=sys.stderr)
+            return 1
     rendered = render_span_tree(tree)
     for stage in ("llm.complete", "retrieval.search", "action."):
         if stage not in rendered:
             print(f"selftest FAILED: rendered tree lacks {stage!r} spans", file=sys.stderr)
             return 1
     print(rendered)
-    print("selftest ok: traced turn exports, reloads, and renders every stage")
+    print("selftest ok: traced turn exports, reloads, renders every stage, and is in the metrics")
     return 0
 
 

@@ -23,7 +23,7 @@ from ..ir.web import WebSearch
 from ..llm.policies import ConductorPolicy, MaterializerPolicy
 from ..llm.rule_llm import RuleLLM
 from ..relational.catalog import Database
-from ..retriever.retriever import PneumaRetriever
+from ..retriever.retriever import PneumaRetriever, Searchable
 from .conductor import Conductor
 from .materializer import Materializer
 from .state import SharedState
@@ -47,6 +47,8 @@ class SeekerResponse:
     #: retrieval with the dense half's circuit open); the answer is best
     #: effort rather than the full hybrid-quality response.
     degraded: bool = False
+    #: The turn's trace id under a tracing service, else ``""``; never rendered.
+    trace_id: str = ""
 
     def render(self) -> str:
         return f"{self.message}\n\n{self.state_view}"
@@ -71,7 +73,7 @@ class SeekerSession:
         knowledge: Optional[DocumentDatabase] = None,
         enable_web: bool = True,
         user: str = "",
-        retriever: Optional[PneumaRetriever] = None,
+        retriever: Optional[Searchable] = None,
         plan_cache=None,
         prep=None,
     ):

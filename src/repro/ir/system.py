@@ -16,7 +16,7 @@ from ..documents.document import Document
 from ..ir.docdb import DocumentDatabase
 from ..obs import trace as obs
 from ..ir.web import WebSearch
-from ..retriever.retriever import PneumaRetriever
+from ..retriever.retriever import Searchable
 
 RetrieverFn = Callable[[str, int], List[Document]]
 BatchRetrieverFn = Callable[[Sequence[str], int], List[List[Document]]]
@@ -51,7 +51,7 @@ class IRSystem:
 
     def __init__(
         self,
-        retriever: Optional[PneumaRetriever] = None,
+        retriever: Optional[Searchable] = None,
         web: Optional[WebSearch] = None,
         knowledge: Optional[DocumentDatabase] = None,
     ):

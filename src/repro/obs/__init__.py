@@ -5,7 +5,7 @@ retriever, storage, core) may import it without cycles.
 """
 
 from .config import ObservabilityConfig
-from .export import registry_to_json, render_prometheus, render_span_tree
+from .export import registry_to_json, registry_to_stats, render_prometheus, render_span_tree
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricFamily,
@@ -44,4 +44,5 @@ __all__ = [
     "render_prometheus",
     "render_span_tree",
     "registry_to_json",
+    "registry_to_stats",
 ]

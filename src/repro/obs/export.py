@@ -1,8 +1,10 @@
-"""Exposition: Prometheus text and JSON for the registry, pretty span trees.
+"""Exposition: Prometheus text, JSON and the flat ``stats()`` dict for the
+registry, pretty span trees.
 
-All three renderers are pure functions over snapshot data so they can be
-called from the service (``metrics_text()``), the benchmarks, and
-``scripts/tracetool.py`` without touching live metric state.
+All four renderers are pure functions over snapshot data so they can be
+called from the service (``metrics_text()`` / ``stats()``), the
+benchmarks, and ``scripts/tracetool.py`` without touching live metric
+state.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List
 
-from .registry import MetricsRegistry
+from .registry import COLLECTOR_PREFIX, MetricsRegistry, percentile_sorted
 
-__all__ = ["render_prometheus", "registry_to_json", "render_span_tree"]
+__all__ = ["render_prometheus", "registry_to_json", "registry_to_stats", "render_span_tree"]
 
 
 def _escape_label(value: str) -> str:
@@ -63,6 +65,35 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 def registry_to_json(registry: MetricsRegistry) -> List[Dict[str, Any]]:
     """The registry as JSON-serializable data (``collect()`` verbatim)."""
     return registry.collect()
+
+
+def registry_to_stats(registry: MetricsRegistry) -> Dict[str, Any]:
+    """The registry as the flat dict ``PneumaService.stats()`` returns.
+
+    Push side, under the keys callers have always read: each unlabeled
+    counter by its name less the prefix, ``pneuma_breaker_transitions``
+    re-keyed ``"dep:old->new"``, and ``pneuma_turn_seconds`` as
+    ``turns_served`` plus four cuts of its reservoir.  Pull side: every
+    collector's report under its key, nesting intact.
+    """
+    stats: Dict[str, Any] = {
+        family.name[len(COLLECTOR_PREFIX) :]: int(family.value)
+        for family in registry.families()
+        if family.kind == "counter" and not family.label_names
+    }
+    stats["breaker_transitions"] = {
+        f"{dependency}:{old}->{new}": int(child.value)
+        for (dependency, old, new), child in registry.get("pneuma_breaker_transitions").items()
+    }
+    turns = registry.get("pneuma_turn_seconds").labels()
+    samples = turns.samples()
+    samples.sort()
+    stats["turns_served"] = turns.count
+    for cut in (50, 95, 99):
+        stats[f"turn_p{cut}_seconds"] = percentile_sorted(samples, float(cut))
+    stats["turn_mean_seconds"] = sum(samples) / len(samples) if samples else 0.0
+    stats.update(registry.collected())
+    return stats
 
 
 def render_span_tree(trace: Dict[str, Any], unit_ms: bool = True) -> str:

@@ -11,31 +11,40 @@ The registry is the service's one source of numeric telemetry.  Design:
   combination) holds a reference to one of the registry's ``stripes``
   locks, chosen by hash at creation.  Recording is one dict hit plus one
   striped-lock increment; no registry-wide lock is ever taken to record.
-  Callers on hot paths cache the child itself (as ``ServiceMetrics``
-  does), making a record exactly one lock acquire.
+  Callers on hot paths cache the family or child itself (as
+  ``PneumaService`` does), making a record exactly one lock acquire.
+* **Pull-side collectors.**  :meth:`MetricsRegistry.add_collector`
+  registers ``key -> fn``; ``fn()`` returns a number or a (nested) dict
+  and costs nothing until somebody looks.  :meth:`collect` flattens each
+  report into gauges named ``pneuma_<key>_<path>`` (bools as 0/1;
+  non-numeric leaves stay in the dict and out of the exposition).
 * **Bounded.**  Histograms optionally keep a raw-sample reservoir
   (``max_samples``) for exact percentile queries; it is trimmed by the
   same drop-oldest-half splice the serving metrics always used, so a
   long-lived service cannot grow without limit.
 
-Exposition lives in :mod:`repro.obs.export` (Prometheus text and JSON);
-:meth:`MetricsRegistry.collect` is the stable snapshot contract between
-the two.
+Exposition lives in :mod:`repro.obs.export` (Prometheus text, JSON, the
+flat ``stats()`` dict); :meth:`MetricsRegistry.collect` is the stable
+snapshot contract between them.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
     "MetricFamily",
+    "COLLECTOR_PREFIX",
     "DEFAULT_LATENCY_BUCKETS",
     "percentile",
     "percentile_sorted",
 ]
+
+#: What every collector gauge's name starts with.
+COLLECTOR_PREFIX = "pneuma_"
 
 #: Prometheus-style latency bounds (seconds); +Inf is implicit.
 DEFAULT_LATENCY_BUCKETS = (
@@ -127,7 +136,7 @@ class _Histogram:
 
     Buckets serve the Prometheus exposition; the bounded reservoir (when
     ``max_samples > 0``) serves exact interpolated percentiles — the same
-    numbers ``ServiceMetrics.snapshot()`` always reported.
+    numbers ``PneumaService.stats()`` always reported.
     """
 
     __slots__ = ("_lock", "buckets", "max_samples", "_counts", "_sum", "_count", "_samples")
@@ -189,6 +198,15 @@ class _Histogram:
 
 
 _CHILD_KINDS = {"counter": _Counter, "gauge": _Gauge, "histogram": _Histogram}
+
+
+def _numeric_leaves(name: str, report: Any) -> Iterator[Tuple[str, float]]:
+    """``(gauge name, value)`` for every number in a collector's report."""
+    if isinstance(report, dict):
+        for key, inner in report.items():
+            yield from _numeric_leaves(f"{name}_{key}", inner)
+    elif isinstance(report, (bool, int, float)):
+        yield name, int(report) if isinstance(report, bool) else report
 
 
 class MetricFamily:
@@ -288,6 +306,7 @@ class MetricsRegistry:
         self._registration_lock = threading.Lock()
         self._stripes = tuple(threading.Lock() for _ in range(stripes))
         self._families: Dict[str, MetricFamily] = {}
+        self._collectors: Dict[str, Callable[[], Any]] = {}
 
     def _stripe(self, name: str, label_values: Tuple[str, ...]) -> threading.Lock:
         return self._stripes[hash((name,) + label_values) % len(self._stripes)]
@@ -325,6 +344,8 @@ class MetricsRegistry:
                         f"{kind} with labels {label_names}"
                     )
                 return family
+            if name in self._collectors:
+                raise ValueError(f"metric {name!r} already registered as a collector")
         # Build outside the lock would race a concurrent registration of
         # the same name; re-check-and-insert under the lock instead.
         family = MetricFamily(self, name, kind, help_text, label_names, **opts)
@@ -345,6 +366,30 @@ class MetricsRegistry:
             families = list(self._families.values())
         return sorted(families, key=lambda f: f.name)
 
+    # ------------------------------------------------------------------
+    def add_collector(self, key: str, fn: Callable[[], Any]) -> None:
+        """Register a pull-side reporter: ``fn()`` returns a number or a
+        (nested) dict of them, read each time the registry is rendered."""
+        name = COLLECTOR_PREFIX + key
+        with self._registration_lock:
+            if name in self._collectors or name in self._families:
+                raise ValueError(f"metric {name!r} already registered")
+            self._collectors[name] = fn
+
+    def collected(self) -> Dict[str, Any]:
+        """``{key: fn()}`` for every collector, in registration order."""
+        with self._registration_lock:
+            collectors = list(self._collectors.items())
+        return {name[len(COLLECTOR_PREFIX) :]: fn() for name, fn in collectors}
+
     def collect(self) -> List[Dict[str, Any]]:
-        """Every family's snapshot, sorted by name — the exposition feed."""
-        return [family.snapshot() for family in self.families()]
+        """Every family's snapshot plus one gauge per number the collectors
+        report, sorted by name — the exposition feed."""
+        feed = [family.snapshot() for family in self.families()]
+        for key, report in self.collected().items():
+            for name, value in _numeric_leaves(COLLECTOR_PREFIX + key, report):
+                series = [{"labels": [], "value": value}]
+                feed.append(
+                    {"name": name, "kind": "gauge", "help": "", "label_names": [], "series": series}
+                )
+        return sorted(feed, key=lambda family: family["name"])

@@ -1,7 +1,7 @@
 """retriever — Pneuma-Retriever: hybrid table discovery (HNSW + BM25)."""
 
 from .index import FrozenIndexError, HybridHit, HybridIndex
-from .retriever import PneumaRetriever
+from .retriever import PneumaRetriever, Searchable
 from .summarizer import (
     NarrationCache,
     narrate_column,
@@ -13,6 +13,7 @@ from .summarizer import (
 
 __all__ = [
     "PneumaRetriever",
+    "Searchable",
     "HybridIndex",
     "HybridHit",
     "FrozenIndexError",

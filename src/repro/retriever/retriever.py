@@ -15,7 +15,7 @@ sessions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..documents.document import Document
 from ..llm.interface import TransientDependencyError
@@ -23,6 +23,21 @@ from ..obs import trace as obs
 from ..relational.catalog import Database
 from .index import HybridIndex
 from .summarizer import NarrationCache, table_fingerprint, table_payload
+
+
+class Searchable(Protocol):
+    """What a session and the IR System need from table discovery — these
+    three calls and nothing else.  :class:`PneumaRetriever` is one; so is
+    the serving layer's ``IndexGate``, which pins an index generation per
+    call."""
+
+    def search(self, query: str, k: int = 5, mode: str = "hybrid") -> List[Document]: ...
+
+    def search_batch(
+        self, queries: Sequence[str], k: int = 5, mode: str = "hybrid"
+    ) -> List[List[Document]]: ...
+
+    def column_values(self, table_name: str, column: str, limit: int = 200) -> List: ...
 
 
 class PneumaRetriever:
@@ -59,7 +74,6 @@ class PneumaRetriever:
         self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
-        self.degraded_serves = 0
         self._narrations: Dict[str, str] = dict(preset_narrations or {})
         self._fingerprints: Dict[str, Tuple[str, int]] = dict(preset_fingerprints or {})
         self.build_report = self.reindex()
@@ -107,10 +121,6 @@ class PneumaRetriever:
     @property
     def frozen(self) -> bool:
         return self.index.frozen
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the narration cache (embedder adds its own)."""
-        return self.narrations.stats()
 
     def narration(self, table_name: str) -> str:
         return self._narrations[table_name]
@@ -168,7 +178,6 @@ class PneumaRetriever:
         # lexical-only answers beat failed turns.
         obs.event("degraded_retrieval", breaker_state=breaker.state)
         batches = self.index.search_batch(queries, k=k, mode="bm25")
-        self.degraded_serves += 1
         if self._on_degraded is not None:
             self._on_degraded()
         return batches, True

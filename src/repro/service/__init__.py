@@ -7,7 +7,7 @@ breakers, degraded retrieval, and a deterministic fault-injection
 harness.  See :class:`PneumaService` for the serving API.
 """
 
-from ..obs import MetricsRegistry, ObservabilityConfig, SlowTurnLog, Tracer
+from ..obs import MetricsRegistry, ObservabilityConfig, SlowTurnLog, Tracer, percentile
 from .faults import (
     CrashSpec,
     FaultPlan,
@@ -15,10 +15,8 @@ from .faults import (
     FaultSpec,
     FlakyEmbedder,
     FlakyLLM,
-    FlakyRetriever,
     FlakySQL,
 )
-from .metrics import ServiceMetrics, percentile
 from .resilience import (
     CircuitBreaker,
     DependencyUnavailable,
@@ -34,13 +32,7 @@ from .service import (
     ServiceOverloaded,
     SessionSummary,
 )
-from .shared import (
-    IndexGate,
-    SharedIndexBundle,
-    SwappableRetriever,
-    build_shared_retriever,
-    restore_shared_retriever,
-)
+from .shared import IndexGate, SharedIndexBundle, build_shared_retriever
 
 __all__ = [
     "PneumaService",
@@ -49,7 +41,6 @@ __all__ = [
     "SessionSummary",
     "DegradedResponse",
     "ManagedSession",
-    "ServiceMetrics",
     "percentile",
     "ObservabilityConfig",
     "MetricsRegistry",
@@ -57,16 +48,13 @@ __all__ = [
     "SlowTurnLog",
     "SharedIndexBundle",
     "IndexGate",
-    "SwappableRetriever",
     "build_shared_retriever",
-    "restore_shared_retriever",
     "CrashSpec",
     "FaultPlan",
     "FaultSpec",
     "FaultSchedule",
     "FlakyLLM",
     "FlakyEmbedder",
-    "FlakyRetriever",
     "FlakySQL",
     "RetryPolicy",
     "CircuitBreaker",

@@ -4,7 +4,7 @@ Resilience code that is only exercised by real outages is untestable, so
 every fault the serving layer defends against is reproducible offline: a
 :class:`FaultPlan` derives per-dependency, per-instance seeded
 :class:`FaultSchedule` streams, and thin injecting wrappers
-(:class:`FlakyLLM`, :class:`FlakyRetriever`, :class:`FlakySQL`) raise
+(:class:`FlakyLLM`, :class:`FlakyEmbedder`, :class:`FlakySQL`) raise
 :class:`~repro.llm.interface.TransientDependencyError` on that schedule
 while passing healthy calls through untouched.
 
@@ -31,7 +31,6 @@ __all__ = [
     "FaultPlan",
     "FlakyLLM",
     "FlakyEmbedder",
-    "FlakyRetriever",
     "FlakySQL",
     "CrashSpec",
 ]
@@ -236,9 +235,9 @@ class FlakyEmbedder:
     """An embedder whose query-time calls fail on schedule.
 
     In the hybrid index only the dense (ANN) half embeds queries, so
-    installing this wrapper makes exactly the ANN/embedding half flaky
-    while BM25 stays healthy — the partial outage degraded retrieval must
-    survive.
+    installing this wrapper as a built index's ``embedder`` (a
+    ``retriever`` fault) makes exactly the ANN/embedding half flaky while
+    BM25 stays healthy — the partial outage degraded retrieval must survive.
     """
 
     def __init__(self, inner, schedule: FaultSchedule):
@@ -259,26 +258,6 @@ class FlakyEmbedder:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-class FlakyRetriever:
-    """Injects deterministic vector-half faults into a built retriever.
-
-    Installed *after* the index is built/frozen, it replaces the index's
-    query embedder with a :class:`FlakyEmbedder`, so scheduled failures
-    surface inside hybrid search exactly where a real embedding-service
-    outage would — upstream of the retriever's circuit breaker and its
-    BM25-only degraded path.  The wrapper also proxies the full retriever
-    surface so it can stand in anywhere a retriever is expected.
-    """
-
-    def __init__(self, retriever, schedule: FaultSchedule):
-        self.retriever = retriever
-        self.schedule = schedule
-        retriever.index.embedder = FlakyEmbedder(retriever.index.embedder, schedule)
-
-    def __getattr__(self, name):
-        return getattr(self.retriever, name)
 
 
 class FlakySQL:

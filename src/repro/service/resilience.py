@@ -90,7 +90,7 @@ class CircuitBreaker:
 
     ``time_fn`` is injectable so tests drive recovery with a fake clock.
     ``on_transition(dependency, old, new)`` observes every state change —
-    the service wires it into :class:`ServiceMetrics`.
+    the service counts them in its ``pneuma_breaker_transitions`` family.
     """
 
     CLOSED = "closed"
@@ -195,6 +195,7 @@ class ResilientLLM:
 
     The success path is bit-transparent: same response, same metering,
     and all other attributes (``ledger``, ``clock``, …) delegate inward.
+    ``on_retry()`` observes every retry the ladder takes.
     """
 
     def __init__(
@@ -202,13 +203,13 @@ class ResilientLLM:
         inner,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        metrics=None,
+        on_retry: Optional[Callable[[], None]] = None,
         seed: int = 0,
     ):
         self._inner = inner
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker
-        self._metrics = metrics
+        self._on_retry = on_retry
         self._rng = random.Random(seed)
 
     @property
@@ -243,8 +244,8 @@ class ResilientLLM:
                     attempt += 1
                     if attempt >= self.retry.max_attempts:
                         raise
-                    if self._metrics is not None:
-                        self._metrics.record_retry()
+                    if self._on_retry is not None:
+                        self._on_retry()
                     delay = self.retry.backoff(attempt, self._rng)
                     sp.event("retry", attempt=attempt, backoff_seconds=delay)
                     clock = getattr(self._inner, "clock", None)

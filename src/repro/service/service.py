@@ -15,7 +15,7 @@ Concurrency model:
 * a per-session lock serializes turns *within* a session, so the
   Conductor's working memory never interleaves;
 * the shared index is immutable-after-build (``freeze()``); sessions hold
-  a :class:`SwappableRetriever` over an :class:`IndexGate`, so
+  the :class:`IndexGate`, which pins a generation per search, so
   :meth:`reindex` can build a fresh bundle in the background and
   atomically swap it in with zero downtime;
 * the Document Database of captured knowledge is shared service-wide —
@@ -38,6 +38,11 @@ Fault model (the resilience subsystem):
   discovery serves BM25-only results flagged ``degraded=True``;
 * **fault injection** — a :class:`FaultPlan` makes all of the above
   reproducible offline; a no-fault plan is bit-transparent.
+
+Telemetry is one table, a :class:`~repro.obs.MetricsRegistry`: hot paths
+increment its families directly, ``__init__`` registers each subsystem's
+own ``stats()`` reporter as a collector where it builds that subsystem,
+and ``stats()`` / ``metrics_text()`` are two renderings of it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -58,23 +64,37 @@ from ..ir.system import IRSystem, RetrievalResult
 from ..llm.clock import SimulatedLatencyClock
 from ..llm.rule_llm import RuleLLM
 from ..llm.semantics import cache_stats as policy_text_stats
-from ..obs import ObservabilityConfig, SlowTurnLog, Tracer, render_prometheus
+from ..obs import (
+    MetricsRegistry,
+    ObservabilityConfig,
+    SlowTurnLog,
+    Tracer,
+    registry_to_stats,
+    render_prometheus,
+)
 from ..obs import trace as obs
 from ..prep.pipeline import PreparationPipeline
 from ..prep.store import ProfileStore
 from ..relational.catalog import Database
 from ..relational.plan import PlanCache
-from ..storage import NO_CRASH, IndexStore, stable_table_fingerprint
-from .faults import FaultPlan, FlakyLLM, FlakyRetriever, derive_seed
-from .metrics import ServiceMetrics
+from ..storage import IndexStore, stable_table_fingerprint
+from .faults import FaultPlan, FlakyEmbedder, FlakyLLM, FlakySQL, derive_seed
 from .resilience import CircuitBreaker, ResilienceConfig, ResilientLLM
-from .shared import (
-    IndexGate,
-    SharedIndexBundle,
-    SwappableRetriever,
-    build_shared_retriever,
-    restore_shared_retriever,
-)
+from .shared import IndexGate, SharedIndexBundle, build_shared_retriever
+
+#: The unlabeled serving counters, ``stats()`` key -> help text; each is
+#: the registry family ``pneuma_<key>``.
+_COUNTERS = {
+    "sessions_opened": "Sessions opened.",
+    "sessions_closed": "Sessions closed.",
+    "batch_queries": "Queries submitted through batch retrieval APIs.",
+    "turns_failed": "Turns where an exception escaped the turn.",
+    "turns_shed": "Turns refused by admission control or expired while queued.",
+    "turns_degraded": "Turns served on a degraded path.",
+    "retries": "Dependency calls retried after a fault.",
+    "degraded_retrievals": "Retrievals served BM25-only (dense half unavailable).",
+    "reindex_swaps": "Zero-downtime index snapshot swaps.",
+}
 
 
 class ServiceError(RuntimeError):
@@ -129,6 +149,8 @@ class DegradedResponse:
     turn_log: Any = None
     degraded: bool = True
     pending: Optional[Future] = None
+    #: The turn's trace id when the service traces (``""`` otherwise).
+    trace_id: str = ""
 
     def render(self) -> str:
         return f"{self.message}\n\n{self.state_view}".rstrip()
@@ -157,62 +179,96 @@ class PneumaService:
     ):
         self.lake = lake
         self._dim = dim
-        self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self.fault_plan = fault_plan
-        self.metrics = ServiceMetrics()
+        self.resilience = cfg = resilience if resilience is not None else ResilienceConfig()
+        # No plan is the no-fault plan: no schedules, the inert crash injector.
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.none()
+        self.metrics = registry = MetricsRegistry()
+        # Every collector reads through a weak proxy: one that held the
+        # service, or anything of its, would close a reference cycle, and a
+        # dropped service's index, lake and plans would wait for the cyclic GC.
+        me = weakref.proxy(self)
+        self._count = {
+            key: registry.counter(f"pneuma_{key}", text) for key, text in _COUNTERS.items()
+        }
+        transitions = registry.counter(
+            "pneuma_breaker_transitions",
+            "Circuit-breaker state transitions per dependency edge.",
+            labels=("dependency", "from_state", "to_state"),
+        )
+        # Turn count == histogram count, so serving a turn is one lock
+        # acquire; the reservoir feeds the stats() percentiles.
+        self._turn_seconds = registry.histogram(
+            "pneuma_turn_seconds", "End-to-end turn latency.", max_samples=10_000
+        )
+        if fault_plan is not None:
+            registry.add_collector("faults", lambda: me.fault_plan.stats())
         # Tracing is opt-in and bit-transparent when off: with no tracer,
         # _run_turn calls the serving path directly and the span helpers
         # across retrieval/SQL/LLM/storage all hit their no-op fast path.
-        self.observability = observability
+        self.tracer: Optional[Tracer] = None
+        self.slow_turns: Optional[SlowTurnLog] = None
         if observability is not None and observability.tracing:
-            self.tracer: Optional[Tracer] = Tracer(
+            self.tracer = Tracer(
                 seed=observability.trace_seed,
                 clock=observability.clock,
                 max_traces=observability.max_traces,
             )
-            self.slow_turns: Optional[SlowTurnLog] = SlowTurnLog(
+            self.slow_turns = SlowTurnLog(
                 threshold_seconds=observability.slow_turn_seconds,
                 capacity=observability.slow_log_capacity,
             )
-        else:
-            self.tracer = None
-            self.slow_turns = None
+            registry.add_collector(
+                "obs",
+                lambda: {"tracer": me.tracer.stats(), "slow_turns": me.slow_turns.stats()},
+            )
         # Crash-safe persistence (optional): opening the store runs the
         # full recovery protocol (WAL replay, torn-tail truncation,
         # quarantine of corrupt segments); the fault plan's storage spec
         # threads deterministic crash injection through its write paths.
-        self._storage_injector = (
-            fault_plan.crash_injector() if fault_plan is not None else NO_CRASH
-        )
-        self.store: Optional[IndexStore] = (
-            IndexStore(storage_dir, crash=self._storage_injector)
-            if storage_dir is not None
-            else None
-        )
-        self.warm_started = False
-        cfg = self.resilience
+        self.store: Optional[IndexStore] = None
+        if storage_dir is not None:
+            self.store = IndexStore(storage_dir, crash=self.fault_plan.crash_injector())
+            registry.add_collector(
+                "storage", lambda: {**me.store.stats(), "warm_start": me.warm_started}
+            )
         self.breakers: Dict[str, CircuitBreaker] = {
-            "llm": CircuitBreaker(
-                "llm",
-                failure_threshold=cfg.llm_breaker_threshold,
-                recovery_seconds=cfg.llm_breaker_recovery_seconds,
-                on_transition=self.metrics.record_breaker_transition,
-            ),
-            "vector": CircuitBreaker(
-                "vector",
-                failure_threshold=cfg.vector_breaker_threshold,
-                recovery_seconds=cfg.vector_breaker_recovery_seconds,
-                on_transition=self.metrics.record_breaker_transition,
-            ),
+            name: CircuitBreaker(
+                name,
+                failure_threshold=threshold,
+                recovery_seconds=recovery,
+                on_transition=lambda *edge: transitions.labels(*edge).inc(),
+            )
+            for name, threshold, recovery in (
+                ("llm", cfg.llm_breaker_threshold, cfg.llm_breaker_recovery_seconds),
+                ("vector", cfg.vector_breaker_threshold, cfg.vector_breaker_recovery_seconds),
+            )
         }
-        self._gate = IndexGate(self._build_bundle(initial=True))
-        self.retriever = SwappableRetriever(self._gate)
+        registry.add_collector(
+            "breakers", lambda: {name: b.stats() for name, b in me.breakers.items()}
+        )
+        # The handle sessions and the IR facade hold.  A snapshot in the
+        # store warm-starts it; a cold build publishes one for the next boot.
+        self._gate = IndexGate(self._build_bundle(store=self.store))
+        self.warm_started = "restored" in self.shared.build_report
+        if self.store is not None and not self.warm_started:
+            self._publish_index(self.shared.retriever.index)
+        registry.add_collector("index_gate", lambda: me._gate.stats())
+        registry.add_collector("index_size", lambda: len(me.shared.retriever.index))
+        # The bundle's own caches, plus the process-wide tables the RuleLLM
+        # policies score text through (lexicon, question memo, stems, ...).
+        registry.add_collector(
+            "caches", lambda: {**me.shared.cache_stats(), "policy_text": policy_text_stats()}
+        )
+        # Which kernel serves the shared index (plain, or a warm start's
+        # base+delta overlay) and whether freeze() compiled it.
+        registry.add_collector("retrieval", lambda: me.shared.retriever.index.kernel_stats())
         # One SQL plan cache for the whole service: the shared lake and
         # every session's materialized scratch database key into it (keys
         # are namespaced per catalog), so hit/miss counters aggregate all
         # serving-side SQL and repeated templated queries stay warm.
         self.sql_plan_cache = PlanCache(capacity=512)
         self.lake.share_plan_cache(self.sql_plan_cache)
+        registry.add_collector("sql_plan_cache", lambda: me.sql_plan_cache.stats())
         # One sketch-based preparation pipeline per service: column
         # profiles (MinHash + HLL + stats) for the whole catalog are built
         # once here, fingerprint-keyed in a versioned ProfileStore (the
@@ -222,10 +278,13 @@ class PneumaService:
         self.profile_store = ProfileStore()
         self.prep = PreparationPipeline(lake, store=self.profile_store)
         self.prep.join_candidates()  # eager: profile + discover at build time
+        registry.add_collector("profile_store", lambda: me.profile_store.stats())
+        registry.add_collector("prep", lambda: me.prep.stats())
         self.knowledge = self._open_knowledge()
-        # Service-level IR facade for batch_retrieve; built over the
-        # swappable retriever, so it follows reindex swaps automatically.
-        self.ir = IRSystem(retriever=self.retriever, knowledge=self.knowledge)
+        registry.add_collector("knowledge_entries", lambda: len(me.knowledge))
+        # Service-level IR facade for batch_retrieve; built over the gate,
+        # so it follows reindex swaps automatically.
+        self.ir = IRSystem(retriever=self._gate, knowledge=self.knowledge)
         self._llm_factory = llm_factory
         self._llm_latency_factor = llm_latency_factor
         self._executor = ThreadPoolExecutor(
@@ -237,6 +296,7 @@ class PneumaService:
         self._llm_instances = itertools.count()
         self._shutdown = False
         self._draining = False
+        registry.add_collector("open_sessions", lambda: me.open_session_count())
         # Admission control: a bounded count of submitted-but-unfinished
         # turns; post_turn sheds (raises) instead of queuing past it.
         self._admission_lock = threading.Lock()
@@ -246,6 +306,7 @@ class PneumaService:
             cfg.max_pending_turns if cfg.max_pending_turns is not None else max_workers * 32
         )
         self._turn_deadline = cfg.turn_deadline_seconds
+        registry.add_collector("admission", lambda: me._admission_stats())
         self._reindex_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -291,45 +352,28 @@ class PneumaService:
                 self.store.close()
         return summaries
 
-    def _build_bundle(
-        self, narrations=None, embedder=None, initial: bool = False
-    ) -> SharedIndexBundle:
-        """Build (or warm-rebuild) an index bundle with resilience wiring.
-
-        On the initial build with a store attached, a published snapshot
-        warm-starts the bundle: the frozen index hydrates from mmap'd
-        segments, and only tables that changed while the service was down
-        are narrated (into the delta overlay).  A cold build with a store
-        publishes its result so the *next* open warm-starts.
-        """
-        wiring = dict(
+    def _build_bundle(self, narrations=None, embedder=None, store=None) -> SharedIndexBundle:
+        """Build an index bundle (cold, off a previous bundle's caches, or
+        off ``store``'s snapshot) with the resilience wiring attached."""
+        bundle = build_shared_retriever(
+            self.lake,
             dim=self._dim,
             narrations=narrations,
             embedder=embedder,
             vector_breaker=self.breakers["vector"],
-            on_degraded=self.metrics.record_degraded_retrieval,
+            on_degraded=self._count["degraded_retrievals"].inc,
+            store=store,
         )
-        bundle: Optional[SharedIndexBundle] = None
-        if initial and self.store is not None:
-            bundle = restore_shared_retriever(self.lake, self.store, **wiring)
-            if bundle is not None:
-                self.warm_started = True
-        if bundle is None:
-            bundle = build_shared_retriever(self.lake, **wiring)
-            if initial and self.store is not None:
-                self._publish_index(bundle.retriever.index)
-        if self.fault_plan is not None:
-            schedule = self.fault_plan.schedule("retriever")
-            if schedule is not None:
-                # Installs query-time faults on the dense half in place.
-                FlakyRetriever(bundle.retriever, schedule)
+        schedule = self.fault_plan.schedule("retriever")
+        if schedule is not None:
+            # A retriever fault is a flaky query embedder (see FlakyEmbedder).
+            index = bundle.retriever.index
+            index.embedder = FlakyEmbedder(index.embedder, schedule)
         return bundle
 
     def _publish_index(self, index) -> int:
         """Durably publish a frozen index through the store's journal."""
-        tables = {
-            table.name: stable_table_fingerprint(table) for table in self.lake.tables()
-        }
+        tables = {table.name: stable_table_fingerprint(table) for table in self.lake.tables()}
         return self.store.publish(index, tables=tables)
 
     def _open_knowledge(self) -> DocumentDatabase:
@@ -354,15 +398,14 @@ class PneumaService:
         else:
             llm = build_seeker_llm(clock=SimulatedLatencyClock(self._llm_latency_factor))
         instance = next(self._llm_instances)
-        if self.fault_plan is not None:
-            schedule = self.fault_plan.schedule("llm")
-            if schedule is not None:
-                llm = FlakyLLM(llm, schedule)
+        schedule = self.fault_plan.schedule("llm")
+        if schedule is not None:
+            llm = FlakyLLM(llm, schedule)
         return ResilientLLM(
             llm,
             retry=self.resilience.retry,
             breaker=self.breakers["llm"],
-            metrics=self.metrics,
+            on_retry=self._count["retries"].inc,
             seed=derive_seed(self.resilience.seed, "llm-jitter", instance),
         )
 
@@ -381,10 +424,15 @@ class PneumaService:
             knowledge=self.knowledge,
             enable_web=False,
             user=user,
-            retriever=self.retriever,
+            retriever=self._gate,
             plan_cache=self.sql_plan_cache,
             prep=self.prep,
         )
+        schedule = self.fault_plan.schedule("sql")
+        if schedule is not None:
+            # Q runs against the session's scratch database: that is the
+            # SQL backend a session has, so that is what fails on schedule.
+            session.state.materialized = FlakySQL(session.state.materialized, schedule)
         managed = ManagedSession(session_id=session_id, session=session, user=user)
         with self._registry_lock:
             # Re-check: shutdown() may have run while the session was being
@@ -392,7 +440,7 @@ class PneumaService:
             if self._shutdown or self._draining:
                 raise ServiceError("service is shut down")
             self._sessions[session_id] = managed
-        self.metrics.record_session_opened()
+        self._count["sessions_opened"].inc()
         return session_id
 
     def post_turn(
@@ -420,7 +468,7 @@ class PneumaService:
         deadline = deadline if deadline is not None else self._turn_deadline
         with self._admission_lock:
             if self._pending_turns >= self._max_pending:
-                self.metrics.record_turn_shed()
+                self._count["turns_shed"].inc()
                 raise ServiceOverloaded(
                     f"{self._pending_turns} turns pending (bound {self._max_pending}); "
                     "turn shed — retry with backoff"
@@ -442,7 +490,7 @@ class PneumaService:
         try:
             return future.result(timeout=deadline)
         except FutureTimeoutError:
-            self.metrics.record_turn_degraded()
+            self._count["turns_degraded"].inc()
             return DegradedResponse(
                 session_id=session_id,
                 reason="deadline",
@@ -463,7 +511,7 @@ class PneumaService:
         prefetchers, evaluation sweeps.
         """
         results = self.ir.retrieve_batch(queries, k_tables=k_tables, k_other=k_other)
-        self.metrics.record_batch_queries(len(results))
+        self._count["batch_queries"].inc(len(results))
         return results
 
     def close_session(self, session_id: str) -> SessionSummary:
@@ -477,7 +525,7 @@ class PneumaService:
             raise ServiceError(f"unknown or closed session {session_id!r}")
         with managed.lock:  # wait out any in-flight turn, then seal
             managed.closed = True
-        self.metrics.record_session_closed()
+        self._count["sessions_closed"].inc()
         usage = managed.session.llm.ledger.total()
         return SessionSummary(
             session_id=session_id,
@@ -524,7 +572,7 @@ class PneumaService:
                 with obs.span("reindex.swap"):
                     self._gate.swap(bundle, drain=drain)
                 swap_seconds = time.perf_counter() - swap_started
-                self.metrics.record_reindex()
+                self._count["reindex_swaps"].inc()
                 report = {
                     "build_report": dict(bundle.build_report),
                     "build_seconds": build_seconds,
@@ -552,55 +600,23 @@ class PneumaService:
         with self._registry_lock:
             return len(self._sessions)
 
-    def stats(self) -> Dict[str, Any]:
-        """Serving counters, latency percentiles, and cache hit rates."""
-        snapshot = self.metrics.snapshot()
-        snapshot["open_sessions"] = self.open_session_count()
-        snapshot["index_size"] = len(self.shared.retriever.index)
-        # The bundle's own caches, plus the process-wide tables the RuleLLM
-        # policies score text through (lexicon, question memo, stems, ...).
-        snapshot["caches"] = {**self.shared.cache_stats(), "policy_text": policy_text_stats()}
-        # Retrieval-kernel view: which kernel serves the shared index
-        # (plain, or a warm start's base+delta overlay) and whether
-        # freeze() compiled it.
-        snapshot["retrieval"] = self.shared.retriever.index.kernel_stats()
-        snapshot["knowledge_entries"] = len(self.knowledge)
-        # All serving-side SQL — lake queries and every session's
-        # materialized scratch database — shares one plan cache; its
-        # hit/miss/eviction counters aggregate across sessions.
-        snapshot["sql_plan_cache"] = self.sql_plan_cache.stats()
-        # The preparation pipeline's accounting: profile-store hit/miss
-        # (fingerprint cache, NarrationCache idiom) plus discovery and
-        # seeded-materialization counters.
-        snapshot["profile_store"] = self.profile_store.stats()
-        snapshot["prep"] = self.prep.stats()
-        # Resilience accounting: admission-queue pressure, breaker states,
-        # index generation, and (when injecting) the fault plan's totals.
+    def _admission_stats(self) -> Dict[str, Any]:
         with self._admission_lock:
-            snapshot["admission"] = {
+            return {
                 "pending_turns": self._pending_turns,
                 "peak_pending_turns": self._peak_pending,
                 "max_pending_turns": self._max_pending,
                 "turn_deadline_seconds": self._turn_deadline,
             }
-        snapshot["breakers"] = {name: b.stats() for name, b in self.breakers.items()}
-        snapshot["index_gate"] = self._gate.stats()
-        if self.store is not None:
-            storage = self.store.stats()
-            storage["warm_start"] = self.warm_started
-            snapshot["storage"] = storage
-        if self.fault_plan is not None:
-            snapshot["faults"] = self.fault_plan.stats()
-        if self.tracer is not None:
-            snapshot["obs"] = {
-                "tracer": self.tracer.stats(),
-                "slow_turns": self.slow_turns.stats(),
-            }
-        return snapshot
+
+    def stats(self) -> Dict[str, Any]:
+        """The registry as a dict: serving counters and latency percentiles
+        flat, every collector's report nested under its key."""
+        return registry_to_stats(self.metrics)
 
     def metrics_text(self) -> str:
-        """The service's metrics in Prometheus text exposition format."""
-        return render_prometheus(self.metrics.registry)
+        """The same table in Prometheus text exposition format."""
+        return render_prometheus(self.metrics)
 
     # ------------------------------------------------------------------
     # Internals
@@ -626,6 +642,7 @@ class PneumaService:
         try:
             with root:
                 response = self._serve_turn(managed, message, deadline_at)
+                response.trace_id = root.trace_id
                 if isinstance(response, DegradedResponse):
                     outcome = "shed" if response.reason == "queue-deadline" else "degraded"
                 elif getattr(response, "degraded", False):
@@ -647,7 +664,7 @@ class PneumaService:
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 # The deadline passed while the turn sat in the queue:
                 # shed it instead of burning a worker on a dead turn.
-                self.metrics.record_turn_shed()
+                self._count["turns_shed"].inc()
                 return DegradedResponse(
                     session_id=managed.session_id,
                     reason="queue-deadline",
@@ -663,12 +680,12 @@ class PneumaService:
                 response = managed.session.submit(message)
                 managed.turns += 1
         except BaseException:
-            self.metrics.record_turn_failed()
+            self._count["turns_failed"].inc()
             raise
         finally:
             with self._admission_lock:
                 self._pending_turns -= 1
         if response.degraded:
-            self.metrics.record_turn_degraded()
-        self.metrics.record_turn(time.perf_counter() - started)
+            self._count["turns_degraded"].inc()
+        self._turn_seconds.observe(time.perf_counter() - started)
         return response

@@ -4,20 +4,18 @@ One :class:`SharedIndexBundle` is built per service: a fingerprint-cached
 narration pass, a memoizing embedder, and a frozen :class:`HybridIndex`
 that every session searches lock-free.
 
-Two warm paths exist, with different savings.  ``reindex()`` on an
-*existing* retriever skips unchanged tables entirely (one fingerprint
-pass — the near-free case the throughput bench measures).  Passing a
-previous bundle's ``narrations``/``embedder`` into
-:func:`build_shared_retriever` builds a *fresh* frozen index: narrations
-and embeddings come from the caches, but the BM25/HNSW inserts are
-repaid in full.
+:func:`build_shared_retriever` is the one way a bundle comes to be.  Cold,
+it narrates, embeds and indexes the whole lake.  Given a previous
+bundle's ``narrations``/``embedder`` it builds a *fresh* frozen index off
+warm caches (the BM25/HNSW inserts are repaid in full).  Given a
+``store`` holding a published snapshot it hydrates that snapshot instead
+and narrates only the tables that changed since.
 
 Snapshot-swap reindexing rides on the second path: the service builds a
-fresh bundle in the background, publishes it through an :class:`IndexGate`
-(readers pin the generation they started on; the swap waits for the old
-generation to drain), and sessions only ever hold a
-:class:`SwappableRetriever` — the indirection that makes the swap
-invisible to them.
+fresh bundle in the background and publishes it through the
+:class:`IndexGate` — the handle sessions and the IR facade hold.  Each
+search pins the generation it started on; the swap waits for the old
+generation to drain, and is invisible to sessions.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ def build_shared_retriever(
     embedder: CachedEmbedder = None,
     vector_breaker=None,
     on_degraded: Optional[Callable[[], None]] = None,
+    store=None,
 ) -> SharedIndexBundle:
     """Narrate + embed + index every table of ``lake``, then freeze.
 
@@ -68,63 +67,30 @@ def build_shared_retriever(
     recomputation.  ``vector_breaker``/``on_degraded`` thread the serving
     layer's dense-half circuit breaker into the retriever so hybrid search
     degrades to BM25-only instead of failing.
+
+    Passing a ``store`` (:class:`~repro.storage.store.IndexStore`) with a
+    usable snapshot makes this a warm start: the snapshot hydrates
+    zero-copy from mmap'd segments as the base of a
+    :class:`DeltaHybridIndex`, and the lake is reconciled against the
+    manifest's stable table fingerprints — tables the snapshot still
+    covers are served from the base (narrations straight from the
+    segment), changed/new tables are narrated into the delta overlay,
+    dropped ones are tombstoned, and the build report gains ``restored``.
     """
     narrations = narrations if narrations is not None else NarrationCache()
     embedder = embedder if embedder is not None else CachedEmbedder(dim=dim)
-    retriever = PneumaRetriever(
-        lake,
-        dim=dim,
-        narration_cache=narrations,
-        embedder=embedder,
-        vector_breaker=vector_breaker,
-        on_degraded=on_degraded,
-    )
-    retriever.freeze()
-    return SharedIndexBundle(
-        retriever=retriever,
-        narrations=narrations,
-        embedder=embedder,
-        build_report=dict(retriever.build_report),
-    )
-
-
-def restore_shared_retriever(
-    lake: Database,
-    store,
-    dim: int = 192,
-    narrations: NarrationCache = None,
-    embedder: CachedEmbedder = None,
-    vector_breaker=None,
-    on_degraded: Optional[Callable[[], None]] = None,
-) -> Optional[SharedIndexBundle]:
-    """Warm-start a bundle from an :class:`~repro.storage.store.IndexStore`
-    snapshot instead of narrating/embedding/indexing the whole lake.
-
-    The snapshot's frozen index hydrates zero-copy from mmap'd segments
-    and becomes the base of a :class:`DeltaHybridIndex`; the lake is then
-    reconciled against the manifest's stable table fingerprints — tables
-    the snapshot still covers are served from the base (their narrations
-    come straight back from the segment), changed/new tables are narrated
-    into the delta overlay, and tables dropped from the catalog are
-    tombstoned.  Returns ``None`` when the store has no usable snapshot
-    (the caller cold-builds).
-    """
-    narrations = narrations if narrations is not None else NarrationCache()
-    embedder = embedder if embedder is not None else CachedEmbedder(dim=dim)
-    base = store.load_index(embedder=embedder)
-    if base is None:
-        return None
-    delta = DeltaHybridIndex(base)
+    base = store.load_index(embedder=embedder) if store is not None else None
     current = {table.name: table for table in lake.tables()}
     preset_narrations = {}
     preset_fingerprints = {}
-    for name, fingerprint in store.state.tables.items():
-        table = current.get(name)
-        if table is None or name not in base:
-            continue
-        if stable_table_fingerprint(table) == fingerprint:
-            preset_narrations[name] = base.text_of(name)
-            preset_fingerprints[name] = table_fingerprint(table)
+    if base is not None:
+        for name, fingerprint in store.state.tables.items():
+            table = current.get(name)
+            if table is None or name not in base:
+                continue
+            if stable_table_fingerprint(table) == fingerprint:
+                preset_narrations[name] = base.text_of(name)
+                preset_fingerprints[name] = table_fingerprint(table)
     retriever = PneumaRetriever(
         lake,
         dim=dim,
@@ -132,64 +98,70 @@ def restore_shared_retriever(
         embedder=embedder,
         vector_breaker=vector_breaker,
         on_degraded=on_degraded,
-        index=delta,
+        index=DeltaHybridIndex(base) if base is not None else None,
         preset_narrations=preset_narrations,
         preset_fingerprints=preset_fingerprints,
     )
-    for doc_id in base.doc_ids():
-        if doc_id not in current:
-            delta.mask(doc_id)
-    retriever.freeze()
     report = dict(retriever.build_report)
-    report["restored"] = len(preset_narrations)
+    if base is not None:
+        for doc_id in base.doc_ids():
+            if doc_id not in current:
+                retriever.index.mask(doc_id)
+        report["restored"] = len(preset_narrations)
+    retriever.freeze()
     return SharedIndexBundle(
-        retriever=retriever,
-        narrations=narrations,
-        embedder=embedder,
-        build_report=report,
+        retriever=retriever, narrations=narrations, embedder=embedder, build_report=report
     )
 
 
 class _Generation:
-    """One published bundle plus its in-flight reader count."""
+    """One published bundle, its number, and its in-flight reader count."""
 
-    __slots__ = ("bundle", "readers")
+    __slots__ = ("bundle", "number", "readers")
 
-    def __init__(self, bundle: SharedIndexBundle):
+    def __init__(self, bundle: SharedIndexBundle, number: int):
         self.bundle = bundle
+        self.number = number
         self.readers = 0
 
 
 class IndexGate:
-    """A read–write gate over the service's current index bundle.
+    """A read–write gate over the service's current index bundle, and the
+    retrieval handle sessions hold (a :class:`~repro.retriever.Searchable`).
 
-    Readers (:meth:`reading`) pin whatever generation is current when they
-    enter and keep using it even if a swap happens mid-read — bundles are
-    immutable, so that is always safe.  :meth:`swap` publishes the new
-    bundle *immediately* (new readers see it with zero wait) and then
-    optionally drains: blocks until the old generation's readers have all
-    exited, at which point the old index is provably idle and can be
+    Readers (:meth:`reading`, and through it every ``search`` /
+    ``search_batch`` / ``column_values``) pin whatever generation is
+    current when they enter and keep using it even if a swap happens
+    mid-read — bundles are immutable, so that is always safe; long-lived
+    sessions therefore follow reindex swaps automatically while in-flight
+    searches finish on the index they started on.  :meth:`swap` publishes
+    the new bundle *immediately* (new readers see it with zero wait) and
+    then optionally drains: blocks until the old generation's readers have
+    all exited, at which point the old index is provably idle and can be
     retired.  Freshness therefore never blocks traffic in either
     direction.
     """
 
     def __init__(self, bundle: SharedIndexBundle):
         self._cond = threading.Condition()
-        self._current = _Generation(bundle)
-        self.generation = 0
-        self.swaps = 0
+        self._current = _Generation(bundle, 0)
 
     @property
     def current(self) -> SharedIndexBundle:
         return self._current.bundle
 
+    @property
+    def generation(self) -> int:
+        return self._current.number
+
     @contextmanager
     def reading(self):
+        """Pin the current generation (``.bundle``, ``.number``) for the block."""
         with self._cond:
             gen = self._current
             gen.readers += 1
         try:
-            yield gen.bundle
+            yield gen
         finally:
             with self._cond:
                 gen.readers -= 1
@@ -204,9 +176,7 @@ class IndexGate:
         """
         with self._cond:
             old = self._current
-            self._current = _Generation(bundle)
-            self.generation += 1
-            self.swaps += 1
+            self._current = _Generation(bundle, old.number + 1)
             if drain:
                 while old.readers > 0:
                     self._cond.wait()
@@ -214,49 +184,25 @@ class IndexGate:
 
     def stats(self) -> Dict[str, int]:
         with self._cond:
+            number = self._current.number  # == swaps so far: each swap publishes the next
             return {
-                "generation": self.generation,
-                "swaps": self.swaps,
+                "generation": number,
+                "swaps": number,
                 "active_readers": self._current.readers,
             }
 
-
-class SwappableRetriever:
-    """The retriever handle sessions actually hold.
-
-    Each search pins the gate's current bundle for exactly that call, so
-    long-lived sessions follow reindex swaps automatically while in-flight
-    searches finish on the index they started on.  Everything else
-    (``frozen``, ``index``, ``narration`` …) delegates to the current
-    bundle's retriever.
-    """
-
-    def __init__(self, gate: IndexGate):
-        self._gate = gate
-
+    # -- Searchable: each call pins one generation and names it on its span
     def search(self, query: str, k: int = 5, mode: str = "hybrid"):
-        with obs.span("retrieval.search", k=k, mode=mode):
-            with self._gate.reading() as bundle:
-                obs.set_attr("generation", self._gate.generation)
-                return bundle.retriever.search(query, k=k, mode=mode)
+        with obs.span("retrieval.search", k=k, mode=mode) as sp, self.reading() as gen:
+            sp.set_attr("generation", gen.number)
+            return gen.bundle.retriever.search(query, k=k, mode=mode)
 
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
-        with obs.span("retrieval.search_batch", queries=len(queries), k=k, mode=mode):
-            with self._gate.reading() as bundle:
-                obs.set_attr("generation", self._gate.generation)
-                return bundle.retriever.search_batch(queries, k=k, mode=mode)
+        with obs.span("retrieval.search_batch", queries=len(queries), k=k, mode=mode) as sp:
+            with self.reading() as gen:
+                sp.set_attr("generation", gen.number)
+                return gen.bundle.retriever.search_batch(queries, k=k, mode=mode)
 
     def column_values(self, table_name: str, column: str, limit: int = 200):
-        with self._gate.reading() as bundle:
-            return bundle.retriever.column_values(table_name, column, limit)
-
-    @property
-    def frozen(self) -> bool:
-        return self._gate.current.retriever.frozen
-
-    @property
-    def index(self):
-        return self._gate.current.retriever.index
-
-    def __getattr__(self, name):
-        return getattr(self._gate.current.retriever, name)
+        with self.reading() as gen:
+            return gen.bundle.retriever.column_values(table_name, column, limit)

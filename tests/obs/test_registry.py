@@ -192,3 +192,52 @@ class TestExposition:
         registry.counter("c").inc()
         assert registry_to_json(registry) == registry.collect()
         assert registry.collect()[0]["series"] == [{"labels": [], "value": 1}]
+
+
+class TestCollectors:
+    def test_reports_flatten_into_prefixed_gauges(self):
+        registry = MetricsRegistry()
+        registry.add_collector("depth", lambda: 3)
+        registry.add_collector("cache", lambda: {"hits": 2, "inner": {"misses": 0.5}})
+        assert registry.collected() == {"depth": 3, "cache": {"hits": 2, "inner": {"misses": 0.5}}}
+        gauges = {f["name"]: f for f in registry.collect()}
+        assert sorted(gauges) == ["pneuma_cache_hits", "pneuma_cache_inner_misses", "pneuma_depth"]
+        assert all(f["kind"] == "gauge" for f in gauges.values())
+        assert gauges["pneuma_cache_inner_misses"]["series"] == [{"labels": [], "value": 0.5}]
+        assert "pneuma_cache_hits 2\n" in render_prometheus(registry)
+
+    def test_collectors_are_read_at_render_time(self):
+        registry = MetricsRegistry()
+        box = {"n": 1}
+        registry.add_collector("box", lambda: dict(box))
+        assert "pneuma_box_n 1\n" in render_prometheus(registry)
+        box["n"] = 7
+        assert "pneuma_box_n 7\n" in render_prometheus(registry)
+
+    def test_bools_are_zero_one_and_non_numeric_leaves_stay_in_the_dict(self):
+        registry = MetricsRegistry()
+        report = {"frozen": True, "warm": False, "state": "open", "deadline": None, "files": ["a"]}
+        registry.add_collector("gate", lambda: report)
+        assert registry.collected()["gate"] is report
+        text = render_prometheus(registry)
+        assert "pneuma_gate_frozen 1\n" in text and "pneuma_gate_warm 0\n" in text
+        for key in ("state", "deadline", "files"):
+            assert f"pneuma_gate_{key}" not in text
+
+    def test_exposition_is_sorted_across_families_and_collectors(self):
+        registry = MetricsRegistry()
+        registry.counter("pneuma_zeta").inc()
+        registry.add_collector("alpha", lambda: 1)
+        assert [f["name"] for f in registry.collect()] == ["pneuma_alpha", "pneuma_zeta"]
+
+    def test_name_collisions_raise_in_both_directions(self):
+        registry = MetricsRegistry()
+        registry.counter("pneuma_turns_failed")
+        registry.add_collector("caches", lambda: {})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.add_collector("caches", lambda: {})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.add_collector("turns_failed", lambda: 0)
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("pneuma_caches")
+        registry.gauge("caches")  # no prefix, no clash: the gauge would be pneuma_caches

@@ -66,3 +66,45 @@ def test_relational_public_surface():
         "ExecutionError",
         "CatalogError",
     ]
+
+
+def test_service_public_surface():
+    import repro.obs
+    import repro.service
+
+    assert repro.service.__all__ == [
+        "PneumaService",
+        "ServiceError",
+        "ServiceOverloaded",
+        "SessionSummary",
+        "DegradedResponse",
+        "ManagedSession",
+        "percentile",
+        "ObservabilityConfig",
+        "MetricsRegistry",
+        "Tracer",
+        "SlowTurnLog",
+        "SharedIndexBundle",
+        "IndexGate",
+        "build_shared_retriever",
+        "CrashSpec",
+        "FaultPlan",
+        "FaultSpec",
+        "FaultSchedule",
+        "FlakyLLM",
+        "FlakyEmbedder",
+        "FlakySQL",
+        "RetryPolicy",
+        "CircuitBreaker",
+        "ResilientLLM",
+        "ResilienceConfig",
+        "DependencyUnavailable",
+    ]
+    assert repro.service.percentile is repro.obs.percentile
+    # One stats surface (no facade module) and no catch-all proxy on the
+    # search path: the gate's surface is exactly what it declares.
+    assert not (SRC / "service" / "metrics.py").exists()
+    shared = ast.parse((SRC / "service" / "shared.py").read_text())
+    for node in ast.walk(shared):
+        if isinstance(node, ast.FunctionDef):
+            assert node.name != "__getattr__", f"shared.py:{node.lineno}: defines __getattr__"

@@ -83,7 +83,7 @@ class TestReindex:
         report = retriever.reindex()
         assert report == {"indexed": 0, "skipped": len(lake.tables())}
         # The skip happened before narration: no extra cache traffic.
-        assert retriever.cache_stats()["misses"] == len(lake.tables())
+        assert retriever.narrations.stats()["misses"] == len(lake.tables())
 
     def test_new_table_is_picked_up(self):
         lake = build_procurement_lake()

@@ -12,8 +12,8 @@ from repro.service import (
     FaultPlan,
     FaultSchedule,
     FaultSpec,
+    FlakyEmbedder,
     FlakyLLM,
-    FlakyRetriever,
     FlakySQL,
     PneumaService,
 )
@@ -145,27 +145,20 @@ class TestFlakyLLM:
 
 
 class TestFlakyRetriever:
+    """A retriever fault is a flaky query embedder on the built index."""
+
     def test_vector_half_fails_but_bm25_survives(self):
         lake = build_procurement_lake()
         retriever = PneumaRetriever(lake)
         retriever.freeze()
-        flaky = FlakyRetriever(
-            retriever, FaultSchedule("retriever", FaultSpec(outages=((1, 100),)), seed=0)
-        )
+        schedule = FaultSchedule("retriever", FaultSpec(outages=((1, 100),)), seed=0)
+        retriever.index.embedder = FlakyEmbedder(retriever.index.embedder, schedule)
         # Hybrid needs the (now flaky) query embedder -> transient error.
         with pytest.raises(TransientDependencyError):
-            flaky.search("tariff rates by country", k=3)
+            retriever.search("tariff rates by country", k=3)
         # The lexical half never embeds, so BM25-only mode still serves.
-        hits = flaky.search("tariff rates by country", k=3, mode="bm25")
+        hits = retriever.search("tariff rates by country", k=3, mode="bm25")
         assert hits and all(not d.degraded for d in hits)
-
-    def test_proxies_the_retriever_surface(self):
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake)
-        flaky = FlakyRetriever(retriever, FaultSchedule("retriever", FaultSpec(rate=0.0), seed=0))
-        assert flaky.frozen is False
-        assert flaky.database is lake
-        assert flaky.narration("suppliers")
 
 
 class TestFlakySQL:
@@ -220,3 +213,38 @@ class TestServiceLevelDeterminism:
         _, stats_a = self._drive(FaultPlan(seed=11, llm=spec))
         _, stats_b = self._drive(FaultPlan(seed=12, llm=spec))
         assert stats_a["faults"] != stats_b["faults"]
+
+
+class TestServiceSQLFaults:
+    """``FaultPlan(sql=...)`` reaches the database a session's Q runs on."""
+
+    SQL_QUESTION = "What is the total price of purchase orders by supplier?"
+
+    def _drive(self, plan: FaultPlan):
+        with PneumaService(build_procurement_lake(), max_workers=2, fault_plan=plan) as service:
+            sid = service.open_session(user="sql")
+            # A crashed backend, not repair-loop feedback: the error escapes.
+            with pytest.raises(TransientDependencyError):
+                service.post_turn(sid, self.SQL_QUESTION)
+            response = service.post_turn(sid, self.SQL_QUESTION)
+            return response, service.stats()
+
+    def test_sql_fault_fails_the_turn_and_the_session_recovers(self):
+        response, stats = self._drive(FaultPlan(seed=5, sql=FaultSpec(fail_calls=(1,))))
+        assert stats["turns_failed"] == 1 and stats["turns_served"] == 1
+        assert stats["faults"]["sql"] == {"calls": 2, "faults": 1, "streams": 1}
+        # The retried turn runs Q on the same (still wrapped) database.
+        assert response.message and response.answer_value is not None
+
+    def test_equal_plans_produce_identical_responses(self):
+        first, first_stats = self._drive(FaultPlan(seed=5, sql=FaultSpec(fail_calls=(1,))))
+        second, second_stats = self._drive(FaultPlan(seed=5, sql=FaultSpec(fail_calls=(1,))))
+        assert first.render() == second.render()
+        assert first_stats["faults"] == second_stats["faults"]
+
+    def test_no_sql_spec_wraps_nothing(self):
+        plan = FaultPlan(seed=5, llm=FaultSpec(rate=0.1))
+        with PneumaService(build_procurement_lake(), max_workers=1, fault_plan=plan) as service:
+            sid = service.open_session()
+            assert not isinstance(service._sessions[sid].session.state.materialized, FlakySQL)
+            assert "sql" not in service.stats()["faults"]

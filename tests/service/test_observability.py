@@ -1,14 +1,19 @@
 """Service-level observability: spans, outcomes, exposition, transparency."""
 
+import threading
+
 import pytest
 
 from repro.datasets import build_procurement_lake
+from repro.obs import MetricsRegistry, registry_to_stats
 from repro.service import (
     DegradedResponse,
+    FaultPlan,
+    FaultSpec,
     ObservabilityConfig,
     PneumaService,
-    ServiceMetrics,
 )
+from tests.service.test_admission import GatedLLM
 
 RETRIEVAL_QUESTION = (
     "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -156,7 +161,7 @@ class TestMetricsSurface:
         with PneumaService(lake, max_workers=2) as service:
             session = service.open_session(user="u")
             service.post_turn(session, RETRIEVAL_QUESTION)
-            snap = service.metrics.snapshot()
+            snap = service.stats()
         # The pre-registry dict contract: int counters, float percentiles,
         # breaker transitions keyed "dep:old->new".
         for key in (
@@ -172,22 +177,85 @@ class TestMetricsSurface:
         assert snap["breaker_transitions"] == {}
 
     def test_breaker_transition_labels_round_trip(self):
-        metrics = ServiceMetrics()
-        metrics.record_breaker_transition("llm", "closed", "open")
-        metrics.record_breaker_transition("llm", "closed", "open")
-        metrics.record_breaker_transition("vector", "open", "half-open")
-        snap = metrics.snapshot()
-        assert snap["breaker_transitions"] == {
+        registry = serving_registry()
+        transitions = registry.get("pneuma_breaker_transitions")
+        transitions.labels("llm", "closed", "open").inc(2)
+        transitions.labels("vector", "open", "half-open").inc()
+        assert registry_to_stats(registry)["breaker_transitions"] == {
             "llm:closed->open": 2,
             "vector:open->half-open": 1,
         }
-        text_value = metrics.registry.get("pneuma_breaker_transitions")
-        assert text_value.labels("llm", "closed", "open").value == 2
 
     def test_turn_latency_single_sort(self):
-        metrics = ServiceMetrics()
+        registry = serving_registry()
         for v in (0.3, 0.1, 0.2):
-            metrics.record_turn(v)
-        assert metrics.turn_latency(0) == 0.1
-        assert metrics.turn_latency(100) == 0.3
-        assert metrics.turn_latency(50) == pytest.approx(0.2)
+            registry.get("pneuma_turn_seconds").observe(v)
+        stats = registry_to_stats(registry)
+        assert stats["turns_served"] == 3
+        assert stats["turn_p50_seconds"] == pytest.approx(0.2)
+        assert stats["turn_p99_seconds"] == pytest.approx(0.298)
+        assert stats["turn_mean_seconds"] == pytest.approx(0.2)
+
+
+def serving_registry() -> MetricsRegistry:
+    """A bare registry with the two families ``registry_to_stats`` re-keys."""
+    registry = MetricsRegistry()
+    registry.counter("pneuma_breaker_transitions", labels=("dependency", "from_state", "to_state"))
+    registry.histogram("pneuma_turn_seconds", max_samples=100)
+    return registry
+
+
+class TestResponseTraceIds:
+    def test_served_response_carries_its_trace_id(self, lake):
+        with traced_service(lake) as service:
+            session = service.open_session(user="u")
+            response = service.post_turn(session, RETRIEVAL_QUESTION)
+            root = service.tracer.traces("turn")[-1]
+        assert response.trace_id and response.trace_id == root.trace_id
+        assert response.trace_id not in response.render()
+
+    def test_degraded_turn_matches_its_slow_log_exemplar(self, lake):
+        # A dead dense half: the turn is served BM25-only, flagged degraded.
+        plan = FaultPlan(seed=1, retriever=FaultSpec(outages=((1, 1000),)))
+        config = ObservabilityConfig(slow_turn_seconds=3600.0)
+        with PneumaService(lake, max_workers=2, fault_plan=plan, observability=config) as service:
+            session = service.open_session(user="u")
+            response = service.post_turn(session, RETRIEVAL_QUESTION)
+            exemplars = service.slow_turns.exemplars()
+        assert response.degraded
+        assert [e["outcome"] for e in exemplars] == ["degraded"]
+        assert response.trace_id == exemplars[0]["root"].trace_id
+
+    def test_shed_and_late_responses_carry_their_trace_ids(self, lake):
+        gate = threading.Event()
+        service = PneumaService(
+            lake,
+            max_workers=1,
+            llm_factory=lambda: GatedLLM(gate),
+            observability=ObservabilityConfig(),
+        )
+        try:
+            session = service.open_session(user="u")
+            # A caller-side deadline: the stand-in is minted before the
+            # turn finishes, so only the late result behind .pending has
+            # the id.
+            degraded = service.post_turn(session, RETRIEVAL_QUESTION, deadline=0.05)
+            assert degraded.reason == "deadline" and degraded.trace_id == ""
+            # Queued behind the held turn, this one's deadline dies in the queue.
+            shed = service.post_turn(session, RETRIEVAL_QUESTION, wait=False, deadline=0.0)
+            gate.set()
+            late = degraded.pending.result(timeout=30)
+            shed = shed.result(timeout=30)
+            served, shed_root = service.tracer.traces("turn")
+        finally:
+            gate.set()
+            service.shutdown()
+        assert late.trace_id == served.trace_id
+        assert shed.reason == "queue-deadline" and shed.trace_id == shed_root.trace_id
+        assert late.trace_id != shed.trace_id
+
+    @pytest.mark.parametrize("config", [None, ObservabilityConfig(tracing=False)])
+    def test_untraced_responses_have_no_trace_id(self, lake, config):
+        with PneumaService(lake, max_workers=2, observability=config) as service:
+            session = service.open_session(user="u")
+            assert service.post_turn(session, RETRIEVAL_QUESTION).trace_id == ""

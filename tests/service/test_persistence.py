@@ -16,7 +16,7 @@ QUESTION = "What is the total purchase order cost impact of the new tariffs by s
 def search_results(service, k=5):
     return [
         [(h.doc_id, h.score) for h in hits]
-        for hits in service.retriever.index.search_batch(QUERIES, k=k)
+        for hits in service.shared.retriever.index.search_batch(QUERIES, k=k)
     ]
 
 
@@ -59,7 +59,7 @@ class TestWarmStart:
         assert warm.warm_started
         # Only the new table was narrated; the snapshot served the rest.
         assert warm.shared.build_report["indexed"] == 1
-        hits = warm.retriever.index.search("zebra stripes census", k=3)
+        hits = warm.shared.retriever.index.search("zebra stripes census", k=3)
         assert hits[0].doc_id == "zebra_census"
         warm.shutdown(drain=True)
 

@@ -1,18 +1,14 @@
-"""Snapshot-swap reindexing: the gate, the proxy, and the service call."""
+"""Snapshot-swap reindexing: the gate (the handle sessions hold) and the service call."""
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.datasets import build_procurement_lake
+from repro.obs import Tracer
 from repro.relational.table import Table
-from repro.service import (
-    IndexGate,
-    PneumaService,
-    ServiceError,
-    SwappableRetriever,
-    build_shared_retriever,
-)
+from repro.service import IndexGate, PneumaService, ServiceError, build_shared_retriever
 
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
 
@@ -47,9 +43,9 @@ class TestIndexGate:
             # Swap mid-read without draining: the reader keeps the bundle
             # it entered with while new readers see the new one.
             gate.swap(new_bundle, drain=False)
-            assert pinned is old_bundle
+            assert pinned.bundle is old_bundle and pinned.number == 0
             with gate.reading() as fresh:
-                assert fresh is new_bundle
+                assert fresh.bundle is new_bundle and fresh.number == 1
         assert gate.current is new_bundle
         assert gate.stats() == {"generation": 1, "swaps": 1, "active_readers": 0}
 
@@ -83,17 +79,45 @@ class TestIndexGate:
         reader.join(timeout=10)
         swap.join(timeout=10)
 
-    def test_swappable_retriever_follows_the_gate(self, lake):
+    def test_gate_searches_follow_the_swap(self, lake):
         gate = IndexGate(build_shared_retriever(lake))
-        retriever = SwappableRetriever(gate)
-        assert retriever.frozen
-        before = [d.doc_id for d in retriever.search("supplier ratings", k=3)]
+        assert gate.current.retriever.frozen
+        before = [d.doc_id for d in gate.search("supplier ratings", k=3)]
         assert before
+        assert gate.column_values("suppliers", "supplier_id")
 
         add_shipments_table(lake)
         gate.swap(build_shared_retriever(lake), drain=True)
-        hits = retriever.search("ocean freight shipments by vessel", k=3)
+        hits = gate.search("ocean freight shipments by vessel", k=3)
         assert any(d.doc_id == "table:ocean_freight_shipments" for d in hits)
+        batch = gate.search_batch(["ocean freight shipments by vessel"], k=3)
+        assert [d.doc_id for d in batch[0]] == [d.doc_id for d in hits]
+        assert gate.column_values("ocean_freight_shipments", "vessel_name")
+
+    def test_span_names_the_generation_the_search_ran_on(self, lake):
+        new_bundle = build_shared_retriever(lake)
+
+        class SwapRightAfterPinning(IndexGate):
+            """A reindex lands between a search's pin and its span stamp."""
+
+            @contextmanager
+            def reading(self):
+                with super().reading() as pinned:
+                    if self.generation == 0:
+                        self.swap(new_bundle, drain=False)
+                    yield pinned
+
+        gate = SwapRightAfterPinning(build_shared_retriever(lake))
+        tracer = Tracer()
+        with tracer.start_trace("probe") as root:
+            gate.search("supplier ratings", k=3)
+            gate.search_batch(["supplier ratings"], k=3)
+        first, second = root.children
+        # The first search was served by generation 0 although generation 1
+        # was already current when its span was stamped.
+        assert first.name == "retrieval.search" and first.attrs["generation"] == 0
+        assert second.name == "retrieval.search_batch" and second.attrs["generation"] == 1
+        assert gate.generation == 1
 
 
 class TestServiceReindex:

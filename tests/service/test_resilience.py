@@ -14,9 +14,9 @@ from repro.service import (
     FaultSchedule,
     FaultSpec,
     FlakyLLM,
+    MetricsRegistry,
     ResilientLLM,
     RetryPolicy,
-    ServiceMetrics,
 )
 
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -143,10 +143,10 @@ class CountingLLM:
 class TestResilientLLM:
     def test_retries_through_transient_failures(self):
         inner = CountingLLM(failures=2)
-        metrics = ServiceMetrics()
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=3), metrics=metrics)
+        retries = MetricsRegistry().counter("pneuma_retries")
+        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=3), on_retry=retries.inc)
         assert llm.complete("p") == "ok after 3"
-        assert metrics.snapshot()["retries"] == 2
+        assert retries.value == 2
 
     def test_exhausted_retries_raise_the_transient_error(self):
         inner = CountingLLM(failures=5)

@@ -1,7 +1,7 @@
 """Run every experiment end-to-end and print the paper-style report.
 
-This is the one-command reproduction driver (the benches wrap the same
-harness for pytest-benchmark):
+This is the one-command reproduction driver (the paper benches wrap the
+same harness for pytest-benchmark):
 
     python scripts/run_all_experiments.py [--scale 0.05] [--full-table1]
 
@@ -10,13 +10,14 @@ run the same experiments faster on proportionally smaller lakes.
 """
 
 import argparse
-import os
-import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from repro.baselines import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.baselines import (  # noqa: E402
     DSGuruRunner,
     FTSSystem,
     FullContextRunner,
@@ -25,8 +26,8 @@ from repro.baselines import (
     SeekerSystem,
     StaticPipelineRunner,
 )
-from repro.datasets import load_archaeology, load_environment
-from repro.eval import (
+from repro.datasets import load_archaeology, load_environment  # noqa: E402
+from repro.eval import (  # noqa: E402
     evaluate_accuracy,
     evaluate_convergence,
     evaluate_costs,
@@ -37,6 +38,7 @@ from repro.eval import (
     render_table2,
     render_table3,
 )
+from repro.scenarios import render_grid, run_grid  # noqa: E402
 
 
 def main() -> None:
@@ -97,67 +99,15 @@ def main() -> None:
     print(render_table2(cost_rows))
     print()
 
-    # ------------------------------------------- Prep-pipeline discovery
-    # The sketch-vs-exact discovery benchmark (smoke at reduced scale,
-    # full planted-catalog scale with --full-table1); writes
-    # BENCH_prep_pipeline.json like a standalone run.
-    repo_root = Path(__file__).resolve().parent.parent
-    bench = repo_root / "benchmarks" / "bench_prep_pipeline.py"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
-    )
-    bench_args = [sys.executable, str(bench)]
-    if not args.full_table1:
-        bench_args.append("--smoke")
-    subprocess.run(bench_args, check=True, env=env, cwd=repo_root)
-    print()
-
-    # ------------------------------------------------- Serving resilience
-    # Goodput under injected faults, overload shedding, zero-downtime
-    # reindex, no-fault transparency; writes BENCH_resilience.json.
-    resilience = repo_root / "benchmarks" / "bench_resilience.py"
-    resilience_args = [sys.executable, str(resilience)]
-    if not args.full_table1:
-        resilience_args.append("--smoke")
-    subprocess.run(resilience_args, check=True, env=env, cwd=repo_root)
-    print()
-
-    # ------------------------------------------------- Index persistence
-    # Warm start vs cold rebuild, crash recovery, bit-transparency;
-    # writes BENCH_persistence.json and leaves the store directory for
-    # the offline verifier, which then re-checksums it.
-    persistence = repo_root / "benchmarks" / "bench_persistence.py"
-    persistence_args = [sys.executable, str(persistence)]
-    if not args.full_table1:
-        persistence_args.append("--smoke")
-    subprocess.run(persistence_args, check=True, env=env, cwd=repo_root)
-    subprocess.run(
-        [sys.executable, str(repo_root / "scripts" / "fsck.py"), "BENCH_persistence_store"],
-        check=True, env=env, cwd=repo_root,
-    )
-    print()
-
     # ---------------------------------------------- Scenario grid coverage
-    # KU-matrix pattern coverage over planted investigation scenarios
-    # (stress modes included); writes BENCH_scenario_coverage.json.
-    coverage = repo_root / "benchmarks" / "bench_scenario_coverage.py"
-    coverage_args = [sys.executable, str(coverage)]
-    if not args.full_table1:
-        coverage_args.append("--smoke")
-    subprocess.run(coverage_args, check=True, env=env, cwd=repo_root)
-    print()
+    # KU-matrix pattern coverage over planted investigation scenarios, one
+    # grid per stress mode (each on the cells the mode is defined for).
+    with tempfile.TemporaryDirectory(prefix="scenario-append-") as storage_root:
+        for stress in ("none", "noisy", "drift", "append"):
+            print(render_grid(run_grid(stress=stress, storage_root=storage_root)))
+            print()
 
-    # --------------------------------------------------- Observability cost
-    # Tracing transparency, <=5% overhead, span-tree completeness, and
-    # slow-turn capture; writes BENCH_observability.json.
-    observability = repo_root / "benchmarks" / "bench_observability.py"
-    observability_args = [sys.executable, str(observability)]
-    if not args.full_table1:
-        observability_args.append("--smoke")
-    subprocess.run(observability_args, check=True, env=env, cwd=repo_root)
-    print()
-
+    print("Timings: python3 benchmarks/turn_budget/run.py (per-layer turn budget)")
     print(f"All experiments finished in {time.time() - started:.1f}s")
 
 

@@ -40,7 +40,7 @@ class SimulatedLatencyClock(VirtualClock):
     virtual tick sleeps ``seconds * real_time_factor`` — e.g. a factor of
     1e-3 turns the paper's 12 s LLM call into a 12 ms stall.  Threaded
     sessions overlap these stalls exactly as they would overlap real
-    network waits, which is what the throughput benchmark measures.
+    network waits (``PneumaService(llm_latency_factor=...)``).
     """
 
     def __init__(self, real_time_factor: float = 0.0) -> None:

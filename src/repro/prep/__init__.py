@@ -14,14 +14,12 @@ from .align import AlignmentCompiler, AlignmentError, JoinEdge, PreparationPlan
 from .discovery import (
     JoinCandidate,
     UnionCandidate,
-    candidate_keys,
     discover_join_candidates,
     discover_union_candidates,
-    exact_join_candidates,
 )
 from .pipeline import PreparationPipeline
 from .profile import ColumnProfile, TableProfile, profile_column, profile_table, type_family
-from .sketches import ColumnSketch, encode_values, exact_containment, exact_jaccard
+from .sketches import ColumnSketch, encode_values
 from .store import ProfileStore
 
 __all__ = [
@@ -36,13 +34,9 @@ __all__ = [
     "ProfileStore",
     "TableProfile",
     "UnionCandidate",
-    "candidate_keys",
     "discover_join_candidates",
     "discover_union_candidates",
     "encode_values",
-    "exact_containment",
-    "exact_jaccard",
-    "exact_join_candidates",
     "profile_column",
     "profile_table",
     "type_family",

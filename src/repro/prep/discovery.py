@@ -4,22 +4,20 @@ The sketch path never touches row data: candidate enumeration compares
 MinHash signatures (stacked into one matrix per type family, so the
 pairwise slot-match counts come out of a handful of numpy matmul-shaped
 passes) and derives containment from the HLL cardinalities.  The exact
-path — full pairwise distinct-set intersection — is kept as the oracle
-and the benchmark baseline; it is what discovery would cost without
-sketches.
+path — full pairwise distinct-set intersection, what discovery would
+cost without sketches — is the tests' oracle
+(``tests/oracles/exact_sets.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..relational.catalog import Database
 from .profile import ColumnProfile, TableProfile, type_family
-from .sketches import distinct_values
 
 
 @dataclass(frozen=True)
@@ -184,65 +182,3 @@ def discover_union_candidates(
     candidates.sort(key=lambda c: (-c.score, c.left_table, c.right_table))
     return candidates
 
-
-# ----------------------------------------------------------------------
-# Exact baseline (oracle + the cost sketches avoid)
-# ----------------------------------------------------------------------
-def exact_join_candidates(
-    lake: Database, min_containment: float = 0.5, min_distinct: int = 2
-) -> List[JoinCandidate]:
-    """The same candidate enumeration via exact pairwise set comparison.
-
-    Materializes every column's distinct-value set and intersects all
-    cross-table same-family pairs — the quadratic cost the sketch path
-    replaces.  Kept as the benchmark baseline and equivalence oracle.
-    """
-    columns: List[Tuple[str, str, str, Set[Any]]] = []  # (table, column, family, values)
-    for table in lake.tables():
-        for column in table.schema:
-            family = type_family(column.dtype)
-            if family == "null":
-                continue
-            values = distinct_values(table.column_values(column.name))
-            # Mirror the sketch path's numeric coalescing (2 == 2.0).
-            if family == "numeric":
-                values = {float(v) if isinstance(v, (int, bool)) else v for v in values}
-            if len(values) < min_distinct:
-                continue
-            columns.append((table.name, column.name, family, values))
-
-    candidates: List[JoinCandidate] = []
-    for i in range(len(columns)):
-        ti, ci, fi, vi = columns[i]
-        for j in range(i + 1, len(columns)):
-            tj, cj, fj, vj = columns[j]
-            if ti == tj or fi != fj:
-                continue
-            inter = len(vi & vj)
-            if not inter:
-                continue
-            union = len(vi) + len(vj) - inter
-            jac = inter / union if union else 0.0
-            for (lt, lc, lv), (rt, rc, _) in (
-                ((ti, ci, vi), (tj, cj, vj)),
-                ((tj, cj, vj), (ti, ci, vi)),
-            ):
-                containment = inter / len(lv) if lv else 0.0
-                if containment >= min_containment:
-                    candidates.append(
-                        JoinCandidate(
-                            left_table=lt,
-                            left_column=lc,
-                            right_table=rt,
-                            right_column=rc,
-                            jaccard=jac,
-                            containment=containment,
-                            key_cardinality=float(min(len(vi), len(vj))),
-                        )
-                    )
-    candidates.sort(key=lambda c: (-c.containment, -c.jaccard, c.key()))
-    return candidates
-
-
-def candidate_keys(candidates: Iterable[JoinCandidate]) -> Set[Tuple[str, str, str, str]]:
-    return {c.key() for c in candidates}

@@ -333,22 +333,3 @@ class ColumnSketch:
     def is_empty(self) -> bool:
         return not self.registers.any()
 
-
-# ----------------------------------------------------------------------
-# Exact oracles (the equivalence battery and the benchmark baseline)
-# ----------------------------------------------------------------------
-def exact_jaccard(a: Iterable[Any], b: Iterable[Any]) -> float:
-    """Exact Jaccard similarity over distinct non-null values."""
-    sa, sb = distinct_values(a), distinct_values(b)
-    if not sa and not sb:
-        return 1.0
-    union = len(sa | sb)
-    return len(sa & sb) / union if union else 0.0
-
-
-def exact_containment(a: Iterable[Any], b: Iterable[Any]) -> float:
-    """Exact |A n B| / |A| over distinct non-null values."""
-    sa, sb = distinct_values(a), distinct_values(b)
-    if not sa:
-        return 0.0
-    return len(sa & sb) / len(sa)

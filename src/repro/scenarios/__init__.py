@@ -13,7 +13,14 @@ the planted join oracle.
 """
 
 from .generator import ChainEdge, DriftPlan, PlantedScenario, build_scenario
-from .grid import ATTRIBUTE_WORDS, ENTITY_CLASSES, RELATION_TYPES, ScenarioCell, enumerate_grid
+from .grid import (
+    ATTRIBUTE_WORDS,
+    ENTITY_CLASSES,
+    RELATION_TYPES,
+    ScenarioCell,
+    cells_for,
+    enumerate_grid,
+)
 from .harness import CellResult, CoverageReport, run_cell, run_grid
 from .report import render_grid, report_to_json
 from .stress import append_rows, apply_drift, run_append_cell
@@ -31,6 +38,7 @@ __all__ = [
     "append_rows",
     "apply_drift",
     "build_scenario",
+    "cells_for",
     "enumerate_grid",
     "render_grid",
     "report_to_json",

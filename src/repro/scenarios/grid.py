@@ -119,3 +119,20 @@ def enumerate_grid() -> List[ScenarioCell]:
                 )
                 index += 1
     return cells
+
+
+def cells_for(stress: str) -> List[ScenarioCell]:
+    """The cells a stress mode is defined on (the full grid when quiet).
+
+    Drift renames a request column after turn 1, so it can only perturb a
+    cell that has not already converged on turn 1: a KK cell is satisfied
+    before the rename fires and would then be graded against a lake it
+    never saw.  Append restarts the service between catalog growth and the
+    session, which only matters when rows are re-materialized (enrich).
+    """
+    cells = enumerate_grid()
+    if stress == "drift":
+        return [cell for cell in cells if cell.ku_code != "KK"]
+    if stress == "append":
+        return [cell for cell in cells if cell.intent == "enrich"]
+    return cells

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from ..sim.scenario import ScenarioPersona, run_scenario
 from .generator import PlantedScenario, build_scenario
-from .grid import ScenarioCell, enumerate_grid
+from .grid import ScenarioCell, cells_for
 from .report import CellResult, CoverageReport
 
 
@@ -154,7 +154,8 @@ def run_grid(
     storage_root=None,
     break_chain: bool = False,
 ) -> CoverageReport:
-    """Run every cell of the grid (or a subset) and report coverage.
+    """Run every cell the stress mode is defined on (or ``cells``) and
+    report coverage.
 
     ``stress='append'`` needs ``storage_root``: each cell persists its
     index there, restarts the service, and grows the far endpoint through
@@ -163,7 +164,7 @@ def run_grid(
     from .stress import run_append_cell
 
     report = CoverageReport(seed=seed, stress=stress)
-    for cell in cells if cells is not None else enumerate_grid():
+    for cell in cells if cells is not None else cells_for(stress):
         scenario = build_scenario(
             cell, seed=seed, rows=rows, stress=stress, break_chain=break_chain
         )

@@ -4,7 +4,7 @@ The report is part of the acceptance contract: the same seed must produce
 a byte-identical report across runs, so nothing here carries wall-clock
 timings, float formatting ambiguity, or unordered collections — cells
 appear in grid-enumeration order and JSON is dumped with sorted keys.
-Timings belong in the benchmark JSON, not the coverage report.
+Timings are the turn budget's (``scenario_churn``), not the coverage report's.
 """
 
 from __future__ import annotations

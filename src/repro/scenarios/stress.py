@@ -4,12 +4,11 @@
   a live session, then snapshot-swap reindex: the catalog version bump
   must invalidate cached plans, the next retrieval must surface the new
   schema, and the session must re-plan instead of serving stale state.
-  (Meaningful for cells whose first turn is not already the full request —
-  the non-KK rows of the grid.)
+  (Defined on the non-KK rows of the grid; see :func:`.grid.cells_for`.)
 * **append** — persist the index, restart the service, grow the far
   endpoint, and let the warm start's delta overlay re-narrate only the
   changed table; the session then runs against the grown catalog and the
-  oracle includes the appended rows.
+  oracle includes the appended rows.  (Defined on the enrich cells.)
 * **noisy** — near-duplicate narration twins are a *generator* mode (built
   into the lake before indexing); see :func:`..scenarios.generator._add_noisy_twins`.
 """

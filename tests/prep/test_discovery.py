@@ -6,12 +6,11 @@ from repro.datasets.generator import build_planted_catalog
 from repro.prep import (
     PreparationPipeline,
     ProfileStore,
-    candidate_keys,
     discover_join_candidates,
     discover_union_candidates,
-    exact_join_candidates,
 )
 from repro.relational import Database, Table
+from tests.oracles.exact_sets import candidate_keys, exact_join_candidates
 
 
 @pytest.fixture(scope="module")

@@ -11,12 +11,8 @@ import random
 
 import pytest
 
-from repro.prep import (
-    ColumnSketch,
-    encode_values,
-    exact_containment,
-    exact_jaccard,
-)
+from repro.prep import ColumnSketch, encode_values
+from tests.oracles.exact_sets import exact_containment, exact_jaccard
 
 JACCARD_TOL = 0.12  # ~4 sigma at k=256
 CONTAINMENT_TOL = 0.15  # Jaccard + two HLL estimates compound

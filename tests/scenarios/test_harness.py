@@ -1,5 +1,7 @@
 """The coverage harness: per-cell grading, stress runners, report stability."""
 
+import pytest
+
 from repro.scenarios import (
     ScenarioCell,
     build_scenario,
@@ -77,6 +79,20 @@ class TestStressCells:
         assert not result.converged
         assert not result.aligned_ok
         assert "alignment refused" in result.detail
+
+
+class TestFullGrid:
+    """``run_grid`` as documented — no cell list — converges everywhere the
+    stress mode is defined (KK cells are settled before a drift fires;
+    append only matters where rows are re-materialized)."""
+
+    @pytest.mark.parametrize(
+        "stress, cells", [("none", 24), ("noisy", 24), ("drift", 18), ("append", 12)]
+    )
+    def test_every_cell_converges(self, stress, cells, tmp_path):
+        report = run_grid(seed=7, stress=stress, storage_root=tmp_path)
+        assert [c.cell_id for c in report.failing()] == []
+        assert len(report.cells) == cells and report.coverage == 1.0
 
 
 class TestReports:

@@ -11,10 +11,13 @@ from repro.llm.interface import ContextLengthExceeded, ModelLimits, TransientDep
 from repro.service import (
     CircuitBreaker,
     DependencyUnavailable,
+    FaultPlan,
     FaultSchedule,
     FaultSpec,
     FlakyLLM,
     MetricsRegistry,
+    PneumaService,
+    ResilienceConfig,
     ResilientLLM,
     RetryPolicy,
 )
@@ -236,3 +239,48 @@ def test_model_limits_still_enforced_through_the_stack():
     )
     with pytest.raises(ContextLengthExceeded):
         stack.complete("a definitely much too long prompt " * 40)
+
+
+class TestSeededFaultLap:
+    """Goodput under a seeded 10% LLM fault rate: 8 concurrent sessions x
+    the two-turn conversation.  Fault streams are per LLM instance, so the
+    schedule — and every count below — is independent of thread timing."""
+
+    CONVERSATION = [QUESTION, "Now restrict it to orders from ACME."]
+
+    def lap(self, max_attempts, plan):
+        resilience = ResilienceConfig(retry=RetryPolicy(max_attempts=max_attempts))
+        with PneumaService(
+            build_procurement_lake(), max_workers=8, resilience=resilience, fault_plan=plan
+        ) as service:
+            sids = [service.open_session(user=f"u{i}") for i in range(8)]
+            outcomes = []
+            for message in self.CONVERSATION:
+                for future in [service.post_turn(sid, message, wait=False) for sid in sids]:
+                    try:
+                        response = future.result(timeout=60)
+                        outcomes.append((response.message, response.state_view, response.degraded))
+                    except TransientDependencyError:
+                        outcomes.append(None)
+            return outcomes, service.stats()
+
+    def faulty(self):
+        return FaultPlan(seed=20260807, llm=FaultSpec(rate=0.10))
+
+    def test_retries_absorb_every_scheduled_fault(self):
+        outcomes, stats = self.lap(3, self.faulty())
+        assert None not in outcomes and len(outcomes) == 16
+        assert stats["retries"] == 2 and stats["turns_failed"] == 0
+        assert stats["faults"]["llm"]["faults"] == 2
+        # A retried call repeats its prompt, so the lap reads exactly like a
+        # fault-free one — and the no-fault plan exactly like no plan at all.
+        clean, clean_stats = self.lap(3, FaultPlan.none(seed=20260807))
+        assert outcomes == clean and clean_stats["retries"] == 0
+        assert not any(degraded for _, _, degraded in clean)
+        assert clean == self.lap(3, None)[0]
+
+    def test_same_schedule_without_retries_fails_two_turns(self):
+        outcomes, stats = self.lap(1, self.faulty())
+        assert outcomes.count(None) == 2 and len(outcomes) == 16
+        assert stats["retries"] == 0 and stats["turns_failed"] == 2
+        assert stats["faults"]["llm"]["faults"] == 2

@@ -69,6 +69,7 @@ class TestOpenClassification:
         store.close()  # no clean checkpoint: like a crash, WAL keeps records
         recovered = IndexStore(root)
         assert recovered.open_mode == "recovered"
+        assert recovered.stats()["wal_records_replayed"] >= 1
         # The WAL replay still serves the published snapshot.
         assert results(recovered.load_index()) == results(frozen_index())
         recovered.close()

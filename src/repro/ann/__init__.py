@@ -1,12 +1,10 @@
-"""ann — approximate nearest-neighbor indexes (HNSW) plus an exact baseline."""
+"""ann — approximate nearest-neighbor indexes (HNSW)."""
 
-from .brute import BruteForceIndex, Neighbor
-from .hnsw import HNSWIndex
+from .hnsw import HNSWIndex, Neighbor
 from .metrics import METRICS, cosine_distance, inner_product_distance, l2_distance, resolve_metric
 
 __all__ = [
     "HNSWIndex",
-    "BruteForceIndex",
     "Neighbor",
     "METRICS",
     "resolve_metric",

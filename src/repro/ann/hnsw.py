@@ -32,14 +32,20 @@ import heapq
 import math
 import random
 import threading
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .brute import Neighbor
 from .metrics import quantize_distance, quantize_distances, resolve_metric
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+@dataclass
+class Neighbor:
+    key: str
+    distance: float
 
 
 class _VisitScratch(threading.local):

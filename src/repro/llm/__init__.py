@@ -10,7 +10,6 @@ from .clock import (
     INDEX_LOOKUP_SECONDS,
     LLM_CALL_SECONDS,
     TOOL_CALL_SECONDS,
-    SimulatedLatencyClock,
     VirtualClock,
 )
 from .interface import ContextLengthExceeded, LanguageModel, ModelLimits
@@ -33,7 +32,6 @@ __all__ = [
     "ModelLimits",
     "ContextLengthExceeded",
     "VirtualClock",
-    "SimulatedLatencyClock",
     "LLM_CALL_SECONDS",
     "TOOL_CALL_SECONDS",
     "INDEX_LOOKUP_SECONDS",

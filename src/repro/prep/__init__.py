@@ -4,19 +4,14 @@ The paper's "automate discovery, guide preparation" made concrete:
 
 * :mod:`repro.prep.sketches` — per-column MinHash + HyperLogLog sketches;
 * :mod:`repro.prep.profile` — column/table profiles (sketches + statistics);
-* :mod:`repro.prep.store` — the fingerprint-keyed, versioned ProfileStore;
-* :mod:`repro.prep.discovery` — join/union candidate ranking over sketches;
+* :mod:`repro.prep.store` — the ProfileStore (one profile per live table);
+* :mod:`repro.prep.discovery` — join candidate ranking over sketches;
 * :mod:`repro.prep.align` — the alignment compiler (reified need -> SQL);
 * :mod:`repro.prep.pipeline` — the facade the service and sessions use.
 """
 
 from .align import AlignmentCompiler, AlignmentError, JoinEdge, PreparationPlan
-from .discovery import (
-    JoinCandidate,
-    UnionCandidate,
-    discover_join_candidates,
-    discover_union_candidates,
-)
+from .discovery import JoinCandidate, discover_join_candidates
 from .pipeline import PreparationPipeline
 from .profile import ColumnProfile, TableProfile, profile_column, profile_table, type_family
 from .sketches import ColumnSketch, encode_values
@@ -33,9 +28,7 @@ __all__ = [
     "PreparationPlan",
     "ProfileStore",
     "TableProfile",
-    "UnionCandidate",
     "discover_join_candidates",
-    "discover_union_candidates",
     "encode_values",
     "profile_column",
     "profile_table",

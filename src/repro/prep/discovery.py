@@ -1,4 +1,4 @@
-"""Join/union candidate discovery over column sketches.
+"""Join candidate discovery over column sketches.
 
 The sketch path never touches row data: candidate enumeration compares
 MinHash signatures (stacked into one matrix per type family, so the
@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from .profile import ColumnProfile, TableProfile, type_family
+from .profile import ColumnProfile, TableProfile
 
 
 @dataclass(frozen=True)
@@ -45,24 +45,6 @@ class JoinCandidate:
             "right": f"{self.right_table}.{self.right_column}",
             "jaccard": round(self.jaccard, 4),
             "containment": round(self.containment, 4),
-        }
-
-
-@dataclass(frozen=True)
-class UnionCandidate:
-    """Two tables whose schemas align well enough to stack."""
-
-    left_table: str
-    right_table: str
-    column_pairs: Tuple[Tuple[str, str], ...]
-    score: float  # fraction of columns aligned, weighted by name/type match
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "left": self.left_table,
-            "right": self.right_table,
-            "columns": [list(pair) for pair in self.column_pairs],
-            "score": round(self.score, 4),
         }
 
 
@@ -151,34 +133,3 @@ def discover_join_candidates(
                 )
     candidates.sort(key=lambda c: (-c.containment, -c.jaccard, c.key()))
     return candidates
-
-
-def discover_union_candidates(
-    profiles: Mapping[str, TableProfile], min_score: float = 0.6
-) -> List[UnionCandidate]:
-    """Rank table pairs by schema alignment (name + type-family matches)."""
-    tables = sorted(profiles.values(), key=lambda t: t.name)
-    candidates: List[UnionCandidate] = []
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            left, right = tables[i], tables[j]
-            pairs: List[Tuple[str, str]] = []
-            for column in left.column_profiles():
-                if right.has_column(column.name):
-                    other = right.column(column.name)
-                    if type_family(column.dtype) == type_family(other.dtype):
-                        pairs.append((column.name, other.name))
-            width = max(len(left.columns), len(right.columns))
-            score = len(pairs) / width if width else 0.0
-            if score >= min_score:
-                candidates.append(
-                    UnionCandidate(
-                        left_table=left.name,
-                        right_table=right.name,
-                        column_pairs=tuple(pairs),
-                        score=score,
-                    )
-                )
-    candidates.sort(key=lambda c: (-c.score, c.left_table, c.right_table))
-    return candidates
-

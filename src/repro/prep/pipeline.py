@@ -1,10 +1,11 @@
 """The preparation pipeline facade: profile -> discover -> align -> seed.
 
 One :class:`PreparationPipeline` is built per service (or per standalone
-caller) over one lake.  It owns a versioned :class:`ProfileStore`, caches
-candidate discovery keyed by ``(lake version, store version)`` so an
-unchanged catalog never re-enumerates pairs, and hands the Materializer
-compiled preparation plans — the "sessions start seeded" path.
+caller) over one lake.  It owns a :class:`ProfileStore` and keeps one
+snapshot — the discovered join candidates and their compiled graph, as
+of one ``lake.version`` — so an unchanged catalog costs one integer
+compare, and hands the Materializer compiled preparation plans: the
+"sessions start seeded" path.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from ..core.state import TargetTable
 from ..relational.catalog import Database
 from ..relational.table import Table
 from .align import AlignmentCompiler, PreparationPlan
-from .discovery import (
-    JoinCandidate,
-    UnionCandidate,
-    discover_join_candidates,
-    discover_union_candidates,
-)
+from .discovery import JoinCandidate, discover_join_candidates
 from .profile import TableProfile
 from .store import ProfileStore
 
@@ -29,21 +25,12 @@ from .store import ProfileStore
 class PreparationPipeline:
     """Sketch-based discovery and preparation over one lake."""
 
-    def __init__(
-        self,
-        lake: Database,
-        store: Optional[ProfileStore] = None,
-        min_containment: float = 0.5,
-        min_union_score: float = 0.6,
-    ):
+    def __init__(self, lake: Database):
         self.lake = lake
-        self.store = store if store is not None else ProfileStore()
-        self.min_containment = min_containment
-        self.min_union_score = min_union_score
+        self.store = ProfileStore()
         self._lock = threading.Lock()
-        self._joins: Optional[List[JoinCandidate]] = None
-        self._joins_key: Optional[Tuple[int, int]] = None
-        self._compiler: Optional[AlignmentCompiler] = None  # built from self._joins
+        #: (the lake version discovered at, candidates, their compiled graph)
+        self._snapshot: Optional[Tuple[int, List[JoinCandidate], AlignmentCompiler]] = None
         self._discoveries = 0
         self._compiled = 0
         self._prepared = 0
@@ -56,38 +43,28 @@ class PreparationPipeline:
         return self.store.profile_catalog(self.lake)
 
     def join_candidates(self) -> List[JoinCandidate]:
-        """Ranked join candidates, cached until the lake or a profile changes."""
-        profiles = self.profiles()  # refreshes the store first
-        key = (self.lake.version, self.store.version)
-        with self._lock:
-            if self._joins is not None and self._joins_key == key:
-                return self._joins
-        joins = discover_join_candidates(profiles, min_containment=self.min_containment)
-        with self._lock:
-            self._joins = joins
-            self._joins_key = key
-            self._compiler = None
-            self._discoveries += 1
-        return joins
-
-    def union_candidates(self) -> List[UnionCandidate]:
-        return discover_union_candidates(self.profiles(), min_score=self.min_union_score)
+        """Ranked join candidates, kept until ``lake.version`` moves (tables
+        are immutable, so nothing else can change a profile)."""
+        # Read the version first: a table registered while discovery runs
+        # leaves a snapshot that is already stale, never one that hides it.
+        version = self.lake.version
+        snapshot = self._snapshot
+        if snapshot is None or snapshot[0] != version:
+            joins = discover_join_candidates(self.profiles())
+            snapshot = (version, joins, AlignmentCompiler(self.lake, joins))
+            with self._lock:
+                if self._snapshot is None or self._snapshot[0] < version:
+                    self._snapshot = snapshot
+                self._discoveries += 1
+        return snapshot[1]
 
     # ------------------------------------------------------------------
     # Alignment
     # ------------------------------------------------------------------
     def compiler(self) -> AlignmentCompiler:
-        """The compiled candidate graph, kept for as long as the candidates
-        are: until ``lake.version`` or ``store.version`` moves."""
-        joins = self.join_candidates()
-        with self._lock:
-            if self._compiler is not None and self._joins is joins:
-                return self._compiler
-        compiler = AlignmentCompiler(self.lake, joins)
-        with self._lock:
-            if self._joins is joins:
-                self._compiler = compiler
-        return compiler
+        """The candidates' compiled graph, kept for as long as they are."""
+        self.join_candidates()
+        return self._snapshot[2]
 
     def compile(self, spec: TargetTable) -> PreparationPlan:
         """Compile ``spec`` to a preparation plan (raises AlignmentError)."""
@@ -111,10 +88,10 @@ class PreparationPipeline:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            joins = len(self._joins) if self._joins is not None else 0
+            snapshot = self._snapshot
             return {
                 "profile_store": self.store.stats(),
-                "join_candidates": joins,
+                "join_candidates": len(snapshot[1]) if snapshot is not None else 0,
                 "discoveries": self._discoveries,
                 "plans_compiled": self._compiled,
                 "plans_executed": self._prepared,

@@ -4,7 +4,7 @@ A :class:`TableProfile` is everything the preparation pipeline knows about
 a catalog table without re-reading it: per-column MinHash + HLL sketches
 (:mod:`repro.prep.sketches`) and cheap statistics (null fraction, distinct
 estimate, min/max).  Profiles are immutable once built; the versioned
-:class:`~repro.prep.store.ProfileStore` keys them by content fingerprint.
+:class:`~repro.prep.store.ProfileStore` keeps one per live table.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class TableProfile:
     """All column profiles of one table plus row-level accounting."""
 
     name: str
-    fingerprint: Tuple[str, int]
     row_count: int
     columns: Dict[str, ColumnProfile] = field(default_factory=dict)
 
@@ -154,12 +153,10 @@ def profile_column(table: Table, name: str, k: int = 256, p: int = 10) -> Column
     )
 
 
-def profile_table(
-    table: Table, fingerprint: Tuple[str, int], k: int = 256, p: int = 10
-) -> TableProfile:
+def profile_table(table: Table, k: int = 256, p: int = 10) -> TableProfile:
     """Profile every column of ``table`` (one shared columnar pass)."""
     table.as_columns()  # memoized pivot: every column read below is O(1)
-    profile = TableProfile(name=table.name, fingerprint=fingerprint, row_count=table.num_rows)
+    profile = TableProfile(name=table.name, row_count=table.num_rows)
     for column in table.schema:
         profile.columns[column.name.lower()] = profile_column(table, column.name, k=k, p=p)
     return profile

@@ -1,98 +1,35 @@
-"""The versioned ProfileStore: fingerprint-keyed table profiles.
+"""The ProfileStore: one table profile per live table name.
 
-Same idiom as the serving layer's ``NarrationCache``: profiles are keyed
-by ``(table name, content hash)`` so an unchanged table is recognized in
-one fingerprint pass and its (expensive) sketch build is skipped, while
-any content change misses and supersedes the stale entry.  The store is
-additionally *versioned*: every newly computed profile bumps a counter,
-so downstream caches (candidate discovery, compiled alignments) can key
-on ``store.version`` and invalidate exactly when any profile changed.
+A :class:`~repro.relational.table.TableCache` over
+:func:`~repro.prep.profile.profile_table` — the same class behind the
+serving layer's ``NarrationCache``: a table whose ``Table.fingerprint()``
+is the one its entry was built from gets its profile back with no sketch
+build, and any content change misses and replaces the entry.  ``version``
+counts the profiles built.  The pipeline consults the store only when the
+catalog version moved, so the hit/miss counters read per catalog change,
+not per turn.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..relational.catalog import Database
-from ..relational.table import Table
-from ..retriever.summarizer import table_fingerprint
+from ..relational.table import TableCache
 from .profile import TableProfile, profile_table
 
 
-class ProfileStore:
-    """Thread-safe, fingerprint-keyed cache of :class:`TableProfile` objects."""
+class ProfileStore(TableCache):
+    """Thread-safe cache of :class:`TableProfile` objects, keyed by content."""
 
-    def __init__(self, k: int = 256, p: int = 10) -> None:
-        self.k = k
-        self.p = p
-        self._entries: Dict[Tuple[str, int], TableProfile] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self._version = 0
+    def __init__(self) -> None:
+        super().__init__(profile_table)
 
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped whenever a new profile is computed."""
-        with self._lock:
-            return self._version
-
-    def profile(self, table: Table, key: Optional[Tuple[str, int]] = None) -> TableProfile:
-        """The profile of ``table``, cached by content fingerprint.
-
-        Callers that already fingerprinted the table pass ``key`` to avoid
-        hashing every row a second time.
-        """
-        if key is None:
-            key = table_fingerprint(table)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        profile = profile_table(table, key, k=self.k, p=self.p)
-        with self._lock:
-            # A changed table supersedes its older entries, keeping the
-            # store at one entry per live table name.
-            for stale in [k for k in self._entries if k[0] == table.name]:
-                del self._entries[stale]
-            self._entries[key] = profile
-            self._version += 1
-        return profile
+    profile = TableCache.get
 
     def profile_catalog(self, lake: Database) -> Dict[str, TableProfile]:
         """Profiles for every table of ``lake`` (warm tables hit the cache)."""
         return {table.name: self.profile(table) for table in lake.tables()}
 
-    def peek(self, table_name: str) -> Optional[TableProfile]:
-        """The cached profile for a table name, if any (no build, no counters)."""
-        with self._lock:
-            for (name, _), profile in self._entries.items():
-                if name == table_name:
-                    return profile
-        return None
-
-    def evict(self, table_name: str) -> None:
-        """Drop all entries for a table name (after a catalog drop)."""
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == table_name]:
-                del self._entries[key]
-                self._version += 1
-
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._entries),
-                "version": self._version,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self._version += 1
+        return {**super().stats(), "version": self.version}

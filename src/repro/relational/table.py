@@ -6,8 +6,10 @@ immutable in spirit: operators build new tables rather than mutating inputs.
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
 from .types import DataType, coerce_for_storage, format_value, infer_column_type
@@ -75,6 +77,8 @@ class Table:
         self.schema = schema
         self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self._columns: Optional[List[List[Any]]] = None
+        self._fingerprint: Optional[Tuple[str, int]] = None
+        self._digest: Optional[str] = None
         width = len(schema)
         for row in self.rows:
             if len(row) != width:
@@ -158,6 +162,52 @@ class Table:
             self._columns = cols
         return cols
 
+    def fingerprint(self) -> Tuple[str, int]:
+        """The in-process identity of this table's *content*: ``(name, hash)``.
+
+        One C-speed ``hash`` over the schema and every row tuple, memoized
+        like :meth:`as_columns` (tables are immutable), so "did this table
+        change?" costs a tuple compare after the first ask.  Equal
+        fingerprints mean equal name, schema and rows; the hash is salted
+        per process, so it is never persisted — :meth:`digest` is.
+        """
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            schema_sig = tuple((c.name, str(c.dtype)) for c in self.schema)
+            # CPython reserves -1 as hash()'s error return, so hash(-1) ==
+            # hash(-2): the cells equal to -1 are named by position beside
+            # the row hashes to keep the two apart.
+            minus_ones = tuple(
+                (i, j)
+                for i, row in enumerate(self.rows)
+                if -1 in row
+                for j, value in enumerate(row)
+                if value == -1
+            )
+            fingerprint = (self.name, hash((schema_sig, tuple(self.rows), minus_ones)))
+            self._fingerprint = fingerprint
+        return fingerprint
+
+    def digest(self) -> str:
+        """The durable identity of this table's content: a blake2b hex over
+        name, schema and rendered rows that means the same in every
+        process, so a storage manifest can record which contents a
+        snapshot indexed.  ~25x the cost of :meth:`fingerprint`; memoized.
+        """
+        digest = self._digest
+        if digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(self.name.encode("utf-8"))
+            for column in self.schema:
+                h.update(b"\x00")
+                h.update(column.name.encode("utf-8"))
+                h.update(str(column.dtype).encode("utf-8"))
+            for row in self.rows:
+                h.update(b"\x01")
+                h.update(repr(row).encode("utf-8"))
+            digest = self._digest = h.hexdigest()
+        return digest
+
     def to_dicts(self) -> List[Dict[str, Any]]:
         names = self.column_names()
         return [dict(zip(names, row)) for row in self.rows]
@@ -210,3 +260,40 @@ class Table:
             and self.schema == other.schema
             and self.rows == other.rows
         )
+
+
+class TableCache:
+    """One derived value per table name, rebuilt when the table's content
+    fingerprint changes.
+
+    ``get(table)`` returns the kept value when the name's entry was built
+    from equal content (same object or not) and otherwise calls ``build``
+    and replaces the entry, so the cache holds one entry per live table
+    name.  Thread-safe; ``version`` counts the values built.
+    """
+
+    def __init__(self, build: Callable[[Table], Any]) -> None:
+        self._build = build
+        self._entries: Dict[str, Tuple[Tuple[str, int], Any]] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.version = 0
+
+    def get(self, table: Table) -> Any:
+        fingerprint = table.fingerprint()
+        with self._lock:
+            entry = self._entries.get(table.name)
+            if entry is not None and entry[0] == fingerprint:
+                self.hits += 1
+                return entry[1]
+            self.misses += 1
+        value = self._build(table)
+        with self._lock:
+            self._entries[table.name] = (fingerprint, value)
+            self.version += 1
+        return value
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}

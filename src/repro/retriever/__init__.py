@@ -7,7 +7,6 @@ from .summarizer import (
     narrate_column,
     narrate_table,
     sample_rows,
-    table_fingerprint,
     table_payload,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "narrate_table",
     "narrate_column",
     "sample_rows",
-    "table_fingerprint",
     "table_payload",
 ]

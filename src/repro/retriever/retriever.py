@@ -5,12 +5,12 @@ hybrid index, and answers natural-language queries with table Documents.
 This is both a component of the IR System and the standalone
 "Pneuma-Retriever" baseline of Figures 4 and 5.
 
-Indexing is incremental and fingerprint-aware: narrations are produced
-through a :class:`NarrationCache`, and :meth:`reindex` skips any table
-whose content fingerprint is unchanged — re-indexing an unchanged catalog
-costs one hash pass instead of a full narrate/embed/insert pipeline.  A
-frozen retriever (see :meth:`freeze`) is safe to share across concurrent
-sessions.
+Indexing is incremental: narrations are produced through a
+:class:`NarrationCache`, and :meth:`reindex` skips any table whose
+``Table.fingerprint()`` (memoized on the table) is the one it indexed —
+re-indexing an unchanged catalog costs one tuple compare per table
+instead of a narrate/embed/insert pipeline.  A frozen retriever (see
+:meth:`freeze`) is safe to share across concurrent sessions.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..llm.interface import TransientDependencyError
 from ..obs import trace as obs
 from ..relational.catalog import Database
 from .index import HybridIndex
-from .summarizer import NarrationCache, table_fingerprint, table_payload
+from .summarizer import NarrationCache, table_payload
 
 
 class Searchable(Protocol):
@@ -62,20 +62,22 @@ class PneumaRetriever:
         on_degraded: Optional[Callable[[], None]] = None,
         index=None,
         preset_narrations: Optional[Dict[str, str]] = None,
-        preset_fingerprints: Optional[Dict[str, Tuple[str, int]]] = None,
     ):
         self.database = database
         self.sample_rows = sample_rows
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
         # A warm start (storage layer) injects an index hydrated from a
-        # snapshot, plus the narrations/fingerprints of the tables that
-        # snapshot still covers — the construction-time reindex below then
-        # narrates only tables that changed while the service was down.
+        # snapshot, plus the narrations of the tables that snapshot still
+        # covers as they stand in ``database`` — the construction-time
+        # reindex below then narrates only tables that changed while the
+        # service was down.
         self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
         self._narrations: Dict[str, str] = dict(preset_narrations or {})
-        self._fingerprints: Dict[str, Tuple[str, int]] = dict(preset_fingerprints or {})
+        self._fingerprints: Dict[str, Tuple[str, int]] = {
+            name: database.resolve_table(name).fingerprint() for name in self._narrations
+        }
         self.build_report = self.reindex()
 
     # ------------------------------------------------------------------
@@ -93,13 +95,12 @@ class PneumaRetriever:
         skipped = 0
         tables = self.database.tables()
         for table in tables:
-            fingerprint = table_fingerprint(table)
-            if self._fingerprints.get(table.name) == fingerprint:
+            if self._fingerprints.get(table.name) == table.fingerprint():
                 skipped += 1
                 continue
-            narration = self.narrations.narrate(table, key=fingerprint)
+            narration = self.narrations.narrate(table)
             staged_narrations[table.name] = narration
-            staged_fingerprints[table.name] = fingerprint
+            staged_fingerprints[table.name] = table.fingerprint()
             pending.append((table.name, narration))
         if pending:
             # May raise FrozenIndexError; commit our own state only after

@@ -8,80 +8,25 @@ and example values are spelled out, and a few sample rows are attached.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-from ..relational.table import Table
+from ..relational.table import Table, TableCache
 from ..relational.types import format_value
 from ..text.tokenize import tokenize
 
 
-def table_fingerprint(table: Table) -> Tuple[str, int]:
-    """A cheap, process-stable identity for a table's *content*.
-
-    Narrating a table scans every column for example values; re-doing that
-    for an unchanged catalog is the dominant cost of re-indexing.  The
-    fingerprint hashes the name, schema, and all row tuples (one C-speed
-    ``hash`` over nested tuples), so equality of fingerprints means the
-    narration is reusable.  Collisions only cost a stale cache entry, and
-    only within the current process — fingerprints are never persisted.
-    """
-    schema_sig = tuple((c.name, str(c.dtype)) for c in table.schema)
-    return (table.name, hash((schema_sig, tuple(table.rows))))
-
-
-class NarrationCache:
-    """Fingerprint-keyed cache of table narrations with hit/miss counters.
+class NarrationCache(TableCache):
+    """Table narrations, one per live table name (a :class:`TableCache`).
 
     Shared by the serving layer across every (re)index pass: a table whose
-    fingerprint is unchanged gets its narration back without touching the
-    rows.  Thread-safe; unbounded by design (one entry per live table).
+    content is unchanged gets its narration back without a scan of its
+    columns.  Unbounded by design (one entry per live table).
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, int], str] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(narrate_table)
 
-    def narrate(self, table: Table, key: Tuple[str, int] = None) -> str:
-        """Narration of ``table``, cached by fingerprint.
-
-        Callers that already fingerprinted the table (the reindex loop)
-        pass ``key`` to avoid hashing every row a second time.
-        """
-        if key is None:
-            key = table_fingerprint(table)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        narration = narrate_table(table)
-        with self._lock:
-            # A changed table supersedes its older entries, keeping the
-            # cache at one entry per live table name.
-            for stale in [k for k in self._entries if k[0] == table.name]:
-                del self._entries[stale]
-            self._entries[key] = narration
-        return narration
-
-    def evict(self, table_name: str) -> None:
-        """Drop all entries for a table name (after a catalog drop)."""
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == table_name]:
-                del self._entries[key]
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+    narrate = TableCache.get
 
 
 def narrate_column(table: Table, name: str, max_examples: int = 4) -> str:

@@ -14,7 +14,7 @@ Policy summary (the README's failure-mode table renders this):
 
 Backoff sleeps tick the model's *virtual* clock rather than real time, so
 tests stay fast and deterministic while the latency cost is still
-accounted (and becomes a real stall under ``SimulatedLatencyClock``).
+accounted.
 """
 
 from __future__ import annotations

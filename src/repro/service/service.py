@@ -10,8 +10,7 @@ only its private state ``(T, Q)``.
 Concurrency model:
 
 * a ``ThreadPoolExecutor`` runs turns; LLM/tool waits (real network I/O in
-  production, :class:`SimulatedLatencyClock` stalls offline) overlap
-  across sessions;
+  production) overlap across sessions;
 * a per-session lock serializes turns *within* a session, so the
   Conductor's working memory never interleaves;
 * the shared index is immutable-after-build (``freeze()``); sessions hold
@@ -61,7 +60,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from ..core.session import SeekerResponse, SeekerSession, build_seeker_llm
 from ..ir.docdb import DocumentDatabase
 from ..ir.system import IRSystem, RetrievalResult
-from ..llm.clock import SimulatedLatencyClock
 from ..llm.rule_llm import RuleLLM
 from ..llm.semantics import cache_stats as policy_text_stats
 from ..obs import (
@@ -74,10 +72,9 @@ from ..obs import (
 )
 from ..obs import trace as obs
 from ..prep.pipeline import PreparationPipeline
-from ..prep.store import ProfileStore
 from ..relational.catalog import Database
 from ..relational.plan import PlanCache
-from ..storage import IndexStore, stable_table_fingerprint
+from ..storage import IndexStore
 from .faults import FaultPlan, FlakyEmbedder, FlakyLLM, FlakySQL, derive_seed
 from .resilience import CircuitBreaker, ResilienceConfig, ResilientLLM
 from .shared import IndexGate, SharedIndexBundle, build_shared_retriever
@@ -171,7 +168,6 @@ class PneumaService:
         max_workers: int = 8,
         dim: int = 192,
         llm_factory: Optional[Callable[[], RuleLLM]] = None,
-        llm_latency_factor: float = 0.0,
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         storage_dir: Optional[Union[str, Path]] = None,
@@ -271,14 +267,12 @@ class PneumaService:
         registry.add_collector("sql_plan_cache", lambda: me.sql_plan_cache.stats())
         # One sketch-based preparation pipeline per service: column
         # profiles (MinHash + HLL + stats) for the whole catalog are built
-        # once here, fingerprint-keyed in a versioned ProfileStore (the
-        # NarrationCache idiom), so every session opens against warm
-        # profiles and discovered join candidates — "sessions start
-        # seeded".
-        self.profile_store = ProfileStore()
-        self.prep = PreparationPipeline(lake, store=self.profile_store)
+        # once here into its ProfileStore (the NarrationCache's class), so
+        # every session opens against warm profiles and discovered join
+        # candidates — "sessions start seeded".
+        self.prep = PreparationPipeline(lake)
         self.prep.join_candidates()  # eager: profile + discover at build time
-        registry.add_collector("profile_store", lambda: me.profile_store.stats())
+        registry.add_collector("profile_store", lambda: me.prep.store.stats())
         registry.add_collector("prep", lambda: me.prep.stats())
         self.knowledge = self._open_knowledge()
         registry.add_collector("knowledge_entries", lambda: len(me.knowledge))
@@ -286,7 +280,6 @@ class PneumaService:
         # so it follows reindex swaps automatically.
         self.ir = IRSystem(retriever=self._gate, knowledge=self.knowledge)
         self._llm_factory = llm_factory
-        self._llm_latency_factor = llm_latency_factor
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="pneuma-turn"
         )
@@ -373,7 +366,7 @@ class PneumaService:
 
     def _publish_index(self, index) -> int:
         """Durably publish a frozen index through the store's journal."""
-        tables = {table.name: stable_table_fingerprint(table) for table in self.lake.tables()}
+        tables = {table.name: table.digest() for table in self.lake.tables()}
         return self.store.publish(index, tables=tables)
 
     def _open_knowledge(self) -> DocumentDatabase:
@@ -396,7 +389,7 @@ class PneumaService:
         if self._llm_factory is not None:
             llm = self._llm_factory()
         else:
-            llm = build_seeker_llm(clock=SimulatedLatencyClock(self._llm_latency_factor))
+            llm = build_seeker_llm()
         instance = next(self._llm_instances)
         schedule = self.fault_plan.schedule("llm")
         if schedule is not None:
@@ -545,11 +538,13 @@ class PneumaService:
         traffic.
 
         The fresh bundle is built in the background off the previous
-        bundle's narration/embedding caches (unchanged tables cost one
-        fingerprint pass), then swapped in through the index gate: new
-        searches see the new index immediately, searches already running
-        finish on the old one, and with ``drain=True`` this call returns
-        only after the old generation is provably idle.
+        bundle's narration/embedding caches (an unchanged table costs one
+        compare of its memoized fingerprint), prep rediscovers its join
+        candidates if the catalog version moved, and the bundle is swapped
+        in through the index gate: new searches see the new index
+        immediately, searches already running finish on the old one, and
+        with ``drain=True`` this call returns only after the old generation
+        is provably idle.
         """
         with self._reindex_lock:
             with self._registry_lock:
@@ -568,6 +563,9 @@ class PneumaService:
                         narrations=current.narrations, embedder=current.embedder
                     )
                 build_seconds = time.perf_counter() - build_started
+                # As at build time: rediscover here, on the caller that changed
+                # the catalog, not under the first turn that follows the swap.
+                self.prep.join_candidates()
                 swap_started = time.perf_counter()
                 with obs.span("reindex.swap"):
                     self._gate.swap(bundle, drain=drain)

@@ -28,9 +28,8 @@ from typing import Callable, Dict, Optional
 from ..obs import trace as obs
 from ..relational.catalog import Database
 from ..retriever.retriever import PneumaRetriever
-from ..retriever.summarizer import NarrationCache, table_fingerprint
+from ..retriever.summarizer import NarrationCache
 from ..storage.delta import DeltaHybridIndex
-from ..storage.manifest import stable_table_fingerprint
 from ..text.embedding import CachedEmbedder
 
 
@@ -72,7 +71,7 @@ def build_shared_retriever(
     usable snapshot makes this a warm start: the snapshot hydrates
     zero-copy from mmap'd segments as the base of a
     :class:`DeltaHybridIndex`, and the lake is reconciled against the
-    manifest's stable table fingerprints — tables the snapshot still
+    manifest's ``Table.digest()`` values — tables the snapshot still
     covers are served from the base (narrations straight from the
     segment), changed/new tables are narrated into the delta overlay,
     dropped ones are tombstoned, and the build report gains ``restored``.
@@ -82,15 +81,11 @@ def build_shared_retriever(
     base = store.load_index(embedder=embedder) if store is not None else None
     current = {table.name: table for table in lake.tables()}
     preset_narrations = {}
-    preset_fingerprints = {}
     if base is not None:
-        for name, fingerprint in store.state.tables.items():
+        for name, digest in store.state.tables.items():
             table = current.get(name)
-            if table is None or name not in base:
-                continue
-            if stable_table_fingerprint(table) == fingerprint:
+            if table is not None and name in base and table.digest() == digest:
                 preset_narrations[name] = base.text_of(name)
-                preset_fingerprints[name] = table_fingerprint(table)
     retriever = PneumaRetriever(
         lake,
         dim=dim,
@@ -100,7 +95,6 @@ def build_shared_retriever(
         on_degraded=on_degraded,
         index=DeltaHybridIndex(base) if base is not None else None,
         preset_narrations=preset_narrations,
-        preset_fingerprints=preset_fingerprints,
     )
     report = dict(retriever.build_report)
     if base is not None:

@@ -31,7 +31,7 @@ from .crash import (
 )
 from .delta import DeltaHybridIndex
 from .journal import Journal, ReplayResult, replay_journal
-from .manifest import Manifest, SegmentRef, stable_table_fingerprint
+from .manifest import Manifest, SegmentRef
 from .segment import Segment, SegmentCorruptError, read_segment, verify_segment, write_segment
 from .store import IndexStore
 
@@ -53,7 +53,6 @@ __all__ = [
     "replay_journal",
     "Manifest",
     "SegmentRef",
-    "stable_table_fingerprint",
     "Segment",
     "SegmentCorruptError",
     "read_segment",

@@ -6,17 +6,15 @@ that happened since.  The truth at open time is always *checkpoint +
 replayed WAL*, and a clean shutdown folds the WAL back into the
 checkpoint so the next open starts from an empty journal.
 
-The manifest also records each indexed table's *stable* content
-fingerprint.  The in-process ``table_fingerprint`` used by the reindex
-loop is salted Python ``hash()`` — meaningless to another process — so
-warm starts compare against :func:`stable_table_fingerprint` (blake2b
-over name, schema, and rendered rows) to decide which tables the
-snapshot still covers and which go to the delta overlay.
+The manifest also records each indexed table's ``Table.digest()`` — the
+blake2b over name, schema, and rendered rows that means the same in
+every process (``Table.fingerprint()`` is salted ``hash()`` and does
+not) — so a warm start can decide which tables the snapshot still covers
+and which go to the delta overlay.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,28 +23,9 @@ from typing import Dict, Optional
 from .atomic import atomic_write_json
 from .crash import NO_CRASH, CrashInjector
 
-__all__ = ["Manifest", "SegmentRef", "stable_table_fingerprint"]
+__all__ = ["Manifest", "SegmentRef"]
 
 MANIFEST_FORMAT = 1
-
-
-def stable_table_fingerprint(table) -> str:
-    """A process-stable blake2b identity for a table's content.
-
-    Unlike ``retriever.summarizer.table_fingerprint`` (salted ``hash()``,
-    never persisted), this digest survives process restarts, so manifests
-    can record which table contents a snapshot indexed.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(table.name.encode("utf-8"))
-    for column in table.schema:
-        h.update(b"\x00")
-        h.update(column.name.encode("utf-8"))
-        h.update(str(column.dtype).encode("utf-8"))
-    for row in table.rows:
-        h.update(b"\x01")
-        h.update(repr(row).encode("utf-8"))
-    return h.hexdigest()
 
 
 @dataclass
@@ -70,7 +49,7 @@ class Manifest:
 
     generation: int = 0
     segments: Dict[str, SegmentRef] = field(default_factory=dict)  # kind -> ref
-    tables: Dict[str, str] = field(default_factory=dict)  # name -> stable fp
+    tables: Dict[str, str] = field(default_factory=dict)  # name -> Table.digest()
     clean_opens: int = 0
     recovered_opens: int = 0
     quarantined: int = 0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, cosine_distance, inner_product_distance, l2_distance, resolve_metric
+from repro.ann import cosine_distance, inner_product_distance, l2_distance, resolve_metric
+from tests.oracles.brute import BruteForceIndex
 
 
 class TestMetrics:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import BruteForceIndex, HNSWIndex
+from repro.ann import HNSWIndex
+from tests.oracles.brute import BruteForceIndex
 
 
 def build_pair(vectors, metric="l2"):

@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from .metrics import resolve_metric
-
-
-@dataclass
-class Neighbor:
-    key: str
-    distance: float
+from repro.ann.hnsw import Neighbor
+from repro.ann.metrics import resolve_metric
 
 
 class BruteForceIndex:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.ann.brute import Neighbor
+from repro.ann.hnsw import Neighbor
 from repro.ann.metrics import quantize_distance, resolve_metric
 
 

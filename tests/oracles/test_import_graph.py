@@ -13,20 +13,23 @@ SRC = Path(repro.__file__).parent
 ROW_ENGINE_NAMES = ("RowExecutor", "_eval_group_expr")
 
 
+def imported_modules(path, relative=False):
+    """Dotted module names ``path`` imports (``from ..x import y`` counts as
+    ``x`` when ``relative``, and is skipped otherwise)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (relative or node.level == 0):
+            yield node.module or ""
+
+
 def test_no_legacy_module_and_no_import_from_tests():
     modules = sorted(SRC.rglob("*.py"))
     assert modules
     for path in modules:
         assert not path.stem.endswith("_legacy"), path
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported = [node.module]
-            else:
-                continue
-            for name in imported:
-                assert name.split(".")[0] != "tests", f"{path}: imports {name}"
+        for name in imported_modules(path):
+            assert name.split(".")[0] != "tests", f"{path}: imports {name}"
 
 
 def test_row_engine_is_not_in_src():
@@ -39,6 +42,20 @@ def test_row_engine_is_not_in_src():
         for node in ast.walk(ast.parse(text, filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name != "_compile", f"{path}:{node.lineno}: defines _compile"
+
+
+def test_one_table_identity():
+    """Content identity is ``Table.fingerprint()`` / ``Table.digest()``: no
+    free hash function, no brute-force index in ``src/`` (it is
+    ``tests/oracles/brute.py``), and ``prep`` imports nothing of
+    ``retriever``, which it once did for the hash alone."""
+    assert not (SRC / "ann" / "brute.py").exists()
+    for path in sorted(SRC.rglob("*.py")):
+        # also every ``stable_table_fingerprint``
+        assert "table_fingerprint" not in path.read_text(), path
+    for path in sorted((SRC / "prep").rglob("*.py")):
+        for name in imported_modules(path, relative=True):
+            assert "retriever" not in name.split("."), f"{path}: imports {name}"
 
 
 def test_relational_public_surface():

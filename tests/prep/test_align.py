@@ -331,9 +331,28 @@ class TestPipelineFacade:
             "shipments.shipment_id = returns.shipment_ref"
         ]
 
-        # store.version moves without the lake: profiles re-stored.
-        pipeline.store.clear()
-        assert pipeline.compiler() is not recompiled
+    def test_unchanged_lake_never_consults_the_store(self, lake):
+        pipeline = PreparationPipeline(lake)
+        view = spec("view", [("order_id", ""), ("amount", "")], base=["orders"])
+        pipeline.prepare(view)
+        store, compiler = pipeline.store.stats(), pipeline.compiler()
+        assert (store["hits"], store["misses"]) == (0, 3)
+        for _ in range(5):
+            pipeline.prepare(view)
+        # lake.version is the only change signal: not one store hit more.
+        assert pipeline.store.stats() == store
+        assert pipeline.stats()["discoveries"] == 1
+
+        # One changed table costs one rediscovery with one store miss.
+        orders = lake.resolve_table("orders")
+        lake.register(Table(orders.name, orders.schema, orders.rows[:-1]), replace=True)
+        for _ in range(2):
+            _, table = pipeline.prepare(view)
+        assert table.num_rows == 89
+        after = pipeline.store.stats()
+        assert (after["hits"], after["misses"], after["size"]) == (2, 4, 3)
+        assert pipeline.stats()["discoveries"] == 2
+        assert pipeline.compiler() is not compiler
 
     def test_join_hint_does_not_leak_into_the_kept_graph(self, lake):
         pipeline = PreparationPipeline(lake)

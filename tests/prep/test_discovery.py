@@ -1,14 +1,9 @@
-"""Join/union discovery: planted-truth recovery and sketch-vs-exact agreement."""
+"""Join discovery: planted-truth recovery and sketch-vs-exact agreement."""
 
 import pytest
 
 from repro.datasets.generator import build_planted_catalog
-from repro.prep import (
-    PreparationPipeline,
-    ProfileStore,
-    discover_join_candidates,
-    discover_union_candidates,
-)
+from repro.prep import PreparationPipeline, ProfileStore, discover_join_candidates
 from repro.relational import Database, Table
 from tests.oracles.exact_sets import candidate_keys, exact_join_candidates
 
@@ -93,27 +88,6 @@ class TestDiscoveryBehavior:
         lake.register(Table.from_columns("b", {"flag": [1] * 100}))
         profiles = ProfileStore().profile_catalog(lake)
         assert discover_join_candidates(profiles) == []
-
-
-class TestUnionDiscovery:
-    def test_aligned_schemas_pair(self):
-        lake = Database("u")
-        for name in ("north", "south"):
-            lake.register(
-                Table.from_columns(
-                    name,
-                    {
-                        "site": [f"{name}-{i}" for i in range(30)],
-                        "value": [float(i) for i in range(30)],
-                    },
-                )
-            )
-        lake.register(Table.from_columns("other", {"speed": list(range(30))}))
-        profiles = ProfileStore().profile_catalog(lake)
-        unions = discover_union_candidates(profiles)
-        assert [(u.left_table, u.right_table) for u in unions] == [("north", "south")]
-        assert unions[0].score == 1.0
-        assert set(unions[0].column_pairs) == {("site", "site"), ("value", "value")}
 
 
 class TestPipelineCaching:

@@ -62,7 +62,7 @@ class TestInvalidation:
         assert (stats["hits"], stats["misses"]) == (0, 2)
         # The stale entry for the same table name is gone, not retained.
         assert stats["size"] == 1
-        assert store.peek("readings") is changed
+        assert store.profile(make_table(offset=999)) is changed
 
     def test_version_bumps_only_on_compute(self, store):
         table = make_table()
@@ -73,22 +73,6 @@ class TestInvalidation:
         assert store.version == 1
         store.profile(make_table(offset=7))
         assert store.version == 2
-
-    def test_evict_drops_and_bumps(self, store):
-        store.profile(make_table())
-        version = store.version
-        store.evict("readings")
-        assert store.peek("readings") is None
-        assert store.version > version
-        store.evict("readings")  # idempotent on absent names
-        assert store.stats()["size"] == 0
-
-    def test_clear_resets_counters(self, store):
-        store.profile(make_table())
-        store.profile(make_table())
-        store.clear()
-        stats = store.stats()
-        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
 
 
 class TestProfileContents:

@@ -2,7 +2,7 @@
 
 from repro.datasets import build_procurement_lake
 from repro.relational import Table
-from repro.retriever import NarrationCache, PneumaRetriever, table_fingerprint
+from repro.retriever import NarrationCache, PneumaRetriever
 from repro.service import build_shared_retriever
 from repro.text import CachedEmbedder
 
@@ -11,19 +11,19 @@ class TestTableFingerprint:
     def test_stable_for_equal_content(self):
         a = Table.from_columns("t", {"x": [1, 2], "y": ["a", "b"]})
         b = Table.from_columns("t", {"x": [1, 2], "y": ["a", "b"]})
-        assert table_fingerprint(a) == table_fingerprint(b)
+        assert a.fingerprint() == b.fingerprint()
 
     def test_changes_with_rows(self):
         a = Table.from_columns("t", {"x": [1, 2]})
         b = Table.from_columns("t", {"x": [1, 3]})
-        assert table_fingerprint(a) != table_fingerprint(b)
+        assert a.fingerprint() != b.fingerprint()
 
     def test_changes_with_name_and_schema(self):
         a = Table.from_columns("t", {"x": [1]})
         renamed = Table.from_columns("u", {"x": [1]})
         recol = Table.from_columns("t", {"y": [1]})
-        assert table_fingerprint(a) != table_fingerprint(renamed)
-        assert table_fingerprint(a) != table_fingerprint(recol)
+        assert a.fingerprint() != renamed.fingerprint()
+        assert a.fingerprint() != recol.fingerprint()
 
 
 class TestNarrationCache:
@@ -41,12 +41,6 @@ class TestNarrationCache:
         cache.narrate(Table.from_columns("t", {"x": [2]}))
         stats = cache.stats()
         assert stats["misses"] == 2 and stats["hits"] == 0
-
-    def test_evict(self):
-        cache = NarrationCache()
-        cache.narrate(Table.from_columns("t", {"x": [1]}))
-        cache.evict("t")
-        assert cache.stats()["size"] == 0
 
 
 class TestCachedEmbedder:

@@ -45,6 +45,24 @@ class TestWarmStart:
         assert warm.shared.build_report["restored"] > 0
         warm.shutdown(drain=True)
 
+    def test_unchanged_lake_restores_every_table(self, store_dir):
+        """The digests a boot publishes are the ones the next boot computes
+        (in a process with another hash salt, too: ``Table.digest()`` is
+        blake2b, pinned in tests/relational/test_table_identity.py)."""
+        svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        published = dict(svc.store.state.tables)
+        svc.shutdown(drain=True)
+
+        lake = build_procurement_lake()
+        assert published == {table.name: table.digest() for table in lake.tables()}
+        warm = PneumaService(lake, max_workers=2, storage_dir=store_dir)
+        assert warm.shared.build_report == {
+            "indexed": 0,
+            "skipped": len(lake.tables()),
+            "restored": len(lake.tables()),
+        }
+        warm.shutdown(drain=True)
+
     def test_warm_start_absorbs_new_table(self, store_dir):
         svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         svc.shutdown(drain=True)

@@ -116,3 +116,19 @@ class TestAlignmentGraphRecompile:
         rendered = service.post_turn(sid, enrich_message(scenario)).render()
         assert deep_col in rendered and "materialized (" in rendered
         assert service.prep.compiler() is recompiled  # the turn reused it
+
+    def test_reindex_pays_the_rediscovery_not_the_next_turn(self, scenario, service):
+        before = service.stats()["prep"]
+        apply_drift(service, scenario)  # rename + service.reindex()
+        after = service.stats()["prep"]
+        assert after["discoveries"] == before["discoveries"] + 1
+        assert after["profile_store"]["misses"] == before["profile_store"]["misses"] + 1
+        service.reindex()  # catalog unchanged: one integer compare, no store traffic
+        assert service.stats()["prep"] == after
+
+        sid = service.open_session(user="drift-turn")
+        rendered = service.post_turn(sid, enrich_message(scenario)).render()
+        assert "materialized (" in rendered
+        served = service.stats()["prep"]
+        assert served["discoveries"] == after["discoveries"]
+        assert served["profile_store"] == after["profile_store"]

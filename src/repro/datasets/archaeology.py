@@ -17,12 +17,10 @@ import datetime
 from typing import List
 
 from ..core.convergence import Concept
-from ..frames.frame import DataFrame
 from ..relational.catalog import Database
-from ..relational.functions import _round
 from ..relational.table import Table
 from .generator import dates_between, make_rng, normal, pick, scaled, uniform_int, with_nulls
-from .questions import BenchmarkDataset, Question
+from .questions import BenchmarkDataset, Question, interp_first_last_avg
 
 REGIONS = ["Cretan Hills", "Iberian Valley", "Maltese Islands", "Gozo Plateau", "Sicilian Coast"]
 MATERIALS = ["Bronze", "Ceramic", "Iron", "Stone", "Glass", "Gold", "Silver", "Bone"]
@@ -193,37 +191,18 @@ def build_archaeology_lake(scale: float = 1.0, seed: int = 7) -> Database:
 # ----------------------------------------------------------------------
 
 
-def _interp_first_last_avg(
-    lake: Database,
-    table: str,
-    filter_col: str,
-    filter_val: str,
-    date_col: str,
-    measure: str,
-    digits: int,
-) -> float:
-    """Filter → sort by date → linear interpolation → AVG at min/max date."""
-    df = DataFrame.from_table(lake.resolve_table(table))
-    df = df.filter(df[filter_col].map(lambda v: str(v).lower() == filter_val.lower()))
-    df = df.sort_values(date_col)
-    df = df.assign(**{measure: df[measure].interpolate()})
-    dates = [d for d in df[date_col] if d is not None]
-    lo, hi = min(dates), max(dates)
-    values = [
-        df[measure][i]
-        for i in range(len(df))
-        if df[date_col][i] in (lo, hi) and df[measure][i] is not None
-    ]
-    return _round(sum(values) / len(values), digits)
-
-
 def _q1(lake: Database) -> float:
     return lake.query_value("SELECT AVG(potassium_ppm) FROM field_samples")
 
 
 def _q2(lake: Database) -> float:
-    return _interp_first_last_avg(
-        lake, "field_samples", "region", "Maltese Islands", "record_date", "potassium_ppm", 4
+    return interp_first_last_avg(
+        lake,
+        "field_samples",
+        "record_date",
+        "potassium_ppm",
+        4,
+        where=("region", "Maltese Islands"),
     )
 
 

@@ -14,12 +14,10 @@ import datetime
 from typing import List
 
 from ..core.convergence import Concept
-from ..frames.frame import DataFrame
 from ..relational.catalog import Database
-from ..relational.functions import _round
 from ..relational.table import Table
 from .generator import dates_between, make_rng, normal, pick, scaled, uniform_int, with_nulls
-from .questions import BenchmarkDataset, Question
+from .questions import BenchmarkDataset, Question, interp_first_last_avg
 
 AIR_YEARS = list(range(2012, 2024))
 WATER_YEARS = list(range(2012, 2024))
@@ -190,20 +188,6 @@ def build_environment_lake(scale: float = 1.0, seed: int = 21) -> Database:
 # ----------------------------------------------------------------------
 
 
-def _interp_first_last_avg(lake: Database, table: str, date_col: str, measure: str, digits: int) -> float:
-    df = DataFrame.from_table(lake.resolve_table(table))
-    df = df.sort_values(date_col)
-    df = df.assign(**{measure: df[measure].interpolate()})
-    dates = [d for d in df[date_col] if d is not None]
-    lo, hi = min(dates), max(dates)
-    values = [
-        df[measure][i]
-        for i in range(len(df))
-        if df[date_col][i] in (lo, hi) and df[measure][i] is not None
-    ]
-    return _round(sum(values) / len(values), digits)
-
-
 def _e01(lake):  # avg pm25 2019
     return lake.query_value("SELECT AVG(pm25) FROM air_quality_2019")
 
@@ -224,7 +208,7 @@ def _e04(lake):  # min temperature at Beacon Point, coastal weather (join)
 
 
 def _e05(lake):  # interpolated first/last dissolved oxygen 2016
-    return _interp_first_last_avg(lake, "water_quality_2016", "sample_date", "dissolved_oxygen", 4)
+    return interp_first_last_avg(lake, "water_quality_2016", "sample_date", "dissolved_oxygen", 4)
 
 
 def _e06(lake):  # avg lead at Harborview Station 2018 (join)
@@ -249,7 +233,7 @@ def _e08(lake):  # max ecoli 2017 at marine stations (join)
 
 
 def _e09(lake):  # interpolated first/last nitrate 2014
-    return _interp_first_last_avg(lake, "water_quality_2014", "sample_date", "nitrate", 3)
+    return interp_first_last_avg(lake, "water_quality_2014", "sample_date", "nitrate", 3)
 
 
 def _e10(lake):  # stddev pm10 2013 in Northern Highlands (join)

@@ -10,10 +10,12 @@ is in the set (difficulty class); no system component ever reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.convergence import Concept
+from ..frames.frame import DataFrame
 from ..relational.catalog import Database
+from ..relational.functions import _round
 
 
 @dataclass
@@ -47,6 +49,36 @@ def answers_match(expected: Any, actual: Any, tolerance: float = 1e-6) -> bool:
             return abs(actual) <= tolerance
         return abs(actual - expected) <= tolerance * max(abs(expected), 1.0)
     return expected == actual
+
+
+def interp_first_last_avg(
+    lake: Database,
+    table: str,
+    date_col: str,
+    measure: str,
+    digits: int,
+    where: Optional[Tuple[str, str]] = None,
+) -> float:
+    """Reference answer of the builders' interpolation questions.
+
+    Keep the rows whose ``where = (column, value)`` matches case-insensitively
+    (every row without it) → sort by date → linear interpolation → AVG at
+    min/max date.
+    """
+    df = DataFrame.from_table(lake.resolve_table(table))
+    if where is not None:
+        filter_col, filter_val = where
+        df = df.filter(df[filter_col].map(lambda v: str(v).lower() == filter_val.lower()))
+    df = df.sort_values(date_col)
+    df = df.assign(**{measure: df[measure].interpolate()})
+    dates = [d for d in df[date_col] if d is not None]
+    lo, hi = min(dates), max(dates)
+    values = [
+        df[measure][i]
+        for i in range(len(df))
+        if df[date_col][i] in (lo, hi) and df[measure][i] is not None
+    ]
+    return _round(sum(values) / len(values), digits)
 
 
 @dataclass

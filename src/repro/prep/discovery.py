@@ -70,7 +70,7 @@ def discover_join_candidates(
     """
     by_family: Dict[str, List[ColumnProfile]] = {}
     for column in _flatten(profiles):
-        if column.family == "null" or column.sketch.is_empty():
+        if column.family == "null" or column.fractional or column.sketch.is_empty():
             continue
         if column.distinct_estimate < min_distinct:
             continue

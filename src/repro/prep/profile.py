@@ -17,7 +17,7 @@ import numpy as np
 
 from ..relational.table import Table
 from ..relational.types import DataType
-from .sketches import ColumnSketch, encode_values, typed_array
+from .sketches import ColumnSketch, encode_values, integral_mask, typed_array
 
 #: Column-type families that are meaningfully sketch-comparable: a join
 #: between a DATE and a TEXT column is noise even when hashes collide.
@@ -48,6 +48,10 @@ class ColumnProfile:
     distinct_estimate: float
     minimum: Optional[Any] = None
     maximum: Optional[Any] = None
+    #: A DOUBLE column holding any non-integral value: a measurement, which
+    #: join discovery never proposes as a key (integral doubles still match
+    #: INTEGER keys).
+    fractional: bool = False
 
     @property
     def null_fraction(self) -> float:
@@ -140,6 +144,9 @@ def profile_column(table: Table, name: str, k: int = 256, p: int = 10) -> Column
         keys, k=k, p=p, total=len(values), nulls=len(values) - len(non_null)
     )
     minimum, maximum = _min_max(non_null, arr)
+    fractional = bool(
+        arr is not None and arr.dtype.kind == "f" and not integral_mask(arr[~np.isnan(arr)]).all()
+    )
     return ColumnProfile(
         table=table.name,
         name=table.schema.column(name).name,
@@ -150,6 +157,7 @@ def profile_column(table: Table, name: str, k: int = 256, p: int = 10) -> Column
         distinct_estimate=sketch.cardinality(),
         minimum=minimum,
         maximum=maximum,
+        fractional=fractional,
     )
 
 

@@ -107,6 +107,11 @@ def typed_array(filtered: List[Any]) -> Optional[np.ndarray]:
     return arr if arr.dtype.kind in "biufU" else None
 
 
+def integral_mask(arr: np.ndarray) -> np.ndarray:
+    """Which entries of a NaN-free float array encode as the integer they equal."""
+    return (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
+
+
 def _encode_array(filtered: List[Any], arr: Optional[np.ndarray]) -> np.ndarray:
     """Vectorized encoding for homogeneous columns (raises to fall back)."""
     if arr is None:
@@ -124,7 +129,7 @@ def _encode_array(filtered: List[Any], arr: Optional[np.ndarray]) -> np.ndarray:
         arr = arr[~np.isnan(arr)]
         if not arr.size:
             return np.empty(0, dtype=np.uint64)
-        integral = (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
+        integral = integral_mask(arr)
         as_int = np.where(integral, arr, 0.0).astype(np.int64).view(np.uint64)
         as_bits = np.ascontiguousarray(arr).view(np.uint64)
         return np.where(integral, as_int, as_bits)

@@ -1,13 +1,23 @@
-"""Aggregate function library.
+"""Aggregate function library: one table of reducers.
 
-Each aggregate is an :class:`Aggregate` with ``init``/``step``/``final``.
-NULL inputs are skipped (SQL semantics); ``COUNT(*)`` counts every row.
+Each aggregate is an :class:`Aggregate` whose ``reduce`` is called exactly
+once per group with that group's argument columns — one list per SQL
+argument, equally long, in row order — and returns the group's value; a
+group with nothing left gets empty lists.  The engine prepares the columns
+(:func:`repro.relational.vectorized.accumulate_aggregate`): rows whose
+*first* argument is NULL are dropped when ``skip_nulls`` is set (SQL
+semantics), and under ``DISTINCT`` only the first row of each distinct
+argument tuple (compared by ``sort_key``) is kept.  ``COUNT(*)`` is
+``count`` over a column that is never NULL.  A reducer must not mutate the
+columns it is given: without GROUP BY they are the chunk's own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Any, Callable, Dict, List, Optional
 
 from .errors import ExecutionError
@@ -18,102 +28,73 @@ from .types import sort_key
 class Aggregate:
     name: str
     num_args: int
-    init: Callable[[], Any]
-    step: Callable[[Any, tuple], Any]
-    final: Callable[[Any], Any]
+    reduce: Callable[..., Any]
     skip_nulls: bool = True
 
 
 AGGREGATES: Dict[str, Aggregate] = {}
 
 
-def _register(agg: Aggregate) -> None:
-    AGGREGATES[agg.name] = agg
+def _register(
+    name: str, num_args: int, reduce: Callable[..., Any], skip_nulls: bool = True
+) -> None:
+    AGGREGATES[name] = Aggregate(name, num_args, reduce, skip_nulls)
 
 
 def lookup_aggregate(name: str) -> Optional[Aggregate]:
     return AGGREGATES.get(name.lower())
 
 
-def is_aggregate_name(name: str) -> bool:
-    return name.lower() in AGGREGATES
+_NUMBER_TYPES = {int, float}
 
 
-# -- count -------------------------------------------------------------
-
-_register(
-    Aggregate(
-        "count",
-        1,
-        init=lambda: 0,
-        step=lambda state, args: state + 1,
-        final=lambda state: state,
-    )
-)
-
-# -- sum / avg ---------------------------------------------------------
-
-
-def _numeric(value: Any, fn: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExecutionError(f"{fn} requires numeric input, got {value!r}")
-    return value
+def _numeric(fn: str, *columns: List[Any]) -> None:
+    """Raise for the first non-numeric value, scanning row by row."""
+    # Accept at C speed when every value is exactly an int or a float; bools,
+    # subclasses and offenders take the scan below.
+    for col in columns:
+        if not _NUMBER_TYPES.issuperset(map(type, col)):
+            break
+    else:
+        return
+    for args in zip(*columns):
+        for value in args:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ExecutionError(f"{fn} requires numeric input, got {value!r}")
 
 
-_register(
-    Aggregate(
-        "sum",
-        1,
-        init=lambda: None,
-        step=lambda state, args: (state or 0) + _numeric(args[0], "SUM"),
-        final=lambda state: state,
-    )
-)
+def _register_numeric(name: str, num_args: int, fold: Callable[..., Any]) -> None:
+    """Register ``fold`` behind a check that every argument value is a number."""
+    label = name.upper()
 
-_register(
-    Aggregate(
-        "avg",
-        1,
-        init=lambda: (0.0, 0),
-        step=lambda state, args: (state[0] + _numeric(args[0], "AVG"), state[1] + 1),
-        final=lambda state: state[0] / state[1] if state[1] else None,
-    )
-)
+    def reducer(*columns: List[Any]) -> Any:
+        _numeric(label, *columns)
+        return fold(*columns)
 
-_register(
-    Aggregate(
-        "mean",
-        1,
-        init=lambda: (0.0, 0),
-        step=lambda state, args: (state[0] + _numeric(args[0], "MEAN"), state[1] + 1),
-        final=lambda state: state[0] / state[1] if state[1] else None,
-    )
-)
-
-# -- min / max ---------------------------------------------------------
+    _register(name, num_args, reducer)
 
 
-def _min_step(state: Any, args: tuple) -> Any:
-    value = args[0]
-    if state is None or sort_key(value) < sort_key(state):
-        return value
-    return state
+# -- count / sum / avg / min / max -------------------------------------
+# Sums fold left to right with ``+`` (not the builtin ``sum``, whose float
+# summation is compensated from Python 3.12 on), so results do not depend
+# on the interpreter version.
 
 
-def _max_step(state: Any, args: tuple) -> Any:
-    value = args[0]
-    if state is None or sort_key(value) > sort_key(state):
-        return value
-    return state
+def _avg(values: List[Any]) -> Optional[float]:
+    return reduce(operator.add, values, 0.0) / len(values) if values else None
 
 
-_register(Aggregate("min", 1, init=lambda: None, step=_min_step, final=lambda s: s))
-_register(Aggregate("max", 1, init=lambda: None, step=_max_step, final=lambda s: s))
+_register("count", 1, len)
+_register_numeric("sum", 1, lambda values: reduce(operator.add, values) if values else None)
+_register_numeric("avg", 1, _avg)
+_register_numeric("mean", 1, _avg)
+_register("min", 1, lambda values: min(values, key=sort_key, default=None))
+_register("max", 1, lambda values: max(values, key=sort_key, default=None))
 
 # -- median / quantiles ------------------------------------------------
 
 
-def _median_final(values: List[Any]) -> Any:
+def _median(values: List[Any]) -> Any:
     if not values:
         return None
     ordered = sorted(values)
@@ -124,21 +105,11 @@ def _median_final(values: List[Any]) -> Any:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-_register(
-    Aggregate(
-        "median",
-        1,
-        init=list,
-        step=lambda state, args: state + [_numeric(args[0], "MEDIAN")],
-        final=_median_final,
-    )
-)
-
-
-def _quantile_final(state: tuple) -> Any:
-    values, q = state
+def _quantile(values: List[Any], fractions: List[Any]) -> Any:
+    _numeric("QUANTILE", values)
     if not values:
         return None
+    q = fractions[-1]
     if not 0.0 <= q <= 1.0:
         raise ExecutionError(f"quantile fraction must be in [0, 1], got {q}")
     ordered = sorted(values)
@@ -152,21 +123,10 @@ def _quantile_final(state: tuple) -> Any:
     return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
-_register(
-    Aggregate(
-        "quantile",
-        2,
-        init=lambda: ([], 0.5),
-        step=lambda state, args: (state[0] + [_numeric(args[0], "QUANTILE")], args[1]),
-        final=_quantile_final,
-    )
-)
+_register_numeric("median", 1, _median)
+_register("quantile", 2, _quantile)
 
 # -- variance / stddev -------------------------------------------------
-
-
-def _var_state() -> list:
-    return []
 
 
 def _variance(values: List[float], population: bool) -> Optional[float]:
@@ -180,172 +140,53 @@ def _variance(values: List[float], population: bool) -> Optional[float]:
     return ss / n if population else ss / (n - 1)
 
 
-_register(
-    Aggregate(
-        "var_samp",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "VAR_SAMP")],
-        final=lambda s: _variance(s, population=False),
-    )
-)
-_register(
-    Aggregate(
-        "var_pop",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "VAR_POP")],
-        final=lambda s: _variance(s, population=True),
-    )
-)
-_register(
-    Aggregate(
-        "variance",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "VARIANCE")],
-        final=lambda s: _variance(s, population=False),
-    )
-)
-
-
-def _stddev_final(values: List[float], population: bool) -> Optional[float]:
+def _stddev(values: List[float], population: bool) -> Optional[float]:
     var = _variance(values, population)
     return math.sqrt(var) if var is not None else None
 
 
-_register(
-    Aggregate(
-        "stddev",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "STDDEV")],
-        final=lambda s: _stddev_final(s, population=False),
-    )
-)
-_register(
-    Aggregate(
-        "stddev_samp",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "STDDEV_SAMP")],
-        final=lambda s: _stddev_final(s, population=False),
-    )
-)
-_register(
-    Aggregate(
-        "stddev_pop",
-        1,
-        init=_var_state,
-        step=lambda s, a: s + [_numeric(a[0], "STDDEV_POP")],
-        final=lambda s: _stddev_final(s, population=True),
-    )
-)
+_register_numeric("var_samp", 1, partial(_variance, population=False))
+_register_numeric("var_pop", 1, partial(_variance, population=True))
+_register_numeric("variance", 1, partial(_variance, population=False))
+_register_numeric("stddev", 1, partial(_stddev, population=False))
+_register_numeric("stddev_samp", 1, partial(_stddev, population=False))
+_register_numeric("stddev_pop", 1, partial(_stddev, population=True))
 
 # -- first / last / arg extrema ----------------------------------------
 
-_SENTINEL = object()
 
-_register(
-    Aggregate(
-        "first",
-        1,
-        init=lambda: _SENTINEL,
-        step=lambda state, args: args[0] if state is _SENTINEL else state,
-        final=lambda state: None if state is _SENTINEL else state,
-    )
-)
-_register(
-    Aggregate(
-        "last",
-        1,
-        init=lambda: _SENTINEL,
-        step=lambda state, args: args[0],
-        final=lambda state: None if state is _SENTINEL else state,
-    )
-)
+def _arg_extreme(pick: Callable[..., int]) -> Callable[..., Any]:
+    """The value on the row whose (non-NULL) key is ``pick``'s extreme."""
+
+    def reducer(values: List[Any], keys: List[Any]) -> Any:
+        rows = [i for i, key in enumerate(keys) if key is not None]
+        return values[pick(rows, key=lambda i: sort_key(keys[i]))] if rows else None
+
+    return reducer
 
 
-def _arg_min_step(state: Any, args: tuple) -> Any:
-    value, key = args
-    if key is None:
-        return state
-    if state is None or sort_key(key) < sort_key(state[1]):
-        return (value, key)
-    return state
-
-
-def _arg_max_step(state: Any, args: tuple) -> Any:
-    value, key = args
-    if key is None:
-        return state
-    if state is None or sort_key(key) > sort_key(state[1]):
-        return (value, key)
-    return state
-
-
-_register(
-    Aggregate(
-        "arg_min",
-        2,
-        init=lambda: None,
-        step=_arg_min_step,
-        final=lambda state: state[0] if state else None,
-        skip_nulls=False,
-    )
-)
-_register(
-    Aggregate(
-        "arg_max",
-        2,
-        init=lambda: None,
-        step=_arg_max_step,
-        final=lambda state: state[0] if state else None,
-        skip_nulls=False,
-    )
-)
+_register("first", 1, lambda values: values[0] if values else None)
+_register("last", 1, lambda values: values[-1] if values else None)
+_register("arg_min", 2, _arg_extreme(min), skip_nulls=False)
+_register("arg_max", 2, _arg_extreme(max), skip_nulls=False)
 
 # -- string_agg / bool -------------------------------------------------
 
 _register(
-    Aggregate(
-        "string_agg",
-        2,
-        init=lambda: ([], ","),
-        step=lambda state, args: (state[0] + [str(args[0])], args[1]),
-        final=lambda state: state[1].join(state[0]) if state[0] else None,
-    )
+    "string_agg", 2, lambda values, seps: seps[-1].join(map(str, values)) if values else None
 )
-_register(
-    Aggregate(
-        "bool_and",
-        1,
-        init=lambda: None,
-        step=lambda state, args: bool(args[0]) if state is None else state and bool(args[0]),
-        final=lambda state: state,
-    )
-)
-_register(
-    Aggregate(
-        "bool_or",
-        1,
-        init=lambda: None,
-        step=lambda state, args: bool(args[0]) if state is None else state or bool(args[0]),
-        final=lambda state: state,
-    )
-)
+_register("bool_and", 1, lambda values: all(values) if values else None)
+_register("bool_or", 1, lambda values: any(values) if values else None)
 
 # -- correlation -------------------------------------------------------
 
 
-def _corr_final(pairs: List[tuple]) -> Optional[float]:
-    n = len(pairs)
+def _corr(xs: List[float], ys: List[float]) -> Optional[float]:
+    n = len(xs)
     if n < 2:
         return None
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
     mx, my = sum(xs) / n, sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in pairs)
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sx = math.sqrt(sum((x - mx) ** 2 for x in xs))
     sy = math.sqrt(sum((y - my) ** 2 for y in ys))
     if sx == 0 or sy == 0:
@@ -353,12 +194,4 @@ def _corr_final(pairs: List[tuple]) -> Optional[float]:
     return cov / (sx * sy)
 
 
-_register(
-    Aggregate(
-        "corr",
-        2,
-        init=list,
-        step=lambda s, a: s + [(_numeric(a[0], "CORR"), _numeric(a[1], "CORR"))],
-        final=_corr_final,
-    )
-)
+_register_numeric("corr", 2, _corr)

@@ -44,7 +44,7 @@ from .semantics import (
     split_equi_condition,
 )
 from .table import Column, Schema, Table
-from .types import DataType, cast_value, common_type, parse_type_name, sort_key
+from .types import DataType, cast_value, common_type, infer_column_type, parse_type_name, sort_key
 from .vectorized import (
     Chunk,
     LazyColumns,
@@ -54,7 +54,6 @@ from .vectorized import (
     distinct_indices,
     group_rows,
     hash_join_matches,
-    infer_column_type_fast,
     order_indices,
     truth_indices,
 )
@@ -175,7 +174,7 @@ class ProjectNode(PlanNode):
     def execute(self, ctx: ExecContext) -> Chunk:
         chunk = self.input.execute(ctx)
         cols = [fn(chunk, ctx) for fn in self.fns]
-        types = [infer_column_type_fast(col) for col in cols]
+        types = [infer_column_type(col) for col in cols]
         for fn in self.key_fns:
             cols.append(fn(chunk, ctx))
             types.append(None)
@@ -415,11 +414,9 @@ class AggregateNode(PlanNode):
         cols: List[List[Any]] = (
             [list(col) for col in zip(*key_rows)] if key_rows else [[] for _ in self.key_fns]
         )
-        for agg, arg_fns, is_star, distinct in self.agg_specs:
+        for agg, arg_fns, distinct in self.agg_specs:
             arg_cols = [fn(chunk, ctx) for fn in arg_fns]
-            cols.append(
-                accumulate_aggregate(agg, arg_cols, is_star, distinct, gids, ngroups, chunk.n)
-            )
+            cols.append(accumulate_aggregate(agg, arg_cols, distinct, gids, ngroups))
         groups = Chunk(cols, ngroups)
 
         if self.having is not None:
@@ -428,7 +425,7 @@ class AggregateNode(PlanNode):
                 groups = groups.gather(keep)
 
         out = [fn(groups, ctx) for fn in self.out_fns]
-        types = [infer_column_type_fast(col) for col in out]
+        types = [infer_column_type(col) for col in out]
         if self.order_fns:
             key_cols = [fn(groups, ctx) for fn in self.order_fns]
             order = order_indices(list(zip(*key_cols)), self.order_items)
@@ -451,8 +448,8 @@ class SetOpNode(PlanNode):
     def execute(self, ctx: ExecContext) -> Chunk:
         left = self.left.execute(ctx)
         right = self.right.execute(ctx)
-        ltypes = left.types or [infer_column_type_fast(col) for col in left.cols]
-        rtypes = right.types or [infer_column_type_fast(col) for col in right.cols]
+        ltypes = left.types or [infer_column_type(col) for col in left.cols]
+        rtypes = right.types or [infer_column_type(col) for col in right.cols]
         types = [common_type(a, b) for a, b in zip(ltypes, rtypes)]
 
         if self.op == "UNION":
@@ -815,14 +812,15 @@ class Planner:
             if call.is_star:
                 if agg.name != "count":
                     raise BindError(f"{call.name}(*) is not supported")
-                arg_fns: List[VecFn] = []
+                # COUNT(*) counts a column that is never NULL.
+                arg_fns: List[VecFn] = [lambda chunk, ctx: [True] * chunk.n]
             else:
                 if len(call.args) != agg.num_args:
                     raise BindError(
                         f"aggregate {agg.name} expects {agg.num_args} args, got {len(call.args)}"
                     )
                 arg_fns = [compile_vector(a, binding, subplan) for a in call.args]
-            agg_specs.append((agg, arg_fns, call.is_star, call.distinct))
+            agg_specs.append((agg, arg_fns, call.distinct))
 
         # Columns of the per-group chunk: group keys, then aggregate results.
         slots = {e.key(): i for i, e in enumerate(group_exprs)}
@@ -887,9 +885,9 @@ def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) 
         rows: List[Tuple] = list(zip(*chunk.cols))
     else:
         rows = [()] * chunk.n
-    types = chunk.types or [infer_column_type_fast(col) for col in chunk.cols]
+    types = chunk.types or [infer_column_type(col) for col in chunk.cols]
     columns = [
-        Column(name, dtype if dtype is not None else infer_column_type_fast(col))
+        Column(name, dtype if dtype is not None else infer_column_type(col))
         for name, dtype, col in zip(plan.names, types, chunk.cols)
     ]
     return Table("result", Schema(columns), rows)

@@ -19,8 +19,8 @@ masked evaluation over shrinking row subsets.  The row interpreter under
 
 from __future__ import annotations
 
-import datetime as _dt
 import re
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast
@@ -28,15 +28,7 @@ from .aggregates import Aggregate, lookup_aggregate
 from .errors import BindError, ExecutionError
 from .functions import lookup_scalar
 from .semantics import Binding, InvertedKey, apply_binary, apply_unary, like_regex, to_bool
-from .types import (
-    DataType,
-    cast_value,
-    common_type,
-    compare_values,
-    parse_type_name,
-    sort_key,
-    type_of_value,
-)
+from .types import cast_value, compare_values, parse_type_name, sort_key
 
 #: Exact numeric types for fast paths (``type(x) in _NUM`` excludes bool,
 #: whose ``type`` is ``bool`` even though it subclasses ``int``).
@@ -129,38 +121,6 @@ VecFn = Callable[[Chunk, Any], List[Any]]
 # ----------------------------------------------------------------------
 # Primitive vector helpers
 # ----------------------------------------------------------------------
-_TYPE_TO_DATATYPE = {
-    type(None): DataType.NULL,
-    bool: DataType.BOOLEAN,
-    int: DataType.INTEGER,
-    float: DataType.DOUBLE,
-    str: DataType.TEXT,
-    _dt.date: DataType.DATE,
-    _dt.datetime: DataType.DATE,
-}
-
-
-def infer_column_type_fast(col: List[Any]) -> DataType:
-    """``infer_column_type`` in one C-level pass.
-
-    ``common_type`` is a commutative/associative lattice join, so folding
-    it over the *set* of Python types present gives the same answer as
-    folding over every value — at ``set(map(type, col))`` speed.
-    """
-    result = DataType.NULL
-    for t in set(map(type, col)):
-        dtype = _TYPE_TO_DATATYPE.get(t)
-        if dtype is None:
-            # Unknown type: defer to the value-level rules (raises the
-            # same ExecutionError for unsupported values).
-            sample = next(v for v in col if type(v) is t)
-            dtype = type_of_value(sample)
-        result = common_type(result, dtype)
-        if result == DataType.TEXT:
-            break
-    return result
-
-
 def truth_indices(values: List[Any], context: str) -> List[int]:
     """Indices where a predicate column is (SQL) TRUE — the filter kernel."""
     out: List[int] = []
@@ -413,109 +373,36 @@ def group_rows(key_cols: List[List[Any]], n: int) -> Tuple[List[int], List[Tuple
 def accumulate_aggregate(
     agg: Aggregate,
     arg_cols: List[List[Any]],
-    is_star: bool,
     distinct: bool,
     gids: Optional[List[int]],
     ngroups: int,
-    n: int,
 ) -> List[Any]:
     """Per-group results for one aggregate over the whole input chunk.
 
-    ``gids is None`` means a single implicit group (no GROUP BY).
-    Fast inline loops cover the hot aggregates (COUNT/SUM/AVG/MIN/MAX
-    without DISTINCT); everything else funnels through the aggregate's
-    init/step/final triple.
+    ``gids is None`` means a single implicit group (no GROUP BY).  The
+    argument columns are NULL-filtered and de-duplicated chunk-wide (group
+    id and arguments together), split by group id in row order, and handed
+    to ``agg.reduce`` once per group — the contract spelled out in
+    :mod:`repro.relational.aggregates`.
     """
-    name = agg.name
-    if gids is None:
-        gids = [0] * n
-        ngroups = 1
-
-    if not distinct:
-        if is_star:
-            counts = [0] * ngroups
-            for g in gids:
-                counts[g] += 1
-            return counts
-        if name == "count":
-            counts = [0] * ngroups
-            for g, v in zip(gids, arg_cols[0]):
-                if v is not None:
-                    counts[g] += 1
-            return counts
-        if name == "sum":
-            sums: List[Any] = [None] * ngroups
-            for g, v in zip(gids, arg_cols[0]):
-                if v is None:
-                    continue
-                if type(v) not in _NUM:
-                    raise ExecutionError(f"SUM requires numeric input, got {v!r}")
-                s = sums[g]
-                sums[g] = v if s is None else s + v
-            return sums
-        if name in ("avg", "mean"):
-            label = name.upper()
-            sums = [0.0] * ngroups
-            counts = [0] * ngroups
-            for g, v in zip(gids, arg_cols[0]):
-                if v is None:
-                    continue
-                if type(v) not in _NUM:
-                    raise ExecutionError(f"{label} requires numeric input, got {v!r}")
-                sums[g] += v
-                counts[g] += 1
-            return [s / c if c else None for s, c in zip(sums, counts)]
-        if name in ("min", "max"):
-            best: List[Any] = [None] * ngroups
-            best_key: List[Any] = [None] * ngroups
-            want_low = name == "min"
-            for g, v in zip(gids, arg_cols[0]):
-                if v is None:
-                    continue
-                k = sort_key(v)
-                bk = best_key[g]
-                if bk is None or (k < bk if want_low else k > bk):
-                    best[g] = v
-                    best_key[g] = k
-            return best
-
-    # Generic path: init/step/final with optional DISTINCT de-duplication.
-    states = [agg.init() for _ in range(ngroups)]
+    # Group ids ride along as one more column through both filters.
+    cols = arg_cols if gids is None else [*arg_cols, gids]
+    if agg.skip_nulls and None in cols[0]:
+        present = [v is not None for v in cols[0]]
+        cols = [list(compress(col, present)) for col in cols]
     if distinct:
-        seen: List[set] = [set() for _ in range(ngroups)]
-    if is_star:
-        for i, g in enumerate(gids):
-            if distinct:
-                if () in seen[g]:
-                    continue
-                seen[g].add(())
-            states[g] = agg.step(states[g], ())
-    elif len(arg_cols) == 1:
-        skip_nulls = agg.skip_nulls
-        step = agg.step
-        for g, v in zip(gids, arg_cols[0]):
-            if skip_nulls and v is None:
-                continue
-            if distinct:
-                marker = (sort_key(v),)
-                if marker in seen[g]:
-                    continue
-                seen[g].add(marker)
-            states[g] = step(states[g], (v,))
-    else:
-        skip_nulls = agg.skip_nulls
-        step = agg.step
-        for i, args in enumerate(zip(*arg_cols)):
-            g = gids[i]
-            if skip_nulls and args[0] is None:
-                continue
-            if distinct:
-                marker = tuple(sort_key(a) for a in args)
-                if marker in seen[g]:
-                    continue
-                seen[g].add(marker)
-            states[g] = step(states[g], args)
-    return [agg.final(state) for state in states]
+        first_seen = distinct_indices(Chunk(cols, len(cols[0])))
+        cols = [[col[i] for i in first_seen] for col in cols]
+    if gids is None:
+        return [agg.reduce(*cols)]
+    *arg_cols, gids = cols
+    split: List[List[List[Any]]] = []
+    for col in arg_cols:
+        buckets: List[List[Any]] = [[] for _ in range(ngroups)]
+        for g, v in zip(gids, col):
+            buckets[g].append(v)
+        split.append(buckets)
+    return list(map(agg.reduce, *split))
 
 
 # ----------------------------------------------------------------------

@@ -22,23 +22,15 @@ Everything is drawn from one seeded generator derived from
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..datasets.generator import make_rng, normal, pick, with_nulls
+from ..storage.crash import derive_seed  # also imported from here by stress and the benchmark
 from .grid import ATTRIBUTE_WORDS, ENTITY_CLASSES, RELATION_TYPES, ScenarioCell
 
 _CLASS_ORDER = ["subject", "location", "narrative"]
 _FK_NULL_FRACTION = 0.05
-
-
-def derive_seed(seed: int, *tags: object) -> int:
-    """A stable 63-bit seed for a tagged substream (cells never share draws)."""
-    digest = hashlib.blake2b(
-        ":".join([str(seed), *[str(t) for t in tags]]).encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") >> 1
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,13 @@ oracle the resilience benchmark compares degraded paths against.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..llm.interface import TransientDependencyError
-from ..storage.crash import NO_CRASH, CrashInjector, CrashSpec
+from ..storage.crash import NO_CRASH, CrashInjector, CrashSpec, derive_seed
 
 __all__ = [
     "FaultSpec",
@@ -34,13 +33,6 @@ __all__ = [
     "FlakySQL",
     "CrashSpec",
 ]
-
-
-def derive_seed(*parts) -> int:
-    """A stable 63-bit seed from arbitrary labels (no salted ``hash()``)."""
-    key = ":".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1
 
 
 @dataclass(frozen=True)

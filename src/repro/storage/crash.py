@@ -39,6 +39,7 @@ __all__ = [
     "NO_CRASH",
     "crash_point",
     "all_crash_points",
+    "derive_seed",
 ]
 
 
@@ -84,8 +85,12 @@ def describe_crash_point(name: str) -> str:
         return _REGISTRY[name]
 
 
-def _derive_seed(*parts) -> int:
-    """A stable 63-bit seed from labels (same scheme as service.faults)."""
+def derive_seed(*parts) -> int:
+    """A stable 63-bit seed from arbitrary labels (no salted ``hash()``).
+
+    The one seed derivation: fault schedules, crash draws and scenario
+    substreams all key their RNGs through it.
+    """
     key = ":".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
@@ -157,7 +162,7 @@ class CrashInjector:
             if not fatal and self.spec.rate > 0.0:
                 rng = self._rngs.get(point)
                 if rng is None:
-                    rng = random.Random(_derive_seed(self.spec.seed, point))
+                    rng = random.Random(derive_seed(self.spec.seed, point))
                     self._rngs[point] = rng
                 fatal = rng.random() < self.spec.rate
             if fatal:

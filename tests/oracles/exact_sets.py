@@ -43,8 +43,11 @@ def exact_join_candidates(
             if family == "null":
                 continue
             values = distinct_values(table.column_values(column.name))
-            # Mirror the sketch path's numeric coalescing (2 == 2.0).
+            # Mirror the sketch path: a column with a non-integral value is a
+            # measurement, never a key; numerics coalesce (2 == 2.0).
             if family == "numeric":
+                if any(isinstance(v, float) and v == v and not v.is_integer() for v in values):
+                    continue
                 values = {float(v) if isinstance(v, (int, bool)) else v for v in values}
             if len(values) < min_distinct:
                 continue

@@ -6,9 +6,10 @@ in aggregate context, one group) at a time.  Production has one engine
 (:mod:`repro.relational.plan`); this one exists so the tests can hold it
 to an independent evaluation of the same statement.  It carries its own
 binder (``_Binding``, star expansion, alias/ordinal resolution, equi-join
-splitting), its own aggregate finders and its own grouped evaluator, and
-shares only the scalar kernels of :mod:`repro.relational.semantics` with
-the engine under test.
+splitting), its own aggregate finders, its own grouped evaluator and its
+own per-row folds for COUNT / SUM / AVG / MIN / MAX (``_ROW_FOLDS``), and
+shares only the scalar kernels of :mod:`repro.relational.semantics` and the
+remaining aggregate reducers with the engine under test.
 """
 
 from __future__ import annotations
@@ -45,6 +46,50 @@ def _apply_binary(op: str, left_fn: Callable[[], Any], right_fn: Callable[[], An
 
 
 Row = Tuple[Any, ...]
+
+
+def _numeric(value: Any, fn: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExecutionError(f"{fn} requires numeric input, got {value!r}")
+    return value
+
+
+def _avg_fold(fn: str) -> Tuple[Callable, Callable, Callable]:
+    return (
+        lambda: (0.0, 0),
+        lambda state, args: (state[0] + _numeric(args[0], fn), state[1] + 1),
+        lambda state: state[0] / state[1] if state[1] else None,
+    )
+
+
+def _min_step(state: Any, args: tuple) -> Any:
+    value = args[0]
+    if state is None or sort_key(value) < sort_key(state):
+        return value
+    return state
+
+
+def _max_step(state: Any, args: tuple) -> Any:
+    value = args[0]
+    if state is None or sort_key(value) > sort_key(state):
+        return value
+    return state
+
+
+#: (init, step, final) per aggregate name: the engine's most-used reducers
+#: are held to a row-at-a-time fold rather than to themselves.
+_ROW_FOLDS: Dict[str, Tuple[Callable, Callable, Callable]] = {
+    "count": (lambda: 0, lambda state, args: state + 1, lambda state: state),
+    "sum": (
+        lambda: None,
+        lambda state, args: (state or 0) + _numeric(args[0], "SUM"),
+        lambda state: state,
+    ),
+    "avg": _avg_fold("AVG"),
+    "mean": _avg_fold("MEAN"),
+    "min": (lambda: None, _min_step, lambda state: state),
+    "max": (lambda: None, _max_step, lambda state: state),
+}
 
 
 class _Binding:
@@ -592,7 +637,7 @@ class RowExecutor:
             member_rows = groups[hashable]
             agg_results: List[Any] = []
             for agg, arg_fns, is_star, distinct in agg_specs:
-                state = agg.init()
+                kept: List[Tuple] = []
                 seen: Set[Tuple] = set()
                 for row in member_rows:
                     if is_star:
@@ -606,8 +651,16 @@ class RowExecutor:
                         if marker in seen:
                             continue
                         seen.add(marker)
-                    state = agg.step(state, args)
-                agg_results.append(agg.final(state))
+                    kept.append(args)
+                if agg.name in _ROW_FOLDS:
+                    init, step, final = _ROW_FOLDS[agg.name]
+                    state = init()
+                    for args in kept:
+                        state = step(state, args)
+                    agg_results.append(final(state))
+                else:
+                    columns = [[args[k] for args in kept] for k in range(len(arg_fns))]
+                    agg_results.append(agg.reduce(*columns))
             group_rows.append((key_values[hashable], agg_results))
 
         group_key_map = {e.key(): i for i, e in enumerate(group_exprs)}

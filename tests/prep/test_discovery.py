@@ -90,6 +90,25 @@ class TestDiscoveryBehavior:
         assert discover_join_candidates(profiles) == []
 
 
+    def test_measurement_columns_are_never_keys(self):
+        """Two columns of two-decimal readings overlap almost fully; neither
+        is a key.  Integral doubles still join INTEGER keys."""
+        readings = [round(i * 0.25, 2) for i in range(400)]
+        lake = Database("measures")
+        lake.register(Table.from_columns("a", {"id": list(range(400)), "reading": readings}))
+        lake.register(
+            Table.from_columns(
+                "b", {"a_ref": [float(i) for i in range(400)], "level": readings[::-1]}
+            )
+        )
+        profiles = ProfileStore().profile_catalog(lake)
+        assert profiles["a"].column("reading").fractional
+        assert not profiles["b"].column("a_ref").fractional
+        found = candidate_keys(discover_join_candidates(profiles))
+        assert found == {("a", "id", "b", "a_ref"), ("b", "a_ref", "a", "id")}
+        assert found == candidate_keys(exact_join_candidates(lake))
+
+
 class TestPipelineCaching:
     def test_warm_rediscovery_skips_profile_builds(self, planted):
         lake, _ = planted

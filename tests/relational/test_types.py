@@ -59,6 +59,24 @@ class TestCommonType:
         assert infer_column_type([None, 1, 2.0]) == DataType.DOUBLE
         assert infer_column_type([]) == DataType.NULL
         assert infer_column_type(["a", 1]) == DataType.TEXT
+        assert infer_column_type(v for v in [1, None, True]) == DataType.TEXT  # any iterable
+
+    @pytest.mark.parametrize("values", [["a", [1]], [[1], "a"], ["a", 1, [1]], [[1], 1, "a"]])
+    def test_infer_column_unsupported_type_raises_even_beside_text(self, values):
+        # Every type present is consulted: reaching TEXT does not hide an
+        # unsupported type, whichever order the type set iterates in.
+        with pytest.raises(ExecutionError, match="unsupported value type: list"):
+            infer_column_type(values)
+
+    def test_subclasses_take_their_base_type(self):
+        class Day(datetime.datetime):
+            pass
+
+        class Code(int):
+            pass
+
+        assert type_of_value(Day(2020, 1, 1)) == DataType.DATE
+        assert infer_column_type([Code(3), 1.5]) == DataType.DOUBLE
 
 
 class TestCast:

@@ -5,6 +5,7 @@ import pytest
 from repro.scenarios import (
     ScenarioCell,
     build_scenario,
+    enumerate_grid,
     render_grid,
     report_to_json,
     run_cell,
@@ -93,6 +94,16 @@ class TestFullGrid:
         report = run_grid(seed=7, stress=stress, storage_root=tmp_path)
         assert [c.cell_id for c in report.failing()] == []
         assert len(report.cells) == cells and report.coverage == 1.0
+
+    def test_measurement_columns_are_not_join_keys_at_scale(self):
+        """At 20k rows two-decimal attribute columns overlap almost fully;
+        these three cells used to align through that shortcut and
+        materialise ~2x the planted oracle's rows."""
+        at_risk = {"KK-2hop-enrich", "KK-3hop-discover", "UU-3hop-discover"}
+        cells = [c for c in enumerate_grid() if c.cell_id in at_risk]
+        report = run_grid(cells, seed=7, rows=20000)
+        assert len(report.cells) == 3
+        assert [(c.cell_id, c.detail) for c in report.failing()] == []
 
 
 class TestReports:

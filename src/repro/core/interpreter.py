@@ -14,10 +14,11 @@ interpolate / rename / select / limit / result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..frames.frame import DataFrame, FrameError
 from ..frames.series import Series
+from ..obs import trace as obs
 from ..relational.catalog import Database
 from ..relational.errors import RelationalError
 from ..relational.table import Table
@@ -65,33 +66,50 @@ class PipelineInterpreter:
         self.source = source
 
     def run(self, program: Sequence[Mapping[str, Any]]) -> PipelineResult:
-        """Run a program; raises :class:`InterpreterError` on the failing op."""
+        """Run a program; raises :class:`InterpreterError` on the failing op.
+
+        Traced as one ``interpreter.run`` span with a child
+        ``interpreter.<op>`` per step (rows in, rows out, output width), so
+        a slow turn can name the step that emitted the cells.
+        """
         frames: Dict[str, DataFrame] = {}
         result = PipelineResult()
-        if not program:
-            raise InterpreterError(0, "program", "empty program")
-        for step, raw in enumerate(program):
-            op = raw.get("op")
-            if op not in OP_SIGNATURES:
-                raise InterpreterError(step, str(op), f"unknown op; known: {sorted(OP_SIGNATURES)}")
-            missing = [k for k in OP_SIGNATURES[op] if k not in raw]
-            if missing:
-                raise InterpreterError(step, op, f"missing fields: {missing}")
-            try:
-                self._execute(op, raw, frames, result)
-            except InterpreterError:
-                raise
-            except (FrameError, RelationalError, KeyError, ValueError, TypeError) as exc:
-                raise InterpreterError(step, op, str(exc)) from exc
-            result.trace.append(self._describe(op, raw))
-        if not result.tables:
-            raise InterpreterError(len(program) - 1, "result", "program produced no result table")
+        with obs.span("interpreter.run", steps=len(program)):
+            if not program:
+                raise InterpreterError(0, "program", "empty program")
+            for step, raw in enumerate(program):
+                op = raw.get("op")
+                if op not in OP_SIGNATURES:
+                    raise InterpreterError(
+                        step, str(op), f"unknown op; known: {sorted(OP_SIGNATURES)}"
+                    )
+                missing = [k for k in OP_SIGNATURES[op] if k not in raw]
+                if missing:
+                    raise InterpreterError(step, op, f"missing fields: {missing}")
+                with obs.span(f"interpreter.{op}", step=step) as sp:
+                    try:
+                        read, wrote = self._execute(op, raw, frames, result)
+                    except InterpreterError:
+                        raise
+                    except (FrameError, RelationalError, KeyError, ValueError, TypeError) as exc:
+                        raise InterpreterError(step, op, str(exc)) from exc
+                    sp.set_attr("rows_in", sum(len(frame) for frame in read))
+                    sp.set_attr("rows_out", wrote.shape[0])
+                    sp.set_attr("columns", wrote.shape[1])
+                result.trace.append(self._describe(op, raw))
+            if not result.tables:
+                raise InterpreterError(
+                    len(program) - 1, "result", "program produced no result table"
+                )
         return result
 
     # ------------------------------------------------------------------
-    def _frame(self, frames: Dict[str, DataFrame], name: str) -> DataFrame:
+    def _frame(
+        self, frames: Dict[str, DataFrame], name: str, read: List[DataFrame]
+    ) -> DataFrame:
         if name not in frames:
             raise FrameError(f"frame {name!r} not defined; defined: {sorted(frames)}")
+        read.append(frames[name])
         return frames[name]
 
     def _execute(
@@ -100,23 +118,26 @@ class PipelineInterpreter:
         raw: Mapping[str, Any],
         frames: Dict[str, DataFrame],
         result: PipelineResult,
-    ) -> None:
+    ) -> Tuple[List[DataFrame], DataFrame]:
+        """Run one op; returns the frames it read and the frame it produced
+        (``result`` produces a table: its frame is the one it read)."""
+        read: List[DataFrame] = []
         out_name = raw.get("as") or raw.get("frame") or raw.get("table")
         if op == "load":
             table = self.source.resolve_table(raw["table"])
-            frames[raw.get("as", raw["table"])] = DataFrame.from_table(table)
+            wrote = frames[raw.get("as", raw["table"])] = DataFrame.from_table(table)
         elif op == "join":
-            left = self._frame(frames, raw["left"])
-            right = self._frame(frames, raw["right"])
-            merged = left.merge(
-                right,
-                left_on=raw["left_on"],
-                right_on=raw["right_on"],
-                how=raw.get("how", "inner"),
+            left = self._frame(frames, raw["left"], read)
+            right = self._frame(frames, raw["right"], read)
+            how = raw.get("how", "inner")
+            obs.set_attr("how", how)
+            obs.set_attr("left_on", raw["left_on"])
+            obs.set_attr("right_on", raw["right_on"])
+            wrote = frames[raw.get("as", raw["left"])] = left.merge(
+                right, left_on=raw["left_on"], right_on=raw["right_on"], how=how
             )
-            frames[raw.get("as", raw["left"])] = merged
         elif op == "add_from_records":
-            frame = self._frame(frames, raw["frame"])
+            frame = self._frame(frames, raw["frame"], read)
             lookup = {}
             for record in raw["records"]:
                 key = record.get(raw["record_key"])
@@ -126,14 +147,14 @@ class PipelineInterpreter:
             values = [
                 lookup.get(str(v).lower()) if v is not None else None for v in key_col
             ]
-            frames[out_name] = frame.assign(**{raw["new_column"]: Series(values)})
+            wrote = frames[out_name] = frame.assign(**{raw["new_column"]: Series(values)})
         elif op == "parse_dates":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.assign(
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.assign(
                 **{raw["column"]: frame[raw["column"]].parse_dates()}
             )
         elif op == "derive":
-            frame = self._frame(frames, raw["frame"])
+            frame = self._frame(frames, raw["frame"], read)
             left = self._operand(frame, raw["left"])
             right = self._operand(frame, raw["right"])
             ops = {
@@ -145,42 +166,47 @@ class PipelineInterpreter:
             operator = raw["operator"]
             if operator not in ops:
                 raise FrameError(f"unknown derive operator {operator!r}")
-            frames[out_name] = frame.assign(**{raw["new_column"]: ops[operator](left, right)})
+            wrote = frames[out_name] = frame.assign(
+                **{raw["new_column"]: ops[operator](left, right)}
+            )
         elif op == "filter_not_null":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.dropna(subset=raw["columns"])
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.dropna(subset=raw["columns"])
         elif op == "filter_equals":
-            frame = self._frame(frames, raw["frame"])
+            frame = self._frame(frames, raw["frame"], read)
             column = frame[raw["column"]]
             target = raw["value"]
             if isinstance(target, str):
                 mask = column.map(lambda v: str(v).lower() == target.lower())
             else:
                 mask = column == target
-            frames[out_name] = frame.filter(mask)
+            wrote = frames[out_name] = frame.filter(mask)
         elif op == "sort":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.sort_values(raw["by"], ascending=raw.get("ascending", True))
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.sort_values(
+                raw["by"], ascending=raw.get("ascending", True)
+            )
         elif op == "interpolate":
-            frame = self._frame(frames, raw["frame"])
+            frame = self._frame(frames, raw["frame"], read)
             ordered = frame.sort_values(raw["order_by"])
-            frames[out_name] = ordered.assign(
+            wrote = frames[out_name] = ordered.assign(
                 **{raw["column"]: ordered[raw["column"]].interpolate()}
             )
         elif op == "rename":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.rename(raw["mapping"])
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.rename(raw["mapping"])
         elif op == "select":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.select(raw["columns"])
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.select(raw["columns"])
         elif op == "limit":
-            frame = self._frame(frames, raw["frame"])
-            frames[out_name] = frame.head(int(raw["n"]))
+            frame = self._frame(frames, raw["frame"], read)
+            wrote = frames[out_name] = frame.head(int(raw["n"]))
         elif op == "result":
-            frame = self._frame(frames, raw["frame"])
-            result.tables[raw["name"]] = frame.to_table(raw["name"])
+            wrote = self._frame(frames, raw["frame"], read)
+            result.tables[raw["name"]] = wrote.to_table(raw["name"])
         else:  # pragma: no cover - guarded by OP_SIGNATURES
             raise InterpreterError(-1, op, "unreachable")
+        return read, wrote
 
     @staticmethod
     def _operand(frame: DataFrame, spec: Any) -> Any:

@@ -16,6 +16,25 @@ class FrameError(Exception):
     """Raised for malformed frame operations (the interpreter reports these)."""
 
 
+def _join_keys(frame: "DataFrame", names: Sequence[str]) -> List[Any]:
+    """One join key per row of ``frame``; ``None`` where a key column is NULL.
+
+    A single key column is its own value list, read once and not copied;
+    several make one tuple a row.  ``1``, ``1.0`` and ``True`` hash and
+    compare equal either way, so they meet in one bucket.
+    """
+    columns = [frame._columns[name].values for name in names]
+    if len(columns) == 1:
+        return columns[0]
+    keys = (tuple(column[i] for column in columns) for i in range(len(frame)))
+    return [None if any(v is None for v in key) else key for key in keys]
+
+
+def _gather(values: List[Any], ids: Sequence[Optional[int]]) -> List[Any]:
+    """``values`` at each row id; ``None`` where the id is ``None``."""
+    return [None if i is None else values[i] for i in ids]
+
+
 class DataFrame:
     """An ordered mapping of column names to equal-length Series."""
 
@@ -218,6 +237,21 @@ class DataFrame:
         how: str = "inner",
         suffixes: Tuple[str, str] = ("", "_right"),
     ) -> "DataFrame":
+        """Join on equal, non-NULL keys: a hash join over row-id vectors.
+
+        Build ``key -> right row ids`` in one pass over ``other``'s key
+        column(s); probe ``self``'s once, recording each output row as a
+        pair of row ids; then gather every output column in one pass over
+        its source list.  Rows come out in left order, each left row's
+        matches in right order; ``left`` / ``outer`` keep an unmatched
+        left row in place, ``right`` / ``outer`` append the unmatched
+        right rows in right order (with ``on=``, carrying their key in the
+        shared key column).  A matched row keeps each side's own key
+        object (``1`` beside ``1.0``).  A right column whose name the left
+        frame has takes ``suffixes[1]``; two output columns may not share
+        a name.  ``tests/oracles/frames_merge.py`` is the row-at-a-time
+        reference this is held to.
+        """
         if on is not None:
             left_keys = [on] if isinstance(on, str) else list(on)
             right_keys = list(left_keys)
@@ -238,56 +272,55 @@ class DataFrame:
                     f"right merge key {key!r} not found; available: {other.columns}"
                 )
 
-        index: Dict[Tuple, List[int]] = {}
-        for j in range(len(other)):
-            key = tuple(other[k][j] for k in right_keys)
-            if any(v is None for v in key):
-                continue
-            index.setdefault(key, []).append(j)
+        # Build: key -> right row ids in right order; a NULL key never matches.
+        index: Dict[Any, List[int]] = {}
+        for j, key in enumerate(_join_keys(other, right_keys)):
+            if key is not None:
+                index.setdefault(key, []).append(j)
 
         shared_right = set(right_keys) if on is not None else set()
-        right_out_names = {}
+        right_out_names: Dict[str, str] = {}
+        out_names = set(self._columns)
         for name in other.columns:
             if name in shared_right:
                 continue
-            out = name
-            if out in self._columns:
-                out = name + suffixes[1]
-                if out in self._columns:
-                    raise FrameError(f"suffixed column {out!r} still collides")
+            out = name + suffixes[1] if name in self._columns else name
+            if out in out_names:
+                raise FrameError(f"suffixed column {out!r} still collides")
+            out_names.add(out)
             right_out_names[name] = out
 
-        out_cols: Dict[str, List[Any]] = {n: [] for n in self.columns}
-        for name, out in right_out_names.items():
-            out_cols[out] = []
-
-        matched_right: set = set()
-
-        def emit(i: Optional[int], j: Optional[int]) -> None:
-            for n in self.columns:
-                if i is not None:
-                    out_cols[n].append(self[n][i])
-                elif n in left_keys and j is not None and on is not None:
-                    # Right-only row in an outer/right join: carry the key.
-                    out_cols[n].append(other[right_keys[left_keys.index(n)]][j])
-                else:
-                    out_cols[n].append(None)
-            for name, out in right_out_names.items():
-                out_cols[out].append(other[name][j] if j is not None else None)
-
-        for i in range(len(self)):
-            key = tuple(self[k][i] for k in left_keys)
-            matches = [] if any(v is None for v in key) else index.get(key, [])
+        # Probe: output row r is left row left_ids[r] beside right row
+        # right_ids[r]; None marks the side a row does not have.
+        left_ids: List[Optional[int]] = []
+        right_ids: List[Optional[int]] = []
+        keep_unmatched_left = how in ("left", "outer")
+        for i, key in enumerate(_join_keys(self, left_keys)):
+            matches = None if key is None else index.get(key)
             if matches:
-                for j in matches:
-                    matched_right.add(j)
-                    emit(i, j)
-            elif how in ("left", "outer"):
-                emit(i, None)
+                left_ids.extend([i] * len(matches))
+                right_ids.extend(matches)
+            elif keep_unmatched_left:
+                left_ids.append(i)
+                right_ids.append(None)
+        right_only = len(left_ids)  # rows from here on have no left side
         if how in ("right", "outer"):
-            for j in range(len(other)):
-                if j not in matched_right:
-                    emit(None, j)
+            matched_right = set(right_ids)
+            unmatched = [j for j in range(len(other)) if j not in matched_right]
+            left_ids.extend([None] * len(unmatched))
+            right_ids.extend(unmatched)
+
+        # Gather: one pass per output column over its source list.
+        out_cols: Dict[str, List[Any]] = {
+            n: _gather(s.values, left_ids) for n, s in self._columns.items()
+        }
+        if on is not None:
+            # A right-only row carries its key in the shared key column.
+            tail = right_ids[right_only:]
+            for n in left_keys:
+                out_cols[n][right_only:] = _gather(other._columns[n].values, tail)
+        for name, out in right_out_names.items():
+            out_cols[out] = _gather(other._columns[name].values, right_ids)
         return DataFrame(out_cols)
 
     def concat(self, other: "DataFrame") -> "DataFrame":

@@ -5,6 +5,7 @@ import datetime
 import pytest
 
 from repro.core import InterpreterError, PipelineInterpreter
+from repro.obs import Tracer
 from repro.relational import Database, Table
 
 
@@ -202,3 +203,58 @@ class TestErrors:
                 {"op": "load", "table": "ghost_table", "as": "main"},
                 {"op": "result", "frame": "main", "name": "out"},
             ])
+
+
+class TestSpans:
+    """Under an active trace a program is one ``interpreter.run`` span with a
+    child per step; with none, ``obs.span`` hands back the no-op singleton."""
+
+    JOIN_PROGRAM = [
+        {"op": "load", "table": "samples", "as": "main"},
+        {"op": "load", "table": "sites", "as": "dim"},
+        {"op": "join", "left": "main", "right": "dim",
+         "left_on": "site_id", "right_on": "site_id", "how": "left", "as": "main"},
+        {"op": "derive", "frame": "main", "new_column": "double",
+         "operator": "*", "left": {"col": "value"}, "right": {"lit": 2}},
+        {"op": "select", "frame": "main", "columns": ["name", "double"]},
+        {"op": "result", "frame": "main", "name": "out"},
+    ]
+
+    def test_one_child_per_step_with_rows_and_columns(self, source):
+        tracer = Tracer()
+        with tracer.start_trace("turn") as root:
+            traced = run(source, self.JOIN_PROGRAM)
+        (program,) = root.children
+        assert (program.name, program.attrs) == ("interpreter.run", {"steps": 6})
+        sizes = [
+            (s.name, s.attrs["rows_in"], s.attrs["rows_out"], s.attrs["columns"])
+            for s in program.children
+        ]
+        assert sizes == [
+            ("interpreter.load", 0, 4, 4),
+            ("interpreter.load", 0, 2, 2),
+            ("interpreter.join", 6, 4, 6),
+            ("interpreter.derive", 4, 4, 7),
+            ("interpreter.select", 4, 4, 2),
+            ("interpreter.result", 4, 4, 2),
+        ]
+        assert [s.attrs["step"] for s in program.children] == list(range(6))
+        join = program.children[2].attrs
+        assert (join["how"], join["left_on"], join["right_on"]) == ("left", "site_id", "site_id")
+        assert traced.tables["out"].rows == run(source, self.JOIN_PROGRAM).tables["out"].rows
+
+    def test_failing_step_closes_its_span_as_an_error(self, source):
+        tracer = Tracer()
+        with tracer.start_trace("turn") as root:
+            with pytest.raises(InterpreterError, match=r"^step 1 \(select\): columns not found"):
+                run(source, [
+                    {"op": "load", "table": "samples", "as": "main"},
+                    {"op": "select", "frame": "main", "columns": ["ghost"]},
+                ])
+        (program,) = root.children
+        assert [(s.name, s.status) for s in program.iter_spans()] == [
+            ("interpreter.run", "error"),
+            ("interpreter.load", "ok"),
+            ("interpreter.select", "error"),
+        ]
+        assert "rows_out" not in program.children[1].attrs

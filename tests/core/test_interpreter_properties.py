@@ -96,3 +96,27 @@ def test_pipeline_then_sql_aggregate_consistency(xs, gs):
     via_pipeline = scratch.query_value("SELECT SUM(x) FROM target WHERE g = 'b'")
     direct = db.query_value("SELECT SUM(x) FROM t WHERE g = 'b'")
     assert via_pipeline == direct
+
+
+@given(values, values, values, st.sampled_from(["inner", "left"]))
+def test_join_matches_sql_join(ks, xs, rs, how):
+    """NULL and duplicate keys on both sides: the pipeline's join returns
+    the rows of the SQL ``JOIN`` / ``LEFT JOIN`` (as a bag; SQL fixes no order)."""
+    n = min(len(ks), len(xs))
+    db = Database()
+    db.register(Table.from_columns("a", {"k": ks[:n], "x": xs[:n]}))
+    db.register(Table.from_columns("b", {"k": rs, "y": list(range(len(rs)))}))
+    result = PipelineInterpreter(db).run(
+        [
+            {"op": "load", "table": "a", "as": "main"},
+            {"op": "load", "table": "b", "as": "dim"},
+            {"op": "join", "left": "main", "right": "dim",
+             "left_on": "k", "right_on": "k", "how": how},
+            {"op": "result", "frame": "main", "name": "out"},
+        ]
+    )
+    out = result.tables["out"]
+    assert out.column_names() == ["k", "x", "k_right", "y"]
+    join = "JOIN" if how == "inner" else "LEFT JOIN"
+    sql = db.execute(f"SELECT a.k, a.x, b.k, b.y FROM a {join} b ON a.k = b.k")
+    assert sorted(out.rows, key=repr) == sorted(sql.rows, key=repr)

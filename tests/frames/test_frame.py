@@ -1,5 +1,7 @@
 """Unit tests for DataFrame operations."""
 
+import types
+
 import pytest
 
 from repro.frames import DataFrame, FrameError, Series
@@ -159,6 +161,66 @@ class TestMerge:
     def test_bad_how_raises(self, df, right):
         with pytest.raises(FrameError):
             df.merge(right, on="group", how="sideways")
+
+    @pytest.mark.parametrize("right_names", [("k", "a", "a_right"), ("k", "a_right", "a")])
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_two_right_columns_on_one_output_name_raise(self, right_names, rows):
+        """``a`` takes the suffix and lands on the right frame's own
+        ``a_right``: refused by name, rows or no rows, not reported as
+        ``columns of unequal length`` or resolved by dropping one."""
+        left = DataFrame({"k": [1, 2][:rows], "a": ["x", "y"][:rows]})
+        right = DataFrame({name: [1, 2][:rows] for name in right_names})
+        with pytest.raises(FrameError, match="^suffixed column 'a_right' still collides$"):
+            left.merge(right, on="k")
+
+    def test_right_only_rows_carry_their_key_and_matches_keep_their_own(self):
+        left = DataFrame({"k": [1, 2], "a": ["x", "y"]})
+        right = DataFrame({"k": [1.0, True, 3], "b": ["p", "q", "r"]})
+        out = left.merge(right, on="k", how="outer")
+        assert out.to_dicts() == [
+            {"k": 1, "a": "x", "b": "p"},
+            {"k": 1, "a": "x", "b": "q"},
+            {"k": 2, "a": "y", "b": None},
+            {"k": 3, "a": None, "b": "r"},
+        ]
+        assert [type(v) for v in out["k"]] == [int, int, int, int]
+        keyed = left.merge(right, left_on="k", right_on="k", how="right")
+        assert keyed.columns == ["k", "a", "k_right", "b"]
+        assert keyed["k"].tolist() == [1, 1, None]  # no `on`: nothing carried
+        assert [repr(v) for v in keyed["k_right"]] == ["1.0", "True", "3"]
+
+    def test_merge_reads_columns_not_cells(self, monkeypatch):
+        """The join probes once and gathers per column: ``Series.__getitem__``
+        calls grow with the column count, not with rows x columns."""
+        n = 2000
+        left = DataFrame({"k": list(range(n)), "a": [1] * n, "b": [2] * n})
+        right = DataFrame({"k": list(range(n)), "c": [3] * n, "d": [4] * n, "e": [5] * n})
+        calls = 0
+        getitem = Series.__getitem__
+
+        def counting(series, index):
+            nonlocal calls
+            calls += 1
+            return getitem(series, index)
+
+        monkeypatch.setattr(Series, "__getitem__", counting)
+        out = left.merge(right, on="k", how="outer")
+        monkeypatch.undo()
+        assert out.shape == (n, 6)
+        assert calls <= 4 * len(out.columns)  # the row-at-a-time body made 16,000 here
+
+
+class TestOutsideTracerContract:
+    """``benchmarks/turn_budget/spans.py::install`` wraps these six by name and
+    refuses anything that is not a plain function in the class's own
+    ``__dict__``; a property, a classmethod, an inherited or renamed method
+    fails every workload of the benchmark."""
+
+    @pytest.mark.parametrize(
+        "name", ["merge", "sort_values", "filter", "take", "to_table", "groupby"]
+    )
+    def test_wrapped_method_is_a_plain_function_on_the_class(self, name):
+        assert isinstance(DataFrame.__dict__.get(name), types.FunctionType)
 
 
 class TestConcat:

@@ -58,6 +58,13 @@ def test_one_table_identity():
             assert "retriever" not in name.split("."), f"{path}: imports {name}"
 
 
+def test_frames_is_plain_python():
+    """``frames/`` is lists and dicts: no numpy."""
+    for path in sorted((SRC / "frames").rglob("*.py")):
+        for name in imported_modules(path):
+            assert name.split(".")[0] != "numpy", f"{path}: imports {name}"
+
+
 def test_relational_public_surface():
     assert repro.relational.__all__ == [
         "Database",

@@ -19,6 +19,8 @@ RETRIEVAL_QUESTION = (
     "What is the total purchase order cost impact of the new tariffs by supplier?"
 )
 SQL_QUESTION = "What is the total price of purchase orders by supplier?"
+# A value filter keeps the materializer off the seeded path: it runs a program.
+PIPELINE_QUESTION = "What is the average price of orders from Germany?"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,21 @@ class TestSpanTrees:
         for span in root.iter_spans():
             assert span.end is not None
             assert root.start <= span.start <= span.end <= root.end
+
+    def test_materialize_trace_names_each_interpreter_step(self, lake):
+        with traced_service(lake) as service:
+            session = service.open_session(user="alice")
+            service.post_turn(session, PIPELINE_QUESTION)
+            root = service.tracer.traces("turn")[0]
+        (materialize,) = root.find("action.materialize")
+        (program,) = materialize.find("interpreter.run")
+        steps = [(s.name, s.attrs["rows_in"], s.attrs["rows_out"]) for s in program.children]
+        assert len(steps) == program.attrs["steps"]
+        assert steps[0] == ("interpreter.load", 0, 4000)  # purchase_orders
+        (filtered,) = [s for s in program.children if s.name == "interpreter.filter_equals"]
+        assert filtered.attrs["rows_in"] == 4000 > filtered.attrs["rows_out"] > 0
+        assert steps[-1][0] == "interpreter.result"
+        assert all(s.attrs["columns"] > 0 for s in program.children)
 
     def test_untraced_service_keeps_no_tracer(self, lake):
         with PneumaService(lake, max_workers=2) as service:
@@ -91,7 +108,7 @@ class TestTransparency:
                 build_procurement_lake(), max_workers=2, observability=observability
             ) as service:
                 session = service.open_session(user="u")
-                for message in (RETRIEVAL_QUESTION, SQL_QUESTION):
+                for message in (RETRIEVAL_QUESTION, SQL_QUESTION, PIPELINE_QUESTION):
                     response = service.post_turn(session, message)
                     out.append((response.message, response.state_view, response.degraded))
             return out

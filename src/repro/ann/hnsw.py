@@ -17,6 +17,10 @@ the same seed):
 * all unvisited neighbors of an expanded node are evaluated in one
   vectorized gather + matvec instead of one ``metric`` call per
   neighbor;
+* neighbor selection on insert gathers its candidates once and takes
+  their mutual distances in one product — or, picking few of many, one
+  pass per *selected* neighbor — instead of one gather + matvec per
+  candidate (that form is ``tests/oracles/hnsw_select.py``);
 * the per-search ``visited`` set is a reusable per-thread int-tag array
   (an epoch counter makes clearing free, and per-thread storage keeps
   frozen indexes lock-free under concurrent search);
@@ -137,7 +141,11 @@ class HNSWIndex:
         return vector
 
     def _dist_block(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Distances from ``query`` to the stored rows ``ids``, one matvec.
+        """Distances from ``query`` to the stored rows ``ids``, one matvec."""
+        return self._dist_rows(self._matrix[ids], query)
+
+    def _dist_rows(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """Distances from ``query`` to already-gathered ``rows``.
 
         ``query`` is already prepared (normalized for cosine), so cosine
         distance is ``1 - dot``; zero rows/queries stay zero after
@@ -145,7 +153,6 @@ class HNSWIndex:
         Outputs are grid-quantized so exact-arithmetic ties order
         identically here and in the scalar legacy oracle.
         """
-        rows = self._matrix[ids]
         if self._normalize:
             return quantize_distances(1.0 - rows @ query)
         if self.metric_name == "ip":
@@ -389,24 +396,48 @@ class HNSWIndex:
         self, query: np.ndarray, candidates: List[Tuple[float, int]], m: int
     ) -> List[Tuple[float, int]]:
         """Algorithm 4: keep candidates closer to the query than to any
-        already-selected neighbor, preserving direction diversity."""
+        already-selected neighbor, preserving direction diversity.
+
+        The candidate rows are gathered once, and the walk reads
+        booleans.  When nearly every candidate will be kept (a shrink:
+        ``max_degree`` of ``max_degree + 1`` links) all their mutual
+        distances come out of one quantized product; when few of many
+        will be (an insert: ``m`` of the ``ef_construction`` beam) each
+        *selected* candidate costs one pass over the gathered block —
+        at most ``m * n`` dot products against the product's ``n * n``,
+        and small enough to stay out of the BLAS thread pool.  ``l2``
+        always takes the passes (its product form would be an
+        ``(n, n, dim)`` difference tensor), and ``(a - b)**2 ==
+        (b - a)**2`` exactly, so the distances are the ones a
+        per-candidate scan computes.
+        """
+        scored = np.array(candidates, dtype=np.float64).reshape(-1, 2)
+        dists = scored[:, 0]
+        rows = self._matrix[scored[:, 1].astype(np.int64)]
+        if self.metric_name != "l2" and len(candidates) <= 2 * m + 1:
+            products = rows @ rows.T
+            pairwise = quantize_distances(1.0 - products if self._normalize else -products)
+            closer = pairwise < dists[:, None]
+
+            def closer_to(chosen: int) -> np.ndarray:
+                return closer[:, chosen]
+
+        else:
+
+            def closer_to(chosen: int) -> np.ndarray:
+                return self._dist_rows(rows, rows[chosen]) < dists
+
         selected: List[Tuple[float, int]] = []
-        selected_ids: List[int] = []
-        for d, node in candidates:
+        dominated = np.zeros(len(candidates), dtype=bool)
+        for position, candidate in enumerate(candidates):
             if len(selected) >= m:
                 break
-            dominated = False
-            if selected_ids:
-                to_chosen = self._dist_block(
-                    np.asarray(selected_ids, dtype=np.int64), self._matrix[node]
-                )
-                dominated = bool((to_chosen < d).any())
-            if not dominated:
-                selected.append((d, node))
-                selected_ids.append(node)
+            if not dominated[position]:
+                selected.append(candidate)
+                dominated |= closer_to(position)  # candidates nearer to it than to the query
         # Backfill with nearest remaining if diversity pruned too many.
         if len(selected) < m:
-            chosen_ids = set(selected_ids)
+            chosen_ids = {node for _, node in selected}
             for d, node in candidates:
                 if len(selected) >= m:
                     break

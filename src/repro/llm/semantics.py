@@ -30,7 +30,7 @@ from typing import (
 
 import numpy as np
 
-from ..text.embedding import CachedEmbedder
+from ..text.embedding import CachedEmbedder, trigram_table_stats
 from ..text.tokenize import stem_vocabulary_stats, token_cache_stats, tokenize
 
 # Memoized: policies re-score the same table/column names on every
@@ -168,6 +168,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
         "embedding": _EMBEDDER.stats(),
         "stems": stem_vocabulary_stats(),
         **token_cache_stats(),
+        "trigrams": trigram_table_stats(),
     }
 
 

@@ -1,23 +1,36 @@
 """Join candidate discovery over column sketches.
 
 The sketch path never touches row data: candidate enumeration compares
-MinHash signatures (stacked into one matrix per type family, so the
-pairwise slot-match counts come out of a handful of numpy matmul-shaped
-passes) and derives containment from the HLL cardinalities.  The exact
-path — full pairwise distinct-set intersection, what discovery would
-cost without sketches — is the tests' oracle
-(``tests/oracles/exact_sets.py``).
+MinHash signatures and derives containment from the HLL cardinalities.
+Per type family the densified signatures are one ``(n, k)`` matrix; a
+block of slots at a time is ranked with one stable ``argsort``, columns
+that agree on a slot come out as runs of equal cells, every run emits
+its column pairs with array arithmetic, and ``np.unique`` folds the
+pairs into slot-match counts — near-linear in ``n``, no per-slot or
+per-pair Python.  The slot-at-a-time ``Counter`` form it replaced is
+``tests/oracles/discovery_slotwise.py``; the exact path — full pairwise
+distinct-set intersection, what discovery would cost without sketches —
+is ``tests/oracles/exact_sets.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from .profile import ColumnProfile, TableProfile
+from .sketches import dense_signatures
+
+#: Signature cells ranked per ``argsort`` call, and column pairs counted
+#: per fold.  The working set of a step is a few arrays of this many
+#: entries, so it stays small beside the signatures themselves however
+#: many columns a family has and however much they overlap (``peak_rss_mb``
+#: is set inside discovery on a wide catalog); a small catalog ranks all
+#: ``k`` slots in one call, and no catalog needs more than the ``k`` calls
+#: of a slot at a time.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,48 @@ def _flatten(profiles: Mapping[str, TableProfile]) -> List[ColumnProfile]:
     return columns
 
 
+def _slot_match_counts(signatures: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column pairs that share at least one signature slot, and how many.
+
+    Returns ``(pairs, counts)``: ``pairs`` is ``(p, 2)`` row indices with
+    ``pairs[:, 0] < pairs[:, 1]``, ``counts`` the number of slots on
+    which the two rows hold the same value.  Disjoint columns never
+    share a slot value, so pairs that are absent have Jaccard 0.
+    """
+    n, k = signatures.shape
+    codes = np.empty(0, dtype=np.int64)  # row_a * n + row_b, ascending
+    counts = np.empty(0, dtype=np.float64)
+
+    def fold(emitted: np.ndarray) -> None:
+        # A pair repeats once per slot it matches on: count the batch first,
+        # then merge into the totals, which hold one entry per distinct pair.
+        nonlocal codes, counts
+        matched, times = np.unique(emitted, return_counts=True)
+        codes, inverse = np.unique(np.concatenate((codes, matched)), return_inverse=True)
+        counts = np.bincount(inverse, weights=np.concatenate((counts, times)))
+
+    slots = max(1, _BLOCK_CELLS // n)
+    for at in range(0, k, slots):
+        # one slot a row: the sort runs along the contiguous axis
+        block = np.ascontiguousarray(signatures[:, at : at + slots].T)
+        # Stable, so the rows of a run of equal cells are in ascending order.
+        order = np.argsort(block, axis=1, kind="stable")
+        cells = np.take_along_axis(block, order, axis=1)
+        first = np.ones(cells.shape, dtype=bool)  # a slot's first cell opens a run
+        np.not_equal(cells[:, 1:], cells[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        lengths = np.diff(starts, append=first.size)
+        order = order.ravel()
+        for length in np.unique(lengths[lengths >= 2]).tolist():
+            runs = starts[lengths == length]
+            low, high = np.triu_indices(length, 1)
+            step = max(1, _BLOCK_CELLS // low.size)  # runs a batch of pairs
+            for batch in range(0, runs.size, step):
+                members = order[runs[batch : batch + step, None] + np.arange(length)]
+                fold((members[:, low] * n + members[:, high]).ravel())
+    return np.stack(np.divmod(codes, n), axis=1), counts
+
+
 def discover_join_candidates(
     profiles: Mapping[str, TableProfile],
     min_containment: float = 0.5,
@@ -62,11 +117,12 @@ def discover_join_candidates(
 ) -> List[JoinCandidate]:
     """Rank cross-table column pairs by estimated containment.
 
-    Columns are grouped by type family and their signatures stacked into
-    one ``(n, k)`` matrix; slot-match counts for all pairs fall out of a
-    single broadcasted comparison per family.  Emits one candidate per
-    *direction* whose containment clears ``min_containment``, sorted by
-    containment then Jaccard (descending).
+    Columns are grouped by type family and their densified signatures
+    stacked into one ``(n, k)`` matrix (:func:`dense_signatures`);
+    :func:`_slot_match_counts` turns it into slot-match counts for the
+    pairs that overlap at all.  Emits one candidate per *direction*
+    whose containment clears ``min_containment``, sorted by containment
+    then Jaccard (descending).
     """
     by_family: Dict[str, List[ColumnProfile]] = {}
     for column in _flatten(profiles):
@@ -78,39 +134,18 @@ def discover_join_candidates(
 
     candidates: List[JoinCandidate] = []
     for columns in by_family.values():
-        n = len(columns)
-        if n < 2:
+        if len(columns) < 2:
             continue
-        signatures = np.stack([c.sketch.dense_signature() for c in columns])  # (n, k)
+        signatures = dense_signatures([c.sketch for c in columns])  # (n, k)
         k = signatures.shape[1]
         cards = np.array([c.distinct_estimate for c in columns])
         ids: Dict[str, int] = {}
         table_ids = np.array(
             [ids.setdefault(c.table, len(ids)) for c in columns], dtype=np.int64
         )  # same-table pairs are never join candidates
-        # Sparse slot-match counting instead of the dense (n, n, k)
-        # comparison: per signature slot, group columns by slot value and
-        # count co-occurrences.  Disjoint columns never share a slot
-        # value, so the work is ~k sorts plus a few increments per
-        # genuinely-overlapping pair — near-linear in n, and identical in
-        # output to the dense compare (uncounted pairs have Jaccard 0).
-        pair_counts: Counter = Counter()
-        for s in range(k):
-            order = np.argsort(signatures[:, s], kind="stable")
-            sv = signatures[order, s]
-            bounds = np.flatnonzero(np.diff(sv)) + 1
-            starts = np.r_[0, bounds]
-            ends = np.r_[bounds, n]
-            for r in np.flatnonzero(ends - starts >= 2):
-                group = np.sort(order[starts[r] : ends[r]]).tolist()
-                for x in range(len(group)):
-                    gx = group[x]
-                    for gy in group[x + 1 :]:
-                        pair_counts[(gx, gy)] += 1
-        if not pair_counts:
+        idx, counts = _slot_match_counts(signatures)
+        if not counts.size:
             continue
-        idx = np.array(list(pair_counts), dtype=np.int64)  # (pairs, 2)
-        counts = np.array(list(pair_counts.values()), dtype=np.float64)
         jaccards = counts / float(k)
         ci, cj = cards[idx[:, 0]], cards[idx[:, 1]]
         inter = np.clip(jaccards / (1.0 + jaccards) * (ci + cj), 0.0, np.minimum(ci, cj))

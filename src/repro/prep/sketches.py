@@ -227,8 +227,9 @@ class ColumnSketch:
         signature = np.full(k, _EMPTY_SLOT, dtype=np.uint64)
         registers = np.zeros(m, dtype=np.uint8)
         if keys.size:
-            # ``keys`` arrive sorted (np.unique), so both groupings below are
-            # runs of consecutive elements — no scattered ufunc.at updates.
+            # ``keys`` arrive sorted (encode_values; duplicates kept), so both
+            # groupings below are runs of consecutive elements — no scattered
+            # ufunc.at updates.
             # One-permutation MinHash: the key's top bits pick the bin, the
             # key itself is the candidate minimum (= first key of the run).
             bins = (keys >> np.uint64(64 - kbits)).astype(np.int64)
@@ -254,32 +255,13 @@ class ColumnSketch:
         filled bin; the probe sequence depends only on (bin index,
         attempt), so two sketches densify compatibly and slot-match
         counts stay an unbiased Jaccard estimator even for columns with
-        fewer distinct values than bins.  Cached after the first call;
-        merging always uses the raw bins.
+        fewer distinct values than bins.  Cached after the first call
+        (by :func:`dense_signatures`, which does the work); merging
+        always uses the raw bins.
         """
-        if self._dense is not None:
-            return self._dense
-        sig = self.signature.copy()
-        empty = np.flatnonzero(sig == _EMPTY_SLOT)
-        if empty.size and empty.size < sig.size:
-            k = np.uint64(sig.size)
-            pending = empty
-            attempt = 1
-            while pending.size:
-                probes = (
-                    _splitmix64(
-                        pending.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                        + np.uint64(attempt)
-                    )
-                    % k
-                ).astype(np.int64)
-                donors = sig[probes]
-                ok = donors != _EMPTY_SLOT
-                sig[pending[ok]] = donors[ok]
-                pending = pending[~ok]
-                attempt += 1
-        self._dense = sig
-        return sig
+        if self._dense is None:
+            dense_signatures([self])
+        return self._dense
 
     # ------------------------------------------------------------------
     # Estimators
@@ -338,3 +320,44 @@ class ColumnSketch:
     def is_empty(self) -> bool:
         return not self.registers.any()
 
+
+#: Sketches densified per probe loop: the loop's temporaries are a few
+#: arrays of one entry per still-empty cell, at most this many rows' worth.
+_DENSIFY_ROWS = 256
+
+
+def dense_signatures(sketches: Sequence[ColumnSketch]) -> np.ndarray:
+    """Densified signatures of same-``k`` sketches as one ``(n, k)`` matrix.
+
+    The probe sequence depends only on (bin index, attempt), so one probe
+    vector per attempt serves every sketch: each round gathers the donors
+    of all still-empty cells of a block of rows at once and keeps the
+    cells whose donor is filled.  Row ``i`` equals
+    ``sketches[i].dense_signature()`` and is cached on that sketch;
+    sketches densified earlier are reused, and a sketch with no filled
+    bin keeps its all-empty row.
+    """
+    sigs = np.stack([s.signature if s._dense is None else s._dense for s in sketches])
+    k = sigs.shape[1]
+    seeds = np.arange(k, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for at in range(0, len(sketches), _DENSIFY_ROWS):
+        block = sigs[at : at + _DENSIFY_ROWS]
+        empty = block == _EMPTY_SLOT
+        empty[empty.all(axis=1)] = False  # nothing to borrow from
+        flat = block.reshape(-1)
+        cells = np.flatnonzero(empty)  # row * k + bin of every cell still to fill
+        attempt = 0
+        while cells.size:
+            attempt += 1
+            probes = (_splitmix64(seeds + np.uint64(attempt)) % np.uint64(k)).astype(np.int64)
+            bins = cells % k
+            donors = flat[cells - bins + probes[bins]]
+            ok = donors != _EMPTY_SLOT
+            flat[cells[ok]] = donors[ok]
+            cells = cells[~ok]
+    fresh = [i for i, sketch in enumerate(sketches) if sketch._dense is None]
+    # A view keeps the whole matrix alive: cache views only when every row is
+    # newly cached (a cold catalog), copies of the few new rows otherwise.
+    for i in fresh:
+        sketches[i]._dense = sigs[i] if len(fresh) == len(sketches) else sigs[i].copy()
+    return sigs

@@ -12,20 +12,62 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .tokenize import char_ngrams_cached, tokenize_cached
 
 
-def _hash_feature(feature: str, dim: int) -> tuple:
-    """Stable (index, sign) pair for a feature string."""
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
-    value = int.from_bytes(digest, "little")
-    index = value % dim
-    sign = 1.0 if (value >> 63) & 1 else -1.0
-    return index, sign
+def _feature_digest(feature: str) -> bytes:
+    """The 8 bytes a feature string hashes to (little-endian uint64)."""
+    return hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+
+
+class _TrigramTable(dict):
+    """Character trigram -> the digest of its ``c:`` feature, hashed once.
+
+    Trigrams are cut from tokenizer-normalized text (``[a-z0-9]`` words
+    joined by single spaces), so there are at most 37**3 + 37**2 + 37 of
+    them: the table is bounded by its alphabet, not by an eviction rule.
+    A narration is ~900 features of which three quarters are trigrams,
+    and a whole catalog draws them from a few thousand distinct strings.
+    Content-keyed and process-wide like the tokenizer memos; a miss
+    racing another thread stores the same bytes twice.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+        self._lookups = 0
+        self._misses = 0
+
+    def __missing__(self, gram: str) -> bytes:
+        digest = self[gram] = _feature_digest(f"c:{gram}")
+        with self._lock:
+            self._misses += 1
+        return digest
+
+    def digests(self, grams: Sequence[str]) -> Iterator[bytes]:
+        with self._lock:
+            self._lookups += len(grams)
+        return map(self.__getitem__, grams)
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "hits": self._lookups - self._misses,
+                "misses": self._misses,
+                "size": len(self),
+            }
+
+
+_TRIGRAMS = _TrigramTable()
+
+
+def trigram_table_stats() -> dict:
+    """Hit/miss/size counters of the trigram hash table (for service stats)."""
+    return _TRIGRAMS.stats()
 
 
 class HashingEmbedder:
@@ -41,24 +83,36 @@ class HashingEmbedder:
             raise ValueError(f"embedding dim must be >= 8, got {dim}")
         self.dim = dim
 
-    def _features(self, text: str) -> List[tuple]:
+    def embed(self, text: str) -> np.ndarray:
+        """Embed one text as a float64 unit vector (zero vector for empty text).
+
+        Every feature — words, then word bigrams, then character
+        trigrams — hashes to 64 bits: the value modulo ``dim`` is its
+        coordinate, the top bit its sign.  ``np.bincount`` adds the
+        signed weights in feature order, which is what a
+        ``vec[index] += sign * weight`` loop does, bit for bit
+        (``tests/oracles/embedding_scalar.py`` is that loop).
+        """
         # Memoized tokenization: queries re-embed every Conductor turn,
         # and the narration/vector caches above this layer only absorb
         # exact repeats of the *embedding*, not of the token stream.
         words = tokenize_cached(text)
-        features = [(f"w:{w}", self.WORD_WEIGHT) for w in words]
-        features += [
-            (f"b:{a}_{b}", self.BIGRAM_WEIGHT) for a, b in zip(words, words[1:])
-        ]
-        features += [(f"c:{g}", self.CHAR_WEIGHT) for g in char_ngrams_cached(text, 3)]
-        return features
-
-    def embed(self, text: str) -> np.ndarray:
-        """Embed one text as a float64 unit vector (zero vector for empty text)."""
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for feature, weight in self._features(text):
-            index, sign = _hash_feature(feature, self.dim)
-            vec[index] += sign * weight
+        grams = char_ngrams_cached(text, 3)
+        digests = [_feature_digest(f"w:{w}") for w in words]
+        digests += [_feature_digest(f"b:{a}_{b}") for a, b in zip(words, words[1:])]
+        bigrams = len(digests) - len(words)
+        digests.extend(_TRIGRAMS.digests(grams))
+        if not digests:
+            return np.zeros(self.dim, dtype=np.float64)
+        hashed = np.frombuffer(b"".join(digests), dtype="<u8")
+        weights = np.repeat(
+            (self.WORD_WEIGHT, self.BIGRAM_WEIGHT, self.CHAR_WEIGHT),
+            (len(words), bigrams, len(grams)),
+        )
+        np.negative(weights, out=weights, where=hashed >> np.uint64(63) == 0)
+        vec = np.bincount(
+            (hashed % np.uint64(self.dim)).astype(np.intp), weights=weights, minlength=self.dim
+        )
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm

@@ -247,7 +247,8 @@ class TestTables:
     def test_cache_stats_names_every_table(self):
         stats = cache_stats()
         assert set(stats) == {
-            "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams"
+            "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",
+            "trigrams",
         }  # fmt: skip
         for counters in stats.values():
             assert set(counters) == {"hits", "misses", "size"}

@@ -2,7 +2,10 @@
 twin or a second SQL engine, and nothing there imports from the test tree."""
 
 import ast
+import types
 from pathlib import Path
+
+import pytest
 
 import repro
 import repro.relational
@@ -63,6 +66,53 @@ def test_frames_is_plain_python():
     for path in sorted((SRC / "frames").rglob("*.py")):
         for name in imported_modules(path):
             assert name.split(".")[0] != "numpy", f"{path}: imports {name}"
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_build_kernels_have_no_scalar_twin_in_src():
+    """The catalog build's three array passes replaced their per-element
+    bodies in place; those live on as ``tests/oracles/discovery_slotwise.py``,
+    ``embedding_scalar.py`` and ``hnsw_select.py`` only."""
+    discovery = SRC / "prep" / "discovery.py"
+    assert "collections" not in set(imported_modules(discovery))  # the Counter of pairs
+    called = {
+        node.func.attr
+        for node in ast.walk(_function(SRC / "ann" / "hnsw.py", "_select_heuristic"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "_dist_block" not in called  # one product per selection, not per candidate
+    for path in sorted(SRC.rglob("*.py")):
+        assert "_hash_feature" not in path.read_text(), path  # the per-feature scalar hash
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("repro.ann.hnsw.HNSWIndex", "add"),
+        ("repro.text.bm25.BM25Index", "add"),
+        ("repro.text.embedding.CachedEmbedder", "embed_batch"),
+        ("repro.prep.pipeline.PreparationPipeline", "profiles"),
+        ("repro.prep.pipeline.PreparationPipeline", "join_candidates"),
+    ],
+)
+def test_build_path_methods_the_outside_tracer_wraps(owner, name):
+    """``benchmarks/turn_budget/spans.py::install`` wraps these by name, counts
+    their calls (one per document) and refuses anything that is not a plain
+    function in the class's own ``__dict__``."""
+    import importlib
+
+    module, _, cls = owner.rpartition(".")
+    assert isinstance(
+        getattr(importlib.import_module(module), cls).__dict__.get(name), types.FunctionType
+    )
 
 
 def test_relational_public_surface():

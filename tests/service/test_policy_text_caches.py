@@ -132,7 +132,8 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     assert set(caches) == {"narration", "embedding", "policy_text"}
     policy = caches["policy_text"]
     assert set(policy) == {
-        "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams"
+        "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",
+        "trigrams",
     }  # fmt: skip
     assert policy == {
         name: {"hits": c["hits"], "misses": c["misses"], "size": c["size"]}
@@ -140,3 +141,7 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     }
     assert policy["lexicon"]["size"] > 0 and policy["questions"]["hits"] > 0
     assert policy["stems"]["size"] > 0
+    # The embedder's trigram hash table: every narration trigram after the
+    # first occurrence is a hit.
+    assert 0 < policy["trigrams"]["size"] == policy["trigrams"]["misses"]
+    assert policy["trigrams"]["hits"] > policy["trigrams"]["misses"]

@@ -50,6 +50,7 @@ BASE_SHAPE = {
             name: HIT_MISS
             for name in (
                 "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",
+                "trigrams",
             )
         },
     },

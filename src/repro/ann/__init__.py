@@ -1,14 +1,10 @@
 """ann — approximate nearest-neighbor indexes (HNSW)."""
 
 from .hnsw import HNSWIndex, Neighbor
-from .metrics import METRICS, cosine_distance, inner_product_distance, l2_distance, resolve_metric
+from .metrics import METRICS
 
 __all__ = [
     "HNSWIndex",
     "Neighbor",
     "METRICS",
-    "resolve_metric",
-    "cosine_distance",
-    "l2_distance",
-    "inner_product_distance",
 ]

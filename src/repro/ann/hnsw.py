@@ -26,8 +26,8 @@ the same seed):
   frozen indexes lock-free under concurrent search);
 * :meth:`compile` — the freeze-time step — compacts the matrix to its
   live rows and flattens the adjacency dicts into per-level CSR arrays,
-  so searching allocates nothing per expansion.  Mutation after
-  :meth:`compile` transparently de-compiles.
+  so searching allocates nothing per expansion.  An index is built
+  once: :meth:`add` raises after :meth:`compile`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import quantize_distance, quantize_distances, resolve_metric
+from .metrics import METRICS, quantize_distance, quantize_distances
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
@@ -88,9 +88,10 @@ class HNSWIndex:
             raise ValueError(f"m must be >= 2, got {m}")
         if ef_construction < m:
             raise ValueError("ef_construction must be >= m")
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; known: {sorted(METRICS)}")
         self.dim = dim
         self.metric_name = metric
-        self._metric = resolve_metric(metric)  # scalar fallback / introspection
         self._normalize = metric == "cosine"
         self.m = m
         self.m0 = 2 * m
@@ -99,17 +100,14 @@ class HNSWIndex:
         self.seed = seed  # recorded so a persisted index can be rebuilt bit-identically
         self._level_mult = 1.0 / math.log(m)
         self._rng = random.Random(seed)
-        # Set when hydrated from a persistent segment: the mutable
-        # adjacency dicts were never rebuilt (and the matrix may be a
-        # read-only mmap), so insertion/update is forbidden.
-        self._hydrated = False
 
         self._keys: List[str] = []
         self._positions: Dict[str, int] = {}
         self._matrix = np.empty((0, dim), dtype=np.float64)
         self._count = 0
-        # _links[level][node] -> list of neighbor node ids (mutable form);
-        # compile() flattens each level to (offsets, flat) CSR arrays.
+        # _links[level][node] -> list of neighbor node ids (build form);
+        # compile() flattens each level to (offsets, flat) CSR arrays, and
+        # from then on the index is search-only.
         self._links: List[Dict[int, List[int]]] = []
         self._node_levels: List[int] = []
         self._entry_point: Optional[int] = None
@@ -191,15 +189,10 @@ class HNSWIndex:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> bool:
-        return self._csr is not None
-
     def compile(self) -> "HNSWIndex":
         """Freeze-time compile: compact the vector matrix to its live rows
         and flatten every level's adjacency into CSR arrays.  Idempotent;
-        :meth:`add` de-compiles (links change), :meth:`update` does not
-        (the compacted matrix is the live storage)."""
+        the index is search-only from then on."""
         if self._csr is not None:
             return self
         self._matrix = np.ascontiguousarray(self._matrix[: self._count])
@@ -257,9 +250,9 @@ class HNSWIndex:
         """Rebuild a search-only index from :meth:`export_compiled` data.
 
         ``matrix``/``csr`` are referenced, not copied — pass memory-mapped
-        views and beam search runs straight off the file.  The mutable
-        adjacency dicts are *not* reconstructed, so :meth:`add`/
-        :meth:`update` raise.
+        views and beam search runs straight off the file.  The build-time
+        adjacency dicts are *not* reconstructed; like any compiled index
+        it is search-only.
         """
         index = cls(
             dim=int(meta["dim"]),
@@ -280,24 +273,21 @@ class HNSWIndex:
             (np.asarray(offsets, dtype=np.int64), np.asarray(flat, dtype=np.int64))
             for offsets, flat in csr
         ]
-        index._hydrated = True
         return index
-
-    @property
-    def hydrated(self) -> bool:
-        """True when restored from a segment (search-only)."""
-        return self._hydrated
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
     def add(self, key: str, vector: np.ndarray) -> None:
         """Insert a vector (duplicate keys are rejected; use a fresh key)."""
-        self._check_mutable()
+        if self._csr is not None:
+            raise RuntimeError(
+                "this HNSWIndex is compiled (frozen, or hydrated from a persistent "
+                "segment) and search-only; build a new index to add"
+            )
         if key in self._positions:
             raise KeyError(f"key {key!r} already present")
         row = self._prepare(vector)
-        self._csr = None  # links are about to change
 
         node = self._count
         self._ensure_capacity()
@@ -521,29 +511,3 @@ class HNSWIndex:
             current = self._greedy_step(current, prepared, lvl)
         candidates = self._search_layer(prepared, [current], ef, 0)
         return candidates[:k]
-
-    def add_batch(self, items: Sequence[Tuple[str, np.ndarray]]) -> None:
-        """Insert many ``(key, vector)`` pairs in one call."""
-        for key, vector in items:
-            self.add(key, vector)
-
-    def update(self, key: str, vector: np.ndarray) -> None:
-        """Replace the stored vector of an existing key in place.
-
-        Graph links are kept as built, so after many large updates the
-        neighborhood structure can drift from optimal — searches stay
-        correct (distances always use the current vector) but recall may
-        degrade; rebuild the index if the corpus churns heavily.  Works
-        on a compiled index (the compacted matrix is the live storage).
-        """
-        self._check_mutable()
-        if key not in self._positions:
-            raise KeyError(f"key {key!r} is not present; use add()")
-        self._matrix[self._positions[key]] = self._prepare(vector)
-
-    def _check_mutable(self) -> None:
-        if self._hydrated:
-            raise RuntimeError(
-                "this HNSWIndex was hydrated from a persistent segment and is "
-                "search-only; rebuild from source vectors to mutate"
-            )

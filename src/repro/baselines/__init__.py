@@ -1,12 +1,12 @@
 """baselines — every comparison system of §4 plus the static-pipeline
 ablation of §3.5."""
 
-from .ds_guru import DSGuruRunner, build_ds_guru_llm
-from .full_context import FullContextAnswer, FullContextRunner, build_full_context_llm
-from .rag_system import RAGSystem, build_rag_llm
+from .ds_guru import DSGuruRunner
+from .full_context import FullContextAnswer, FullContextRunner
+from .rag_system import RAGSystem
 from .seeker_system import SeekerSystem
-from .static_pipeline import StaticPipelineRunner, build_static_llm
-from .static_systems import FTSSystem, RetrieverOnlySystem, render_table_raw
+from .static_pipeline import StaticPipelineRunner
+from .static_systems import FTSSystem, RetrieverOnlySystem
 
 __all__ = [
     "FTSSystem",
@@ -17,9 +17,4 @@ __all__ = [
     "FullContextRunner",
     "FullContextAnswer",
     "StaticPipelineRunner",
-    "build_rag_llm",
-    "build_ds_guru_llm",
-    "build_full_context_llm",
-    "build_static_llm",
-    "render_table_raw",
 ]

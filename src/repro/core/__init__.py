@@ -14,7 +14,7 @@ from .actions import (
     action_to_json,
 )
 from .conductor import Conductor, TurnLog
-from .convergence import Concept, concept_mentioned, coverage, uncovered
+from .convergence import Concept
 from .interpreter import InterpreterError, PipelineInterpreter, PipelineResult
 from .materializer import MaterializationOutcome, Materializer
 from .session import SeekerResponse, SeekerSession, build_seeker_llm
@@ -38,9 +38,6 @@ __all__ = [
     "PipelineResult",
     "InterpreterError",
     "Concept",
-    "concept_mentioned",
-    "coverage",
-    "uncovered",
     "Action",
     "ActionError",
     "Reason",

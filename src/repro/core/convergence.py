@@ -1,17 +1,14 @@
-"""Convergence helpers: concept coverage between texts and information needs.
+"""The unit of convergence: one concept of an information need.
 
 Convergence (§3.1) happens when the user's *active* information need — what
-they have articulated — matches the *latent* one.  These helpers give both
-the LLM-Sim policy and the evaluation a single definition of "a concept was
-mentioned in this text".
+they have articulated — matches the *latent* one.  A need is a list of
+:class:`Concept` values; whether a text mentions one is decided in one
+place, the LLM-Sim policy (``llm/policies/user_sim.py::_mentioned``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-from ..text.tokenize import tokenize
 
 
 @dataclass(frozen=True)
@@ -31,34 +28,3 @@ class Concept:
 
     def to_json(self) -> dict:
         return {"token": self.token, "kind": self.kind}
-
-
-def concept_mentioned(concept_phrase: str, text: str) -> bool:
-    """All stemmed words of the phrase occur in the (stemmed) text."""
-    text_tokens = set(tokenize(text))
-    words = tokenize(concept_phrase)
-    return bool(words) and all(w in text_tokens for w in words)
-
-
-def coverage(concepts: Sequence[Concept], text: str) -> float:
-    """Fraction of concepts mentioned in ``text`` (1.0 when no concepts)."""
-    if not concepts:
-        return 1.0
-    text_tokens = set(tokenize(text))
-    hit = 0
-    for concept in concepts:
-        words = tokenize(concept.token)
-        if words and all(w in text_tokens for w in words):
-            hit += 1
-    return hit / len(concepts)
-
-
-def uncovered(concepts: Sequence[Concept], text: str) -> List[Concept]:
-    """Concepts not yet mentioned in ``text``."""
-    text_tokens = set(tokenize(text))
-    out: List[Concept] = []
-    for concept in concepts:
-        words = tokenize(concept.token)
-        if not words or not all(w in text_tokens for w in words):
-            out.append(concept)
-    return out

@@ -48,10 +48,6 @@ class SQLExecutor:
                 sp.set_attr("error", type(exc).__name__)
                 return SQLResult(sql=sql, error=f"{type(exc).__name__}: {exc}")
 
-    def plan_cache_stats(self) -> dict:
-        """Hit/miss counters of the backing database's plan cache."""
-        return self.database.plan_cache_stats()
-
     def execute_all(self, queries: List[str]) -> List[SQLResult]:
         """Execute Q in order, stopping at the first error."""
         results: List[SQLResult] = []

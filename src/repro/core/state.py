@@ -78,7 +78,6 @@ class SharedState:
         # A service may hand every session one shared SQL plan cache so
         # repeated templated Q executions skip parse+bind+plan; keys are
         # namespaced per database, so sharing is collision-free.
-        self._plan_cache = plan_cache
         self.materialized = Database("materialized", plan_cache=plan_cache)
         self.version = 0
         self.changelog: List[str] = []
@@ -96,12 +95,6 @@ class SharedState:
         self.tables[spec.name] = spec
         self._bump(f"{action} target table {spec.name!r} with columns {spec.column_names()}")
 
-    def remove_table(self, name: str) -> None:
-        if name in self.tables:
-            del self.tables[name]
-            self.materialized.drop_table(name, if_exists=True)
-            self._bump(f"removed target table {name!r}")
-
     def set_queries(self, queries: Sequence[str]) -> None:
         self.queries = list(queries)
         self._bump(f"updated Q to {len(self.queries)} quer{'y' if len(self.queries)==1 else 'ies'}")
@@ -116,13 +109,6 @@ class SharedState:
     def record_result(self, table: Table) -> None:
         self.last_result = table
         self._bump(f"executed Q; result has {table.num_rows} row(s)")
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.queries.clear()
-        self.materialized = Database("materialized", plan_cache=self._plan_cache)
-        self.last_result = None
-        self._bump("cleared state")
 
     # ------------------------------------------------------------------
     # Views
@@ -163,11 +149,3 @@ class SharedState:
             for row_line in self.last_result.pretty(max_rows).split("\n"):
                 lines.append(f"  {row_line}")
         return "\n".join(lines)
-
-    def diff_summary(self, since_version: int) -> List[str]:
-        """Changelog entries after ``since_version`` (for user-facing recaps)."""
-        return [
-            entry
-            for entry in self.changelog
-            if int(entry.split(":", 1)[0][1:]) > since_version
-        ]

@@ -6,8 +6,8 @@ questions); ``scale`` shrinks row counts for fast tests while keeping every
 question answerable (the paper shape is ``scale=1.0``).
 """
 
-from .archaeology import build_archaeology_lake, build_archaeology_questions, load_archaeology
-from .environment import build_environment_lake, build_environment_questions, load_environment
+from .archaeology import load_archaeology
+from .environment import load_environment
 from .procurement import (
     TARIFF_RECORDS,
     build_procurement_lake,
@@ -21,11 +21,7 @@ __all__ = [
     "Question",
     "answers_match",
     "load_archaeology",
-    "build_archaeology_lake",
-    "build_archaeology_questions",
     "load_environment",
-    "build_environment_lake",
-    "build_environment_questions",
     "build_procurement_lake",
     "build_tariff_web",
     "tariff_impact_ground_truth",

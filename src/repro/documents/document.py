@@ -27,13 +27,6 @@ class Document:
     #: dense half's circuit is open); ranking may differ from healthy.
     degraded: bool = False
 
-    def brief(self, max_chars: int = 240) -> str:
-        """A one-line description used in prompts and user-facing messages."""
-        body = " ".join(self.text.split())
-        if len(body) > max_chars:
-            body = body[: max_chars - 3] + "..."
-        return f"[{self.kind}] {self.title}: {body}"
-
     def to_json(self) -> Dict[str, Any]:
         data = {
             "doc_id": self.doc_id,
@@ -49,16 +42,3 @@ class Document:
         if self.degraded:
             data["degraded"] = True
         return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Document":
-        return cls(
-            doc_id=data["doc_id"],
-            kind=data["kind"],
-            title=data["title"],
-            text=data.get("text", ""),
-            payload=data.get("payload", {}),
-            score=float(data.get("score", 0.0)),
-            source=data.get("source", ""),
-            degraded=bool(data.get("degraded", False)),
-        )

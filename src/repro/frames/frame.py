@@ -52,15 +52,6 @@ class DataFrame:
     # Constructors / converters
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(cls, records: Sequence[Mapping[str, Any]]) -> "DataFrame":
-        names: List[str] = []
-        for record in records:
-            for key in record:
-                if key not in names:
-                    names.append(key)
-        return cls({name: [r.get(name) for r in records] for name in names})
-
-    @classmethod
     def from_table(cls, table: "Any") -> "DataFrame":
         """Build from a :class:`repro.relational.Table`.
 
@@ -75,12 +66,6 @@ class DataFrame:
         from ..relational.table import Table
 
         return Table.from_columns(name, {c: s.tolist() for c, s in self._columns.items()})
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        names = self.columns
-        return [
-            {name: self._columns[name][i] for name in names} for i in range(len(self))
-        ]
 
     # ------------------------------------------------------------------
     # Basics
@@ -118,9 +103,6 @@ class DataFrame:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataFrame({len(self)} rows x {len(self._columns)} cols: {self.columns})"
 
-    def row(self, index: int) -> Dict[str, Any]:
-        return {name: series[index] for name, series in self._columns.items()}
-
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
@@ -129,10 +111,6 @@ class DataFrame:
         if missing:
             raise FrameError(f"columns not found: {missing}; available: {self.columns}")
         return DataFrame({n: self._columns[n] for n in names})
-
-    def drop(self, names: Sequence[str]) -> "DataFrame":
-        drop_set = set(names)
-        return DataFrame({n: s for n, s in self._columns.items() if n not in drop_set})
 
     def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
         return DataFrame({mapping.get(n, n): s for n, s in self._columns.items()})
@@ -164,10 +142,6 @@ class DataFrame:
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(range(min(n, len(self))))
 
-    def tail(self, n: int = 5) -> "DataFrame":
-        start = max(len(self) - n, 0)
-        return self.take(range(start, len(self)))
-
     def sort_values(
         self, by: Union[str, Sequence[str]], ascending: Union[bool, Sequence[bool]] = True
     ) -> "DataFrame":
@@ -198,17 +172,6 @@ class DataFrame:
         indices.sort(key=composite)
         return self.take(indices)
 
-    def drop_duplicates(self, subset: Optional[Sequence[str]] = None) -> "DataFrame":
-        names = list(subset) if subset else self.columns
-        seen = set()
-        keep: List[int] = []
-        for i in range(len(self)):
-            marker = tuple((type(self[n][i]).__name__, self[n][i]) for n in names)
-            if marker not in seen:
-                seen.add(marker)
-                keep.append(i)
-        return self.take(keep)
-
     def dropna(self, subset: Optional[Sequence[str]] = None) -> "DataFrame":
         names = list(subset) if subset else self.columns
         keep = [
@@ -216,17 +179,8 @@ class DataFrame:
         ]
         return self.take(keep)
 
-    def fillna(self, value: Any, subset: Optional[Sequence[str]] = None) -> "DataFrame":
-        names = set(subset) if subset else set(self.columns)
-        return DataFrame(
-            {
-                n: (s.fillna(value) if n in names else s)
-                for n, s in self._columns.items()
-            }
-        )
-
     # ------------------------------------------------------------------
-    # Joins and concatenation
+    # Joins
     # ------------------------------------------------------------------
     def merge(
         self,
@@ -323,18 +277,6 @@ class DataFrame:
             out_cols[out] = _gather(other._columns[name].values, right_ids)
         return DataFrame(out_cols)
 
-    def concat(self, other: "DataFrame") -> "DataFrame":
-        names = list(self.columns)
-        for n in other.columns:
-            if n not in names:
-                names.append(n)
-        data: Dict[str, List[Any]] = {}
-        for n in names:
-            mine = self._columns.get(n, Series([None] * len(self), n)).tolist()
-            theirs = other._columns.get(n, Series([None] * len(other), n)).tolist()
-            data[n] = mine + theirs
-        return DataFrame(data)
-
     # ------------------------------------------------------------------
     # Grouping
     # ------------------------------------------------------------------
@@ -346,9 +288,3 @@ class DataFrame:
             if name not in self._columns:
                 raise FrameError(f"groupby key {name!r} not found; available: {self.columns}")
         return GroupBy(self, names)
-
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-    def pretty(self, max_rows: int = 20) -> str:
-        return self.to_table("frame").pretty(max_rows=max_rows)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .series import Series
 
@@ -69,30 +69,3 @@ class GroupBy:
                 member = Series([self.frame[column][i] for i in indices], column)
                 data[name].append(fn(member))
         return DataFrame(data)
-
-    def size(self) -> "Any":
-        """Group sizes as a frame with a ``size`` column."""
-        from .frame import DataFrame
-
-        data: Dict[str, List[Any]] = {k: [] for k in self.keys}
-        data["size"] = []
-        for marker in self._group_order:
-            indices = self._groups[marker]
-            for k in self.keys:
-                data[k].append(self.frame[k][indices[0]])
-            data["size"].append(len(indices))
-        return DataFrame(data)
-
-    def apply(self, fn: Callable[["Any"], Mapping[str, Any]]) -> "Any":
-        """Apply ``fn`` to each group's sub-frame; fn returns a record."""
-        from .frame import DataFrame
-
-        records: List[Mapping[str, Any]] = []
-        for marker in self._group_order:
-            indices = self._groups[marker]
-            sub = self.frame.take(indices)
-            record = dict(fn(sub))
-            for k in self.keys:
-                record.setdefault(k, self.frame[k][indices[0]])
-            records.append(record)
-        return DataFrame.from_records(records)

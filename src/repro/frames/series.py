@@ -1,17 +1,16 @@
 """A NULL-aware column vector (the reproduction's pandas-Series substitute).
 
-Arithmetic and comparisons are elementwise and propagate ``None`` the way
-SQL NULL does, so pipeline code behaves consistently whether it runs in the
-SQL executor or the Python interpreter tool.
+Arithmetic and ``==`` are elementwise and propagate ``None`` the way SQL
+NULL does, so pipeline code behaves consistently whether it runs in the
+SQL executor or the Python interpreter tool.  The class carries what the
+interpreter's ops call, and the reducers ``GroupBy.agg`` names.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
-
-Number = Union[int, float]
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 
 class Series:
@@ -34,26 +33,8 @@ class Series:
         return self.values[index]
 
     def __eq__(self, other: Any):  # type: ignore[override]
-        return self._compare(other, lambda a, b: a == b)
-
-    def __ne__(self, other: Any):  # type: ignore[override]
-        return self._compare(other, lambda a, b: a != b)
-
-    def __lt__(self, other: Any) -> "Series":
-        return self._compare(other, lambda a, b: a < b)
-
-    def __le__(self, other: Any) -> "Series":
-        return self._compare(other, lambda a, b: a <= b)
-
-    def __gt__(self, other: Any) -> "Series":
-        return self._compare(other, lambda a, b: a > b)
-
-    def __ge__(self, other: Any) -> "Series":
-        return self._compare(other, lambda a, b: a >= b)
-
-    def equals(self, other: "Series") -> bool:
-        """Structural equality (``==`` is elementwise, like pandas)."""
-        return isinstance(other, Series) and self.values == other.values
+        """Elementwise (NULL-propagating), like pandas — not a bool."""
+        return self._binary(other, lambda a, b: a == b)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         preview = ", ".join(repr(v) for v in self.values[:8])
@@ -80,9 +61,6 @@ class Series:
                 out.append(op(a, b))
         return Series(out, self.name)
 
-    def _compare(self, other: Any, op: Callable[[Any, Any], bool]) -> "Series":
-        return self._binary(other, op)
-
     def __add__(self, other: Any) -> "Series":
         return self._binary(other, lambda a, b: a + b)
 
@@ -107,18 +85,6 @@ class Series:
     def __rtruediv__(self, other: Any) -> "Series":
         return self._binary(other, lambda a, b: b / a)
 
-    def __neg__(self) -> "Series":
-        return self.map(lambda v: -v)
-
-    def __and__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: bool(a) and bool(b))
-
-    def __or__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: bool(a) or bool(b))
-
-    def __invert__(self) -> "Series":
-        return Series([None if v is None else not bool(v) for v in self.values], self.name)
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -130,76 +96,6 @@ class Series:
 
     def rename(self, name: str) -> "Series":
         return Series(self.values, name)
-
-    def isnull(self) -> "Series":
-        return Series([v is None for v in self.values], self.name)
-
-    def notnull(self) -> "Series":
-        return Series([v is not None for v in self.values], self.name)
-
-    def fillna(self, value: Any) -> "Series":
-        return Series([value if v is None else v for v in self.values], self.name)
-
-    def astype(self, target: type) -> "Series":
-        def convert(v: Any) -> Any:
-            if target is float:
-                return float(v)
-            if target is int:
-                return int(v)
-            if target is str:
-                return str(v)
-            if target is bool:
-                return bool(v)
-            raise TypeError(f"unsupported astype target: {target!r}")
-
-        return self.map(convert)
-
-    def isin(self, candidates: Sequence[Any]) -> "Series":
-        pool = set(candidates)
-        return Series(
-            [None if v is None else v in pool for v in self.values], self.name
-        )
-
-    def clip(self, lower: Optional[Number] = None, upper: Optional[Number] = None) -> "Series":
-        def bound(v: Number) -> Number:
-            if lower is not None and v < lower:
-                return lower
-            if upper is not None and v > upper:
-                return upper
-            return v
-
-        return self.map(bound)
-
-    def round(self, digits: int = 0) -> "Series":
-        return self.map(lambda v: round(v, digits))
-
-    def abs(self) -> "Series":
-        return self.map(abs)
-
-    def diff(self) -> "Series":
-        """First difference; the first element (and any gap) is None."""
-        out: List[Any] = [None]
-        for prev, cur in zip(self.values, self.values[1:]):
-            out.append(None if prev is None or cur is None else cur - prev)
-        return Series(out, self.name)
-
-    def shift(self, periods: int = 1) -> "Series":
-        if periods >= 0:
-            shifted = [None] * periods + self.values[: len(self.values) - periods]
-        else:
-            shifted = self.values[-periods:] + [None] * (-periods)
-        return Series(shifted[: len(self.values)], self.name)
-
-    def cumsum(self) -> "Series":
-        total = 0.0
-        out: List[Any] = []
-        for v in self.values:
-            if v is None:
-                out.append(None)
-            else:
-                total += v
-                out.append(total)
-        return Series(out, self.name)
 
     def interpolate(self) -> "Series":
         """Linear interpolation over None gaps (ends stay None).
@@ -219,43 +115,6 @@ class Series:
             for offset in range(1, gap):
                 values[left + offset] = lo + (hi - lo) * offset / gap
         return Series(values, self.name)
-
-    # ------------------------------------------------------------------
-    # String / date accessors
-    # ------------------------------------------------------------------
-    def str_lower(self) -> "Series":
-        return self.map(lambda s: s.lower())
-
-    def str_upper(self) -> "Series":
-        return self.map(lambda s: s.upper())
-
-    def str_strip(self) -> "Series":
-        return self.map(lambda s: s.strip())
-
-    def str_contains(self, needle: str, case: bool = True) -> "Series":
-        if case:
-            return self.map(lambda s: needle in s)
-        lowered = needle.lower()
-        return self.map(lambda s: lowered in s.lower())
-
-    def str_replace(self, old: str, new: str) -> "Series":
-        return self.map(lambda s: s.replace(old, new))
-
-    def str_split_part(self, sep: str, index: int) -> "Series":
-        def part(s: str) -> str:
-            pieces = s.split(sep)
-            return pieces[index] if 0 <= index < len(pieces) else ""
-
-        return self.map(part)
-
-    def dt_year(self) -> "Series":
-        return self.map(lambda d: d.year)
-
-    def dt_month(self) -> "Series":
-        return self.map(lambda d: d.month)
-
-    def dt_day(self) -> "Series":
-        return self.map(lambda d: d.day)
 
     def parse_dates(self, formats: Optional[Sequence[str]] = None) -> "Series":
         """Parse text dates (used for Materializer date-format repairs)."""
@@ -311,16 +170,6 @@ class Series:
 
     def nunique(self) -> int:
         return len(set(self._non_null()))
-
-    def unique(self) -> List[Any]:
-        seen: List[Any] = []
-        marker = set()
-        for v in self.values:
-            key = (type(v).__name__, v)
-            if key not in marker:
-                marker.add(key)
-                seen.append(v)
-        return seen
 
     def tolist(self) -> List[Any]:
         return list(self.values)

@@ -90,9 +90,6 @@ class IRSystem:
         self._sources.pop(name, None)
         self._batch_sources.pop(name, None)
 
-    def source_names(self) -> List[str]:
-        return sorted(self._sources)
-
     def retrieve(
         self, query: str, k_tables: int = 6, k_other: int = 2
     ) -> RetrievalResult:

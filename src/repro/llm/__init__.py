@@ -13,7 +13,7 @@ from .clock import (
     VirtualClock,
 )
 from .interface import ContextLengthExceeded, LanguageModel, ModelLimits
-from .pricing import MODEL_PRICES, TABLE2_MODEL_ORDER, CostBreakdown, ModelPrice, price_for
+from .pricing import MODEL_PRICES, TABLE2_MODEL_ORDER, CostBreakdown, ModelPrice
 from .prompts import (
     PromptFormatError,
     parse_prompt,
@@ -43,7 +43,6 @@ __all__ = [
     "TABLE2_MODEL_ORDER",
     "ModelPrice",
     "CostBreakdown",
-    "price_for",
     "render_prompt",
     "parse_prompt",
     "render_response",

@@ -25,9 +25,6 @@ class VirtualClock:
             raise ValueError("cannot tick backwards")
         self._now += seconds
 
-    def reset(self) -> None:
-        self._now = 0.0
-
 
 #: Virtual latency constants (seconds), chosen so that a typical Seeker turn
 #: (4-6 LLM calls plus tool work) lands near the paper's ~70 s/prompt.

@@ -49,12 +49,3 @@ MODEL_PRICES: Dict[str, ModelPrice] = {
 }
 
 TABLE2_MODEL_ORDER: List[str] = list(MODEL_PRICES)
-
-
-def price_for(model: str) -> ModelPrice:
-    try:
-        return MODEL_PRICES[model]
-    except KeyError:
-        raise KeyError(
-            f"unknown model {model!r}; known: {TABLE2_MODEL_ORDER}"
-        ) from None

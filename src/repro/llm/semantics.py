@@ -286,16 +286,6 @@ def wants_first_last(text: str) -> bool:
     return ("first" in lowered and "last" in lowered) or "earliest and latest" in lowered
 
 
-def wants_ratio(text: str) -> bool:
-    lowered = text.lower()
-    return "ratio" in lowered or "compared to" in lowered or " versus " in lowered
-
-
-def detect_group_by(text: str) -> bool:
-    lowered = text.lower()
-    return bool(re.search(r"\b(per|by|for each|grouped by)\b", lowered))
-
-
 _YEAR_RE = re.compile(r"\b(19[5-9]\d|20[0-4]\d)\b")
 
 

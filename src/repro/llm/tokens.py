@@ -49,10 +49,6 @@ class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
     def add(self, prompt: int, completion: int) -> None:
         self.prompt_tokens += prompt
         self.completion_tokens += completion
@@ -85,6 +81,3 @@ class UsageLedger:
         if component is None:
             return len(self.events)
         return sum(1 for e in self.events if e.component == component)
-
-    def reset(self) -> None:
-        self.events.clear()

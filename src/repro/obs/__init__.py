@@ -5,7 +5,7 @@ retriever, storage, core) may import it without cycles.
 """
 
 from .config import ObservabilityConfig
-from .export import registry_to_json, registry_to_stats, render_prometheus, render_span_tree
+from .export import registry_to_stats, render_prometheus, render_span_tree
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricFamily,
@@ -43,6 +43,5 @@ __all__ = [
     "active_tracer",
     "render_prometheus",
     "render_span_tree",
-    "registry_to_json",
     "registry_to_stats",
 ]

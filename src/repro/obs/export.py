@@ -1,7 +1,7 @@
-"""Exposition: Prometheus text, JSON and the flat ``stats()`` dict for the
+"""Exposition: Prometheus text and the flat ``stats()`` dict for the
 registry, pretty span trees.
 
-All four renderers are pure functions over snapshot data so they can be
+All three renderers are pure functions over snapshot data so they can be
 called from the service (``metrics_text()`` / ``stats()``), the
 benchmarks, and ``scripts/tracetool.py`` without touching live metric
 state.
@@ -14,7 +14,7 @@ from typing import Any, Dict, List
 
 from .registry import COLLECTOR_PREFIX, MetricsRegistry, percentile_sorted
 
-__all__ = ["render_prometheus", "registry_to_json", "registry_to_stats", "render_span_tree"]
+__all__ = ["render_prometheus", "registry_to_stats", "render_span_tree"]
 
 
 def _escape_label(value: str) -> str:
@@ -60,11 +60,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{name}_sum{_label_str(names, values)} {repr(series['sum'])}")
                 lines.append(f"{name}_count{_label_str(names, values)} {series['count']}")
     return "\n".join(lines) + "\n"
-
-
-def registry_to_json(registry: MetricsRegistry) -> List[Dict[str, Any]]:
-    """The registry as JSON-serializable data (``collect()`` verbatim)."""
-    return registry.collect()
 
 
 def registry_to_stats(registry: MetricsRegistry) -> Dict[str, Any]:

@@ -1,9 +1,10 @@
-"""A labeled metrics registry: typed Counter/Gauge/Histogram families.
+"""A labeled metrics registry: typed Counter/Histogram families plus
+pull-side collectors, which are how a gauge is published.
 
 The registry is the service's one source of numeric telemetry.  Design:
 
 * **Typed families.**  A metric name maps to exactly one family of one
-  kind (counter, gauge, histogram) with a fixed label-name tuple;
+  kind (counter, histogram) with a fixed label-name tuple;
   re-registering the same name returns the existing family and a
   kind/label mismatch raises — exposition can therefore never render a
   name under two types.
@@ -23,9 +24,9 @@ The registry is the service's one source of numeric telemetry.  Design:
   same drop-oldest-half splice the serving metrics always used, so a
   long-lived service cannot grow without limit.
 
-Exposition lives in :mod:`repro.obs.export` (Prometheus text, JSON, the
-flat ``stats()`` dict); :meth:`MetricsRegistry.collect` is the stable
-snapshot contract between them.
+Exposition lives in :mod:`repro.obs.export` (Prometheus text, the flat
+``stats()`` dict); :meth:`MetricsRegistry.collect` is the stable snapshot
+contract between them (and JSON-serializable as it stands).
 """
 
 from __future__ import annotations
@@ -91,36 +92,6 @@ class _Counter:
             raise ValueError(f"counters only go up; inc({amount})")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self):
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-
-class _Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self):
@@ -197,7 +168,7 @@ class _Histogram:
         return {"buckets": cumulative, "count": total, "sum": bucket_sum}
 
 
-_CHILD_KINDS = {"counter": _Counter, "gauge": _Gauge, "histogram": _Histogram}
+_CHILD_KINDS = {"counter": _Counter, "histogram": _Histogram}
 
 
 def _numeric_leaves(name: str, report: Any) -> Iterator[Tuple[str, float]]:
@@ -212,8 +183,8 @@ def _numeric_leaves(name: str, report: Any) -> Iterator[Tuple[str, float]]:
 class MetricFamily:
     """One named metric and its per-label-value children.
 
-    For unlabeled families the recording surface (``inc``/``set``/
-    ``observe``/…) proxies to the single default child, so
+    For unlabeled families the recording surface (``inc``/``observe``/…)
+    proxies to the single default child, so
     ``registry.counter("x").inc()`` just works.
     """
 
@@ -270,12 +241,6 @@ class MetricFamily:
     def inc(self, amount: float = 1) -> None:
         self._default().inc(amount)
 
-    def dec(self, amount: float = 1) -> None:
-        self._default().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._default().set(value)
-
     def observe(self, value: float) -> None:
         self._default().observe(value)
 
@@ -314,9 +279,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, help_text: str = "", labels: Sequence[str] = ()) -> MetricFamily:
         return self._family(name, "counter", help_text, labels)
-
-    def gauge(self, name: str, help_text: str = "", labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "gauge", help_text, labels)
 
     def histogram(
         self,

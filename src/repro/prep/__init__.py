@@ -13,7 +13,7 @@ The paper's "automate discovery, guide preparation" made concrete:
 from .align import AlignmentCompiler, AlignmentError, JoinEdge, PreparationPlan
 from .discovery import JoinCandidate, discover_join_candidates
 from .pipeline import PreparationPipeline
-from .profile import ColumnProfile, TableProfile, profile_column, profile_table, type_family
+from .profile import ColumnProfile, TableProfile, profile_table
 from .sketches import ColumnSketch, encode_values
 from .store import ProfileStore
 
@@ -30,7 +30,5 @@ __all__ = [
     "TableProfile",
     "discover_join_candidates",
     "encode_values",
-    "profile_column",
     "profile_table",
-    "type_family",
 ]

@@ -56,15 +56,6 @@ class PreparationPlan:
     joins: List[JoinEdge] = field(default_factory=list)
     column_map: List[Tuple[str, str, str]] = field(default_factory=list)  # (target, table, column)
 
-    def explain(self) -> str:
-        lines = [f"prepare {self.target!r} from {', '.join(self.tables)}"]
-        for target, table, column in self.column_map:
-            lines.append(f"  {target} <- {table}.{column}")
-        for edge in self.joins:
-            lines.append(f"  join on {edge.condition()} (containment {edge.containment:.2f})")
-        lines.append(f"  sql: {self.sql}")
-        return "\n".join(lines)
-
 
 class AlignmentCompiler:
     """Compile target-table specs against one lake + one candidate set."""

@@ -16,7 +16,7 @@ is ``tests/oracles/exact_sets.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -45,20 +45,8 @@ class JoinCandidate:
     containment: float  # est. |left n right| / |left|
     key_cardinality: float = 0.0  # est. distinct count of the smaller side
 
-    @property
-    def score(self) -> float:
-        return self.containment
-
     def key(self) -> Tuple[str, str, str, str]:
         return (self.left_table, self.left_column, self.right_table, self.right_column)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "left": f"{self.left_table}.{self.left_column}",
-            "right": f"{self.right_table}.{self.right_column}",
-            "jaccard": round(self.jaccard, 4),
-            "containment": round(self.containment, 4),
-        }
 
 
 def _flatten(profiles: Mapping[str, TableProfile]) -> List[ColumnProfile]:

@@ -54,32 +54,8 @@ class ColumnProfile:
     fractional: bool = False
 
     @property
-    def null_fraction(self) -> float:
-        return self.nulls / self.count if self.count else 0.0
-
-    @property
     def family(self) -> str:
         return type_family(self.dtype)
-
-    def ref(self) -> str:
-        return f"{self.table}.{self.name}"
-
-    def comparable_with(self, other: "ColumnProfile") -> bool:
-        """Whether a sketch comparison between the columns is meaningful."""
-        return self.family == other.family and self.family != "null"
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "table": self.table,
-            "name": self.name,
-            "dtype": str(self.dtype),
-            "count": self.count,
-            "nulls": self.nulls,
-            "null_fraction": round(self.null_fraction, 4),
-            "distinct_estimate": round(self.distinct_estimate, 1),
-            "min": self.minimum,
-            "max": self.maximum,
-        }
 
 
 @dataclass
@@ -88,23 +64,10 @@ class TableProfile:
 
     name: str
     row_count: int
-    columns: Dict[str, ColumnProfile] = field(default_factory=dict)
-
-    def column(self, name: str) -> ColumnProfile:
-        return self.columns[name.lower()]
-
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self.columns
+    columns: Dict[str, ColumnProfile] = field(default_factory=dict)  # by lower-cased name
 
     def column_profiles(self) -> List[ColumnProfile]:
         return list(self.columns.values())
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "row_count": self.row_count,
-            "columns": [c.to_json() for c in self.columns.values()],
-        }
 
 
 def _min_max(

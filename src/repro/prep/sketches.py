@@ -9,10 +9,10 @@ two questions discovery keeps asking at candidate-enumeration scale:
   matching signature slots — standard error ~= 1/sqrt(k), at O(d) build
   cost instead of classic MinHash's O(d*k).
 * *How many distinct values does a column hold?*  HyperLogLog registers
-  estimate cardinality within ~1.04/sqrt(m); register-wise max merges
-  sketches into the union's sketch, so inclusion-exclusion gives
-  intersection and containment estimates without touching the data
-  again.
+  estimate cardinality within ~1.04/sqrt(m); with the MinHash Jaccard
+  ``J``, ``|A n B| ~= J / (1 + J) * (|A| + |B|)`` gives intersection and
+  containment without touching the data again — discovery evaluates it
+  for every overlapping column pair at once (:mod:`repro.prep.discovery`).
 
 Values are hashed deterministically (no dependence on
 ``PYTHONHASHSEED``), so sketches built in different processes are
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import datetime
 import math
-import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Set
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,40 +47,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def _crc64(data: bytes) -> int:
     return (zlib.crc32(data) << 32) | zlib.crc32(data, 0x5EED)
-
-
-def _encode_one(value: Any) -> int:
-    """A deterministic 64-bit key for one non-null value.
-
-    Integral numerics collapse to the same key regardless of storage type
-    (2 == 2.0), so INTEGER/DOUBLE key columns remain join-comparable.
-    """
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value & _MASK64
-    if isinstance(value, float):
-        if value.is_integer() and abs(value) < 2**63:
-            return int(value) & _MASK64
-        return struct.unpack("<Q", struct.pack("<d", value))[0]
-    if isinstance(value, str):
-        return _crc64(value.encode("utf-8", "surrogatepass"))
-    if isinstance(value, datetime.date):
-        # Days since the Unix epoch, matching the datetime64[D] fast path.
-        return (value.toordinal() - _EPOCH_ORDINAL) & _MASK64
-    return _crc64(repr(value).encode("utf-8", "surrogatepass"))
-
-
-def distinct_values(values: Iterable[Any]) -> Set[Any]:
-    """The distinct non-null (and non-NaN) values of a column."""
-    out: Set[Any] = set()
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, float) and math.isnan(value):
-            continue
-        out.add(value)
-    return out
 
 
 def typed_array(filtered: List[Any]) -> Optional[np.ndarray]:
@@ -112,10 +77,8 @@ def integral_mask(arr: np.ndarray) -> np.ndarray:
     return (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
 
 
-def _encode_array(filtered: List[Any], arr: Optional[np.ndarray]) -> np.ndarray:
-    """Vectorized encoding for homogeneous columns (raises to fall back)."""
-    if arr is None:
-        raise TypeError("no typed view; per-value fallback")
+def _encode_array(arr: np.ndarray) -> np.ndarray:
+    """Vectorized encoding of a :func:`typed_array` view."""
     kind = arr.dtype.kind
     if kind == "U":
         uniq = np.unique(arr)
@@ -158,14 +121,12 @@ def encode_values(
         filtered = [v for v in values if v is not None]
     if not filtered:
         return np.empty(0, dtype=np.uint64)
-    try:
-        raw = _encode_array(filtered, typed if typed is not None else typed_array(filtered))
-    except (TypeError, ValueError, OverflowError):
-        distinct = distinct_values(filtered)
-        if not distinct:
-            return np.empty(0, dtype=np.uint64)
-        raw = np.fromiter((_encode_one(v) for v in distinct), dtype=np.uint64,
-                          count=len(distinct))
+    arr = typed if typed is not None else typed_array(filtered)
+    if arr is None:
+        # No one dtype holds the column (integers past 64 bits, say): key
+        # each value by its text.
+        arr = np.array([repr(v) for v in filtered])
+    raw = _encode_array(arr)
     if not raw.size:
         return np.empty(0, dtype=np.uint64)
     return np.sort(_splitmix64(raw))
@@ -183,9 +144,6 @@ def _bit_length_u64(w: np.ndarray) -> np.ndarray:
     return bl + (v > 0)
 
 
-_FAMILY_NOTE = "sketches must come from the same (k, p) family"
-
-
 @dataclass
 class ColumnSketch:
     """MinHash signature + HLL registers + exact null/total accounting."""
@@ -197,24 +155,12 @@ class ColumnSketch:
     _dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
-    def k(self) -> int:
-        return int(self.signature.shape[0])
-
-    @property
     def m(self) -> int:
         return int(self.registers.shape[0])
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_values(cls, values: Sequence[Any], k: int = 256, p: int = 10) -> "ColumnSketch":
-        """Sketch one column: ``k`` MinHash bins, ``2**p`` HLL registers."""
-        total = len(values)
-        nulls = sum(1 for v in values if v is None or (isinstance(v, float) and math.isnan(v)))
-        keys = encode_values(values)
-        return cls.from_keys(keys, k=k, p=p, total=total, nulls=nulls)
-
     @classmethod
     def from_keys(
         cls, keys: np.ndarray, k: int = 256, p: int = 10, total: int = 0, nulls: int = 0
@@ -246,36 +192,8 @@ class ColumnSketch:
         return cls(signature=signature, registers=registers, total=total, nulls=nulls)
 
     # ------------------------------------------------------------------
-    # Densification (comparison-time view of the raw OPH bins)
+    # Estimators (pairwise ones are batched: prep/discovery.py)
     # ------------------------------------------------------------------
-    def dense_signature(self) -> np.ndarray:
-        """The signature with empty bins filled by optimal densification.
-
-        Each empty bin borrows the value of a pseudo-randomly probed
-        filled bin; the probe sequence depends only on (bin index,
-        attempt), so two sketches densify compatibly and slot-match
-        counts stay an unbiased Jaccard estimator even for columns with
-        fewer distinct values than bins.  Cached after the first call
-        (by :func:`dense_signatures`, which does the work); merging
-        always uses the raw bins.
-        """
-        if self._dense is None:
-            dense_signatures([self])
-        return self._dense
-
-    # ------------------------------------------------------------------
-    # Estimators
-    # ------------------------------------------------------------------
-    def jaccard(self, other: "ColumnSketch") -> float:
-        """Estimated Jaccard similarity of the two distinct-value sets."""
-        if self.k != other.k:
-            raise ValueError(_FAMILY_NOTE)
-        if self.is_empty() and other.is_empty():
-            return 1.0
-        if self.is_empty() or other.is_empty():
-            return 0.0
-        return float(np.mean(self.dense_signature() == other.dense_signature()))
-
     def cardinality(self) -> float:
         """HLL distinct-count estimate with the small-range correction."""
         m = self.m
@@ -287,35 +205,6 @@ class ColumnSketch:
         if estimate <= 2.5 * m and zeros:
             return m * math.log(m / zeros)
         return estimate
-
-    def union_cardinality(self, other: "ColumnSketch") -> float:
-        if self.m != other.m:
-            raise ValueError(_FAMILY_NOTE)
-        return self.merge(other).cardinality()
-
-    def intersection_cardinality(self, other: "ColumnSketch") -> float:
-        """|A n B| via the MinHash Jaccard and the HLL cardinalities."""
-        j = self.jaccard(other)
-        inter = j / (1.0 + j) * (self.cardinality() + other.cardinality())
-        return max(0.0, min(inter, self.cardinality(), other.cardinality()))
-
-    def containment_in(self, other: "ColumnSketch") -> float:
-        """Estimated |self n other| / |self| (1.0 when self subset other)."""
-        card = self.cardinality()
-        if card <= 0.0:
-            return 0.0
-        return min(1.0, self.intersection_cardinality(other) / card)
-
-    def merge(self, other: "ColumnSketch") -> "ColumnSketch":
-        """The sketch of the union of both columns' values."""
-        if self.k != other.k or self.m != other.m:
-            raise ValueError(_FAMILY_NOTE)
-        return ColumnSketch(
-            signature=np.minimum(self.signature, other.signature),
-            registers=np.maximum(self.registers, other.registers),
-            total=self.total + other.total,
-            nulls=self.nulls + other.nulls,
-        )
 
     def is_empty(self) -> bool:
         return not self.registers.any()
@@ -329,13 +218,16 @@ _DENSIFY_ROWS = 256
 def dense_signatures(sketches: Sequence[ColumnSketch]) -> np.ndarray:
     """Densified signatures of same-``k`` sketches as one ``(n, k)`` matrix.
 
-    The probe sequence depends only on (bin index, attempt), so one probe
-    vector per attempt serves every sketch: each round gathers the donors
-    of all still-empty cells of a block of rows at once and keeps the
-    cells whose donor is filled.  Row ``i`` equals
-    ``sketches[i].dense_signature()`` and is cached on that sketch;
-    sketches densified earlier are reused, and a sketch with no filled
-    bin keeps its all-empty row.
+    Optimal densification: each empty bin borrows the value of a
+    pseudo-randomly probed filled bin, and the probe sequence depends
+    only on (bin index, attempt), so two sketches densify compatibly and
+    slot-match counts stay an unbiased Jaccard estimator even for columns
+    with fewer distinct values than bins.  One probe vector per attempt
+    therefore serves every sketch: each round gathers the donors of all
+    still-empty cells of a block of rows at once and keeps the cells
+    whose donor is filled.  Row ``i`` is cached on ``sketches[i]``
+    (``_dense``); sketches densified earlier are reused, and a sketch
+    with no filled bin keeps its all-empty row.
     """
     sigs = np.stack([s.signature if s._dense is None else s._dense for s in sketches])
     k = sigs.shape[1]

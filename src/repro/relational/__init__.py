@@ -10,7 +10,7 @@ Public API::
 """
 
 from .catalog import Database
-from .csv_io import read_csv, read_csv_text, to_csv_text, write_csv
+from .csv_io import to_csv_text
 from .plan import PlanCache, normalize_sql
 from .errors import (
     BindError,
@@ -20,8 +20,7 @@ from .errors import (
     ParseError,
     RelationalError,
 )
-from .parser import parse, parse_script
-from .sql_render import expr_to_sql, select_to_sql
+from .parser import parse
 from .table import Column, Schema, Table
 from .types import DataType, format_value
 
@@ -35,12 +34,6 @@ __all__ = [
     "DataType",
     "format_value",
     "parse",
-    "parse_script",
-    "expr_to_sql",
-    "select_to_sql",
-    "read_csv",
-    "read_csv_text",
-    "write_csv",
     "to_csv_text",
     "RelationalError",
     "LexError",

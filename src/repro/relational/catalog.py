@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional
 from ..obs import trace as obs
 from . import ast
 from .errors import CatalogError
-from .parser import parse, parse_script
+from .parser import parse
 from .plan import PlanCache, execute_statement_planned, normalize_sql, plan_select, run_plan
 from .table import Table
 
@@ -117,20 +117,9 @@ class Database:
                 return run_plan(plan, self)
         return execute_statement_planned(self, parse(sql))
 
-    def execute_script(self, sql: str) -> List[Table]:
-        """Execute a ';'-separated script, returning one result per statement."""
-        return [execute_statement_planned(self, stmt) for stmt in parse_script(sql)]
-
     def query_value(self, sql: str) -> Any:
         """Execute a query expected to return a single scalar value."""
         return self.execute(sql).single_value()
-
-    def plan_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the shared plan cache."""
-        return self._plan_cache.stats()
-
-    def clear_plan_cache(self) -> None:
-        self._plan_cache.clear()
 
     def share_plan_cache(self, cache: PlanCache) -> None:
         """Adopt an externally owned plan cache (e.g. one service-wide

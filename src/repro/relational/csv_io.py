@@ -1,85 +1,16 @@
-"""CSV ingestion and export with type inference.
-
-Lakes in the benchmarks are materialized as CSV files on disk (mirroring
-KramaBench's file-based lakes) and loaded through this module.
-"""
+"""CSV export: a table as CSV text, for prompt serialization."""
 
 from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
-from typing import Any, Optional, Union
 
 from .table import Table
-from .types import format_value, parse_date
-
-
-def _parse_cell(text: str) -> Any:
-    """Infer a single cell value: NULL, bool, int, float, date, or text."""
-    if text == "" or text.upper() == "NULL":
-        return None
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if len(text) == 10 and text[4:5] == "-" and text[7:8] == "-":
-        try:
-            return parse_date(text)
-        except Exception:
-            return text
-    return text
-
-
-def read_csv_text(name: str, text: str, header: bool = True) -> Table:
-    """Parse CSV content into a :class:`Table` (types inferred per column)."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        return Table.from_columns(name, {})
-    if header:
-        names = rows[0]
-        body = rows[1:]
-    else:
-        names = [f"column{i}" for i in range(len(rows[0]))]
-        body = rows
-    data = {col: [] for col in names}
-    for raw in body:
-        if not raw:
-            continue
-        padded = list(raw) + [""] * (len(names) - len(raw))
-        for col, cell in zip(names, padded):
-            data[col].append(_parse_cell(cell))
-    return Table.from_columns(name, data)
-
-
-def read_csv(path: Union[str, Path], name: Optional[str] = None, header: bool = True) -> Table:
-    """Load a CSV file; the table name defaults to the file stem."""
-    path = Path(path)
-    return read_csv_text(name or path.stem, path.read_text(), header=header)
-
-
-def write_csv(table: Table, path: Union[str, Path]) -> None:
-    """Write a table as CSV (NULL renders as an empty cell)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.column_names())
-        for row in table.rows:
-            writer.writerow(["" if v is None else format_value(v) for v in row])
+from .types import format_value
 
 
 def to_csv_text(table: Table) -> str:
-    """Render a table as CSV text (used for prompt serialization)."""
+    """Render a table as CSV text (NULL renders as an empty cell)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(table.column_names())

@@ -903,14 +903,14 @@ def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
         return result
     if isinstance(stmt, ast.CreateTable):
         columns = [Column(c.name, parse_type_name(c.type_name)) for c in stmt.columns]
-        table = Table.empty(stmt.name, columns)
+        table = Table(stmt.name, Schema(columns), [])
         catalog.put_table(table, replace=stmt.or_replace)
         return table
     if isinstance(stmt, ast.InsertValues):
         return _execute_insert(catalog, stmt)
     if isinstance(stmt, ast.DropTable):
         catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
-        return Table.empty(stmt.name, [])
+        return Table(stmt.name, Schema([]), [])
     raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
 
 
@@ -1025,14 +1025,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

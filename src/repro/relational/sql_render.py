@@ -1,15 +1,15 @@
-"""Render AST nodes back to SQL text.
-
-Used for derived output-column names, for displaying the ``(T, Q)`` state to
-users, and for logging the queries the Conductor builds.
+"""Render expression nodes back to SQL text: the name an un-aliased
+projection gets.  A subquery inside an expression renders as
+``(SELECT ...)`` — statements themselves are never rendered back.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from . import ast
 from .types import format_value
+
+
+_SUBQUERY = "(SELECT ...)"
 
 
 def expr_to_sql(expr: ast.Expr) -> str:
@@ -59,12 +59,12 @@ def expr_to_sql(expr: ast.Expr) -> str:
         return f"{expr_to_sql(expr.operand)} {word} ({items})"
     if isinstance(expr, ast.InSubquery):
         word = "NOT IN" if expr.negated else "IN"
-        return f"{expr_to_sql(expr.operand)} {word} ({select_to_sql(expr.subquery)})"
+        return f"{expr_to_sql(expr.operand)} {word} {_SUBQUERY}"
     if isinstance(expr, ast.ScalarSubquery):
-        return f"({select_to_sql(expr.subquery)})"
+        return _SUBQUERY
     if isinstance(expr, ast.Exists):
         word = "NOT EXISTS" if expr.negated else "EXISTS"
-        return f"{word} ({select_to_sql(expr.subquery)})"
+        return f"{word} {_SUBQUERY}"
     if isinstance(expr, ast.Between):
         word = "NOT BETWEEN" if expr.negated else "BETWEEN"
         return (
@@ -88,61 +88,3 @@ def derive_column_name(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Cast):
         return derive_column_name(expr.operand)
     return expr_to_sql(expr)
-
-
-def _table_expr_to_sql(texpr: ast.TableExpr) -> str:
-    if isinstance(texpr, ast.TableRef):
-        return f"{texpr.name} AS {texpr.alias}" if texpr.alias else texpr.name
-    if isinstance(texpr, ast.SubqueryRef):
-        return f"({select_to_sql(texpr.select)}) AS {texpr.alias}"
-    if isinstance(texpr, ast.Join):
-        left = _table_expr_to_sql(texpr.left)
-        right = _table_expr_to_sql(texpr.right)
-        if texpr.join_type == "CROSS":
-            return f"{left} CROSS JOIN {right}"
-        clause = f"{left} {texpr.join_type} JOIN {right}"
-        if texpr.condition is not None:
-            return f"{clause} ON {expr_to_sql(texpr.condition)}"
-        if texpr.using:
-            return f"{clause} USING ({', '.join(texpr.using)})"
-        return clause
-    raise TypeError(f"cannot render table expression {texpr!r}")
-
-
-def select_to_sql(select: ast.Select) -> str:
-    parts: List[str] = []
-    if select.ctes:
-        ctes = ", ".join(f"{name} AS ({select_to_sql(sub)})" for name, sub in select.ctes)
-        parts.append(f"WITH {ctes}")
-    keyword = "SELECT DISTINCT" if select.distinct else "SELECT"
-    items = ", ".join(
-        expr_to_sql(item.expr) + (f" AS {item.alias}" if item.alias else "")
-        for item in select.items
-    )
-    parts.append(f"{keyword} {items}")
-    if select.from_clause is not None:
-        parts.append(f"FROM {_table_expr_to_sql(select.from_clause)}")
-    if select.where is not None:
-        parts.append(f"WHERE {expr_to_sql(select.where)}")
-    if select.group_by:
-        parts.append("GROUP BY " + ", ".join(expr_to_sql(e) for e in select.group_by))
-    if select.having is not None:
-        parts.append(f"HAVING {expr_to_sql(select.having)}")
-    for set_op in select.set_ops:
-        keyword = set_op.op + (" ALL" if set_op.all else "")
-        parts.append(f"{keyword} {select_to_sql(set_op.select)}")
-    if select.order_by:
-        rendered = []
-        for item in select.order_by:
-            text = expr_to_sql(item.expr)
-            if not item.ascending:
-                text += " DESC"
-            if not item.nulls_last:
-                text += " NULLS FIRST"
-            rendered.append(text)
-        parts.append("ORDER BY " + ", ".join(rendered))
-    if select.limit is not None:
-        parts.append(f"LIMIT {select.limit}")
-    if select.offset is not None:
-        parts.append(f"OFFSET {select.offset}")
-    return " ".join(parts)

@@ -22,9 +22,6 @@ class Column:
     name: str
     dtype: DataType
 
-    def renamed(self, name: str) -> "Column":
-        return Column(name, self.dtype)
-
 
 class Schema:
     """An ordered list of columns with case-insensitive name lookup."""
@@ -48,9 +45,6 @@ class Schema:
 
     def names(self) -> List[str]:
         return [col.name for col in self.columns]
-
-    def types(self) -> List[DataType]:
-        return [col.dtype for col in self.columns]
 
     def has_column(self, name: str) -> bool:
         return name.lower() in self._index
@@ -109,21 +103,6 @@ class Table:
                 )
             )
         return cls(name, schema, rows)
-
-    @classmethod
-    def from_dicts(cls, name: str, records: Sequence[Dict[str, Any]]) -> "Table":
-        """Build a table from a list of {column: value} records."""
-        names: List[str] = []
-        for record in records:
-            for key in record:
-                if key not in names:
-                    names.append(key)
-        data = {key: [record.get(key) for record in records] for key in names}
-        return cls.from_columns(name, data)
-
-    @classmethod
-    def empty(cls, name: str, columns: Sequence[Column]) -> "Table":
-        return cls(name, Schema(columns), [])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -207,10 +186,6 @@ class Table:
                 h.update(repr(row).encode("utf-8"))
             digest = self._digest = h.hexdigest()
         return digest
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        names = self.column_names()
-        return [dict(zip(names, row)) for row in self.rows]
 
     def to_columns(self) -> Dict[str, List[Any]]:
         return {

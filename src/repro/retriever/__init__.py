@@ -2,13 +2,7 @@
 
 from .index import FrozenIndexError, HybridHit, HybridIndex
 from .retriever import PneumaRetriever, Searchable
-from .summarizer import (
-    NarrationCache,
-    narrate_column,
-    narrate_table,
-    sample_rows,
-    table_payload,
-)
+from .summarizer import NarrationCache, sample_rows, table_payload
 
 __all__ = [
     "PneumaRetriever",
@@ -17,8 +11,6 @@ __all__ = [
     "HybridHit",
     "FrozenIndexError",
     "NarrationCache",
-    "narrate_table",
-    "narrate_column",
     "sample_rows",
     "table_payload",
 ]

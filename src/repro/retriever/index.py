@@ -3,10 +3,11 @@
 Scores from the two halves are fused by weighted reciprocal-rank fusion,
 which is robust to their incomparable score scales.
 
-The index is built for the serving layer's sharing model: mutation
-(:meth:`add` / :meth:`add_batch`) is serialized by an internal lock, and
-:meth:`freeze` makes the index immutable-after-build so any number of
-sessions can search it concurrently without coordination.
+The index is built for the serving layer's sharing model, and built
+once: adds (:meth:`add` / :meth:`add_batch`, each id at most once) are
+serialized by an internal lock, and :meth:`freeze` makes the index
+immutable-after-build so any number of sessions can search it
+concurrently without coordination.
 
 :meth:`freeze` is a real compile step, not just a seal: both halves run
 their kernel compilation (impact-sorted BM25 postings with max-score
@@ -82,9 +83,9 @@ class HybridIndex:
     # Mutation
     # ------------------------------------------------------------------
     def add(self, doc_id: str, text: str) -> None:
-        """Index a document under both halves (re-add replaces both sides)."""
+        """Index a document under both halves (an indexed id raises)."""
         with self._write_lock:
-            self._check_mutable()
+            self._check_mutable([doc_id])
             self._add_one(doc_id, text, self.embedder.embed(text))
 
     def add_batch(self, items: Sequence[Tuple[str, str]]) -> None:
@@ -93,27 +94,27 @@ class HybridIndex:
         if not items:
             return
         with self._write_lock:
-            self._check_mutable()
+            self._check_mutable([doc_id for doc_id, _ in items])
             matrix = self.embedder.embed_batch([text for _, text in items])
             for (doc_id, text), vector in zip(items, matrix):
                 self._add_one(doc_id, text, vector)
 
     def _add_one(self, doc_id: str, text: str, vector) -> None:
         self.bm25.add(doc_id, text)
-        if doc_id in self.vectors:
-            # Re-add with changed content: swap the dense vector in place
-            # so both halves rank by the current text.
-            self.vectors.update(doc_id, vector)
-        else:
-            self.vectors.add(doc_id, vector)
+        self.vectors.add(doc_id, vector)
         self._texts[doc_id] = text
 
-    def _check_mutable(self) -> None:
+    def _check_mutable(self, doc_ids: Sequence[str]) -> None:
+        """Refuse a batch before any of it lands: a frozen index takes no
+        adds, and an index is built once (no id is indexed twice)."""
         if self._frozen:
             raise FrozenIndexError(
                 "this HybridIndex is frozen (shared by the serving layer); "
                 "build a new index instead of mutating it"
             )
+        indexed = [doc_id for doc_id in doc_ids if doc_id in self._texts]
+        if indexed:
+            raise KeyError(f"already indexed: {indexed}; build a new index instead")
 
     def freeze(self) -> "HybridIndex":
         """Compile and seal the index: all further mutation raises

@@ -5,12 +5,12 @@ hybrid index, and answers natural-language queries with table Documents.
 This is both a component of the IR System and the standalone
 "Pneuma-Retriever" baseline of Figures 4 and 5.
 
-Indexing is incremental: narrations are produced through a
-:class:`NarrationCache`, and :meth:`reindex` skips any table whose
-``Table.fingerprint()`` (memoized on the table) is the one it indexed —
-re-indexing an unchanged catalog costs one tuple compare per table
-instead of a narrate/embed/insert pipeline.  A frozen retriever (see
-:meth:`freeze`) is safe to share across concurrent sessions.
+Narrations are produced through a :class:`NarrationCache`, and
+:meth:`reindex` skips any table whose ``Table.fingerprint()`` (memoized
+on the table) is the one it indexed — re-indexing an unchanged catalog
+costs one tuple compare per table instead of a narrate/embed/insert
+pipeline.  A frozen retriever (see :meth:`freeze`) is safe to share
+across concurrent sessions.
 """
 
 from __future__ import annotations
@@ -84,10 +84,15 @@ class PneumaRetriever:
     # Indexing
     # ------------------------------------------------------------------
     def reindex(self) -> Dict[str, int]:
-        """Bring the index up to date with the database, skipping unchanged
-        tables by content fingerprint.  Returns ``{"indexed": n, "skipped": m}``.
-        A table that left the catalog is forgotten; its index entry stays
-        (the index has no delete) and :meth:`search_batch` skips it.
+        """Index the tables the index has not seen, skipping unchanged ones
+        by content fingerprint.  Returns ``{"indexed": n, "skipped": m}``.
+
+        An index is built once: a table whose content changed raises
+        ``KeyError`` and leaves the retriever as it was — unless the index
+        is a warm start's ``DeltaHybridIndex``, whose delta answers for
+        the stale base copy.  The serving layer's ``reindex()`` builds a
+        fresh retriever instead.  A table that left the catalog is
+        forgotten; its index entry stays and :meth:`search_batch` skips it.
         """
         pending: List[Tuple[str, str]] = []
         staged_narrations: Dict[str, str] = {}
@@ -103,9 +108,9 @@ class PneumaRetriever:
             staged_fingerprints[table.name] = table.fingerprint()
             pending.append((table.name, narration))
         if pending:
-            # May raise FrozenIndexError; commit our own state only after
-            # the index accepted the batch, so a failed reindex leaves the
-            # retriever exactly as it was.
+            # May raise FrozenIndexError or KeyError (a changed table);
+            # commit our own state only after the index accepted the batch,
+            # so a failed reindex leaves the retriever exactly as it was.
             self.index.add_batch(pending)
         self._narrations.update(staged_narrations)
         self._fingerprints.update(staged_fingerprints)
@@ -143,7 +148,7 @@ class PneumaRetriever:
             documents = []
             for hit in hits:
                 if not self.database.has_table(hit.doc_id):
-                    # Dropped from the catalog; the index cannot delete.
+                    # Dropped from the catalog; an index is never edited.
                     continue
                 table = self.database.resolve_table(hit.doc_id)
                 documents.append(

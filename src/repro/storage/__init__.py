@@ -19,7 +19,7 @@ verifiable artifact instead of a process-lifetime one:
   process state at each named point and assert bit-identical recovery.
 """
 
-from .atomic import atomic_write_bytes, atomic_write_json, fsync_dir, fsync_file
+from .atomic import atomic_write_bytes, atomic_write_json, fsync_dir
 from .crash import (
     NO_CRASH,
     CrashInjector,
@@ -39,7 +39,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "fsync_dir",
-    "fsync_file",
     "NO_CRASH",
     "CrashInjector",
     "CrashSpec",

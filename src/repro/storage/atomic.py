@@ -29,7 +29,6 @@ from ..obs import trace as obs
 from .crash import NO_CRASH, CrashInjector, SimulatedCrash, crash_point
 
 __all__ = [
-    "fsync_file",
     "fsync_dir",
     "atomic_write_bytes",
     "atomic_write_json",
@@ -50,15 +49,6 @@ CP_ATOMIC_AFTER_RENAME = crash_point(
     "atomic.after_rename",
     "renamed over the target but the directory entry is not yet durable",
 )
-
-
-def fsync_file(path: Union[str, Path]) -> None:
-    """fsync an existing file by path."""
-    fd = os.open(os.fspath(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def fsync_dir(path: Union[str, Path]) -> None:

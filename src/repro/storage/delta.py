@@ -17,8 +17,8 @@ and post-start adds.  :class:`DeltaHybridIndex` layers a small mutable
 
 Both layers score with the same RRF constants, but their ranks are
 computed per-layer, so merged scores are an approximation of a single
-fused index; :meth:`compact` rebuilds the exact single index when the
-overlay has grown past taste.
+fused index.  The overlay lives until the next ``reindex()``, which
+builds a fresh single index (there is no in-place merge).
 """
 
 from __future__ import annotations
@@ -147,26 +147,3 @@ class DeltaHybridIndex:
             merged.sort(key=lambda hit: (-hit.score, hit.doc_id))
             results.append(merged[:k])
         return results
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> HybridIndex:
-        """Fold the overlay into a fresh frozen :class:`HybridIndex`.
-
-        Live base docs keep their original order, delta docs append after
-        — a deterministic full rebuild that restores exact single-index
-        fusion (and is what a background merge would publish).
-        """
-        rebuilt = HybridIndex(
-            dim=self.base.embedder.dim, seed=self.base.seed, embedder=self.base.embedder
-        )
-        items: List[Tuple[str, str]] = []
-        for doc_id in self.base.doc_ids():
-            if doc_id in self._masked or doc_id in self.delta:
-                continue
-            items.append((doc_id, self.base.text_of(doc_id)))
-        for doc_id in self.delta.doc_ids():
-            items.append((doc_id, self.delta.text_of(doc_id)))
-        rebuilt.add_batch(items)
-        return rebuilt.freeze()

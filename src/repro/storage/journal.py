@@ -146,28 +146,19 @@ class Journal:
                 os.fsync(handle.fileno())
         return cls(path, crash=crash), replay
 
-    def append(self, record: dict, sync: bool = True) -> None:
+    def append(self, record: dict) -> None:
         """Durably append one record (fsynced before returning)."""
         frame = _frame(record)
-        with obs.span(
-            "storage.wal.append", record=record.get("type", ""), bytes=len(frame), sync=sync
-        ):
+        with obs.span("storage.wal.append", record=record.get("type", ""), bytes=len(frame)):
             with self._lock:
                 if self._closed:
                     raise ValueError("journal is closed")
                 self._crash.reach(CP_JOURNAL_BEFORE_WRITE)
                 os.write(self._fd, frame)
                 self._crash.reach(CP_JOURNAL_BEFORE_SYNC)
-                if sync:
-                    os.fsync(self._fd)
+                os.fsync(self._fd)
                 self._crash.reach(CP_JOURNAL_AFTER_SYNC)
                 self.appended += 1
-
-    def sync(self) -> None:
-        """Flush any unsynced appends (no-op when every append synced)."""
-        with self._lock:
-            if not self._closed:
-                os.fsync(self._fd)
 
     def close(self) -> None:
         with self._lock:

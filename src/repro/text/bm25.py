@@ -9,12 +9,13 @@ this kernel to.
 
 Layout (the PR-2 plan/compile approach applied to retrieval):
 
-* doc_ids are interned to dense int slots (freed slots are recycled), so
-  scoring never touches strings;
+* doc_ids are interned to dense int slots in insertion order, so
+  scoring never touches strings (an index is built once: adding a known
+  id raises, and nothing is ever removed);
 * each term's postings live in parallel numpy arrays — ``int32`` slots,
   ``float32`` tfs — plus a precomputed ``float64`` per-posting score
   contribution (IDF and the ``k1*(1-b+b*len/avg)`` length normalization
-  are corpus-level constants between mutations, cached under a version
+  are corpus-level constants between adds, cached under a version
   counter);
 * a query accumulates contributions into one dense ``float64`` buffer
   (per-thread, so frozen indexes stay lock-free under concurrent
@@ -97,27 +98,22 @@ class BM25Index:
             raise ValueError(f"b must be in [0, 1], got {b}")
         self.k1 = k1
         self.b = b
-        # Set when this index was hydrated from a persistent segment: the
-        # mutable postings dicts were never rebuilt, so mutation (which
-        # depends on them) is forbidden — search-only, like the frozen
-        # serving index the segment was written from.
-        self._hydrated = False
         # Lazy per-term hydration source: (term -> row, idf, CSR offsets,
-        # flat slots/tfs/contrib).  ``None`` on ordinary indexes.
+        # flat slots/tfs/contrib).  ``None`` on ordinary indexes; set, the
+        # index is search-only — the postings dicts were never rebuilt,
+        # like the frozen serving index the segment was written from.
         self._seg: Optional[Tuple[Dict[str, int], np.ndarray, np.ndarray,
                                   np.ndarray, np.ndarray, np.ndarray]] = None
-        # Doc interning: slot -> doc_id / length (stale after removal, the
-        # slot is recycled by the next add).
+        # Doc interning: slot -> doc_id / length (a hydrated segment may
+        # carry ``None`` holes: older stores recycled the slots of removed
+        # documents).
         self._doc_ids: List[Optional[str]] = []
         self._doc_lengths: List[int] = []
         self._doc_index: Dict[str, int] = {}  # doc_id -> slot
-        self._free_slots: List[int] = []
-        # Mutable postings: term -> {slot: tf}; the reverse map makes
-        # remove() touch only the removed document's own terms.
+        # Build-time postings: term -> {slot: tf}.
         self._postings: Dict[str, Dict[int, int]] = {}
-        self._doc_terms: Dict[int, Tuple[str, ...]] = {}
         self._total_length = 0
-        # Corpus version counter: bumped per mutation, invalidates the
+        # Corpus version counter: bumped per add, invalidates the
         # compiled per-term arrays, IDFs, and the norm vector.
         self._version = 0
         self._stats_version = -1
@@ -130,24 +126,17 @@ class BM25Index:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, doc_id: str, text: str) -> None:
-        """Index a document; re-adding an id replaces the old content."""
+        """Index a document.  An index is built once: a known id raises."""
         self._check_mutable()
         if doc_id in self._doc_index:
-            self.remove(doc_id)
+            raise KeyError(f"document {doc_id!r} is already indexed")
         tokens = tokenize(text)
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._doc_ids[slot] = doc_id
-            self._doc_lengths[slot] = len(tokens)
-        else:
-            slot = len(self._doc_ids)
-            self._doc_ids.append(doc_id)
-            self._doc_lengths.append(len(tokens))
+        slot = len(self._doc_ids)
+        self._doc_ids.append(doc_id)
+        self._doc_lengths.append(len(tokens))
         self._doc_index[doc_id] = slot
         self._total_length += len(tokens)
-        counts = Counter(tokens)
-        self._doc_terms[slot] = tuple(counts)
-        for term, tf in counts.items():
+        for term, tf in Counter(tokens).items():
             self._postings.setdefault(term, {})[slot] = tf
         self._version += 1
 
@@ -156,43 +145,22 @@ class BM25Index:
         for doc_id, text in items:
             self.add(doc_id, text)
 
-    def remove(self, doc_id: str) -> None:
-        """Drop a document, touching only its own terms (reverse map)."""
-        self._check_mutable()
-        slot = self._doc_index.get(doc_id)
-        if slot is None:
-            raise KeyError(f"document {doc_id!r} is not indexed")
-        del self._doc_index[doc_id]
-        self._total_length -= self._doc_lengths[slot]
-        for term in self._doc_terms.pop(slot):
-            posting = self._postings[term]
-            del posting[slot]
-            if not posting:
-                del self._postings[term]
-        self._doc_ids[slot] = None
-        self._doc_lengths[slot] = 0
-        self._free_slots.append(slot)
-        self._version += 1
-
     def _check_mutable(self) -> None:
-        if self._hydrated:
+        if self._seg is not None:
             raise RuntimeError(
                 "this BM25Index was hydrated from a persistent segment and is "
-                "search-only; rebuild from source texts to mutate"
+                "search-only; rebuild from source texts to add"
             )
 
     def __len__(self) -> int:
         return len(self._doc_index)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_index
 
     # ------------------------------------------------------------------
     # Interning introspection (the hybrid index fuses over these ints)
     # ------------------------------------------------------------------
     @property
     def slot_count(self) -> int:
-        """Number of interned slots, including recyclable freed ones."""
+        """Number of interned slots, including a hydrated segment's holes."""
         return len(self._doc_ids)
 
     def slot_items(self) -> Iterable[Tuple[str, int]]:
@@ -209,7 +177,7 @@ class BM25Index:
     def compile(self) -> "BM25Index":
         """Freeze-time compile: materialize every term's impact-sorted
         arrays and max-score bound so search can early-exit.  Idempotent;
-        any mutation invalidates (the next search falls back to the lazy
+        an add invalidates (the next search falls back to the lazy
         per-term path until :meth:`compile` runs again)."""
         if self.compiled:
             return self
@@ -287,14 +255,13 @@ class BM25Index:
 
         The postings arrays are referenced, not copied — pass memory-mapped
         views and searches run straight off the file.  Term entries are
-        materialized lazily per queried term.  The mutable postings dicts
-        are *not* reconstructed, so :meth:`add`/:meth:`remove` raise.
+        materialized lazily per queried term.  The build-time postings
+        dicts are *not* reconstructed, so :meth:`add` raises.
         """
         index = cls(k1=float(meta["k1"]), b=float(meta["b"]))
         index._doc_ids = list(doc_ids)
         index._doc_lengths = [int(x) for x in doc_lengths]
         index._doc_index = {d: i for i, d in enumerate(index._doc_ids) if d is not None}
-        index._free_slots = [i for i, d in enumerate(index._doc_ids) if d is None]
         index._total_length = int(meta["total_length"])
         index._norm = np.asarray(norm, dtype=np.float64)
         index._seg = (
@@ -307,13 +274,7 @@ class BM25Index:
         )
         index._stats_version = index._version
         index._compiled_version = index._version
-        index._hydrated = True
         return index
-
-    @property
-    def hydrated(self) -> bool:
-        """True when restored from a segment (search-only)."""
-        return self._hydrated
 
     def _refresh_stats(self) -> None:
         if self._stats_version == self._version:
@@ -373,35 +334,6 @@ class BM25Index:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _idf(self, term: str) -> float:
-        n = len(self._doc_index)
-        df = len(self._postings.get(term, ()))
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-    def score(self, query: str, doc_id: str) -> float:
-        """BM25 score of one document for a query (0 if no term overlaps)."""
-        if self._hydrated:
-            raise RuntimeError(
-                "score() walks the mutable postings dicts, which a hydrated "
-                "index does not carry; use search()/search_batch()"
-            )
-        slot = self._doc_index.get(doc_id)
-        if slot is None:
-            raise KeyError(f"document {doc_id!r} is not indexed")
-        avg_len = self._total_length / len(self._doc_index)
-        total = 0.0
-        doc_len = self._doc_lengths[slot]
-        for term in sorted(set(tokenize_cached(query))):
-            tf = self._postings.get(term, {}).get(slot, 0)
-            if tf == 0:
-                continue
-            idf = self._idf(term)
-            denom = tf + self.k1 * (1 - self.b + self.b * doc_len / avg_len) if avg_len else tf
-            total += idf * tf * (self.k1 + 1) / denom
-        return total
-
     def search(self, query: str, k: int = 10) -> List[BM25Hit]:
         """Top-k documents by BM25 score (ties broken by doc_id for determinism)."""
         return [

@@ -170,17 +170,3 @@ class CachedEmbedder:
     def stats(self) -> dict:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses, "size": len(self._cache)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors (0.0 when either is zero)."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

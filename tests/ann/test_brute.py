@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.ann import cosine_distance, inner_product_distance, l2_distance, resolve_metric
+from repro.ann import HNSWIndex
 from tests.oracles.brute import BruteForceIndex
+from tests.oracles.scalar_metrics import (
+    cosine_distance,
+    inner_product_distance,
+    l2_distance,
+    resolve_metric,
+)
 
 
 class TestMetrics:
@@ -27,6 +33,8 @@ class TestMetrics:
     def test_resolve_unknown(self):
         with pytest.raises(ValueError):
             resolve_metric("manhattan")
+        with pytest.raises(ValueError, match="unknown metric"):
+            HNSWIndex(dim=2, metric="manhattan")
 
 
 class TestBruteForce:

@@ -132,11 +132,3 @@ class TestBatchAPI:
         hnsw, _ = build_pair(rng.normal(size=(10, 8)))
         with pytest.raises(ValueError):
             hnsw.search_batch(rng.normal(size=(3, 4)), k=2)
-
-    def test_add_batch(self):
-        from repro.ann import HNSWIndex
-
-        rng = np.random.default_rng(7)
-        index = HNSWIndex(dim=6, m=4, ef_construction=8)
-        index.add_batch([(f"v{i}", rng.normal(size=6)) for i in range(20)])
-        assert len(index) == 20

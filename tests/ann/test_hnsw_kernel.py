@@ -1,5 +1,5 @@
-"""Kernel-specific HNSW behavior: compilation, the compacted matrix,
-update-in-place on a compiled index, and concurrent search."""
+"""Kernel-specific HNSW behavior: compilation, the compacted matrix, the
+search-only compiled index, and concurrent search."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,7 +13,8 @@ def build(n=80, dim=8, seed=0, metric="cosine"):
     rng = np.random.default_rng(seed)
     index = HNSWIndex(dim=dim, metric=metric, m=4, ef_construction=16, seed=7)
     vectors = rng.normal(size=(n, dim))
-    index.add_batch([(f"v{i}", vec) for i, vec in enumerate(vectors)])
+    for i, vec in enumerate(vectors):
+        index.add(f"v{i}", vec)
     return index, vectors, rng
 
 
@@ -23,7 +24,6 @@ class TestCompile:
         queries = rng.normal(size=(10, 8))
         before = index.search_batch(queries, k=5)
         index.compile()
-        assert index.compiled
         after = index.search_batch(queries, k=5)
         assert [[(h.key, h.distance) for h in hits] for hits in before] == [
             [(h.key, h.distance) for h in hits] for hits in after
@@ -36,50 +36,18 @@ class TestCompile:
         index.compile()
         assert index._csr is csr
 
-    def test_add_after_compile_decompiles_and_works(self):
+    def test_add_after_compile_raises(self):
         index, _, rng = build(n=30)
         index.compile()
-        index.add("late", rng.normal(size=8))
-        assert not index.compiled
-        assert "late" in index and len(index) == 31
-        hits = index.search(rng.normal(size=8), k=31)
-        assert len(hits) >= 1  # graph still connected and searchable
+        with pytest.raises(RuntimeError, match="search-only"):
+            index.add("late", rng.normal(size=8))
+        assert "late" not in index and len(index) == 30
 
     def test_compiled_matrix_is_compacted(self):
         index, _, _ = build(n=33)
         assert index._matrix.shape[0] >= 33  # doubling leaves headroom
         index.compile()
         assert index._matrix.shape[0] == 33  # trimmed to live rows
-
-
-class TestUpdateOnCompiled:
-    def test_update_then_search_uses_new_vector(self):
-        index, vectors, _ = build(n=50, metric="l2")
-        index.compile()
-        target = vectors[7] + 100.0  # move v7 far away
-        index.update("v7", target)
-        hits = index.search(target, k=3, ef=60)
-        assert hits[0].key == "v7"
-        assert hits[0].distance == pytest.approx(0.0, abs=1e-9)
-        # And v7 no longer ranks near its old position.
-        old_hits = index.search(vectors[7], k=3, ef=60)
-        assert old_hits[0].key != "v7"
-
-    def test_update_cosine_renormalizes(self):
-        index = HNSWIndex(dim=4, metric="cosine", m=2, ef_construction=4)
-        index.add("a", np.array([1.0, 0.0, 0.0, 0.0]))
-        index.add("b", np.array([0.0, 1.0, 0.0, 0.0]))
-        index.compile()
-        # Same direction, wildly different magnitude: cosine must not care.
-        index.update("a", np.array([1000.0, 0.0, 0.0, 0.0]))
-        hits = index.search(np.array([1.0, 0.0, 0.0, 0.0]), k=1)
-        assert hits[0].key == "a"
-        assert hits[0].distance == pytest.approx(0.0, abs=1e-9)
-
-    def test_update_missing_raises(self):
-        index, _, _ = build(n=5)
-        with pytest.raises(KeyError):
-            index.update("ghost", np.zeros(8))
 
 
 class TestConcurrentSearch:

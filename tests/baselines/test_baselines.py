@@ -12,8 +12,8 @@ from repro.baselines import (
     RetrieverOnlySystem,
     SeekerSystem,
     StaticPipelineRunner,
-    build_full_context_llm,
 )
+from repro.baselines.full_context import build_full_context_llm
 from repro.datasets.questions import Question
 from repro.relational import Database, Table
 

@@ -1,38 +1,7 @@
-"""Unit tests for convergence concept helpers."""
+"""Unit tests for the convergence concept type."""
 
-from repro.core import Concept, concept_mentioned, coverage, uncovered
-
-
-class TestConceptMentioned:
-    def test_exact(self):
-        assert concept_mentioned("potassium", "average potassium levels")
-
-    def test_inflected(self):
-        assert concept_mentioned("linearly interpolated", "with linear interpolation")
-
-    def test_multiword_requires_all(self):
-        assert not concept_mentioned("world heritage", "heritage sites only")
-
-    def test_empty_phrase_false(self):
-        assert not concept_mentioned("", "anything")
+from repro.core import Concept
 
 
-class TestCoverage:
-    CONCEPTS = [Concept("potassium"), Concept("maltese", "value"), Concept("sites", "seed")]
-
-    def test_full(self):
-        text = "potassium at maltese sites"
-        assert coverage(self.CONCEPTS, text) == 1.0
-
-    def test_partial(self):
-        assert coverage(self.CONCEPTS, "potassium only") == 1 / 3
-
-    def test_no_concepts_is_one(self):
-        assert coverage([], "whatever") == 1.0
-
-    def test_uncovered_lists_missing(self):
-        missing = uncovered(self.CONCEPTS, "potassium only")
-        assert {c.token for c in missing} == {"maltese", "sites"}
-
-    def test_concept_json(self):
-        assert Concept("x", "seed").to_json() == {"token": "x", "kind": "seed"}
+def test_concept_json():
+    assert Concept("x", "seed").to_json() == {"token": "x", "kind": "seed"}

@@ -1,11 +1,11 @@
 """Unit tests for the SQL Executor tool's error-capture contract."""
 
 from repro.core import SQLExecutor
-from repro.relational import Database, Table
+from repro.relational import Database, PlanCache, Table
 
 
-def make_db():
-    db = Database()
+def make_db(cache=None):
+    db = Database(plan_cache=cache)
     db.register(Table.from_columns("t", {"x": [1, 2, 3]}))
     return db
 
@@ -47,20 +47,20 @@ class TestSQLExecutor:
 
 class TestPlanCacheWiring:
     def test_repeated_query_hits_plan_cache(self):
-        db = make_db()
-        executor = SQLExecutor(db)
-        before = executor.plan_cache_stats()
+        cache = PlanCache()
+        executor = SQLExecutor(make_db(cache))
+        before = cache.stats()
         for _ in range(3):
             assert executor.execute("SELECT SUM(x) FROM t").ok
-        stats = executor.plan_cache_stats()
+        stats = cache.stats()
         assert stats["misses"] - before["misses"] == 1
         assert stats["hits"] - before["hits"] == 2
 
     def test_errors_do_not_poison_the_cache(self):
-        db = make_db()
-        executor = SQLExecutor(db)
+        cache = PlanCache()
+        executor = SQLExecutor(make_db(cache))
         assert not executor.execute("SELECT ghost FROM t").ok
         assert not executor.execute("SELECT ghost FROM t").ok
-        stats = executor.plan_cache_stats()
+        stats = cache.stats()
         assert stats["hits"] == 0
         assert stats["size"] == 0

@@ -35,35 +35,19 @@ class TestMutation:
         state.record_materialized(Table.from_columns("orders_target", {"price": [1.0]}))
         assert state.is_materialized("orders_target")
 
-    def test_remove_table_drops_materialized(self, spec):
-        state = SharedState()
-        state.set_table(spec)
-        state.record_materialized(Table.from_columns("orders_target", {"price": [1.0]}))
-        state.remove_table("orders_target")
-        assert not state.is_materialized("orders_target")
-        assert "orders_target" not in state.tables
-
     def test_record_result(self):
         state = SharedState()
         result = Table.from_columns("result", {"answer": [42]})
         state.record_result(result)
         assert state.last_result is result
 
-    def test_clear(self, spec):
-        state = SharedState()
-        state.set_table(spec)
-        state.set_queries(["SELECT 1"])
-        state.clear()
-        assert not state.tables and not state.queries
-
-    def test_changelog_and_diff(self, spec):
+    def test_changelog(self, spec):
         state = SharedState()
         state.set_table(spec)
         v = state.version
         state.set_queries(["SELECT 1"])
-        diff = state.diff_summary(since_version=v)
-        assert len(diff) == 1
-        assert "updated Q" in diff[0]
+        assert state.version == v + 1
+        assert state.changelog[-1].startswith(f"v{v + 1}: updated Q")
 
 
 class TestViews:

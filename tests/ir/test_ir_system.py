@@ -135,13 +135,3 @@ class TestIRSystem:
         ir.register("custom", lambda q, k: [Document("c:1", "web", "custom", q)])
         result = ir.retrieve("hello")
         assert any(d.doc_id == "c:1" for d in result.documents)
-
-
-class TestDocument:
-    def test_brief_truncates(self):
-        doc = Document("d", "table", "t", "word " * 100)
-        assert len(doc.brief(max_chars=50)) <= 62
-
-    def test_json_round_trip(self):
-        doc = Document("d", "web", "T", "text", payload={"a": 1}, score=0.5, source="s")
-        assert Document.from_json(doc.to_json()) == doc

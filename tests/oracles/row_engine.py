@@ -226,14 +226,14 @@ class RowExecutor:
             return result
         if isinstance(stmt, ast.CreateTable):
             columns = [Column(c.name, parse_type_name(c.type_name)) for c in stmt.columns]
-            table = Table.empty(stmt.name, columns)
+            table = Table(stmt.name, Schema(columns), [])
             self.catalog.put_table(table, replace=stmt.or_replace)
             return table
         if isinstance(stmt, ast.InsertValues):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.DropTable):
             self.catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
-            return Table.empty(stmt.name, [])
+            return Table(stmt.name, Schema([]), [])
         raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
 
     def _execute_insert(self, stmt: ast.InsertValues) -> Table:

@@ -2,6 +2,8 @@
 twin or a second SQL engine, and nothing there imports from the test tree."""
 
 import ast
+import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -11,6 +13,22 @@ import repro
 import repro.relational
 
 SRC = Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+
+#: Exported functions that keep their package ``__all__`` entry with no
+#: caller outside their own module (at most 15, each with its reason).
+EXPORTED_WITHOUT_CALLER = {
+    # The in-program tracer's context, for code that annotates the current span.
+    "active_span",
+    "active_tracer",
+    # The crash-injection registry: the points ``CrashSpec.nth`` accepts.
+    "all_crash_points",
+    "describe_crash_point",
+    # A coverage report's JSON form: what a run's four grids are digested from.
+    "report_to_json",
+    # The single-token form of the stem vocabulary the stemming tests call.
+    "stem",
+}
 
 #: What only the row-at-a-time oracle may define or mention.
 ROW_ENGINE_NAMES = ("RowExecutor", "_eval_group_expr")
@@ -126,12 +144,6 @@ def test_relational_public_surface():
         "DataType",
         "format_value",
         "parse",
-        "parse_script",
-        "expr_to_sql",
-        "select_to_sql",
-        "read_csv",
-        "read_csv_text",
-        "write_csv",
         "to_csv_text",
         "RelationalError",
         "LexError",
@@ -182,3 +194,40 @@ def test_service_public_surface():
     for node in ast.walk(shared):
         if isinstance(node, ast.FunctionDef):
             assert node.name != "__getattr__", f"shared.py:{node.lineno}: defines __getattr__"
+
+
+def _names_referenced(path):
+    """Every identifier ``path`` uses or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_exported_function_has_a_production_caller():
+    """A function a package exports is called from outside its own module
+    somewhere in ``src/`` (re-exports in ``__init__`` do not count),
+    ``scripts/``, ``examples/`` or ``benchmarks/``; one used only inside
+    its module leaves ``__all__``.  Tests are not callers."""
+    callers = [path for path in SRC.rglob("*.py") if path.name != "__init__.py"]
+    for directory in ("scripts", "examples", "benchmarks"):
+        callers += (ROOT / directory).rglob("*.py")
+    referenced = {path.resolve(): _names_referenced(path) for path in callers}
+    assert len(EXPORTED_WITHOUT_CALLER) <= 15
+    uncalled = set()
+    for init in sorted(SRC.glob("*/__init__.py")):
+        package = importlib.import_module(f"repro.{init.parent.name}")
+        for name in package.__all__:
+            function = getattr(package, name)
+            if not inspect.isfunction(function):
+                continue  # classes and constants are the types callers use
+            home = Path(inspect.getsourcefile(function)).resolve()
+            if not any(name in names for path, names in referenced.items() if path != home):
+                uncalled.add(f"{package.__name__}.{name}")
+    assert sorted(n for n in uncalled if n.rpartition(".")[2] not in EXPORTED_WITHOUT_CALLER) == []
+    assert {n.rpartition(".")[2] for n in uncalled} == EXPORTED_WITHOUT_CALLER  # no stale entry

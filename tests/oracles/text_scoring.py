@@ -2,19 +2,29 @@
 
 ``reference_name_match_score`` and ``reference_detect_aggregate`` are the
 pre-lexicon function bodies, verbatim: per-call tokenisation, per-call
-norms, one ``re.search`` per cue.  ``reference_stem`` names the stemming
+norms (``cosine_similarity``), one ``re.search`` per cue.  ``reference_stem`` names the stemming
 rules without the vocabulary table in front of them.
 """
 
 import re
 
+import numpy as np
+
 from repro.llm.semantics import _AGGREGATE_CUES
-from repro.text.embedding import CachedEmbedder, cosine_similarity
+from repro.text.embedding import CachedEmbedder
 from repro.text.tokenize import _strip_suffixes, tokenize
 
 _EMBEDDER = CachedEmbedder(dim=192)
 
 reference_stem = _strip_suffixes
+
+
+def cosine_similarity(a, b):
+    """Cosine similarity of two vectors (0.0 when either is zero)."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 def reference_name_match_score(question_tokens, column_name):

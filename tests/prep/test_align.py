@@ -153,12 +153,6 @@ class TestCompile:
         }
         assert compiler.execute(plan).num_rows == 90
 
-    def test_explain_mentions_sql_and_mapping(self, compiler):
-        plan = compiler.compile(spec("t", [("amount", "orders.amount")]))
-        text = plan.explain()
-        assert "orders.amount" in text
-        assert "sql:" in text
-
 
 class TestRefusals:
     def test_empty_spec(self, compiler):

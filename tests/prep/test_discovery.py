@@ -102,8 +102,8 @@ class TestDiscoveryBehavior:
             )
         )
         profiles = ProfileStore().profile_catalog(lake)
-        assert profiles["a"].column("reading").fractional
-        assert not profiles["b"].column("a_ref").fractional
+        assert profiles["a"].columns["reading"].fractional
+        assert not profiles["b"].columns["a_ref"].fractional
         found = candidate_keys(discover_join_candidates(profiles))
         assert found == {("a", "id", "b", "a_ref"), ("b", "a_ref", "a", "id")}
         assert found == candidate_keys(exact_join_candidates(lake))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.datasets.generator import build_planted_catalog
 from repro.prep import ProfileStore, discover_join_candidates, discovery
 from repro.prep.profile import ColumnProfile, TableProfile
-from repro.prep.sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures
+from repro.prep.sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures, encode_values
 from repro.relational.types import DataType
 from tests.oracles.discovery_slotwise import (
     dense_signature_single,
@@ -24,6 +24,11 @@ from tests.oracles.discovery_slotwise import (
 EMPTY = int(_EMPTY_SLOT)
 #: One dtype per type family, plus the family discovery never compares.
 DTYPES = (DataType.INTEGER, DataType.TEXT, DataType.DATE, DataType.NULL)
+
+
+def sketch_from(values) -> ColumnSketch:
+    """The sketch of a column holding ``values``."""
+    return ColumnSketch.from_keys(encode_values(values))
 
 
 def sketch_of(cells) -> ColumnSketch:
@@ -95,7 +100,7 @@ class TestAgainstTheSlotwiseBody:
                         table=name,
                         name="k",
                         dtype=DataType.INTEGER,
-                        sketch=ColumnSketch.from_values([1, 2, 3, 4]),
+                        sketch=sketch_from([1, 2, 3, 4]),
                         count=4,
                         nulls=0,
                         distinct_estimate=4.0,
@@ -137,12 +142,12 @@ class TestBatchedDensification:
         dense = dense_signatures(sketches)
         assert dense.tolist() == [e.tolist() for e in expected]
         for sketch, row in zip(sketches, expected):
-            assert sketch.dense_signature().tolist() == row.tolist()
+            assert sketch._dense.tolist() == row.tolist()
 
     def test_more_sketches_than_one_probe_block(self):
         rng = np.random.default_rng(3)
         sketches = [
-            ColumnSketch.from_values(rng.integers(0, 500, size=int(size)).tolist())
+            sketch_from(rng.integers(0, 500, size=int(size)).tolist())
             for size in rng.integers(1, 60, size=600)
         ]
         expected = [dense_signature_single(s) for s in sketches]
@@ -152,19 +157,20 @@ class TestBatchedDensification:
         assert _EMPTY_SLOT not in dense
 
     def test_a_densified_sketch_is_reused_not_recomputed(self):
-        old, new = ColumnSketch.from_values([1, 2, 3]), ColumnSketch.from_values([2, 3, 4, 5])
-        cached = old.dense_signature()
+        old, new = sketch_from([1, 2, 3]), sketch_from([2, 3, 4, 5])
+        dense_signatures([old])
+        cached = old._dense
         dense = dense_signatures([old, new])
-        assert old.dense_signature() is cached
+        assert old._dense is cached
         assert np.array_equal(dense[0], cached)
-        assert np.array_equal(new.dense_signature(), dense_signature_single(new))
+        assert np.array_equal(new._dense, dense_signature_single(new))
         # the mixed matrix is not pinned by the one new row cached from it
-        assert new.dense_signature().base is None
+        assert new._dense.base is None
 
     def test_a_cold_family_shares_one_matrix(self):
-        sketches = [ColumnSketch.from_values([i, i + 1, i + 2]) for i in range(4)]
+        sketches = [sketch_from([i, i + 1, i + 2]) for i in range(4)]
         dense = dense_signatures(sketches)
-        assert all(s.dense_signature().base is dense for s in sketches)
+        assert all(s._dense.base is dense for s in sketches)
 
     def test_a_sketch_with_no_filled_bin_stays_empty(self):
         hollow = sketch_of([EMPTY] * 8)

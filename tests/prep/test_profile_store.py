@@ -79,27 +79,22 @@ class TestProfileContents:
     def test_column_statistics(self, store):
         profile = store.profile(make_table(rows=60))
         assert profile.row_count == 60
-        ids = profile.column("reading_id")
+        ids = profile.columns["reading_id"]
         assert ids.count == 60
         assert ids.nulls == 0
         assert (ids.minimum, ids.maximum) == (0, 59)
         assert ids.distinct_estimate == pytest.approx(60, rel=0.15)
-        site = profile.column("site")
+        site = profile.columns["site"]
         assert site.family == "text"
         assert site.distinct_estimate == pytest.approx(5, rel=0.2)
-        assert profile.has_column("VALUE")  # case-insensitive lookup
+        assert "value" in profile.columns  # keyed by lower-cased name
 
     def test_null_accounting(self, store):
         table = Table.from_columns(
             "sparse", {"x": [1, None, 3, None], "y": [None, None, None, None]}
         )
         profile = store.profile(table)
-        assert profile.column("x").null_fraction == 0.5
-        y = profile.column("y")
+        x, y = profile.columns["x"], profile.columns["y"]
+        assert (x.count, x.nulls) == (4, 2)
         assert y.nulls == 4
         assert y.sketch.is_empty()
-
-    def test_to_json_round_trips_basics(self, store):
-        payload = store.profile(make_table()).to_json()
-        assert payload["name"] == "readings"
-        assert {c["name"] for c in payload["columns"]} == {"reading_id", "value", "site"}

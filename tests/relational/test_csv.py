@@ -1,64 +1,8 @@
-"""Unit tests for CSV ingestion/export."""
+"""Unit tests for CSV export."""
 
-import datetime
-
-from repro.relational import Table, read_csv, read_csv_text, to_csv_text, write_csv
-from repro.relational.types import DataType
+from repro.relational import Table, to_csv_text
 
 
-class TestReadCsvText:
-    def test_type_inference(self):
-        table = read_csv_text("t", "a,b,c,d\n1,2.5,hello,2020-01-02\n")
-        assert table.schema.column("a").dtype == DataType.INTEGER
-        assert table.schema.column("b").dtype == DataType.DOUBLE
-        assert table.schema.column("c").dtype == DataType.TEXT
-        assert table.schema.column("d").dtype == DataType.DATE
-        assert table.rows[0][3] == datetime.date(2020, 1, 2)
-
-    def test_empty_cells_are_null(self):
-        table = read_csv_text("t", "a,b\n1,\n,2\n")
-        assert table.rows == [(1, None), (None, 2)]
-
-    def test_booleans(self):
-        table = read_csv_text("t", "flag\ntrue\nfalse\n")
-        assert table.column_values("flag") == [True, False]
-
-    def test_mixed_column_becomes_text(self):
-        table = read_csv_text("t", "a\n1\nx\n")
-        assert table.schema.column("a").dtype == DataType.TEXT
-
-    def test_no_header(self):
-        table = read_csv_text("t", "1,2\n3,4\n", header=False)
-        assert table.column_names() == ["column0", "column1"]
-
-    def test_short_rows_padded(self):
-        table = read_csv_text("t", "a,b\n1\n")
-        assert table.rows == [(1, None)]
-
-    def test_empty_input(self):
-        table = read_csv_text("t", "")
-        assert table.num_rows == 0
-
-
-class TestRoundTrip:
-    def test_file_round_trip(self, tmp_path):
-        table = Table.from_columns(
-            "data",
-            {
-                "id": [1, 2],
-                "name": ["x", None],
-                "score": [1.5, -2.0],
-                "day": [datetime.date(2020, 1, 1), datetime.date(2021, 2, 3)],
-            },
-        )
-        path = tmp_path / "data.csv"
-        write_csv(table, path)
-        loaded = read_csv(path)
-        assert loaded.name == "data"
-        assert loaded.rows == table.rows
-
-    def test_text_round_trip(self):
-        table = Table.from_columns("t", {"a": [1, None], "b": ["x,y", "z"]})
-        text = to_csv_text(table)
-        loaded = read_csv_text("t", text)
-        assert loaded.rows == table.rows
+def test_to_csv_text():
+    table = Table.from_columns("t", {"a": [1, None], "b": ["x,y", "z"]})
+    assert to_csv_text(table).splitlines() == ["a,b", '1,"x,y"', ",z"]

@@ -8,6 +8,11 @@ import pytest
 from repro.relational import Database, Table
 
 
+def records(table):
+    """The result's rows as dicts."""
+    return [dict(zip(table.column_names(), row)) for row in table.rows]
+
+
 @pytest.fixture
 def db():
     database = Database()
@@ -101,7 +106,7 @@ class TestComposition:
             "SELECT YEAR(day) AS y, SUM(value) AS s FROM events GROUP BY YEAR(day) "
             "ORDER BY y"
         )
-        assert result.to_dicts() == [{"y": 2020, "s": 3.0}, {"y": 2021, "s": 7.0}]
+        assert records(result) == [{"y": 2020, "s": 3.0}, {"y": 2021, "s": 7.0}]
 
 
 class TestIdentifierHandling:

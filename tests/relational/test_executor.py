@@ -8,6 +8,11 @@ from repro.relational import Database, Table
 from repro.relational.errors import BindError, CatalogError, ExecutionError
 
 
+def records(table):
+    """The result's rows as dicts."""
+    return [dict(zip(table.column_names(), row)) for row in table.rows]
+
+
 @pytest.fixture
 def db():
     database = Database()
@@ -153,7 +158,7 @@ class TestAggregation:
             "SELECT COUNT(*) AS n, COUNT(amount) AS na, SUM(amount) AS s, "
             "AVG(amount) AS a, MIN(amount) AS lo, MAX(amount) AS hi FROM orders"
         )
-        row = result.to_dicts()[0]
+        row = records(result)[0]
         assert row["n"] == 5
         assert row["na"] == 4  # NULL skipped
         assert row["s"] == 110.0
@@ -164,7 +169,7 @@ class TestAggregation:
         result = db.execute(
             "SELECT country, COUNT(*) AS n FROM orders GROUP BY country ORDER BY country"
         )
-        assert result.to_dicts() == [
+        assert records(result) == [
             {"country": "DE", "n": 3},
             {"country": "FR", "n": 1},
             {"country": "US", "n": 1},
@@ -175,7 +180,7 @@ class TestAggregation:
             "SELECT id % 2 AS parity, COUNT(*) AS n FROM orders GROUP BY id % 2 "
             "ORDER BY parity"
         )
-        assert result.to_dicts() == [{"parity": 0, "n": 2}, {"parity": 1, "n": 3}]
+        assert records(result) == [{"parity": 0, "n": 2}, {"parity": 1, "n": 3}]
 
     def test_having(self, db):
         result = db.execute(
@@ -185,7 +190,7 @@ class TestAggregation:
 
     def test_empty_group_aggregate(self, db):
         result = db.execute("SELECT COUNT(*) AS n, SUM(amount) AS s FROM orders WHERE id > 99")
-        assert result.to_dicts() == [{"n": 0, "s": None}]
+        assert records(result) == [{"n": 0, "s": None}]
 
     def test_count_distinct(self, db):
         assert db.query_value("SELECT COUNT(DISTINCT country) FROM orders") == 3

@@ -6,7 +6,6 @@ from repro.relational import ast
 from repro.relational.errors import LexError, ParseError
 from repro.relational.lexer import tokenize
 from repro.relational.parser import parse, parse_script
-from repro.relational.sql_render import select_to_sql
 
 
 class TestLexer:
@@ -214,24 +213,3 @@ class TestParserStatements:
     def test_parse_rejects_multi(self):
         with pytest.raises(ParseError):
             parse("SELECT 1; SELECT 2")
-
-
-class TestRoundTrip:
-    """select_to_sql(parse(sql)) must itself re-parse to the same rendering."""
-
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "SELECT a, b + 1 AS c FROM t WHERE a > 2 ORDER BY c DESC LIMIT 3",
-            "SELECT g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 1",
-            "SELECT * FROM a LEFT JOIN b ON a.x = b.y WHERE b.y IS NULL",
-            "WITH c AS (SELECT 1 AS x) SELECT x FROM c UNION ALL SELECT 2",
-            "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t",
-            "SELECT DISTINCT a FROM t WHERE a IN (1, 2, 3)",
-            "SELECT CAST(a AS DOUBLE) FROM t WHERE a BETWEEN 1 AND 9",
-        ],
-    )
-    def test_stable_rendering(self, sql):
-        first = select_to_sql(parse(sql))
-        second = select_to_sql(parse(first))
-        assert first == second

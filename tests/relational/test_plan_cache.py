@@ -9,8 +9,13 @@ from repro.relational.errors import CatalogError
 
 
 @pytest.fixture
-def db():
-    database = Database()
+def cache():
+    return PlanCache()
+
+
+@pytest.fixture
+def db(cache):
+    database = Database(plan_cache=cache)
     database.register(Table.from_columns("t", {"g": ["a", "b", "a"], "x": [1, 2, 3]}))
     return database
 
@@ -40,25 +45,25 @@ class TestNormalizeSql:
 
 
 class TestPlanCacheCounters:
-    def test_repeated_query_hits(self, db):
+    def test_repeated_query_hits(self, db, cache):
         db.execute("SELECT SUM(x) FROM t")
         db.execute("SELECT SUM(x) FROM t")
         db.execute("SELECT  SUM(x)  FROM  t")  # whitespace variant shares the slot
-        stats = db.plan_cache_stats()
+        stats = cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
         assert stats["size"] == 1
 
-    def test_warm_hit_returns_same_result(self, db):
+    def test_warm_hit_returns_same_result(self, db, cache):
         first = db.execute("SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY g")
         second = db.execute("SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY g")
         assert first.rows == second.rows
         assert first.schema == second.schema
-        assert db.plan_cache_stats()["hits"] == 1
+        assert cache.stats()["hits"] == 1
 
-    def test_ddl_is_not_cached(self, db):
+    def test_ddl_is_not_cached(self, db, cache):
         db.execute("CREATE TABLE other (y INT)")
-        stats = db.plan_cache_stats()
+        stats = cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0 and stats["size"] == 0
 
 
@@ -83,13 +88,13 @@ class TestCatalogVersioning:
             db.put_table(Table.from_columns("t", {"x": [1]}), replace=False)
         assert db.version == v0
 
-    def test_insert_invalidates_cached_plan(self, db):
+    def test_insert_invalidates_cached_plan(self, db, cache):
         sql = "SELECT SUM(x) FROM t"
         assert db.execute(sql).single_value() == 6
         db.execute("INSERT INTO t VALUES ('c', 10)")
         # New catalog version: the stale plan must not be served.
         assert db.execute(sql).single_value() == 16
-        stats = db.plan_cache_stats()
+        stats = cache.stats()
         assert stats["misses"] == 2  # one per catalog version
         assert stats["hits"] == 0
 
@@ -117,17 +122,18 @@ class TestLRU:
             PlanCache(capacity=0)
 
     def test_database_capacity_plumbs_through(self):
-        database = Database(plan_cache=PlanCache(1))
+        cache = PlanCache(1)
+        database = Database(plan_cache=cache)
         database.register(Table.from_columns("t", {"x": [1]}))
         database.execute("SELECT x FROM t")
         database.execute("SELECT x + 1 FROM t")
-        stats = database.plan_cache_stats()
+        stats = cache.stats()
         assert stats["size"] == 1
         assert stats["evictions"] == 1
 
 
 class TestConcurrency:
-    def test_concurrent_sessions_share_the_cache(self, db):
+    def test_concurrent_sessions_share_the_cache(self, db, cache):
         sql = "SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY g"
         expected = db.execute(sql).rows
         errors = []
@@ -145,7 +151,7 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert not errors
-        stats = db.plan_cache_stats()
+        stats = cache.stats()
         assert stats["misses"] >= 1
         assert stats["hits"] + stats["misses"] == 8 * 20 + 1
 
@@ -181,4 +187,3 @@ class TestSharedCacheNamespacing:
         database.share_plan_cache(shared)
         database.execute("SELECT x FROM t")
         assert shared.stats()["misses"] == 1
-        assert database.plan_cache_stats() == shared.stats()

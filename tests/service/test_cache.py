@@ -1,5 +1,7 @@
 """Narration/embedding caches: hit/miss accounting and fingerprint reuse."""
 
+import pytest
+
 from repro.datasets import build_procurement_lake
 from repro.relational import Table
 from repro.retriever import NarrationCache, PneumaRetriever
@@ -87,14 +89,19 @@ class TestReindex:
         assert report["indexed"] == 1
         assert retriever.search("freight lane costs", k=1)[0].title == "freight"
 
-    def test_changed_table_is_reindexed(self):
+    def test_changed_table_raises_and_leaves_retriever_as_it_was(self):
+        """An index is built once: a live standalone retriever refuses a
+        changed table (the service's reindex() builds a fresh bundle)."""
         lake = build_procurement_lake()
         retriever = PneumaRetriever(lake)
+        before = retriever.narration("suppliers")
+        lake.register(Table.from_columns("freight", {"lane": ["EU-US"]}))
         bigger = Table.from_columns("suppliers", {"supplier": ["ACME", "Globex", "Initech"]})
         lake.register(bigger, replace=True)
-        report = retriever.reindex()
-        assert report["indexed"] == 1
-        assert report["skipped"] == len(lake.tables()) - 1
+        with pytest.raises(KeyError, match="already indexed"):
+            retriever.reindex()
+        assert retriever.narration("suppliers") == before
+        assert "freight" not in retriever.index
 
 
 class TestWarmRebuild:
@@ -117,25 +124,6 @@ class TestWarmRebuild:
 
 
 class TestChangedContentReindex:
-    def test_dense_vector_follows_changed_content(self):
-        """A re-indexed table must rank by its new content on the dense side."""
-        from repro.relational import Database
-
-        lake = Database("lake")
-        lake.register(Table.from_columns("facts", {"note": ["zebra zebra zebra"]}))
-        lake.register(Table.from_columns("other", {"note": ["unrelated filler words"]}))
-        retriever = PneumaRetriever(lake)
-        assert retriever.search("zebra", k=1, mode="vector")[0].title == "facts"
-
-        lake.register(
-            Table.from_columns("facts", {"note": ["quokka quokka quokka"]}), replace=True
-        )
-        retriever.reindex()
-        assert retriever.search("quokka", k=1, mode="vector")[0].title == "facts"
-        # The old content no longer dominates the dense ranking.
-        hits = retriever.index.search("zebra", k=2, mode="vector")
-        assert not hits or hits[0].doc_id != "facts" or hits[0].score < 0.02
-
     def test_narration_cache_keeps_one_entry_per_table(self):
         cache = NarrationCache()
         for i in range(5):

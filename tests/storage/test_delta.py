@@ -93,25 +93,3 @@ class TestOverlay:
         assert stats["delta_docs"] == 1 and stats["masked_docs"] == 1
         assert stats["docs"] == len(DOCS)  # -1 masked, +1 added
 
-
-class TestCompaction:
-    def test_compact_matches_cold_build(self):
-        delta = DeltaHybridIndex(frozen_base())
-        delta.add("zebra", "zebra stripes savannah wildlife table")
-        delta.add("doc3", "completely different zebra content now")
-        delta.mask("doc6")
-        compacted = delta.compact()
-
-        cold = HybridIndex(dim=48, seed=9, embedder=delta.embedder)
-        items = [(d, t) for d, t in DOCS if d not in ("doc3", "doc6")]
-        items += [
-            ("zebra", "zebra stripes savannah wildlife table"),
-            ("doc3", "completely different zebra content now"),
-        ]
-        cold.add_batch(items)
-        cold.freeze()
-        for mine, theirs in zip(
-            compacted.search_batch(QUERIES + ["zebra"], k=8),
-            cold.search_batch(QUERIES + ["zebra"], k=8),
-        ):
-            assert [(h.doc_id, h.score) for h in mine] == [(h.doc_id, h.score) for h in theirs]

@@ -1,5 +1,5 @@
-"""Kernel-specific BM25 behavior: interning, reverse-map removal,
-compilation, and the tokenization memo."""
+"""Kernel-specific BM25 behavior: build-once interning, compilation, and
+the tokenization memo."""
 
 import pytest
 
@@ -7,46 +7,15 @@ from repro.text import BM25Index, tokenize, tokenize_cached
 from repro.text.tokenize import TOKEN_CACHE_SIZE, token_cache_stats
 
 
-class TestRemoveReAdd:
-    def test_round_trip_matches_fresh_index(self):
-        """remove() + add() churn must leave rankings identical to an
-        index that never saw the removed content."""
-        base = [(f"d{i}", f"t{i}x alpha beta") for i in range(20)]
-        churned = BM25Index()
-        churned.add_batch(base)
-        for doc_id, text in base[5:15]:
-            churned.remove(doc_id)
-        for doc_id, text in base[5:15]:
-            churned.add(doc_id, text)
-        fresh = BM25Index()
-        # Slot numbering differs after recycling; rankings must not.
-        fresh.add_batch(base[:5] + base[15:] + base[5:15])
-        for query in ("alpha", "t7x alpha", "t3x t18x beta"):
-            got = churned.search(query, k=20)
-            want = fresh.search(query, k=20)
-            assert [(h.doc_id, h.score) for h in got] == [(h.doc_id, h.score) for h in want]
-
-    def test_remove_only_touches_own_terms(self):
+class TestBuildOnce:
+    def test_readd_raises_and_leaves_index_unchanged(self):
         index = BM25Index()
-        index.add("a", "alpha beta")
-        index.add("b", "gamma delta")
-        index.remove("a")
-        # a's terms are gone from the vocabulary, b's untouched.
-        assert index.search("alpha beta", k=5) == []
-        assert index.search("gamma", k=5)[0].doc_id == "b"
-        assert len(index) == 1
-
-    def test_slot_recycling_is_bounded(self):
-        index = BM25Index()
-        for round_no in range(50):
-            index.add("only", f"round {round_no} tokens here")
-            index.remove("only")
-        index.add("only", "final text")
-        assert index.slot_count <= 2  # freed slots are reused, not leaked
-
-    def test_remove_missing_raises_with_message(self):
-        with pytest.raises(KeyError, match="not indexed"):
-            BM25Index().remove("ghost")
+        index.add_batch([("a", "alpha beta"), ("b", "gamma delta")])
+        before = [(h.doc_id, h.score) for h in index.search("alpha gamma", k=5)]
+        with pytest.raises(KeyError, match="already indexed"):
+            index.add("a", "gamma gamma gamma")
+        assert [(h.doc_id, h.score) for h in index.search("alpha gamma", k=5)] == before
+        assert index.slot_count == 2
 
 
 class TestCompile:
@@ -61,8 +30,6 @@ class TestCompile:
         assert not index.compiled  # mutation de-compiles
         index.compile()
         assert index.compiled
-        index.remove("a")
-        assert not index.compiled
 
     def test_compiled_and_lazy_paths_agree(self):
         docs = [(f"d{i}", " ".join(f"t{j}x" for j in range(i % 7 + 1))) for i in range(60)]

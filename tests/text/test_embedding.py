@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro.datasets.generator import build_planted_catalog
 from repro.retriever.summarizer import narrate_table
-from repro.text import HashingEmbedder, cosine_similarity
+from repro.text import HashingEmbedder
 from repro.text.embedding import trigram_table_stats
 from repro.text.tokenize import char_ngrams
 from tests.oracles.embedding_scalar import embed_scalar, features
+from tests.oracles.text_scoring import cosine_similarity
 
 
 @pytest.fixture(scope="module")

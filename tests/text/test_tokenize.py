@@ -1,6 +1,7 @@
 """Unit tests for the tokenizer and stemmer."""
 
-from repro.text import char_ngrams, stem, tokenize
+from repro.text import stem, tokenize
+from repro.text.tokenize import char_ngrams
 
 
 class TestTokenize:

@@ -160,6 +160,90 @@ class TestBasicOps:
         out = result.tables["out"]
         assert out.column_values("reading") == [4.0, 2.0]
 
+    def test_filter_equals_numeric(self, source):
+        result = run(source, [
+            {"op": "load", "table": "samples", "as": "main"},
+            {"op": "filter_equals", "frame": "main", "column": "site_id", "value": 1},
+            {"op": "result", "frame": "main", "name": "out"},
+        ])
+        assert result.tables["out"].column_values("region") == ["Malta", "Malta"]
+
+
+ARITHMETIC = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+class TestDeriveOperands:
+    """Every operator with every operand shape a model may write; a
+    ``{'lit': ...}`` left operand runs Series' reflected arithmetic.
+    Expected values are computed row by row, NULL in, NULL out."""
+
+    OPERANDS = {
+        "col": ({"col": "value"}, [1.0, 2.0, None, 4.0]),
+        "site": ({"col": "site_id"}, [1, 2, 1, 3]),
+        "lit": ({"lit": 2}, [2, 2, 2, 2]),
+    }
+
+    @pytest.mark.parametrize("operator", sorted(ARITHMETIC))
+    @pytest.mark.parametrize(
+        "left,right", [("col", "lit"), ("lit", "col"), ("col", "site")]
+    )
+    def test_derive(self, source, operator, left, right):
+        (left_spec, lefts), (right_spec, rights) = self.OPERANDS[left], self.OPERANDS[right]
+        result = run(source, [
+            {"op": "load", "table": "samples", "as": "main"},
+            {"op": "derive", "frame": "main", "new_column": "d",
+             "operator": operator, "left": left_spec, "right": right_spec},
+            {"op": "result", "frame": "main", "name": "out"},
+        ])
+        expected = [
+            None if a is None or b is None else ARITHMETIC[operator](a, b)
+            for a, b in zip(lefts, rights)
+        ]
+        assert result.tables["out"].column_values("d") == expected
+
+    def test_unknown_operator(self, source):
+        with pytest.raises(InterpreterError) as err:
+            run(source, [
+                {"op": "load", "table": "samples", "as": "main"},
+                {"op": "derive", "frame": "main", "new_column": "d",
+                 "operator": "%", "left": {"col": "value"}, "right": {"lit": 2}},
+                {"op": "result", "frame": "main", "name": "out"},
+            ])
+        assert "unknown derive operator" in str(err.value)
+
+
+class TestJoinHow:
+    """left keys 1, 2, 1, 3 against right keys 1, 2, 4."""
+
+    @pytest.mark.parametrize(
+        "how,ids,names",
+        [
+            ("inner", [1, 2, 1], ["north", "south", "north"]),
+            ("left", [1, 2, 1, 3], ["north", "south", "north", None]),
+            ("right", [1, 2, 1, None], ["north", "south", "north", "east"]),
+            ("outer", [1, 2, 1, 3, None], ["north", "south", "north", None, "east"]),
+        ],
+    )
+    def test_join_how(self, source, how, ids, names):
+        source.register(
+            Table.from_columns("places", {"pid": [1, 2, 4], "name": ["north", "south", "east"]})
+        )
+        result = run(source, [
+            {"op": "load", "table": "samples", "as": "main"},
+            {"op": "load", "table": "places", "as": "dim"},
+            {"op": "join", "left": "main", "right": "dim", "how": how,
+             "left_on": "site_id", "right_on": "pid", "as": "main"},
+            {"op": "result", "frame": "main", "name": "out"},
+        ])
+        out = result.tables["out"]
+        assert out.column_values("site_id") == ids
+        assert out.column_values("name") == names
+
 
 class TestErrors:
     def test_empty_program(self, source):

@@ -39,6 +39,15 @@ class TestConstruction:
         assert df.shape == (4, 3)
         assert len(df) == 4
 
+    def test_empty_frame(self):
+        assert DataFrame().shape == (0, 0)
+        assert DataFrame().columns == []
+
+    def test_columns_are_named_after_their_keys(self):
+        frame = DataFrame({"a": Series([1], "other")})
+        assert frame["a"].name == "a"
+        assert "a" in frame and "other" not in frame
+
 
 class TestSelectionAndFilter:
     def test_getitem_column(self, df):
@@ -66,6 +75,20 @@ class TestSelectionAndFilter:
     def test_head(self, df):
         assert df.head(2)["id"].tolist() == [1, 2]
 
+    def test_head_past_the_end(self, df):
+        assert df.head(10)["id"].tolist() == [1, 2, 3, 4]
+
+    def test_take_reorders_and_repeats(self, df):
+        assert df.take([3, 0, 0])["id"].tolist() == [4, 1, 1]
+
+    def test_filter_mask_length_mismatch_raises(self, df):
+        with pytest.raises(FrameError):
+            df.filter(Series([True]))
+
+    def test_getitem_unsupported_key_raises(self, df):
+        with pytest.raises(FrameError, match="unsupported index type"):
+            df[0]
+
 
 class TestAssignRenameSort:
     def test_assign_series(self, df):
@@ -91,6 +114,22 @@ class TestAssignRenameSort:
         out = df.sort_values(["group", "id"], ascending=[True, False])
         assert out["id"].tolist() == [3, 1, 4, 2]
 
+    def test_sort_ascending_keeps_nulls_last(self, df):
+        assert df.sort_values("value")["id"].tolist() == [1, 2, 3, 4]
+
+    def test_sort_direction_count_mismatch_raises(self, df):
+        with pytest.raises(FrameError):
+            df.sort_values(["group", "id"], ascending=[True])
+
+    def test_assign_replaces_in_place(self, df):
+        out = df.assign(value=[1, 2, 3, 4])
+        assert out.columns == ["id", "group", "value"]
+        assert out["value"].tolist() == [1, 2, 3, 4]
+        assert df["value"].tolist() == [10.0, 20.0, 30.0, None]
+
+    def test_rename_keeps_column_order(self, df):
+        assert df.rename({"group": "g"}).columns == ["id", "g", "value"]
+
 
 class TestNullHandling:
     def test_dropna(self, df):
@@ -98,6 +137,9 @@ class TestNullHandling:
 
     def test_dropna_subset(self, df):
         assert len(df.dropna(subset=["group"])) == 4
+
+    def test_dropna_subset_drops_null_rows(self, df):
+        assert df.dropna(subset=["value"])["id"].tolist() == [1, 2, 3]
 
 class TestMerge:
     @pytest.fixture

@@ -6,6 +6,7 @@ from repro.relational import ast
 from repro.relational.errors import LexError, ParseError
 from repro.relational.lexer import tokenize
 from repro.relational.parser import parse, parse_script
+from repro.relational.sql_render import expr_to_sql
 
 
 class TestLexer:
@@ -213,3 +214,56 @@ class TestParserStatements:
     def test_parse_rejects_multi(self):
         with pytest.raises(ParseError):
             parse("SELECT 1; SELECT 2")
+
+
+def _expressions(select):
+    """Every expression a statement holds, CTE and set-operation branches
+    included (subquery expressions are not descended into)."""
+    for _, sub in select.ctes:
+        yield from _expressions(sub)
+    for item in select.items:
+        yield item.expr
+    pending = [select.from_clause]
+    while pending:
+        texpr = pending.pop()
+        if isinstance(texpr, ast.Join):
+            pending += [texpr.left, texpr.right]
+            if texpr.condition is not None:
+                yield texpr.condition
+        elif isinstance(texpr, ast.SubqueryRef):
+            yield from _expressions(texpr.select)
+    for expr in (select.where, select.having):
+        if expr is not None:
+            yield expr
+    yield from select.group_by
+    for item in select.order_by:
+        yield item.expr
+    for set_op in select.set_ops:
+        yield from _expressions(set_op.select)
+
+
+class TestRoundTrip:
+    """expr_to_sql of every expression in parse(sql) re-parses to the same
+    expression, so it renders the same again (derived column names are
+    these renderings)."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a, b + 1 AS c FROM t WHERE a > 2 ORDER BY c DESC LIMIT 3",
+            "SELECT g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 1",
+            "SELECT * FROM a LEFT JOIN b ON a.x = b.y WHERE b.y IS NULL",
+            "WITH c AS (SELECT 1 AS x) SELECT x FROM c UNION ALL SELECT 2",
+            "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t",
+            "SELECT DISTINCT a FROM t WHERE a IN (1, 2, 3)",
+            "SELECT CAST(a AS DOUBLE) FROM t WHERE a BETWEEN 1 AND 9",
+        ],
+    )
+    def test_stable_rendering(self, sql):
+        expressions = list(_expressions(parse(sql)))
+        assert expressions
+        for expr in expressions:
+            first = expr_to_sql(expr)
+            reparsed = parse(f"SELECT {first}").items[0].expr
+            assert reparsed == expr, first
+            assert expr_to_sql(reparsed) == first

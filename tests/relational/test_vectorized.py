@@ -97,6 +97,46 @@ EQUIVALENCE_QUERIES = [
     "SELECT id, qty FROM orders ORDER BY qty * -1 NULLS LAST",
     "SELECT id FROM orders ORDER BY 1 DESC OFFSET 2",
     "SELECT day + 30 AS later FROM orders WHERE day IS NOT NULL ORDER BY later",
+    # The dialect a model may write that the rule policies never do:
+    # scalar functions and casts over NULL-bearing columns, negated
+    # predicates, simple CASE, chained CTEs, ALL set operations.
+    "SELECT id, ROUND(amount / 3, 2) AS r, ABS(qty - 4) AS d FROM orders",
+    "SELECT id, FLOOR(amount / 7) AS f, CEIL(amount / 7) AS c FROM orders",
+    "SELECT id, POWER(qty, 2) AS p, SQRT(amount) AS s FROM orders",
+    "SELECT id, MOD(id, 4) AS m, SIGN(qty - 3) AS sg FROM orders",
+    "SELECT id, LENGTH(customer) AS n, LOWER(UPPER(customer)) AS c FROM orders",
+    "SELECT id, SUBSTR(customer, 2) AS rest, LEFT(customer, 1) AS initial FROM orders",
+    "SELECT id, REPLACE(customer, 'b', 'p') AS r, LPAD(customer, 5, '*') AS lp FROM orders",
+    "SELECT id, customer || '-' || CAST(id AS TEXT) AS tag FROM orders",
+    "SELECT id, NULLIF(qty, 3) AS q, IFNULL(customer, 'anon') AS c FROM orders",
+    "SELECT id, COALESCE(amount, qty, 0) AS v FROM orders ORDER BY v",
+    "SELECT id, IF(amount > 15, 'hi', 'lo') AS band FROM orders",
+    "SELECT id, GREATEST(qty, 3) AS g, LEAST(amount, 30) AS l FROM orders",
+    "SELECT id, YEAR(day) AS y, MONTH(day) AS m, DAY(day) AS d FROM orders",
+    "SELECT id, DATE_ADD(day, 10) AS later, STRFTIME(day, '%Y/%m') AS ym FROM orders",
+    "SELECT id, CAST(amount AS INTEGER) AS ai, CAST(id AS DOUBLE) AS fd FROM orders",
+    "SELECT id, -amount AS neg, NOT (qty > 2) AS small FROM orders",
+    "SELECT id, amount / qty AS ratio FROM orders WHERE qty <> 0",
+    "SELECT id, CASE qty % 2 WHEN 0 THEN 'even' WHEN 1 THEN 'odd' END AS parity FROM orders",
+    "SELECT id FROM orders WHERE customer NOT IN ('ann')",
+    "SELECT id FROM orders WHERE qty NOT BETWEEN 2 AND 4",
+    "SELECT id FROM orders WHERE customer ILIKE 'A%' OR customer LIKE '_o_'",
+    "SELECT id FROM orders WHERE customer IS NOT NULL AND amount IS NOT NULL "
+    "ORDER BY id DESC LIMIT 2",
+    "SELECT id FROM orders WHERE customer NOT IN "
+    "(SELECT name FROM customers WHERE tier = 'gold')",
+    "SELECT id FROM orders WHERE NOT EXISTS (SELECT 1 FROM customers WHERE tier = 'bronze')",
+    "SELECT id FROM orders WHERE id > (SELECT AVG(id) FROM orders) ORDER BY id",
+    "SELECT customer, MIN(amount) AS lo, MAX(amount) AS hi FROM orders "
+    "WHERE qty IS NOT NULL GROUP BY customer ORDER BY customer NULLS FIRST",
+    "SELECT COUNT(customer), COUNT(DISTINCT customer) FROM orders",
+    "WITH a AS (SELECT customer, amount FROM orders), "
+    "b AS (SELECT customer, SUM(amount) AS s FROM a GROUP BY customer) "
+    "SELECT * FROM b ORDER BY s NULLS LAST",
+    "SELECT id FROM orders UNION ALL SELECT id FROM orders ORDER BY id LIMIT 3",
+    "SELECT name FROM customers INTERSECT ALL SELECT customer FROM orders",
+    "SELECT customer FROM orders EXCEPT ALL SELECT name FROM customers",
+    "SELECT id FROM orders ORDER BY customer DESC NULLS FIRST, id",
 ]
 
 

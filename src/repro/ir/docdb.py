@@ -38,8 +38,8 @@ class DocumentDatabase:
         # The serving layer shares one store across all sessions, so
         # captures from concurrent turns must not race on the counter.
         self._lock = threading.Lock()
-        #: When set (by the storage layer), every captured entry is
-        #: journaled before :meth:`add` returns — the WAL hook that makes
+        #: When set (by the storage layer), every captured entry is written
+        #: durably before :meth:`add` returns — the hook that makes
         #: knowledge captured between saves survive a crash.
         self.recorder: Optional[Callable[[dict], None]] = None
 

@@ -143,7 +143,7 @@ class FaultPlan:
     retriever: FaultSpec = field(default_factory=FaultSpec)
     sql: FaultSpec = field(default_factory=FaultSpec)
     #: Crash schedule for the persistence write paths (segment publish,
-    #: journal appends, checkpoints) — a :class:`repro.storage.crash.CrashSpec`
+    #: manifest saves, knowledge captures) — a :class:`repro.storage.crash.CrashSpec`
     #: with its own seed; :meth:`CrashSpec.none` injects nothing.
     storage: CrashSpec = field(default_factory=CrashSpec.none)
 

@@ -218,8 +218,9 @@ class PneumaService:
                 lambda: {"tracer": me.tracer.stats(), "slow_turns": me.slow_turns.stats()},
             )
         # Crash-safe persistence (optional): opening the store runs the
-        # full recovery protocol (WAL replay, torn-tail truncation,
-        # quarantine of corrupt segments); the fault plan's storage spec
+        # full recovery protocol (clean/recovered classification off the
+        # manifest's marker, quarantine of an unreadable manifest or a
+        # corrupt segment); the fault plan's storage spec
         # threads deterministic crash injection through its write paths.
         self.store: Optional[IndexStore] = None
         if storage_dir is not None:
@@ -333,16 +334,14 @@ class PneumaService:
         with self._registry_lock:
             self._shutdown = True
         self._executor.shutdown(wait=wait)
-        if self.store is not None:
-            if drain:
-                # Graceful: atomically save the knowledge store, fold the
-                # WAL into the checkpoint, and write the clean-shutdown
-                # marker — the next open classifies as clean and skips
-                # recovery work entirely.
-                self.knowledge.save(self.store.root / "knowledge.json")
-                self.store.checkpoint(clean=True)
-            else:
-                self.store.close()
+        if self.store is not None and drain:
+            # Graceful: atomically save the knowledge store, then write the
+            # clean-shutdown marker (which drops the per-capture files the
+            # save now holds) — the next open classifies as clean.  Without
+            # a drain the store holds nothing to release: every write is
+            # already durable, and the next open classifies as recovered.
+            self.knowledge.save(self.store.root / "knowledge.json")
+            self.store.checkpoint(clean=True)
         return summaries
 
     def _build_bundle(self, narrations=None, embedder=None, store=None) -> SharedIndexBundle:
@@ -365,14 +364,14 @@ class PneumaService:
         return bundle
 
     def _publish_index(self, index) -> int:
-        """Durably publish a frozen index through the store's journal."""
+        """Durably publish a frozen index: three segments, then the manifest."""
         tables = {table.name: table.digest() for table in self.lake.tables()}
         return self.store.publish(index, tables=tables)
 
     def _open_knowledge(self) -> DocumentDatabase:
         """The knowledge store, recovered when persistence is attached:
-        load the last atomic save, re-apply WAL-journaled captures the
-        save predates, then journal every future capture."""
+        load the last atomic save, re-apply the captures the save predates
+        (one file each), then capture every future entry the same way."""
         if self.store is None:
             return DocumentDatabase()
         saved = self.store.root / "knowledge.json"
@@ -582,7 +581,7 @@ class PneumaService:
                 if self.store is not None:
                     # Swap first, publish second: readers get the new index at
                     # memory speed, and a crash mid-publish leaves the previous
-                    # durable snapshot intact (the WAL record is what commits).
+                    # durable snapshot intact (the manifest's rename commits).
                     report["published_generation"] = self._publish_index(bundle.retriever.index)
                 return report
 

@@ -5,13 +5,12 @@ verifiable artifact instead of a process-lifetime one:
 
 * :mod:`~repro.storage.segment` — immutable, checksummed, mmap-able
   files holding the compiled index halves' flat arrays;
-* :mod:`~repro.storage.journal` — the write-ahead log with torn-tail
-  recovery;
-* :mod:`~repro.storage.atomic` — write-temp → fsync → rename → fsync-dir
-  publish primitives;
+* :mod:`~repro.storage.atomic` — write-temp → fsync → rename → fsync-dir,
+  the one way any file in a store reaches disk;
 * :mod:`~repro.storage.manifest` / :mod:`~repro.storage.store` — the
-  WAL-journaled catalog: recovery on open, quarantine + per-segment
-  rebuild of corrupt files, clean-shutdown markers;
+  catalog (``MANIFEST.json``, one atomic file) and the store around it:
+  open classification by the clean-shutdown marker, one file per
+  knowledge capture, quarantine + per-segment rebuild of corrupt files;
 * :mod:`~repro.storage.delta` — the LSM-style mutable overlay that lets
   a warm-started (hydrated, immutable) snapshot absorb new documents;
 * :mod:`~repro.storage.crash` — deterministic crash injection threaded
@@ -30,7 +29,6 @@ from .crash import (
     describe_crash_point,
 )
 from .delta import DeltaHybridIndex
-from .journal import Journal, ReplayResult, replay_journal
 from .manifest import Manifest, SegmentRef
 from .segment import Segment, SegmentCorruptError, read_segment, verify_segment, write_segment
 from .store import IndexStore
@@ -47,9 +45,6 @@ __all__ = [
     "crash_point",
     "describe_crash_point",
     "DeltaHybridIndex",
-    "Journal",
-    "ReplayResult",
-    "replay_journal",
     "Manifest",
     "SegmentRef",
     "Segment",

@@ -1,21 +1,16 @@
 """Atomic, fsync-disciplined file primitives.
 
-Every durable artifact in :mod:`repro.storage` reaches disk through one
-of two shapes:
-
-* **publish** (:func:`atomic_write_bytes`) — write a temp file in the
-  destination directory, flush + fsync it, ``rename()`` over the target,
-  then fsync the directory.  A crash at any instant leaves either the
-  old file or the new one, never a torn mix: rename is atomic on POSIX,
-  and the directory fsync makes the rename itself durable.
-* **append** (the journal, :mod:`repro.storage.journal`) — write a
-  framed record to the end of an open file and fsync; a crash can only
-  tear the *tail*, which the checksummed framing detects and truncates
-  on recovery.
+Every durable artifact in :mod:`repro.storage` — segments, the manifest,
+knowledge captures — reaches disk through one shape,
+:func:`atomic_write_bytes`: write a temp file in the destination
+directory, fsync it, ``rename()`` over the target, then fsync the
+directory.  A crash at any instant leaves either the old file or the new
+one, never a torn mix: rename is atomic on POSIX, and the directory
+fsync makes the rename itself durable.
 
 Crash points cover each instant with distinct on-disk consequences; the
-recovery matrix in ``tests/storage`` re-opens after each and asserts the
-store comes back bit-identical.
+recovery matrix in ``tests/storage`` crashes at every visit of each and
+asserts the store re-opens bit-identical.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Durability code that is only exercised by real power loss is untestable,
 so every write path in :mod:`repro.storage` is threaded with *named crash
 points* — `reach()` calls at the instants where a process death would
 leave interestingly-partial on-disk state (temp file written but not
-renamed, journal record written but not fsynced, segments published but
+renamed, renamed but the directory not fsynced, segments published but
 the manifest not yet, …).  A :class:`CrashInjector` armed with a
 :class:`CrashSpec` kills the operation at a chosen visit of a chosen
 point by raising :class:`SimulatedCrash`; the recovery test matrix then
@@ -13,10 +13,10 @@ asserts retrieval is bit-identical to the no-crash oracle.
 
 Crash model, stated honestly: raising at a crash point models a process
 that dies *after* every preceding write reached the OS (the state an
-fsync-ordered protocol must already survive).  Lost or torn buffered
-writes — the power-loss case — are modelled separately by the torn-write
-tests, which truncate a journal tail or bit-flip segment bytes and assert
-the checksummed framing detects and contains the damage.
+fsync-ordered protocol must already survive).  Damage after the fact —
+bit rot, a truncated file — is modelled separately by the tests that
+bit-flip segment bytes or cut ``MANIFEST.json`` short and assert the
+store detects and contains it.
 
 Determinism contract (mirrors :class:`repro.service.faults.FaultPlan`):
 the same ``(spec, seed)`` kills the same visit of the same point, run

@@ -1,10 +1,9 @@
-"""The store's durable catalog state: checkpoint file + WAL records.
+"""The store's catalog: ``MANIFEST.json``, the one durable record of state.
 
-``MANIFEST.json`` is an atomically-published checkpoint of the state
-below; ``wal.log`` (a :class:`~.journal.Journal`) carries everything
-that happened since.  The truth at open time is always *checkpoint +
-replayed WAL*, and a clean shutdown folds the WAL back into the
-checkpoint so the next open starts from an empty journal.
+Every change of catalog state — a publish, a retired snapshot, an open's
+counters, the clean-shutdown marker — is one atomic save of this file
+(write-temp → fsync → rename → fsync-dir), so the file on disk is always
+some complete state, never a torn mix.  The rename is the commit point.
 
 The manifest also records each indexed table's ``Table.digest()`` — the
 blake2b over name, schema, and rendered rows that means the same in
@@ -45,7 +44,7 @@ class SegmentRef:
 
 @dataclass
 class Manifest:
-    """The logical catalog state (checkpoint image or WAL-advanced)."""
+    """The logical catalog state, as the last save left it."""
 
     generation: int = 0
     segments: Dict[str, SegmentRef] = field(default_factory=dict)  # kind -> ref
@@ -58,14 +57,6 @@ class Manifest:
     @property
     def has_snapshot(self) -> bool:
         return bool(self.segments)
-
-    def apply_publish(self, record: Dict) -> None:
-        """Advance to the state a WAL ``publish`` record describes."""
-        self.generation = int(record["generation"])
-        self.segments = {
-            kind: SegmentRef.from_json(ref) for kind, ref in record["segments"].items()
-        }
-        self.tables = dict(record.get("tables", {}))
 
     def to_json(self) -> Dict:
         return {
@@ -107,14 +98,19 @@ class Manifest:
 
     @classmethod
     def load(cls, path: Path) -> Optional["Manifest"]:
-        """The checkpoint at ``path``, or ``None`` when absent/unreadable.
+        """The catalog at ``path``, or ``None`` when there is none (a
+        brand-new store).
 
-        The checkpoint is atomically published, so a missing or unparsable
-        file means no checkpoint was ever completed (the WAL still holds
-        any published state) — never a torn write.
+        Raises :class:`ValueError` when the file is present but unreadable.
+        Saves are atomic, so that is damage done after the fact, never a
+        torn write — and the snapshot it cataloged is lost, which must not
+        pass for a store that never had one.
         """
         try:
-            data = json.loads(Path(path).read_text("utf-8"))
-            return cls.from_json(data)
-        except (FileNotFoundError, json.JSONDecodeError, ValueError, KeyError, TypeError):
+            blob = Path(path).read_bytes()
+        except FileNotFoundError:
             return None
+        try:
+            return cls.from_json(json.loads(blob.decode("utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{type(exc).__name__}: {exc}") from exc

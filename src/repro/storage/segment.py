@@ -221,4 +221,5 @@ def verify_segment(path: Union[str, Path]) -> dict:
         "reason": "",
         "arrays": len(segment.arrays),
         "payload_bytes": segment.payload_bytes,
+        "payload_blake2b": segment.header["payload_blake2b"],
     }

@@ -133,6 +133,32 @@ def test_build_path_methods_the_outside_tracer_wraps(owner, name):
     )
 
 
+def test_the_write_ahead_log_is_retired(tmp_path):
+    """``MANIFEST.json`` is the store's one catalog: no journal module, no
+    append-mode writer, no journal crash point and no WAL stat.  The only
+    mention of ``wal.log`` is the read-only fold of stores written before."""
+    import repro.storage
+    from repro.storage import IndexStore, all_crash_points
+
+    assert not (SRC / "storage" / "journal.py").exists()
+    for name in ("Journal", "ReplayResult", "replay_journal"):
+        assert not hasattr(repro.storage, name), name
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        assert "O_APPEND" not in text and '"ab"' not in text and '"r+b"' not in text, path
+        if "wal.log" in text:
+            assert path == SRC / "storage" / "store.py", path
+    assert all_crash_points() == (
+        "atomic.after_rename",
+        "atomic.after_temp_write",
+        "atomic.before_rename",
+        "store.publish.after_segments",
+    )
+    keys = IndexStore(tmp_path / "store").stats()
+    assert [key for key in keys if key.startswith("wal_") or "journal" in key] == []
+    assert not (tmp_path / "store" / "wal.log").exists()
+
+
 def test_relational_public_surface():
     assert repro.relational.__all__ == [
         "Database",

@@ -1,13 +1,17 @@
-"""Service-level persistence: warm starts, knowledge WAL, crash injection."""
+"""Service-level persistence: warm starts, knowledge captures, crash injection."""
+
+import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.datasets import build_procurement_lake
 from repro.service import CrashSpec, FaultPlan, PneumaService
-from repro.storage import IndexStore, SimulatedCrash
+from repro.storage import IndexStore, SimulatedCrash, codec
 from repro.storage.segment import read_segment, write_segment
 from repro.storage.store import CP_PUBLISH_AFTER_SEGMENTS
+from tests.storage.test_journal import frame
 
 QUERIES = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -151,7 +155,7 @@ class TestKnowledgeDurability:
     def test_journaled_capture_survives_crash(self, store_dir):
         svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         svc.knowledge.add("tariffs include direct and indirect", topic="tariffs")
-        svc.store.close()  # die without drain: no save, no clean marker
+        # die without drain: no save, no clean marker (the store is just dropped)
 
         recovered = PneumaService(
             build_procurement_lake(), max_workers=2, storage_dir=store_dir
@@ -200,6 +204,109 @@ class TestReindexPublish:
         assert search_results(recovered) == oracle
         assert recovered.store.fsck()["ok"]
         recovered.shutdown(drain=True)
+
+
+class TestUnreadableManifest:
+    def test_boot_cold_builds_then_next_boot_is_warm(self, store_dir):
+        svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        oracle = search_results(svc)
+        svc.shutdown(drain=True)
+        manifest = store_dir / "MANIFEST.json"
+        blob = manifest.read_bytes()
+        manifest.write_bytes(blob[: len(blob) // 2])
+
+        cold = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        storage = cold.stats()["storage"]
+        assert cold.warm_started is False
+        assert storage["open_mode"] == "recovered"
+        assert storage["quarantined_files"] == ["MANIFEST.json"]
+        assert search_results(cold) == oracle
+        cold.shutdown(drain=True)
+
+        warm = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        assert warm.warm_started is True
+        assert warm.stats()["storage"]["open_mode"] == "clean"
+        warm.shutdown(drain=True)
+
+
+class TestLegacyWal:
+    """A store written before the WAL was retired: its ``wal.log`` holds a
+    publish and a knowledge capture the manifest never saw."""
+
+    def test_old_format_wal_is_folded_once(self, store_dir):
+        svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        oracle = search_results(svc)
+        svc.shutdown(drain=True)
+        state = json.loads((store_dir / "MANIFEST.json").read_text())
+        segments = {}
+        for kind, ref in state["segments"].items():
+            name = ref["file"].replace("000001", "000002")
+            source = store_dir / "segments" / ref["file"]
+            (store_dir / "segments" / name).write_bytes(source.read_bytes())
+            segments[kind] = {"file": name, "payload_blake2b": ref["payload_blake2b"]}
+        entry = {"id": "k1", "text": "tariffs include direct and indirect", "topic": "tariffs"}
+        records = [
+            {"type": "open", "mode": "clean"},
+            {"type": "publish", "generation": 2, "segments": segments, "tables": state["tables"]},
+            {"type": "knowledge", "entry": {**entry, "author": ""}},
+        ]
+        frames = b"".join(map(frame, records))
+        (store_dir / "wal.log").write_bytes(frames + frame({"type": "open"})[:-4])
+
+        recovered = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        storage = recovered.stats()["storage"]
+        assert storage["open_mode"] == "recovered" and storage["generation"] == 2
+        assert recovered.warm_started and search_results(recovered) == oracle
+        texts = [entry.text for entry in recovered.knowledge.entries()]
+        assert texts == ["tariffs include direct and indirect"]
+        assert not (store_dir / "wal.log").exists()
+        assert recovered.store.fsck()["ok"]
+        recovered.shutdown(drain=True)
+
+        again = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        assert again.stats()["storage"]["open_mode"] == "clean"
+        assert [entry.text for entry in again.knowledge.entries()] == texts
+        again.shutdown(drain=True)
+
+
+class TestConcurrentLifecycle:
+    def test_reindex_and_drain_interleaved_inside_a_segment_write(
+        self, store_dir, monkeypatch
+    ):
+        """A drain's manifest save lands while a reindex's publish is between
+        segment writes: the store lock orders the two saves, and the later
+        one starts from the earlier one's state."""
+        svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
+        inside, release = threading.Event(), threading.Event()
+        write_bm25 = codec.write_bm25_segment
+
+        def parked(*args, **kwargs):
+            inside.set()
+            assert release.wait(timeout=60)
+            return write_bm25(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "write_bm25_segment", parked)
+        reports = []
+        reindexer = threading.Thread(target=lambda: reports.append(svc.reindex()))
+        reindexer.start()
+        assert inside.wait(timeout=60)
+        svc.shutdown(drain=True)  # runs to completion while the publish is parked
+        release.set()
+        reindexer.join(timeout=60)
+        assert reports and reports[0]["published_generation"] == 2
+        monkeypatch.undo()
+
+        reopened = IndexStore(store_dir)
+        assert reopened.state.generation == 2
+        assert reopened.open_mode == "clean"  # the publish kept the drain's marker
+        for ref in reopened.state.segments.values():
+            assert (reopened.segments_dir / ref.file).exists()
+        assert reopened.fsck()["ok"]
+        assert sorted(p.name for p in reopened.segments_dir.iterdir()) == [
+            "bm25-000002.seg",
+            "fusion-000002.seg",
+            "hnsw-000002.seg",
+        ]
 
 
 class TestStats:

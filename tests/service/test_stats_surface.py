@@ -85,9 +85,6 @@ STORAGE_SHAPE = {
     "quarantined_total": int,
     "quarantined_files": list,
     "rebuilt_segments": list,
-    "wal_records_replayed": int,
-    "wal_torn_bytes_truncated": int,
-    "journal_appends": int,
     "warm_start": bool,
 }
 

@@ -1,13 +1,21 @@
-"""WAL framing: append-fsync durability, torn-tail detection and truncation."""
+"""The read-only fold of the legacy ``wal.log`` framing: stores written
+before the WAL was retired still open with everything their log held."""
+
+import hashlib
+import json
+import struct
 
 import pytest
 
-from repro.storage import CrashInjector, CrashSpec, Journal, SimulatedCrash, replay_journal
-from repro.storage.journal import (
-    CP_JOURNAL_AFTER_SYNC,
-    CP_JOURNAL_BEFORE_SYNC,
-    CP_JOURNAL_BEFORE_WRITE,
-)
+from repro.storage.manifest import Manifest
+from repro.storage.store import fold_legacy_wal
+
+
+def frame(record):
+    """``[u32 LE len][16-byte blake2b][json]``, as the old journal appended."""
+    payload = json.dumps(record, sort_keys=True).encode("utf-8")
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return struct.pack("<I", len(payload)) + digest + payload
 
 
 @pytest.fixture
@@ -15,85 +23,75 @@ def wal(tmp_path):
     return tmp_path / "wal.log"
 
 
+def captures(n):
+    return [{"type": "knowledge", "entry": {"id": f"k{i}", "n": i}} for i in range(n)]
+
+
+def fold(wal, state=None):
+    return fold_legacy_wal(wal, state if state is not None else Manifest())
+
+
 class TestAppendReplay:
     def test_round_trip(self, wal):
-        records = [{"type": "a", "n": i} for i in range(5)]
-        with Journal(wal) as journal:
-            for record in records:
-                journal.append(record)
-        replay = replay_journal(wal)
-        assert replay.records == records
-        assert replay.torn_bytes == 0
+        wal.write_bytes(b"".join(map(frame, captures(5))))
+        folded = fold(wal)
+        assert folded["knowledge"] == [record["entry"] for record in captures(5)]
+        assert folded["records"] == 5 and folded["torn_bytes"] == 0
 
     def test_missing_file_replays_empty(self, wal):
-        replay = replay_journal(wal)
-        assert replay.records == [] and replay.valid_bytes == 0
+        assert fold(wal) is None
 
-    def test_closed_journal_rejects_appends(self, wal):
-        journal = Journal(wal)
-        journal.close()
-        with pytest.raises(ValueError):
-            journal.append({"x": 1})
+    def test_publishes_advance_the_catalog_once(self, wal):
+        publish = {
+            "type": "publish",
+            "generation": 2,
+            "segments": {"bm25": {"file": "bm25-000002.seg", "payload_blake2b": "ab"}},
+            "tables": {"orders": "d1"},
+        }
+        wal.write_bytes(frame({"type": "open", "mode": "clean"}) + frame(publish))
+        state = Manifest(generation=1)
+        fold(wal, state)
+        assert (state.generation, state.segments["bm25"].file) == (2, "bm25-000002.seg")
+        assert state.tables == {"orders": "d1"}
+        # A second fold over a catalog that already holds the publish is a no-op.
+        newer = Manifest(generation=3)
+        fold(wal, newer)
+        assert newer == Manifest(generation=3)
 
 
 class TestTornTail:
     def _write(self, wal, n=3):
-        with Journal(wal) as journal:
-            for i in range(n):
-                journal.append({"n": i})
+        wal.write_bytes(b"".join(map(frame, captures(n))))
 
     def test_truncated_tail_detected_and_ignored(self, wal):
         self._write(wal)
         blob = wal.read_bytes()
         wal.write_bytes(blob[:-7])  # tear the last frame
-        replay = replay_journal(wal)
-        assert [r["n"] for r in replay.records] == [0, 1]
-        assert replay.torn_bytes > 0 and "truncated" in replay.torn_reason
+        folded = fold(wal)
+        assert [entry["n"] for entry in folded["knowledge"]] == [0, 1]
+        assert folded["torn_bytes"] > 0 and "truncated" in folded["torn_reason"]
 
     def test_bit_flip_in_payload_detected(self, wal):
         self._write(wal)
         blob = bytearray(wal.read_bytes())
         blob[-2] ^= 0xFF
         wal.write_bytes(bytes(blob))
-        replay = replay_journal(wal)
-        assert [r["n"] for r in replay.records] == [0, 1]
-        assert replay.torn_reason == "frame checksum mismatch"
+        folded = fold(wal)
+        assert [entry["n"] for entry in folded["knowledge"]] == [0, 1]
+        assert folded["torn_reason"] == "frame checksum mismatch"
 
     def test_implausible_length_field(self, wal):
         self._write(wal, n=1)
         blob = bytearray(wal.read_bytes())
         blob[0:4] = (2**31).to_bytes(4, "little")
         wal.write_bytes(bytes(blob))
-        replay = replay_journal(wal)
-        assert replay.records == [] and replay.torn_reason == "implausible frame length"
+        folded = fold(wal)
+        assert folded["records"] == 0 and folded["torn_reason"] == "implausible frame length"
 
-    def test_open_for_append_truncates_then_extends(self, wal):
+    def test_fold_writes_nothing(self, wal):
         self._write(wal)
         blob = wal.read_bytes()
         wal.write_bytes(blob[:-7])
-        journal, replay = Journal.open_for_append(wal)
-        assert replay.torn_bytes > 0
-        journal.append({"n": 99})
-        journal.close()
-        clean = replay_journal(wal)
-        # New records land after the truncated-valid prefix, never after garbage.
-        assert [r["n"] for r in clean.records] == [0, 1, 99]
-        assert clean.torn_bytes == 0
-
-
-class TestCrashPoints:
-    def test_crash_before_write_loses_record(self, wal):
-        journal = Journal(wal, crash=CrashInjector(CrashSpec.nth(CP_JOURNAL_BEFORE_WRITE)))
-        with pytest.raises(SimulatedCrash):
-            journal.append({"n": 0})
-        assert replay_journal(wal).records == []
-
-    @pytest.mark.parametrize("point", [CP_JOURNAL_BEFORE_SYNC, CP_JOURNAL_AFTER_SYNC])
-    def test_crash_after_write_keeps_record(self, wal, point):
-        # The crash model: the process died after the write reached the
-        # OS, so replay sees the full frame.  (Power-loss torn tails are
-        # the TestTornTail cases above.)
-        journal = Journal(wal, crash=CrashInjector(CrashSpec.nth(point)))
-        with pytest.raises(SimulatedCrash):
-            journal.append({"n": 0})
-        assert replay_journal(wal).records == [{"n": 0}]
+        fold(wal)
+        assert wal.read_bytes() == blob[:-7]  # no truncation: that was the old open's job
+        assert sorted(p.name for p in wal.parent.iterdir()) == ["wal.log"]

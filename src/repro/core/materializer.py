@@ -67,7 +67,6 @@ class Materializer:
         self.source = source
         self.state = state
         self.prep = prep
-        self.interpreter = PipelineInterpreter(source)
 
     def materialize(
         self,
@@ -101,7 +100,7 @@ class Materializer:
             outcome.programs.append(program)
             previous = program
             try:
-                result = self.interpreter.run(program)
+                result = PipelineInterpreter(self.source).run(program)
                 self.llm.clock.tick(TOOL_CALL_SECONDS)
             except InterpreterError as exc:
                 error = str(exc)

@@ -77,7 +77,6 @@ class SeekerSession:
         plan_cache=None,
         prep=None,
     ):
-        self.lake = lake
         self.llm = llm or build_seeker_llm()
         # A prebuilt (typically frozen, service-shared) retriever skips the
         # per-session narrate/embed/index pass; everything mutable — state,
@@ -102,6 +101,12 @@ class SeekerSession:
         self.conductor = Conductor(self.llm, self.ir, self.state, self.materializer)
         self.user = user
         self.responses: List[SeekerResponse] = []
+
+    def bind(self, lake: Database, retriever: Searchable, prep) -> None:
+        """Point table search, grounding, the Materializer's source and its
+        pipeline at one catalog (the service binds the generation a turn pins)."""
+        self.materializer.source, self.materializer.prep = lake, prep
+        self.ir.use_retriever(retriever)
 
     # ------------------------------------------------------------------
     def submit(self, message: str) -> SeekerResponse:

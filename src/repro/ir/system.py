@@ -61,11 +61,7 @@ class IRSystem:
         self.web = web
         self.knowledge = knowledge
         if retriever is not None:
-            self.register(
-                "tables",
-                lambda q, k: retriever.search(q, k),
-                batch_fn=lambda qs, k: retriever.search_batch(qs, k=k),
-            )
+            self.use_retriever(retriever)
         if web is not None:
             self.register("web", lambda q, k: web.search(q, k))
         if knowledge is not None:
@@ -84,6 +80,15 @@ class IRSystem:
             self._batch_sources[name] = batch_fn
         else:
             self._batch_sources.pop(name, None)
+
+    def use_retriever(self, retriever: Searchable) -> None:
+        """Serve table discovery and column grounding from ``retriever``."""
+        self.retriever = retriever
+        self.register(
+            "tables",
+            lambda q, k: retriever.search(q, k),
+            batch_fn=lambda qs, k: retriever.search_batch(qs, k=k),
+        )
 
     def unregister(self, name: str) -> None:
         """Remove a retriever (the evaluation disables 'web' this way)."""

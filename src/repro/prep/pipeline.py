@@ -1,11 +1,11 @@
 """The preparation pipeline facade: profile -> discover -> align -> seed.
 
-One :class:`PreparationPipeline` is built per service (or per standalone
-caller) over one lake.  It owns a :class:`ProfileStore` and keeps one
-snapshot — the discovered join candidates and their compiled graph, as
-of one ``lake.version`` — so an unchanged catalog costs one integer
-compare, and hands the Materializer compiled preparation plans: the
-"sessions start seeded" path.
+A :class:`PreparationPipeline` covers one catalog: its first
+``join_candidates()`` call discovers that catalog's join candidates and
+compiles their graph, and later calls are served from them.  A later
+catalog gets a ``successor()`` sharing the ProfileStore (only changed
+tables are re-profiled) and the counters.  The Materializer takes
+compiled preparation plans from it: the "sessions start seeded" path.
 """
 
 from __future__ import annotations
@@ -23,54 +23,52 @@ from .store import ProfileStore
 
 
 class PreparationPipeline:
-    """Sketch-based discovery and preparation over one lake."""
+    """Sketch-based discovery and preparation over one catalog."""
 
     def __init__(self, lake: Database):
         self.lake = lake
         self.store = ProfileStore()
         self._lock = threading.Lock()
-        #: (the lake version discovered at, candidates, their compiled graph)
-        self._snapshot: Optional[Tuple[int, List[JoinCandidate], AlignmentCompiler]] = None
-        self._discoveries = 0
-        self._compiled = 0
-        self._prepared = 0
+        self._counts = {"discoveries": 0, "plans_compiled": 0, "plans_executed": 0}
+        self._joins: Optional[List[JoinCandidate]] = None
+        self._compiler: Optional[AlignmentCompiler] = None
+
+    def successor(self, lake: Database) -> "PreparationPipeline":
+        """A pipeline over ``lake`` sharing this one's store and counters."""
+        successor = PreparationPipeline(lake)
+        successor.store, successor._lock, successor._counts = self.store, self._lock, self._counts
+        return successor
 
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
     def profiles(self) -> Dict[str, TableProfile]:
-        """Profiles for every lake table (unchanged tables hit the store)."""
+        """Profiles for every catalog table (unchanged tables hit the store)."""
         return self.store.profile_catalog(self.lake)
 
     def join_candidates(self) -> List[JoinCandidate]:
-        """Ranked join candidates, kept until ``lake.version`` moves (tables
-        are immutable, so nothing else can change a profile)."""
-        # Read the version first: a table registered while discovery runs
-        # leaves a snapshot that is already stale, never one that hides it.
-        version = self.lake.version
-        snapshot = self._snapshot
-        if snapshot is None or snapshot[0] != version:
+        """The catalog's ranked join candidates, discovered on the first call."""
+        if self._joins is None:
             joins = discover_join_candidates(self.profiles())
-            snapshot = (version, joins, AlignmentCompiler(self.lake, joins))
+            self._compiler = AlignmentCompiler(self.lake, joins)
+            self._joins = joins
             with self._lock:
-                if self._snapshot is None or self._snapshot[0] < version:
-                    self._snapshot = snapshot
-                self._discoveries += 1
-        return snapshot[1]
+                self._counts["discoveries"] += 1
+        return self._joins
 
     # ------------------------------------------------------------------
     # Alignment
     # ------------------------------------------------------------------
     def compiler(self) -> AlignmentCompiler:
-        """The candidates' compiled graph, kept for as long as they are."""
+        """The candidates' compiled graph."""
         self.join_candidates()
-        return self._snapshot[2]
+        return self._compiler
 
     def compile(self, spec: TargetTable) -> PreparationPlan:
         """Compile ``spec`` to a preparation plan (raises AlignmentError)."""
         plan = self.compiler().compile(spec)
         with self._lock:
-            self._compiled += 1
+            self._counts["plans_compiled"] += 1
         return plan
 
     def prepare(self, spec: TargetTable) -> Tuple[PreparationPlan, Table]:
@@ -79,8 +77,8 @@ class PreparationPipeline:
         plan = compiler.compile(spec)
         table = compiler.execute(plan)
         with self._lock:
-            self._compiled += 1
-            self._prepared += 1
+            self._counts["plans_compiled"] += 1
+            self._counts["plans_executed"] += 1
         return plan, table
 
     # ------------------------------------------------------------------
@@ -88,11 +86,4 @@ class PreparationPipeline:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            snapshot = self._snapshot
-            return {
-                "profile_store": self.store.stats(),
-                "join_candidates": len(snapshot[1]) if snapshot is not None else 0,
-                "discoveries": self._discoveries,
-                "plans_compiled": self._compiled,
-                "plans_executed": self._prepared,
-            }
+            return {"join_candidates": len(self._joins or ()), **self._counts}

@@ -128,8 +128,9 @@ class Database:
         self._plan_cache = cache
 
     def copy(self, name: Optional[str] = None) -> "Database":
-        """A shallow copy (tables are immutable-by-convention, so shared)."""
-        clone = Database(name or self.name)
+        """A shallow copy (tables are immutable-by-convention, so shared)
+        under its own namespace of this database's plan cache."""
+        clone = Database(name or self.name, plan_cache=self._plan_cache)
         clone._tables = dict(self._tables)
         return clone
 

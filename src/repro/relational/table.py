@@ -244,7 +244,7 @@ class TableCache:
     ``get(table)`` returns the kept value when the name's entry was built
     from equal content (same object or not) and otherwise calls ``build``
     and replaces the entry, so the cache holds one entry per live table
-    name.  Thread-safe; ``version`` counts the values built.
+    name.  Thread-safe; ``misses`` counts the values built.
     """
 
     def __init__(self, build: Callable[[Table], Any]) -> None:
@@ -253,7 +253,6 @@ class TableCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.version = 0
 
     def get(self, table: Table) -> Any:
         fingerprint = table.fingerprint()
@@ -266,7 +265,6 @@ class TableCache:
         value = self._build(table)
         with self._lock:
             self._entries[table.name] = (fingerprint, value)
-            self.version += 1
         return value
 
     def stats(self) -> Dict[str, int]:

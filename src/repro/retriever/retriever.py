@@ -27,9 +27,9 @@ from .summarizer import NarrationCache, table_payload
 
 class Searchable(Protocol):
     """What a session and the IR System need from table discovery — these
-    three calls and nothing else.  :class:`PneumaRetriever` is one; so is
-    the serving layer's ``IndexGate``, which pins an index generation per
-    call."""
+    three calls and nothing else.  :class:`PneumaRetriever` is one; so are
+    the serving layer's catalog generations and the ``IndexGate``, which
+    pins one per call."""
 
     def search(self, query: str, k: int = 5, mode: str = "hybrid") -> List[Document]: ...
 

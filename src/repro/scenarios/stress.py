@@ -1,9 +1,10 @@
 """Stress modes, wired through the serving layers they exercise.
 
 * **drift** — rename the far endpoint's request column *between turns* of
-  a live session, then snapshot-swap reindex: the catalog version bump
-  must invalidate cached plans, the next retrieval must surface the new
-  schema, and the session must re-plan instead of serving stale state.
+  a live session, then snapshot-swap reindex: the next generation's
+  catalog must never serve a plan cached against the old one, the next
+  retrieval must surface the new schema, and the session must re-plan
+  instead of serving stale state.
   (Defined on the non-KK rows of the grid; see :func:`.grid.cells_for`.)
 * **append** — persist the index, restart the service, grow the far
   endpoint, and let the warm start's delta overlay re-narrate only the
@@ -24,12 +25,12 @@ from .report import CellResult
 
 
 def apply_drift(service, scenario: PlantedScenario) -> None:
-    """Rename the planned request column in the live lake and reindex.
+    """Rename the planned request column in the staging lake and reindex.
 
-    The rename rebuilds the table (same column order, new name), which
-    bumps the catalog version — invalidating every cached plan over it —
-    and the snapshot-swap reindex refreshes narrations so the next
-    retrieval surfaces the new schema.  The scenario's column maps are
+    The rename rebuilds the table (same column order, new name), and the
+    snapshot-swap reindex makes it visible: a new catalog generation with
+    fresh narrations and join candidates, so the next retrieval surfaces
+    the new schema.  The scenario's column maps are
     updated in place: the persona's next request uses the new name.
     """
     from ..relational.table import Table

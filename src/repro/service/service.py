@@ -13,10 +13,10 @@ Concurrency model:
   production) overlap across sessions;
 * a per-session lock serializes turns *within* a session, so the
   Conductor's working memory never interleaves;
-* the shared index is immutable-after-build (``freeze()``); sessions hold
-  the :class:`IndexGate`, which pins a generation per search, so
-  :meth:`reindex` can build a fresh bundle in the background and
-  atomically swap it in with zero downtime;
+* a turn reads one immutable *generation* for its whole Conductor loop:
+  a catalog copy plus the frozen index and preparation pipeline built
+  from it.  ``service.lake`` stages: a ``register`` there becomes visible
+  when :meth:`reindex` swaps the next generation in with zero downtime;
 * the Document Database of captured knowledge is shared service-wide —
   one user's clarification accelerates every other session, the paper's
   emergent-documentation effect at serving scale.
@@ -77,7 +77,7 @@ from ..relational.plan import PlanCache
 from ..storage import IndexStore
 from .faults import FaultPlan, FlakyEmbedder, FlakyLLM, FlakySQL, derive_seed
 from .resilience import CircuitBreaker, ResilienceConfig, ResilientLLM
-from .shared import IndexGate, SharedIndexBundle, build_shared_retriever
+from .shared import IndexGate, SharedIndexBundle, _Generation, build_shared_retriever
 
 #: The unlabeled serving counters, ``stats()`` key -> help text; each is
 #: the registry family ``pneuma_<key>``.
@@ -90,7 +90,7 @@ _COUNTERS = {
     "turns_degraded": "Turns served on a degraded path.",
     "retries": "Dependency calls retried after a fault.",
     "degraded_retrievals": "Retrievals served BM25-only (dense half unavailable).",
-    "reindex_swaps": "Zero-downtime index snapshot swaps.",
+    "reindex_swaps": "Zero-downtime generation swaps.",
 }
 
 
@@ -243,14 +243,18 @@ class PneumaService:
         registry.add_collector(
             "breakers", lambda: {name: b.stats() for name, b in me.breakers.items()}
         )
-        # The handle sessions and the IR facade hold.  A snapshot in the
-        # store warm-starts it; a cold build publishes one for the next boot.
-        self._gate = IndexGate(self._build_bundle(store=self.store))
+        # One SQL plan cache for the whole service: the staging lake, every
+        # generation's copy of it and every session's materialized scratch
+        # database key into it (keys are namespaced per catalog).
+        self.sql_plan_cache = PlanCache(capacity=512)
+        self.lake.share_plan_cache(self.sql_plan_cache)
+        # Generation 0: a snapshot in the store warm-starts its index, a cold
+        # build publishes one for the next boot.
+        self._gate = IndexGate(*self._build_generation(store=self.store))
         self.warm_started = "restored" in self.shared.build_report
         if self.store is not None and not self.warm_started:
-            self._publish_index(self.shared.retriever.index)
+            self._publish(self.shared)
         registry.add_collector("index_gate", lambda: me._gate.stats())
-        registry.add_collector("index_size", lambda: len(me.shared.retriever.index))
         # The bundle's own caches, plus the process-wide tables the RuleLLM
         # policies score text through (lexicon, question memo, stems, ...).
         registry.add_collector(
@@ -259,20 +263,7 @@ class PneumaService:
         # Which kernel serves the shared index (plain, or a warm start's
         # base+delta overlay) and whether freeze() compiled it.
         registry.add_collector("retrieval", lambda: me.shared.retriever.index.kernel_stats())
-        # One SQL plan cache for the whole service: the shared lake and
-        # every session's materialized scratch database key into it (keys
-        # are namespaced per catalog), so hit/miss counters aggregate all
-        # serving-side SQL and repeated templated queries stay warm.
-        self.sql_plan_cache = PlanCache(capacity=512)
-        self.lake.share_plan_cache(self.sql_plan_cache)
         registry.add_collector("sql_plan_cache", lambda: me.sql_plan_cache.stats())
-        # One sketch-based preparation pipeline per service: column
-        # profiles (MinHash + HLL + stats) for the whole catalog are built
-        # once here into its ProfileStore (the NarrationCache's class), so
-        # every session opens against warm profiles and discovered join
-        # candidates — "sessions start seeded".
-        self.prep = PreparationPipeline(lake)
-        self.prep.join_candidates()  # eager: profile + discover at build time
         registry.add_collector("profile_store", lambda: me.prep.store.stats())
         registry.add_collector("prep", lambda: me.prep.stats())
         self.knowledge = self._open_knowledge()
@@ -344,14 +335,23 @@ class PneumaService:
             self.store.checkpoint(clean=True)
         return summaries
 
-    def _build_bundle(self, narrations=None, embedder=None, store=None) -> SharedIndexBundle:
-        """Build an index bundle (cold, off a previous bundle's caches, or
-        off ``store``'s snapshot) with the resilience wiring attached."""
+    def _build_generation(self, previous: Optional[_Generation] = None, store=None):
+        """The next picture of the lake, ``(bundle, prep)`` for the gate: an
+        index bundle (with the resilience wiring) and a preparation pipeline
+        built from one copy of the staging lake — ``previous``'s own when no
+        table changed — off ``previous``'s caches or ``store``'s snapshot.
+        Join discovery runs last: it is the build's memory high-water mark."""
+        staged, kept = self.lake.tables(), previous.catalog.tables() if previous else []
+        if kept and list(map(id, kept)) == list(map(id, staged)):  # the same table objects
+            catalog, prep = previous.catalog, previous.prep
+        else:
+            catalog = self.lake.copy()
+            prep = previous.prep.successor(catalog) if previous else PreparationPipeline(catalog)
         bundle = build_shared_retriever(
-            self.lake,
+            catalog,
             dim=self._dim,
-            narrations=narrations,
-            embedder=embedder,
+            narrations=previous and previous.bundle.narrations,
+            embedder=previous and previous.bundle.embedder,
             vector_breaker=self.breakers["vector"],
             on_degraded=self._count["degraded_retrievals"].inc,
             store=store,
@@ -361,12 +361,13 @@ class PneumaService:
             # A retriever fault is a flaky query embedder (see FlakyEmbedder).
             index = bundle.retriever.index
             index.embedder = FlakyEmbedder(index.embedder, schedule)
-        return bundle
+        prep.join_candidates()
+        return bundle, prep
 
-    def _publish_index(self, index) -> int:
-        """Durably publish a frozen index: three segments, then the manifest."""
-        tables = {table.name: table.digest() for table in self.lake.tables()}
-        return self.store.publish(index, tables=tables)
+    def _publish(self, bundle: SharedIndexBundle) -> int:
+        """Durably publish a frozen index with its own catalog's digests."""
+        tables = {table.name: table.digest() for table in bundle.retriever.database.tables()}
+        return self.store.publish(bundle.retriever.index, tables=tables)
 
     def _open_knowledge(self) -> DocumentDatabase:
         """The knowledge store, recovered when persistence is attached:
@@ -410,15 +411,16 @@ class PneumaService:
             if self._shutdown or self._draining:
                 raise ServiceError("service is shut down")
             session_id = f"s{next(self._ids)}"
+        gen = self._gate.current  # every turn binds the generation it pins
         session = SeekerSession(
-            self.lake,
+            gen.catalog,
             llm=self._build_llm(),
             knowledge=self.knowledge,
             enable_web=False,
             user=user,
-            retriever=self._gate,
+            retriever=gen,
             plan_cache=self.sql_plan_cache,
-            prep=self.prep,
+            prep=gen.prep,
         )
         schedule = self.fault_plan.schedule("sql")
         if schedule is not None:
@@ -532,19 +534,15 @@ class PneumaService:
     # Zero-downtime reindex
     # ------------------------------------------------------------------
     def reindex(self, drain: bool = True) -> Dict[str, Any]:
-        """Snapshot-swap reindex: rebuild the shared index over the lake's
-        current contents and atomically publish it, without pausing
-        traffic.
-
-        The fresh bundle is built in the background off the previous
-        bundle's narration/embedding caches (an unchanged table costs one
-        compare of its memoized fingerprint), prep rediscovers its join
-        candidates if the catalog version moved, and the bundle is swapped
-        in through the index gate: new searches see the new index
-        immediately, searches already running finish on the old one, and
-        with ``drain=True`` this call returns only after the old generation
-        is provably idle.
-        """
+        """Snapshot-swap reindex: make what ``service.lake`` staged visible
+        without pausing traffic.  The next generation is built in the
+        background off the previous one's caches and swapped in through the
+        index gate: turns that start afterwards see it, turns already
+        running finish on the generation they pinned, and with
+        ``drain=True`` this returns once the old one is idle.  A turn pins
+        when it takes its session's lock, so a turn queued behind that lock
+        is not waited for; a turn past its deadline keeps its pin until it
+        ends."""
         with self._reindex_lock:
             with self._registry_lock:
                 if self._shutdown:
@@ -555,19 +553,13 @@ class PneumaService:
                 else nullcontext()
             )
             with trace:
-                current = self._gate.current
                 build_started = time.perf_counter()
                 with obs.span("reindex.build"):
-                    bundle = self._build_bundle(
-                        narrations=current.narrations, embedder=current.embedder
-                    )
+                    bundle, prep = self._build_generation(previous=self._gate.current)
                 build_seconds = time.perf_counter() - build_started
-                # As at build time: rediscover here, on the caller that changed
-                # the catalog, not under the first turn that follows the swap.
-                self.prep.join_candidates()
                 swap_started = time.perf_counter()
                 with obs.span("reindex.swap"):
-                    self._gate.swap(bundle, drain=drain)
+                    self._gate.swap(bundle, prep, drain=drain)
                 swap_seconds = time.perf_counter() - swap_started
                 self._count["reindex_swaps"].inc()
                 report = {
@@ -575,14 +567,14 @@ class PneumaService:
                     "build_seconds": build_seconds,
                     "swap_seconds": swap_seconds,
                     "drained": drain,
-                    "generation": self._gate.generation,
+                    "generation": self._gate.current.number,
                     "index_size": len(bundle.retriever.index),
                 }
                 if self.store is not None:
                     # Swap first, publish second: readers get the new index at
                     # memory speed, and a crash mid-publish leaves the previous
                     # durable snapshot intact (the manifest's rename commits).
-                    report["published_generation"] = self._publish_index(bundle.retriever.index)
+                    report["published_generation"] = self._publish(bundle)
                 return report
 
     # ------------------------------------------------------------------
@@ -590,8 +582,13 @@ class PneumaService:
     # ------------------------------------------------------------------
     @property
     def shared(self) -> SharedIndexBundle:
-        """The currently-published index bundle (changes on reindex)."""
-        return self._gate.current
+        """The current generation's index bundle (changes on reindex)."""
+        return self._gate.current.bundle
+
+    @property
+    def prep(self) -> PreparationPipeline:
+        """The current generation's preparation pipeline (changes on reindex)."""
+        return self._gate.current.prep
 
     def open_session_count(self) -> int:
         with self._registry_lock:
@@ -674,7 +671,11 @@ class PneumaService:
                 if managed.closed:
                     raise ServiceError(f"session {managed.session_id!r} closed mid-flight")
                 started = time.perf_counter()
-                response = managed.session.submit(message)
+                # One picture of the lake for the whole Conductor loop, pinned
+                # only now: a turn queued behind the session lock pins nothing.
+                with self._gate.reading() as gen:
+                    managed.session.bind(gen.catalog, gen, gen.prep)
+                    response = managed.session.submit(message)
                 managed.turns += 1
         except BaseException:
             self._count["turns_failed"].inc()

@@ -12,10 +12,11 @@ warm caches (the BM25/HNSW inserts are repaid in full).  Given a
 and narrates only the tables that changed since.
 
 Snapshot-swap reindexing rides on the second path: the service builds a
-fresh bundle in the background and publishes it through the
-:class:`IndexGate` — the handle sessions and the IR facade hold.  Each
-search pins the generation it started on; the swap waits for the old
-generation to drain, and is invisible to sessions.
+fresh bundle, and the preparation pipeline, over a copy of its catalog
+and publishes the pair as one generation through the :class:`IndexGate`.
+A turn pins one generation for its whole Conductor loop, a sessionless
+search pins one per call, and the swap waits for the old generation to
+drain.
 """
 
 from __future__ import annotations
@@ -109,48 +110,60 @@ def build_shared_retriever(
 
 
 class _Generation:
-    """One published bundle, its number, and its in-flight reader count."""
+    """One picture of the lake: its number, the catalog the bundle's
+    retriever was built over, that bundle, the preparation pipeline over the
+    same catalog, and its in-flight reader count; and the
+    :class:`~repro.retriever.Searchable` a pinned turn searches through."""
 
-    __slots__ = ("bundle", "number", "readers")
+    __slots__ = ("number", "catalog", "bundle", "prep", "readers")
 
-    def __init__(self, bundle: SharedIndexBundle, number: int):
-        self.bundle = bundle
+    def __init__(self, bundle: SharedIndexBundle, prep, number: int):
         self.number = number
+        self.catalog = bundle.retriever.database
+        self.bundle = bundle
+        self.prep = prep
         self.readers = 0
+
+    # -- Searchable: each call names the generation it ran on in its span
+    def search(self, query: str, k: int = 5, mode: str = "hybrid"):
+        with obs.span("retrieval.search", k=k, mode=mode, generation=self.number):
+            return self.bundle.retriever.search(query, k=k, mode=mode)
+
+    def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
+        attrs = dict(queries=len(queries), k=k, mode=mode, generation=self.number)
+        with obs.span("retrieval.search_batch", **attrs):
+            return self.bundle.retriever.search_batch(queries, k=k, mode=mode)
+
+    def column_values(self, table_name: str, column: str, limit: int = 200):
+        return self.bundle.retriever.column_values(table_name, column, limit)
 
 
 class IndexGate:
-    """A read–write gate over the service's current index bundle, and the
-    retrieval handle sessions hold (a :class:`~repro.retriever.Searchable`).
+    """A read–write gate over the service's current generation, and the
+    retrieval handle sessionless callers hold (a
+    :class:`~repro.retriever.Searchable`).
 
     Readers (:meth:`reading`, and through it every ``search`` /
     ``search_batch`` / ``column_values``) pin whatever generation is
     current when they enter and keep using it even if a swap happens
-    mid-read — bundles are immutable, so that is always safe; long-lived
-    sessions therefore follow reindex swaps automatically while in-flight
-    searches finish on the index they started on.  :meth:`swap` publishes
-    the new bundle *immediately* (new readers see it with zero wait) and
-    then optionally drains: blocks until the old generation's readers have
-    all exited, at which point the old index is provably idle and can be
-    retired.  Freshness therefore never blocks traffic in either
-    direction.
+    mid-read — generations are immutable, so that is always safe.
+    :meth:`swap` publishes the new generation *immediately* (new readers
+    see it with zero wait) and then optionally drains: blocks until the old
+    generation's readers have all exited, so it is provably idle.
     """
 
-    def __init__(self, bundle: SharedIndexBundle):
+    def __init__(self, bundle: SharedIndexBundle, prep):
         self._cond = threading.Condition()
-        self._current = _Generation(bundle, 0)
+        self._current = _Generation(bundle, prep, 0)
 
     @property
-    def current(self) -> SharedIndexBundle:
-        return self._current.bundle
-
-    @property
-    def generation(self) -> int:
-        return self._current.number
+    def current(self) -> _Generation:
+        """The generation new readers pin."""
+        return self._current
 
     @contextmanager
     def reading(self):
-        """Pin the current generation (``.bundle``, ``.number``) for the block."""
+        """Pin the current generation for the block."""
         with self._cond:
             gen = self._current
             gen.readers += 1
@@ -162,41 +175,30 @@ class IndexGate:
                 if gen.readers == 0:
                     self._cond.notify_all()
 
-    def swap(self, bundle: SharedIndexBundle, drain: bool = True) -> SharedIndexBundle:
-        """Atomically publish ``bundle``; returns the replaced one.
-
-        With ``drain=True`` (default) the call additionally waits until
-        every reader that entered on the old generation has exited.
-        """
+    def swap(self, bundle: SharedIndexBundle, prep, drain: bool = True) -> None:
+        """Atomically publish the next generation; with ``drain=True``
+        (default) then wait until every reader that entered on the old
+        generation has exited."""
         with self._cond:
             old = self._current
-            self._current = _Generation(bundle, old.number + 1)
+            self._current = _Generation(bundle, prep, old.number + 1)
             if drain:
                 while old.readers > 0:
                     self._cond.wait()
-        return old.bundle
 
     def stats(self) -> Dict[str, int]:
-        with self._cond:
-            number = self._current.number  # == swaps so far: each swap publishes the next
-            return {
-                "generation": number,
-                "swaps": number,
-                "active_readers": self._current.readers,
-            }
+        with self._cond:  # the generation number is the service's reindex_swaps
+            return {"active_readers": self._current.readers}
 
-    # -- Searchable: each call pins one generation and names it on its span
+    # -- Searchable: each call pins one generation
     def search(self, query: str, k: int = 5, mode: str = "hybrid"):
-        with obs.span("retrieval.search", k=k, mode=mode) as sp, self.reading() as gen:
-            sp.set_attr("generation", gen.number)
-            return gen.bundle.retriever.search(query, k=k, mode=mode)
+        with self.reading() as gen:
+            return gen.search(query, k=k, mode=mode)
 
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
-        with obs.span("retrieval.search_batch", queries=len(queries), k=k, mode=mode) as sp:
-            with self.reading() as gen:
-                sp.set_attr("generation", gen.number)
-                return gen.bundle.retriever.search_batch(queries, k=k, mode=mode)
+        with self.reading() as gen:
+            return gen.search_batch(queries, k=k, mode=mode)
 
     def column_values(self, table_name: str, column: str, limit: int = 200):
         with self.reading() as gen:
-            return gen.bundle.retriever.column_values(table_name, column, limit)
+            return gen.column_values(table_name, column, limit)

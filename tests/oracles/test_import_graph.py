@@ -159,6 +159,23 @@ def test_the_write_ahead_log_is_retired(tmp_path):
     assert not (tmp_path / "store" / "wal.log").exists()
 
 
+def test_one_catalog_clock():
+    """A service's catalog has one clock, the generation its gate swaps in:
+    outside ``relational/`` (whose plan cache keys on it) nothing reads a
+    database's ``version``.  A component that must follow catalog changes
+    is handed the next generation instead of polling the lake."""
+    catalog_names = {"lake", "database", "source", "catalog"}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent == SRC / "relational":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Attribute) and node.attr == "version"):
+                continue
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+            assert name not in catalog_names, f"{path}:{node.lineno}: reads {name}.version"
+
+
 def test_relational_public_surface():
     assert repro.relational.__all__ == [
         "Database",

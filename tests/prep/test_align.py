@@ -292,9 +292,9 @@ class TestPipelineFacade:
         stats = pipeline.stats()
         assert stats["plans_compiled"] == 1
         assert stats["plans_executed"] == 1
-        assert stats["profile_store"]["size"] == 3
+        assert pipeline.store.stats()["size"] == 3
 
-    def test_compiler_is_kept_until_a_version_moves(self, lake):
+    def test_compiler_is_kept_for_its_catalog(self, lake):
         pipeline = PreparationPipeline(lake)
         compiler = pipeline.compiler()
         assert pipeline.compiler() is compiler
@@ -302,7 +302,8 @@ class TestPipelineFacade:
         assert pipeline.compiler() is compiler  # prepare()/compile() reuse it
         assert pipeline.stats()["discoveries"] == 1
 
-        # lake.version moves: a new table the graph must now reach.
+        # A new table the graph must now reach: the next catalog's successor
+        # discovers it; the pipeline itself never looks past its own picture.
         lake.register(
             Table.from_columns(
                 "returns",
@@ -313,9 +314,12 @@ class TestPipelineFacade:
                 },
             )
         )
-        recompiled = pipeline.compiler()
+        assert pipeline.compiler() is compiler
+        successor = pipeline.successor(lake)
+        recompiled = successor.compiler()
         assert recompiled is not compiler
-        assert pipeline.compiler() is recompiled
+        assert successor.compiler() is recompiled
+        assert pipeline.stats()["discoveries"] == 2  # the counters are shared
         joined = spec(
             "returned", [("weight", "shipments.weight"), ("reason", "returns.reason")]
         )
@@ -333,20 +337,24 @@ class TestPipelineFacade:
         assert (store["hits"], store["misses"]) == (0, 3)
         for _ in range(5):
             pipeline.prepare(view)
-        # lake.version is the only change signal: not one store hit more.
+        # The catalog was profiled and discovered once: not one store hit more.
         assert pipeline.store.stats() == store
         assert pipeline.stats()["discoveries"] == 1
 
-        # One changed table costs one rediscovery with one store miss.
+        # One changed table: the successor over the next catalog costs one
+        # rediscovery with one store miss.
         orders = lake.resolve_table("orders")
-        lake.register(Table(orders.name, orders.schema, orders.rows[:-1]), replace=True)
+        changed = lake.copy()
+        changed.register(Table(orders.name, orders.schema, orders.rows[:-1]), replace=True)
+        successor = pipeline.successor(changed)
         for _ in range(2):
-            _, table = pipeline.prepare(view)
+            _, table = successor.prepare(view)
         assert table.num_rows == 89
         after = pipeline.store.stats()
         assert (after["hits"], after["misses"], after["size"]) == (2, 4, 3)
         assert pipeline.stats()["discoveries"] == 2
-        assert pipeline.compiler() is not compiler
+        assert successor.compiler() is not compiler
+        assert pipeline.prepare(view)[1].num_rows == 90  # its own picture is unchanged
 
     def test_join_hint_does_not_leak_into_the_kept_graph(self, lake):
         pipeline = PreparationPipeline(lake)

@@ -120,15 +120,16 @@ class TestPipelineCaching:
         assert pipeline.store.stats()["misses"] == before
         assert pipeline.stats()["discoveries"] == 1
 
-    def test_lake_change_invalidates_candidates(self, planted):
+    def test_successor_rediscovers_a_changed_catalog(self, planted):
         lake, _ = planted
         pipeline = PreparationPipeline(lake)
         cold = pipeline.join_candidates()
+        changed = lake.copy()
         extra_ids = [9_900_000 + i for i in range(600)]
-        lake.register(Table.from_columns("extra", {"extra_id": extra_ids}))
-        try:
-            warm = pipeline.join_candidates()
-            assert warm is not cold
-            assert pipeline.stats()["discoveries"] == 2
-        finally:
-            lake.drop_table("extra")
+        changed.register(Table.from_columns("extra", {"extra_id": extra_ids}))
+        misses = pipeline.store.stats()["misses"]
+        warm = pipeline.successor(changed).join_candidates()
+        assert warm is not cold
+        assert pipeline.join_candidates() is cold  # a pipeline keeps its own catalog's
+        assert pipeline.stats()["discoveries"] == 2
+        assert pipeline.store.stats()["misses"] == misses + 1  # only the new table

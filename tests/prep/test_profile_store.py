@@ -25,7 +25,7 @@ def store():
 class TestCaching:
     def test_first_profile_is_a_miss(self, store):
         store.profile(make_table())
-        assert store.stats() == {"hits": 0, "misses": 1, "size": 1, "version": 1}
+        assert store.stats() == {"hits": 0, "misses": 1, "size": 1}
 
     def test_unchanged_table_hits(self, store):
         table = make_table()
@@ -64,15 +64,15 @@ class TestInvalidation:
         assert stats["size"] == 1
         assert store.profile(make_table(offset=999)) is changed
 
-    def test_version_bumps_only_on_compute(self, store):
+    def test_misses_count_only_computes(self, store):
         table = make_table()
-        assert store.version == 0
+        assert store.misses == 0
         store.profile(table)
-        assert store.version == 1
-        store.profile(table)  # hit: no recompute, no version change
-        assert store.version == 1
+        assert store.misses == 1
+        store.profile(table)  # hit: no recompute
+        assert store.misses == 1
         store.profile(make_table(offset=7))
-        assert store.version == 2
+        assert store.misses == 2
 
 
 class TestProfileContents:

@@ -137,11 +137,11 @@ class TestServiceIntegration:
         try:
             stats = svc.stats()
             store = stats["profile_store"]
-            assert set(store) == {"hits", "misses", "size", "version"}
+            assert set(store) == {"hits", "misses", "size"}
             assert store["size"] > 0  # eagerly profiled at build time
             prep = stats["prep"]
             assert prep["discoveries"] == 1
-            assert prep["profile_store"] == store
+            assert "profile_store" not in prep  # one number per fact: the top level's
         finally:
             svc.shutdown()
 

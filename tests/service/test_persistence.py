@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_procurement_lake
+from repro.relational.table import Table
+from repro.retriever.summarizer import NarrationCache
 from repro.service import CrashSpec, FaultPlan, PneumaService
 from repro.storage import IndexStore, SimulatedCrash, codec
 from repro.storage.segment import read_segment, write_segment
@@ -72,8 +74,6 @@ class TestWarmStart:
         svc.shutdown(drain=True)
 
         lake = build_procurement_lake()
-        from repro.relational.table import Table
-
         lake.register(
             Table.from_columns("zebra_census", {"zebra_id": [1, 2], "stripes": [30, 44]})
         )
@@ -184,6 +184,31 @@ class TestReindexPublish:
         assert report["published_generation"] == 2  # gen 1 was the boot publish
         assert svc.store.fsck()["ok"]
         svc.shutdown(drain=True)
+
+    def test_publish_records_the_catalog_it_built_from(self, store_dir):
+        """A table replaced between a reindex's build and its publish is not
+        in the published generation: the manifest keeps the narrated
+        table's digest, so the next boot re-narrates the replacement."""
+        lake = build_procurement_lake()
+        svc = PneumaService(lake, max_workers=2, storage_dir=store_dir)
+        budgets = lake.resolve_table("department_budgets")
+        changed = Table(budgets.name, budgets.schema, budgets.rows[:-1])
+        swap = svc._gate.swap
+
+        def swap_then_register(*args, **kwargs):
+            replaced = swap(*args, **kwargs)
+            lake.register(changed, replace=True)
+            return replaced
+
+        svc._gate.swap = swap_then_register
+        svc.reindex()
+        svc.shutdown(drain=True)
+
+        reopened = PneumaService(lake, max_workers=2, storage_dir=store_dir)
+        assert reopened.shared.build_report == {"indexed": 1, "skipped": 2, "restored": 2}
+        narration = reopened.shared.retriever.narration("department_budgets")
+        assert narration == NarrationCache().narrate(changed)
+        reopened.shutdown(drain=True)
 
     def test_crash_mid_reindex_preserves_previous_snapshot(self, store_dir):
         svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)

@@ -5,8 +5,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.session import build_seeker_llm
 from repro.datasets import build_procurement_lake
-from repro.obs import Tracer
+from repro.obs import ObservabilityConfig, Tracer
 from repro.relational.table import Table
 from repro.service import IndexGate, PneumaService, ServiceError, build_shared_retriever
 
@@ -37,20 +38,20 @@ def add_shipments_table(lake):
 class TestIndexGate:
     def test_readers_pin_their_generation_across_a_swap(self, lake):
         old_bundle = build_shared_retriever(lake)
-        gate = IndexGate(old_bundle)
+        gate = IndexGate(old_bundle, None)
         new_bundle = build_shared_retriever(lake)
         with gate.reading() as pinned:
             # Swap mid-read without draining: the reader keeps the bundle
             # it entered with while new readers see the new one.
-            gate.swap(new_bundle, drain=False)
+            gate.swap(new_bundle, None, drain=False)
             assert pinned.bundle is old_bundle and pinned.number == 0
             with gate.reading() as fresh:
                 assert fresh.bundle is new_bundle and fresh.number == 1
-        assert gate.current is new_bundle
-        assert gate.stats() == {"generation": 1, "swaps": 1, "active_readers": 0}
+        assert gate.current.bundle is new_bundle and gate.current.number == 1
+        assert gate.stats() == {"active_readers": 0}
 
     def test_drain_waits_for_old_readers(self, lake):
-        gate = IndexGate(build_shared_retriever(lake))
+        gate = IndexGate(build_shared_retriever(lake), None)
         new_bundle = build_shared_retriever(lake)
         reader_entered = threading.Event()
         release_reader = threading.Event()
@@ -66,13 +67,13 @@ class TestIndexGate:
         assert reader_entered.wait(timeout=10)
 
         def swapper():
-            gate.swap(new_bundle, drain=True)
+            gate.swap(new_bundle, None, drain=True)
             swap_returned.set()
 
         swap = threading.Thread(target=swapper)
         swap.start()
         # New traffic is not blocked while the drain waits.
-        assert gate.current is new_bundle
+        assert gate.current.bundle is new_bundle
         assert not swap_returned.wait(timeout=0.2)
         release_reader.set()
         assert swap_returned.wait(timeout=10)
@@ -80,14 +81,14 @@ class TestIndexGate:
         swap.join(timeout=10)
 
     def test_gate_searches_follow_the_swap(self, lake):
-        gate = IndexGate(build_shared_retriever(lake))
-        assert gate.current.retriever.frozen
+        gate = IndexGate(build_shared_retriever(lake), None)
+        assert gate.current.bundle.retriever.frozen
         before = [d.doc_id for d in gate.search("supplier ratings", k=3)]
         assert before
         assert gate.column_values("suppliers", "supplier_id")
 
         add_shipments_table(lake)
-        gate.swap(build_shared_retriever(lake), drain=True)
+        gate.swap(build_shared_retriever(lake), None, drain=True)
         hits = gate.search("ocean freight shipments by vessel", k=3)
         assert any(d.doc_id == "table:ocean_freight_shipments" for d in hits)
         batch = gate.search_batch(["ocean freight shipments by vessel"], k=3)
@@ -103,11 +104,11 @@ class TestIndexGate:
             @contextmanager
             def reading(self):
                 with super().reading() as pinned:
-                    if self.generation == 0:
-                        self.swap(new_bundle, drain=False)
+                    if self.current.number == 0:
+                        self.swap(new_bundle, None, drain=False)
                     yield pinned
 
-        gate = SwapRightAfterPinning(build_shared_retriever(lake))
+        gate = SwapRightAfterPinning(build_shared_retriever(lake), None)
         tracer = Tracer()
         with tracer.start_trace("probe") as root:
             gate.search("supplier ratings", k=3)
@@ -117,7 +118,7 @@ class TestIndexGate:
         # was already current when its span was stamped.
         assert first.name == "retrieval.search" and first.attrs["generation"] == 0
         assert second.name == "retrieval.search_batch" and second.attrs["generation"] == 1
-        assert gate.generation == 1
+        assert gate.current.number == 1
 
 
 class TestServiceReindex:
@@ -147,7 +148,8 @@ class TestServiceReindex:
             assert "ocean_freight_shipments" in response.state_view
 
     def test_reindex_during_traffic_fails_no_turns(self, lake):
-        with PneumaService(lake, max_workers=4) as service:
+        tracing = ObservabilityConfig(max_traces=100_000)
+        with PneumaService(lake, max_workers=4, observability=tracing) as service:
             sids = [service.open_session() for _ in range(4)]
             stop = threading.Event()
             errors = []
@@ -174,8 +176,59 @@ class TestServiceReindex:
             stats = service.stats()
             assert stats["reindex_swaps"] == 3
             assert stats["turns_failed"] == 0
-            assert stats["index_gate"]["generation"] == 3
             assert stats["index_gate"]["active_readers"] == 0
+            # A turn pins one generation for its whole Conductor loop: every
+            # search it makes names the same one, whatever swapped meanwhile.
+            turns = service.tracer.traces("turn")
+            assert len(turns) == stats["obs"]["tracer"]["traces_started"] - 3  # all retained
+            seen = set()
+            for root in turns:
+                generations = {
+                    span.attrs["generation"]
+                    for span in root.iter_spans()
+                    if span.name.startswith("retrieval.search")
+                }
+                assert len(generations) <= 1, generations
+                seen |= generations
+            assert len(seen) > 1  # the traffic did straddle the swaps
+
+    def test_drain_waits_for_the_turn_in_flight_not_the_queued_one(self, lake):
+        """A turn pins once it holds its session's lock, so a reindex drains
+        the turn in flight; the turn queued behind it pins the new generation."""
+        first, second = QUESTION, "Now restrict it to orders from ACME."
+        entered = {first: threading.Event(), second: threading.Event()}
+        release = {first: threading.Event(), second: threading.Event()}
+
+        def factory():
+            llm = build_seeker_llm()
+            complete = llm.complete
+
+            def parked(prompt, component=""):
+                message = second if second in prompt else first
+                entered[message].set()
+                assert release[message].wait(timeout=60)
+                return complete(prompt, component)
+
+            llm.complete = parked
+            return llm
+
+        with PneumaService(lake, max_workers=2, llm_factory=factory) as service:
+            sid = service.open_session()
+            in_flight = service.post_turn(sid, first, wait=False)
+            assert entered[first].wait(timeout=60)
+            queued = service.post_turn(sid, second, wait=False)
+            drained = threading.Event()
+            reindexer = threading.Thread(target=lambda: (service.reindex(), drained.set()))
+            reindexer.start()
+            assert not drained.wait(timeout=0.3)  # generation 0 is pinned by the first turn
+            release[first].set()
+            in_flight.result(timeout=60)
+            assert entered[second].wait(timeout=60)
+            assert drained.wait(timeout=60)  # while the second turn is still running
+            assert not queued.done()
+            release[second].set()
+            assert queued.result(timeout=60).message
+            reindexer.join(timeout=60)
 
     def test_reindex_after_shutdown_raises(self, lake):
         service = PneumaService(lake, max_workers=1)

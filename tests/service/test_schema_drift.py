@@ -118,17 +118,21 @@ class TestAlignmentGraphRecompile:
         assert service.prep.compiler() is recompiled  # the turn reused it
 
     def test_reindex_pays_the_rediscovery_not_the_next_turn(self, scenario, service):
-        before = service.stats()["prep"]
+        def prep_and_store():
+            stats = service.stats()
+            return stats["prep"], stats["profile_store"]
+
+        before, before_store = prep_and_store()
         apply_drift(service, scenario)  # rename + service.reindex()
-        after = service.stats()["prep"]
+        after, after_store = prep_and_store()
         assert after["discoveries"] == before["discoveries"] + 1
-        assert after["profile_store"]["misses"] == before["profile_store"]["misses"] + 1
-        service.reindex()  # catalog unchanged: one integer compare, no store traffic
-        assert service.stats()["prep"] == after
+        assert after_store["misses"] == before_store["misses"] + 1
+        service.reindex()  # catalog unchanged: the pipeline is kept, no store traffic
+        assert prep_and_store() == (after, after_store)
 
         sid = service.open_session(user="drift-turn")
         rendered = service.post_turn(sid, enrich_message(scenario)).render()
         assert "materialized (" in rendered
-        served = service.stats()["prep"]
+        served, served_store = prep_and_store()
         assert served["discoveries"] == after["discoveries"]
-        assert served["profile_store"] == after["profile_store"]
+        assert served_store == after_store

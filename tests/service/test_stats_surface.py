@@ -21,7 +21,6 @@ CONVERSATION = (
 
 HIT_MISS = {"hits": int, "misses": int, "size": int}
 BREAKER = {"state": str, "consecutive_failures": int, "trips": int}
-PROFILE_STORE = {**HIT_MISS, "version": int}
 FAULT_STREAM = {"calls": int, "faults": int, "streams": int}
 
 #: The shape every service reports: key -> leaf type, or a nested shape.
@@ -42,7 +41,6 @@ BASE_SHAPE = {
     "turn_p99_seconds": float,
     "turn_mean_seconds": float,
     "open_sessions": int,
-    "index_size": int,
     "caches": {
         "narration": HIT_MISS,
         "embedding": HIT_MISS,
@@ -57,9 +55,8 @@ BASE_SHAPE = {
     "retrieval": {"kernel": str, "compiled": bool, "frozen": bool, "docs": int},
     "knowledge_entries": int,
     "sql_plan_cache": {"hits": int, "misses": int, "evictions": int, "size": int, "capacity": int},
-    "profile_store": PROFILE_STORE,
+    "profile_store": HIT_MISS,
     "prep": {
-        "profile_store": PROFILE_STORE,
         "join_candidates": int,
         "discoveries": int,
         "plans_compiled": int,
@@ -72,7 +69,7 @@ BASE_SHAPE = {
         "turn_deadline_seconds": type(None),
     },
     "breakers": {"llm": BREAKER, "vector": BREAKER},
-    "index_gate": {"generation": int, "swaps": int, "active_readers": int},
+    "index_gate": {"active_readers": int},
 }
 
 STORAGE_SHAPE = {

@@ -267,6 +267,14 @@ class TableCache:
             self._entries[table.name] = (fingerprint, value)
         return value
 
+    def seed(self, table: Table, value: Any) -> None:
+        """Keep ``value`` as ``table``'s entry without building it: one
+        built elsewhere from content of the same ``Table.digest()``.
+        Counts neither a hit nor a miss."""
+        fingerprint = table.fingerprint()
+        with self._lock:
+            self._entries[table.name] = (fingerprint, value)
+
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}

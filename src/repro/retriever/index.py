@@ -137,10 +137,6 @@ class HybridIndex:
                 )
         return self
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     # ------------------------------------------------------------------
     # Persistence (the storage subsystem's segment codec drives these)
     # ------------------------------------------------------------------
@@ -193,11 +189,6 @@ class HybridIndex:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._texts
-
-    def doc_ids(self) -> List[str]:
-        """Every indexed doc_id in first-insertion order (the hybrid id
-        order of a frozen index)."""
-        return list(self._texts)
 
     def text_of(self, doc_id: str) -> str:
         return self._texts[doc_id]

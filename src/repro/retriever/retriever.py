@@ -61,22 +61,20 @@ class PneumaRetriever:
         vector_breaker=None,
         on_degraded: Optional[Callable[[], None]] = None,
         index=None,
-        preset_narrations: Optional[Dict[str, str]] = None,
     ):
         self.database = database
         self.sample_rows = sample_rows
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
         # A warm start (storage layer) injects an index hydrated from a
-        # snapshot, plus the narrations of the tables that snapshot still
-        # covers as they stand in ``database`` — the construction-time
-        # reindex below then narrates only tables that changed while the
-        # service was down.
+        # snapshot of exactly this catalog: it holds every table's narration,
+        # and the construction-time reindex below finds nothing to add.
         self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
-        self._narrations: Dict[str, str] = dict(preset_narrations or {})
+        hydrated = database.tables() if index is not None else []
+        self._narrations: Dict[str, str] = {t.name: index.text_of(t.name) for t in hydrated}
         self._fingerprints: Dict[str, Tuple[str, int]] = {
-            name: database.resolve_table(name).fingerprint() for name in self._narrations
+            t.name: t.fingerprint() for t in hydrated
         }
         self.build_report = self.reindex()
 
@@ -88,10 +86,9 @@ class PneumaRetriever:
         by content fingerprint.  Returns ``{"indexed": n, "skipped": m}``.
 
         An index is built once: a table whose content changed raises
-        ``KeyError`` and leaves the retriever as it was — unless the index
-        is a warm start's ``DeltaHybridIndex``, whose delta answers for
-        the stale base copy.  The serving layer's ``reindex()`` builds a
-        fresh retriever instead.  A table that left the catalog is
+        ``KeyError`` and leaves the retriever as it was.  The serving
+        layer's ``reindex()`` and its warm start over a changed catalog
+        build a fresh retriever instead.  A table that left the catalog is
         forgotten; its index entry stays and :meth:`search_batch` skips it.
         """
         pending: List[Tuple[str, str]] = []
@@ -123,10 +120,6 @@ class PneumaRetriever:
         """Seal the underlying index for lock-free concurrent searching."""
         self.index.freeze()
         return self
-
-    @property
-    def frozen(self) -> bool:
-        return self.index.frozen
 
     def narration(self, table_name: str) -> str:
         return self._narrations[table_name]

@@ -158,8 +158,8 @@ def run_grid(
     report coverage.
 
     ``stress='append'`` needs ``storage_root``: each cell persists its
-    index there, restarts the service, and grows the far endpoint through
-    the delta overlay before the session runs (see :mod:`.stress`).
+    index there, grows the far endpoint, and warm-starts a service over
+    the grown lake before the session runs (see :mod:`.stress`).
     """
     from .stress import run_append_cell
 

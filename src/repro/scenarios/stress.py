@@ -7,9 +7,10 @@
   instead of serving stale state.
   (Defined on the non-KK rows of the grid; see :func:`.grid.cells_for`.)
 * **append** — persist the index, restart the service, grow the far
-  endpoint, and let the warm start's delta overlay re-narrate only the
-  changed table; the session then runs against the grown catalog and the
-  oracle includes the appended rows.  (Defined on the enrich cells.)
+  endpoint, and let the warm start rebuild the index off the snapshot's
+  narrations, re-narrating only the changed table; the session then runs
+  against the grown catalog and the oracle includes the appended rows.
+  (Defined on the enrich cells.)
 * **noisy** — near-duplicate narration twins are a *generator* mode (built
   into the lake before indexing); see :func:`..scenarios.generator._add_noisy_twins`.
 """
@@ -92,9 +93,9 @@ def run_append_cell(
 
     A first service builds and durably publishes the index, then shuts
     down cleanly.  Rows are appended while the service is "down".  The
-    second service must warm-start (mmap'd segments plus a delta overlay
-    narrating only the changed table) and still converge on the grown
-    oracle.
+    second service must warm-start (a fresh index seeded with the
+    snapshot's narrations, narrating only the changed table) and still
+    converge on the grown oracle.
     """
     from ..service.service import PneumaService
     from .harness import run_cell

@@ -248,8 +248,9 @@ class PneumaService:
         # database key into it (keys are namespaced per catalog).
         self.sql_plan_cache = PlanCache(capacity=512)
         self.lake.share_plan_cache(self.sql_plan_cache)
-        # Generation 0: a snapshot in the store warm-starts its index, a cold
-        # build publishes one for the next boot.
+        # Generation 0: a snapshot in the store warm-starts it (served whole,
+        # or seeding the narrations of a rebuild); only a boot that found no
+        # usable snapshot publishes one for the next boot.
         self._gate = IndexGate(*self._build_generation(store=self.store))
         self.warm_started = "restored" in self.shared.build_report
         if self.store is not None and not self.warm_started:
@@ -260,8 +261,7 @@ class PneumaService:
         registry.add_collector(
             "caches", lambda: {**me.shared.cache_stats(), "policy_text": policy_text_stats()}
         )
-        # Which kernel serves the shared index (plain, or a warm start's
-        # base+delta overlay) and whether freeze() compiled it.
+        # Which kernel serves the shared index and whether freeze() compiled it.
         registry.add_collector("retrieval", lambda: me.shared.retriever.index.kernel_stats())
         registry.add_collector("sql_plan_cache", lambda: me.sql_plan_cache.stats())
         registry.add_collector("profile_store", lambda: me.prep.store.stats())

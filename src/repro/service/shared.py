@@ -4,12 +4,13 @@ One :class:`SharedIndexBundle` is built per service: a fingerprint-cached
 narration pass, a memoizing embedder, and a frozen :class:`HybridIndex`
 that every session searches lock-free.
 
-:func:`build_shared_retriever` is the one way a bundle comes to be.  Cold,
-it narrates, embeds and indexes the whole lake.  Given a previous
-bundle's ``narrations``/``embedder`` it builds a *fresh* frozen index off
-warm caches (the BM25/HNSW inserts are repaid in full).  Given a
-``store`` holding a published snapshot it hydrates that snapshot instead
-and narrates only the tables that changed since.
+:func:`build_shared_retriever` is the one way a bundle comes to be, and
+every bundle holds one index.  Cold, it narrates, embeds and indexes the
+whole lake.  Given a previous bundle's ``narrations``/``embedder`` it
+builds a *fresh* frozen index off warm caches (the BM25/HNSW inserts are
+repaid in full).  Given a ``store`` holding a published snapshot it
+serves that snapshot whole when it covers the lake exactly, and
+otherwise builds fresh, narrating only the tables that changed since.
 
 Snapshot-swap reindexing rides on the second path: the service builds a
 fresh bundle, and the preparation pipeline, over a copy of its catalog
@@ -30,7 +31,6 @@ from ..obs import trace as obs
 from ..relational.catalog import Database
 from ..retriever.retriever import PneumaRetriever
 from ..retriever.summarizer import NarrationCache
-from ..storage.delta import DeltaHybridIndex
 from ..text.embedding import CachedEmbedder
 
 
@@ -69,24 +69,28 @@ def build_shared_retriever(
     degrades to BM25-only instead of failing.
 
     Passing a ``store`` (:class:`~repro.storage.store.IndexStore`) with a
-    usable snapshot makes this a warm start: the snapshot hydrates
-    zero-copy from mmap'd segments as the base of a
-    :class:`DeltaHybridIndex`, and the lake is reconciled against the
-    manifest's ``Table.digest()`` values — tables the snapshot still
-    covers are served from the base (narrations straight from the
-    segment), changed/new tables are narrated into the delta overlay,
-    dropped ones are tombstoned, and the build report gains ``restored``.
+    usable snapshot makes this a warm start, reconciled against the
+    manifest's ``Table.digest()`` values; the build report gains
+    ``restored``, the number of tables the snapshot still covers.  When it
+    covers the lake exactly (every table, no other document), the
+    snapshot hydrated zero-copy from mmap'd segments is the index.
+    Otherwise this is the warm rebuild above, with the snapshot's texts of
+    the covered tables seeding ``narrations``: only changed tables are
+    narrated, and the fresh index ranks exactly as a cold build does.
     """
     narrations = narrations if narrations is not None else NarrationCache()
     embedder = embedder if embedder is not None else CachedEmbedder(dim=dim)
-    base = store.load_index(embedder=embedder) if store is not None else None
-    current = {table.name: table for table in lake.tables()}
-    preset_narrations = {}
-    if base is not None:
-        for name, digest in store.state.tables.items():
-            table = current.get(name)
-            if table is not None and name in base and table.digest() == digest:
-                preset_narrations[name] = base.text_of(name)
+    snapshot = store.load_index(embedder=embedder) if store is not None else None
+    report = {}
+    if snapshot is not None:
+        tables = lake.tables()
+        digests = store.state.tables
+        covered = [t for t in tables if t.name in snapshot and digests.get(t.name) == t.digest()]
+        report["restored"] = len(covered)
+        if len(covered) != len(tables) or len(snapshot) != len(tables):
+            for table in covered:
+                narrations.seed(table, snapshot.text_of(table.name))
+            snapshot = None
     retriever = PneumaRetriever(
         lake,
         dim=dim,
@@ -94,18 +98,13 @@ def build_shared_retriever(
         embedder=embedder,
         vector_breaker=vector_breaker,
         on_degraded=on_degraded,
-        index=DeltaHybridIndex(base) if base is not None else None,
-        preset_narrations=preset_narrations,
-    )
-    report = dict(retriever.build_report)
-    if base is not None:
-        for doc_id in base.doc_ids():
-            if doc_id not in current:
-                retriever.index.mask(doc_id)
-        report["restored"] = len(preset_narrations)
-    retriever.freeze()
+        index=snapshot,
+    ).freeze()
     return SharedIndexBundle(
-        retriever=retriever, narrations=narrations, embedder=embedder, build_report=report
+        retriever=retriever,
+        narrations=narrations,
+        embedder=embedder,
+        build_report={**retriever.build_report, **report},
     )
 
 

@@ -11,8 +11,8 @@ verifiable artifact instead of a process-lifetime one:
   catalog (``MANIFEST.json``, one atomic file) and the store around it:
   open classification by the clean-shutdown marker, one file per
   knowledge capture, quarantine + per-segment rebuild of corrupt files;
-* :mod:`~repro.storage.delta` — the LSM-style mutable overlay that lets
-  a warm-started (hydrated, immutable) snapshot absorb new documents;
+* :mod:`~repro.storage.codec` — the index halves and the fusion layer
+  to and from segment arrays;
 * :mod:`~repro.storage.crash` — deterministic crash injection threaded
   through every write path above, so the recovery battery can kill the
   process state at each named point and assert bit-identical recovery.
@@ -28,7 +28,6 @@ from .crash import (
     crash_point,
     describe_crash_point,
 )
-from .delta import DeltaHybridIndex
 from .manifest import Manifest, SegmentRef
 from .segment import Segment, SegmentCorruptError, read_segment, verify_segment, write_segment
 from .store import IndexStore
@@ -44,7 +43,6 @@ __all__ = [
     "all_crash_points",
     "crash_point",
     "describe_crash_point",
-    "DeltaHybridIndex",
     "Manifest",
     "SegmentRef",
     "Segment",

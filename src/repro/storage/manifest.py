@@ -8,8 +8,8 @@ some complete state, never a torn mix.  The rename is the commit point.
 The manifest also records each indexed table's ``Table.digest()`` — the
 blake2b over name, schema, and rendered rows that means the same in
 every process (``Table.fingerprint()`` is salted ``hash()`` and does
-not) — so a warm start can decide which tables the snapshot still covers
-and which go to the delta overlay.
+not) — so a warm start can decide whether the snapshot still covers the
+catalog, and which tables' narrations it may keep when it does not.
 """
 
 from __future__ import annotations

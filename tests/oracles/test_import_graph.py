@@ -4,6 +4,7 @@ twin or a second SQL engine, and nothing there imports from the test tree."""
 import ast
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -157,6 +158,18 @@ def test_the_write_ahead_log_is_retired(tmp_path):
     keys = IndexStore(tmp_path / "store").stats()
     assert [key for key in keys if key.startswith("wal_") or "journal" in key] == []
     assert not (tmp_path / "store" / "wal.log").exists()
+
+
+def test_one_index_per_generation():
+    """A generation serves one ``HybridIndex``: a warm start either serves
+    the snapshot whole or builds a fresh index, so there is no overlay of
+    a mutable delta on a frozen base, no tombstone and no doc-id walk."""
+    assert not (SRC / "storage" / "delta.py").exists()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        assert "DeltaHybridIndex" not in text, path
+        assert ".mask(" not in text, path
+        assert re.search(r"\bdoc_ids\(", text) is None, path
 
 
 def test_one_catalog_clock():

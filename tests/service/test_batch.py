@@ -101,7 +101,7 @@ class TestHybridIndexBatch:
 
     def test_freeze_blocks_mutation(self, index):
         index.freeze()
-        assert index.frozen
+        assert index.kernel_stats()["frozen"]
         with pytest.raises(FrozenIndexError):
             index.add("late", "too late to index")
         with pytest.raises(FrozenIndexError):

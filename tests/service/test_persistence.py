@@ -9,7 +9,9 @@ import pytest
 from repro.datasets import build_procurement_lake
 from repro.relational.table import Table
 from repro.retriever.summarizer import NarrationCache
+from repro.scenarios import append_rows, build_scenario, cells_for
 from repro.service import CrashSpec, FaultPlan, PneumaService
+from repro.sim.scenario import ScenarioPersona
 from repro.storage import IndexStore, SimulatedCrash, codec
 from repro.storage.segment import read_segment, write_segment
 from repro.storage.store import CP_PUBLISH_AFTER_SEGMENTS
@@ -29,6 +31,85 @@ def search_results(service, k=5):
 @pytest.fixture
 def store_dir(tmp_path):
     return tmp_path / "store"
+
+
+def zebra_census():
+    return Table.from_columns("zebra_census", {"zebra_id": [1, 2], "stripes": [30, 44]})
+
+
+def procurement():
+    """The procurement lake, a question for it, and a row edit of one table."""
+
+    def change_rows(lake):
+        budgets = lake.resolve_table("department_budgets")
+        lake.register(Table(budgets.name, budgets.schema, budgets.rows[:-1]), replace=True)
+
+    return build_procurement_lake(), QUESTION, change_rows
+
+
+def append_cell():
+    """An append cell's lake, its persona's opener, and the cell's own row
+    edit (``append_rows`` grows the far endpoint)."""
+    scenario = build_scenario(cells_for("append")[0], seed=7, stress="append")
+    opener = ScenarioPersona(scenario).next_message()
+    return scenario.lake, opener, lambda lake: append_rows(scenario)
+
+
+def rename_last_column(lake):
+    table = lake.tables()[0]
+    old = table.column_names()[-1]
+    columns = {
+        (f"{name}_renamed" if name == old else name): values
+        for name, values in table.to_columns().items()
+    }
+    lake.register(Table.from_columns(table.name, columns), replace=True)
+
+
+#: One catalog edit made while the service is down, each ``(lake, change_rows)``.
+EDITS = {
+    "add_table": lambda lake, change_rows: lake.register(zebra_census()),
+    "change_rows": lambda lake, change_rows: change_rows(lake),
+    "drop_table": lambda lake, change_rows: lake.drop_table(lake.tables()[-1].name),
+    "rename_column": lambda lake, change_rows: rename_last_column(lake),
+    "no_edit": lambda lake, change_rows: None,
+}
+
+
+def observe(service, question):
+    """Every document's fused rank and score for a few queries, and one
+    turn's rendered response."""
+    queries = QUERIES + [question]
+    ranked = [
+        [(h.doc_id, h.score) for h in hits]
+        for hits in service.shared.retriever.index.search_batch(queries, k=10)
+    ]
+    session = service.open_session()
+    return ranked, service.post_turn(session, question).render()
+
+
+class TestWarmEqualsCold:
+    """A warm start over a catalog edited while the service was down serves
+    exactly what a cold build of the edited lake serves."""
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("lake_of", [procurement, append_cell])
+    def test_warm_start_ranks_and_answers_like_a_cold_build(self, store_dir, lake_of, edit):
+        lake, _, _ = lake_of()
+        PneumaService(lake, max_workers=1, storage_dir=store_dir).shutdown(drain=True)
+
+        edited = []
+        for _ in range(2):  # the warm and the cold service each get their own lake
+            lake, question, change_rows = lake_of()
+            EDITS[edit](lake, change_rows)
+            edited.append(lake)
+        warm = PneumaService(edited[0], max_workers=1, storage_dir=store_dir)
+        cold = PneumaService(edited[1], max_workers=1)
+        try:
+            assert warm.warm_started
+            assert observe(warm, question) == observe(cold, question)
+        finally:
+            warm.shutdown()
+            cold.shutdown()
 
 
 class TestWarmStart:
@@ -74,13 +155,13 @@ class TestWarmStart:
         svc.shutdown(drain=True)
 
         lake = build_procurement_lake()
-        lake.register(
-            Table.from_columns("zebra_census", {"zebra_id": [1, 2], "stripes": [30, 44]})
-        )
+        lake.register(zebra_census())
         warm = PneumaService(lake, max_workers=2, storage_dir=store_dir)
         assert warm.warm_started
-        # Only the new table was narrated; the snapshot served the rest.
-        assert warm.shared.build_report["indexed"] == 1
+        # A fresh index holds all four tables, but only the new one was
+        # narrated: the snapshot's texts seeded the other three.
+        assert warm.shared.build_report == {"indexed": 4, "skipped": 0, "restored": 3}
+        assert warm.shared.narrations.stats()["misses"] == 1
         hits = warm.shared.retriever.index.search("zebra stripes census", k=3)
         assert hits[0].doc_id == "zebra_census"
         warm.shutdown(drain=True)
@@ -205,7 +286,8 @@ class TestReindexPublish:
         svc.shutdown(drain=True)
 
         reopened = PneumaService(lake, max_workers=2, storage_dir=store_dir)
-        assert reopened.shared.build_report == {"indexed": 1, "skipped": 2, "restored": 2}
+        assert reopened.shared.build_report == {"indexed": 3, "skipped": 0, "restored": 2}
+        assert reopened.shared.narrations.stats()["misses"] == 1
         narration = reopened.shared.retriever.narration("department_budgets")
         assert narration == NarrationCache().narrate(changed)
         reopened.shutdown(drain=True)

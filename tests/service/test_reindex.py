@@ -82,7 +82,7 @@ class TestIndexGate:
 
     def test_gate_searches_follow_the_swap(self, lake):
         gate = IndexGate(build_shared_retriever(lake), None)
-        assert gate.current.bundle.retriever.frozen
+        assert gate.current.bundle.retriever.index.kernel_stats()["frozen"]
         before = [d.doc_id for d in gate.search("supplier ratings", k=3)]
         assert before
         assert gate.column_values("suppliers", "supplier_id")

@@ -61,7 +61,7 @@ class TestLifecycle:
         assert stats["turn_p95_seconds"] >= stats["turn_p50_seconds"] > 0
 
     def test_shared_index_is_frozen(self, service):
-        assert service.shared.retriever.frozen
+        assert service.stats()["retrieval"]["frozen"] is True
 
     def test_stats_expose_retrieval_kernel(self, service):
         retrieval = service.stats()["retrieval"]

@@ -118,7 +118,7 @@ class TestFusionCodec:
             bm25_map=fusion["bm25_map"],
             vector_map=fusion["vector_map"],
         )
-        assert hydrated.frozen
+        assert hydrated.kernel_stats()["frozen"]
         for mode in ("hybrid", "bm25", "vector"):
             for mine, theirs in zip(
                 original.search_batch(QUERIES, k=8, mode=mode),

@@ -1,10 +1,8 @@
-"""ann — approximate nearest-neighbor indexes (HNSW)."""
+"""ann — exact nearest-neighbour search (the hybrid index's vector half)."""
 
-from .hnsw import HNSWIndex, Neighbor
-from .metrics import METRICS
+from .exact import ExactIndex, Neighbor
 
 __all__ = [
-    "HNSWIndex",
+    "ExactIndex",
     "Neighbor",
-    "METRICS",
 ]

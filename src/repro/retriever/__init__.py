@@ -1,4 +1,4 @@
-"""retriever — Pneuma-Retriever: hybrid table discovery (HNSW + BM25)."""
+"""retriever — Pneuma-Retriever: hybrid table discovery (dense vectors + BM25)."""
 
 from .index import FrozenIndexError, HybridHit, HybridIndex
 from .retriever import PneumaRetriever, Searchable

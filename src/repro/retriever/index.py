@@ -1,4 +1,4 @@
-"""Pneuma-Retriever's hybrid index: HNSW vector store + BM25 inverted index.
+"""Pneuma-Retriever's hybrid index: exact vector scan + BM25 inverted index.
 
 Scores from the two halves are fused by weighted reciprocal-rank fusion,
 which is robust to their incomparable score scales.
@@ -11,7 +11,7 @@ concurrently without coordination.
 
 :meth:`freeze` is a real compile step, not just a seal: both halves run
 their kernel compilation (impact-sorted BM25 postings with max-score
-bounds, compacted HNSW matrix with CSR links) and the fusion layer
+bounds, the compacted vector matrix) and the fusion layer
 interns both halves' ids into one hybrid int space, so RRF accumulates
 over ints and maps back to doc_id strings only for the final top-k.
 An unfrozen index (the Document Database, web search, a standalone
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann.hnsw import HNSWIndex
+from ..ann.exact import ExactIndex
 from ..obs import trace as obs
 from ..text.bm25 import BM25Index
 from ..text.embedding import HashingEmbedder
@@ -37,7 +37,7 @@ RRF_K = 60
 BM25_WEIGHT = 1.0
 VECTOR_WEIGHT = 1.0
 
-#: What every fusion segment records next to ``seed``/``dim``.  A snapshot
+#: What every fusion segment records next to ``dim``.  A snapshot
 #: whose meta disagrees was ranked with other constants and is never
 #: served (the store cold-builds).  ``fusion_pool: None`` is how the
 #: format has always spelled the ``max(3 * k, 10)`` candidate depth.
@@ -64,20 +64,17 @@ class FrozenIndexError(RuntimeError):
 class HybridIndex:
     """Dual lexical/dense index over (doc_id, text) pairs."""
 
-    def __init__(self, dim: int = 192, seed: int = 13, embedder=None):
+    def __init__(self, dim: int = 192, embedder=None):
         self.embedder = embedder if embedder is not None else HashingEmbedder(dim=dim)
         self.bm25 = BM25Index()
-        self.vectors = HNSWIndex(
-            dim=self.embedder.dim, metric="cosine", m=12, ef_construction=64, seed=seed
-        )
-        self.seed = seed
+        self.vectors = ExactIndex(self.embedder.dim)
         self._texts: Dict[str, str] = {}
         self._write_lock = threading.Lock()
         self._frozen = False
         # Built by freeze(): the hybrid int id space.
         self._doc_list: List[str] = []
         self._bm25_map: Optional[np.ndarray] = None  # bm25 slot -> hybrid id
-        self._vector_map: Optional[np.ndarray] = None  # hnsw node -> hybrid id
+        self._vector_map: Optional[np.ndarray] = None  # vector node -> hybrid id
 
     # ------------------------------------------------------------------
     # Mutation
@@ -121,7 +118,7 @@ class HybridIndex:
         :class:`FrozenIndexError`.
 
         This compiles both halves (impact-sorted BM25 postings, compacted
-        HNSW matrix + CSR links) and interns every doc into the hybrid
+        vector matrix) and interns every doc into the hybrid
         int id space that fusion accumulates over.  Searches on a frozen
         index are lock-free — the structure can no longer change, so
         concurrent readers need no coordination.
@@ -148,7 +145,7 @@ class HybridIndex:
         if self._bm25_map is None:
             raise RuntimeError("export_fusion requires a frozen index")
         return {
-            "meta": {**FUSION_META, "seed": self.seed, "dim": self.embedder.dim},
+            "meta": {**FUSION_META, "dim": self.embedder.dim},
             "doc_list": list(self._doc_list),
             "texts": [self._texts[doc_id] for doc_id in self._doc_list],
             "bm25_map": self._bm25_map,
@@ -160,7 +157,7 @@ class HybridIndex:
         cls,
         meta: Dict[str, object],
         bm25: BM25Index,
-        vectors: HNSWIndex,
+        vectors: ExactIndex,
         doc_list: List[str],
         texts: List[str],
         bm25_map: np.ndarray,
@@ -171,7 +168,7 @@ class HybridIndex:
         halves plus the fusion arrays.  The result serves the compiled
         int-fusion search path exactly as the index it was exported from.
         The caller has checked ``meta`` against :data:`FUSION_META`."""
-        index = cls(dim=int(meta["dim"]), seed=int(meta.get("seed", 13)), embedder=embedder)
+        index = cls(dim=int(meta["dim"]), embedder=embedder)
         index.bm25 = bm25
         index.vectors = vectors
         index._texts = dict(zip(doc_list, texts))
@@ -271,7 +268,7 @@ class HybridIndex:
 
 
 def fusion_maps_for(
-    bm25: BM25Index, vectors: HNSWIndex, doc_list: Sequence[str]
+    bm25: BM25Index, vectors: ExactIndex, doc_list: Sequence[str]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both halves' slot→hybrid maps: the freeze-time interning, and what
     the store recomputes for a half it rebuilt rather than hydrated."""

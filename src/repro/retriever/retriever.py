@@ -41,10 +41,10 @@ class Searchable(Protocol):
 
 
 class PneumaRetriever:
-    """Hybrid (HNSW + BM25) table discovery, as in Balaka et al. [1].
+    """Hybrid (dense vectors + BM25) table discovery, as in Balaka et al. [1].
 
     When a ``vector_breaker`` (a serving-layer circuit breaker guarding
-    the ANN/embedding half) is configured, hybrid search degrades instead
+    the vector/embedding half) is configured, hybrid search degrades instead
     of failing: a transient dense-half failure records on the breaker and
     the query is re-served BM25-only with every document flagged
     ``degraded=True``; while the breaker is open the dense half is skipped

@@ -7,8 +7,8 @@ that every session searches lock-free.
 :func:`build_shared_retriever` is the one way a bundle comes to be, and
 every bundle holds one index.  Cold, it narrates, embeds and indexes the
 whole lake.  Given a previous bundle's ``narrations``/``embedder`` it
-builds a *fresh* frozen index off warm caches (the BM25/HNSW inserts are
-repaid in full).  Given a ``store`` holding a published snapshot it
+builds a *fresh* frozen index off warm caches (the BM25 and vector adds
+are repaid in full).  Given a ``store`` holding a published snapshot it
 serves that snapshot whole when it covers the lake exactly, and
 otherwise builds fresh, narrating only the tables that changed since.
 
@@ -73,7 +73,7 @@ def build_shared_retriever(
     manifest's ``Table.digest()`` values; the build report gains
     ``restored``, the number of tables the snapshot still covers.  When it
     covers the lake exactly (every table, no other document), the
-    snapshot hydrated zero-copy from mmap'd segments is the index.
+    snapshot hydrated from its mmap'd segments is the index.
     Otherwise this is the warm rebuild above, with the snapshot's texts of
     the covered tables seeding ``narrations``: only changed tables are
     narrated, and the fresh index ranks exactly as a cold build does.

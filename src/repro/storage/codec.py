@@ -4,16 +4,17 @@ Three segment kinds persist one frozen :class:`HybridIndex`:
 
 * ``bm25`` — the interned doc table, norm vector, and every term's
   impact-sorted postings (CSR over sorted terms);
-* ``hnsw`` — the compacted vector matrix, per-level CSR links, node
-  levels and keys;
+* ``hnsw`` — the vector half: its row matrix and keys (the kind keeps
+  the name it had when the vector half was a graph index; it is the
+  manifest key);
 * ``fusion`` — the hybrid id space, both halves' slot→hybrid maps, and
   each document's indexed text.
 
 The fusion segment doubles as the *rebuild source*: if a half's segment
 is quarantined, :func:`rebuild_bm25_half` / :func:`rebuild_hnsw_half`
 reconstruct just that half from the preserved texts (same insertion
-order, same seed — the deterministic build makes the result rank-
-identical), instead of rebuilding the whole lake.
+order — the deterministic build makes the result rank-identical),
+instead of rebuilding the whole lake.
 
 String lists ride in segments as one utf-8 byte array plus an int64
 offsets array — the same flat-arrays-as-files idea the kernels use.
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann.hnsw import HNSWIndex
+from ..ann.exact import ExactIndex
 from ..retriever.index import HybridIndex
 from ..text.bm25 import BM25Index
 from .crash import NO_CRASH, CrashInjector
@@ -113,33 +114,24 @@ def load_bm25(segment: Segment) -> BM25Index:
 
 
 # ----------------------------------------------------------------------
-# HNSW
+# Vectors
 # ----------------------------------------------------------------------
-def write_hnsw_segment(path: Path, index: HNSWIndex, crash: CrashInjector = NO_CRASH) -> str:
+def write_hnsw_segment(path: Path, index: ExactIndex, crash: CrashInjector = NO_CRASH) -> str:
     export = index.export_compiled()
     key_bytes, key_offsets = pack_strings(export["keys"])
-    arrays = {
-        "matrix": export["matrix"],
-        "node_levels": export["node_levels"],
-        "keys_bytes": key_bytes,
-        "keys_offsets": key_offsets,
-    }
-    for level, (offsets, flat) in enumerate(export["csr"]):
-        arrays[f"csr_offsets_{level}"] = offsets
-        arrays[f"csr_flat_{level}"] = flat
+    arrays = {"matrix": export["matrix"], "keys_bytes": key_bytes, "keys_offsets": key_offsets}
     return write_segment(path, arrays, meta={"kind": "hnsw", **export["meta"]}, crash=crash)
 
 
-def load_hnsw(segment: Segment) -> HNSWIndex:
+def load_hnsw(segment: Segment) -> ExactIndex:
+    """The vector half.  A segment the graph index wrote also holds
+    ``node_levels``, ``csr_*`` link arrays and graph meta; only its matrix
+    and keys are read."""
     a = segment.arrays
-    levels = int(segment.meta["levels"])
-    csr = [(a[f"csr_offsets_{level}"], a[f"csr_flat_{level}"]) for level in range(levels)]
-    return HNSWIndex.hydrate_compiled(
+    return ExactIndex.hydrate_compiled(
         meta=segment.meta,
         matrix=a["matrix"],
-        node_levels=a["node_levels"],
         keys=unpack_strings(a["keys_bytes"], a["keys_offsets"]),
-        csr=csr,
     )
 
 
@@ -188,23 +180,13 @@ def rebuild_bm25_half(meta: Dict[str, object], docs: Sequence[Tuple[str, str]]) 
 
 def rebuild_hnsw_half(
     meta: Dict[str, object], docs: Sequence[Tuple[str, str]], embedder
-) -> HNSWIndex:
+) -> ExactIndex:
     """Rebuild the dense half from preserved texts: re-embed (the
-    embedder is deterministic) and re-insert in the original order under
-    the original seed, then compile."""
-    index = HNSWIndex(
-        dim=int(meta["dim"]),
-        metric=str(meta.get("metric", "cosine")),
-        m=int(meta.get("m", 12)),
-        ef_construction=int(meta.get("ef_construction", 64)),
-        ef_search=int(meta.get("ef_search", 50)),
-        seed=int(meta.get("seed", 13)),
-    )
-    texts = [text for _, text in docs]
-    if texts:
-        matrix = embedder.embed_batch(texts)
+    embedder is deterministic) and re-add in the original order, then
+    compile."""
+    index = ExactIndex(dim=int(meta["dim"]))
+    if docs:
+        matrix = embedder.embed_batch([text for _, text in docs])
         for (doc_id, _), vector in zip(docs, matrix):
             index.add(doc_id, vector)
-    index.compile()
-    return index
-
+    return index.compile()

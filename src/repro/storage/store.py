@@ -229,9 +229,7 @@ class IndexStore:
             vectors = codec.load_hnsw(read_segment(self._segment_path("hnsw")))
         except SegmentCorruptError as exc:
             self._quarantine(exc.path, exc.reason)
-            vectors = codec.rebuild_hnsw_half(
-                {"dim": meta["dim"], "seed": meta.get("seed", 13)}, docs, embedder
-            )
+            vectors = codec.rebuild_hnsw_half(meta, docs, embedder)
             self.rebuilt_segments.append("hnsw")
             rebuilt = True
 

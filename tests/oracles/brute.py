@@ -1,4 +1,16 @@
-"""Exact nearest-neighbor search (the recall reference for HNSW)."""
+"""Linear-scan nearest neighbours, one scalar decision at a time: the
+oracle of :class:`~repro.ann.exact.ExactIndex`.
+
+Each stored vector and query is normalised; the dot products of a query
+with the stored rows come from one matrix-vector product over the rows
+in insertion order, the kernel's own arithmetic (a BLAS product and a
+scalar loop differ in the last bits of most dot products, and ~2e-5 of
+the distances would then snap to different grid points).  Everything
+after that is scalar: each distance is snapped with the ``ldexp`` grid
+form, and neighbours come out of ``sorted`` by ``(distance, insertion
+position)``.  The kernel must return the same keys and bit-equal
+distances.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +18,17 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.ann.hnsw import Neighbor
-from tests.oracles.scalar_metrics import resolve_metric
+from repro.ann import Neighbor
+from tests.oracles.scalar_metrics import snap, unit_vector
 
 
 class BruteForceIndex:
-    """Linear-scan nearest neighbor search over named vectors."""
+    """Cosine nearest neighbours by a full scan over named vectors."""
 
-    def __init__(self, dim: int, metric: str = "cosine"):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.metric_name = metric
-        self._metric = resolve_metric(metric)
         self._keys: List[str] = []
-        self._vectors: List[np.ndarray] = []
+        self._rows: List[np.ndarray] = []
         self._positions: Dict[str, int] = {}
 
     def add(self, key: str, vector: np.ndarray) -> None:
@@ -26,11 +36,10 @@ class BruteForceIndex:
         if vector.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {vector.shape}")
         if key in self._positions:
-            self._vectors[self._positions[key]] = vector
-            return
+            raise KeyError(f"key {key!r} already present")
         self._positions[key] = len(self._keys)
         self._keys.append(key)
-        self._vectors.append(vector)
+        self._rows.append(unit_vector(vector))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -39,10 +48,8 @@ class BruteForceIndex:
         return key in self._positions
 
     def search(self, query: np.ndarray, k: int = 10) -> List[Neighbor]:
-        query = np.asarray(query, dtype=np.float64)
-        scored = [
-            Neighbor(key, self._metric(query, vec))
-            for key, vec in zip(self._keys, self._vectors)
-        ]
-        scored.sort(key=lambda n: (n.distance, n.key))
-        return scored[:k]
+        if not self._rows:
+            return []
+        dots = (np.stack(self._rows) @ unit_vector(query)).tolist()
+        scored = sorted((snap(1.0 - dot), position) for position, dot in enumerate(dots))
+        return [Neighbor(self._keys[position], distance) for distance, position in scored[:k]]

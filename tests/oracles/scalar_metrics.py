@@ -1,46 +1,28 @@
-"""Scalar distance metrics: one ``metric(a, b)`` call per vector pair.
+"""The exact vector kernel's grid, one number at a time.
 
-``HNSWIndex`` computes the same three distances in array form over
-pre-normalized rows; the scalar oracles (``BruteForceIndex``,
-``LegacyHNSWIndex``) call these.
+``repro.ann.exact`` snaps a whole array of distances to a ``2**-40``
+grid in place; ``BruteForceIndex`` snaps each distance with the scalar
+``ldexp`` form instead.  The grid is written out here rather than
+imported, so a change to the kernel's shows up as a difference.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
 
 import numpy as np
 
-Metric = Callable[[np.ndarray, np.ndarray], float]
+DISTANCE_QUANTUM_BITS = 40
 
 
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance."""
-    return float(np.linalg.norm(a - b))
+def snap(value: float, bits: int = DISTANCE_QUANTUM_BITS) -> float:
+    """``value`` rounded (half to even) to the nearest multiple of ``2**-bits``."""
+    return math.ldexp(round(math.ldexp(value, bits)), -bits)
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; zero vectors are maximally distant."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 1.0
-    return float(1.0 - np.dot(a, b) / (na * nb))
-
-
-def inner_product_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Negative inner product (so that lower = more similar)."""
-    return float(-np.dot(a, b))
-
-
-METRICS = {
-    "l2": l2_distance,
-    "cosine": cosine_distance,
-    "ip": inner_product_distance,
-}
-
-
-def resolve_metric(name: str) -> Metric:
-    try:
-        return METRICS[name]
-    except KeyError:
-        raise ValueError(f"unknown metric {name!r}; known: {sorted(METRICS)}") from None
+def unit_vector(vector: np.ndarray) -> np.ndarray:
+    """``vector`` over its norm (``np.linalg.norm``, as the kernel takes
+    it); a zero vector stays zero."""
+    vector = np.asarray(vector, dtype=np.float64)
+    norm = np.linalg.norm(vector)
+    return vector / norm if norm > 0 else vector

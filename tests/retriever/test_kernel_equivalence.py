@@ -1,10 +1,10 @@
-"""Ranking-equivalence battery: the array-native retrieval kernel must
-reproduce the legacy kernel's rankings identically (scores within 1e-9)
-across corpus sizes, seeds, metrics, and fusion modes.
+"""Ranking-equivalence battery: the array-native retrieval kernels must
+reproduce the scalar oracles' rankings identically (scores within 1e-9,
+vector distances bit-equal) across corpus sizes, seeds and fusion modes.
 
-The legacy classes are the semantic oracles the PR-2-style kernel swap is
-held to — same contract as ``RowExecutor`` for the SQL engine.  They live
-in ``tests/oracles/``, outside the production import graph.
+The oracles are the semantic references the kernels are held to — same
+contract as ``RowExecutor`` for the SQL engine.  They live in
+``tests/oracles/``, outside the production import graph.
 """
 
 import random
@@ -12,11 +12,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.ann import HNSWIndex
+from repro.ann import ExactIndex
 from repro.retriever import HybridIndex
 from repro.text import BM25Index
 from tests.oracles.bm25_legacy import LegacyBM25Index
-from tests.oracles.hnsw_legacy import LegacyHNSWIndex
+from tests.oracles.brute import BruteForceIndex
 from tests.oracles.hybrid_legacy import LegacyHybridIndex
 
 TOL = 1e-9
@@ -93,52 +93,50 @@ class TestBM25Equivalence:
                 assert_hits_equal(legacy_hits, kernel_hits, f"k={k}")
 
 
-class TestHNSWEquivalence:
-    @pytest.mark.parametrize("metric", ["cosine", "l2", "ip"])
+def neighbors(hits):
+    return [(h.key, h.distance.hex()) for h in hits]
+
+
+class TestExactEquivalence:
     @pytest.mark.parametrize("n,seed", [(40, 0), (250, 1), (600, 2)])
-    def test_same_graph_same_rankings(self, metric, n, seed):
+    def test_rankings_match_the_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(n, 16))
-        legacy = LegacyHNSWIndex(dim=16, metric=metric, m=8, ef_construction=64, seed=7)
-        kernel = HNSWIndex(dim=16, metric=metric, m=8, ef_construction=64, seed=7)
+        oracle = BruteForceIndex(16)
+        kernel = ExactIndex(16)
         for i, vec in enumerate(vectors):
-            legacy.add(f"v{i}", vec)
+            oracle.add(f"v{i}", vec)
             kernel.add(f"v{i}", vec)
         qs = rng.normal(size=(12, 16))
+        expected = [neighbors(oracle.search(q, k=8)) for q in qs]
         for compiled in (False, True):
             if compiled:
                 kernel.compile()
-            for legacy_hits, kernel_hits in zip(
-                legacy.search_batch(qs, k=8), kernel.search_batch(qs, k=8)
-            ):
-                assert [h.key for h in legacy_hits] == [h.key for h in kernel_hits]
-                for lhit, khit in zip(legacy_hits, kernel_hits):
-                    assert abs(lhit.distance - khit.distance) <= TOL
+            assert [neighbors(hits) for hits in kernel.search_batch(qs, k=8)] == expected
 
-    def test_discrete_embeddings_with_exact_ties(self):
-        """Hashing embeddings produce distances that tie in exact
-        arithmetic; grid quantization must make both engines break the
-        ties by node id, not float noise."""
+    @pytest.mark.parametrize("dim", [32, 192])
+    def test_discrete_embeddings_with_exact_ties(self, dim):
+        """Hashing embeddings produce distances that tie exactly; both
+        engines must break the ties by insertion order."""
         from repro.text import HashingEmbedder
 
         docs = corpus(500, 60, 3)
-        embedder = HashingEmbedder(dim=32)
+        embedder = HashingEmbedder(dim=dim)
         matrix = embedder.embed_batch([text for _, text in docs])
-        legacy = LegacyHNSWIndex(dim=32, m=8, ef_construction=64, seed=13)
-        kernel = HNSWIndex(dim=32, m=8, ef_construction=64, seed=13)
+        oracle = BruteForceIndex(dim)
+        kernel = ExactIndex(dim)
         for (doc_id, _), vec in zip(docs, matrix):
-            legacy.add(doc_id, vec)
+            oracle.add(doc_id, vec)
             kernel.add(doc_id, vec)
         kernel.compile()
         query_vectors = embedder.embed_batch(queries_for(docs, 20, 3))
-        for legacy_hits, kernel_hits in zip(
-            legacy.search_batch(query_vectors, k=10), kernel.search_batch(query_vectors, k=10)
-        ):
-            assert [h.key for h in legacy_hits] == [h.key for h in kernel_hits]
+        for query, hits in zip(query_vectors, kernel.search_batch(query_vectors, k=10)):
+            assert neighbors(hits) == neighbors(oracle.search(query, k=10))
 
 
 class TestHybridEquivalence:
-    @pytest.mark.parametrize("n_docs,vocab,seed", [(80, 50, 0), (300, 100, 4)])
+    # 600 documents: the size of the discover_wide catalog
+    @pytest.mark.parametrize("n_docs,vocab,seed", [(80, 50, 0), (300, 100, 4), (600, 200, 7)])
     @pytest.mark.parametrize("mode", ["hybrid", "bm25", "vector"])
     def test_fusion_matches_across_modes(self, n_docs, vocab, seed, mode):
         docs = corpus(n_docs, vocab, seed)

@@ -178,7 +178,8 @@ class TestWarmStart:
 
 
 #: The fusion segment meta exactly as the commit before the fusion knobs
-#: became constants wrote it (and as every store on disk carries it).
+#: became constants wrote it (and as every store the graph index published
+#: carries it: its ``seed`` seeded the graph).
 PARENT_FUSION_META = {
     "kind": "fusion",
     "rrf_k": 60,
@@ -209,8 +210,10 @@ class TestFusionMetaCompatibility:
     def test_parent_meta_shape_still_warm_starts(self, store_dir):
         oracle = self.publish_store(store_dir)
         (path,) = (store_dir / "segments").glob("fusion-*.seg")
-        # The on-disk format did not move with the signatures.
-        assert read_segment(path).meta == PARENT_FUSION_META
+        # The on-disk format moved only by dropping the graph's seed.
+        parent = dict(PARENT_FUSION_META)
+        del parent["seed"]
+        assert read_segment(path).meta == parent
         rewrite_fusion_meta(store_dir, PARENT_FUSION_META)
         warm = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         assert warm.warm_started is True

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ann.hnsw import HNSWIndex
+from repro.ann import ExactIndex
 from repro.retriever.index import HybridIndex, fusion_maps_for
-from repro.storage import read_segment
+from repro.storage import read_segment, write_segment
 from repro.storage.codec import (
     load_bm25,
     load_fusion_parts,
@@ -78,28 +78,87 @@ class TestBM25Codec:
             hydrated.add("new", "text")
 
 
+def cold_vectors(matrix):
+    index = ExactIndex(matrix.shape[1])
+    for (doc_id, _), vector in zip(DOCS, matrix):
+        index.add(doc_id, vector)
+    return index.compile()
+
+
 class TestHNSWCodec:
     def test_search_bit_identical(self, tmp_path):
         embedder = HashingEmbedder(dim=48)
-        original = HNSWIndex(dim=48, seed=5)
-        matrix = embedder.embed_batch([t for _, t in DOCS])
-        for (doc_id, _), vector in zip(DOCS, matrix):
-            original.add(doc_id, vector)
-        original.compile()
+        original = cold_vectors(embedder.embed_batch([t for _, t in DOCS]))
         write_hnsw_segment(tmp_path / "h.seg", original)
-        hydrated = load_hnsw(read_segment(tmp_path / "h.seg"))
+        segment = read_segment(tmp_path / "h.seg")
+        assert sorted(segment.arrays) == ["keys_bytes", "keys_offsets", "matrix"]
+        hydrated = load_hnsw(segment)
         probes = embedder.embed_batch(QUERIES)
         for mine, theirs in zip(
             original.search_batch_ids(probes, k=10), hydrated.search_batch_ids(probes, k=10)
         ):
             assert np.array_equal(mine, theirs)
-        with pytest.raises(RuntimeError, match="hydrated"):
+        with pytest.raises(RuntimeError, match="compiled .* search-only"):
             hydrated.add("new", probes[0])
+
+    def test_hydrated_matrix_is_the_mapped_file(self, tmp_path):
+        vectors = HashingEmbedder(dim=48).embed_batch([t for _, t in DOCS])
+        write_hnsw_segment(tmp_path / "h.seg", cold_vectors(vectors))
+        segment = read_segment(tmp_path / "h.seg")
+        hydrated = load_hnsw(segment)
+        assert np.shares_memory(hydrated._matrix, segment.arrays["matrix"])  # zero-copy
+
+    def test_empty_index_round_trips(self, tmp_path):
+        write_hnsw_segment(tmp_path / "h.seg", ExactIndex(48))
+        hydrated = load_hnsw(read_segment(tmp_path / "h.seg"))
+        assert len(hydrated) == 0
+        assert hydrated.search_batch(np.ones((2, 48)), k=3) == [[], []]
+
+    def test_graph_index_segment_hydrates_like_a_cold_build(self, tmp_path):
+        """A segment the graph index wrote: its normalised (unsnapped)
+        matrix and keys beside per-level links, node levels and graph meta.
+        Only the matrix and keys are read, and the result ranks exactly
+        like an index built from the same vectors."""
+        embedder = HashingEmbedder(dim=48)
+        vectors = embedder.embed_batch([t for _, t in DOCS])
+        n = len(DOCS)
+        key_bytes, key_offsets = pack_strings([doc_id for doc_id, _ in DOCS])
+        arrays = {
+            "matrix": np.stack([v / np.linalg.norm(v) for v in vectors]),
+            "node_levels": np.zeros(n, dtype=np.int64),
+            "keys_bytes": key_bytes,
+            "keys_offsets": key_offsets,
+            "csr_offsets_0": np.arange(n + 1, dtype=np.int64),
+            "csr_flat_0": np.roll(np.arange(n, dtype=np.int64), 1),
+        }
+        meta = {
+            "kind": "hnsw",
+            "dim": 48,
+            "metric": "cosine",
+            "m": 12,
+            "ef_construction": 64,
+            "ef_search": 50,
+            "seed": 13,
+            "entry_point": 0,
+            "levels": 1,
+        }
+        write_segment(tmp_path / "graph.seg", arrays, meta=meta)
+        hydrated = load_hnsw(read_segment(tmp_path / "graph.seg"))
+        cold = cold_vectors(vectors)
+        probes = np.concatenate([embedder.embed_batch(QUERIES), vectors[::7]])
+        for k in (1, 10, 100):
+            for mine, theirs in zip(
+                hydrated.search_batch_ids(probes, k=k), cold.search_batch_ids(probes, k=k)
+            ):
+                assert np.array_equal(mine, theirs)
+        assert [(h.key, h.distance) for h in hydrated.search(probes[0], k=5)] == [
+            (h.key, h.distance) for h in cold.search(probes[0], k=5)
+        ]
 
 
 class TestFusionCodec:
     def _frozen(self):
-        index = HybridIndex(dim=48, seed=9)
+        index = HybridIndex(dim=48)
         index.add_batch(DOCS)
         return index.freeze()
 
@@ -137,10 +196,10 @@ class TestFusionCodec:
 
 class TestRebuilds:
     """The quarantine path: one half rebuilt from the fusion texts must
-    rank exactly like the lost original (same order, same seed)."""
+    rank exactly like the lost original (same insertion order)."""
 
     def _frozen(self):
-        index = HybridIndex(dim=48, seed=9)
+        index = HybridIndex(dim=48)
         index.add_batch(DOCS)
         return index.freeze()
 
@@ -166,11 +225,7 @@ class TestRebuilds:
         original = self._frozen()
         export = original.export_fusion()
         docs = list(zip(export["doc_list"], export["texts"]))
-        rebuilt = rebuild_hnsw_half(
-            {"dim": export["meta"]["dim"], "seed": export["meta"]["seed"]},
-            docs,
-            original.embedder,
-        )
+        rebuilt = rebuild_hnsw_half(export["meta"], docs, original.embedder)
         _, vector_map = fusion_maps_for(original.bm25, rebuilt, export["doc_list"])
         healed = HybridIndex.hydrate_fusion(
             meta=export["meta"],
@@ -183,6 +238,15 @@ class TestRebuilds:
             embedder=original.embedder,
         )
         self._assert_identical(original, healed)
+
+    def test_rebuilt_hnsw_half_has_the_same_rows(self):
+        original = self._frozen()
+        export = original.export_fusion()
+        docs = list(zip(export["doc_list"], export["texts"]))
+        rebuilt = rebuild_hnsw_half(export["meta"], docs, original.embedder)
+        mine, theirs = original.vectors.export_compiled(), rebuilt.export_compiled()
+        assert mine["keys"] == theirs["keys"]
+        assert mine["matrix"].tobytes() == theirs["matrix"].tobytes()
 
     def _assert_identical(self, original, healed):
         for mine, theirs in zip(

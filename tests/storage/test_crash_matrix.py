@@ -55,7 +55,7 @@ CAPTURED = {"id": "k2", "text": "only consider suppliers inside the EU"}
 
 
 def frozen(docs):
-    index = HybridIndex(dim=32, seed=4)
+    index = HybridIndex(dim=32)
     index.add_batch(docs)
     return index.freeze()
 

@@ -16,8 +16,8 @@ DOCS = [
 QUERIES = ["tariff finance", "supplier orders", "row 17"]
 
 
-def frozen_index(seed=9):
-    index = HybridIndex(dim=48, seed=seed)
+def frozen_index():
+    index = HybridIndex(dim=48)
     index.add_batch(DOCS)
     return index.freeze()
 
@@ -50,7 +50,7 @@ class TestPublishLoad:
     def test_republish_advances_generation_and_gcs_old(self, root):
         store = IndexStore(root)
         store.publish(frozen_index())
-        store.publish(frozen_index(seed=11))
+        store.publish(frozen_index())
         assert store.state.generation == 2
         files = {p.name for p in store.segments_dir.iterdir()}
         assert files == {"fusion-000002.seg", "bm25-000002.seg", "hnsw-000002.seg"}

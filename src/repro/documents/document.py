@@ -20,6 +20,8 @@ class Document:
     kind: str  # 'table' | 'web' | 'knowledge'
     title: str
     text: str
+    #: Read-only: a table Document's payload is the one its retriever
+    #: renders per table and shares across every hit on that table.
     payload: Dict[str, Any] = field(default_factory=dict)
     score: float = 0.0
     source: str = ""  # which retriever produced it

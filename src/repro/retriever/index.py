@@ -10,12 +10,14 @@ immutable-after-build so any number of sessions can search it
 concurrently without coordination.
 
 :meth:`freeze` is a real compile step, not just a seal: both halves run
-their kernel compilation (impact-sorted BM25 postings with max-score
-bounds, the compacted vector matrix) and the fusion layer
+their kernel compilation (every BM25 term's postings arrays, the
+compacted vector matrix) and the fusion layer
 interns both halves' ids into one hybrid int space, so RRF accumulates
 over ints and maps back to doc_id strings only for the final top-k.
 An unfrozen index (the Document Database, web search, a standalone
-retriever) runs the same fusion keyed by doc_id.
+retriever) runs the same fusion keyed by doc_id.  An index that holds
+no documents answers every query with no hits and does no work for it:
+no query is embedded.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class HybridIndex:
         """Compile and seal the index: all further mutation raises
         :class:`FrozenIndexError`.
 
-        This compiles both halves (impact-sorted BM25 postings, compacted
+        This compiles both halves (BM25 postings arrays, compacted
         vector matrix) and interns every doc into the hybrid
         int id space that fusion accumulates over.  Searches on a frozen
         index are lock-free — the structure can no longer change, so
@@ -224,8 +226,8 @@ class HybridIndex:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         queries = list(queries)
-        if not queries:
-            return []
+        if not queries or not self._texts:  # an empty index embeds nothing
+            return [[] for _ in queries]
         n = len(queries)
         pool = max(k * 3, 10)
         # Rank-ordered keys per half: hybrid ints once freeze() interned

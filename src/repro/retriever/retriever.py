@@ -9,8 +9,10 @@ Narrations are produced through a :class:`NarrationCache`, and
 :meth:`reindex` skips any table whose ``Table.fingerprint()`` (memoized
 on the table) is the one it indexed — re-indexing an unchanged catalog
 costs one tuple compare per table instead of a narrate/embed/insert
-pipeline.  A frozen retriever (see :meth:`freeze`) is safe to share
-across concurrent sessions.
+pipeline.  A table Document's payload (schema + sample rows) is rendered
+once per table content, by a :class:`TableCache`, and every hit on that
+table shares it.  A frozen retriever (see :meth:`freeze`) is safe to
+share across concurrent sessions.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ..documents.document import Document
 from ..llm.interface import TransientDependencyError
 from ..obs import trace as obs
 from ..relational.catalog import Database
+from ..relational.table import TableCache
 from .index import HybridIndex
 from .summarizer import NarrationCache, table_payload
 
@@ -63,8 +66,9 @@ class PneumaRetriever:
         index=None,
     ):
         self.database = database
-        self.sample_rows = sample_rows
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
+        #: One payload per table content, shared read-only by every hit.
+        self.payloads = TableCache(lambda table: table_payload(table, sample_rows))
         # A warm start (storage layer) injects an index hydrated from a
         # snapshot of exactly this catalog: it holds every table's narration,
         # and the construction-time reindex below finds nothing to add.
@@ -150,7 +154,7 @@ class PneumaRetriever:
                         kind="table",
                         title=table.name,
                         text=self._narrations[table.name],
-                        payload=table_payload(table, self.sample_rows),
+                        payload=self.payloads.get(table),
                         score=hit.score,
                         source="pneuma-retriever",
                         degraded=degraded,

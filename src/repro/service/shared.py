@@ -2,7 +2,8 @@
 
 One :class:`SharedIndexBundle` is built per service: a fingerprint-cached
 narration pass, a memoizing embedder, and a frozen :class:`HybridIndex`
-that every session searches lock-free.
+that every session searches lock-free.  Each bundle's retriever renders
+one table payload per table and shares it across hits.
 
 :func:`build_shared_retriever` is the one way a bundle comes to be, and
 every bundle holds one index.  Cold, it narrates, embeds and indexes the
@@ -47,6 +48,7 @@ class SharedIndexBundle:
         return {
             "narration": self.narrations.stats(),
             "embedding": self.embedder.stats(),
+            "payload": self.retriever.payloads.stats(),
         }
 
 

@@ -3,7 +3,8 @@
 Three segment kinds persist one frozen :class:`HybridIndex`:
 
 * ``bm25`` — the interned doc table, norm vector, and every term's
-  impact-sorted postings (CSR over sorted terms);
+  postings in slot order (CSR over sorted terms; a segment written with
+  impact-sorted postings hydrates and ranks the same);
 * ``hnsw`` — the vector half: its row matrix and keys (the kind keeps
   the name it had when the vector half was a graph index; it is the
   manifest key);

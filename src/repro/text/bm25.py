@@ -2,36 +2,33 @@
 
 This is the lexical half of Pneuma-Retriever's hybrid index and the whole
 of the FTS baseline.  Scores follow Robertson & Zaragoza (2009) with the
-usual ``k1``/``b`` parameterization and non-negative IDF — numerically
-identical to the dict-at-a-time ``LegacyBM25Index`` oracle in
-``tests/oracles/bm25_legacy.py``, which the equivalence battery holds
-this kernel to.
+usual ``k1``/``b`` parameterization and non-negative IDF — bit-equal to
+the closed-form oracle in ``tests/oracles/bm25_legacy.py``, which the
+equivalence battery and a generated-input differential hold this kernel
+to.
 
 Layout (the PR-2 plan/compile approach applied to retrieval):
 
 * doc_ids are interned to dense int slots in insertion order, so
   scoring never touches strings (an index is built once: adding a known
   id raises, and nothing is ever removed);
-* each term's postings live in parallel numpy arrays — ``int32`` slots,
-  ``float32`` tfs — plus a precomputed ``float64`` per-posting score
-  contribution (IDF and the ``k1*(1-b+b*len/avg)`` length normalization
-  are corpus-level constants between adds, cached under a version
-  counter);
-* a query accumulates contributions into one dense ``float64`` buffer
-  (per-thread, so frozen indexes stay lock-free under concurrent
-  search) and takes top-k via ``argpartition`` instead of
-  dict-accumulate plus a full sort;
-* :meth:`compile` — the freeze-time step — impact-sorts every posting
-  list and records a per-term max-score bound, which search uses for
-  MaxScore-style early exit: once the running top-k floor provably
-  exceeds what the remaining low-impact terms could give a new
-  document, those terms only update existing candidates.
+* each term's postings live in parallel numpy arrays in slot order —
+  ``int32`` slots, ``float32`` tfs — plus a precomputed ``float64``
+  per-posting score contribution (IDF and the ``k1*(1-b+b*len/avg)``
+  length normalization are corpus-level constants between adds, cached
+  under a version counter, as is each slot's doc_id rank);
+* a query adds every term's contributions, in sorted-term order, into a
+  fresh dense ``float64`` array (so a frozen index is searched lock-free
+  by any number of threads), takes the k-th score with one partition,
+  and orders the survivors by ``(-score, doc_id rank)`` with one
+  ``lexsort``;
+* :meth:`compile` — the freeze-time step — materializes every term's
+  arrays up front, which search otherwise builds lazily per queried term.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,43 +46,17 @@ class BM25Hit:
 
 @dataclass
 class _TermEntry:
-    """One term's compiled postings: parallel arrays plus score bound."""
+    """One term's postings as parallel arrays, in slot order."""
 
-    slots: np.ndarray  # int32 doc slots, impact-sorted (descending contrib)
+    slots: np.ndarray  # int32 doc slots
     tfs: np.ndarray  # float32 term frequencies, parallel to ``slots``
     contrib: np.ndarray  # float64 per-posting score contribution
     idf: float
-    max_score: float  # contrib[0]: upper bound of this term's contribution
 
 
-#: Safety margin on the MaxScore bound: prune new candidates only when the
-#: running top-k floor beats the remaining terms' bound by more than any
-#: float-summation discrepancy could account for, so early exit can never
-#: change a ranking.
-_PRUNE_MARGIN = 1e-9
-
-
-class _Scratch(threading.local):
-    """Per-thread scoring buffers.
-
-    A frozen index is searched lock-free by many sessions at once, so the
-    reusable accumulator cannot be shared.  ``tags`` + ``epoch`` give
-    O(1) "is this slot touched yet?" without clearing between queries.
-    """
-
-    def __init__(self):
-        self.scores = np.empty(0, dtype=np.float64)
-        self.tags = np.empty(0, dtype=np.int64)
-        self.epoch = 0
-
-    def acquire(self, n_slots: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        if self.scores.shape[0] < n_slots:
-            capacity = max(n_slots, 256)
-            self.scores = np.empty(capacity, dtype=np.float64)
-            self.tags = np.zeros(capacity, dtype=np.int64)
-            self.epoch = 0
-        self.epoch += 1
-        return self.scores, self.tags, self.epoch
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
 
 
 class BM25Index:
@@ -113,14 +84,13 @@ class BM25Index:
         # Build-time postings: term -> {slot: tf}.
         self._postings: Dict[str, Dict[int, int]] = {}
         self._total_length = 0
-        # Corpus version counter: bumped per add, invalidates the
-        # compiled per-term arrays, IDFs, and the norm vector.
+        # Corpus version counter: bumped per add, invalidates the per-term
+        # arrays, IDFs, the norm vector and the doc_id ranks.
         self._version = 0
         self._stats_version = -1
-        self._compiled_version = -1
         self._entries: Dict[str, _TermEntry] = {}
         self._norm: Optional[np.ndarray] = None  # slot -> k1*(1-b+b*len/avg)
-        self._scratch = _Scratch()
+        self._id_rank: Optional[np.ndarray] = None  # slot -> rank of its doc_id
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -170,21 +140,13 @@ class BM25Index:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> bool:
-        return self._compiled_version == self._version
-
     def compile(self) -> "BM25Index":
-        """Freeze-time compile: materialize every term's impact-sorted
-        arrays and max-score bound so search can early-exit.  Idempotent;
-        an add invalidates (the next search falls back to the lazy
-        per-term path until :meth:`compile` runs again)."""
-        if self.compiled:
-            return self
+        """Freeze-time compile: materialize every term's postings arrays
+        now rather than per queried term.  Idempotent; an add invalidates
+        them (the next search rebuilds what it reads)."""
         self._refresh_stats()
         for term in self._postings:
             self._term_entry(term)
-        self._compiled_version = self._version
         return self
 
     # ------------------------------------------------------------------
@@ -194,11 +156,11 @@ class BM25Index:
         """A flat, file-ready view of the compiled index.
 
         Everything search needs, as parallel arrays: the interned doc
-        table, the norm vector, and every term's impact-sorted postings
-        concatenated in sorted-term order behind a CSR ``offsets`` array.
-        Restoring these bytes via :meth:`hydrate_compiled` yields an index
-        whose rankings are bit-identical (same contributions, same
-        summation order, same tie-breaks).  Compiles first if needed.
+        table, the norm vector, and every term's postings concatenated in
+        sorted-term order behind a CSR ``offsets`` array.  Restoring these
+        bytes via :meth:`hydrate_compiled` yields an index whose rankings
+        are bit-identical (same contributions, same summation order, same
+        tie-breaks).  Compiles first if needed.
         """
         if self._seg is not None:
             rows, idf, offsets, slots, tfs, contrib = self._seg
@@ -255,8 +217,11 @@ class BM25Index:
 
         The postings arrays are referenced, not copied — pass memory-mapped
         views and searches run straight off the file.  Term entries are
-        materialized lazily per queried term.  The build-time postings
-        dicts are *not* reconstructed, so :meth:`add` raises.
+        materialized lazily per queried term; the order of the postings
+        within a term does not matter (each slot appears once per term),
+        so a segment written with impact-sorted postings ranks the same.
+        The build-time postings dicts are *not* reconstructed, so
+        :meth:`add` raises.
         """
         index = cls(k1=float(meta["k1"]), b=float(meta["b"]))
         index._doc_ids = list(doc_ids)
@@ -264,6 +229,7 @@ class BM25Index:
         index._doc_index = {d: i for i, d in enumerate(index._doc_ids) if d is not None}
         index._total_length = int(meta["total_length"])
         index._norm = np.asarray(norm, dtype=np.float64)
+        index._id_rank = index._rank_doc_ids()
         index._seg = (
             {term: i for i, term in enumerate(terms)},
             np.asarray(idf, dtype=np.float64),
@@ -273,8 +239,13 @@ class BM25Index:
             np.asarray(contrib, dtype=np.float64),
         )
         index._stats_version = index._version
-        index._compiled_version = index._version
         return index
+
+    def _rank_doc_ids(self) -> np.ndarray:
+        """slot -> rank of its doc_id among the live ones: the tie-break
+        as one int per slot (a hole ranks 0; it holds no postings)."""
+        rank = {doc_id: r for r, doc_id in enumerate(sorted(self._doc_index))}
+        return np.array([rank.get(doc_id, 0) for doc_id in self._doc_ids], dtype=np.int64)
 
     def _refresh_stats(self) -> None:
         if self._stats_version == self._version:
@@ -287,6 +258,7 @@ class BM25Index:
             self._norm = self.k1 * (1.0 - self.b + self.b * lengths / avg_len)
         else:
             self._norm = np.full(lengths.shape, self.k1 * (1.0 - self.b))
+        self._id_rank = self._rank_doc_ids()
         self._stats_version = self._version
 
     def _term_entry(self, term: str) -> Optional[_TermEntry]:
@@ -302,11 +274,7 @@ class BM25Index:
                 return None
             lo, hi = int(offsets[row]), int(offsets[row + 1])
             entry = _TermEntry(
-                slots=slots[lo:hi],
-                tfs=tfs[lo:hi],
-                contrib=contrib[lo:hi],
-                idf=float(idf[row]),
-                max_score=float(contrib[lo]),
+                slots=slots[lo:hi], tfs=tfs[lo:hi], contrib=contrib[lo:hi], idf=float(idf[row])
             )
             self._entries[term] = entry
             return entry
@@ -315,19 +283,13 @@ class BM25Index:
             return None
         n, df = len(self._doc_index), len(posting)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        slots = np.fromiter(posting.keys(), count=df, dtype=np.int64)
+        # Slots were added in increasing order, so the postings are in slot order.
+        slots = np.fromiter(posting.keys(), count=df, dtype=np.int32)
         tfs = np.fromiter(posting.values(), count=df, dtype=np.float32)
         tf64 = tfs.astype(np.float64)  # exact: tfs are small integers
         # Same op order as the scalar idf * tf * (k1 + 1) / (tf + norm).
         contrib = idf * tf64 * (self.k1 + 1.0) / (tf64 + self._norm[slots])
-        order = np.lexsort((slots, -contrib))  # impact-sorted, slot tiebreak
-        entry = _TermEntry(
-            slots=slots[order].astype(np.int32),
-            tfs=tfs[order],
-            contrib=np.ascontiguousarray(contrib[order]),
-            idf=idf,
-            max_score=float(contrib[order[0]]),
-        )
+        entry = _TermEntry(slots=slots, tfs=tfs, contrib=contrib, idf=idf)
         self._entries[term] = entry
         return entry
 
@@ -336,129 +298,47 @@ class BM25Index:
     # ------------------------------------------------------------------
     def search(self, query: str, k: int = 10) -> List[BM25Hit]:
         """Top-k documents by BM25 score (ties broken by doc_id for determinism)."""
-        return [
-            BM25Hit(self._doc_ids[slot], score)
-            for slot, score in self._ranked_slots(query, k)
-        ]
+        _check_k(k)
+        return self._hits(*self._ranked_slots(query, k))
 
     def search_batch(self, queries: Sequence[str], k: int = 10) -> List[List[BM25Hit]]:
         """Top-k hits for each query (corpus statistics shared across the
         batch by construction — they are cached under the version counter)."""
-        return [self.search(query, k=k) for query in queries]
+        _check_k(k)
+        return [self._hits(*self._ranked_slots(query, k)) for query in queries]
 
     def search_slots(self, queries: Sequence[str], k: int = 10) -> List[np.ndarray]:
         """Rank-ordered int slot arrays per query (the fusion entry point:
         no doc_id strings are materialized)."""
-        return [
-            np.fromiter((slot for slot, _ in ranked), dtype=np.int64)
-            for ranked in (self._ranked_slots(query, k) for query in queries)
-        ]
+        _check_k(k)
+        return [self._ranked_slots(query, k)[0] for query in queries]
 
-    def _ranked_slots(self, query: str, k: int) -> List[Tuple[int, float]]:
-        """Shared kernel: rank-ordered ``(slot, score)`` for one query."""
-        if not self._doc_index or k <= 0:
-            return []
+    def _hits(self, slots: np.ndarray, scores: np.ndarray) -> List[BM25Hit]:
+        doc_ids = self._doc_ids
+        return [BM25Hit(doc_ids[s], v) for s, v in zip(slots.tolist(), scores.tolist())]
+
+    def _ranked_slots(self, query: str, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Shared kernel: one query's top-k ``(slots, scores)``, ordered by
+        descending score, ties by ascending doc_id.
+
+        Every matching term adds its contributions in sorted-term order, so
+        each document's sum is bit-equal to the oracle's.  Every
+        contribution is positive (IDF > 0), so the candidates are the
+        nonzero scores; all those at or above the k-th score survive the
+        partition, so the tie-break sees every boundary tie."""
+        if not self._doc_index or k == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         self._refresh_stats()
-        entries = []
+        scores = np.zeros(len(self._doc_ids), dtype=np.float64)
         for term in sorted(set(tokenize_cached(query))):
             entry = self._term_entry(term)
             if entry is not None:
-                entries.append(entry)
-        if not entries:
-            return []
-        if self.compiled:
-            return self._ranked_maxscore(entries, k)
-        return self._ranked_plain(entries, k)
-
-    def _ranked_plain(self, entries: List[_TermEntry], k: int) -> List[Tuple[int, float]]:
-        """Dense accumulate over all matching postings (sorted term order,
-        so per-doc sums are bit-identical to the legacy oracle's)."""
-        scores, tags, epoch = self._scratch.acquire(len(self._doc_ids))
-        chunks: List[np.ndarray] = []
-        for entry in entries:
-            slots = entry.slots
-            fresh = tags[slots] != epoch
-            if fresh.any():
-                new = slots[fresh]
-                tags[new] = epoch
-                scores[new] = 0.0
-                chunks.append(new)
-            scores[slots] += entry.contrib
-        candidates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return self._topk(scores, candidates, k)
-
-    def _ranked_maxscore(self, entries: List[_TermEntry], k: int) -> List[Tuple[int, float]]:
-        """Compiled path: process terms by descending max-score bound and
-        stop admitting *new* candidate documents once the current top-k
-        floor provably exceeds what the remaining terms could contribute.
-
-        The impact-ordered pass only decides *membership* of the
-        candidate pool (partial sums are valid lower bounds in any
-        order); a second pass then recomputes the candidates' scores in
-        sorted-term order, so compiled scores stay bit-identical to the
-        legacy oracle and the lazy path regardless of pruning order."""
-        by_bound = sorted(entries, key=lambda e: -e.max_score)
-        suffix = [0.0] * (len(by_bound) + 1)
-        for i in range(len(by_bound) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + by_bound[i].max_score
-        scores, tags, epoch = self._scratch.acquire(len(self._doc_ids))
-        candidates = np.empty(0, dtype=np.int64)
-        kth_floor = -math.inf
-        for i, entry in enumerate(by_bound):
-            slots = entry.slots
-            if candidates.size >= k and kth_floor > suffix[i] * (1.0 + _PRUNE_MARGIN):
-                # No unseen doc can reach the top-k; only grow the
-                # partial sums of documents already in the pool (they
-                # feed kth_floor, making later pruning stronger).
-                seen = tags[slots] == epoch
-                if seen.any():
-                    scores[slots[seen]] += entry.contrib[seen]
-                continue
-            fresh = tags[slots] != epoch
-            if fresh.any():
-                new = slots[fresh]
-                tags[new] = epoch
-                scores[new] = 0.0
-                candidates = (
-                    new.astype(np.int64)
-                    if candidates.size == 0
-                    else np.concatenate([candidates, new])
-                )
-            scores[slots] += entry.contrib
-            if candidates.size >= k and i + 1 < len(by_bound):
-                vals = scores[candidates]
-                kth_floor = (
-                    float(np.partition(vals, vals.size - k)[vals.size - k])
-                    if vals.size > k
-                    else float(vals.min())
-                )
-        # Exact-score pass in sorted-term order (``entries`` arrives
-        # sorted from _ranked_slots): same summation order per document
-        # as LegacyBM25Index.search and _ranked_plain, bit for bit.
-        scores[candidates] = 0.0
-        for entry in entries:
-            seen = tags[entry.slots] == epoch
-            if seen.any():
-                slots = entry.slots[seen]
-                scores[slots] += entry.contrib[seen]
-        return self._topk(scores, candidates, k)
-
-    def _topk(self, scores: np.ndarray, candidates: np.ndarray, k: int) -> List[Tuple[int, float]]:
-        """Exact top-k over the candidate slots: argpartition down to the
-        score threshold, then one small sort with the legacy tie-break
-        (descending score, ascending doc_id)."""
-        n = candidates.size
-        if n == 0:
-            return []
-        values = scores[candidates]
-        if k < n:
-            top = np.argpartition(values, n - k)[n - k:]
-            threshold = values[top].min()
-            keep = values >= threshold  # keep boundary ties for exact tie-break
-            candidates = candidates[keep]
-            values = values[keep]
-        doc_ids = self._doc_ids
-        order = sorted(
-            range(candidates.size), key=lambda i: (-values[i], doc_ids[candidates[i]])
-        )[:k]
-        return [(int(candidates[i]), float(values[i])) for i in order]
+                scores[entry.slots] += entry.contrib
+        slots = np.flatnonzero(scores)
+        values = scores[slots]
+        if k < slots.size:
+            kth = np.partition(values, slots.size - k)[slots.size - k]
+            keep = values >= kth
+            slots, values = slots[keep], values[keep]
+        order = np.lexsort((self._id_rank[slots], -values))[:k]
+        return slots[order], values[order]

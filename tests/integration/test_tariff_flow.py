@@ -13,6 +13,7 @@ from repro.datasets import (
     build_tariff_web,
     tariff_impact_ground_truth,
 )
+from repro.retriever import PneumaRetriever, table_payload
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,27 @@ class TestTariffFlow:
             # The action limit may have interrupted before execution.
             answer = session.ask("Please continue with the analysis.")
         assert answer == pytest.approx(expected_new_cost, rel=1e-9)
+
+    def test_the_dialogue_leaves_every_shared_payload_as_rendered(self, lake):
+        """Every hit on a table shares one payload; after the two rounds
+        each cached payload still equals a fresh render of its table."""
+        retriever = PneumaRetriever(lake)
+        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True, retriever=retriever)
+        session.submit("What impact will tariffs have on our organization?")
+        session.submit(
+            "Impact should be calculated relative to the previous active tariff, "
+            "not just the current rate. What is the average price of orders from "
+            "Germany under the new tariffs?"
+        )
+        before = retriever.payloads.stats()
+        assert before["hits"] > 0 and before["size"] > 0
+        tables = lake.tables()
+        for table in tables:
+            assert retriever.payloads.get(table) == table_payload(table), table.name
+        after = retriever.payloads.stats()
+        # each cached payload was compared (a hit); the rest were rendered now
+        assert after["hits"] - before["hits"] == before["size"]
+        assert after["misses"] - before["misses"] == len(tables) - before["size"]
 
     def test_web_columns_integrated_into_t(self, lake):
         session = SeekerSession(lake, web=build_tariff_web(), enable_web=True)

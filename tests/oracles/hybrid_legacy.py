@@ -1,6 +1,6 @@
-"""The hybrid index as it was before the array kernels: the legacy BM25
-half and the brute-force vector oracle under the original
-dict-over-doc_id reciprocal-rank fusion.
+"""The hybrid index as closed-form references: the closed-form BM25 half
+and the brute-force vector oracle under the original dict-over-doc_id
+reciprocal-rank fusion.
 
 ``search_batch`` is the pre-kernel fusion loop run one query at a time,
 with the RRF constants and the ``max(3 * k, 10)`` candidate depth written
@@ -11,14 +11,14 @@ or not.
 from repro.retriever.index import HybridHit
 from repro.text.embedding import HashingEmbedder
 
-from .bm25_legacy import LegacyBM25Index
+from .bm25_legacy import ClosedFormBM25
 from .brute import BruteForceIndex
 
 
 class LegacyHybridIndex:
     def __init__(self, dim=192):
         self.embedder = HashingEmbedder(dim=dim)
-        self.bm25 = LegacyBM25Index()
+        self.bm25 = ClosedFormBM25()
         self.vectors = BruteForceIndex(dim)
 
     def add(self, doc_id, text):

@@ -112,6 +112,20 @@ def test_the_vector_half_is_one_exact_scan():
             assert name not in text, f"{path}: names {name}"
 
 
+def test_bm25_has_one_search_path():
+    """A BM25 query is one dense accumulate and one ``lexsort``: no
+    MaxScore pruning path or bound, no per-thread scratch buffers, and no
+    Python sort with a key on the query path."""
+    path = SRC / "text" / "bm25.py"
+    text = path.read_text()
+    for name in ("_ranked_maxscore", "_ranked_plain", "_topk", "_PRUNE_MARGIN", "_Scratch",
+                 "max_score", "threading"):
+        assert name not in text, f"{path}: names {name}"
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted":
+            assert not node.keywords, f"{path}:{node.lineno}: sorted() with a key"
+
+
 def test_the_index_constructors_take_no_graph_knobs():
     """The vector half takes its dimension only (no metric, degree, beam
     widths or seed), and the hybrid index its dimension and embedder."""

@@ -6,6 +6,7 @@ from repro.datasets import build_procurement_lake
 from repro.relational import Database, Table
 from repro.retriever import HybridIndex, PneumaRetriever, sample_rows, table_payload
 from repro.retriever.summarizer import narrate_table
+from repro.text import HashingEmbedder
 
 
 @pytest.fixture
@@ -78,6 +79,35 @@ class TestHybridIndex:
             index.search_batch(["alpha shared"], k=-1)
         assert index.search("alpha shared", k=0) == []
 
+    def test_an_empty_index_embeds_no_query(self):
+        """The Document Database is empty until a capture, and every
+        ``batch_retrieve`` query searches it: nothing is embedded or ranked."""
+
+        class CountingEmbedder(HashingEmbedder):
+            calls = 0
+
+            def embed_batch(self, texts):
+                self.calls += 1
+                return super().embed_batch(texts)
+
+        embedder = CountingEmbedder(dim=64)
+        index = HybridIndex(embedder=embedder)
+        for frozen in (False, True):
+            if frozen:
+                index.freeze()
+            for mode in ("hybrid", "bm25", "vector"):
+                assert index.search_batch(["alpha", "beta"], k=3, mode=mode) == [[], []]
+            assert index.search("alpha") == [] and index.search_batch([], k=3) == []
+            with pytest.raises(ValueError, match="unknown search mode"):
+                index.search_batch(["alpha"], mode="psychic")
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                index.search_batch(["alpha"], k=-1)
+        assert embedder.calls == 0
+        filled = HybridIndex(embedder=embedder)
+        filled.add("a", "alpha")
+        assert [hit.doc_id for hit in filled.search("alpha")] == ["a"]
+        assert embedder.calls == 1  # the counter sees a real search
+
     def test_fusion_combines_ranks(self):
         index = HybridIndex(dim=64)
         index.add("a", "alpha beta gamma")
@@ -114,6 +144,28 @@ class TestPneumaRetriever:
         retriever = PneumaRetriever(lake)
         values = retriever.column_values("tariff_rates", "country")
         assert values == ["Germany", "France"]
+
+    def test_hits_on_one_table_share_one_payload(self, lake):
+        retriever = PneumaRetriever(lake)
+        (first,) = retriever.search("new tariffs by country", k=1)
+        later = retriever.search_batch(["tariff rates", "country new tariff"], k=1)
+        assert [docs[0].title for docs in later] == ["tariff_rates"] * 2
+        assert later[0][0].payload is first.payload and later[1][0].payload is first.payload
+        assert first.payload == table_payload(lake.resolve_table("tariff_rates"))
+        assert retriever.payloads.stats() == {"hits": 2, "misses": 1, "size": 1}
+
+    def test_a_replaced_table_gets_a_fresh_payload(self, lake):
+        retriever = PneumaRetriever(lake)
+        query = "new tariffs by country"
+        before = retriever.search(query, k=1)[0].payload
+        replacement = Table.from_columns(
+            "tariff_rates", {"country": ["Spain"], "new_tariff": [0.2]}
+        )
+        lake.register(replacement)  # no reindex: the index keeps the old narration
+        (after,) = retriever.search(query, k=1)
+        assert after.title == "tariff_rates"
+        assert after.payload == table_payload(replacement) != before
+        assert retriever.payloads.stats()["misses"] == 2
 
     def test_refresh_picks_up_new_tables(self, lake):
         retriever = PneumaRetriever(lake)

@@ -127,9 +127,9 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     finally:
         service.shutdown()
     # The keys the turn-budget benchmark reads, and their shape.
-    for key in ("narration", "embedding"):
+    for key in ("narration", "embedding", "payload"):
         assert set(caches[key]) == {"hits", "misses", "size"}
-    assert set(caches) == {"narration", "embedding", "policy_text"}
+    assert set(caches) == {"narration", "embedding", "payload", "policy_text"}
     policy = caches["policy_text"]
     assert set(policy) == {
         "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",

@@ -44,6 +44,7 @@ BASE_SHAPE = {
     "caches": {
         "narration": HIT_MISS,
         "embedding": HIT_MISS,
+        "payload": HIT_MISS,
         "policy_text": {
             name: HIT_MISS
             for name in (

@@ -49,6 +49,19 @@ def bm25_fixture(hole=7):
     return BM25Index.hydrate_compiled(**data)
 
 
+def impact_sorted(segment):
+    """A ``bm25`` segment's arrays as the MaxScore kernel wrote them: each
+    term's postings in descending contribution, slot order breaking ties,
+    where the kernel now writes them in slot order."""
+    arrays = {name: np.array(array) for name, array in segment.arrays.items()}
+    bounds = arrays["offsets"].tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        order = lo + np.lexsort((arrays["slots"][lo:hi], -arrays["contrib"][lo:hi]))
+        for key in ("slots", "tfs", "contrib"):
+            arrays[key][lo:hi] = arrays[key][order]
+    return arrays
+
+
 class TestStringPacking:
     def test_round_trip(self):
         strings = ["", "héllo", "a" * 100, "x"]
@@ -69,6 +82,30 @@ class TestBM25Codec:
             original.search_slots(QUERIES, k=10), hydrated.search_slots(QUERIES, k=10)
         ):
             assert np.array_equal(mine, theirs)
+
+    def test_impact_sorted_segment_ranks_like_a_fresh_build(self, tmp_path):
+        """A segment whose postings are impact-sorted per term hydrates and
+        ranks bit-identically: each slot appears once per term, so the
+        order within a term cannot change a sum."""
+        fresh = BM25Index()  # lengths vary, so a term's contributions differ
+        fresh.add_batch([(d, text + " note" * (i % 5)) for i, (d, text) in enumerate(DOCS)])
+        write_bm25_segment(tmp_path / "b.seg", fresh)
+        segment = read_segment(tmp_path / "b.seg")
+        arrays = impact_sorted(segment)
+        assert not np.array_equal(arrays["slots"], segment.arrays["slots"])
+        write_segment(tmp_path / "old.seg", arrays, meta=segment.meta)
+        hydrated = load_bm25(read_segment(tmp_path / "old.seg"))
+        queries = QUERIES + ["table row", "finance note", "supplier orders row 3 tariffs"]
+        def ranked(index, k):
+            batches = index.search_batch(queries, k=k)
+            return [[(h.doc_id, h.score.hex()) for h in hits] for hits in batches]
+
+        for k in (1, 10, 60, 100):
+            assert ranked(hydrated, k) == ranked(fresh, k)
+            for mine, theirs in zip(
+                hydrated.search_slots(queries, k=k), fresh.search_slots(queries, k=k)
+            ):
+                assert np.array_equal(mine, theirs)
 
     def test_hydrated_rejects_mutation(self, tmp_path):
         original = bm25_fixture()

@@ -13,6 +13,7 @@ from repro.service import PneumaService
 from repro.storage import codec, read_segment, write_segment
 from repro.storage.manifest import Manifest, SegmentRef
 from repro.text import HashingEmbedder
+from tests.storage.test_codec import impact_sorted
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "fsck.py"
 _spec = importlib.util.spec_from_file_location("fsck_cli", SCRIPT)
@@ -91,6 +92,47 @@ def test_torn_legacy_tail_fails_only_under_strict(tmp_path, fsck):
     code, out = fsck(tmp_path / "store")
     assert code == 0 and "journal    legacy wal.log: 1 valid records, torn tail" in out
     assert fsck("--strict", tmp_path / "store")[0] == 1
+
+
+def rewrite_segment(store_dir, kind, arrays, meta):
+    """Replace a published segment's payload and record its digest in the
+    manifest, as the store that wrote it would have."""
+    manifest = Manifest.load(store_dir / "MANIFEST.json")
+    ref = manifest.segments[kind]
+    digest = write_segment(store_dir / "segments" / ref.file, arrays, meta=meta)
+    manifest.segments[kind] = SegmentRef(file=ref.file, payload_blake2b=digest)
+    manifest.save(store_dir / "MANIFEST.json")
+
+
+def test_impact_sorted_bm25_store_warm_starts_and_verifies(tmp_path, fsck):
+    """A store the MaxScore kernel published (impact-sorted postings per
+    term) hydrates whole, ranks like a cold build, and passes ``--strict``."""
+    store_dir = tmp_path / "store"
+    boot(store_dir).shutdown(drain=True)
+    manifest = Manifest.load(store_dir / "MANIFEST.json")
+    segment = read_segment(store_dir / "segments" / manifest.segments["bm25"].file)
+    arrays = impact_sorted(segment)
+    assert not np.array_equal(arrays["slots"], segment.arrays["slots"])
+    rewrite_segment(store_dir, "bm25", arrays, segment.meta)
+    assert fsck("--strict", store_dir)[0] == 0
+
+    queries = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
+    warm, cold = boot(store_dir), PneumaService(build_procurement_lake(), max_workers=1)
+    try:
+        assert warm.warm_started
+        assert warm.shared.build_report == {"indexed": 0, "skipped": 3, "restored": 3}
+        for mode in ("bm25", "hybrid"):
+            assert [
+                [(h.doc_id, h.score) for h in hits]
+                for hits in warm.shared.retriever.index.search_batch(queries, k=3, mode=mode)
+            ] == [
+                [(h.doc_id, h.score) for h in hits]
+                for hits in cold.shared.retriever.index.search_batch(queries, k=3, mode=mode)
+            ]
+    finally:
+        warm.shutdown(drain=True)
+        cold.shutdown()
+    assert fsck("--strict", store_dir)[0] == 0
 
 
 def rewrite_as_graph_index_store(store_dir):

@@ -1,6 +1,7 @@
 """Kernel-specific BM25 behavior: build-once interning, compilation, and
 the tokenization memo."""
 
+import numpy as np
 import pytest
 
 from repro.text import BM25Index, tokenize, tokenize_cached
@@ -18,18 +19,25 @@ class TestBuildOnce:
         assert index.slot_count == 2
 
 
+def ranked(index, query, k=10):
+    return [(h.doc_id, h.score) for h in index.search(query, k=k)]
+
+
 class TestCompile:
     def test_compile_idempotent_and_invalidated_by_mutation(self):
         index = BM25Index()
         index.add("a", "alpha beta gamma")
         index.compile()
-        assert index.compiled
-        index.compile()  # no-op
-        assert index.compiled
-        index.add("b", "alpha delta")
-        assert not index.compiled  # mutation de-compiles
-        index.compile()
-        assert index.compiled
+        once = ranked(index, "alpha gamma")
+        assert index.compile() is index  # a second compile changes nothing
+        assert ranked(index, "alpha gamma") == once
+        index.add("b", "alpha delta")  # new corpus statistics: every entry is rebuilt
+        fresh = BM25Index()
+        fresh.add_batch([("a", "alpha beta gamma"), ("b", "alpha delta")])
+        for query in ("alpha gamma", "delta", "alpha"):
+            assert ranked(index, query) == ranked(fresh, query)
+            index.compile()
+            assert ranked(index, query) == ranked(fresh, query)
 
     def test_compiled_and_lazy_paths_agree(self):
         docs = [(f"d{i}", " ".join(f"t{j}x" for j in range(i % 7 + 1))) for i in range(60)]
@@ -57,6 +65,30 @@ class TestCompile:
         index = BM25Index()
         index.compile()
         assert index.search("anything", k=3) == []
+
+
+class TestK:
+    def test_negative_k_raises_on_every_entry_point(self):
+        index = BM25Index()
+        index.add_batch([("a", "alpha beta"), ("b", "alpha")])
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search("alpha", k=-1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search_batch(["alpha"], k=-1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search_slots(["alpha"], k=-2)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search_slots([], k=-1)  # even with nothing to rank
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            BM25Index().search("alpha", k=-1)  # and on an empty index
+
+    def test_zero_k_is_empty(self):
+        index = BM25Index()
+        index.add_batch([("a", "alpha beta"), ("b", "alpha")])
+        assert index.search("alpha", k=0) == []
+        assert index.search_batch(["alpha", "beta"], k=0) == [[], []]
+        (slots,) = index.search_slots(["alpha"], k=0)
+        assert slots.size == 0 and slots.dtype == np.int64
 
 
 class TestTokenizeMemo:

@@ -144,7 +144,8 @@ class FaultPlan:
     sql: FaultSpec = field(default_factory=FaultSpec)
     #: Crash schedule for the persistence write paths (segment publish,
     #: manifest saves, knowledge captures) — a :class:`repro.storage.crash.CrashSpec`
-    #: with its own seed; :meth:`CrashSpec.none` injects nothing.
+    #: naming the visit of a crash point to die at; :meth:`CrashSpec.none`
+    #: injects nothing.
     storage: CrashSpec = field(default_factory=CrashSpec.none)
 
     def __post_init__(self):

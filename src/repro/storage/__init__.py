@@ -10,7 +10,8 @@ verifiable artifact instead of a process-lifetime one:
 * :mod:`~repro.storage.manifest` / :mod:`~repro.storage.store` — the
   catalog (``MANIFEST.json``, one atomic file) and the store around it:
   open classification by the clean-shutdown marker, one file per
-  knowledge capture, quarantine + per-segment rebuild of corrupt files;
+  knowledge capture, quarantine + per-segment rebuild of corrupt files,
+  and :func:`~repro.storage.store.fsck`, the one read-only verifier;
 * :mod:`~repro.storage.codec` — the index halves and the fusion layer
   to and from segment arrays;
 * :mod:`~repro.storage.crash` — deterministic crash injection threaded
@@ -26,11 +27,10 @@ from .crash import (
     SimulatedCrash,
     all_crash_points,
     crash_point,
-    describe_crash_point,
 )
 from .manifest import Manifest, SegmentRef
 from .segment import Segment, SegmentCorruptError, read_segment, verify_segment, write_segment
-from .store import IndexStore
+from .store import IndexStore, fsck
 
 __all__ = [
     "atomic_write_bytes",
@@ -42,7 +42,6 @@ __all__ = [
     "SimulatedCrash",
     "all_crash_points",
     "crash_point",
-    "describe_crash_point",
     "Manifest",
     "SegmentRef",
     "Segment",
@@ -51,4 +50,5 @@ __all__ = [
     "verify_segment",
     "write_segment",
     "IndexStore",
+    "fsck",
 ]

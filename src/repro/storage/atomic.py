@@ -29,21 +29,14 @@ __all__ = [
     "atomic_write_json",
 ]
 
-#: Temp file written (possibly only to OS buffers); target untouched.
-CP_ATOMIC_AFTER_TEMP = crash_point(
-    "atomic.after_temp_write",
-    "temp file written but not fsynced; the target file is untouched",
-)
-#: Temp file durable; rename not yet issued — target still the old file.
-CP_ATOMIC_BEFORE_RENAME = crash_point(
-    "atomic.before_rename",
-    "temp file fsynced; rename not issued — the old target must survive",
-)
-#: Renamed but directory entry not fsynced — either file may be current.
-CP_ATOMIC_AFTER_RENAME = crash_point(
-    "atomic.after_rename",
-    "renamed over the target but the directory entry is not yet durable",
-)
+#: Temp file written (possibly only to OS buffers), not fsynced; the
+#: target file is untouched.
+CP_ATOMIC_AFTER_TEMP = crash_point("atomic.after_temp_write")
+#: Temp file fsynced; rename not yet issued — the old target must survive.
+CP_ATOMIC_BEFORE_RENAME = crash_point("atomic.before_rename")
+#: Renamed over the target but the directory entry is not yet durable —
+#: either file may be current.
+CP_ATOMIC_AFTER_RENAME = crash_point("atomic.after_rename")
 
 
 def fsync_dir(path: Union[str, Path]) -> None:

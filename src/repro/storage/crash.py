@@ -19,18 +19,18 @@ bit-flip segment bytes or cut ``MANIFEST.json`` short and assert the
 store detects and contains it.
 
 Determinism contract (mirrors :class:`repro.service.faults.FaultPlan`):
-the same ``(spec, seed)`` kills the same visit of the same point, run
-after run.  A default-constructed spec (:meth:`CrashSpec.none`) injects
+the same spec kills the same visit of the same point, run after run —
+the recovery matrix enumerates every ``(point, visit)`` a lifecycle
+reaches.  A default-constructed spec (:meth:`CrashSpec.none`) injects
 nothing and is bit-transparent.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 __all__ = [
     "SimulatedCrash",
@@ -62,15 +62,16 @@ class SimulatedCrash(BaseException):
 # ----------------------------------------------------------------------
 # Write-path modules register their points at import time; the recovery
 # test matrix parametrizes over ``all_crash_points()`` so adding a new
-# point to a write path automatically adds it to the battery.
-_REGISTRY: Dict[str, str] = {}
+# point to a write path automatically adds it to the battery.  What each
+# point models is the comment at its definition.
+_REGISTRY: Set[str] = set()
 _REGISTRY_LOCK = threading.Lock()
 
 
-def crash_point(name: str, doc: str) -> str:
+def crash_point(name: str) -> str:
     """Register (idempotently) a named crash point; returns ``name``."""
     with _REGISTRY_LOCK:
-        _REGISTRY.setdefault(name, doc)
+        _REGISTRY.add(name)
     return name
 
 
@@ -80,16 +81,11 @@ def all_crash_points() -> Tuple[str, ...]:
         return tuple(sorted(_REGISTRY))
 
 
-def describe_crash_point(name: str) -> str:
-    with _REGISTRY_LOCK:
-        return _REGISTRY[name]
-
-
 def derive_seed(*parts) -> int:
     """A stable 63-bit seed from arbitrary labels (no salted ``hash()``).
 
-    The one seed derivation: fault schedules, crash draws and scenario
-    substreams all key their RNGs through it.
+    The one seed derivation: fault schedules and scenario substreams
+    both key their RNGs through it.
     """
     key = ":".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
@@ -98,22 +94,12 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class CrashSpec:
-    """Which crash points fire, and at which visit.
-
-    * ``at`` — exact schedule: ``{point name: 1-based visit index}``; the
-      injector raises on exactly that visit of that point.
-    * ``rate`` — each visit of every point independently crashes with
-      this probability, drawn from a seeded per-point RNG (fuzzing mode;
-      the exact schedule is still reproducible from ``seed``).
-    """
+    """Which crash points fire, and at which visit: ``at`` maps a point
+    name to the 1-based visit index on which the injector raises."""
 
     at: Mapping[str, int] = field(default_factory=dict)
-    rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"crash rate must be in [0, 1], got {self.rate}")
         for point, visit in self.at.items():
             if visit < 1:
                 raise ValueError(f"visit index must be >= 1, got {visit} for {point!r}")
@@ -130,7 +116,7 @@ class CrashSpec:
 
     @property
     def is_noop(self) -> bool:
-        return not self.at and self.rate == 0.0
+        return not self.at
 
 
 class CrashInjector:
@@ -146,7 +132,6 @@ class CrashInjector:
         self.spec = spec if spec is not None else CrashSpec.none()
         self._lock = threading.Lock()
         self._visits: Dict[str, int] = {}
-        self._rngs: Dict[str, random.Random] = {}
         self.crashed: str = ""  # the point that fired, if any
 
     def reach(self, point: str) -> None:
@@ -158,17 +143,10 @@ class CrashInjector:
                 return
             visit = self._visits.get(point, 0) + 1
             self._visits[point] = visit
-            fatal = self.spec.at.get(point) == visit
-            if not fatal and self.spec.rate > 0.0:
-                rng = self._rngs.get(point)
-                if rng is None:
-                    rng = random.Random(derive_seed(self.spec.seed, point))
-                    self._rngs[point] = rng
-                fatal = rng.random() < self.spec.rate
-            if fatal:
-                self.crashed = point
-        if fatal:
-            raise SimulatedCrash(point, visit)
+            if self.spec.at.get(point) != visit:
+                return
+            self.crashed = point
+        raise SimulatedCrash(point, visit)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

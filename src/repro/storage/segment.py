@@ -177,12 +177,12 @@ def _parse_header(path: Path, raw: np.ndarray) -> Tuple[dict, int]:
     return header, prefix_len + _pad(prefix_len)
 
 
-def read_segment(path: Union[str, Path], verify: bool = True) -> Segment:
+def read_segment(path: Union[str, Path]) -> Segment:
     """Open, verify, and mmap a segment.
 
-    With ``verify=True`` (default) the payload checksum is recomputed
-    over the mapped bytes — one sequential pass — before any array view
-    is handed out.  Raises :class:`SegmentCorruptError` on any damage.
+    The payload checksum is recomputed over the mapped bytes — one
+    sequential pass — before any array view is handed out.  Raises
+    :class:`SegmentCorruptError` on any damage.
     """
     path = Path(path)
     try:
@@ -196,7 +196,7 @@ def read_segment(path: Union[str, Path], verify: bool = True) -> Segment:
     payload = raw[payload_at : payload_at + payload_len]
     # hashlib consumes the mapped bytes via the buffer protocol: the
     # verification pass streams the file without materializing a copy.
-    if verify and _digest(payload) != header["payload_blake2b"]:
+    if _digest(payload) != header["payload_blake2b"]:
         raise SegmentCorruptError(path, "payload checksum mismatch")
     arrays: Dict[str, np.ndarray] = {}
     for entry in header["toc"]:
@@ -212,7 +212,7 @@ def verify_segment(path: Union[str, Path]) -> dict:
     without raising (the fsck entry point)."""
     path = Path(path)
     try:
-        segment = read_segment(path, verify=True)
+        segment = read_segment(path)
     except SegmentCorruptError as exc:
         return {"path": str(path), "ok": False, "reason": exc.reason}
     return {

@@ -20,10 +20,11 @@ Open protocol (the constructor — exactly what a restarted process runs):
 1. sweep temp files a dead writer stranded;
 2. load ``MANIFEST.json``.  Absent is a brand-new store; present but
    unreadable is quarantined, and the open serves no snapshot;
-3. fold a ``wal.log`` an earlier version of the store left behind;
+3. quarantine a ``wal.log`` a version from before the WAL was retired
+   left behind, unread (the manifest's snapshot is still served);
 4. classify the open: *clean* iff the manifest carries the
-   clean-shutdown marker (or the store is brand-new); anything else is
-   *recovered*;
+   clean-shutdown marker (or the store is brand-new) and nothing was
+   quarantined in step 3; anything else is *recovered*;
 5. clear the marker durably, in the same save that persists the open
    counters, so a crash from here on makes the next open *recovered*.
 
@@ -39,19 +40,20 @@ snapshot honestly rather than serving unverifiable data.
 that points at them.  :meth:`checkpoint` with ``clean=True`` writes the
 clean-shutdown marker and drops the knowledge captures the caller's
 drain has just saved, making the next open *clean*.
+
+:func:`fsck` verifies a store directory as it sits on disk, writing
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import os
-import struct
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..obs import trace as obs
 from ..retriever.index import FUSION_META, HybridIndex, fusion_maps_for
@@ -62,33 +64,17 @@ from .crash import NO_CRASH, CrashInjector, crash_point
 from .manifest import Manifest, SegmentRef
 from .segment import SegmentCorruptError, read_segment, verify_segment
 
-__all__ = ["IndexStore"]
+__all__ = ["IndexStore", "fsck"]
 
 #: All three segments durable; the manifest not yet saved — it still
-#: points at the previous generation.
-CP_PUBLISH_AFTER_SEGMENTS = crash_point(
-    "store.publish.after_segments",
-    "segment files written and durable but the manifest is not yet saved; "
-    "the previous snapshot must still be served",
-)
+#: points at the previous generation, whose snapshot must still be served.
+CP_PUBLISH_AFTER_SEGMENTS = crash_point("store.publish.after_segments")
 
 _SEGMENT_KINDS = ("fusion", "bm25", "hnsw")
 
-
-def verify_segments(segments_dir: Path, segments: Dict[str, SegmentRef]) -> List[dict]:
-    """Re-checksum every segment a catalog references and cross-check its
-    payload digest against the catalog: the one fsck loop, for
-    :meth:`IndexStore.fsck` and ``scripts/fsck.py`` alike.  Non-raising;
-    one report per segment, each with its ``ok`` bit."""
-    reports = []
-    for kind, ref in sorted(segments.items()):
-        report = verify_segment(segments_dir / ref.file)
-        report["kind"] = kind
-        if report["ok"] and report["payload_blake2b"] != ref.payload_blake2b:
-            report["ok"] = False
-            report["reason"] = "payload digest does not match the manifest"
-        reports.append(report)
-    return reports
+#: The write-ahead log of versions before the WAL was retired.  Nothing
+#: reads it: an open quarantines it, and :func:`fsck` fails while it is present.
+_RETIRED_WAL = "wal.log"
 
 
 class IndexStore:
@@ -106,42 +92,32 @@ class IndexStore:
             directory.mkdir(parents=True, exist_ok=True)
         self._sweep_temp_files()
         self.quarantined_files: List[str] = []
-        self.quarantine_reasons: Dict[str, str] = {}
         self.rebuilt_segments: List[str] = []
 
         self.state = Manifest()
-        #: Why the manifest this open found was unreadable ("" when it was not).
-        self.manifest_error = ""
         try:
             loaded = Manifest.load(self.manifest_path)
-        except ValueError as exc:
-            loaded = None
-            self.manifest_error = str(exc)
-            self._quarantine(self.manifest_path, self.manifest_error)
+        except ValueError:
+            loaded, marked = None, False
+            self._quarantine(self.manifest_path)
+        else:
+            # A brand-new store (no manifest) opens clean too.
+            marked = loaded is None or loaded.clean_shutdown
         if loaded is not None:
             self.state = loaded
-        captured = self._capture_files()
-        last_capture = int(captured[-1].name.split(".")[0]) if captured else 0
-        self._captures = itertools.count(last_capture + 1)
-        wal_path = self.root / LEGACY_WAL
-        legacy = fold_legacy_wal(wal_path, self.state)
-        for entry in legacy["knowledge"] if legacy else ():
-            self._capture(entry)
-        replayed = bool(legacy and (legacy["records"] or legacy["torn_bytes"]))
-        # A brand-new store (no manifest, no log) opens clean too.
-        marked = loaded.clean_shutdown if loaded is not None else not self.manifest_error
-        self.open_mode = "clean" if marked and not replayed else "recovered"
+        if (self.root / _RETIRED_WAL).exists():
+            self._quarantine(self.root / _RETIRED_WAL)
+            marked = False
+        self.open_mode = "clean" if marked else "recovered"
         if self.open_mode == "clean":
             self.state.clean_opens += 1
         else:
             self.state.recovered_opens += 1
+        captured = self._capture_files()
+        last_capture = int(captured[-1].name.split(".")[0]) if captured else 0
+        self._captures = itertools.count(last_capture + 1)
         self._knowledge = self._read_captures()
         self._save(clean_shutdown=False)
-        if legacy is not None:
-            # Only once the manifest holds what the log held: a crash before
-            # this unlink folds the log again, and that fold is a no-op.
-            wal_path.unlink()
-            fsync_dir(self.root)
 
     # ------------------------------------------------------------------
     # Open-time machinery
@@ -161,17 +137,15 @@ class IndexStore:
         return sorted(self.knowledge_dir.glob("*.json"))
 
     def _read_captures(self) -> List[dict]:
-        entries: Dict[str, dict] = {}
+        """The readable captures in capture order; an unreadable one is
+        quarantined."""
+        entries = []
         for path in self._capture_files():
             try:
-                entry = json.loads(path.read_text("utf-8"))
-            except ValueError as exc:
-                self._quarantine(path, f"unreadable knowledge capture: {exc}")
-                continue
-            # A legacy fold that crashed before unlinking wal.log writes its
-            # entries twice; the first copy of an id wins.
-            entries.setdefault(entry.get("id"), entry)
-        return list(entries.values())
+                entries.append(json.loads(path.read_text("utf-8")))
+            except ValueError:
+                self._quarantine(path)
+        return entries
 
     def knowledge_records(self) -> List[dict]:
         """Knowledge-store entries captured since the last drain (what a
@@ -203,7 +177,7 @@ class IndexStore:
         try:
             fusion_seg = read_segment(self._segment_path("fusion"))
         except SegmentCorruptError as exc:
-            self._quarantine(exc.path, exc.reason)
+            self._quarantine(exc.path)
             self._retire_snapshot()
             return None
         fusion = codec.load_fusion_parts(fusion_seg)
@@ -221,14 +195,14 @@ class IndexStore:
         try:
             bm25 = codec.load_bm25(read_segment(self._segment_path("bm25")))
         except SegmentCorruptError as exc:
-            self._quarantine(exc.path, exc.reason)
+            self._quarantine(exc.path)
             bm25 = codec.rebuild_bm25_half(meta, docs)
             self.rebuilt_segments.append("bm25")
             rebuilt = True
         try:
             vectors = codec.load_hnsw(read_segment(self._segment_path("hnsw")))
         except SegmentCorruptError as exc:
-            self._quarantine(exc.path, exc.reason)
+            self._quarantine(exc.path)
             vectors = codec.rebuild_hnsw_half(meta, docs, embedder)
             self.rebuilt_segments.append("hnsw")
             rebuilt = True
@@ -261,20 +235,24 @@ class IndexStore:
             raise SegmentCorruptError(self.segments_dir / kind, "segment missing from manifest")
         return self.segments_dir / ref.file
 
-    def _quarantine(self, path: Path, reason: str) -> None:
+    def _quarantine(self, path: Path) -> None:
         """Move a file that failed verification aside (never served, kept
-        for autopsy) and count it."""
+        for autopsy) under the first free name — ``name``, ``name.1``, … —
+        so earlier evidence of the same name survives, and count it."""
         self.state.quarantined += 1
+        target, copies = self.quarantine_dir / path.name, 0
+        while target.exists():
+            copies += 1
+            target = self.quarantine_dir / f"{path.name}.{copies}"
         try:
             # The one rename outside atomic.py: a move of evidence, whose
             # bytes must reach quarantine/ exactly as they were found.
-            os.replace(os.fspath(path), os.fspath(self.quarantine_dir / path.name))
+            os.replace(os.fspath(path), os.fspath(target))
             fsync_dir(path.parent)
             fsync_dir(self.quarantine_dir)
         except OSError:
             pass
         self.quarantined_files.append(path.name)
-        self.quarantine_reasons[path.name] = reason
 
     def _retire_snapshot(self) -> None:
         """Save an empty generation: the snapshot is gone, cold-build next."""
@@ -346,7 +324,7 @@ class IndexStore:
                 self._knowledge = []
 
     # ------------------------------------------------------------------
-    # Introspection / verification
+    # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         return {
@@ -364,86 +342,43 @@ class IndexStore:
             "rebuilt_segments": list(self.rebuilt_segments),
         }
 
-    def fsck(self) -> Dict[str, object]:
-        """Verify everything the manifest claims (:func:`verify_segments`).
-        An open that found the manifest unreadable fails too: the snapshot
-        it cataloged is lost.  Non-raising; ``ok`` is the single
-        pass/fail bit."""
-        segments = verify_segments(self.segments_dir, self.state.segments)
-        return {
-            "ok": not self.manifest_error and all(report["ok"] for report in segments),
-            "manifest": f"unreadable ({self.manifest_error})" if self.manifest_error else "present",
-            "generation": self.state.generation,
-            "segments": segments,
-        }
 
+def fsck(root: Union[str, Path]) -> Dict[str, object]:
+    """Verify one store directory as it sits on disk.
 
-# ----------------------------------------------------------------------
-# The write-ahead log of earlier versions, read-only.  Until the WAL was
-# retired, a store's ``wal.log`` held publishes and knowledge captures its
-# MANIFEST.json did not.  Delete this section — and the fold in
-# ``IndexStore.__init__`` and ``scripts/fsck.py`` — once no store written
-# by such a version is left.
-# ----------------------------------------------------------------------
-LEGACY_WAL = "wal.log"
-_FRAME_LEN = struct.Struct("<I")  # [u32 LE length][16-byte blake2b][JSON]
-_FRAME_DIGEST_BYTES = 16
-_FRAME_HEADER_BYTES = _FRAME_LEN.size + _FRAME_DIGEST_BYTES
-#: A corrupt length field must not make the fold attempt a multi-GB read.
-_MAX_FRAME = 256 * 1024 * 1024
-
-
-def fold_legacy_wal(path: Path, state: Manifest) -> Optional[Dict[str, object]]:
-    """Advance ``state`` by the ``publish`` records of an old ``wal.log``
-    and report what the scan found: the record count, the torn tail's
-    bytes and reason, and the ``knowledge`` entries in capture order.
-    ``None`` when there is no log.
-
-    Writes nothing.  A publish the manifest already holds is skipped, so
-    a second fold of the same log is a no-op.  The scan stops at the
-    first frame whose length or checksum fails (the torn tail) and never
-    raises for damage."""
+    Read-only: it never opens an :class:`IndexStore`, whose open saves the
+    manifest.  It loads ``MANIFEST.json`` (absent is an empty store), then
+    re-checksums every segment the catalog references and cross-checks its
+    payload digest against it.  It fails on a damaged segment, on an
+    unreadable manifest (the snapshot it cataloged is lost) and on a
+    ``wal.log`` no open has quarantined yet.  Non-raising; ``ok`` is the
+    single pass/fail bit."""
+    root = Path(root)
+    state, manifest, readable = Manifest(), "absent", True
     try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        return None
-    records, valid_bytes, reason = _read_frames(blob)
-    for record in records:
-        if record.get("type") == "publish" and int(record["generation"]) > state.generation:
-            state.generation = int(record["generation"])
-            state.segments = {
-                kind: SegmentRef.from_json(ref) for kind, ref in record["segments"].items()
-            }
-            state.tables = dict(record.get("tables", {}))
+        loaded = Manifest.load(root / "MANIFEST.json")
+    except ValueError as exc:
+        manifest, readable = f"unreadable ({exc})", False
+    else:
+        if loaded is not None:
+            state, manifest = loaded, "present"
+    segments = []
+    for kind, ref in sorted(state.segments.items()):
+        report = verify_segment(root / "segments" / ref.file)
+        report["kind"] = kind
+        if report["ok"] and report["payload_blake2b"] != ref.payload_blake2b:
+            report["ok"] = False
+            report["reason"] = "payload digest does not match the manifest"
+        segments.append(report)
+    wal = (root / _RETIRED_WAL).exists()
+    quarantine = root / "quarantine"
     return {
-        "records": len(records),
-        "torn_bytes": len(blob) - valid_bytes,
-        "torn_reason": reason,
-        "knowledge": [r.get("entry", {}) for r in records if r.get("type") == "knowledge"],
+        "ok": readable and not wal and all(report["ok"] for report in segments),
+        "root": str(root),
+        "manifest": manifest,
+        "wal": "present: written before the WAL was retired; not read" if wal else "absent",
+        "generation": state.generation,
+        "tables": len(state.tables),
+        "segments": segments,
+        "quarantined": sorted(p.name for p in quarantine.iterdir()) if quarantine.exists() else [],
     }
-
-
-def _read_frames(blob: bytes) -> Tuple[List[dict], int, str]:
-    """Every verified record, the length of the prefix they fill, and why
-    the scan stopped short of the end ("" when it did not)."""
-    records: List[dict] = []
-    at = 0
-    while at < len(blob):
-        if at + _FRAME_HEADER_BYTES > len(blob):
-            return records, at, "truncated frame header"
-        (length,) = _FRAME_LEN.unpack_from(blob, at)
-        if length > _MAX_FRAME:
-            return records, at, "implausible frame length"
-        start = at + _FRAME_HEADER_BYTES
-        if start + length > len(blob):
-            return records, at, "truncated frame payload"
-        digest = blob[at + _FRAME_LEN.size : start]
-        payload = blob[start : start + length]
-        if hashlib.blake2b(payload, digest_size=_FRAME_DIGEST_BYTES).digest() != digest:
-            return records, at, "frame checksum mismatch"
-        try:
-            records.append(json.loads(payload.decode("utf-8")))
-        except ValueError:
-            return records, at, "frame payload is not valid JSON"
-        at = start + length
-    return records, at, ""

@@ -22,7 +22,6 @@ EXPORTED_WITHOUT_CALLER = {
     "active_tracer",
     # The crash-injection registry: the points ``CrashSpec.nth`` accepts.
     "all_crash_points",
-    "describe_crash_point",
     # A coverage report's JSON form: what a run's four grids are digested from.
     "report_to_json",
     # The single-token form of the stem vocabulary the stemming tests call.
@@ -157,19 +156,40 @@ def test_every_target_the_outside_tracer_wraps_is_a_plain_function(monkeypatch):
 
 def test_the_write_ahead_log_is_retired(tmp_path):
     """``MANIFEST.json`` is the store's one catalog: no journal module, no
-    append-mode writer, no journal crash point and no WAL stat.  The only
-    mention of ``wal.log`` is the read-only fold of stores written before."""
+    append-mode writer, no journal crash point and no WAL stat.  Nothing
+    reads a ``wal.log``: no fold or frame reader is left, and the file is
+    named by one constant, which the open quarantines and ``fsck`` fails
+    on.  ``fsck`` is one read-only function, not a store method."""
     import repro.storage
     from repro.storage import IndexStore, all_crash_points
 
     assert not (SRC / "storage" / "journal.py").exists()
     for name in ("Journal", "ReplayResult", "replay_journal"):
         assert not hasattr(repro.storage, name), name
+    named, readers = [], set()
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         assert "O_APPEND" not in text and '"ab"' not in text and '"r+b"' not in text, path
-        if "wal.log" in text:
-            assert path == SRC / "storage" / "store.py", path
+        for name in ("fold_legacy_wal", "_read_frames", "LEGACY_WAL"):
+            assert name not in text, f"{path}: names {name}"
+        if path.parent == SRC / "storage":
+            assert "struct" not in set(imported_modules(path)), path
+        tree = ast.parse(text, filename=str(path))
+        named += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "wal.log"
+        ]
+        readers |= {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == "_RETIRED_WAL"
+        }
+    assert named == ["store.py"]
+    assert readers == {"__init__", "fsck"}
+    assert not hasattr(IndexStore, "fsck")
     assert all_crash_points() == (
         "atomic.after_rename",
         "atomic.after_temp_write",
@@ -179,6 +199,18 @@ def test_the_write_ahead_log_is_retired(tmp_path):
     keys = IndexStore(tmp_path / "store").stats()
     assert [key for key in keys if key.startswith("wal_") or "journal" in key] == []
     assert not (tmp_path / "store" / "wal.log").exists()
+
+
+def test_the_storage_options_no_caller_set_are_gone():
+    """A crash schedule is the exact ``(point, visit)`` map the recovery
+    matrix enumerates (no seeded rate mode), and every segment read
+    verifies its payload (no switch to skip it)."""
+    import dataclasses
+
+    from repro.storage import CrashSpec, read_segment
+
+    assert [field.name for field in dataclasses.fields(CrashSpec)] == ["at"]
+    assert list(inspect.signature(read_segment).parameters) == ["path"]
 
 
 def test_one_index_per_generation():

@@ -1,6 +1,5 @@
 """Service-level persistence: warm starts, knowledge captures, crash injection."""
 
-import json
 import threading
 
 import numpy as np
@@ -12,10 +11,9 @@ from repro.retriever.summarizer import NarrationCache
 from repro.scenarios import append_rows, build_scenario, cells_for
 from repro.service import CrashSpec, FaultPlan, PneumaService
 from repro.sim.scenario import ScenarioPersona
-from repro.storage import IndexStore, SimulatedCrash, codec
+from repro.storage import IndexStore, SimulatedCrash, codec, fsck
 from repro.storage.segment import read_segment, write_segment
 from repro.storage.store import CP_PUBLISH_AFTER_SEGMENTS
-from tests.storage.test_journal import frame
 
 QUERIES = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -266,7 +264,7 @@ class TestReindexPublish:
         svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         report = svc.reindex()
         assert report["published_generation"] == 2  # gen 1 was the boot publish
-        assert svc.store.fsck()["ok"]
+        assert fsck(store_dir)["ok"]
         svc.shutdown(drain=True)
 
     def test_publish_records_the_catalog_it_built_from(self, store_dir):
@@ -312,7 +310,7 @@ class TestReindexPublish:
         )
         assert recovered.stats()["storage"]["open_mode"] == "recovered"
         assert search_results(recovered) == oracle
-        assert recovered.store.fsck()["ok"]
+        assert fsck(store_dir)["ok"]
         recovered.shutdown(drain=True)
 
 
@@ -339,44 +337,23 @@ class TestUnreadableManifest:
         warm.shutdown(drain=True)
 
 
-class TestLegacyWal:
-    """A store written before the WAL was retired: its ``wal.log`` holds a
-    publish and a knowledge capture the manifest never saw."""
+class TestRetiredWal:
+    """A store a version from before the WAL was retired left a ``wal.log``
+    in: the boot quarantines it unread and warm-starts off the manifest."""
 
-    def test_old_format_wal_is_folded_once(self, store_dir):
+    def test_leftover_wal_is_quarantined_and_the_snapshot_served(self, store_dir):
         svc = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         oracle = search_results(svc)
         svc.shutdown(drain=True)
-        state = json.loads((store_dir / "MANIFEST.json").read_text())
-        segments = {}
-        for kind, ref in state["segments"].items():
-            name = ref["file"].replace("000001", "000002")
-            source = store_dir / "segments" / ref["file"]
-            (store_dir / "segments" / name).write_bytes(source.read_bytes())
-            segments[kind] = {"file": name, "payload_blake2b": ref["payload_blake2b"]}
-        entry = {"id": "k1", "text": "tariffs include direct and indirect", "topic": "tariffs"}
-        records = [
-            {"type": "open", "mode": "clean"},
-            {"type": "publish", "generation": 2, "segments": segments, "tables": state["tables"]},
-            {"type": "knowledge", "entry": {**entry, "author": ""}},
-        ]
-        frames = b"".join(map(frame, records))
-        (store_dir / "wal.log").write_bytes(frames + frame({"type": "open"})[:-4])
+        (store_dir / "wal.log").write_bytes(b"records of a retired format")
 
         recovered = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         storage = recovered.stats()["storage"]
-        assert storage["open_mode"] == "recovered" and storage["generation"] == 2
+        assert storage["open_mode"] == "recovered" and storage["quarantined_files"] == ["wal.log"]
         assert recovered.warm_started and search_results(recovered) == oracle
-        texts = [entry.text for entry in recovered.knowledge.entries()]
-        assert texts == ["tariffs include direct and indirect"]
-        assert not (store_dir / "wal.log").exists()
-        assert recovered.store.fsck()["ok"]
+        assert recovered.shared.build_report["indexed"] == 0
+        assert fsck(store_dir)["ok"]
         recovered.shutdown(drain=True)
-
-        again = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
-        assert again.stats()["storage"]["open_mode"] == "clean"
-        assert [entry.text for entry in again.knowledge.entries()] == texts
-        again.shutdown(drain=True)
 
 
 class TestConcurrentLifecycle:
@@ -411,7 +388,7 @@ class TestConcurrentLifecycle:
         assert reopened.open_mode == "clean"  # the publish kept the drain's marker
         for ref in reopened.state.segments.values():
             assert (reopened.segments_dir / ref.file).exists()
-        assert reopened.fsck()["ok"]
+        assert fsck(store_dir)["ok"]
         assert sorted(p.name for p in reopened.segments_dir.iterdir()) == [
             "bm25-000002.seg",
             "fusion-000002.seg",

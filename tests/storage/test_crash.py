@@ -1,20 +1,16 @@
-"""The crash-injection harness itself: specs, registry, determinism."""
+"""The crash-injection harness itself: specs, registry, injector."""
 
 import pytest
 
 from repro.storage import CrashInjector, CrashSpec, SimulatedCrash, all_crash_points
-from repro.storage.crash import describe_crash_point
 
 
 class TestCrashSpec:
     def test_noop(self):
         assert CrashSpec.none().is_noop
         assert not CrashSpec.nth("x.y").is_noop
-        assert not CrashSpec(rate=0.5).is_noop
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CrashSpec(rate=1.5)
         with pytest.raises(ValueError):
             CrashSpec(at={"p": 0})
 
@@ -30,8 +26,6 @@ class TestRegistry:
             "atomic.after_rename",
             "store.publish.after_segments",
         }
-        for point in points:
-            assert describe_crash_point(point)
 
     def test_sorted_and_stable(self):
         assert list(all_crash_points()) == sorted(all_crash_points())
@@ -54,22 +48,6 @@ class TestInjector:
         injector.reach("q")
         with pytest.raises(SimulatedCrash):
             injector.reach("p")
-
-    def test_rate_schedule_is_seed_deterministic(self):
-        def trace(seed):
-            injector = CrashInjector(CrashSpec(rate=0.3, seed=seed))
-            hits = []
-            for i in range(50):
-                try:
-                    injector.reach("p")
-                    hits.append(False)
-                except SimulatedCrash:
-                    hits.append(True)
-                    break
-            return hits
-
-        assert trace(7) == trace(7)
-        assert trace(7) != trace(8) or trace(7)[-1]  # different seeds diverge (or both crash)
 
     def test_noop_injector_counts_nothing(self):
         injector = CrashInjector(CrashSpec.none())

@@ -45,6 +45,7 @@ from repro.storage import (
     SimulatedCrash,
     all_crash_points,
     atomic_write_json,
+    fsck,
 )
 
 DOCS_V1 = [(f"doc{i}", f"table finance tariffs row {i}") for i in range(30)]
@@ -168,7 +169,7 @@ def test_crash_recovery_is_bit_identical(tmp_path, scenario, point, visit):
 
     # Recovery: re-open exactly as a restarted process would.
     recovered = IndexStore(root)
-    assert recovered.fsck()["ok"], recovered.fsck()
+    assert fsck(root)["ok"], fsck(root)
     observed = (results(recovered.load_index()), entries(recovered))
     assert observed[0] in (pre[0], post[0]), f"index matches neither oracle after {point!r}"
     assert observed[1] in (pre[1], post[1]), f"knowledge in between after {point!r}"
@@ -182,7 +183,7 @@ def test_crash_recovery_is_bit_identical(tmp_path, scenario, point, visit):
     final = IndexStore(root)
     assert final.open_mode == "clean"
     assert (results(final.load_index()), entries(final)) == post
-    assert final.fsck()["ok"]
+    assert fsck(root)["ok"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""``scripts/fsck.py --strict`` over stores a real PneumaService published."""
+"""``scripts/fsck.py`` over stores a real PneumaService published."""
 
 import importlib.util
 import sys
@@ -11,6 +11,7 @@ from repro.datasets import build_procurement_lake
 from repro.relational.table import Table
 from repro.service import PneumaService
 from repro.storage import codec, read_segment, write_segment
+from repro.storage import fsck as verify_store
 from repro.storage.manifest import Manifest, SegmentRef
 from repro.text import HashingEmbedder
 from tests.storage.test_codec import impact_sorted
@@ -39,10 +40,9 @@ def test_clean_shutdown_verifies(tmp_path, fsck):
     service = boot(tmp_path / "store")
     service.knowledge.add("tariffs include direct and indirect", topic="tariffs")
     service.shutdown(drain=True)
-    code, out = fsck("--strict", tmp_path / "store")
+    code, out = fsck(tmp_path / "store")
     assert code == 0 and out.rstrip().endswith("OK")
     assert "manifest present" in out and out.count(": ok") == 3  # bm25, fusion, hnsw
-    assert "journal" not in out  # printed only for a legacy wal.log
 
 
 def test_crash_style_stop_verifies_and_recovers(tmp_path, fsck):
@@ -51,7 +51,7 @@ def test_crash_style_stop_verifies_and_recovers(tmp_path, fsck):
     lake.register(Table.from_columns("zebra_census", {"zebra_id": [1, 2], "stripes": [30, 44]}))
     service.reindex()  # a second publish: segments, then the manifest
     service.shutdown()  # die without drain: no knowledge save, no clean marker
-    code, out = fsck("--strict", tmp_path / "store")
+    code, out = fsck(tmp_path / "store")
     assert code == 0 and "generation 2" in out
 
     recovered = boot(tmp_path / "store", lake)
@@ -59,7 +59,7 @@ def test_crash_style_stop_verifies_and_recovers(tmp_path, fsck):
     assert storage["open_mode"] == "recovered" and storage["generation"] == 2
     assert recovered.warm_started and recovered.shared.build_report["indexed"] == 0
     recovered.shutdown(drain=True)
-    assert fsck("--strict", tmp_path / "store")[0] == 0
+    assert fsck(tmp_path / "store")[0] == 0
 
 
 def test_bit_flip_and_missing_directory_exit_nonzero(tmp_path, fsck):
@@ -68,7 +68,7 @@ def test_bit_flip_and_missing_directory_exit_nonzero(tmp_path, fsck):
     blob = bytearray(victim.read_bytes())
     blob[-40] ^= 0xFF
     victim.write_bytes(bytes(blob))
-    code, out = fsck("--strict", tmp_path / "store")
+    code, out = fsck(tmp_path / "store")
     assert code == 1 and "CORRUPT" in out and out.rstrip().endswith("FAILED")
     assert fsck(tmp_path / "absent")[0] == 2
 
@@ -81,17 +81,21 @@ def test_truncated_manifest_exits_nonzero(tmp_path, fsck):
     manifest.write_bytes(blob[: len(blob) // 2])
     code, out = fsck(tmp_path / "store")
     assert code == 1 and "manifest unreadable" in out and out.rstrip().endswith("FAILED")
-    report = fsck_cli.check_store(tmp_path / "store")
+    report = verify_store(tmp_path / "store")
     assert report["ok"] is False and report["segments"] == []
 
 
-def test_torn_legacy_tail_fails_only_under_strict(tmp_path, fsck):
+def test_leftover_wal_fails_until_an_open_quarantines_it(tmp_path, fsck):
+    """A ``wal.log`` from before the WAL was retired is named and fails the
+    check; after the next boot it is listed under quarantine and passes."""
     boot(tmp_path / "store").shutdown(drain=True)
-    frame = fsck_cli._legacy_frame({"type": "open", "mode": "clean"})
-    (tmp_path / "store" / "wal.log").write_bytes(frame + frame[:-3])
+    (tmp_path / "store" / "wal.log").write_bytes(b"records of a retired format")
     code, out = fsck(tmp_path / "store")
-    assert code == 0 and "journal    legacy wal.log: 1 valid records, torn tail" in out
-    assert fsck("--strict", tmp_path / "store")[0] == 1
+    assert code == 1 and "wal.log    present" in out and out.rstrip().endswith("FAILED")
+
+    boot(tmp_path / "store").shutdown(drain=True)
+    code, out = fsck(tmp_path / "store")
+    assert code == 0 and "quarantine wal.log" in out
 
 
 def rewrite_segment(store_dir, kind, arrays, meta):
@@ -106,7 +110,7 @@ def rewrite_segment(store_dir, kind, arrays, meta):
 
 def test_impact_sorted_bm25_store_warm_starts_and_verifies(tmp_path, fsck):
     """A store the MaxScore kernel published (impact-sorted postings per
-    term) hydrates whole, ranks like a cold build, and passes ``--strict``."""
+    term) hydrates whole, ranks like a cold build, and passes fsck."""
     store_dir = tmp_path / "store"
     boot(store_dir).shutdown(drain=True)
     manifest = Manifest.load(store_dir / "MANIFEST.json")
@@ -114,7 +118,7 @@ def test_impact_sorted_bm25_store_warm_starts_and_verifies(tmp_path, fsck):
     arrays = impact_sorted(segment)
     assert not np.array_equal(arrays["slots"], segment.arrays["slots"])
     rewrite_segment(store_dir, "bm25", arrays, segment.meta)
-    assert fsck("--strict", store_dir)[0] == 0
+    assert fsck(store_dir)[0] == 0
 
     queries = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
     warm, cold = boot(store_dir), PneumaService(build_procurement_lake(), max_workers=1)
@@ -132,7 +136,7 @@ def test_impact_sorted_bm25_store_warm_starts_and_verifies(tmp_path, fsck):
     finally:
         warm.shutdown(drain=True)
         cold.shutdown()
-    assert fsck("--strict", store_dir)[0] == 0
+    assert fsck(store_dir)[0] == 0
 
 
 def rewrite_as_graph_index_store(store_dir):
@@ -169,11 +173,11 @@ def rewrite_as_graph_index_store(store_dir):
 
 def test_graph_index_store_warm_starts_and_verifies(tmp_path, fsck):
     """A store the graph index published hydrates (every table restored,
-    none indexed), ranks like a cold build, and passes ``--strict``."""
+    none indexed), ranks like a cold build, and passes fsck."""
     store_dir = tmp_path / "store"
     boot(store_dir).shutdown(drain=True)
     rewrite_as_graph_index_store(store_dir)
-    assert fsck("--strict", store_dir)[0] == 0
+    assert fsck(store_dir)[0] == 0
 
     queries = ["tariff impact by supplier", "purchase orders", "supplier contact details"]
     warm, cold = boot(store_dir), PneumaService(build_procurement_lake(), max_workers=1)
@@ -191,7 +195,7 @@ def test_graph_index_store_warm_starts_and_verifies(tmp_path, fsck):
     finally:
         warm.shutdown(drain=True)
         cold.shutdown()
-    assert fsck("--strict", store_dir)[0] == 0
+    assert fsck(store_dir)[0] == 0
 
 
 def test_corrupt_graph_index_segment_is_rebuilt_as_a_matrix(tmp_path, fsck):
@@ -205,7 +209,7 @@ def test_corrupt_graph_index_segment_is_rebuilt_as_a_matrix(tmp_path, fsck):
     blob = bytearray(victim.read_bytes())
     blob[-40] ^= 0xFF
     victim.write_bytes(bytes(blob))
-    assert fsck("--strict", store_dir)[0] == 1
+    assert fsck(store_dir)[0] == 1
 
     warm = boot(store_dir)
     try:
@@ -215,4 +219,4 @@ def test_corrupt_graph_index_segment_is_rebuilt_as_a_matrix(tmp_path, fsck):
         warm.shutdown(drain=True)
     (healed,) = (store_dir / "segments").glob("hnsw-*.seg")
     assert sorted(read_segment(healed).arrays) == ["keys_bytes", "keys_offsets", "matrix"]
-    assert fsck("--strict", store_dir)[0] == 0
+    assert fsck(store_dir)[0] == 0

@@ -92,11 +92,3 @@ class TestCorruption:
         self._flip(path, len(path.read_bytes()) - 3)
         report = verify_segment(path)
         assert not report["ok"] and report["reason"]
-
-    def test_skip_verify_defers_payload_check(self, tmp_path, arrays):
-        path = self._segment(tmp_path, arrays)
-        self._flip(path, len(path.read_bytes()) - 3)
-        # verify=False trusts the payload (header still checked) — the
-        # store never does this for serving, only tooling may.
-        segment = read_segment(path, verify=False)
-        assert segment.meta == {}

@@ -1,4 +1,4 @@
-"""IndexStore: publish/load, recovery classification, quarantine, fsck."""
+"""IndexStore: publish/load, recovery classification, quarantine; and fsck."""
 
 import json
 import sys
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.retriever.index import HybridIndex
-from repro.storage import IndexStore
+from repro.storage import IndexStore, fsck
 
 DOCS = [
     (f"doc{i}", f"table about {'finance tariffs' if i % 3 else 'supplier orders'} row {i}")
@@ -108,6 +108,8 @@ class TestUnreadableManifest:
         manifest = root / "MANIFEST.json"
         blob = manifest.read_bytes()
         manifest.write_bytes(blob[: len(blob) // 2])
+        report = fsck(root)
+        assert not report["ok"] and report["manifest"].startswith("unreadable")
 
         store = IndexStore(root)
         assert store.open_mode == "recovered"
@@ -115,14 +117,55 @@ class TestUnreadableManifest:
         assert store.stats()["quarantined_total"] == 1
         assert (store.quarantine_dir / "MANIFEST.json").read_bytes() == blob[: len(blob) // 2]
         assert store.load_index() is None  # the caller cold-builds
-        report = store.fsck()
-        assert not report["ok"] and report["manifest"].startswith("unreadable")
+        # The damage is contained: what is left on disk verifies.
+        assert fsck(root)["ok"] and fsck(root)["quarantined"] == ["MANIFEST.json"]
 
         # The cold build's publish heals the directory for the next open.
         store.publish(frozen_index())
         healed = IndexStore(root)
-        assert healed.fsck()["ok"]
+        assert fsck(root)["ok"]
         assert results(healed.load_index()) == results(frozen_index())
+
+    def test_a_second_quarantine_keeps_the_first(self, root):
+        """Quarantine is evidence: a damaged manifest quarantined by one
+        open survives the next damaged manifest of the same name."""
+        store = IndexStore(root)
+        store.publish(frozen_index())
+        store.checkpoint(clean=True)
+        manifest, damaged = root / "MANIFEST.json", []
+        for _ in range(2):
+            blob = manifest.read_bytes()
+            damaged.append(blob[: len(blob) // 2])
+            manifest.write_bytes(damaged[-1])
+            assert IndexStore(root).quarantined_files == ["MANIFEST.json"]
+        kept = ["MANIFEST.json", "MANIFEST.json.1"]
+        assert [(root / "quarantine" / name).read_bytes() for name in kept] == damaged
+        assert fsck(root)["quarantined"] == kept
+
+
+class TestRetiredWal:
+    """A ``wal.log`` a version from before the WAL was retired left behind
+    is never read: the open quarantines it and still serves the snapshot."""
+
+    def test_leftover_wal_is_quarantined_unread(self, root):
+        store = IndexStore(root)
+        store.publish(frozen_index())
+        store.checkpoint(clean=True)
+        # Any bytes do: nothing parses them.
+        (root / "wal.log").write_bytes(b"\x2a\x00\x00\x00 records of a retired format")
+        report = fsck(root)
+        assert not report["ok"] and report["wal"].startswith("present")
+
+        store = IndexStore(root)
+        assert store.open_mode == "recovered"
+        assert store.quarantined_files == ["wal.log"]
+        assert store.stats()["quarantined_total"] == 1
+        assert not (root / "wal.log").exists()
+        assert results(store.load_index()) == results(frozen_index())
+        report = fsck(root)
+        assert report["ok"] and report["quarantined"] == ["wal.log"]
+        store.checkpoint(clean=True)
+        assert IndexStore(root).open_mode == "clean"
 
 
 class TestQuarantine:
@@ -152,7 +195,7 @@ class TestQuarantine:
         assert results(index) == results(frozen_index())
         # The repair republished: durable state is healed.
         assert store.state.generation == 2
-        assert store.fsck()["ok"]
+        assert fsck(root)["ok"]
         # The next open verifies clean — no rebuild, no quarantine.
         store = IndexStore(root)
         store.load_index()
@@ -185,7 +228,7 @@ class TestFsck:
     def test_detects_manifest_digest_mismatch(self, root):
         store = IndexStore(root)
         store.publish(frozen_index())
-        assert store.fsck()["ok"]
+        assert fsck(root)["ok"]
         # Swap in a *valid* segment that doesn't match the manifest.
         other = HybridIndex(dim=48)
         other.add_batch([("x", "totally different corpus")])
@@ -194,7 +237,7 @@ class TestFsck:
 
         target = store._segment_path("bm25")
         write_bm25_segment(target, other.bm25)
-        report = store.fsck()
+        report = fsck(root)
         assert not report["ok"]
         bad = [s for s in report["segments"] if s["kind"] == "bm25"][0]
         assert "manifest" in bad["reason"]
@@ -265,7 +308,7 @@ class TestConcurrentWrites:
         assert not any(worker.is_alive() for worker in workers)
         assert errors == []
         reopened = IndexStore(root)
-        assert reopened.state.generation == 1 and reopened.fsck()["ok"]
+        assert reopened.state.generation == 1 and fsck(root)["ok"]
         assert len(reopened.knowledge_records()) == 6 * 20
 
 

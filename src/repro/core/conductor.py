@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 
 from ..ir.system import IRSystem
 from ..llm.clock import TOOL_CALL_SECONDS
-from ..llm.prompts import parse_response, render_prompt
+from ..llm.prompts import parse_response, render_prompt, render_section
 from ..llm.rule_llm import RuleLLM
 from ..obs import trace as obs
 from .actions import (
@@ -74,6 +74,10 @@ class Conductor:
         self.last_result_view: Optional[Any] = None
         self.last_error: str = ""
         self._plans: Dict[str, Any] = {}
+        #: ``render_section(list(self.docs.values()))``, rendered by the
+        #: first prompt after a retrieval and sent by every later one; the
+        #: ``Retrieve`` branch clears it, as it is the one writer of ``docs``.
+        self._retrieved_body: Optional[str] = None
 
     # ------------------------------------------------------------------
     def handle_turn(self, user_message: str) -> TurnLog:
@@ -110,11 +114,13 @@ class Conductor:
 
     # ------------------------------------------------------------------
     def _render(self, user_message: str, actions_taken: List[str], force: bool) -> str:
+        if self._retrieved_body is None:
+            self._retrieved_body = render_section(list(self.docs.values()))
         sections: Dict[str, Any] = {
             "USER_MESSAGE": user_message,
             "INTENT": " ".join(self.user_messages),
             "STATE": self.state.to_json(),
-            "RETRIEVED": list(self.docs.values()),
+            "RETRIEVED": self._retrieved_body,
             "GROUNDED": self.grounded,
             "ACTIONS": actions_taken,
             "TOOLS": "retrieve | ground_values | update_state | materialize | execute_sql | message_user",
@@ -148,6 +154,7 @@ class Conductor:
             if result.degraded:
                 log.degraded = True
             self.llm.clock.tick(TOOL_CALL_SECONDS)
+            self._retrieved_body = None
             for doc in result.documents:
                 self.docs[doc.doc_id] = doc.to_json()
             return None

@@ -13,7 +13,10 @@ would sit behind.  Prompts are section-structured::
 
 ``render_prompt``/``parse_prompt`` define that format; JSON payloads ride
 inside sections.  The offline :class:`~repro.llm.rule_llm.RuleLLM` parses
-the sections back out; a hosted model would read the same text.
+the sections back out; a hosted model would read the same text.  A body
+line that would read as a section marker (a user message may carry a
+``"## "`` heading) is escaped with one more leading backslash on render
+and unescaped on parse, so no body can open a section.
 """
 
 from __future__ import annotations
@@ -28,22 +31,48 @@ class PromptFormatError(ValueError):
     """Raised when a prompt or response does not follow the protocol."""
 
 
+def render_section(value: Any) -> str:
+    """The body text of one prompt section, before marker escaping.
+
+    Strings are kept verbatim; anything else becomes JSON with sorted keys,
+    so the rendering — and therefore token accounting — is deterministic.
+    :func:`render_prompt` renders every body here, and a caller that
+    renders a body ahead of time (the Conductor's ``RETRIEVED`` memo) calls
+    it too and passes the string, so both follow one convention.
+    """
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True, default=str)
+
+
+def _reads_as_marker(line: str) -> bool:
+    """Whether ``line`` is the marker behind zero or more backslashes: the
+    lines render escapes with one more backslash and parse unescapes."""
+    return line.lstrip("\\").startswith(SECTION_MARKER)
+
+
+def _escape(body: str) -> str:
+    if SECTION_MARKER not in body:
+        return body
+    return "\n".join("\\" + line if _reads_as_marker(line) else line for line in body.split("\n"))
+
+
 def render_prompt(role: str, sections: Mapping[str, Any]) -> str:
     """Render a role plus named sections into the prompt wire format.
 
-    Non-string section values are serialized as JSON (sorted keys, so the
-    rendering — and therefore token accounting — is deterministic).
+    Section bodies go through :func:`render_section`; a body line that
+    starts with the section marker is escaped so :func:`parse_prompt` reads
+    it back as body text.
     """
     if not role or "\n" in role:
         raise PromptFormatError(f"invalid role: {role!r}")
-    lines = [f"{SECTION_MARKER}ROLE", role]
+    lines = [f"{SECTION_MARKER}ROLE", _escape(role)]
     for name, value in sections.items():
+        if not name or "\n" in name:
+            raise PromptFormatError(f"invalid section name: {name!r}")
         upper = name.upper()
         if upper == "ROLE":
             raise PromptFormatError("section name ROLE is reserved")
-        body = value if isinstance(value, str) else json.dumps(value, sort_keys=True, default=str)
         lines.append(f"{SECTION_MARKER}{upper}")
-        lines.append(body)
+        lines.append(_escape(render_section(value)))
     return "\n".join(lines)
 
 
@@ -58,6 +87,8 @@ def parse_prompt(prompt: str) -> Tuple[str, Dict[str, str]]:
                 sections[current] = "\n".join(buffer).strip()
             current = line[len(SECTION_MARKER) :].strip().upper()
             buffer = []
+        elif line.startswith("\\") and _reads_as_marker(line):
+            buffer.append(line[1:])
         else:
             buffer.append(line)
     if current is not None:

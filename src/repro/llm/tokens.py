@@ -2,14 +2,23 @@
 
 The paper's Table 2 reports average input/output tokens per interaction and
 the implied cost across model price points.  We meter every prompt and
-response that crosses the LLM boundary with a deterministic tokenizer
-approximation (≈ GPT-style BPE: max(words·4/3, chars/4))."""
+response that crosses the LLM boundary with a deterministic BPE-style
+approximation: one token per piece — a run of ASCII letters, a group of up
+to four digits, or one character that is neither a word character nor
+whitespace — plus ``(len - 1) // 4`` subword tokens for each run of seven or
+more ASCII letters, and at least one token for any non-empty text.
+
+No piece contains a newline, so the count of a text is the sum of its
+lines' counts (then the floor of one).  A Conductor turn re-sends the same
+retrieved documents on every call, so lines repeat within a turn, and
+:func:`count_tokens` counts each distinct line once from a small cache."""
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 _PIECE_RE = re.compile(r"[A-Za-z]+|\d{1,4}|[^\w\s]")
@@ -28,9 +37,16 @@ def count_tokens(text: str) -> int:
     """
     if not text:
         return 0
-    pieces = len(_PIECE_RE.findall(text))
-    extra = sum((len(word) - 1) // 4 for word in _LONG_WORD_RE.findall(text))
-    return max(pieces + extra, 1)
+    return max(sum(map(_line_tokens, text.split("\n"))), 1)
+
+
+#: One turn's working set: a conductor prompt is ~20 lines and the
+#: materializer's repeats its largest one.  Keyed by the whole line, so a
+#: hit is an equal string.
+@lru_cache(maxsize=32)
+def _line_tokens(line: str) -> int:
+    pieces = len(_PIECE_RE.findall(line))
+    return pieces + sum((len(word) - 1) // 4 for word in _LONG_WORD_RE.findall(line))
 
 
 @dataclass(frozen=True)

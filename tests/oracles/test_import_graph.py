@@ -94,6 +94,31 @@ def test_build_kernels_have_no_scalar_twin_in_src():
         assert "_hash_feature" not in path.read_text(), path  # the per-feature scalar hash
 
 
+def test_token_metering_has_one_formula_in_src():
+    """``src/`` meters with ``llm/tokens.py`` alone: the two-pass oracle is
+    imported from nowhere in it, and the two piece regexes are compiled
+    once, at module level, in that one module."""
+    for path in sorted(SRC.rglob("*.py")):
+        assert "token_count" not in path.read_text(), path
+    tree = ast.parse((SRC / "llm" / "tokens.py").read_text())
+    regex_calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", "") == "re"
+    ]
+    module_level = [node.value for node in tree.body if isinstance(node, ast.Assign)]
+    assert [node.func.attr for node in regex_calls] == ["compile", "compile"]
+    assert all(node in module_level for node in regex_calls)
+    from repro.llm import tokens as module
+
+    assert [module._PIECE_RE.pattern, module._LONG_WORD_RE.pattern] == [
+        r"[A-Za-z]+|\d{1,4}|[^\w\s]",
+        r"[A-Za-z]{7,}",
+    ]
+
+
 def test_the_vector_half_is_one_exact_scan():
     """No graph index is left under ``ann/``: ``hnsw.py`` only re-exports
     the exact index under the name the turn-budget benchmark imports."""

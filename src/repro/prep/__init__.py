@@ -13,8 +13,8 @@ The paper's "automate discovery, guide preparation" made concrete:
 from .align import AlignmentCompiler, AlignmentError, JoinEdge, PreparationPlan
 from .discovery import JoinCandidate, discover_join_candidates
 from .pipeline import PreparationPipeline
-from .profile import ColumnProfile, TableProfile, profile_table
-from .sketches import ColumnSketch, encode_values
+from .profile import ColumnProfile, TableProfile, profile_tables
+from .sketches import ColumnSketch
 from .store import ProfileStore
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "ProfileStore",
     "TableProfile",
     "discover_join_candidates",
-    "encode_values",
-    "profile_table",
+    "profile_tables",
 ]

@@ -3,7 +3,9 @@
 A :class:`TableProfile` is everything the preparation pipeline knows about
 a catalog table without re-reading it: per-column MinHash + HLL sketches
 (:mod:`repro.prep.sketches`) and cheap statistics (null fraction, distinct
-estimate, min/max).  Profiles are immutable once built; the versioned
+estimate, min/max).  :func:`profile_tables` profiles many tables at
+once: one scan per column, then one sketch pass over all their keys.
+Profiles are immutable once built; the versioned
 :class:`~repro.prep.store.ProfileStore` keeps one per live table.
 """
 
@@ -11,13 +13,22 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..relational.table import Table
 from ..relational.types import DataType
-from .sketches import ColumnSketch, encode_values, integral_mask, typed_array
+from .sketches import (
+    ColumnSketch,
+    day_keys,
+    integral_mask,
+    number_keys,
+    sketch_columns,
+    text_keys,
+    typed_array,
+)
 
 #: Column-type families that are meaningfully sketch-comparable: a join
 #: between a DATE and a TEXT column is noise even when hashes collide.
@@ -70,64 +81,109 @@ class TableProfile:
         return list(self.columns.values())
 
 
-def _min_max(
-    non_null: List[Any],
-    arr: Optional[np.ndarray],
-) -> Tuple[Optional[Any], Optional[Any]]:
-    """Min/max over non-null values; mixed uncomparable columns yield None.
+#: The raw keys of a column that keys nothing.
+_NO_KEYS = np.empty(0, dtype=np.uint64)
 
-    ``arr`` is the column's shared :func:`typed_array` view (or None);
-    numeric columns reduce on it, everything else — including dates,
-    whose typed view is epoch-days rather than the values themselves —
-    falls back to python's min/max.
-    """
-    if not non_null:
-        return None, None
-    if arr is not None and not isinstance(non_null[0], datetime.date):
-        kind = arr.dtype.kind
-        if kind == "f":
-            finite = arr[~np.isnan(arr)]
-            if not finite.size:
-                return None, None
-            return finite.min().item(), finite.max().item()
-        if kind in "biu":
-            return arr.min().item(), arr.max().item()
+
+def _python_min_max(values: Collection[Any]) -> Tuple[Optional[Any], Optional[Any]]:
+    """Python's min/max over non-null values; None, None for a column
+    whose values do not compare (a date beside a string, say)."""
     try:
-        return min(non_null), max(non_null)
+        return min(values), max(values)
     except TypeError:
         return None, None
 
 
-def profile_column(table: Table, name: str, k: int = 256, p: int = 10) -> ColumnProfile:
-    values = table.column_values(name)
-    non_null = [v for v in values if v is not None]
-    arr = typed_array(non_null)
-    keys = encode_values(non_null, prefiltered=True, typed=arr)
-    sketch = ColumnSketch.from_keys(
-        keys, k=k, p=p, total=len(values), nulls=len(values) - len(non_null)
-    )
-    minimum, maximum = _min_max(non_null, arr)
-    fractional = bool(
-        arr is not None and arr.dtype.kind == "f" and not integral_mask(arr[~np.isnan(arr)]).all()
-    )
-    return ColumnProfile(
-        table=table.name,
-        name=table.schema.column(name).name,
-        dtype=table.schema.column(name).dtype,
-        sketch=sketch,
-        count=sketch.total,
-        nulls=sketch.nulls,
-        distinct_estimate=sketch.cardinality(),
-        minimum=minimum,
-        maximum=maximum,
-        fractional=fractional,
-    )
+def _is_date(value: Any) -> bool:
+    return isinstance(value, datetime.date) and not isinstance(value, datetime.datetime)
 
 
-def profile_table(table: Table, k: int = 256, p: int = 10) -> TableProfile:
-    """Profile every column of ``table`` (one shared columnar pass)."""
-    table.as_columns()  # memoized pivot: every column read below is O(1)
-    profile = TableProfile(name=table.name, row_count=table.num_rows)
-    for column in table.schema:
-        profile.columns[column.name.lower()] = profile_column(table, column.name, k=k, p=p)
-    return profile
+def _scan(values: List[Any]) -> Tuple[np.ndarray, int, Any, Any, bool]:
+    """``(raw keys, nulls, minimum, maximum, fractional)`` of one column.
+
+    An all-``str`` or all-``date`` column pays its per-value Python (the
+    CRC, the ordinal) once per distinct value; every other column takes
+    :func:`_scan_typed`.  Only ``None`` is a null: a float NaN is counted
+    in the total but neither null nor keyed.
+    """
+    first = next((v for v in values if v is not None), None)
+    if first is None:
+        return _NO_KEYS, len(values), None, None, False
+    if isinstance(first, str) or _is_date(first):
+        distinct = set(values)
+        nulls = values.count(None) if None in distinct else 0
+        distinct.discard(None)
+        if isinstance(first, str) and all(map(isinstance, distinct, repeat(str))):
+            return text_keys(distinct), nulls, min(distinct), max(distinct), False
+        if _is_date(first) and all(map(isinstance, distinct, repeat(datetime.date))):
+            return day_keys(distinct), nulls, *_python_min_max(distinct), False
+    # A date beside a value that is not one is a mixed column.
+    return _scan_typed(values, mixed=_is_date(first))
+
+
+def _scan_typed(values: List[Any], mixed: bool) -> Tuple[np.ndarray, int, Any, Any, bool]:
+    """:func:`_scan` of a column through its :func:`typed_array` view, or
+    by each value's ``repr`` when no one dtype holds it (``mixed``)."""
+    arr = None if mixed else typed_array(values)
+    # numpy holds a None only in an object array, which typed_array refuses.
+    nulls = 0 if arr is not None else values.count(None)
+    non_null = [v for v in values if v is not None] if nulls else values
+    if nulls and not mixed:
+        arr = typed_array(non_null)
+    if arr is None:
+        return text_keys({repr(v) for v in non_null}), nulls, *_python_min_max(non_null), False
+    kind = arr.dtype.kind
+    if kind == "U":
+        return text_keys(set(arr.tolist())), nulls, *_python_min_max(non_null), False
+    if kind == "f":
+        arr = arr[~np.isnan(arr)]
+        if not arr.size:
+            return _NO_KEYS, nulls, None, None, False
+        integral = integral_mask(arr)
+        fractional = not integral.all()
+        return number_keys(arr, integral), nulls, arr.min().item(), arr.max().item(), fractional
+    return number_keys(arr), nulls, arr.min().item(), arr.max().item(), False
+
+
+def profile_tables(tables: Sequence[Table], k: int = 256, p: int = 10) -> List[TableProfile]:
+    """Profile every column of ``tables`` with one sketch pass over them all.
+
+    Each column is scanned once for its raw keys and statistics, straight
+    from the table's memoized column view, and its keys stream into
+    :func:`sketch_columns`; a column's sketch rows are views of the
+    pass's signature and register matrices.
+    """
+    scans: List[Tuple[int, int, Any, Any, bool]] = []
+
+    def keys() -> Iterator[np.ndarray]:
+        for table in tables:
+            for values in table.as_columns():
+                raw, nulls, minimum, maximum, fractional = _scan(values)
+                scans.append((len(values), nulls, minimum, maximum, fractional))
+                yield raw
+
+    n = sum(len(table.schema) for table in tables)
+    signatures, registers, estimates = sketch_columns(keys(), n, k=k, p=p)
+    profiles: List[TableProfile] = []
+    row = 0
+    for table in tables:
+        profile = TableProfile(name=table.name, row_count=table.num_rows)
+        for column in table.schema:
+            total, nulls, minimum, maximum, fractional = scans[row]
+            profile.columns[column.name.lower()] = ColumnProfile(
+                table=table.name,
+                name=column.name,
+                dtype=column.dtype,
+                sketch=ColumnSketch(
+                    signature=signatures[row], registers=registers[row], total=total, nulls=nulls
+                ),
+                count=total,
+                nulls=nulls,
+                distinct_estimate=estimates[row],
+                minimum=minimum,
+                maximum=maximum,
+                fractional=fractional,
+            )
+            row += 1
+        profiles.append(profile)
+    return profiles

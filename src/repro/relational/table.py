@@ -241,13 +241,15 @@ class TableCache:
     """One derived value per table name, rebuilt when the table's content
     fingerprint changes.
 
-    ``get(table)`` returns the kept value when the name's entry was built
-    from equal content (same object or not) and otherwise calls ``build``
-    and replaces the entry, so the cache holds one entry per live table
-    name.  Thread-safe; ``misses`` counts the values built.
+    ``get_many(tables)`` returns the kept value of each table whose name's
+    entry was built from equal content (same object or not), builds the
+    values of all the others with one ``build`` call (a list of tables in,
+    their values in the same order out) and replaces their entries, so
+    the cache holds one entry per live table name.  Thread-safe; ``hits``
+    and ``misses`` count tables, and ``misses`` counts the values built.
     """
 
-    def __init__(self, build: Callable[[Table], Any]) -> None:
+    def __init__(self, build: Callable[[List[Table]], List[Any]]) -> None:
         self._build = build
         self._entries: Dict[str, Tuple[Tuple[str, int], Any]] = {}
         self._lock = threading.Lock()
@@ -255,17 +257,28 @@ class TableCache:
         self.misses = 0
 
     def get(self, table: Table) -> Any:
-        fingerprint = table.fingerprint()
+        return self.get_many([table])[0]
+
+    def get_many(self, tables: Sequence[Table]) -> List[Any]:
+        fingerprints = [table.fingerprint() for table in tables]
+        values: List[Any] = [None] * len(tables)
+        missed: List[int] = []
         with self._lock:
-            entry = self._entries.get(table.name)
-            if entry is not None and entry[0] == fingerprint:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-        value = self._build(table)
-        with self._lock:
-            self._entries[table.name] = (fingerprint, value)
-        return value
+            for i, (table, fingerprint) in enumerate(zip(tables, fingerprints)):
+                entry = self._entries.get(table.name)
+                if entry is not None and entry[0] == fingerprint:
+                    self.hits += 1
+                    values[i] = entry[1]
+                else:
+                    self.misses += 1
+                    missed.append(i)
+        if missed:
+            built = self._build([tables[i] for i in missed])
+            with self._lock:
+                for i, value in zip(missed, built):
+                    self._entries[tables[i].name] = (fingerprints[i], value)
+                    values[i] = value
+        return values
 
     def seed(self, table: Table, value: Any) -> None:
         """Keep ``value`` as ``table``'s entry without building it: one

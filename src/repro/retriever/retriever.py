@@ -68,7 +68,7 @@ class PneumaRetriever:
         self.database = database
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
         #: One payload per table content, shared read-only by every hit.
-        self.payloads = TableCache(lambda table: table_payload(table, sample_rows))
+        self.payloads = TableCache(lambda tables: [table_payload(t, sample_rows) for t in tables])
         # A warm start (storage layer) injects an index hydrated from a
         # snapshot of exactly this catalog: it holds every table's narration,
         # and the construction-time reindex below finds nothing to add.

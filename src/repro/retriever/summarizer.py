@@ -24,7 +24,7 @@ class NarrationCache(TableCache):
     """
 
     def __init__(self) -> None:
-        super().__init__(narrate_table)
+        super().__init__(lambda tables: [narrate_table(table) for table in tables])
 
     narrate = TableCache.get
 

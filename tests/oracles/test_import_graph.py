@@ -94,6 +94,29 @@ def test_build_kernels_have_no_scalar_twin_in_src():
         assert "_hash_feature" not in path.read_text(), path  # the per-feature scalar hash
 
 
+def test_profiling_has_one_kernel_in_src():
+    """A catalog is profiled by one block kernel: the column-at-a-time
+    bodies it replaced live on as ``tests/oracles/profile_columnwise.py``
+    only, and nothing in ``src/`` imports or defines them."""
+    columnwise = {
+        "profile_column",
+        "profile_table",
+        "from_keys",
+        "encode_values",
+        "_bit_length_u64",
+        "cardinality",
+    }
+    for path in sorted(SRC.rglob("*.py")):
+        for name in imported_modules(path):
+            assert "profile_columnwise" not in name, f"{path}: imports {name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name not in columnwise, f"{path}:{node.lineno}: defines {node.name}"
+    import repro.prep
+
+    assert not columnwise & set(repro.prep.__all__)
+
+
 def test_token_metering_has_one_formula_in_src():
     """``src/`` meters with ``llm/tokens.py`` alone: the two-pass oracle is
     imported from nowhere in it, and the two piece regexes are compiled

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.generator import build_planted_catalog
-from repro.prep import ProfileStore, discover_join_candidates, discovery
+from repro.prep import ProfileStore, discover_join_candidates, discovery, profile_tables
 from repro.prep.profile import ColumnProfile, TableProfile
-from repro.prep.sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures, encode_values
+from repro.prep.sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures
+from repro.relational import Table
 from repro.relational.types import DataType
 from tests.oracles.discovery_slotwise import (
     dense_signature_single,
@@ -28,7 +29,7 @@ DTYPES = (DataType.INTEGER, DataType.TEXT, DataType.DATE, DataType.NULL)
 
 def sketch_from(values) -> ColumnSketch:
     """The sketch of a column holding ``values``."""
-    return ColumnSketch.from_keys(encode_values(values))
+    return profile_tables([Table.from_columns("t", {"c": values})])[0].columns["c"].sketch
 
 
 def sketch_of(cells) -> ColumnSketch:

@@ -6,7 +6,7 @@ the bands the discovery thresholds were tuned against (k=256 MinHash:
 sigma ~= 0.03 on Jaccard; p=10 HLL: sigma ~= 3.2% on cardinality).
 Pairwise estimates are read where production computes them, from
 ``discover_join_candidates`` (at ``min_containment=0.0``, so every
-overlapping pair is reported); cardinalities from ``profile_column``.
+overlapping pair is reported); cardinalities from ``profile_tables``.
 """
 
 import datetime
@@ -14,8 +14,7 @@ import random
 
 import pytest
 
-from repro.prep import ColumnSketch, discover_join_candidates, encode_values, profile_table
-from repro.prep.profile import profile_column
+from repro.prep import discover_join_candidates, profile_tables
 from repro.relational import Table
 from tests.oracles.exact_sets import exact_containment, exact_jaccard
 
@@ -56,17 +55,16 @@ def as_type(values, kind):
     raise AssertionError(kind)
 
 
-def column(values):
-    return Table.from_columns("t", {"c": values})
+def profile(values):
+    """The profile of column ``c`` of a one-column table holding ``values``."""
+    return profile_tables([Table.from_columns("t", {"c": values})])[0].columns["c"]
 
 
 def estimate(a, b):
     """Discovery's ``(jaccard, containment of a in b)`` for two one-column
     tables; ``(0.0, 0.0)`` when the columns share no signature slot."""
-    profiles = {
-        name: profile_table(Table.from_columns(name, {"c": values}))
-        for name, values in (("a", a), ("b", b))
-    }
+    tables = [Table.from_columns(name, {"c": values}) for name, values in (("a", a), ("b", b))]
+    profiles = {profile.name: profile for profile in profile_tables(tables)}
     for candidate in discover_join_candidates(profiles, min_containment=0.0):
         if candidate.left_table == "a":
             return candidate.jaccard, candidate.containment
@@ -121,15 +119,13 @@ class TestCardinality:
     @pytest.mark.parametrize("seed", [2, 19])
     def test_distinct_estimate(self, n, seed):
         values = int_universe(n, seed)
-        sketch = profile_column(column(values), "c").sketch
-        assert sketch.cardinality() == pytest.approx(
+        assert profile(values).distinct_estimate == pytest.approx(
             len(set(values)), rel=CARDINALITY_REL_TOL
         )
 
     def test_duplicates_do_not_inflate(self):
         values = [v % 50 for v in range(5_000)]
-        sketch = profile_column(column(values), "c").sketch
-        assert sketch.cardinality() == pytest.approx(50, rel=CARDINALITY_REL_TOL)
+        assert profile(values).distinct_estimate == pytest.approx(50, rel=CARDINALITY_REL_TOL)
 
 
 class TestDeterminismAndEdges:
@@ -137,8 +133,8 @@ class TestDeterminismAndEdges:
         values = int_universe(1_000, 41)
         shuffled = list(values)
         random.Random(99).shuffle(shuffled)
-        sa = profile_column(column(values), "c").sketch
-        sb = profile_column(column(shuffled), "c").sketch
+        sa = profile(values).sketch
+        sb = profile(shuffled).sketch
         assert (sa.signature == sb.signature).all()
         assert (sa.registers == sb.registers).all()
 
@@ -148,24 +144,29 @@ class TestDeterminismAndEdges:
         assert estimate(ints, floats)[0] == 1.0
 
     def test_nulls_counted_not_sketched(self):
-        sketch = profile_column(column([1, None, 2, None, 3]), "c").sketch
-        assert sketch.total == 5
-        assert sketch.nulls == 2
-        assert sketch.cardinality() == pytest.approx(3, rel=CARDINALITY_REL_TOL)
+        column = profile([1, None, 2, None, 3])
+        assert column.sketch.total == 5
+        assert column.sketch.nulls == 2
+        assert column.distinct_estimate == pytest.approx(3, rel=CARDINALITY_REL_TOL)
+
+    def test_nan_is_counted_but_neither_null_nor_keyed(self):
+        column = profile([1.5, float("nan"), None])
+        assert (column.count, column.nulls) == (3, 1)
+        assert column.distinct_estimate == profile([1.5]).distinct_estimate
+        assert (column.minimum, column.maximum) == (1.5, 1.5)
 
     def test_all_null_column_is_empty(self):
-        sketch = profile_column(column([None, None]), "c").sketch
-        assert sketch.is_empty()
-        assert sketch.cardinality() == 0.0
+        column = profile([None, None])
+        assert column.sketch.is_empty()
+        assert column.distinct_estimate == 0.0
         assert estimate([None, None], [1, 2, 3]) == (0.0, 0.0)
 
     def test_mixed_type_column_falls_back(self):
-        keys = encode_values([1, "one", datetime.date(2024, 1, 1), 2.5, None])
-        sketch = ColumnSketch.from_keys(keys)
-        assert sketch.cardinality() == pytest.approx(4, rel=0.3)
+        column = profile([1, "one", datetime.date(2024, 1, 1), 2.5, None])
+        assert column.distinct_estimate == pytest.approx(4, rel=0.3)
 
-    def test_encode_values_sorted_and_deterministic(self):
-        keys = encode_values([3, 1, 2, None, 2])
-        assert (keys[:-1] <= keys[1:]).all()
-        again = encode_values([2, None, 1, 3, 2])
-        assert set(keys.tolist()) == set(again.tolist())
+    def test_sketch_is_deterministic_across_orders_and_nulls(self):
+        first = profile([3, 1, 2, None, 2]).sketch
+        again = profile([2, None, 1, 3, 2]).sketch
+        assert first.signature.tolist() == again.signature.tolist()
+        assert first.registers.tolist() == again.registers.tolist()

@@ -1,4 +1,5 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for the paper's design choices (PAPER.md) and the retriever's
+hybrid index (README, "The retrieval kernel").
 
 1. Dynamic vs static pipeline (§3.5, §5.1): the fixed-sequence prototype
    against the full Conductor loop — dynamic orchestration must win.

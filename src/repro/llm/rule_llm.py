@@ -3,7 +3,8 @@
 :class:`RuleLLM` sits behind the same boundary a hosted LLM would: callers
 render prompt *strings* (:mod:`repro.llm.prompts`) and parse text responses.
 Internally a registry of role-specific :class:`Policy` objects produces the
-responses — the reproduction's substitute for O4-mini/GPT-4o (DESIGN.md §2).
+responses — the reproduction's substitute for O4-mini/GPT-4o (README, opening
+paragraph).
 Every call is metered (tokens, virtual latency) and checked against the
 context window, so Table 2 and the §4.2 context-overflow behaviour are
 reproduced mechanically.

@@ -4,7 +4,6 @@ from .bm25 import BM25Hit, BM25Index
 from .embedding import CachedEmbedder, HashingEmbedder
 from .tokenize import (
     STOPWORDS,
-    char_ngrams_cached,
     stem,
     stem_vocabulary_stats,
     token_cache_stats,
@@ -19,7 +18,6 @@ __all__ = [
     "CachedEmbedder",
     "tokenize",
     "tokenize_cached",
-    "char_ngrams_cached",
     "token_cache_stats",
     "stem_vocabulary_stats",
     "stem",

@@ -15,15 +15,19 @@ Layout (the PR-2 plan/compile approach applied to retrieval):
 * each term's postings live in parallel numpy arrays in slot order —
   ``int32`` slots, ``float32`` tfs — plus a precomputed ``float64``
   per-posting score contribution (IDF and the ``k1*(1-b+b*len/avg)``
-  length normalization are corpus-level constants between adds, cached
-  under a version counter, as is each slot's doc_id rank);
+  length normalization are corpus-level constants between adds, compiled
+  with the postings, as is each slot's doc_id rank);
 * a query adds every term's contributions, in sorted-term order, into a
   fresh dense ``float64`` array (so a frozen index is searched lock-free
   by any number of threads), takes the k-th score with one partition,
   and orders the survivors by ``(-score, doc_id rank)`` with one
   ``lexsort``;
-* :meth:`compile` — the freeze-time step — materializes every term's
-  arrays up front, which search otherwise builds lazily per queried term.
+* :meth:`compile` — the freeze-time step — builds every term's postings
+  in one pass as one CSR structure (sorted terms, ``offsets``, flat
+  ``slots`` / ``tfs`` / ``contrib``, per-term ``idf``), which is also
+  what :meth:`export_compiled` writes and :meth:`hydrate_compiled`
+  reads back; a term's postings are views into it.  An add invalidates
+  it, and a search of an uncompiled index compiles first.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tokenize import tokenize, tokenize_cached
+from .tokenize import tokenize_cached
 
 
 @dataclass
@@ -44,14 +49,42 @@ class BM25Hit:
     score: float
 
 
-@dataclass
-class _TermEntry:
-    """One term's postings as parallel arrays, in slot order."""
+class _Postings:
+    """Every term's postings as one CSR structure, plus the per-slot
+    corpus statistics they were computed under.
 
-    slots: np.ndarray  # int32 doc slots
-    tfs: np.ndarray  # float32 term frequencies, parallel to ``slots``
-    contrib: np.ndarray  # float64 per-posting score contribution
-    idf: float
+    Term ``terms[i]`` owns ``slots`` / ``tfs`` / ``contrib`` in
+    ``offsets[i]:offsets[i + 1]``; a built index keeps them in slot
+    order, and a hydrated one may hold any order within a term (each
+    slot appears once per term, so no sum depends on it).  A term's
+    ``(slots, contrib)`` views are memoized on first query.
+    """
+
+    __slots__ = ("terms", "rows", "idf", "offsets", "slots", "tfs", "contrib",
+                 "norm", "id_rank", "_views")
+
+    def __init__(self, terms, idf, offsets, slots, tfs, contrib, norm, id_rank):
+        self.terms: List[str] = terms
+        self.rows: Dict[str, int] = {term: i for i, term in enumerate(terms)}
+        self.idf = idf  # float64 per term
+        self.offsets = offsets  # int64, len(terms) + 1
+        self.slots = slots  # int32 doc slots
+        self.tfs = tfs  # float32 term frequencies, parallel to ``slots``
+        self.contrib = contrib  # float64 per-posting score contribution
+        self.norm = norm  # slot -> k1*(1-b+b*len/avg)
+        self.id_rank = id_rank  # slot -> rank of its doc_id
+        self._views: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def term(self, term: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(slots, contrib)`` of one term, or None for an unseen term."""
+        views = self._views.get(term)
+        if views is None:
+            row = self.rows.get(term)
+            if row is None:
+                return None
+            lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
+            views = self._views[term] = (self.slots[lo:hi], self.contrib[lo:hi])
+        return views
 
 
 def _check_k(k: int) -> None:
@@ -69,12 +102,10 @@ class BM25Index:
             raise ValueError(f"b must be in [0, 1], got {b}")
         self.k1 = k1
         self.b = b
-        # Lazy per-term hydration source: (term -> row, idf, CSR offsets,
-        # flat slots/tfs/contrib).  ``None`` on ordinary indexes; set, the
-        # index is search-only — the postings dicts were never rebuilt,
-        # like the frozen serving index the segment was written from.
-        self._seg: Optional[Tuple[Dict[str, int], np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray, np.ndarray]] = None
+        # Set on an index hydrated from a segment: it is search-only — the
+        # postings dicts were never rebuilt, like the frozen serving index
+        # the segment was written from.
+        self._hydrated = False
         # Doc interning: slot -> doc_id / length (a hydrated segment may
         # carry ``None`` holes: older stores recycled the slots of removed
         # documents).
@@ -84,13 +115,8 @@ class BM25Index:
         # Build-time postings: term -> {slot: tf}.
         self._postings: Dict[str, Dict[int, int]] = {}
         self._total_length = 0
-        # Corpus version counter: bumped per add, invalidates the per-term
-        # arrays, IDFs, the norm vector and the doc_id ranks.
-        self._version = 0
-        self._stats_version = -1
-        self._entries: Dict[str, _TermEntry] = {}
-        self._norm: Optional[np.ndarray] = None  # slot -> k1*(1-b+b*len/avg)
-        self._id_rank: Optional[np.ndarray] = None  # slot -> rank of its doc_id
+        # The compiled postings of the current corpus; an add drops them.
+        self._compiled: Optional[_Postings] = None
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -100,7 +126,8 @@ class BM25Index:
         self._check_mutable()
         if doc_id in self._doc_index:
             raise KeyError(f"document {doc_id!r} is already indexed")
-        tokens = tokenize(text)
+        # The embedder has just tokenized the same text through this memo.
+        tokens = tokenize_cached(text)
         slot = len(self._doc_ids)
         self._doc_ids.append(doc_id)
         self._doc_lengths.append(len(tokens))
@@ -108,7 +135,7 @@ class BM25Index:
         self._total_length += len(tokens)
         for term, tf in Counter(tokens).items():
             self._postings.setdefault(term, {})[slot] = tf
-        self._version += 1
+        self._compiled = None
 
     def add_batch(self, items: Sequence[Tuple[str, str]]) -> None:
         """Index many ``(doc_id, text)`` pairs in one call."""
@@ -116,7 +143,7 @@ class BM25Index:
             self.add(doc_id, text)
 
     def _check_mutable(self) -> None:
-        if self._seg is not None:
+        if self._hydrated:
             raise RuntimeError(
                 "this BM25Index was hydrated from a persistent segment and is "
                 "search-only; rebuild from source texts to add"
@@ -141,13 +168,52 @@ class BM25Index:
     # Compilation
     # ------------------------------------------------------------------
     def compile(self) -> "BM25Index":
-        """Freeze-time compile: materialize every term's postings arrays
-        now rather than per queried term.  Idempotent; an add invalidates
-        them (the next search rebuilds what it reads)."""
-        self._refresh_stats()
-        for term in self._postings:
-            self._term_entry(term)
+        """Freeze-time compile: build every term's postings now, in one
+        pass.  Idempotent; an add invalidates them."""
+        self._current()
         return self
+
+    def _current(self) -> _Postings:
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = self._compile_postings()
+        return compiled
+
+    def _compile_postings(self) -> _Postings:
+        """Every term's postings in sorted-term order, behind CSR offsets."""
+        terms = sorted(self._postings)
+        postings = [self._postings[term] for term in terms]
+        sizes = np.fromiter(map(len, postings), dtype=np.int64, count=len(terms))
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        total = int(offsets[-1])
+        # Slots were added in increasing order, so each term's are in slot order.
+        slots = np.fromiter(chain.from_iterable(postings), dtype=np.int32, count=total)
+        tfs = np.fromiter(
+            chain.from_iterable(map(dict.values, postings)), dtype=np.float32, count=total
+        )
+        n = len(self._doc_index)
+        idf = np.array(
+            [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in sizes.tolist()],
+            dtype=np.float64,
+        )
+        lengths = np.array(self._doc_lengths, dtype=np.float64)
+        if self._doc_index and self._total_length > 0:
+            avg_len = self._total_length / n
+            # Bit-identical to the scalar k1 * (1 - b + b * len / avg).
+            norm = self.k1 * (1.0 - self.b + self.b * lengths / avg_len)
+        else:
+            norm = np.full(lengths.shape, self.k1 * (1.0 - self.b))
+        tf64 = tfs.astype(np.float64)  # exact: tfs are small integers
+        # Same op order as the scalar idf * tf * (k1 + 1) / (tf + norm).
+        contrib = np.repeat(idf, sizes) * tf64 * (self.k1 + 1.0) / (tf64 + norm[slots])
+        return _Postings(terms, idf, offsets, slots, tfs, contrib, norm, self._rank_doc_ids())
+
+    def _rank_doc_ids(self) -> np.ndarray:
+        """slot -> rank of its doc_id among the live ones: the tie-break
+        as one int per slot (a hole ranks 0; it holds no postings)."""
+        rank = {doc_id: r for r, doc_id in enumerate(sorted(self._doc_index))}
+        return np.array([rank.get(doc_id, 0) for doc_id in self._doc_ids], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Persistence (the storage subsystem's segment codec drives these)
@@ -157,31 +223,13 @@ class BM25Index:
 
         Everything search needs, as parallel arrays: the interned doc
         table, the norm vector, and every term's postings concatenated in
-        sorted-term order behind a CSR ``offsets`` array.  Restoring these
-        bytes via :meth:`hydrate_compiled` yields an index whose rankings
-        are bit-identical (same contributions, same summation order, same
+        sorted-term order behind a CSR ``offsets`` array — the compiled
+        structure itself.  Restoring these bytes via
+        :meth:`hydrate_compiled` yields an index whose rankings are
+        bit-identical (same contributions, same summation order, same
         tie-breaks).  Compiles first if needed.
         """
-        if self._seg is not None:
-            rows, idf, offsets, slots, tfs, contrib = self._seg
-            terms = list(rows)
-        else:
-            self.compile()
-            terms = sorted(self._postings)
-            entries = [self._term_entry(term) for term in terms]
-            sizes = np.array([e.slots.size for e in entries], dtype=np.int64)
-            offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            if entries:
-                slots = np.concatenate([e.slots for e in entries])
-                tfs = np.concatenate([e.tfs for e in entries])
-                contrib = np.concatenate([e.contrib for e in entries])
-            else:
-                slots = np.empty(0, dtype=np.int32)
-                tfs = np.empty(0, dtype=np.float32)
-                contrib = np.empty(0, dtype=np.float64)
-            idf = np.array([e.idf for e in entries], dtype=np.float64)
-        norm = self._norm if self._norm is not None else np.empty(0, dtype=np.float64)
+        compiled = self._current()
         return {
             "meta": {
                 "k1": self.k1,
@@ -190,13 +238,13 @@ class BM25Index:
             },
             "doc_ids": list(self._doc_ids),
             "doc_lengths": np.asarray(self._doc_lengths, dtype=np.int64),
-            "norm": np.asarray(norm, dtype=np.float64),
-            "terms": terms,
-            "idf": idf,
-            "offsets": offsets,
-            "slots": slots,
-            "tfs": tfs,
-            "contrib": contrib,
+            "norm": compiled.norm,
+            "terms": compiled.terms,
+            "idf": compiled.idf,
+            "offsets": compiled.offsets,
+            "slots": compiled.slots,
+            "tfs": compiled.tfs,
+            "contrib": compiled.contrib,
         }
 
     @classmethod
@@ -216,82 +264,29 @@ class BM25Index:
         """Rebuild a search-only index from :meth:`export_compiled` data.
 
         The postings arrays are referenced, not copied — pass memory-mapped
-        views and searches run straight off the file.  Term entries are
-        materialized lazily per queried term; the order of the postings
-        within a term does not matter (each slot appears once per term),
-        so a segment written with impact-sorted postings ranks the same.
-        The build-time postings dicts are *not* reconstructed, so
+        views and searches run straight off the file.  The order of the
+        postings within a term does not matter (each slot appears once per
+        term), so a segment written with impact-sorted postings ranks the
+        same.  The build-time postings dicts are *not* reconstructed, so
         :meth:`add` raises.
         """
         index = cls(k1=float(meta["k1"]), b=float(meta["b"]))
+        index._hydrated = True
         index._doc_ids = list(doc_ids)
         index._doc_lengths = [int(x) for x in doc_lengths]
         index._doc_index = {d: i for i, d in enumerate(index._doc_ids) if d is not None}
         index._total_length = int(meta["total_length"])
-        index._norm = np.asarray(norm, dtype=np.float64)
-        index._id_rank = index._rank_doc_ids()
-        index._seg = (
-            {term: i for i, term in enumerate(terms)},
+        index._compiled = _Postings(
+            list(terms),
             np.asarray(idf, dtype=np.float64),
             np.asarray(offsets, dtype=np.int64),
             np.asarray(slots, dtype=np.int32),
             np.asarray(tfs, dtype=np.float32),
             np.asarray(contrib, dtype=np.float64),
+            np.asarray(norm, dtype=np.float64),
+            index._rank_doc_ids(),
         )
-        index._stats_version = index._version
         return index
-
-    def _rank_doc_ids(self) -> np.ndarray:
-        """slot -> rank of its doc_id among the live ones: the tie-break
-        as one int per slot (a hole ranks 0; it holds no postings)."""
-        rank = {doc_id: r for r, doc_id in enumerate(sorted(self._doc_index))}
-        return np.array([rank.get(doc_id, 0) for doc_id in self._doc_ids], dtype=np.int64)
-
-    def _refresh_stats(self) -> None:
-        if self._stats_version == self._version:
-            return
-        self._entries.clear()
-        lengths = np.array(self._doc_lengths, dtype=np.float64)
-        if self._doc_index and self._total_length > 0:
-            avg_len = self._total_length / len(self._doc_index)
-            # Bit-identical to the scalar k1 * (1 - b + b * len / avg).
-            self._norm = self.k1 * (1.0 - self.b + self.b * lengths / avg_len)
-        else:
-            self._norm = np.full(lengths.shape, self.k1 * (1.0 - self.b))
-        self._id_rank = self._rank_doc_ids()
-        self._stats_version = self._version
-
-    def _term_entry(self, term: str) -> Optional[_TermEntry]:
-        entry = self._entries.get(term)
-        if entry is not None:
-            return entry
-        if self._seg is not None:
-            # Hydrated path: slice the term's postings out of the mapped
-            # flat arrays (zero-copy views) and memoize the entry.
-            rows, idf, offsets, slots, tfs, contrib = self._seg
-            row = rows.get(term)
-            if row is None:
-                return None
-            lo, hi = int(offsets[row]), int(offsets[row + 1])
-            entry = _TermEntry(
-                slots=slots[lo:hi], tfs=tfs[lo:hi], contrib=contrib[lo:hi], idf=float(idf[row])
-            )
-            self._entries[term] = entry
-            return entry
-        posting = self._postings.get(term)
-        if not posting:
-            return None
-        n, df = len(self._doc_index), len(posting)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        # Slots were added in increasing order, so the postings are in slot order.
-        slots = np.fromiter(posting.keys(), count=df, dtype=np.int32)
-        tfs = np.fromiter(posting.values(), count=df, dtype=np.float32)
-        tf64 = tfs.astype(np.float64)  # exact: tfs are small integers
-        # Same op order as the scalar idf * tf * (k1 + 1) / (tf + norm).
-        contrib = idf * tf64 * (self.k1 + 1.0) / (tf64 + self._norm[slots])
-        entry = _TermEntry(slots=slots, tfs=tfs, contrib=contrib, idf=idf)
-        self._entries[term] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # Search
@@ -328,17 +323,23 @@ class BM25Index:
         partition, so the tie-break sees every boundary tie."""
         if not self._doc_index or k == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        self._refresh_stats()
-        scores = np.zeros(len(self._doc_ids), dtype=np.float64)
-        for term in sorted(set(tokenize_cached(query))):
-            entry = self._term_entry(term)
-            if entry is not None:
-                scores[entry.slots] += entry.contrib
+        compiled = self._current()
+        postings = [compiled.term(term) for term in sorted(set(tokenize_cached(query)))]
+        postings = [pair for pair in postings if pair is not None]
+        if not postings:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        # One bincount adds each document's contributions in array order,
+        # i.e. in sorted-term order, from 0.0: one ``scores[slots] +=
+        # contrib`` per term, bit for bit.
+        slots, contrib = zip(*postings)
+        scores = np.bincount(
+            np.concatenate(slots), weights=np.concatenate(contrib), minlength=len(self._doc_ids)
+        )
         slots = np.flatnonzero(scores)
         values = scores[slots]
         if k < slots.size:
             kth = np.partition(values, slots.size - k)[slots.size - k]
             keep = values >= kth
             slots, values = slots[keep], values[keep]
-        order = np.lexsort((self._id_rank[slots], -values))[:k]
+        order = np.lexsort((compiled.id_rank[slots], -values))[:k]
         return slots[order], values[order]

@@ -4,19 +4,21 @@ The paper's Pneuma-Retriever uses neural sentence embeddings in its HNSW
 vector store.  Offline, we substitute signed feature hashing over word
 unigrams, word bigrams, and character trigrams, L2-normalized.  Cosine
 similarity then reflects lexical/sub-lexical overlap, which is what the
-hybrid index needs from the dense half on our corpora (see DESIGN.md §2).
+hybrid index needs from the dense half on our corpora (README, "The
+retrieval kernel").
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tokenize import char_ngrams_cached, tokenize_cached
+from .tokenize import normalize, tokenize_cached
 
 
 def _feature_digest(feature: str) -> bytes:
@@ -24,41 +26,102 @@ def _feature_digest(feature: str) -> bytes:
     return hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
 
 
-class _TrigramTable(dict):
-    """Character trigram -> the digest of its ``c:`` feature, hashed once.
+#: The alphabet of normalized text (:func:`~repro.text.tokenize.normalize`).
+_ALPHABET = b" abcdefghijklmnopqrstuvwxyz0123456789"
+_A = len(_ALPHABET)
+#: Trigram codes: ``abc`` -> a*37**2 + b*37 + c.  A text too short for a
+#: trigram is embedded by itself: two symbols after the trigram codes, one
+#: symbol last.
+_PAIR_BASE = _A**3
+_SINGLE_BASE = _A**3 + _A**2
+_CODES = _SINGLE_BASE + _A
+#: byte -> its symbol, for ``bytes.translate``.
+_SYMBOLS = bytes(_ALPHABET.index(c) if c in _ALPHABET else 0 for c in range(256))
+#: ``np.correlate`` with it: window p -> s[p]*37**2 + s[p+1]*37 + s[p+2].
+_WINDOW = np.array([_A**2, _A, 1], dtype=np.intp)
+_TOP_BIT = np.uint64(1 << 63)
+
+
+def _gram(code: int) -> str:
+    """The character gram a code stands for."""
+    if code >= _SINGLE_BASE:
+        symbols = [code - _SINGLE_BASE]
+    elif code >= _PAIR_BASE:
+        symbols = [(code - _PAIR_BASE) // _A, code % _A]
+    else:
+        symbols = [code // _A**2, code // _A % _A, code % _A]
+    return bytes(_ALPHABET[s] for s in symbols).decode("ascii")
+
+
+def _gram_count(length: int) -> int:
+    """How many character grams a normalized text of ``length`` has."""
+    return length - 2 if length >= 3 else min(length, 1)
+
+
+def _short_code(symbols: bytes) -> int:
+    """The code of a text of one or two symbols."""
+    if len(symbols) == 1:
+        return _SINGLE_BASE + symbols[0]
+    return _PAIR_BASE + symbols[0] * _A + symbols[1]
+
+
+def _gram_codes(normalized: Sequence[bytes]) -> np.ndarray:
+    """Codes of the character grams of normalized texts: every text's
+    trigram windows in order, then the codes of the texts too short for one."""
+    symbols = np.frombuffer(b"".join(normalized).translate(_SYMBOLS), dtype=np.uint8)
+    codes = np.correlate(symbols, _WINDOW) if symbols.size >= 3 else symbols[:0]
+    if len(normalized) > 1:
+        # Drop the windows that run into the next text: those starting at
+        # either of the last two symbols of a text.
+        ends = np.cumsum([len(text) for text in normalized])
+        keep = np.ones(symbols.size, dtype=bool)
+        keep[ends[ends >= 1] - 1] = False
+        keep[ends[ends >= 2] - 2] = False
+        codes = codes[keep[: codes.size]]
+    short = [_short_code(text.translate(_SYMBOLS)) for text in normalized if 0 < len(text) < 3]
+    return np.concatenate((codes, short)) if short else codes
+
+
+class _TrigramTable:
+    """Character gram code -> the digest of its ``c:`` feature, hashed once.
 
     Trigrams are cut from tokenizer-normalized text (``[a-z0-9]`` words
-    joined by single spaces), so there are at most 37**3 + 37**2 + 37 of
-    them: the table is bounded by its alphabet, not by an eviction rule.
+    joined by single spaces), so there are 37**3 + 37**2 + 37 codes: the
+    table is one array bounded by its alphabet, not by an eviction rule.
     A narration is ~900 features of which three quarters are trigrams,
     and a whole catalog draws them from a few thousand distinct strings.
-    Content-keyed and process-wide like the tokenizer memos; a miss
-    racing another thread stores the same bytes twice.
+    Zero marks a code not hashed yet: no gram of the alphabet hashes to
+    zero (``tests/text/test_embedding.py`` hashes them all).  Process-wide
+    like the tokenizer memos; a miss racing another thread stores the
+    same value.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._digests = np.zeros(_CODES, dtype=np.uint64)
         self._lock = threading.Lock()
         self._lookups = 0
         self._misses = 0
 
-    def __missing__(self, gram: str) -> bytes:
-        digest = self[gram] = _feature_digest(f"c:{gram}")
+    def digests(self, codes: np.ndarray) -> np.ndarray:
+        digests = self._digests.take(codes)
+        new = 0
+        if np.count_nonzero(digests) < digests.size:
+            fresh = np.unique(codes[digests == 0])
+            hashed = b"".join(_feature_digest(f"c:{_gram(code)}") for code in fresh.tolist())
+            self._digests[fresh] = np.frombuffer(hashed, dtype="<u8")
+            digests = self._digests.take(codes)
+            new = fresh.size
         with self._lock:
-            self._misses += 1
-        return digest
-
-    def digests(self, grams: Sequence[str]) -> Iterator[bytes]:
-        with self._lock:
-            self._lookups += len(grams)
-        return map(self.__getitem__, grams)
+            self._lookups += codes.size
+            self._misses += new
+        return digests
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "hits": self._lookups - self._misses,
                 "misses": self._misses,
-                "size": len(self),
+                "size": int(np.count_nonzero(self._digests)),
             }
 
 
@@ -68,6 +131,11 @@ _TRIGRAMS = _TrigramTable()
 def trigram_table_stats() -> dict:
     """Hit/miss/size counters of the trigram hash table (for service stats)."""
     return _TRIGRAMS.stats()
+
+
+#: Features one ``np.bincount`` sums at most, unless one text has more:
+#: bounds the arrays the kernel holds at once, whatever the batch.
+_BLOCK_FEATURES = 8192
 
 
 class HashingEmbedder:
@@ -84,45 +152,104 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed one text as a float64 unit vector (zero vector for empty text).
+        """Embed one text as a float64 unit vector (zero vector for empty
+        text): its row of the kernel, never of a subclass's batch path."""
+        return HashingEmbedder.embed_batch(self, [text])[0]
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed many texts into a (n, dim) matrix of float64 unit rows.
 
         Every feature — words, then word bigrams, then character
         trigrams — hashes to 64 bits: the value modulo ``dim`` is its
-        coordinate, the top bit its sign.  ``np.bincount`` adds the
-        signed weights in feature order, which is what a
-        ``vec[index] += sign * weight`` loop does, bit for bit
-        (``tests/oracles/embedding_scalar.py`` is that loop).
+        coordinate, the top bit its sign.  A word or bigram hashes once
+        per call, a trigram once per process (:class:`_TrigramTable`).
+        Texts are summed a block at a time (:meth:`_block_sums`), so each
+        row equals the feature-at-a-time loop
+        (``tests/oracles/embedding_scalar.py``) byte for byte.
         """
-        # Memoized tokenization: queries re-embed every Conductor turn,
-        # and the narration/vector caches above this layer only absorb
-        # exact repeats of the *embedding*, not of the token stream.
-        words = tokenize_cached(text)
-        grams = char_ngrams_cached(text, 3)
-        digests = [_feature_digest(f"w:{w}") for w in words]
-        digests += [_feature_digest(f"b:{a}_{b}") for a, b in zip(words, words[1:])]
-        bigrams = len(digests) - len(words)
-        digests.extend(_TRIGRAMS.digests(grams))
-        if not digests:
-            return np.zeros(self.dim, dtype=np.float64)
-        hashed = np.frombuffer(b"".join(digests), dtype="<u8")
-        weights = np.repeat(
-            (self.WORD_WEIGHT, self.BIGRAM_WEIGHT, self.CHAR_WEIGHT),
-            (len(words), bigrams, len(grams)),
-        )
-        np.negative(weights, out=weights, where=hashed >> np.uint64(63) == 0)
-        vec = np.bincount(
-            (hashed % np.uint64(self.dim)).astype(np.intp), weights=weights, minlength=self.dim
-        )
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        words_of: Dict[str, bytes] = {}
+        bigrams_of: Dict[Tuple[str, str], bytes] = {}
+        cap = _BLOCK_FEATURES
+        out: Optional[np.ndarray] = None
+        block: List[Tuple[bytes, int, bytes]] = []
+        first = size = 0
+        for row, text in enumerate(texts):
+            # Memoized tokenization: BM25 reads the same memo when it
+            # indexes this text, and queries re-embed every Conductor turn.
+            words = tokenize_cached(text)
+            pairs = list(zip(words, words[1:]))
+            fresh = set(words).difference(words_of)
+            if fresh:
+                words_of.update({w: _feature_digest(f"w:{w}") for w in fresh})
+            fresh = set(pairs).difference(bigrams_of)
+            if fresh:
+                bigrams_of.update({p: _feature_digest(f"b:{p[0]}_{p[1]}") for p in fresh})
+            plain = b"".join(map(words_of.__getitem__, words))
+            plain += b"".join(map(bigrams_of.__getitem__, pairs))
+            normalized = normalize(text)
+            count = len(plain) // 8 + _gram_count(len(normalized))
+            if block and size + count > cap:
+                if out is None:
+                    out = np.empty((len(texts), self.dim), dtype=np.float64)
+                out[first:row] = self._block_sums(block, cap)
+                block, first, size = [], row, 0
+            block.append((plain, len(words), normalized))
+            size += count
+        sums = self._block_sums(block, cap) if block else np.zeros((0, self.dim))
+        if out is None:
+            out = sums
+        else:
+            out[first:] = sums
+        for vec in out:
+            norm = math.sqrt(vec.dot(vec))  # np.linalg.norm of a 1-D float64 vector
+            if norm > 0:
+                vec /= norm
+        return out
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed many texts into a (n, dim) matrix."""
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed(t) for t in texts])
+    def _block_sums(self, block, cap: int) -> np.ndarray:
+        """The unnormalised rows of a block of texts.
+
+        ``np.bincount`` over ``row*dim + coordinate`` adds a bin's weights
+        in array order starting from ``0.0``, which is what a
+        ``vec[index] += sign * weight`` loop does, bit for bit; only the
+        order within a row matters, and there words come before bigrams
+        before trigrams.  A block holds whole texts of at most ``cap``
+        features in all, or one longer text, summed ``cap`` features at a
+        time with its partial sums leading the next step (``0.0 + x`` is
+        ``x``; a partial sum is never ``-0.0``).
+        """
+        dim = self.dim
+        plains, word_counts, normalized = zip(*block)
+        plain = np.frombuffer(b"".join(plains), dtype="<u8")
+        hashed = np.concatenate((plain, _TRIGRAMS.digests(_gram_codes(normalized))))
+        # Each feature's weight, negated; then the sign bit is cleared
+        # where the digest's top bit is set.
+        weights = np.full(hashed.size, -self.CHAR_WEIGHT)
+        start = 0
+        for words, digests in zip(word_counts, plains):
+            weights[start : start + words] = -self.WORD_WEIGHT
+            weights[start + words : start + len(digests) // 8] = -self.BIGRAM_WEIGHT
+            start += len(digests) // 8
+        signs = weights.view(np.uint64)
+        signs ^= hashed & _TOP_BIT
+        index = (hashed % np.uint64(dim)).view(np.intp)
+        if len(block) > 1:
+            offsets = np.arange(0, len(block) * dim, dim)
+            short = [o for o, text in zip(offsets.tolist(), normalized) if 0 < len(text) < 3]
+            index += np.concatenate((
+                np.repeat(offsets, [len(digests) // 8 for digests in plains]),
+                np.repeat(offsets, [max(len(text) - 2, 0) for text in normalized]),
+                np.array(short, dtype=np.intp),
+            ))
+        if not index.size:
+            return np.zeros((len(block), dim), dtype=np.float64)
+        if index.size <= cap:
+            return np.bincount(index, weights=weights, minlength=len(block) * dim).reshape(-1, dim)
+        vec = np.bincount(index[:cap], weights=weights[:cap], minlength=dim)
+        for lo in range(cap, index.size, cap):
+            step = np.concatenate((np.arange(dim), index[lo : lo + cap]))
+            vec = np.bincount(step, weights=np.concatenate((vec, weights[lo : lo + cap])))
+        return vec.reshape(1, dim)
 
 
 class CachedEmbedder:
@@ -132,6 +259,7 @@ class CachedEmbedder:
     unchanged catalog that work is pure waste.  The cache is keyed by the
     text itself, bounded by ``max_entries`` (FIFO eviction), thread-safe,
     and counts hits/misses so the serving layer can expose the numbers.
+    Cached vectors are read-only: they are shared across threads.
     """
 
     def __init__(self, inner: Optional[HashingEmbedder] = None, dim: int = 256,
@@ -156,16 +284,36 @@ class CachedEmbedder:
             self.misses += 1
         vector = self.inner.embed(text)
         vector.setflags(write=False)  # shared across threads; never mutate
-        with self._lock:
-            self._cache[text] = vector
-            while len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
+        self._store([text], [vector])
         return vector
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed(t) for t in texts])
+        """Embed many texts, the misses in one kernel call: a text
+        repeated within the batch is one miss, and its repeats are hits.
+        Returns a read-only matrix."""
+        with self._lock:
+            found = [self._cache.get(text) for text in texts]
+            missing = list(dict.fromkeys(t for t, v in zip(texts, found) if v is None))
+            self.misses += len(missing)
+            self.hits += len(texts) - len(missing)
+        if missing:
+            fresh = self.inner.embed_batch(missing)
+            fresh.setflags(write=False)  # its rows are the cached vectors
+            self._store(missing, fresh)
+            if len(missing) == len(texts):
+                return fresh
+            row_of = dict(zip(missing, fresh))
+            found = [v if v is not None else row_of[t] for t, v in zip(texts, found)]
+        matrix = np.stack(found) if found else np.zeros((0, self.dim), dtype=np.float64)
+        matrix.setflags(write=False)
+        return matrix
+
+    def _store(self, texts: Sequence[str], vectors) -> None:
+        with self._lock:
+            for text, vector in zip(texts, vectors):
+                self._cache[text] = vector
+            while len(self._cache) > self.max_entries:
+                self._cache.popitem(last=False)
 
     def stats(self) -> dict:
         with self._lock:

@@ -161,23 +161,10 @@ def tokenize_cached(text: str, stop: bool = True, do_stem: bool = True) -> Tuple
     return _tokenize_cached(text, stop, do_stem)
 
 
-@lru_cache(maxsize=TOKEN_CACHE_SIZE)
-def _char_ngrams_cached(text: str, n: int) -> Tuple[str, ...]:
-    return tuple(char_ngrams(text, n))
-
-
-def char_ngrams_cached(text: str, n: int = 3) -> Tuple[str, ...]:
-    """Memoized :func:`char_ngrams` (bounded LRU, shared immutable tuple)."""
-    return _char_ngrams_cached(text, n)
-
-
 def token_cache_stats() -> dict:
-    """Hit/miss/size counters of both memo layers (for service stats)."""
-    tok, grams = _tokenize_cached.cache_info(), _char_ngrams_cached.cache_info()
-    return {
-        "tokenize": {"hits": tok.hits, "misses": tok.misses, "size": tok.currsize},
-        "char_ngrams": {"hits": grams.hits, "misses": grams.misses, "size": grams.currsize},
-    }
+    """Hit/miss/size counters of the tokenization memo (for service stats)."""
+    tok = _tokenize_cached.cache_info()
+    return {"tokenize": {"hits": tok.hits, "misses": tok.misses, "size": tok.currsize}}
 
 
 def stem_vocabulary_stats() -> dict:
@@ -185,9 +172,17 @@ def stem_vocabulary_stats() -> dict:
     return _STEMS.stats()
 
 
-def char_ngrams(text: str, n: int = 3) -> List[str]:
-    """Character n-grams over the normalized text (for robust embeddings)."""
-    normalized = " ".join(_TOKEN_RE.findall(text.lower()))
-    if len(normalized) < n:
-        return [normalized] if normalized else []
-    return [normalized[i : i + n] for i in range(len(normalized) - n + 1)]
+#: byte -> itself for ``[a-z0-9]``, a space for every other byte.
+_WORD_BYTES = bytes(
+    c if chr(c).isascii() and (chr(c).islower() or chr(c).isdigit()) else 32 for c in range(256)
+)
+
+
+def normalize(text: str) -> bytes:
+    """The ``[a-z0-9]`` words of ``text.lower()`` joined by single spaces,
+    as ASCII bytes: the text the embedder cuts character trigrams from.
+
+    Every other character separates words, as in :data:`_TOKEN_RE`; a
+    non-ASCII one is encoded as ``?`` first, so each character stays one
+    byte."""
+    return b" ".join(text.lower().encode("ascii", "replace").translate(_WORD_BYTES).split())

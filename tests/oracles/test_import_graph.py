@@ -86,12 +86,22 @@ def test_frames_is_plain_python():
 
 def test_build_kernels_have_no_scalar_twin_in_src():
     """The catalog build's array passes replaced their per-element bodies
-    in place; those live on as ``tests/oracles/discovery_slotwise.py`` and
-    ``embedding_scalar.py`` only."""
+    in place; those live on as ``tests/oracles/discovery_slotwise.py``,
+    ``embedding_scalar.py`` and ``bm25_termwise.py`` only.  The embedder
+    cuts trigrams as integer codes, so the string n-gram helpers and
+    their memo are gone from ``src/``, and BM25 compiles no term alone."""
     discovery = SRC / "prep" / "discovery.py"
     assert "collections" not in set(imported_modules(discovery))  # the Counter of pairs
     for path in sorted(SRC.rglob("*.py")):
-        assert "_hash_feature" not in path.read_text(), path  # the per-feature scalar hash
+        text = path.read_text()
+        assert "_hash_feature" not in text, path  # the per-feature scalar hash
+        for name in ("char_ngrams", "_term_entry", "_TermEntry"):
+            assert name not in text, f"{path}: {name}"
+    import repro.text
+    from repro.text.tokenize import token_cache_stats
+
+    assert not {"char_ngrams", "char_ngrams_cached"} & set(repro.text.__all__)
+    assert set(token_cache_stats()) == {"tokenize"}
 
 
 def test_profiling_has_one_kernel_in_src():

@@ -1,6 +1,9 @@
 """Service-level persistence: warm starts, knowledge captures, crash injection."""
 
+import json
+import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +111,43 @@ class TestWarmEqualsCold:
         finally:
             warm.shutdown()
             cold.shutdown()
+
+
+#: A store the procurement lake published (one cold boot, a clean drain)
+#: while BM25 was still compiled one term at a time and the embedder hashed
+#: every feature occurrence.  Regenerate it only when the segment format
+#: changes on purpose.
+EARLIER_STORE = Path(__file__).parents[1] / "storage" / "fixtures" / "procurement_store"
+
+
+class TestStoreFromAnEarlierBuild:
+    def test_it_warm_starts_and_ranks_like_a_cold_build(self, store_dir):
+        shutil.copytree(EARLIER_STORE, store_dir)
+        lake = build_procurement_lake()
+        warm = PneumaService(lake, max_workers=1, storage_dir=store_dir)
+        assert warm.warm_started
+        assert warm.shared.build_report == {
+            "indexed": 0,
+            "skipped": len(lake.tables()),
+            "restored": len(lake.tables()),
+        }
+        cold = PneumaService(build_procurement_lake(), max_workers=1)
+        assert search_results(warm) == search_results(cold)
+        warm.shutdown(drain=True)
+        cold.shutdown()
+
+    def test_a_cold_build_publishes_the_same_segments(self, store_dir):
+        """The one-pass BM25 compile and the block embedding kernel write
+        the bytes the earlier build wrote: every payload digest is equal."""
+        PneumaService(build_procurement_lake(), max_workers=1, storage_dir=store_dir).shutdown(
+            drain=True
+        )
+        ours = json.loads((store_dir / "MANIFEST.json").read_text())
+        theirs = json.loads((EARLIER_STORE / "MANIFEST.json").read_text())
+        assert ours["tables"] == theirs["tables"]
+        assert {kind: seg["payload_blake2b"] for kind, seg in ours["segments"].items()} == {
+            kind: seg["payload_blake2b"] for kind, seg in theirs["segments"].items()
+        }
 
 
 class TestWarmStart:

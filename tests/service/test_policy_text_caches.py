@@ -132,7 +132,7 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     assert set(caches) == {"narration", "embedding", "payload", "policy_text"}
     policy = caches["policy_text"]
     assert set(policy) == {
-        "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",
+        "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
         "trigrams",
     }  # fmt: skip
     assert policy == {

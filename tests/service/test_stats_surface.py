@@ -48,7 +48,7 @@ BASE_SHAPE = {
         "policy_text": {
             name: HIT_MISS
             for name in (
-                "lexicon", "questions", "texts", "embedding", "stems", "tokenize", "char_ngrams",
+                "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
                 "trigrams",
             )
         },

@@ -99,7 +99,7 @@ class TestTokenizeMemo:
 
     def test_cache_is_bounded_and_counts(self):
         stats = token_cache_stats()
-        assert set(stats) == {"tokenize", "char_ngrams"}
+        assert set(stats) == {"tokenize"}
         assert stats["tokenize"]["size"] <= TOKEN_CACHE_SIZE
         before = token_cache_stats()["tokenize"]
         tokenize_cached("a phrase the memo has definitely seen by now")

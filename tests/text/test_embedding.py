@@ -1,18 +1,20 @@
 """Unit and property tests for deterministic hashed embeddings."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.generator import build_planted_catalog
 from repro.retriever.summarizer import narrate_table
-from repro.text import HashingEmbedder
-from repro.text.embedding import trigram_table_stats
-from repro.text.tokenize import char_ngrams
-from tests.oracles.embedding_scalar import embed_scalar, features
+from repro.text import CachedEmbedder, HashingEmbedder, tokenize_cached
+from repro.text import embedding
+from repro.text.embedding import _gram, _gram_codes, _feature_digest, trigram_table_stats
+from repro.text.tokenize import normalize
+from tests.oracles.embedding_scalar import char_ngrams, embed_scalar, features
 from tests.oracles.text_scoring import cosine_similarity
 
 
@@ -80,9 +82,41 @@ def test_norm_is_zero_or_one(text):
     assert norm == pytest.approx(0.0, abs=1e-12) or norm == pytest.approx(1.0)
 
 
+#: Texts whose normalized form is empty, one or two symbols long, or not ASCII.
+EDGE_TEXTS = ["", "   \t\n", "a", "ab", "Z!", "9 ", "?? --", "the of", "ß", "İ", "東京", "x y"]
+
+
+#: Word salads long enough that one bin adds many features of a text.
+sentences = st.lists(
+    st.sampled_from(["supplier", "price", "orders", "total", "the", "of", "GERMANY", "q3"]),
+    max_size=40,
+).map(" ".join)
+
+
+@st.composite
+def batches(draw):
+    """Text lists with repeats, edge texts and arbitrary unicode."""
+    texts = draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=60),
+                  st.text(alphabet="abc xy_Z", max_size=30), sentences),
+        max_size=8,
+    ))
+    if texts:
+        texts += draw(st.lists(st.sampled_from(texts), max_size=3))
+    return draw(st.permutations(texts))
+
+
+class OddWeights(HashingEmbedder):
+    """Weights whose sums round: with the default quarters every partial
+    sum is exact, so only these show a row summed out of feature order."""
+
+    WORD_WEIGHT, BIGRAM_WEIGHT, CHAR_WEIGHT = 0.1, 0.3, 0.7
+
+
 class TestAgainstTheScalarLoop:
-    """``HashingEmbedder.embed`` hashes each distinct trigram once and adds
-    with ``np.bincount``; the feature-at-a-time loop it replaced
+    """``HashingEmbedder.embed_batch`` hashes each distinct feature once,
+    reads trigram digests from an array and adds with ``np.bincount`` a
+    block at a time; the feature-at-a-time loop it replaced
     (``tests/oracles/embedding_scalar.py``) must give the same bytes."""
 
     @given(st.text(max_size=80), st.sampled_from([8, 64, 192]))
@@ -91,6 +125,30 @@ class TestAgainstTheScalarLoop:
         vector = embedder.embed(text)
         assert vector.dtype == np.float64 and vector.shape == (dim,)
         assert vector.tobytes() == embed_scalar(embedder, text).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches(), st.sampled_from([8, 64, 192]),
+           st.one_of(st.integers(1, 40), st.sampled_from([embedding._BLOCK_FEATURES])),
+           st.sampled_from([HashingEmbedder, OddWeights]))
+    def test_batch_rows_are_byte_identical_at_any_block_cap(self, texts, dim, cap, kind):
+        """Caps from one feature up put block boundaries mid-text."""
+        embedder = kind(dim=dim)
+        with mock.patch.object(embedding, "_BLOCK_FEATURES", cap):
+            matrix = embedder.embed_batch(texts)
+        assert matrix.dtype == np.float64 and matrix.shape == (len(texts), dim)
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == embed_scalar(embedder, text).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 50])
+    def test_a_text_longer_than_the_cap_keeps_its_feature_order(self, cap):
+        """Its partial sums carry into the next step: summing each step on
+        its own and adding the sums rounds differently (``OddWeights``)."""
+        embedder = OddWeights(dim=8)
+        texts = ["the quick brown fox jumps over the lazy dog " * 3, "price total " * 9, "ab"]
+        with mock.patch.object(embedding, "_BLOCK_FEATURES", cap):
+            matrix = embedder.embed_batch(texts)
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == embed_scalar(embedder, text).tobytes()
 
     @pytest.mark.parametrize(
         "text",
@@ -111,16 +169,21 @@ class TestAgainstTheScalarLoop:
         assert vector.tobytes() == embed_scalar(embedder, text).tobytes()
 
     def test_trigrams_are_hashed_once_per_distinct_string(self, monkeypatch):
-        """No clock: ``blake2b`` runs once per word and bigram occurrence and
-        at most once per *distinct* trigram, however often it repeats — over
-        a catalog's narrations that is a fraction of the feature count the
-        scalar loop hashed one by one."""
+        """No clock: over a catalog's narrations ``blake2b`` runs exactly
+        once per distinct word feature and distinct bigram feature of the
+        call, and once per trigram the process had not seen before —
+        a fraction of the feature count the scalar loop hashed one by one."""
         lake, _ = build_planted_catalog(seed=1, n_tables=600, rows=4)
         texts = [narrate_table(table) for table in lake.tables()]
         embedder = HashingEmbedder(dim=256)
-        trigrams = {gram for text in texts for gram in char_ngrams(text, 3)}
+        words = {w for text in texts for w in tokenize_cached(text)}
+        tokens = [tokenize_cached(text) for text in texts]
+        bigrams = {pair for ws in tokens for pair in zip(ws, ws[1:])}
+        codes = np.unique(_gram_codes([normalize(text) for text in texts]))
+        assert codes.size == len({gram for text in texts for gram in char_ngrams(text, 3)})
+        unseen = int(np.count_nonzero(embedding._TRIGRAMS._digests[codes] == 0))
         total = sum(len(features(embedder, text)) for text in texts)
-        plain = total - sum(len(char_ngrams(text, 3)) for text in texts)  # words + bigrams
+        occurrences = sum(len(char_ngrams(text, 3)) for text in texts)
         digests = 0
         blake2b = hashlib.blake2b
 
@@ -132,10 +195,43 @@ class TestAgainstTheScalarLoop:
         before = trigram_table_stats()
         monkeypatch.setattr(hashlib, "blake2b", counting)
         embedder.embed_batch(texts)
+        first = digests
+        embedder.embed_batch(texts)  # every trigram known now: words and bigrams only
         monkeypatch.undo()
         after = trigram_table_stats()
-        assert plain <= digests <= plain + len(trigrams) < total / 2
-        assert digests - plain == after["misses"] - before["misses"]
+        assert first == len(words) + len(bigrams) + unseen < total / 2
+        assert digests - first == len(words) + len(bigrams)
+        assert after["misses"] - before["misses"] == unseen
+        assert after["size"] - before["size"] == unseen
         lookups = sum(after[key] - before[key] for key in ("hits", "misses"))
-        assert lookups == total - plain
-        assert len(trigrams) <= after["size"] <= 37**3 + 37**2 + 37
+        assert lookups == 2 * occurrences
+        assert codes.size <= after["size"] <= 37**3 + 37**2 + 37
+
+
+def test_no_gram_hashes_to_the_unseen_mark():
+    """The trigram table marks a code not hashed yet with a zero digest;
+    the alphabet is small enough to check that no gram really hashes to it."""
+    codes = range(37**3 + 37**2 + 37)
+    digests = np.frombuffer(b"".join(_feature_digest(f"c:{_gram(c)}") for c in codes), "<u8")
+    assert digests.all()
+    assert len({_gram(c) for c in codes}) == len(codes)
+
+
+class TestCachedBatch:
+    def test_repeats_are_one_miss_and_rows_are_read_only(self):
+        cached = CachedEmbedder(dim=64)
+        texts = ["alpha beta", "gamma", "alpha beta", "", "gamma", "alpha beta"]
+        matrix = cached.embed_batch(texts)
+        assert cached.stats() == {"hits": 3, "misses": 3, "size": 3}
+        assert matrix.shape == (6, 64) and not matrix.flags.writeable
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == embed_scalar(cached.inner, text).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+        again = cached.embed_batch(["gamma", "delta", "delta"])
+        assert cached.stats() == {"hits": 5, "misses": 4, "size": 4}
+        assert not again.flags.writeable and not cached.embed("delta").flags.writeable
+        assert again[1].tobytes() == cached.embed("delta").tobytes()
+        fresh = cached.embed_batch(["epsilon", "zeta"])  # all misses: the kernel's matrix
+        assert not fresh.flags.writeable
+        assert cached.embed("zeta").tobytes() == fresh[1].tobytes()

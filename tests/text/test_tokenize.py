@@ -1,7 +1,17 @@
 """Unit tests for the tokenizer and stemmer."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.text import stem, tokenize
-from repro.text.tokenize import char_ngrams
+from repro.text.embedding import _gram, _gram_codes
+from repro.text.tokenize import normalize
+from tests.oracles.embedding_scalar import char_ngrams
+
+
+def grams(text):
+    """The embedder's character trigrams of ``text``, decoded from their codes."""
+    return [_gram(code) for code in _gram_codes([normalize(text)]).tolist()]
 
 
 class TestTokenize:
@@ -54,14 +64,23 @@ class TestStem:
 
 
 class TestCharNgrams:
+    """The embedder's integer trigram codes stand for the oracle's strings."""
+
     def test_basic(self):
-        assert char_ngrams("abcd", 3) == ["abc", "bcd"]
+        assert grams("abcd") == char_ngrams("abcd", 3) == ["abc", "bcd"]
 
     def test_short_text(self):
-        assert char_ngrams("ab", 3) == ["ab"]
+        assert grams("ab") == char_ngrams("ab", 3) == ["ab"]
+        assert grams("Z!") == char_ngrams("Z!", 3) == ["z"]
 
     def test_normalizes_punctuation(self):
-        assert char_ngrams("a,b", 3) == ["a b"]
+        assert normalize("a,b") == b"a b"
+        assert grams("a,b") == char_ngrams("a,b", 3) == ["a b"]
 
     def test_empty(self):
-        assert char_ngrams("", 3) == []
+        assert grams("") == char_ngrams("", 3) == []
+        assert grams("?? -- ¿") == []
+
+    @given(st.text(max_size=40))
+    def test_codes_decode_to_the_oracle_grams(self, text):
+        assert grams(text) == char_ngrams(text, 3)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tokenize import normalize, tokenize_cached
+from .tokenize import _ALPHABET, normalize, tokenize_cached
 
 
 def _feature_digest(feature: str) -> bytes:
@@ -26,8 +27,6 @@ def _feature_digest(feature: str) -> bytes:
     return hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
 
 
-#: The alphabet of normalized text (:func:`~repro.text.tokenize.normalize`).
-_ALPHABET = b" abcdefghijklmnopqrstuvwxyz0123456789"
 _A = len(_ALPHABET)
 #: Trigram codes: ``abc`` -> a*37**2 + b*37 + c.  A text too short for a
 #: trigram is embedded by itself: two symbols after the trigram codes, one
@@ -133,8 +132,9 @@ def trigram_table_stats() -> dict:
     return _TRIGRAMS.stats()
 
 
-#: Features one ``np.bincount`` sums at most, unless one text has more:
-#: bounds the arrays the kernel holds at once, whatever the batch.
+#: Features a block of texts holds at most, unless one text has more (a
+#: text is never split): bounds the arrays and the digest dicts the kernel
+#: holds at once, whatever the batch.
 _BLOCK_FEATURES = 8192
 
 
@@ -161,41 +161,28 @@ class HashingEmbedder:
 
         Every feature — words, then word bigrams, then character
         trigrams — hashes to 64 bits: the value modulo ``dim`` is its
-        coordinate, the top bit its sign.  A word or bigram hashes once
-        per call, a trigram once per process (:class:`_TrigramTable`).
-        Texts are summed a block at a time (:meth:`_block_sums`), so each
-        row equals the feature-at-a-time loop
-        (``tests/oracles/embedding_scalar.py``) byte for byte.
+        coordinate, the top bit its sign.  Texts are summed a block at a
+        time (:meth:`_block_sums`), so each row equals the
+        feature-at-a-time loop (``tests/oracles/embedding_scalar.py``)
+        byte for byte.
         """
-        words_of: Dict[str, bytes] = {}
-        bigrams_of: Dict[Tuple[str, str], bytes] = {}
-        cap = _BLOCK_FEATURES
         out: Optional[np.ndarray] = None
-        block: List[Tuple[bytes, int, bytes]] = []
+        block: List[Tuple[Tuple[str, ...], bytes]] = []
         first = size = 0
         for row, text in enumerate(texts):
             # Memoized tokenization: BM25 reads the same memo when it
             # indexes this text, and queries re-embed every Conductor turn.
             words = tokenize_cached(text)
-            pairs = list(zip(words, words[1:]))
-            fresh = set(words).difference(words_of)
-            if fresh:
-                words_of.update({w: _feature_digest(f"w:{w}") for w in fresh})
-            fresh = set(pairs).difference(bigrams_of)
-            if fresh:
-                bigrams_of.update({p: _feature_digest(f"b:{p[0]}_{p[1]}") for p in fresh})
-            plain = b"".join(map(words_of.__getitem__, words))
-            plain += b"".join(map(bigrams_of.__getitem__, pairs))
             normalized = normalize(text)
-            count = len(plain) // 8 + _gram_count(len(normalized))
-            if block and size + count > cap:
+            count = max(2 * len(words) - 1, 0) + _gram_count(len(normalized))
+            if block and size + count > _BLOCK_FEATURES:
                 if out is None:
                     out = np.empty((len(texts), self.dim), dtype=np.float64)
-                out[first:row] = self._block_sums(block, cap)
+                out[first:row] = self._block_sums(block)
                 block, first, size = [], row, 0
-            block.append((plain, len(words), normalized))
+            block.append((words, normalized))
             size += count
-        sums = self._block_sums(block, cap) if block else np.zeros((0, self.dim))
+        sums = self._block_sums(block)
         if out is None:
             out = sums
         else:
@@ -206,50 +193,63 @@ class HashingEmbedder:
                 vec /= norm
         return out
 
-    def _block_sums(self, block, cap: int) -> np.ndarray:
-        """The unnormalised rows of a block of texts.
+    def _block_sums(self, block: Sequence[Tuple[Tuple[str, ...], bytes]]) -> np.ndarray:
+        """The unnormalised rows of a block of ``(words, normalized)`` texts.
 
-        ``np.bincount`` over ``row*dim + coordinate`` adds a bin's weights
-        in array order starting from ``0.0``, which is what a
-        ``vec[index] += sign * weight`` loop does, bit for bit; only the
-        order within a row matters, and there words come before bigrams
-        before trigrams.  A block holds whole texts of at most ``cap``
-        features in all, or one longer text, summed ``cap`` features at a
-        time with its partial sums leading the next step (``0.0 + x`` is
-        ``x``; a partial sum is never ``-0.0``).
+        Each distinct word and bigram feature of the block hashes once, a
+        trigram once per process (:class:`_TrigramTable`).  ``np.bincount``
+        over ``row*dim + coordinate`` adds a bin's weights in array order
+        starting from ``0.0``, which is what a ``vec[index] += sign *
+        weight`` loop does, bit for bit; only the order within a row
+        matters, and there words come before bigrams before trigrams.
         """
         dim = self.dim
-        plains, word_counts, normalized = zip(*block)
-        plain = np.frombuffer(b"".join(plains), dtype="<u8")
-        hashed = np.concatenate((plain, _TRIGRAMS.digests(_gram_codes(normalized))))
-        # Each feature's weight, negated; then the sign bit is cleared
-        # where the digest's top bit is set.
-        weights = np.full(hashed.size, -self.CHAR_WEIGHT)
-        start = 0
-        for words, digests in zip(word_counts, plains):
-            weights[start : start + words] = -self.WORD_WEIGHT
-            weights[start + words : start + len(digests) // 8] = -self.BIGRAM_WEIGHT
-            start += len(digests) // 8
-        signs = weights.view(np.uint64)
-        signs ^= hashed & _TOP_BIT
+        blake2b = hashlib.blake2b  # _feature_digest's hash, without a Python call per feature
+        word_of: Dict[str, bytes] = {}
+        pair_of: Dict[Tuple[str, str], bytes] = {}
+        plain: List[bytes] = []
+        weights: List[bytes] = []
+        plain_counts: List[int] = []
+        # Each feature's weight, negated, as the bits of a float64; the
+        # sign bit is cleared below where the digest's top bit is set.
+        negated = struct.pack("<3d", -self.WORD_WEIGHT, -self.BIGRAM_WEIGHT, -self.CHAR_WEIGHT)
+        word, bigram, char = negated[:8], negated[8:16], negated[16:]
+        for words, _ in block:
+            pairs = list(zip(words, words[1:]))
+            fresh = set(words).difference(word_of)
+            if fresh:
+                word_of.update(
+                    {w: blake2b(f"w:{w}".encode(), digest_size=8).digest() for w in fresh}
+                )
+            fresh = set(pairs).difference(pair_of)
+            if fresh:
+                pair_of.update(
+                    {p: blake2b(f"b:{p[0]}_{p[1]}".encode(), digest_size=8).digest() for p in fresh}
+                )
+            plain += map(word_of.__getitem__, words)
+            plain += map(pair_of.__getitem__, pairs)
+            weights.append(word * len(words) + bigram * len(pairs))
+            plain_counts.append(len(words) + len(pairs))
+        normalized = [text for _, text in block]
+        codes = _gram_codes(normalized)
+        hashed = np.concatenate(
+            (np.frombuffer(b"".join(plain), dtype="<u8"), _TRIGRAMS.digests(codes))
+        )
+        weights.append(char * codes.size)
+        signed = np.frombuffer(b"".join(weights), dtype="<u8") ^ (hashed & _TOP_BIT)
         index = (hashed % np.uint64(dim)).view(np.intp)
         if len(block) > 1:
             offsets = np.arange(0, len(block) * dim, dim)
             short = [o for o, text in zip(offsets.tolist(), normalized) if 0 < len(text) < 3]
             index += np.concatenate((
-                np.repeat(offsets, [len(digests) // 8 for digests in plains]),
+                np.repeat(offsets, plain_counts),
                 np.repeat(offsets, [max(len(text) - 2, 0) for text in normalized]),
                 np.array(short, dtype=np.intp),
             ))
-        if not index.size:
+        if not index.size:  # np.bincount of no features is an int array
             return np.zeros((len(block), dim), dtype=np.float64)
-        if index.size <= cap:
-            return np.bincount(index, weights=weights, minlength=len(block) * dim).reshape(-1, dim)
-        vec = np.bincount(index[:cap], weights=weights[:cap], minlength=dim)
-        for lo in range(cap, index.size, cap):
-            step = np.concatenate((np.arange(dim), index[lo : lo + cap]))
-            vec = np.bincount(step, weights=np.concatenate((vec, weights[lo : lo + cap])))
-        return vec.reshape(1, dim)
+        sums = np.bincount(index, weights=signed.view(np.float64), minlength=len(block) * dim)
+        return sums.reshape(-1, dim)
 
 
 class CachedEmbedder:

@@ -8,7 +8,11 @@ import threading
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+#: The symbols of normalized text (:func:`normalize`): the space that
+#: joins words, then the characters words are made of.
+_ALPHABET = b" abcdefghijklmnopqrstuvwxyz0123456789"
+
+_TOKEN_RE = re.compile(f"[{_ALPHABET[1:].decode()}]+")
 
 # camelCase boundary, compiled once: tokenize() sits in the narration /
 # indexing hot loop, and re.sub with a string pattern re-checks the regex
@@ -172,10 +176,8 @@ def stem_vocabulary_stats() -> dict:
     return _STEMS.stats()
 
 
-#: byte -> itself for ``[a-z0-9]``, a space for every other byte.
-_WORD_BYTES = bytes(
-    c if chr(c).isascii() and (chr(c).islower() or chr(c).isdigit()) else 32 for c in range(256)
-)
+#: byte -> itself for a symbol of :data:`_ALPHABET`, a space for every other byte.
+_WORD_BYTES = bytes(c if c in _ALPHABET else 32 for c in range(256))
 
 
 def normalize(text: str) -> bytes:

@@ -1,6 +1,7 @@
 """Unit and property tests for deterministic hashed embeddings."""
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -141,8 +142,8 @@ class TestAgainstTheScalarLoop:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 7, 50])
     def test_a_text_longer_than_the_cap_keeps_its_feature_order(self, cap):
-        """Its partial sums carry into the next step: summing each step on
-        its own and adding the sums rounds differently (``OddWeights``)."""
+        """A text is never split: one longer than the cap is a block of its
+        own, summed in feature order (``OddWeights`` rounds otherwise)."""
         embedder = OddWeights(dim=8)
         texts = ["the quick brown fox jumps over the lazy dog " * 3, "price total " * 9, "ab"]
         with mock.patch.object(embedding, "_BLOCK_FEATURES", cap):
@@ -168,21 +169,35 @@ class TestAgainstTheScalarLoop:
         assert vector.dtype == np.float64
         assert vector.tobytes() == embed_scalar(embedder, text).tobytes()
 
-    def test_trigrams_are_hashed_once_per_distinct_string(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [embedding._BLOCK_FEATURES, 10**9])
+    def test_trigrams_are_hashed_once_per_distinct_string(self, monkeypatch, cap):
         """No clock: over a catalog's narrations ``blake2b`` runs exactly
-        once per distinct word feature and distinct bigram feature of the
-        call, and once per trigram the process had not seen before —
-        a fraction of the feature count the scalar loop hashed one by one."""
+        once per distinct word and bigram feature of each block, and once
+        per trigram the process had not seen before — a fraction of the
+        feature count the scalar loop hashed one by one.  Blocks hold whole
+        texts of at most ``_BLOCK_FEATURES`` features, so a cap above the
+        call's feature count makes the whole call one block."""
         lake, _ = build_planted_catalog(seed=1, n_tables=600, rows=4)
         texts = [narrate_table(table) for table in lake.tables()]
         embedder = HashingEmbedder(dim=256)
-        words = {w for text in texts for w in tokenize_cached(text)}
-        tokens = [tokenize_cached(text) for text in texts]
-        bigrams = {pair for ws in tokens for pair in zip(ws, ws[1:])}
+        counts = [len(features(embedder, text)) for text in texts]
+        blocks: list = []
+        size = cap + 1
+        for text, count in zip(texts, counts):
+            if size + count > cap:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(tokenize_cached(text))
+            size += count
+        plain = 0
+        for block in blocks:
+            plain += len({w for words in block for w in words})
+            plain += len({pair for words in block for pair in zip(words, words[1:])})
+        if cap > sum(counts):
+            assert len(blocks) == 1
         codes = np.unique(_gram_codes([normalize(text) for text in texts]))
         assert codes.size == len({gram for text in texts for gram in char_ngrams(text, 3)})
         unseen = int(np.count_nonzero(embedding._TRIGRAMS._digests[codes] == 0))
-        total = sum(len(features(embedder, text)) for text in texts)
         occurrences = sum(len(char_ngrams(text, 3)) for text in texts)
         digests = 0
         blake2b = hashlib.blake2b
@@ -194,18 +209,40 @@ class TestAgainstTheScalarLoop:
 
         before = trigram_table_stats()
         monkeypatch.setattr(hashlib, "blake2b", counting)
+        monkeypatch.setattr(embedding, "_BLOCK_FEATURES", cap)
         embedder.embed_batch(texts)
         first = digests
         embedder.embed_batch(texts)  # every trigram known now: words and bigrams only
         monkeypatch.undo()
         after = trigram_table_stats()
-        assert first == len(words) + len(bigrams) + unseen < total / 2
-        assert digests - first == len(words) + len(bigrams)
+        assert first == plain + unseen < sum(counts) / 2
+        assert digests - first == plain
         assert after["misses"] - before["misses"] == unseen
         assert after["size"] - before["size"] == unseen
         lookups = sum(after[key] - before[key] for key in ("hits", "misses"))
         assert lookups == 2 * occurrences
         assert codes.size <= after["size"] <= 37**3 + 37**2 + 37
+
+
+def test_the_kernel_holds_one_block_at_a_time():
+    """Beyond its output the kernel holds one block's arrays and digest
+    dicts, however many texts the call has (token memo warm, as on a
+    second build: the memo itself is not the kernel's)."""
+    lake, _ = build_planted_catalog(seed=1, n_tables=600, rows=4)
+    texts = [narrate_table(table) for table in lake.tables()]
+    embedder = HashingEmbedder(dim=192)
+    embedder.embed_batch(texts)
+    extra = []
+    for batch in (texts[:150], texts):
+        tracemalloc.start()
+        try:
+            out = embedder.embed_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert max(extra) < 1 << 20
+    assert extra[1] < 1.5 * extra[0]
 
 
 def test_no_gram_hashes_to_the_unseen_mark():

@@ -3,6 +3,13 @@
 Columns are :class:`~repro.frames.series.Series`; all operations return new
 frames.  The Materializer's generated pipelines run against this API inside
 the sandboxed Python-interpreter tool.
+
+Frames are late-materialized: ``merge``, ``take`` (and so ``filter``,
+``head``, ``sort_values`` and ``dropna``) return columns that hold a source
+list and a row-id vector, and a column is gathered only when a step reads
+it.  ``select``, ``rename``, ``assign`` and the constructor share columns
+instead of copying them, so no frame operation writes into a list it did
+not create.
 """
 
 from __future__ import annotations
@@ -30,11 +37,6 @@ def _join_keys(frame: "DataFrame", names: Sequence[str]) -> List[Any]:
     return [None if any(v is None for v in key) else key for key in keys]
 
 
-def _gather(values: List[Any], ids: Sequence[Optional[int]]) -> List[Any]:
-    """``values`` at each row id; ``None`` where the id is ``None``."""
-    return [None if i is None else values[i] for i in ids]
-
-
 class DataFrame:
     """An ordered mapping of column names to equal-length Series."""
 
@@ -42,8 +44,8 @@ class DataFrame:
         self._columns: Dict[str, Series] = {}
         if data:
             for name, values in data.items():
-                series = values if isinstance(values, Series) else Series(values)
-                self._columns[name] = series.rename(name)
+                series = values if isinstance(values, Series) else Series(values, name)
+                self._columns[name] = series if series.name == name else series.rename(name)
             lengths = {len(s) for s in self._columns.values()}
             if len(lengths) > 1:
                 raise FrameError(f"columns of unequal length: {lengths}")
@@ -56,8 +58,8 @@ class DataFrame:
         """Build from a :class:`repro.relational.Table`.
 
         Reads the table's memoized column-major view instead of pivoting
-        row tuples value-by-value; Series copies each column, so the
-        frame never aliases the table's storage.
+        row tuples value-by-value.  The frame shares those lists; no
+        frame operation writes into a column it did not create.
         """
         return cls(dict(zip(table.column_names(), table.as_columns())))
 
@@ -135,9 +137,9 @@ class DataFrame:
         return self.take(keep)
 
     def take(self, indices: Sequence[int]) -> "DataFrame":
-        return DataFrame(
-            {n: Series([s[i] for i in indices], n) for n, s in self._columns.items()}
-        )
+        """The rows at ``indices``, deferred: no column is gathered here."""
+        composed: Dict[int, List[Optional[int]]] = {}
+        return DataFrame({n: s.take(indices, composed) for n, s in self._columns.items()})
 
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(range(min(n, len(self))))
@@ -195,8 +197,11 @@ class DataFrame:
 
         Build ``key -> right row ids`` in one pass over ``other``'s key
         column(s); probe ``self``'s once, recording each output row as a
-        pair of row ids; then gather every output column in one pass over
-        its source list.  Rows come out in left order, each left row's
+        pair of row ids; every output column is that id vector over its
+        source column, gathered only when read (one row-id composition per
+        distinct source vector when an input is itself deferred).  With
+        ``on=``, a right or outer join's shared key column is gathered
+        here, into a fresh list.  Rows come out in left order, each left row's
         matches in right order; ``left`` / ``outer`` keep an unmatched
         left row in place, ``right`` / ``outer`` append the unmatched
         right rows in right order (with ``on=``, carrying their key in the
@@ -264,17 +269,20 @@ class DataFrame:
             left_ids.extend([None] * len(unmatched))
             right_ids.extend(unmatched)
 
-        # Gather: one pass per output column over its source list.
-        out_cols: Dict[str, List[Any]] = {
-            n: _gather(s.values, left_ids) for n, s in self._columns.items()
+        # Defer: every output column is an id vector over its source column.
+        left_composed: Dict[int, List[Optional[int]]] = {}
+        right_composed: Dict[int, List[Optional[int]]] = {}
+        out_cols: Dict[str, Series] = {
+            n: s.take(left_ids, left_composed) for n, s in self._columns.items()
         }
-        if on is not None:
+        if on is not None and right_only < len(left_ids):
             # A right-only row carries its key in the shared key column.
-            tail = right_ids[right_only:]
+            head, tail = left_ids[:right_only], right_ids[right_only:]
             for n in left_keys:
-                out_cols[n][right_only:] = _gather(other._columns[n].values, tail)
+                matched = self._columns[n].take(head, {}).values
+                out_cols[n] = Series(matched + other._columns[n].take(tail, {}).values, n)
         for name, out in right_out_names.items():
-            out_cols[out] = _gather(other._columns[name].values, right_ids)
+            out_cols[out] = other._columns[name].take(right_ids, right_composed)
         return DataFrame(out_cols)
 
     # ------------------------------------------------------------------

@@ -10,21 +10,90 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+
+
+def _gather(values: List[Any], ids: Sequence[Optional[int]]) -> List[Any]:
+    """``values`` at each row id; ``None`` where the id is ``None``."""
+    return [None if i is None else values[i] for i in ids]
+
+
+class _Deferred:
+    """A column not gathered yet: ``source`` at each of ``ids``.
+
+    Every Series renamed or selected from one column shares this object,
+    so the column is gathered once, by whichever of them is read first.
+    """
+
+    __slots__ = ("source", "ids", "values")
+
+    def __init__(self, source: List[Any], ids: Sequence[Optional[int]]):
+        self.source = source
+        self.ids = ids
+        self.values: Optional[List[Any]] = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def gather(self) -> List[Any]:
+        if self.values is None:
+            self.values = _gather(self.source, self.ids)
+        return self.values
 
 
 class Series:
-    """An immutable-by-convention list of values with vectorized operations."""
+    """An immutable-by-convention list of values with vectorized operations.
 
-    def __init__(self, values: Iterable[Any], name: str = ""):
-        self.values: List[Any] = list(values)
+    A list passed in is adopted, not copied, and never written to.  A
+    column built by :meth:`deferred` holds a source list and a row-id
+    vector instead, and gathers its values when first read; ``len()``
+    never gathers.
+    """
+
+    def __init__(self, values: Union[Iterable[Any], _Deferred], name: str = ""):
+        if not isinstance(values, (list, _Deferred)):
+            values = list(values)
+        self._data: Union[List[Any], _Deferred] = values
         self.name = name
+
+    @classmethod
+    def deferred(
+        cls, source: List[Any], ids: Sequence[Optional[int]], name: str = ""
+    ) -> "Series":
+        """``source`` at each of ``ids`` (``None`` -> NULL), gathered when read."""
+        return cls(_Deferred(source, ids), name)
+
+    @property
+    def values(self) -> List[Any]:
+        data = self._data
+        if isinstance(data, _Deferred):
+            data = self._data = data.gather()
+        return data
+
+    def take(
+        self, ids: Sequence[Optional[int]], composed: Dict[int, List[Optional[int]]]
+    ) -> "Series":
+        """This column at each of ``ids`` (``None`` -> NULL), deferred.
+
+        A column not gathered yet composes its own row ids with ``ids``
+        instead of gathering.  ``composed`` memoizes the compositions,
+        keyed by the id of the inner vector, so the columns of one frame
+        over the same inner vector share one; it must only ever be
+        passed with this same ``ids``.
+        """
+        data = self._data
+        if not isinstance(data, _Deferred):
+            return Series.deferred(data, ids, self.name)
+        inner = composed.get(id(data.ids))
+        if inner is None:
+            inner = composed[id(data.ids)] = _gather(data.ids, ids)
+        return Series.deferred(data.source, inner, self.name)
 
     # ------------------------------------------------------------------
     # Basics
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._data)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)
@@ -95,7 +164,7 @@ class Series:
         return Series([fn(v) for v in self.values], self.name)
 
     def rename(self, name: str) -> "Series":
-        return Series(self.values, name)
+        return Series(self._data, name)
 
     def interpolate(self) -> "Series":
         """Linear interpolation over None gaps (ends stay None).

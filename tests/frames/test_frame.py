@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frames import DataFrame, FrameError, Series
+from repro.frames import series as series_module
 from repro.relational import Table
 
 
@@ -232,6 +233,100 @@ class TestMerge:
         monkeypatch.undo()
         assert out.shape == (n, 6)
         assert calls <= 4 * len(out.columns)  # the row-at-a-time body made 16,000 here
+
+
+class TestLateMaterialization:
+    """Joins, filters and takes carry row ids; a column is gathered only
+    when a step reads it, and each source column at most once."""
+
+    @staticmethod
+    def count_gathers(monkeypatch, sources):
+        """Gathers per source column name, counted at the one gather body."""
+        names = {id(values): name for name, values in sources.items()}
+        counts = {}
+        gather = series_module._gather
+
+        def counting(values, ids):
+            if id(values) in names:
+                counts[names[id(values)]] = counts.get(names[id(values)], 0) + 1
+            return gather(values, ids)
+
+        monkeypatch.setattr(series_module, "_gather", counting)
+        return counts
+
+    @pytest.mark.parametrize("prefiltered", [False, True])
+    def test_only_read_columns_are_gathered(self, monkeypatch, prefiltered):
+        n = 300
+        left_data = {"k": [i % 40 for i in range(n)]}
+        left_data.update({f"l{c}": [i * c for i in range(n)] for c in range(9)})
+        right_data = {"k": list(range(50))}
+        right_data.update({f"r{c}": [f"r{c}-{j}" for j in range(50)] for c in range(9)})
+        left, right = DataFrame(left_data), DataFrame(right_data)
+        counts = self.count_gathers(
+            monkeypatch,
+            {**{f"left.{n}": v for n, v in left_data.items()},
+             **{f"right.{n}": v for n, v in right_data.items()}},
+        )
+        if prefiltered:  # the join's left input is itself deferred
+            left = left.filter(left["l1"].map(lambda v: v % 3 != 0))
+        joined = left.merge(right, left_on="k", right_on="k")
+        keys = {"left.k": 1} if prefiltered else {}  # the probe reads a deferred key
+        assert joined.shape == (len(left), 20) and counts == keys
+        kept = joined.filter(joined["l0"].map(lambda v: v % 7 == 0))
+        table = kept.select(["k_right", "l4", "r2", "r8"]).to_table("out")
+        assert table.num_rows == len(kept) > 0
+        selected = {"right.k": 1, "left.l4": 1, "right.r2": 1, "right.r8": 1}
+        assert counts == {**selected, "left.l0": 1, **keys}
+
+    def test_len_select_rename_and_assign_gather_nothing(self, monkeypatch):
+        data = {"k": [1, 2, 3, 2], "a": ["w", "x", "y", "z"]}
+        counts = self.count_gathers(monkeypatch, data)
+        frame = DataFrame(data).merge(DataFrame({"k": [2, 3]}), on="k").head(2)
+        out = frame.rename({"a": "b"}).select(["b", "k"]).assign(c=[0, 0])
+        assert len(out) == 2 and out.shape == (2, 3) and not counts
+        assert out["b"].tolist() == ["x", "y"] and counts == {"a": 1}
+        assert frame["a"].tolist() == ["x", "y"] and counts == {"a": 1}  # shared, not re-gathered
+
+    def test_a_deferred_column_keeps_types_and_null_padding(self):
+        left = DataFrame({"k": [1, 2, None], "v": [1, 1.0, True]}).filter(Series([True] * 3))
+        right = DataFrame({"k": [True, 5], "w": ["p", "q"]})
+        out = left.merge(right, on="k", how="outer").take([3, 0, 2, 1])
+        assert records(out) == [
+            {"k": 5, "v": None, "w": "q"},
+            {"k": 1, "v": 1, "w": "p"},
+            {"k": None, "v": True, "w": None},
+            {"k": 2, "v": 1.0, "w": None},
+        ]
+        assert [type(v) for v in out["v"]] == [type(None), int, bool, float]
+        assert [repr(v) for v in out["k"]] == ["5", "1", "None", "2"]  # 1 keeps its own type
+
+    def test_a_self_join_of_a_deferred_frame_composes_each_side_apart(self):
+        """Both sides share one inner id vector; each composes it with its
+        own outer vector."""
+        frame = DataFrame({"k": [1, 2, 1, 3], "g": ["a", "b", "c", "d"]}).head(4)
+        out = frame.merge(frame, left_on="k", right_on="k")
+        assert out["g"].tolist() == ["a", "a", "b", "c", "c", "d"]
+        assert out["g_right"].tolist() == ["a", "c", "b", "a", "c", "d"]
+
+    @pytest.mark.parametrize("how", ["right", "outer"])
+    @pytest.mark.parametrize("deferred_input", [False, True])
+    def test_merge_leaves_its_inputs_unchanged(self, how, deferred_input):
+        """With ``on=``, right-only rows write their key into the shared key
+        column: that write must land in a fresh list, never in a source."""
+        table = Table.from_columns("t", {"k": [1, 2, 3], "a": ["x", "y", "z"]})
+        left = DataFrame.from_table(table)
+        right = DataFrame({"k": [3, 4, 5, 1], "b": ["p", "q", "r", "s"]})
+        if deferred_input:
+            left, right = left.head(3), right.take([0, 1, 2, 3])
+        def state():
+            return [{c: f[c].tolist() for c in f.columns} for f in (left, right)], [
+                list(c) for c in table.as_columns()
+            ]
+
+        before = state()
+        out = left.merge(right, on="k", how=how)
+        assert out["k"].tolist()[-2:] == [4, 5]
+        assert state() == before
 
 
 class TestGroupBy:

@@ -1,22 +1,28 @@
-"""The array passes of join discovery against the bodies they replaced.
+"""The discovery kernel against the bodies it replaced.
 
 ``tests/oracles/discovery_slotwise.py`` keeps the slot-at-a-time
 ``Counter`` enumeration and the per-sketch densification loop; the
-production code must reproduce both element for element, and must not
-go back to per-slot (or per-column) Python.
+production code must reproduce both element for element, and must do
+work only for the column pairs that can match: pairs whose raw
+signatures share a value.
 """
+
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import load_environment
 from repro.datasets.generator import build_planted_catalog
 from repro.prep import ProfileStore, discover_join_candidates, discovery, profile_tables
 from repro.prep.profile import ColumnProfile, TableProfile
 from repro.prep.sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures
 from repro.relational import Table
 from repro.relational.types import DataType
+from repro.scenarios.generator import derive_seed
 from tests.oracles.discovery_slotwise import (
     dense_signature_single,
     discover_join_candidates_slotwise,
@@ -43,19 +49,26 @@ def sketch_of(cells) -> ColumnSketch:
 
 @st.composite
 def catalogs(draw):
-    """Profiles over hand-made signatures.  Cells come from a five-value
-    alphabet (one of them the empty-bin sentinel), so every slot holds runs
-    of equal cells — of two, of six, of a whole family — and densification
-    has bins to fill; a few tables hold several columns of one family
-    (same-table pairs), a family can have no column, one column, or two."""
+    """Profiles over hand-made signatures.  Cells come from an alphabet
+    of 4, 16 or a million values plus the empty-bin sentinel.  Few values
+    make runs of equal cells — of two, of six, of a whole family — so most
+    families take every cross-table pair; many values are mostly held
+    once, so most families enumerate the sharers of each value, and a
+    value two columns hold in different bins makes a candidate pair that
+    may match on no slot.  Densification has bins to fill, a column can
+    be hollow (no filled bin), a few tables hold several columns of one
+    family (same-table pairs), and a family can have no column, one
+    column, or two."""
     k = draw(st.sampled_from([4, 16]))
-    cell = st.sampled_from([0, 1, 2, 3, EMPTY])
+    size = draw(st.sampled_from([4, 16, 10**6]))  # values besides the sentinel
+    cell = st.integers(0, size).map(lambda value: EMPTY if value == size else value)
     columns = draw(
         st.lists(
             st.tuples(
                 st.integers(0, 3),  # table
                 st.sampled_from(DTYPES),
                 st.lists(cell, min_size=k, max_size=k),
+                st.integers(0, 4),  # 0: a hollow column
                 st.floats(0.0, 60.0),  # distinct estimate (below 2 is skipped)
                 st.booleans(),  # fractional (skipped)
             ),
@@ -64,14 +77,14 @@ def catalogs(draw):
         )
     )
     profiles = {}
-    for position, (table, dtype, cells, distinct, fractional) in enumerate(columns):
+    for position, (table, dtype, cells, filled, distinct, fractional) in enumerate(columns):
         name = f"t{table}"
         profile = profiles.setdefault(name, TableProfile(name=name, row_count=10))
         profile.columns[f"c{position}"] = ColumnProfile(
             table=name,
             name=f"c{position}",
             dtype=dtype,
-            sketch=sketch_of(cells),
+            sketch=sketch_of(cells if filled else [EMPTY] * k),
             count=10,
             nulls=0,
             distinct_estimate=distinct,
@@ -82,11 +95,11 @@ def catalogs(draw):
 
 class TestAgainstTheSlotwiseBody:
     @given(catalogs(), st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([1, 7, 1 << 15]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_candidates_floats_and_order_are_equal(self, profiles, min_containment, cells):
         expected = discover_join_candidates_slotwise(profiles, min_containment=min_containment)
         with pytest.MonkeyPatch.context() as patch:
-            # one slot a sort and one run a fold; ragged blocks; everything at once
+            # one pair a fold or a comparison; ragged batches; everything at once
             patch.setattr(discovery, "_BLOCK_CELLS", cells)
             found = discover_join_candidates(profiles, min_containment=min_containment)
         assert found == expected
@@ -119,7 +132,8 @@ class TestAgainstTheSlotwiseBody:
 
     @pytest.mark.parametrize("block_cells", [1, 300, 1 << 16])
     def test_planted_catalog_at_any_block_size(self, monkeypatch, block_cells):
-        """One slot a call, a ragged last block, every slot in one call."""
+        """One signature a block and one pair a step, ragged last batches,
+        a family in one step."""
         lake, _ = build_planted_catalog(seed=5, n_tables=12, rows=40)
         profiles = ProfileStore().profile_catalog(lake)
         expected = discover_join_candidates_slotwise(profiles)
@@ -180,31 +194,143 @@ class TestBatchedDensification:
         assert dense[1].tolist() == [5] * 8
 
 
+def families(profiles):
+    """The columns discovery compares, by type family."""
+    by_family = {}
+    for column in discovery._flatten(profiles):
+        if column.family == "null" or column.fractional or column.sketch.is_empty():
+            continue
+        if column.distinct_estimate >= 2.0:
+            by_family.setdefault(column.family, []).append(column)
+    return by_family
+
+
+def candidate_pairs(columns):
+    """The pairs a family compares: the cross-table pairs whose raw
+    signatures share a value (hollow columns share the empty sentinel),
+    or every cross-table pair once the sharers of each value would make
+    at least as many pairs as the family has."""
+    held = [set(c.sketch.signature.tolist()) - {EMPTY} or {EMPTY} for c in columns]
+    holders = {}
+    for cells in held:
+        for value in cells:
+            holders[value] = holders.get(value, 0) + 1
+    n = len(columns)
+    every = sum(h * (h - 1) // 2 for h in holders.values()) >= n * (n - 1) // 2
+    return [
+        (a, b)
+        for a, b in combinations(range(n), 2)
+        if columns[a].table != columns[b].table and (every or held[a] & held[b])
+    ]
+
+
+#: A catalog whose every family enumerates sharers, and a lake whose
+#: every family takes all cross-table pairs.
+LAKES = {
+    "planted": lambda: build_planted_catalog(seed=9, n_tables=40, rows=40)[0],
+    "environment": lambda: load_environment(0.05).lake,
+}
+
+
 class TestWorkCounts:
-    """No clock: the number of sorts depends on how many signature cells a
-    family has, never on how many slots or columns they are arranged in."""
+    """No clock: a family densifies the columns of its candidate pairs and
+    compares each candidate pair on its ``k`` slots once — work that
+    follows overlap, not columns times slots."""
 
-    @pytest.mark.parametrize("n_tables", [4, 40])
-    def test_argsort_calls_do_not_follow_slots_or_columns(self, monkeypatch, n_tables):
-        lake, _ = build_planted_catalog(seed=9, n_tables=n_tables, rows=40)
-        profiles = ProfileStore().profile_catalog(lake)
-        families = {}
-        for table in profiles.values():
-            for column in table.column_profiles():
-                families[column.family] = families.get(column.family, 0) + 1
-        k = 256
-        calls = 0
-        argsort = np.argsort
+    @pytest.mark.parametrize("lake", sorted(LAKES))
+    def test_only_candidate_pairs_are_densified_and_compared(self, monkeypatch, lake):
+        profiles = ProfileStore().profile_catalog(LAKES[lake]())
+        densified, compared = [], 0
+        dense, equal = discovery.dense_signatures, np.equal
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return argsort(*args, **kwargs)
+        def densify(sketches):
+            densified.extend(sketches)
+            return dense(sketches)
 
-        monkeypatch.setattr(np, "argsort", counting)
+        def comparing(left, right):
+            nonlocal compared
+            out = equal(left, right)
+            compared += out.size
+            return out
+
+        monkeypatch.setattr(discovery, "dense_signatures", densify)
+        monkeypatch.setattr(np, "equal", comparing)
         found = discover_join_candidates(profiles)
         monkeypatch.undo()
-        assert found
-        # the slot-at-a-time body made k calls a family, whatever its size
-        allowed = sum(-(-k // max(1, discovery._BLOCK_CELLS // n)) for n in families.values())
-        assert 0 < calls <= allowed < k
+        assert found == discover_join_candidates_slotwise(profiles)
+        pairs = [
+            (columns[a].sketch, columns[b].sketch)
+            for columns in families(profiles).values()
+            for a, b in candidate_pairs(columns)
+        ]
+        assert pairs
+        # each sketch in some candidate pair once, no other
+        assert sorted(map(id, densified)) == sorted({id(s) for pair in pairs for s in pair})
+        assert compared == len(pairs) * 256
+
+    def test_families_that_share_no_value_densify_nothing(self):
+        profiles = ProfileStore().profile_catalog(LAKES["planted"]())
+        assert discover_join_candidates(profiles)
+        by_family = families(profiles)
+        assert {"numeric", "text", "date"} <= set(by_family)
+        for family in ("text", "date"):
+            assert all(c.sketch._dense is None for c in by_family[family])
+        assert any(c.sketch._dense is not None for c in by_family["numeric"])
+
+
+class TestBothBranches:
+    """A family enumerates the sharers of each value unless they would
+    make at least as many pairs as it has; then it takes every
+    cross-table pair.  Either way the candidates are the slotwise body's."""
+
+    @pytest.mark.parametrize("lake, falls_back", [("planted", False), ("environment", True)])
+    def test_each_lake_takes_its_branch(self, monkeypatch, lake, falls_back):
+        profiles = ProfileStore().profile_catalog(LAKES[lake]())
+        every = []
+        all_pairs = discovery._all_pairs
+
+        def taking(table_ids):
+            every.append(table_ids.size)
+            return all_pairs(table_ids)
+
+        monkeypatch.setattr(discovery, "_all_pairs", taking)
+        found = discover_join_candidates(profiles)
+        monkeypatch.undo()
+        assert found and found == discover_join_candidates_slotwise(profiles)
+        sizes = sorted(len(columns) for columns in families(profiles).values())
+        assert sorted(every) == (sizes if falls_back else [])
+
+    def test_a_value_shared_in_different_bins_is_dropped(self):
+        sketches = [
+            sketch_of([5, 1, 2, 3]),
+            sketch_of([4, 5, 6, 7]),  # shares 5 with row 0, in another bin
+            sketch_of([8, 9, 10, 11]),
+            sketch_of([EMPTY] * 4),
+            sketch_of([EMPTY] * 4),  # hollow: shares the sentinel with row 3 only
+        ]
+        codes = discovery._candidate_pairs(sketches, np.arange(5))
+        assert codes.tolist() == [0 * 5 + 1, 3 * 5 + 4]
+        pairs, counts = discovery._slot_match_counts(sketches, codes)
+        assert pairs.tolist() == [[3, 4]]
+        assert counts.tolist() == [4.0]
+
+
+#: tracemalloc peak of discovery over the 600-table ``discover_wide``
+#: catalog with no sketch densified yet.  The per-slot ranking body read
+#: 10.2 MB on it (a densified matrix of every column, ranked a block of
+#: slots at a time); densifying and comparing only candidate pairs reads
+#: 5.2 MB.  CPython 3.11, numpy 2.4.
+PEAK_BOUND_MB = 10.2
+
+
+def test_discovery_peak_memory_is_bounded():
+    lake, _ = build_planted_catalog(seed=derive_seed(1, "discover_wide"), n_tables=600, rows=40)
+    profiles = ProfileStore().profile_catalog(lake)
+    tracemalloc.start()
+    try:
+        found = discover_join_candidates(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak <= PEAK_BOUND_MB * 1e6

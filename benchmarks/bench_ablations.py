@@ -17,17 +17,17 @@ from repro.baselines import SeekerSystem, StaticPipelineRunner
 from repro.core.conductor import Conductor
 from repro.datasets.questions import answers_match
 from repro.eval import evaluate_accuracy
-from repro.retriever import PneumaRetriever
 
 
-def test_ablation_dynamic_vs_static_pipeline(arch_eval, env_eval, benchmark):
+def test_ablation_dynamic_vs_static_pipeline(arch_eval, env_eval, index_of, benchmark):
     rows = []
     for dataset in (arch_eval, env_eval):
+        bundle = index_of(dataset)
         results = evaluate_accuracy(
             dataset,
             {
-                "Static-Pipeline": lambda q, d=dataset: StaticPipelineRunner(d.lake).answer(q.text),
-                "Pneuma-Seeker": lambda q, d=dataset: SeekerSystem(d.lake).answer(q.text),
+                "Static-Pipeline": lambda q: StaticPipelineRunner(bundle).answer(q.text),
+                "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
             },
         )
         rows.extend(results)
@@ -45,12 +45,12 @@ def test_ablation_dynamic_vs_static_pipeline(arch_eval, env_eval, benchmark):
     benchmark.pedantic(lambda: by_key, rounds=3, iterations=1)
 
 
-def test_ablation_retrieval_modes(arch_eval, env_eval, benchmark):
+def test_ablation_retrieval_modes(arch_eval, env_eval, index_of, benchmark):
     print()
     print("Ablation: hybrid vs BM25-only vs vector-only retrieval (top-3 hit rate)")
     hit_rates = {}
     for dataset in (arch_eval, env_eval):
-        retriever = PneumaRetriever(dataset.lake)
+        retriever = index_of(dataset).retriever
         for mode in ("hybrid", "bm25", "vector"):
             hits = 0
             for question in dataset.questions:
@@ -71,13 +71,13 @@ def test_ablation_retrieval_modes(arch_eval, env_eval, benchmark):
     benchmark.pedantic(lambda: hit_rates, rounds=3, iterations=1)
 
 
-def test_ablation_context_specialization(arch_eval, benchmark):
+def test_ablation_context_specialization(arch_eval, index_of, benchmark):
     """Specialized prompts stay far smaller than the monolithic union."""
     question = arch_eval.questions[1]  # the Maltese interpolation question
-    system = SeekerSystem(arch_eval.lake)
+    system = SeekerSystem(index_of(arch_eval))
     system.answer(question.text)
 
-    ledger = system.session.llm.ledger
+    ledger = system.ledger
     by_component = ledger.by_component()
     conductor_avg = (
         by_component["conductor"].prompt_tokens / ledger.num_calls("conductor")
@@ -101,7 +101,7 @@ def test_ablation_context_specialization(arch_eval, benchmark):
     benchmark.pedantic(lambda: (conductor_avg, materializer_avg), rounds=3, iterations=1)
 
 
-def test_ablation_action_limit_sweep(arch_eval, benchmark):
+def test_ablation_action_limit_sweep(arch_eval, index_of, benchmark):
     """Accuracy vs the Conductor's per-turn action budget (paper: i = 5)."""
     # A single-turn ask needs retrieve/ground/update/materialize/execute;
     # tighter budgets force extra turns, looser ones change nothing.
@@ -113,7 +113,7 @@ def test_ablation_action_limit_sweep(arch_eval, benchmark):
             Conductor.ACTION_LIMIT = limit
             correct = 0
             for question in questions:
-                system = SeekerSystem(arch_eval.lake)
+                system = SeekerSystem(index_of(arch_eval))
                 answer = system.answer(question.text)
                 truth = question.ground_truth(arch_eval.lake)
                 correct += answers_match(truth, answer, question.tolerance)
@@ -135,9 +135,9 @@ def test_ablation_action_limit_sweep(arch_eval, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_retrieval_ablation(arch_smoke):
+def test_smoke_retrieval_ablation(arch_smoke, index_of):
     """Tiny-N smoke: the three retrieval modes still answer discovery."""
-    retriever = PneumaRetriever(arch_smoke.lake)
+    retriever = index_of(arch_smoke).retriever
     question = arch_smoke.questions[0]
     for mode in ("hybrid", "bm25", "vector"):
         docs = retriever.search(question.text, k=3, mode=mode)

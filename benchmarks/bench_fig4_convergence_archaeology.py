@@ -9,19 +9,8 @@ LLM Sim must interpret their raw outputs itself (§4.1).
 
 import pytest
 
-from repro.baselines import FTSSystem, RAGSystem, RetrieverOnlySystem, SeekerSystem
+from repro.baselines import FTSSystem, SeekerSystem, raw_text_index
 from repro.eval import evaluate_convergence, render_convergence_figure
-
-
-@pytest.fixture(scope="module")
-def fig4_results(arch_eval):
-    factories = {
-        "FTS": lambda: FTSSystem(arch_eval.lake),
-        "Pneuma-Retriever": lambda: RetrieverOnlySystem(arch_eval.lake),
-        "LlamaIndex": lambda: RAGSystem(arch_eval.lake),
-        "Pneuma-Seeker": lambda: SeekerSystem(arch_eval.lake),
-    }
-    return evaluate_convergence(arch_eval, factories, max_turns=15)
 
 
 def test_fig4_convergence_archaeology(fig4_results, benchmark):
@@ -52,13 +41,14 @@ def test_fig4_convergence_archaeology(fig4_results, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_convergence_archaeology(arch_smoke):
+def test_smoke_convergence_archaeology(arch_smoke, index_of):
     """Tiny-N smoke: convergence evaluation still runs for two systems."""
+    fts_index = raw_text_index(arch_smoke.lake)
     results = evaluate_convergence(
         arch_smoke,
         {
-            "FTS": lambda: FTSSystem(arch_smoke.lake),
-            "Pneuma-Seeker": lambda: SeekerSystem(arch_smoke.lake),
+            "FTS": lambda: FTSSystem(arch_smoke.lake, fts_index),
+            "Pneuma-Seeker": lambda: SeekerSystem(index_of(arch_smoke)),
         },
         max_turns=5,
     )

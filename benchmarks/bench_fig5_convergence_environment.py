@@ -6,19 +6,8 @@ Same systems and metrics as Figure 4, over the 20 environment questions.
 
 import pytest
 
-from repro.baselines import FTSSystem, RAGSystem, RetrieverOnlySystem, SeekerSystem
+from repro.baselines import SeekerSystem
 from repro.eval import evaluate_convergence, render_convergence_figure
-
-
-@pytest.fixture(scope="module")
-def fig5_results(env_eval):
-    factories = {
-        "FTS": lambda: FTSSystem(env_eval.lake),
-        "Pneuma-Retriever": lambda: RetrieverOnlySystem(env_eval.lake),
-        "LlamaIndex": lambda: RAGSystem(env_eval.lake),
-        "Pneuma-Seeker": lambda: SeekerSystem(env_eval.lake),
-    }
-    return evaluate_convergence(env_eval, factories, max_turns=15)
 
 
 def test_fig5_convergence_environment(fig5_results, benchmark):
@@ -44,11 +33,11 @@ def test_fig5_convergence_environment(fig5_results, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_convergence_environment(env_smoke):
+def test_smoke_convergence_environment(env_smoke, index_of):
     """Tiny-N smoke: convergence evaluation still runs on environment."""
     results = evaluate_convergence(
         env_smoke,
-        {"Pneuma-Seeker": lambda: SeekerSystem(env_smoke.lake)},
+        {"Pneuma-Seeker": lambda: SeekerSystem(index_of(env_smoke))},
         max_turns=5,
     )
     assert results and results[0].system == "Pneuma-Seeker"

@@ -9,7 +9,7 @@ measured by the benchmark timer.
 
 import pytest
 
-from repro.baselines import FTSSystem, RetrieverOnlySystem, SeekerSystem
+from repro.baselines import FTSSystem, RetrieverOnlySystem, SeekerSystem, raw_text_index
 
 
 @pytest.fixture(scope="module")
@@ -17,14 +17,15 @@ def prompt(arch_eval):
     return arch_eval.questions[0].text
 
 
-def test_latency_seeker_vs_static(arch_eval, prompt, benchmark):
-    seeker = SeekerSystem(arch_eval.lake)
-    fts = FTSSystem(arch_eval.lake)
-    retriever = RetrieverOnlySystem(arch_eval.lake)
+def test_latency_seeker_vs_static(arch_eval, index_of, prompt, benchmark):
+    bundle = index_of(arch_eval)
+    seeker = SeekerSystem(bundle)
+    fts = FTSSystem(arch_eval.lake, raw_text_index(arch_eval.lake))
+    retriever = RetrieverOnlySystem(bundle)
 
-    before = seeker.session.llm.clock.now
+    before = seeker.clock.now
     seeker.respond(prompt)
-    seeker_seconds = seeker.session.llm.clock.now - before
+    seeker_seconds = seeker.clock.now - before
 
     fts_before = fts.clock.now
     fts.respond(prompt)
@@ -49,13 +50,13 @@ def test_latency_seeker_vs_static(arch_eval, prompt, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_latency(arch_smoke):
+def test_smoke_latency(arch_smoke, index_of):
     """Tiny-N smoke: the latency comparison code path still runs."""
-    seeker = SeekerSystem(arch_smoke.lake)
-    fts = FTSSystem(arch_smoke.lake)
+    seeker = SeekerSystem(index_of(arch_smoke))
+    fts = FTSSystem(arch_smoke.lake, raw_text_index(arch_smoke.lake))
     prompt = arch_smoke.questions[0].text
-    before = seeker.session.llm.clock.now
+    before = seeker.clock.now
     seeker.respond(prompt)
-    assert seeker.session.llm.clock.now > before
+    assert seeker.clock.now > before
     fts.respond(prompt)
     assert fts.clock.now < 1.0

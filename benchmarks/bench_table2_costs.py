@@ -1,8 +1,8 @@
 """Table 2: Estimated Average Token Usage and Costs Across Different LLMs.
 
-Runs full LLM-Sim interactions against Pneuma-Seeker per dataset, meters
-the Seeker-side tokens, and prices the average interaction at the paper's
-six model price points.  Absolute token counts differ from the paper (our
+Meters the Seeker-side tokens of the LLM-Sim interactions Figures 4 and 5
+ran against Pneuma-Seeker, and prices the average interaction at the
+paper's six model price points.  Absolute token counts differ from the paper (our
 prompts are the offline RuleLLM's), but the structure — input-dominated
 usage, costs scaling linearly with the price sheet, O4-mini cheap relative
 to Opus — is the reproduced claim.
@@ -10,7 +10,8 @@ to Opus — is the reproduced claim.
 
 import pytest
 
-from repro.eval import evaluate_costs, render_table2
+from repro.baselines import SeekerSystem
+from repro.eval import evaluate_convergence, evaluate_costs, render_table2
 from repro.llm.pricing import TABLE2_MODEL_ORDER
 
 PAPER_AVG_TOKENS = {
@@ -20,10 +21,10 @@ PAPER_AVG_TOKENS = {
 
 
 @pytest.fixture(scope="module")
-def cost_rows(arch_eval, env_eval):
+def cost_rows(fig4_results, fig5_results):
     return [
-        evaluate_costs(arch_eval, max_turns=15),
-        evaluate_costs(env_eval, max_turns=15),
+        evaluate_costs(next(r for r in results if r.system == "Pneuma-Seeker"))
+        for results in (fig4_results, fig5_results)
     ]
 
 
@@ -53,8 +54,11 @@ def test_table2_costs(cost_rows, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_costs(arch_smoke):
+def test_smoke_costs(arch_smoke, index_of):
     """Tiny-N smoke: the cost evaluation pipeline still runs end to end."""
-    row = evaluate_costs(arch_smoke, max_turns=4)
+    (seeker,) = evaluate_convergence(
+        arch_smoke, {"Pneuma-Seeker": lambda: SeekerSystem(index_of(arch_smoke))}, max_turns=4
+    )
+    row = evaluate_costs(seeker)
     assert row.avg_input_tokens > 0
     assert set(row.costs) == set(TABLE2_MODEL_ORDER)

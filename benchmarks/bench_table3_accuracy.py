@@ -20,19 +20,19 @@ PAPER_TABLE3 = {
 }
 
 
-def _answerers(dataset):
+def _answerers(bundle):
     return {
-        "LlamaIndex": lambda q: RAGSystem(dataset.lake).answer(q.text),
-        "DS-Guru(O3)": lambda q: DSGuruRunner(dataset.lake).answer(q.text),
-        "Pneuma-Seeker": lambda q: SeekerSystem(dataset.lake).answer(q.text),
+        "LlamaIndex": lambda q: RAGSystem(bundle).answer(q.text),
+        "DS-Guru(O3)": lambda q: DSGuruRunner(bundle).answer(q.text),
+        "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
     }
 
 
 @pytest.fixture(scope="module")
-def accuracy_results(arch_eval, env_eval):
+def accuracy_results(arch_eval, env_eval, index_of):
     results = []
-    results += evaluate_accuracy(arch_eval, _answerers(arch_eval))
-    results += evaluate_accuracy(env_eval, _answerers(env_eval))
+    results += evaluate_accuracy(arch_eval, _answerers(index_of(arch_eval)))
+    results += evaluate_accuracy(env_eval, _answerers(index_of(env_eval)))
     return results
 
 
@@ -60,11 +60,12 @@ def test_table3_accuracy(accuracy_results, benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_accuracy(arch_smoke):
+def test_smoke_accuracy(arch_smoke, index_of):
     """Tiny-N smoke: the accuracy evaluation runs with one system."""
+    bundle = index_of(arch_smoke)
     results = evaluate_accuracy(
         arch_smoke,
-        {"Pneuma-Seeker": lambda q: SeekerSystem(arch_smoke.lake).answer(q.text)},
+        {"Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text)},
     )
     assert len(results) == 1
     assert results[0].total == len(arch_smoke.questions)

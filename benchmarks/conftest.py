@@ -5,6 +5,10 @@ assert the paper-shape, print the paper-style tables, and time a
 representative unit of work (pytest-benchmark insists on timing
 something; re-running whole evaluations per round would be wasteful).
 
+Each lake gets one index (``index_of``), built by the service's own
+``build_shared_retriever`` and searched by every system and every
+conversation; Table 2 prices the Seeker dialogues of Figures 4 and 5.
+
 ``REPRO_BENCH_SCALE`` (default 0.05) controls the evaluation lake scale;
 Table 1 and the O3 context experiment always use the paper-shape scale 1.0.
 
@@ -19,7 +23,16 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines import (
+    FTSSystem,
+    RAGSystem,
+    RetrieverOnlySystem,
+    SeekerSystem,
+    raw_text_index,
+)
 from repro.datasets import load_archaeology, load_environment
+from repro.eval import evaluate_convergence
+from repro.service import build_shared_retriever
 
 EVAL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 
@@ -84,3 +97,41 @@ def arch_full():
 def env_full():
     """Environment dataset at the paper's full scale (Table 1 shape)."""
     return load_environment(scale=1.0)
+
+
+@pytest.fixture(scope="session")
+def index_of():
+    """``index_of(dataset)``: the one shared index of the dataset's lake,
+    built on first use."""
+    built = {}
+
+    def index(dataset):
+        if id(dataset.lake) not in built:
+            built[id(dataset.lake)] = build_shared_retriever(dataset.lake)
+        return built[id(dataset.lake)]
+
+    return index
+
+
+def _convergence(dataset, bundle):
+    """LLM Sim against the four systems of Figures 4 and 5."""
+    fts_index = raw_text_index(dataset.lake)
+    factories = {
+        "FTS": lambda: FTSSystem(dataset.lake, fts_index),
+        "Pneuma-Retriever": lambda: RetrieverOnlySystem(bundle),
+        "LlamaIndex": lambda: RAGSystem(bundle),
+        "Pneuma-Seeker": lambda: SeekerSystem(bundle),
+    }
+    return evaluate_convergence(dataset, factories, max_turns=15)
+
+
+@pytest.fixture(scope="session")
+def fig4_results(arch_eval, index_of):
+    """Figure 4's dialogues (archaeology); Table 2 prices the Seeker's."""
+    return _convergence(arch_eval, index_of(arch_eval))
+
+
+@pytest.fixture(scope="session")
+def fig5_results(env_eval, index_of):
+    """Figure 5's dialogues (environment); Table 2 prices the Seeker's."""
+    return _convergence(env_eval, index_of(env_eval))

@@ -10,6 +10,7 @@ Run:  python examples/archaeology_exploration.py
 from repro.baselines import SeekerSystem
 from repro.datasets import load_archaeology
 from repro.eval import build_sim_llm
+from repro.service import build_shared_retriever
 from repro.sim import SimulationRunner
 
 
@@ -21,7 +22,7 @@ def main() -> None:
     print(f"  {question.text}")
     print()
 
-    system = SeekerSystem(dataset.lake)
+    system = SeekerSystem(build_shared_retriever(dataset.lake))
     runner = SimulationRunner(build_sim_llm(), max_turns=15)
     outcome = runner.run(system, question)
 

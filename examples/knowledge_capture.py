@@ -5,23 +5,28 @@ into the Document Database, so "if one user specifies that estimating
 tariff impacts requires accounting for [previous tariffs], subsequent
 tariff-related queries can leverage that insight."
 
+Both users search Web Search, which the service does not wire, so they
+are bare sessions over one shared index of the lake.
+
 Run:  python examples/knowledge_capture.py
 """
 
 from repro.core import SeekerSession
 from repro.datasets import build_procurement_lake, build_tariff_web
 from repro.ir import DocumentDatabase
+from repro.service import build_shared_retriever
 
 
 def main() -> None:
     lake = build_procurement_lake(scale=0.25)
+    retriever = build_shared_retriever(lake).retriever
     shared_knowledge = DocumentDatabase()
 
     print("=" * 72)
     print("USER 1 (senior analyst): teaches the system domain knowledge")
     print("=" * 72)
     first = SeekerSession(
-        lake, web=build_tariff_web(), enable_web=True,
+        lake, retriever, web=build_tariff_web(),
         knowledge=shared_knowledge, user="senior-analyst",
     )
     first.submit(
@@ -37,7 +42,7 @@ def main() -> None:
     print("USER 2 (newcomer): asks WITHOUT mentioning previous tariffs")
     print("=" * 72)
     second = SeekerSession(
-        lake, web=build_tariff_web(), enable_web=True,
+        lake, retriever, web=build_tariff_web(),
         knowledge=shared_knowledge, user="newcomer",
     )
     answer = second.ask(

@@ -1,12 +1,15 @@
 """Quickstart: build a tiny lake, ask Pneuma-Seeker a question, watch (T, Q).
 
+The lake is served by a :class:`PneumaService`: one shared index, and a
+session per user.
+
 Run:  python examples/quickstart.py
 """
 
 import datetime
 
-from repro.core import SeekerSession
 from repro.relational import Database, Table
+from repro.service import PneumaService
 
 
 def build_lake() -> Database:
@@ -35,35 +38,31 @@ def build_lake() -> Database:
     return lake
 
 
+TURNS = [
+    ("TURN 1 - a broad, exploratory question", "What air quality data do we have here?"),
+    ("TURN 2 - the refined information need", "What is the average ozone at the South station? "),
+]
+
+
 def main() -> None:
-    session = SeekerSession(build_lake(), enable_web=False)
+    with PneumaService(build_lake()) as service:
+        session = service.open_session(user="quickstart")
+        for title, message in TURNS:
+            print("=" * 72)
+            print(title)
+            print("=" * 72)
+            response = service.post_turn(session, message)
+            print(response.message)
+            print()
+            print(response.state_view)
+            print()
+        summary = service.close_session(session)
 
-    print("=" * 72)
-    print("TURN 1 - a broad, exploratory question")
-    print("=" * 72)
-    response = session.submit("What air quality data do we have here?")
-    print(response.message)
-    print()
-    print(response.state_view)
-
-    print()
-    print("=" * 72)
-    print("TURN 2 - the refined information need")
-    print("=" * 72)
-    response = session.submit(
-        "What is the average ozone at the South station? "
-    )
-    print(response.message)
-    print()
-    print(response.state_view)
-
-    print()
-    print(f"Final computed answer: {session.answer_value}")
-    usage = session.llm.ledger.total()
+    print(f"Final computed answer: {response.answer_value}")
     print(
-        f"LLM usage: {usage.prompt_tokens} prompt + {usage.completion_tokens} "
-        f"completion tokens across {session.llm.ledger.num_calls()} calls "
-        f"({session.llm.clock.now:.0f} virtual seconds)"
+        f"LLM usage: {summary.prompt_tokens} prompt + {summary.completion_tokens} "
+        f"completion tokens across {summary.turns} turns "
+        f"({summary.virtual_seconds:.0f} virtual seconds)"
     )
 
 

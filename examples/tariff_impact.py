@@ -6,6 +6,9 @@ The system discovers procurement tables, pulls the tariff schedule from
 clarification that impact is *relative to the previous active tariff* —
 converges on Q computing price * (1 + new_tariff - previous_tariff).
 
+The session searches Web Search, which the service does not wire, so it
+is a bare session over the lake's shared index.
+
 Run:  python examples/tariff_impact.py
 """
 
@@ -15,11 +18,13 @@ from repro.datasets import (
     build_tariff_web,
     tariff_impact_ground_truth,
 )
+from repro.service import build_shared_retriever
 
 
 def main() -> None:
     lake = build_procurement_lake(scale=0.25)
-    session = SeekerSession(lake, web=build_tariff_web(), enable_web=True, user="finance-analyst")
+    retriever = build_shared_retriever(lake).retriever
+    session = SeekerSession(lake, retriever, web=build_tariff_web(), user="finance-analyst")
 
     print("=" * 72)
     print("ROUND 1 - the broad question from the Finance department")

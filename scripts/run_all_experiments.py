@@ -25,6 +25,7 @@ from repro.baselines import (  # noqa: E402
     RetrieverOnlySystem,
     SeekerSystem,
     StaticPipelineRunner,
+    raw_text_index,
 )
 from repro.datasets import load_archaeology, load_environment  # noqa: E402
 from repro.eval import (  # noqa: E402
@@ -39,6 +40,7 @@ from repro.eval import (  # noqa: E402
     render_table3,
 )
 from repro.scenarios import render_grid, run_grid  # noqa: E402
+from repro.service import build_shared_retriever  # noqa: E402
 
 
 def main() -> None:
@@ -53,6 +55,9 @@ def main() -> None:
 
     started = time.time()
     datasets = [load_archaeology(scale=args.scale), load_environment(scale=args.scale)]
+    # One index per lake, built the way the service builds its own, and
+    # searched by every system and every conversation below.
+    bundles = [build_shared_retriever(d.lake) for d in datasets]
 
     # ------------------------------------------------------------- Table 1
     if args.full_table1:
@@ -63,27 +68,31 @@ def main() -> None:
     print()
 
     # -------------------------------------------------------- Figures 4, 5
-    for dataset, figure in zip(datasets, ("Figure 4 (archaeology)", "Figure 5 (environment)")):
+    seeker_dialogues = []
+    figures = ("Figure 4 (archaeology)", "Figure 5 (environment)")
+    for dataset, bundle, figure in zip(datasets, bundles, figures):
+        fts_index = raw_text_index(dataset.lake)
         factories = {
-            "FTS": lambda d=dataset: FTSSystem(d.lake),
-            "Pneuma-Retriever": lambda d=dataset: RetrieverOnlySystem(d.lake),
-            "LlamaIndex": lambda d=dataset: RAGSystem(d.lake),
-            "Pneuma-Seeker": lambda d=dataset: SeekerSystem(d.lake),
+            "FTS": lambda d=dataset, i=fts_index: FTSSystem(d.lake, i),
+            "Pneuma-Retriever": lambda b=bundle: RetrieverOnlySystem(b),
+            "LlamaIndex": lambda b=bundle: RAGSystem(b),
+            "Pneuma-Seeker": lambda b=bundle: SeekerSystem(b),
         }
         results = evaluate_convergence(dataset, factories, max_turns=15)
+        seeker_dialogues += [r for r in results if r.system == "Pneuma-Seeker"]
         print(render_convergence_figure(results, figure))
         print()
 
     # --------------------------------------------------------------- Table 3
     accuracy = []
-    for dataset in datasets:
+    for dataset, bundle in zip(datasets, bundles):
         accuracy += evaluate_accuracy(
             dataset,
             {
-                "LlamaIndex": lambda q, d=dataset: RAGSystem(d.lake).answer(q.text),
-                "DS-Guru(O3)": lambda q, d=dataset: DSGuruRunner(d.lake).answer(q.text),
-                "Pneuma-Seeker": lambda q, d=dataset: SeekerSystem(d.lake).answer(q.text),
-                "Static-Pipeline": lambda q, d=dataset: StaticPipelineRunner(d.lake).answer(q.text),
+                "LlamaIndex": lambda q, b=bundle: RAGSystem(b).answer(q.text),
+                "DS-Guru(O3)": lambda q, b=bundle: DSGuruRunner(b).answer(q.text),
+                "Pneuma-Seeker": lambda q, b=bundle: SeekerSystem(b).answer(q.text),
+                "Static-Pipeline": lambda q, b=bundle: StaticPipelineRunner(b).answer(q.text),
             },
         )
     print(render_table3(accuracy))
@@ -95,7 +104,8 @@ def main() -> None:
     print()
 
     # --------------------------------------------------------------- Table 2
-    cost_rows = [evaluate_costs(d, max_turns=15) for d in datasets]
+    # Priced from the Figures' Seeker dialogues, not from a second run.
+    cost_rows = [evaluate_costs(result) for result in seeker_dialogues]
     print(render_table2(cost_rows))
     print()
 

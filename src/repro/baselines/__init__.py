@@ -6,10 +6,11 @@ from .full_context import FullContextAnswer, FullContextRunner
 from .rag_system import RAGSystem
 from .seeker_system import SeekerSystem
 from .static_pipeline import StaticPipelineRunner
-from .static_systems import FTSSystem, RetrieverOnlySystem
+from .static_systems import FTSSystem, RetrieverOnlySystem, raw_text_index
 
 __all__ = [
     "FTSSystem",
+    "raw_text_index",
     "RetrieverOnlySystem",
     "RAGSystem",
     "SeekerSystem",

@@ -15,9 +15,8 @@ from ..core.interpreter import InterpreterError, PipelineInterpreter
 from ..llm.policies import DSGuruPolicy
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
-from ..relational.catalog import Database
 from ..relational.errors import RelationalError
-from ..retriever.summarizer import table_payload
+from ..service.shared import SharedIndexBundle
 
 
 def build_ds_guru_llm(model_name: str = "O3", **kwargs) -> RuleLLM:
@@ -29,13 +28,13 @@ def build_ds_guru_llm(model_name: str = "O3", **kwargs) -> RuleLLM:
 class DSGuruRunner:
     """question -> subtasks -> one-shot pipeline + SQL -> answer."""
 
-    def __init__(self, lake: Database, llm: Optional[RuleLLM] = None):
+    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None):
         self.name = "DS-Guru"
-        self.lake = lake
+        self.lake = bundle.retriever.database
         self.llm = llm or build_ds_guru_llm()
         # DS-Guru sees every file's schema and sample rows up front
-        # (KramaBench hands the framework the dataset's files).
-        self._payloads = [table_payload(t, sample_n=3) for t in lake.tables()]
+        # (KramaBench hands the framework the dataset's files), as the index renders them.
+        self._payloads = bundle.retriever.payloads.get_many(self.lake.tables())
 
     def answer(self, question: str) -> Any:
         prompt = render_prompt(

@@ -14,8 +14,7 @@ from ..llm.clock import INDEX_LOOKUP_SECONDS
 from ..llm.policies import RAGPolicy
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
-from ..relational.catalog import Database
-from ..retriever.retriever import PneumaRetriever
+from ..service.shared import SharedIndexBundle
 
 
 def build_rag_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
@@ -29,12 +28,13 @@ class RAGSystem:
 
     kind = "rag"
 
-    def __init__(self, lake: Database, llm: Optional[RuleLLM] = None, k: int = 3):
+    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None, k: int = 3):
         self.name = "LlamaIndex"
-        self.lake = lake
+        self.retriever = bundle.retriever
         self.llm = llm or build_rag_llm()
+        self.clock = self.llm.clock
+        self.ledger = self.llm.ledger
         self.k = k
-        self.retriever = PneumaRetriever(lake)
         self._history: List[str] = []
 
     def respond(self, message: str) -> str:

@@ -5,17 +5,20 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.session import SeekerSession
-from ..relational.catalog import Database
+from ..service.shared import SharedIndexBundle
 
 
 class SeekerSystem:
-    """Pneuma-Seeker behind the uniform system interface."""
+    """Pneuma-Seeker behind the uniform system interface: a fresh session
+    (an independent user) per conversation, over the lake's shared index."""
 
     kind = "seeker"
 
-    def __init__(self, lake: Database, enable_web: bool = False, **kwargs):
+    def __init__(self, bundle: SharedIndexBundle):
         self.name = "Pneuma-Seeker"
-        self.session = SeekerSession(lake, enable_web=enable_web, **kwargs)
+        self.session = SeekerSession(bundle.retriever.database, bundle.retriever)
+        self.clock = self.session.llm.clock
+        self.ledger = self.session.llm.ledger
 
     def respond(self, message: str) -> str:
         return self.session.respond(message)

@@ -19,9 +19,8 @@ from ..llm.policies.planning import build_plan, plan_to_json
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
 from ..llm.semantics import SchemaView
-from ..relational.catalog import Database
 from ..relational.errors import RelationalError
-from ..retriever.retriever import PneumaRetriever
+from ..service.shared import SharedIndexBundle
 
 
 def build_static_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
@@ -33,12 +32,12 @@ def build_static_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
 class StaticPipelineRunner:
     """retrieve top-k -> plan -> materialize once -> execute once."""
 
-    def __init__(self, lake: Database, llm: Optional[RuleLLM] = None, k: int = 6):
+    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None, k: int = 6):
         self.name = "Static-Pipeline"
-        self.lake = lake
+        self.retriever = bundle.retriever
+        self.lake = self.retriever.database
         self.llm = llm or build_static_llm()
         self.k = k
-        self.retriever = PneumaRetriever(lake)
         self._conductor_policy = ConductorPolicy()  # reused for spec building only
 
     def answer(self, question: str) -> Any:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from typing import List
 
 from ..llm.clock import INDEX_LOOKUP_SECONDS, VirtualClock
+from ..llm.tokens import UsageLedger
 from ..relational.catalog import Database
 from ..relational.table import Table
 from ..relational.types import format_value
-from ..retriever.retriever import PneumaRetriever
+from ..service.shared import SharedIndexBundle
 from ..text.bm25 import BM25Index
 
 
@@ -40,19 +41,29 @@ def _raw_text(table: Table, max_rows: int = 50) -> str:
     return " ".join(cells)
 
 
+def raw_text_index(lake: Database) -> BM25Index:
+    """The FTS baseline's index: BM25 over each table's raw text, built
+    once per lake and searched by every conversation."""
+    index = BM25Index()
+    for table in lake.tables():
+        index.add(table.name, _raw_text(table))
+    return index
+
+
 class FTSSystem:
-    """BM25 full-text search over raw table contents."""
+    """BM25 full-text search over raw table contents (a prebuilt
+    :func:`raw_text_index` of ``lake``).  Static systems call no model:
+    their ledger stays empty and their clock ticks index lookups only."""
 
     kind = "static"
 
-    def __init__(self, lake: Database, k: int = 3, clock: VirtualClock = None):
+    def __init__(self, lake: Database, index: BM25Index, k: int = 3):
         self.name = "FTS"
         self.lake = lake
+        self.index = index
         self.k = k
-        self.clock = clock or VirtualClock()
-        self.index = BM25Index()
-        for table in lake.tables():
-            self.index.add(table.name, _raw_text(table))
+        self.clock = VirtualClock()
+        self.ledger = UsageLedger()
 
     def respond(self, message: str) -> str:
         self.clock.tick(INDEX_LOOKUP_SECONDS)
@@ -69,12 +80,13 @@ class RetrieverOnlySystem:
 
     kind = "static"
 
-    def __init__(self, lake: Database, k: int = 3, clock: VirtualClock = None):
+    def __init__(self, bundle: SharedIndexBundle, k: int = 3):
         self.name = "Pneuma-Retriever"
-        self.lake = lake
+        self.retriever = bundle.retriever
+        self.lake = self.retriever.database
         self.k = k
-        self.clock = clock or VirtualClock()
-        self.retriever = PneumaRetriever(lake)
+        self.clock = VirtualClock()
+        self.ledger = UsageLedger()
 
     def respond(self, message: str) -> str:
         self.clock.tick(INDEX_LOOKUP_SECONDS)

@@ -1,10 +1,12 @@
 """The Pneuma-Seeker session: the user-facing assembly of all components.
 
-A session owns the lake, the IR System (Pneuma-Retriever + Document DB +
-optional Web Search), the shared state ``(T, Q)``, the Materializer, and
-the Conductor.  ``respond`` is the uniform system interface the evaluation
-drives: message in, (user-facing reply + state view) out — the chat plus
-state panes of Figure 2.
+A session searches a prebuilt Pneuma-Retriever over its lake (one index
+per lake, built by ``repro.service.build_shared_retriever``) and owns the
+rest: the IR System around it (Document DB + optional Web Search), the
+shared state ``(T, Q)``, the Materializer, and the Conductor.  ``respond``
+is the uniform system interface the evaluation drives: message in,
+(user-facing reply + state view) out — the chat plus state panes of
+Figure 2.
 
 Sessions also capture knowledge: clarifications the user volunteers are
 persisted to the Document Database, the paper's emergent-documentation
@@ -23,7 +25,7 @@ from ..ir.web import WebSearch
 from ..llm.policies import ConductorPolicy, MaterializerPolicy
 from ..llm.rule_llm import RuleLLM
 from ..relational.catalog import Database
-from ..retriever.retriever import PneumaRetriever, Searchable
+from ..retriever.retriever import Searchable
 from .conductor import Conductor
 from .materializer import Materializer
 from .state import SharedState
@@ -68,28 +70,20 @@ class SeekerSession:
     def __init__(
         self,
         lake: Database,
+        retriever: Searchable,
         llm: Optional[RuleLLM] = None,
         web: Optional[WebSearch] = None,
         knowledge: Optional[DocumentDatabase] = None,
-        enable_web: bool = True,
         user: str = "",
-        retriever: Optional[Searchable] = None,
         plan_cache=None,
         prep=None,
     ):
         self.llm = llm or build_seeker_llm()
-        # A prebuilt (typically frozen, service-shared) retriever skips the
-        # per-session narrate/embed/index pass; everything mutable — state,
+        # The retriever is prebuilt over ``lake`` (frozen and shared, see
+        # ``build_shared_retriever``); everything mutable — state,
         # Materializer, Conductor working memory — stays session-private.
-        retriever = retriever if retriever is not None else PneumaRetriever(lake)
         self.knowledge_db = knowledge if knowledge is not None else DocumentDatabase()
-        self.ir = IRSystem(
-            retriever=retriever,
-            web=web if enable_web else None,
-            knowledge=self.knowledge_db,
-        )
-        if not enable_web:
-            self.ir.unregister("web")
+        self.ir = IRSystem(retriever=retriever, web=web, knowledge=self.knowledge_db)
         # plan_cache (when service-provided) is shared across sessions:
         # the Conductor re-runs templated Q every turn, and warm plans
         # skip parse+bind+plan entirely.

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional
 from ..datasets.questions import BenchmarkDataset
 from ..llm.policies import UserSimPolicy
 from ..llm.rule_llm import RuleLLM
+from ..llm.tokens import Usage
 from ..sim.runner import ConversationalSystem, SimulationOutcome, SimulationRunner
 
 SystemFactory = Callable[[], ConversationalSystem]
@@ -48,6 +49,9 @@ class ConvergenceResult:
     median_turns: float
     avg_seconds_per_prompt: float = 0.0
     outcomes: List[SimulationOutcome] = field(default_factory=list)
+    #: The system's own model usage over each outcome's conversation
+    #: (aligned with ``outcomes``; what Table 2 prices).
+    usage: List[Usage] = field(default_factory=list)
     #: Per-scenario-class breakdown keyed by ``Question.design`` (insertion
     #: order follows first appearance in the dataset).  The aggregate
     #: fields above are kept as-is for back-compat.
@@ -87,20 +91,18 @@ def evaluate_convergence(
     results: List[ConvergenceResult] = []
     for name, factory in factories.items():
         outcomes: List[SimulationOutcome] = []
+        usage: List[Usage] = []
         seconds = []
         for question in dataset.questions:
             system = factory()
             llm = sim_llm or build_sim_llm()
             runner = SimulationRunner(llm, max_turns=max_turns)
-            clock_source = getattr(system, "session", system)
-            clock = getattr(getattr(clock_source, "llm", None), "clock", None)
-            if clock is None:
-                clock = getattr(clock_source, "clock", None)
-            before = clock.now if clock else 0.0
+            before = system.clock.now
             outcome = runner.run(system, question)
             outcomes.append(outcome)
-            if clock and outcome.turns:
-                seconds.append((clock.now - before) / outcome.turns)
+            usage.append(system.ledger.total())
+            if outcome.turns:
+                seconds.append((system.clock.now - before) / outcome.turns)
         turns = [o.turns if o.converged else max_turns for o in outcomes]
         results.append(
             ConvergenceResult(
@@ -113,6 +115,7 @@ def evaluate_convergence(
                     sum(seconds) / len(seconds) if seconds else 0.0
                 ),
                 outcomes=outcomes,
+                usage=usage,
                 by_class=_class_breakdowns(dataset.questions, outcomes, max_turns),
             )
         )

@@ -1,8 +1,9 @@
 """Table 2: estimated average token usage and costs across LLM price points.
 
-Runs full LLM-Sim interactions against Pneuma-Seeker for every question of
-a dataset, averages the metered Seeker-side token usage per interaction,
-and prices it at each of the paper's six model price points.
+Averages the metered Seeker-side token usage per interaction over the
+LLM-Sim dialogues the convergence evaluation (Figures 4 and 5) already ran
+against Pneuma-Seeker, and prices it at each of the paper's six model
+price points.
 """
 
 from __future__ import annotations
@@ -10,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..baselines.seeker_system import SeekerSystem
-from ..datasets.questions import BenchmarkDataset
 from ..llm.pricing import MODEL_PRICES, TABLE2_MODEL_ORDER, CostBreakdown
 from ..llm.tokens import Usage
-from .convergence_eval import build_sim_llm
-from ..sim.runner import SimulationRunner
+from .convergence_eval import ConvergenceResult
 
 
 @dataclass
@@ -28,29 +26,18 @@ class CostRow:
     costs: Dict[str, CostBreakdown] = field(default_factory=dict)
 
 
-def evaluate_costs(
-    dataset: BenchmarkDataset,
-    max_turns: int = 15,
-    enable_web: bool = False,
-) -> CostRow:
-    """Average Seeker-side tokens per full interaction, priced per model."""
-    total_in = 0
-    total_out = 0
-    interactions = 0
-    for question in dataset.questions:
-        system = SeekerSystem(dataset.lake, enable_web=enable_web)
-        runner = SimulationRunner(build_sim_llm(), max_turns=max_turns)
-        runner.run(system, question)
-        usage = system.session.llm.ledger.total()
-        total_in += usage.prompt_tokens
-        total_out += usage.completion_tokens
-        interactions += 1
+def evaluate_costs(seeker: ConvergenceResult) -> CostRow:
+    """Average Seeker-side tokens per full interaction of ``seeker`` (the
+    Pneuma-Seeker result of :func:`evaluate_convergence`), priced per model."""
+    interactions = len(seeker.usage)
+    total_in = sum(u.prompt_tokens for u in seeker.usage)
+    total_out = sum(u.completion_tokens for u in seeker.usage)
     avg_in = total_in / interactions if interactions else 0.0
     avg_out = total_out / interactions if interactions else 0.0
     average = Usage(prompt_tokens=int(avg_in), completion_tokens=int(avg_out))
     costs = {name: MODEL_PRICES[name].cost(average) for name in TABLE2_MODEL_ORDER}
     return CostRow(
-        dataset=dataset.name,
+        dataset=seeker.dataset,
         avg_input_tokens=avg_in,
         avg_output_tokens=avg_out,
         costs=costs,

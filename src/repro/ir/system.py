@@ -90,11 +90,6 @@ class IRSystem:
             batch_fn=lambda qs, k: retriever.search_batch(qs, k=k),
         )
 
-    def unregister(self, name: str) -> None:
-        """Remove a retriever (the evaluation disables 'web' this way)."""
-        self._sources.pop(name, None)
-        self._batch_sources.pop(name, None)
-
     def retrieve(
         self, query: str, k_tables: int = 6, k_other: int = 2
     ) -> RetrievalResult:

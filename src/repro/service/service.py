@@ -416,7 +416,6 @@ class PneumaService:
             gen.catalog,
             llm=self._build_llm(),
             knowledge=self.knowledge,
-            enable_web=False,
             user=user,
             retriever=gen,
             plan_cache=self.sql_plan_cache,

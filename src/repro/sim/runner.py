@@ -13,17 +13,23 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Protocol
 
 from ..datasets.questions import Question
+from ..llm.clock import VirtualClock
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
-from ..llm.tokens import count_tokens
+from ..llm.tokens import UsageLedger, count_tokens
 from .personas import BEHAVIOR, SCENARIO, persona_for
 
 
 class ConversationalSystem(Protocol):
-    """What the runner needs from a system under test."""
+    """What the runner needs from a system under test (``respond``), plus
+    what the evaluation reads around each conversation: the system's
+    virtual ``clock`` and the ``ledger`` of its own model calls (empty for
+    a static system, which calls no model)."""
 
     name: str
     kind: str  # 'seeker' | 'rag' | 'static'
+    clock: VirtualClock
+    ledger: UsageLedger
 
     def respond(self, message: str) -> str: ...
 

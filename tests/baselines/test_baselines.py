@@ -12,10 +12,12 @@ from repro.baselines import (
     RetrieverOnlySystem,
     SeekerSystem,
     StaticPipelineRunner,
+    raw_text_index,
 )
 from repro.baselines.full_context import build_full_context_llm
 from repro.datasets.questions import Question
 from repro.relational import Database, Table
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture(scope="module")
@@ -39,69 +41,80 @@ def lake():
     return db
 
 
+@pytest.fixture(scope="module")
+def bundle(lake):
+    """The lake's one shared index, as the service builds it."""
+    return build_shared_retriever(lake)
+
+
+@pytest.fixture(scope="module")
+def fts_index(lake):
+    return raw_text_index(lake)
+
+
 class TestStaticSystems:
-    def test_fts_returns_raw_tables(self, lake):
-        out = FTSSystem(lake).respond("pm25 readings by station")
+    def test_fts_returns_raw_tables(self, lake, fts_index):
+        out = FTSSystem(lake, fts_index).respond("pm25 readings by station")
         assert "table readings" in out
         assert "pm25" in out
         assert "row:" in out
 
-    def test_fts_no_match(self, lake):
-        assert FTSSystem(lake).respond("xylophone") == "No matching tables."
+    def test_fts_no_match(self, lake, fts_index):
+        assert FTSSystem(lake, fts_index).respond("xylophone") == "No matching tables."
 
-    def test_retriever_only(self, lake):
-        out = RetrieverOnlySystem(lake).respond("department budgets in usd")
+    def test_retriever_only(self, bundle):
+        out = RetrieverOnlySystem(bundle).respond("department budgets in usd")
         assert "table budgets" in out
 
-    def test_static_systems_never_compute(self, lake):
-        out = FTSSystem(lake).respond("what is the average pm25")
+    def test_static_systems_never_compute(self, lake, fts_index):
+        out = FTSSystem(lake, fts_index).respond("what is the average pm25")
         assert "answer" not in out.lower()
 
-    def test_kind_markers(self, lake):
-        assert FTSSystem(lake).kind == "static"
-        assert RetrieverOnlySystem(lake).kind == "static"
-        assert RAGSystem(lake).kind == "rag"
-        assert SeekerSystem(lake).kind == "seeker"
+    def test_kind_markers(self, lake, bundle, fts_index):
+        assert FTSSystem(lake, fts_index).kind == "static"
+        assert RetrieverOnlySystem(bundle).kind == "static"
+        assert RAGSystem(bundle).kind == "rag"
+        assert SeekerSystem(bundle).kind == "seeker"
 
 
 class TestRAGSystem:
-    def test_interprets_but_never_answers_value(self, lake):
-        system = RAGSystem(lake)
+    def test_interprets_but_never_answers_value(self, bundle):
+        system = RAGSystem(bundle)
         text = system.respond("what is the average pm25 at North?")
         assert "readings" in text
         assert system.answer("average pm25") is None
 
-    def test_accumulates_context(self, lake):
-        system = RAGSystem(lake)
+    def test_accumulates_context(self, bundle):
+        system = RAGSystem(bundle)
         system.respond("tell me about air quality readings")
         text = system.respond("and the budgets?")
         assert "budgets" in text
 
 
 class TestDSGuru:
-    def test_solves_simple_aggregate(self, lake):
-        runner = DSGuruRunner(lake)
+    def test_solves_simple_aggregate(self, bundle):
+        runner = DSGuruRunner(bundle)
         answer = runner.answer("What is the average pm25 across readings?")
         assert answer == pytest.approx(7.5)
 
-    def test_misses_value_not_in_samples(self, lake):
+    def test_misses_value_not_in_samples(self, bundle):
         # 'South' IS in sample rows? Samples show first 3 rows (all North),
         # so a South filter cannot ground and the answer is unfiltered.
-        runner = DSGuruRunner(lake)
+        runner = DSGuruRunner(bundle)
         answer = runner.answer("What is the average pm25 at the South station?")
         assert answer == pytest.approx(7.5)  # wrong (truth is 9.0), by design
 
-    def test_unplannable_returns_none(self, lake):
-        assert DSGuruRunner(lake).answer("tell me a story") is None
+    def test_unplannable_returns_none(self, bundle):
+        assert DSGuruRunner(bundle).answer("tell me a story") is None
 
 
 class TestStaticPipeline:
-    def test_solves_simple_aggregate(self, lake):
-        answer = StaticPipelineRunner(lake).answer("What is the average pm25?")
+    def test_solves_simple_aggregate(self, bundle):
+        answer = StaticPipelineRunner(bundle).answer("What is the average pm25?")
         assert answer == pytest.approx(7.5)
 
-    def test_unplannable_returns_none(self, lake):
-        assert StaticPipelineRunner(lake).answer("hello there") is None
+    def test_unplannable_returns_none(self, bundle):
+        assert StaticPipelineRunner(bundle).answer("hello there") is None
 
 
 class TestFullContext:
@@ -136,8 +149,8 @@ class TestFullContext:
 
 
 class TestSeekerSystem:
-    def test_answer_and_respond(self, lake):
-        system = SeekerSystem(lake)
+    def test_answer_and_respond(self, bundle):
+        system = SeekerSystem(bundle)
         assert system.answer("What is the average pm25?") == pytest.approx(7.5)
         out = system.respond("What about the maximum pm25?")
         assert "STATE" in out

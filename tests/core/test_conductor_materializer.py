@@ -9,6 +9,7 @@ from repro.core.session import build_seeker_llm
 from repro.ir import IRSystem
 from repro.relational import Database, Table
 from repro.retriever import PneumaRetriever, table_payload
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture
@@ -25,6 +26,12 @@ def lake():
         )
     )
     return db
+
+
+@pytest.fixture
+def retriever(lake):
+    """The lake's one shared index, as the service builds it."""
+    return build_shared_retriever(lake).retriever
 
 
 def make_components(lake):
@@ -109,8 +116,8 @@ class TestMaterializer:
 
 
 class TestSessionAnswerValue:
-    def test_non_scalar_result_gives_none(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_non_scalar_result_gives_none(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("show me the orders data")
         # Browsing views return multiple rows/columns, not a scalar answer.
         assert session.answer_value is None

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import SeekerSession
 from repro.relational import Database, Table
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture
@@ -31,89 +32,95 @@ def lake():
     return db
 
 
+@pytest.fixture
+def retriever(lake):
+    """The lake's one shared index, as the service builds it."""
+    return build_shared_retriever(lake).retriever
+
+
 class TestSession:
-    def test_exploration_surfaces_variables(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_exploration_surfaces_variables(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         response = session.submit("What data do we have about readings?")
         assert "ozone" in response.message
         assert "STATE" in response.state_view
 
-    def test_simple_aggregate(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_simple_aggregate(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         answer = session.ask("What is the average pm25 across all readings?")
         assert answer == pytest.approx(7.0)
 
-    def test_grounded_filter(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_grounded_filter(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         answer = session.ask("What is the average pm25 at the North station?")
         assert answer == pytest.approx((5.0 + 6.0 + 8.0) / 3)
 
-    def test_action_limit_respected(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_action_limit_respected(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("What is the average pm25 at the North station?")
         log = session.conductor.turns[-1]
         # The forced message (if any) comes after at most ACTION_LIMIT actions.
         assert len(log.actions) <= session.conductor.ACTION_LIMIT + 1
 
-    def test_iterative_refinement_updates_state(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_iterative_refinement_updates_state(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("Show me what ozone data exists")
         v1 = session.state.version
         session.submit("What is the maximum ozone at the South station?")
         assert session.state.version > v1
         assert session.answer_value == 30.0
 
-    def test_state_q_is_visible(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_state_q_is_visible(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         response = session.submit("What is the average pm25?")
         assert "SELECT" in response.state_view
 
-    def test_turn_log_records_thoughts_and_actions(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_turn_log_records_thoughts_and_actions(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("average pm25 please")
         log = session.conductor.turns[-1]
         assert log.thoughts
         assert log.actions[0]["kind"] == "retrieve"
         assert log.actions[-1]["kind"] == "message_user"
 
-    def test_empty_message_rejected(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_empty_message_rejected(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         with pytest.raises(ValueError):
             session.submit("   ")
 
-    def test_usage_metered(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_usage_metered(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("What is the average pm25?")
         usage = session.llm.ledger.total()
         assert usage.prompt_tokens > 0
         assert session.llm.ledger.num_calls("conductor") >= 2
 
-    def test_virtual_latency_accumulates(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_virtual_latency_accumulates(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("What is the average pm25?")
         assert session.llm.clock.now > 0
 
 
 class TestKnowledgeCapture:
-    def test_clarifications_are_captured(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_clarifications_are_captured(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit(
             "Assume ozone readings should be compared relative to the previous day."
         )
         assert len(session.knowledge_db) == 1
 
-    def test_plain_questions_not_captured(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_plain_questions_not_captured(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         session.submit("What is the average pm25?")
         assert len(session.knowledge_db) == 0
 
-    def test_knowledge_transfers_across_sessions(self, lake):
+    def test_knowledge_transfers_across_sessions(self, lake, retriever):
         from repro.ir import DocumentDatabase
 
         shared = DocumentDatabase()
-        first = SeekerSession(lake, enable_web=False, knowledge=shared, user="u1")
+        first = SeekerSession(lake, retriever, knowledge=shared, user="u1")
         first.submit("Assume pm25 analyses must focus on the North station readings.")
-        second = SeekerSession(lake, enable_web=False, knowledge=shared, user="u2")
+        second = SeekerSession(lake, retriever, knowledge=shared, user="u2")
         # The captured clarification is retrievable in the new session.
         result = second.ir.retrieve("average pm25 analysis")
         assert result.knowledge()
@@ -121,8 +128,8 @@ class TestKnowledgeCapture:
 
 
 class TestInterpolationFlow:
-    def test_interpolated_first_last(self, lake):
-        session = SeekerSession(lake, enable_web=False)
+    def test_interpolated_first_last(self, lake, retriever):
+        session = SeekerSession(lake, retriever)
         answer = session.ask(
             "What is the average ozone from the first and last day at the North "
             "station? Assume ozone is linearly interpolated between samples."

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.datasets import load_archaeology
+from repro.baselines import (
+    DSGuruRunner,
+    FTSSystem,
+    RAGSystem,
+    RetrieverOnlySystem,
+    SeekerSystem,
+    StaticPipelineRunner,
+    raw_text_index,
+)
+from repro.datasets import load_archaeology, load_environment
 from repro.eval import (
     evaluate_accuracy,
     evaluate_convergence,
@@ -16,8 +25,11 @@ from repro.eval import (
 from repro.eval.accuracy_eval import AccuracyResult, ContextOverflowResult
 from repro.eval.convergence_eval import ConvergenceResult
 from repro.eval.cost_eval import CostRow
+from repro.llm.clock import VirtualClock
 from repro.llm.pricing import MODEL_PRICES
-from repro.llm.tokens import Usage
+from repro.llm.tokens import Usage, UsageLedger
+from repro.retriever import PneumaRetriever
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +68,33 @@ class TestConvergenceEval:
             name = "yes-system"
             kind = "static"
 
+            def __init__(self):
+                self.clock = VirtualClock()
+                self.ledger = UsageLedger()
+
             def respond(self, message):
+                self.clock.tick(0.5)
                 return "raw output"
 
         results = evaluate_convergence(arch, {"yes-system": lambda: Yes()}, max_turns=3)
         assert results[0].total == 2
         assert results[0].median_turns == 3.0  # static never converges here
+        assert results[0].avg_seconds_per_prompt == 0.5  # read off the system's clock
+        assert results[0].usage == [Usage(), Usage()]
+
+
+def _seeker_dialogues(dataset, max_turns=15):
+    """The Figures' Pneuma-Seeker result over ``dataset``."""
+    bundle = build_shared_retriever(dataset.lake)
+    (result,) = evaluate_convergence(
+        dataset, {"Pneuma-Seeker": lambda: SeekerSystem(bundle)}, max_turns=max_turns
+    )
+    return result
 
 
 class TestCostEval:
     def test_cost_row_structure(self, arch):
-        row = evaluate_costs(arch, max_turns=3)
+        row = evaluate_costs(_seeker_dialogues(arch, max_turns=3))
         assert row.dataset == "archaeology"
         assert row.avg_input_tokens > 0
         assert set(row.costs) == set(MODEL_PRICES)
@@ -75,6 +103,80 @@ class TestCostEval:
         assert o4.input_cost == pytest.approx(
             int(row.avg_input_tokens) * 1.10 / 1_000_000
         )
+
+    def test_table2_prices_the_figures_dialogues_exactly(self, paper_arch):
+        """Table 2 at ``--scale 0.02``, averaged over the Figures' Seeker
+        ledgers."""
+        arch = evaluate_costs(paper_arch.seeker)
+        env = evaluate_costs(_seeker_dialogues(load_environment(scale=0.02)))
+        assert (arch.dataset, env.dataset) == ("archaeology", "environment")
+        assert (arch.avg_input_tokens, arch.avg_output_tokens) == (285742.25, 6662.0)
+        assert (env.avg_input_tokens, env.avg_output_tokens) == (353185.15, 5521.55)
+
+
+class PaperRun:
+    """Figures 4/5 and Table 3 over one lake, as the experiment driver runs
+    them, with every ``PneumaRetriever`` built along the way counted."""
+
+    def __init__(self, dataset, monkeypatch):
+        self.retrievers = 0
+        init = PneumaRetriever.__init__
+
+        def counted(retriever, *args, **kwargs):
+            self.retrievers += 1
+            init(retriever, *args, **kwargs)
+
+        monkeypatch.setattr(PneumaRetriever, "__init__", counted)
+        self.version_before = dataset.lake.version
+        bundle = build_shared_retriever(dataset.lake)
+        fts_index = raw_text_index(dataset.lake)
+        self.convergence = evaluate_convergence(
+            dataset,
+            {
+                "FTS": lambda: FTSSystem(dataset.lake, fts_index),
+                "Pneuma-Retriever": lambda: RetrieverOnlySystem(bundle),
+                "LlamaIndex": lambda: RAGSystem(bundle),
+                "Pneuma-Seeker": lambda: SeekerSystem(bundle),
+            },
+        )
+        self.seeker = self.convergence[-1]
+        self.accuracy = evaluate_accuracy(
+            dataset,
+            {
+                "LlamaIndex": lambda q: RAGSystem(bundle).answer(q.text),
+                "DS-Guru(O3)": lambda q: DSGuruRunner(bundle).answer(q.text),
+                "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
+                "Static-Pipeline": lambda q: StaticPipelineRunner(bundle).answer(q.text),
+            },
+        )
+        self.version_after = dataset.lake.version
+
+
+@pytest.fixture(scope="module")
+def paper_arch():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return PaperRun(load_archaeology(scale=0.02), monkeypatch)
+
+
+class TestOneIndexPerLake:
+    def test_every_system_and_conversation_searches_one_index(self, paper_arch):
+        assert paper_arch.retrievers == 1
+        assert [r.total for r in paper_arch.convergence] == [12] * 4
+        assert [r.total for r in paper_arch.accuracy] == [12] * 4
+
+    def test_conversations_never_register_into_the_lake(self, paper_arch):
+        # Sharing the index is sound only because the lake it was built
+        # over never changes under it.
+        assert paper_arch.version_after == paper_arch.version_before
+
+    def test_table3_and_figure4_seeker_cells(self, paper_arch):
+        seeker = paper_arch.seeker
+        assert seeker.system == "Pneuma-Seeker"
+        assert (seeker.converged, seeker.median_turns) == (9, 3.5)
+        by_name = {r.system: r.correct for r in paper_arch.accuracy}
+        assert by_name == {
+            "LlamaIndex": 0, "DS-Guru(O3)": 3, "Pneuma-Seeker": 6, "Static-Pipeline": 4
+        }
 
 
 class TestReports:

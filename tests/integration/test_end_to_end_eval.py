@@ -11,9 +11,11 @@ from repro.baselines import (
     FTSSystem,
     RAGSystem,
     SeekerSystem,
+    raw_text_index,
 )
 from repro.datasets import load_archaeology
 from repro.eval import evaluate_accuracy, evaluate_convergence
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +28,20 @@ def arch():
     return dataset
 
 
+@pytest.fixture(scope="module")
+def bundle(arch):
+    """The lake's one shared index, as the service builds it."""
+    return build_shared_retriever(arch.lake)
+
+
 class TestAccuracyShape:
-    def test_ordering(self, arch):
+    def test_ordering(self, arch, bundle):
         results = evaluate_accuracy(
             arch,
             {
-                "LlamaIndex": lambda q: RAGSystem(arch.lake).answer(q.text),
-                "DS-Guru(O3)": lambda q: DSGuruRunner(arch.lake).answer(q.text),
-                "Pneuma-Seeker": lambda q: SeekerSystem(arch.lake).answer(q.text),
+                "LlamaIndex": lambda q: RAGSystem(bundle).answer(q.text),
+                "DS-Guru(O3)": lambda q: DSGuruRunner(bundle).answer(q.text),
+                "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
             },
         )
         by_name = {r.system: r for r in results}
@@ -43,12 +51,13 @@ class TestAccuracyShape:
 
 
 class TestConvergenceShape:
-    def test_seeker_beats_static(self, arch):
+    def test_seeker_beats_static(self, arch, bundle):
+        fts_index = raw_text_index(arch.lake)
         results = evaluate_convergence(
             arch,
             {
-                "FTS": lambda: FTSSystem(arch.lake),
-                "Pneuma-Seeker": lambda: SeekerSystem(arch.lake),
+                "FTS": lambda: FTSSystem(arch.lake, fts_index),
+                "Pneuma-Seeker": lambda: SeekerSystem(bundle),
             },
             max_turns=10,
         )

@@ -13,7 +13,8 @@ from repro.datasets import (
     build_tariff_web,
     tariff_impact_ground_truth,
 )
-from repro.retriever import PneumaRetriever, table_payload
+from repro.retriever import table_payload
+from repro.service import build_shared_retriever
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +22,15 @@ def lake():
     return build_procurement_lake(scale=0.1)
 
 
+@pytest.fixture(scope="module")
+def retriever(lake):
+    """The lake's one shared index, as the service builds it."""
+    return build_shared_retriever(lake).retriever
+
+
 class TestTariffFlow:
-    def test_two_round_convergence_to_impact(self, lake):
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True)
+    def test_two_round_convergence_to_impact(self, lake, retriever):
+        session = SeekerSession(lake, retriever, web=build_tariff_web())
         # Round 1: broad question, as in §1.
         first = session.submit("What impact will tariffs have on our organization?")
         assert first.message  # system engages and reports something
@@ -40,11 +47,10 @@ class TestTariffFlow:
             answer = session.ask("Please continue with the analysis.")
         assert answer == pytest.approx(expected_new_cost, rel=1e-9)
 
-    def test_the_dialogue_leaves_every_shared_payload_as_rendered(self, lake):
+    def test_the_dialogue_leaves_every_shared_payload_as_rendered(self, lake, retriever):
         """Every hit on a table shares one payload; after the two rounds
         each cached payload still equals a fresh render of its table."""
-        retriever = PneumaRetriever(lake)
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True, retriever=retriever)
+        session = SeekerSession(lake, retriever, web=build_tariff_web())
         session.submit("What impact will tariffs have on our organization?")
         session.submit(
             "Impact should be calculated relative to the previous active tariff, "
@@ -61,8 +67,8 @@ class TestTariffFlow:
         assert after["hits"] - before["hits"] == before["size"]
         assert after["misses"] - before["misses"] == len(tables) - before["size"]
 
-    def test_web_columns_integrated_into_t(self, lake):
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True)
+    def test_web_columns_integrated_into_t(self, lake, retriever):
+        session = SeekerSession(lake, retriever, web=build_tariff_web())
         session.ask(
             "Considering the new tariffs relative to the previous active tariff, "
             "what is the average price of purchase orders from Germany?"
@@ -72,8 +78,8 @@ class TestTariffFlow:
         assert "new_tariff" in names
         assert "previous_tariff" in names
 
-    def test_q_uses_derived_tariff_expression(self, lake):
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True)
+    def test_q_uses_derived_tariff_expression(self, lake, retriever):
+        session = SeekerSession(lake, retriever, web=build_tariff_web())
         session.ask(
             "Considering the new tariffs relative to the previous active tariff, "
             "what is the average price of purchase orders from Germany?"
@@ -82,8 +88,8 @@ class TestTariffFlow:
         assert "new_tariff" in query
         assert "previous_tariff" in query
 
-    def test_without_clarification_uses_new_rate_only(self, lake):
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=True)
+    def test_without_clarification_uses_new_rate_only(self, lake, retriever):
+        session = SeekerSession(lake, retriever, web=build_tariff_web())
         answer = session.ask(
             "Under the new tariffs, what is the average price of purchase orders "
             "from Germany?"
@@ -94,8 +100,8 @@ class TestTariffFlow:
         record = next(r for r in build_tariff_web().search("tariff", 1)[0].payload["records"] if r["country"] == "Germany")
         assert answer == pytest.approx(avg * (1 + record["new_tariff"]), rel=1e-9)
 
-    def test_web_disabled_cannot_integrate(self, lake):
-        session = SeekerSession(lake, web=build_tariff_web(), enable_web=False)
+    def test_web_disabled_cannot_integrate(self, lake, retriever):
+        session = SeekerSession(lake, retriever)  # no Web Search source
         session.ask(
             "Considering the new tariffs relative to the previous active tariff, "
             "what is the average price of purchase orders from Germany?"

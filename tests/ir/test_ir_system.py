@@ -113,9 +113,8 @@ class TestIRSystem:
         assert result.knowledge()
         assert set(result.per_source) == {"tables", "web", "knowledge"}
 
-    def test_unregister_web(self, lake, web):
-        ir = IRSystem(retriever=PneumaRetriever(lake), web=web)
-        ir.unregister("web")
+    def test_no_web_source_without_web(self, lake):
+        ir = IRSystem(retriever=PneumaRetriever(lake))
         result = ir.retrieve("tariffs")
         assert not result.web()
         assert "web" not in result.per_source

@@ -283,6 +283,23 @@ def test_one_index_per_generation():
         assert re.search(r"\bdoc_ids\(", text) is None, path
 
 
+def test_one_retriever_assembly():
+    """A lake's index is built one way, ``build_shared_retriever``: the
+    service, the paper's experiments, the baselines, the benches and the
+    examples all take the bundle it returns instead of calling
+    ``PneumaRetriever(...)`` themselves."""
+    paths = [path for path in SRC.rglob("*.py") if path != SRC / "service" / "shared.py"]
+    for directory in ("scripts", "examples"):
+        paths += (ROOT / directory).rglob("*.py")
+    paths += (ROOT / "benchmarks").glob("bench_*.py")
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                assert name != "PneumaRetriever", f"{path}:{node.lineno}: builds a PneumaRetriever"
+
+
 def test_one_catalog_clock():
     """A service's catalog has one clock, the generation its gate swaps in:
     outside ``relational/`` (whose plan cache keys on it) nothing reads a

@@ -16,6 +16,7 @@ from repro.service import (
     FlakyLLM,
     FlakySQL,
     PneumaService,
+    build_shared_retriever,
 )
 
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -120,11 +121,12 @@ class TestFaultPlan:
 class TestFlakyLLM:
     def test_passthrough_is_bit_transparent(self):
         lake = build_procurement_lake()
-        plain = SeekerSession(lake, enable_web=False)
+        retriever = build_shared_retriever(lake).retriever
+        plain = SeekerSession(lake, retriever)
         plain_response = plain.submit(QUESTION)
 
         flaky = FlakyLLM(build_seeker_llm(), FaultSchedule("llm", FaultSpec(rate=0.0), seed=0))
-        wrapped = SeekerSession(lake, llm=flaky, enable_web=False)
+        wrapped = SeekerSession(lake, retriever, llm=flaky)
         wrapped_response = wrapped.submit(QUESTION)
         assert wrapped_response.message == plain_response.message
         assert wrapped_response.state_view == plain_response.state_view
@@ -136,7 +138,7 @@ class TestFlakyLLM:
         flaky = FlakyLLM(
             build_seeker_llm(), FaultSchedule("llm", FaultSpec(fail_calls=(1,)), seed=0)
         )
-        session = SeekerSession(lake, llm=flaky, enable_web=False)
+        session = SeekerSession(lake, build_shared_retriever(lake).retriever, llm=flaky)
         with pytest.raises(TransientDependencyError):
             session.submit(QUESTION)
         # The schedule moved on; the next turn's calls succeed.

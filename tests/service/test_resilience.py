@@ -20,6 +20,7 @@ from repro.service import (
     ResilienceConfig,
     ResilientLLM,
     RetryPolicy,
+    build_shared_retriever,
 )
 
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -208,11 +209,12 @@ class TestResilientLLM:
 
     def test_success_path_is_bit_transparent(self):
         lake = build_procurement_lake()
-        plain = SeekerSession(lake, enable_web=False)
+        retriever = build_shared_retriever(lake).retriever
+        plain = SeekerSession(lake, retriever)
         plain_response = plain.submit(QUESTION)
 
         resilient = ResilientLLM(build_seeker_llm(), retry=RetryPolicy())
-        wrapped = SeekerSession(lake, llm=resilient, enable_web=False)
+        wrapped = SeekerSession(lake, retriever, llm=resilient)
         wrapped_response = wrapped.submit(QUESTION)
         assert wrapped_response.message == plain_response.message
         assert wrapped_response.state_view == plain_response.state_view
@@ -220,12 +222,13 @@ class TestResilientLLM:
 
     def test_turn_survives_scheduled_faults_with_retry(self):
         lake = build_procurement_lake()
-        plain_response = SeekerSession(lake, enable_web=False).submit(QUESTION)
+        retriever = build_shared_retriever(lake).retriever
+        plain_response = SeekerSession(lake, retriever).submit(QUESTION)
         flaky = FlakyLLM(
             build_seeker_llm(), FaultSchedule("llm", FaultSpec(fail_calls=(1, 3)), seed=0)
         )
         llm = ResilientLLM(flaky, retry=RetryPolicy(max_attempts=3))
-        response = SeekerSession(lake, llm=llm, enable_web=False).submit(QUESTION)
+        response = SeekerSession(lake, retriever, llm=llm).submit(QUESTION)
         # Retried calls repeat the same prompt, so the answer is unchanged.
         assert response.message == plain_response.message
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import SeekerSession
 from repro.datasets import build_procurement_lake
-from repro.service import PneumaService, ServiceError
+from repro.service import PneumaService, ServiceError, build_shared_retriever
 
 
 @pytest.fixture
@@ -91,8 +91,9 @@ class TestConcurrencyIsolation:
     def test_concurrent_sessions_do_not_interleave_state(self, lake, service):
         # Reference: each conversation replayed in a plain, solo session.
         references = []
+        retriever = build_shared_retriever(lake).retriever
         for messages in self.CONVERSATIONS:
-            solo = SeekerSession(lake, enable_web=False)
+            solo = SeekerSession(lake, retriever)
             for message in messages:
                 solo.submit(message)
             references.append(solo)

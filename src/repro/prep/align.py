@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.state import TargetTable
 from ..relational.catalog import Database
 from ..relational.errors import RelationalError
-from ..relational.plan import compile_select
 from ..relational.table import Table
 from .discovery import JoinCandidate
 
@@ -117,7 +116,9 @@ class AlignmentCompiler:
             target=spec.name, sql=sql, tables=ordered, joins=joins, column_map=column_map
         )
         try:
-            compile_select(self.lake, sql)  # bind errors surface at compile time
+            # Bind errors surface at compile time, and the plan lands in the
+            # lake's plan cache for execute() to run.
+            self.lake.plan(sql)
         except RelationalError as exc:
             raise AlignmentError(f"compiled SQL failed to bind: {exc}") from exc
         return plan

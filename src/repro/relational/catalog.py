@@ -19,9 +19,16 @@ from typing import Any, Dict, List, Optional
 
 from ..obs import trace as obs
 from . import ast
-from .errors import CatalogError
+from .errors import CatalogError, ExecutionError
 from .parser import parse
-from .plan import PlanCache, execute_statement_planned, normalize_sql, plan_select, run_plan
+from .plan import (
+    PlanCache,
+    SelectPlan,
+    execute_statement_planned,
+    normalize_sql,
+    plan_select,
+    run_plan,
+)
 from .table import Table
 
 #: Distinguishes cache keys of different Database instances sharing one
@@ -91,6 +98,25 @@ class Database:
 
     def tables(self) -> List[Table]:
         return [self._tables[k] for k in sorted(self._tables)]
+
+    def plan(self, sql: str) -> SelectPlan:
+        """Parse and plan one SELECT into the plan cache without running it.
+
+        The plan lands under the key :meth:`execute` looks up for the same
+        text at the current catalog version, so the ``execute`` that
+        follows runs it without parsing or planning again; binding errors
+        (unknown tables, missing columns) surface here.  Counts neither a
+        hit nor a miss: that ``execute`` counts the statement's one lookup.
+        """
+        key = (self._plan_ns, normalize_sql(sql), self._version)
+        plan = self._plan_cache.peek(key)
+        if plan is None:
+            stmt = parse(sql)
+            if not isinstance(stmt, ast.Select):
+                raise ExecutionError(f"expected a SELECT, got {type(stmt).__name__}")
+            plan = plan_select(self, stmt)
+            self._plan_cache.put(key, plan)
+        return plan
 
     def execute(self, sql: str) -> Table:
         """Parse and execute a single SQL statement.

@@ -858,39 +858,20 @@ def plan_select(catalog, select: ast.Select, env: Optional[Dict[str, Table]] = N
     return Planner(catalog, env).plan(select)
 
 
-def compile_select(catalog, sql: str) -> SelectPlan:
-    """Parse, bind, and plan one SELECT statement against ``catalog``.
-
-    The plan-construction entry point for callers that synthesize SQL
-    programmatically (the prep pipeline's alignment compiler): binding
-    errors — unknown tables, missing columns — surface here, at compile
-    time, without executing anything.  The returned plan is immutable and
-    can be cached or run repeatedly via :func:`run_plan`.
-    """
-    from .parser import parse  # local import: parser pulls in no planner state
-
-    stmt = parse(sql)
-    if not isinstance(stmt, ast.Select):
-        raise ExecutionError(
-            f"compile_select expects a SELECT, got {type(stmt).__name__}"
-        )
-    return plan_select(catalog, stmt)
-
-
 def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) -> Table:
     """Execute a planned SELECT with fresh per-execution state."""
     ctx = ExecContext(catalog, env)
     chunk = plan.execute(ctx)
-    if chunk.cols:
-        rows: List[Tuple] = list(zip(*chunk.cols))
-    else:
-        rows = [()] * chunk.n
-    types = chunk.types or [infer_column_type(col) for col in chunk.cols]
+    # The chunk's columns (a LazyColumns built once here) become the
+    # result's as_columns() memo: a later scan of the result pivots nothing.
+    cols = list(chunk.cols)
+    rows: List[Tuple] = list(zip(*cols)) if cols else [()] * chunk.n
+    types = chunk.types or [infer_column_type(col) for col in cols]
     columns = [
         Column(name, dtype if dtype is not None else infer_column_type(col))
-        for name, dtype, col in zip(plan.names, types, chunk.cols)
+        for name, dtype, col in zip(plan.names, types, cols)
     ]
-    return Table("result", Schema(columns), rows)
+    return Table.adopt("result", Schema(columns), rows, cols)
 
 
 def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
@@ -1017,6 +998,11 @@ class PlanCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return plan
+
+    def peek(self, key: Tuple) -> Optional[SelectPlan]:
+        """The plan under ``key``, if any, counting neither a hit nor a miss."""
+        with self._lock:
+            return self._entries.get(key)
 
     def put(self, key: Tuple, plan: SelectPlan) -> None:
         with self._lock:

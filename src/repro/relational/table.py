@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from math import copysign
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
@@ -104,6 +106,31 @@ class Table:
             )
         return cls(name, schema, rows)
 
+    @classmethod
+    def adopt(
+        cls,
+        name: str,
+        schema: Schema,
+        rows: List[Tuple[Any, ...]],
+        columns: Optional[List[List[Any]]],
+    ) -> "Table":
+        """A table over ``rows`` and ``columns`` as they are, for engine output.
+
+        ``rows`` must be a list of tuples of the schema's width and
+        ``columns`` their transpose as lists (it becomes the
+        :meth:`as_columns` memo), or None; neither is copied or checked,
+        which is what spares a SQL result ``__init__``'s re-tupling and
+        width loop.  Both are shared, so neither may be written to.
+        """
+        table = cls.__new__(cls)
+        table.name = name
+        table.schema = schema
+        table.rows = rows
+        table._columns = columns
+        table._fingerprint = None
+        table._digest = None
+        return table
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
@@ -119,10 +146,21 @@ class Table:
         return self.schema.names()
 
     def column_values(self, name: str) -> List[Any]:
-        idx = self.schema.index_of(name)
+        return list(self.iter_values(name))
+
+    def iter_values(self, name: str) -> Iterator[Any]:
+        """One column's values in row order, read in place.
+
+        From the :meth:`as_columns` memo when it is built, else straight
+        off the rows: no copy and no pivot, so a reader that stops early
+        pays only for the values it read.
+        """
+        return self._values(self.schema.index_of(name))
+
+    def _values(self, idx: int) -> Iterator[Any]:
         if self._columns is not None:
-            return list(self._columns[idx])
-        return [row[idx] for row in self.rows]
+            return iter(self._columns[idx])
+        return map(itemgetter(idx), self.rows)
 
     def as_columns(self) -> List[List[Any]]:
         """A memoized column-major view of the row storage.
@@ -163,7 +201,20 @@ class Table:
                 for j, value in enumerate(row)
                 if value == -1
             )
-            fingerprint = (self.name, hash((schema_sig, tuple(self.rows), minus_ones)))
+            # -0.0 == 0.0 and both hash to 0, but digest() renders them
+            # apart: the DOUBLE cells holding -0.0 are named the same way,
+            # and only a column that holds a zero at all is walked.
+            negative_zeros = tuple(
+                (i, j)
+                for j, column in enumerate(self.schema)
+                if column.dtype is DataType.DOUBLE and 0.0 in self._values(j)
+                for i, value in enumerate(self._values(j))
+                if value == 0 and copysign(1.0, value) < 0
+            )
+            fingerprint = (
+                self.name,
+                hash((schema_sig, tuple(self.rows), minus_ones, negative_zeros)),
+            )
             self._fingerprint = fingerprint
         return fingerprint
 
@@ -196,7 +247,8 @@ class Table:
         return Table(self.name, self.schema, self.rows[:n])
 
     def renamed(self, name: str) -> "Table":
-        return Table(name, self.schema, self.rows)
+        """This table under another name, sharing its rows and column memo."""
+        return Table.adopt(name, self.schema, self.rows, self._columns)
 
     def single_value(self) -> Any:
         """The value of a 1x1 result (used for scalar subqueries / answers)."""

@@ -194,7 +194,7 @@ class PneumaRetriever:
         table = self.database.resolve_table(table_name)
         values = []
         seen = set()
-        for value in table.column_values(column):
+        for value in table.iter_values(column):
             if value is None:
                 continue
             key = str(value)

@@ -35,7 +35,7 @@ def narrate_column(table: Table, name: str, max_examples: int = 4) -> str:
     words = " ".join(tokenize(name, stop=False, do_stem=False))
     examples: List[str] = []
     seen = set()
-    for value in table.column_values(name):
+    for value in table.iter_values(name):
         if value is None:
             continue
         rendered = format_value(value)

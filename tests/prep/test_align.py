@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import TargetColumn, TargetTable
 from repro.prep import AlignmentCompiler, AlignmentError, PreparationPipeline
-from repro.relational import Database, Table
+from repro.relational import Database, PlanCache, Table, parser
 
 
 @pytest.fixture
@@ -370,3 +370,53 @@ class TestPipelineFacade:
         ]
         assert [e.condition() for e in pipeline.compile(plain).joins] == before
         assert len(before) == 2  # customers - orders - shipments, as discovered
+
+
+class TestPlanOnce:
+    """A seeded materialization parses and plans its SQL once: compile()
+    plans into the lake's plan cache under the key execute() looks up."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        parse_script = parser.parse_script
+
+        def counting(sql):
+            calls.append(sql)
+            return parse_script(sql)
+
+        monkeypatch.setattr(parser, "parse_script", counting)
+        return calls
+
+    @pytest.fixture
+    def cache(self, lake):
+        cache = PlanCache()
+        lake.share_plan_cache(cache)
+        return cache
+
+    def test_one_parse_and_one_hit_per_prepare(self, lake, cache, parses):
+        pipeline = PreparationPipeline(lake)
+        pipeline.join_candidates()
+        parses.clear()
+        plan, table = pipeline.prepare(
+            spec("enriched", [("amount", "orders.amount"), ("region", "customers.region")])
+        )
+        assert parses == [plan.sql]
+        # The statement's one lookup is the execute's, and it hits.
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert table.name == "enriched" and table.num_rows == 90
+
+        pipeline.prepare(spec("again", [("order_id", ""), ("amount", "")], base=["orders"]))
+        assert len(parses) == 2 and (cache.hits, cache.misses) == (2, 0)
+
+    def test_a_catalog_change_before_execute_replans(self, lake, cache, parses):
+        compiler = AlignmentCompiler(lake, [])
+        plan = compiler.compile(spec("v", [("order_id", ""), ("amount", "")], base=["orders"]))
+        # Same table name, columns in another order: the compiled plan's
+        # positions would read amount as order_id.
+        lake.register(
+            Table.from_columns("orders", {"amount": [1.5], "cust_ref": [100], "order_id": [7]})
+        )
+        assert compiler.execute(plan).rows == [(7, 1.5)]
+        assert parses == [plan.sql, plan.sql]
+        assert (cache.hits, cache.misses) == (0, 1)

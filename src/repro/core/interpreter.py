@@ -6,15 +6,25 @@ Pandas and NumPy".  Offline, generated programs are JSON pipelines over the
 rather than arbitrary ``exec`` — with the same error-capture contract:
 failures return structured messages the Materializer repairs against.
 
-Supported ops (see ``OP_SIGNATURES``): load / join / add_from_records /
-parse_dates / derive / filter_not_null / filter_equals / sort /
-interpolate / rename / select / limit / result.
+Supported ops (see ``OP_SIGNATURES``, which also types every field):
+load / join / add_from_records / parse_dates / derive / filter_not_null /
+filter_equals / sort / interpolate / rename / select / limit / result.
+
+Frames move rows; values are computed by the SQL engine's kernels.
+``derive`` is :func:`~repro.relational.vectorized.arithmetic_columns` and
+``filter_equals`` on a non-string value is SQL ``=``
+(:func:`~repro.relational.vectorized.compare_columns`), so a step fails
+exactly where ``SELECT a <op> b`` or ``WHERE col = v`` would, with the
+engine's message.  :meth:`PipelineInterpreter.run` either returns or
+raises :class:`InterpreterError`: a malformed step, a mistyped field and
+every frame or engine error are reported with the step's index.
 """
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..frames.frame import DataFrame, FrameError
 from ..frames.series import Series
@@ -22,6 +32,7 @@ from ..obs import trace as obs
 from ..relational.catalog import Database
 from ..relational.errors import RelationalError
 from ..relational.table import Table
+from ..relational.vectorized import arithmetic_columns, compare_columns
 
 
 class InterpreterError(Exception):
@@ -34,21 +45,87 @@ class InterpreterError(Exception):
         self.detail = message
 
 
-OP_SIGNATURES: Dict[str, Sequence[str]] = {
-    "load": ("table",),
-    "join": ("left", "right", "left_on", "right_on"),
-    "add_from_records": ("frame", "records", "key", "record_key", "value_field", "new_column"),
-    "parse_dates": ("frame", "column"),
-    "derive": ("frame", "new_column", "operator", "left", "right"),
-    "filter_not_null": ("frame", "columns"),
-    "filter_equals": ("frame", "column", "value"),
-    "sort": ("frame", "by"),
-    "interpolate": ("frame", "column", "order_by"),
-    "rename": ("frame", "mapping"),
-    "select": ("frame", "columns"),
-    "limit": ("frame", "n"),
-    "result": ("frame", "name"),
+def _list_of(kind: type) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and all(isinstance(x, kind) for x in v)
+
+
+def _is_value(v: Any) -> bool:
+    return v is None or isinstance(v, (str, int, float, datetime.date))
+
+
+def _is_operand(v: Any) -> bool:
+    if not isinstance(v, Mapping):
+        return False
+    return isinstance(v["col"], str) if "col" in v else "lit" in v and _is_value(v["lit"])
+
+
+_is_names = _list_of(str)
+
+#: Field kinds: what a field of the kind must hold (for the error) and the test.
+FIELD_KINDS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "names": ("a list of strings", _is_names),
+    "keys": ("a string or a non-empty list of strings",
+             lambda v: isinstance(v, str) or (_is_names(v) and len(v) > 0)),
+    "value": ("a string, a number, a boolean, a date or null", _is_value),
+    "operand": ("{'col': <column>} or {'lit': <value>}", _is_operand),
+    "records": ("a list of objects", _list_of(Mapping)),
+    "mapping": ("an object of strings to strings",
+                lambda v: isinstance(v, Mapping) and _is_names([*v, *v.values()])),
+    "count": ("an integer", lambda v: type(v) is int),
+    "flags": ("a boolean or a list of booleans",
+              lambda v: isinstance(v, bool) or _list_of(bool)(v)),
 }
+
+#: Each op's required fields and their kinds.
+OP_SIGNATURES: Dict[str, Dict[str, str]] = {
+    "load": {"table": "name"},
+    "join": {"left": "name", "right": "name", "left_on": "keys", "right_on": "keys"},
+    "add_from_records": {
+        "frame": "name", "records": "records", "key": "name",
+        "record_key": "name", "value_field": "name", "new_column": "name",
+    },
+    "parse_dates": {"frame": "name", "column": "name"},
+    "derive": {
+        "frame": "name", "new_column": "name", "operator": "name",
+        "left": "operand", "right": "operand",
+    },
+    "filter_not_null": {"frame": "name", "columns": "names"},
+    "filter_equals": {"frame": "name", "column": "name", "value": "value"},
+    "sort": {"frame": "name", "by": "keys"},
+    "interpolate": {"frame": "name", "column": "name", "order_by": "keys"},
+    "rename": {"frame": "name", "mapping": "mapping"},
+    "select": {"frame": "name", "columns": "names"},
+    "limit": {"frame": "name", "n": "count"},
+    "result": {"frame": "name", "name": "name"},
+}
+
+#: Fields any op may carry, and their kinds.
+OPTIONAL_FIELDS: Dict[str, str] = {"as": "name", "how": "name", "ascending": "flags"}
+
+DERIVE_OPERATORS = ("+", "-", "*", "/")
+
+
+def _check_step(step: int, raw: Any) -> str:
+    """The step's op, once the step is an object naming a known op and
+    carrying every field it needs, each of its kind."""
+    if not isinstance(raw, Mapping):
+        raise InterpreterError(step, "program", f"a step must be an object, got {raw!r}")
+    op = raw.get("op")
+    if not isinstance(op, str) or op not in OP_SIGNATURES:
+        raise InterpreterError(step, str(op), f"unknown op; known: {sorted(OP_SIGNATURES)}")
+    signature = OP_SIGNATURES[op]
+    missing = [k for k in signature if k not in raw]
+    if missing:
+        raise InterpreterError(step, op, f"missing fields: {missing}")
+    for name, kind in (*signature.items(), *OPTIONAL_FIELDS.items()):
+        if name in raw:
+            expected, accepts = FIELD_KINDS[kind]
+            if not accepts(raw[name]):
+                raise InterpreterError(
+                    step, op, f"field {name!r} must be {expected}, got {raw[name]!r}"
+                )
+    return op
 
 
 @dataclass
@@ -72,26 +149,26 @@ class PipelineInterpreter:
         ``interpreter.<op>`` per step (rows in, rows out, output width), so
         a slow turn can name the step that emitted the cells.
         """
+        if not isinstance(program, (list, tuple)):
+            raise InterpreterError(
+                0, "program", f"a program must be a list of steps, got {program!r}"
+            )
         frames: Dict[str, DataFrame] = {}
         result = PipelineResult()
         with obs.span("interpreter.run", steps=len(program)):
             if not program:
                 raise InterpreterError(0, "program", "empty program")
             for step, raw in enumerate(program):
-                op = raw.get("op")
-                if op not in OP_SIGNATURES:
-                    raise InterpreterError(
-                        step, str(op), f"unknown op; known: {sorted(OP_SIGNATURES)}"
-                    )
-                missing = [k for k in OP_SIGNATURES[op] if k not in raw]
-                if missing:
-                    raise InterpreterError(step, op, f"missing fields: {missing}")
+                op = _check_step(step, raw)
                 with obs.span(f"interpreter.{op}", step=step) as sp:
                     try:
                         read, wrote = self._execute(op, raw, frames, result)
                     except InterpreterError:
                         raise
-                    except (FrameError, RelationalError, KeyError, ValueError, TypeError) as exc:
+                    except (
+                        FrameError, RelationalError, KeyError, ValueError, TypeError,
+                        ArithmeticError,
+                    ) as exc:
                         raise InterpreterError(step, op, str(exc)) from exc
                     sp.set_attr("rows_in", sum(len(frame) for frame in read))
                     sp.set_attr("rows_out", wrote.shape[0])
@@ -157,18 +234,11 @@ class PipelineInterpreter:
             frame = self._frame(frames, raw["frame"], read)
             left = self._operand(frame, raw["left"])
             right = self._operand(frame, raw["right"])
-            ops = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: a / b,
-            }
             operator = raw["operator"]
-            if operator not in ops:
+            if operator not in DERIVE_OPERATORS:
                 raise FrameError(f"unknown derive operator {operator!r}")
-            wrote = frames[out_name] = frame.assign(
-                **{raw["new_column"]: ops[operator](left, right)}
-            )
+            values = arithmetic_columns(operator, left, right)
+            wrote = frames[out_name] = frame.assign(**{raw["new_column"]: Series(values)})
         elif op == "filter_not_null":
             frame = self._frame(frames, raw["frame"], read)
             wrote = frames[out_name] = frame.dropna(subset=raw["columns"])
@@ -179,7 +249,7 @@ class PipelineInterpreter:
             if isinstance(target, str):
                 mask = column.map(lambda v: str(v).lower() == target.lower())
             else:
-                mask = column == target
+                mask = Series(compare_columns("=", column.values, [target] * len(column)))
             wrote = frames[out_name] = frame.filter(mask)
         elif op == "sort":
             frame = self._frame(frames, raw["frame"], read)
@@ -200,7 +270,7 @@ class PipelineInterpreter:
             wrote = frames[out_name] = frame.select(raw["columns"])
         elif op == "limit":
             frame = self._frame(frames, raw["frame"], read)
-            wrote = frames[out_name] = frame.head(int(raw["n"]))
+            wrote = frames[out_name] = frame.head(raw["n"])
         elif op == "result":
             wrote = self._frame(frames, raw["frame"], read)
             result.tables[raw["name"]] = wrote.to_table(raw["name"])
@@ -209,13 +279,11 @@ class PipelineInterpreter:
         return read, wrote
 
     @staticmethod
-    def _operand(frame: DataFrame, spec: Any) -> Any:
-        """A derive operand: {'col': name} or {'lit': value}."""
-        if isinstance(spec, Mapping) and "col" in spec:
-            return frame[spec["col"]]
-        if isinstance(spec, Mapping) and "lit" in spec:
-            return spec["lit"]
-        raise FrameError(f"operand must be {{'col': ...}} or {{'lit': ...}}, got {spec!r}")
+    def _operand(frame: DataFrame, spec: Mapping[str, Any]) -> List[Any]:
+        """A derive operand's values: a column's, or a literal once per row."""
+        if "col" in spec:
+            return frame[spec["col"]].values
+        return [spec["lit"]] * len(frame)
 
     @staticmethod
     def _describe(op: str, raw: Mapping[str, Any]) -> str:

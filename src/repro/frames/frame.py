@@ -14,7 +14,7 @@ not create.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .series import Series
 
@@ -88,19 +88,11 @@ class DataFrame:
     def __contains__(self, name: str) -> bool:
         return name in self._columns
 
-    def __getitem__(self, key: Union[str, Series, List[str]]) -> Union[Series, "DataFrame"]:
-        if isinstance(key, str):
-            try:
-                return self._columns[key]
-            except KeyError:
-                raise FrameError(
-                    f"column {key!r} not found; available: {self.columns}"
-                ) from None
-        if isinstance(key, Series):
-            return self.filter(key)
-        if isinstance(key, list):
-            return self.select(key)
-        raise FrameError(f"unsupported index type: {type(key).__name__}")
+    def __getitem__(self, name: str) -> Series:
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise FrameError(f"column {name!r} not found; available: {self.columns}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataFrame({len(self)} rows x {len(self._columns)} cols: {self.columns})"
@@ -117,11 +109,9 @@ class DataFrame:
     def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
         return DataFrame({mapping.get(n, n): s for n, s in self._columns.items()})
 
-    def assign(self, **new_columns: Union[Series, Iterable[Any], Callable[["DataFrame"], Series]]) -> "DataFrame":
+    def assign(self, **new_columns: Union[Series, Iterable[Any]]) -> "DataFrame":
         data: Dict[str, Any] = {n: s for n, s in self._columns.items()}
         for name, value in new_columns.items():
-            if callable(value) and not isinstance(value, Series):
-                value = value(self)
             series = value if isinstance(value, Series) else Series(list(value))
             if self._columns and len(series) != len(self):
                 raise FrameError(

@@ -1,26 +1,21 @@
-"""GroupBy support for :class:`~repro.frames.frame.DataFrame`."""
+"""GroupBy support for :class:`~repro.frames.frame.DataFrame`.
+
+Grouping and named aggregates are the SQL engine's: rows group as
+``GROUP BY`` groups them (``relational.vectorized.group_rows``, so ``1``,
+``1.0`` and ``TRUE`` share a group and NULL keys form one), and a name
+is the one-argument aggregate ``relational.aggregates`` registers under
+it, reduced with that aggregate's NULL rule.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple, Union
+from typing import Any, Callable, List, Tuple, Union
 
+from ..relational.aggregates import lookup_aggregate
+from ..relational.vectorized import accumulate_aggregate, group_rows
 from .series import Series
 
 AggSpec = Union[str, Callable[[Series], Any]]
-
-_BUILTIN_AGGS: Dict[str, Callable[[Series], Any]] = {
-    "sum": Series.sum,
-    "mean": Series.mean,
-    "avg": Series.mean,
-    "min": Series.min,
-    "max": Series.max,
-    "count": Series.count,
-    "median": Series.median,
-    "std": Series.std,
-    "nunique": Series.nunique,
-    "first": lambda s: s[0] if len(s) else None,
-    "last": lambda s: s[len(s) - 1] if len(s) else None,
-}
 
 
 class GroupBy:
@@ -29,26 +24,20 @@ class GroupBy:
     def __init__(self, frame: "Any", keys: List[str]):
         self.frame = frame
         self.keys = keys
-        self._group_order: List[Tuple] = []
-        self._groups: Dict[Tuple, List[int]] = {}
-        for i in range(len(frame)):
-            marker = tuple(
-                (type(frame[k][i]).__name__, frame[k][i]) for k in keys
-            )
-            if marker not in self._groups:
-                self._groups[marker] = []
-                self._group_order.append(marker)
-            self._groups[marker].append(i)
+        self._gids, self._key_rows = group_rows([frame[k].values for k in keys], len(frame))
 
-    def _resolve(self, spec: AggSpec) -> Callable[[Series], Any]:
+    def _reduce(self, column: str, spec: AggSpec) -> List[Any]:
+        """One value per group: ``spec`` over the group's ``column`` values."""
+        values = self.frame[column].values
         if callable(spec):
-            return spec
-        try:
-            return _BUILTIN_AGGS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown aggregation {spec!r}; known: {sorted(_BUILTIN_AGGS)}"
-            ) from None
+            members: List[List[Any]] = [[] for _ in self._key_rows]
+            for g, v in zip(self._gids, values):
+                members[g].append(v)
+            return [spec(Series(member, column)) for member in members]
+        agg = lookup_aggregate(spec) if isinstance(spec, str) else None
+        if agg is None or agg.num_args != 1:
+            raise ValueError(f"unknown aggregation {spec!r}: not a one-argument SQL aggregate")
+        return accumulate_aggregate(agg, [values], False, self._gids, len(self._key_rows))
 
     def agg(self, **outputs: Tuple[str, AggSpec]) -> "Any":
         """Aggregate named outputs: ``agg(total=("amount", "sum"))``."""
@@ -57,15 +46,7 @@ class GroupBy:
         for name, (column, _) in outputs.items():
             if column not in self.frame:
                 raise FrameError(f"aggregation column {column!r} not found")
-        data: Dict[str, List[Any]] = {k: [] for k in self.keys}
-        for name in outputs:
-            data[name] = []
-        for marker in self._group_order:
-            indices = self._groups[marker]
-            for k in self.keys:
-                data[k].append(self.frame[k][indices[0]])
-            for name, (column, spec) in outputs.items():
-                fn = self._resolve(spec)
-                member = Series([self.frame[column][i] for i in indices], column)
-                data[name].append(fn(member))
+        data = {k: [row[i] for row in self._key_rows] for i, k in enumerate(self.keys)}
+        for name, (column, spec) in outputs.items():
+            data[name] = self._reduce(column, spec)
         return DataFrame(data)

@@ -1,15 +1,17 @@
 """A NULL-aware column vector (the reproduction's pandas-Series substitute).
 
-Arithmetic and ``==`` are elementwise and propagate ``None`` the way SQL
-NULL does, so pipeline code behaves consistently whether it runs in the
-SQL executor or the Python interpreter tool.  The class carries what the
-interpreter's ops call, and the reducers ``GroupBy.agg`` names.
+A ``Series`` moves values, it does not compute with them: it holds a
+column (or a deferred gather of one), hands rows to ``DataFrame``'s
+``take`` / ``filter`` / ``merge``, and carries the two column transforms
+the interpreter's ops name, ``interpolate`` and ``parse_dates``.  Every
+value computation — arithmetic, ``=``, aggregates — is the SQL engine's
+(``relational.vectorized`` and ``relational.aggregates``), so a pipeline
+and a SQL statement agree on NULLs, types and errors.
 """
 
 from __future__ import annotations
 
 import datetime
-import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 
@@ -42,7 +44,7 @@ class _Deferred:
 
 
 class Series:
-    """An immutable-by-convention list of values with vectorized operations.
+    """An immutable-by-convention list of values.
 
     A list passed in is adopted, not copied, and never written to.  A
     column built by :meth:`deferred` holds a source list and a row-id
@@ -101,67 +103,17 @@ class Series:
     def __getitem__(self, index: int) -> Any:
         return self.values[index]
 
-    def __eq__(self, other: Any):  # type: ignore[override]
-        """Elementwise (NULL-propagating), like pandas — not a bool."""
-        return self._binary(other, lambda a, b: a == b)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         preview = ", ".join(repr(v) for v in self.values[:8])
         suffix = ", ..." if len(self.values) > 8 else ""
         return f"Series({self.name!r}, [{preview}{suffix}])"
 
     # ------------------------------------------------------------------
-    # Elementwise arithmetic
-    # ------------------------------------------------------------------
-    def _binary(self, other: Any, op: Callable[[Any, Any], Any]) -> "Series":
-        if isinstance(other, Series):
-            if len(other) != len(self):
-                raise ValueError(
-                    f"length mismatch: {len(self)} vs {len(other)}"
-                )
-            pairs = zip(self.values, other.values)
-        else:
-            pairs = ((v, other) for v in self.values)
-        out = []
-        for a, b in pairs:
-            if a is None or b is None:
-                out.append(None)
-            else:
-                out.append(op(a, b))
-        return Series(out, self.name)
-
-    def __add__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: a + b)
-
-    def __radd__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: b + a)
-
-    def __sub__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: b * a)
-
-    def __truediv__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other: Any) -> "Series":
-        return self._binary(other, lambda a, b: b / a)
-
-    # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def map(self, fn: Callable[[Any], Any], skip_nulls: bool = True) -> "Series":
-        """Apply ``fn`` elementwise (NULLs pass through unless told otherwise)."""
-        if skip_nulls:
-            return Series([None if v is None else fn(v) for v in self.values], self.name)
-        return Series([fn(v) for v in self.values], self.name)
+    def map(self, fn: Callable[[Any], Any]) -> "Series":
+        """Apply ``fn`` elementwise; NULLs pass through."""
+        return Series([None if v is None else fn(v) for v in self.values], self.name)
 
     def rename(self, name: str) -> "Series":
         return Series(self._data, name)
@@ -195,50 +147,6 @@ class Series:
             return parse_date(str(v))
 
         return self.map(convert)
-
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
-    def _non_null(self) -> List[Any]:
-        return [v for v in self.values if v is not None]
-
-    def count(self) -> int:
-        return len(self._non_null())
-
-    def sum(self) -> Any:
-        data = self._non_null()
-        return sum(data) if data else None
-
-    def mean(self) -> Optional[float]:
-        data = self._non_null()
-        return sum(data) / len(data) if data else None
-
-    def min(self) -> Any:
-        data = self._non_null()
-        return min(data) if data else None
-
-    def max(self) -> Any:
-        data = self._non_null()
-        return max(data) if data else None
-
-    def median(self) -> Any:
-        data = sorted(self._non_null())
-        if not data:
-            return None
-        mid = len(data) // 2
-        if len(data) % 2 == 1:
-            return data[mid]
-        return (data[mid - 1] + data[mid]) / 2
-
-    def std(self) -> Optional[float]:
-        data = self._non_null()
-        if len(data) < 2:
-            return None
-        mean = sum(data) / len(data)
-        return math.sqrt(sum((v - mean) ** 2 for v in data) / (len(data) - 1))
-
-    def nunique(self) -> int:
-        return len(set(self._non_null()))
 
     def tolist(self) -> List[Any]:
         return list(self.values)

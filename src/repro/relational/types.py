@@ -193,7 +193,7 @@ def format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15 and not math.isinf(value):
+        if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
             return f"{value:.1f}"
         return repr(value)
     if isinstance(value, datetime.date):

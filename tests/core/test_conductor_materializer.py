@@ -1,12 +1,14 @@
 """Unit tests for the Conductor loop and Materializer repair behaviour."""
 
 import datetime
+import json
 
 import pytest
 
 from repro.core import Conductor, Materializer, SeekerSession, SharedState, TargetColumn, TargetTable
 from repro.core.session import build_seeker_llm
 from repro.ir import IRSystem
+from repro.llm import RuleLLM
 from repro.relational import Database, Table
 from repro.retriever import PneumaRetriever, table_payload
 from repro.service import build_shared_retriever
@@ -113,6 +115,33 @@ class TestMaterializer:
         assert not outcome.ok
         assert outcome.error
         assert outcome.attempts == Materializer.MAX_ATTEMPTS
+
+    def test_repair_sees_a_division_by_zero(self, lake):
+        """A failing ``derive`` is an ``InterpreterError`` the loop repairs
+        against, not an exception that ends the turn."""
+        programs = [
+            [{"op": "load", "table": "orders", "as": "main"},
+             {"op": "derive", "frame": "main", "new_column": "ratio",
+              "operator": "/", "left": {"col": "price"}, "right": {"lit": 0}},
+             {"op": "result", "frame": "main", "name": "orders_target"}],
+            [{"op": "load", "table": "orders", "as": "main"},
+             {"op": "result", "frame": "main", "name": "orders_target"}],
+        ]
+        errors = []
+
+        class Scripted:
+            role = "materializer"
+
+            def respond(self, sections):
+                errors.append(sections.get("ERROR", ""))
+                return json.dumps({"program": programs[len(errors) - 1]})
+
+        llm = RuleLLM()
+        llm.register(Scripted())
+        materializer = Materializer(llm, lake, SharedState())
+        outcome = materializer.materialize(self._spec(["price"]), None, [])
+        assert outcome.ok and outcome.attempts == 2 <= Materializer.MAX_ATTEMPTS
+        assert errors == ["", "step 1 (derive): division by zero"]
 
 
 class TestSessionAnswerValue:

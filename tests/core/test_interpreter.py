@@ -1,12 +1,13 @@
 """Unit tests for the pipeline interpreter (the Python-interpreter tool)."""
 
 import datetime
+import re
 
 import pytest
 
 from repro.core import InterpreterError, PipelineInterpreter
 from repro.obs import Tracer
-from repro.relational import Database, Table
+from repro.relational import Column, DataType, Database, Schema, Table
 
 
 @pytest.fixture
@@ -179,7 +180,7 @@ ARITHMETIC = {
 
 class TestDeriveOperands:
     """Every operator with every operand shape a model may write; a
-    ``{'lit': ...}`` left operand runs Series' reflected arithmetic.
+    ``{'lit': ...}`` operand is the literal once per row, on either side.
     Expected values are computed row by row, NULL in, NULL out."""
 
     OPERANDS = {
@@ -285,6 +286,33 @@ class TestErrors:
         with pytest.raises(InterpreterError):
             run(source, [
                 {"op": "load", "table": "ghost_table", "as": "main"},
+                {"op": "result", "frame": "main", "name": "out"},
+            ])
+
+    def test_a_step_that_is_no_object_or_a_mistyped_field_names_its_step(self, source):
+        load = {"op": "load", "table": "samples", "as": "main"}
+        cases = [
+            ([load, "select"], "step 1 (program): a step must be an object"),
+            ([{"op": "load", "table": 3}], "step 0 (load): field 'table' must be a string"),
+            ([load, {"op": "rename", "frame": "main", "mapping": ["value"]}],
+             "step 1 (rename): field 'mapping' must be an object of strings to strings"),
+            ([load, {"op": "add_from_records", "frame": "main", "records": [3], "key": "region",
+                     "record_key": "r", "value_field": "v", "new_column": "c"}],
+             "step 1 (add_from_records): field 'records' must be a list of objects"),
+        ]
+        for program, message in cases:
+            with pytest.raises(InterpreterError, match=re.escape(message)):
+                run(source, program)
+
+    def test_a_number_too_large_for_a_float_is_an_interpreter_error(self):
+        """Sorting compares through ``float()``: an integer past its range
+        is reported on the step, like every other failure."""
+        db = Database()
+        db.register(Table("t", Schema([Column("x", DataType.TEXT)]), [(10**400,), (1.5,)]))
+        with pytest.raises(InterpreterError, match=r"^step 1 \(sort\): int too large"):
+            run(db, [
+                {"op": "load", "table": "t", "as": "main"},
+                {"op": "sort", "frame": "main", "by": "x"},
                 {"op": "result", "frame": "main", "name": "out"},
             ])
 

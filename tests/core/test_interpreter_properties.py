@@ -1,14 +1,17 @@
 """Property tests: pipeline programs behave like their SQL equivalents."""
 
+import datetime
 from unittest.mock import patch
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import InterpreterError, PipelineInterpreter
+from repro.core.interpreter import OP_SIGNATURES, OPTIONAL_FIELDS
 from repro.frames import Series
 from repro.frames.series import _gather
 from repro.relational import Column, DataType, Database, Schema, Table
+from repro.relational.errors import ExecutionError
 
 values = st.lists(
     st.one_of(st.none(), st.integers(min_value=-3, max_value=3)),
@@ -67,20 +70,82 @@ def test_select_projects_like_sql(xs, gs):
     assert result.tables["out"].rows == sql.rows
 
 
-@given(values, labels)
-def test_derive_matches_sql_arithmetic(xs, gs):
-    db = make_source(xs, gs)
+# Derive operands and filter targets: int, float, NULL, zero, bool, text, date.
+cells = st.one_of(
+    st.none(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, 0.5, -1.5]),
+    st.booleans(),
+    st.sampled_from(["a", "1", ""]),
+    st.sampled_from([datetime.date(2020, 1, 31), datetime.date(2021, 3, 1)]),
+)
+
+
+def stored(values):
+    """``values`` as a result table stores them, each beside its type."""
+    return typed(Table.from_columns("s", {"v": list(values)}).column_values("v"))
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@given(
+    st.lists(st.tuples(cells, cells), max_size=6),
+    st.sampled_from(["+", "-", "*", "/"]),
+    st.sampled_from([("a", "b"), ("a", "l"), ("l", "b")]),
+    cells,
+)
+def test_derive_matches_sql_arithmetic(pairs, operator, operands, literal):
+    """``derive`` is ``SELECT a <op> b``: every value and its type, or an
+    ``InterpreterError`` on the step exactly where SQL raises, with SQL's
+    message (a zero divisor, a bool or text operand).  A literal operand
+    is the SQL column ``l`` holding it on every row."""
+    db = Database()
+    db.register(raw_table("t", ["a", "b", "l"], [(a, b, literal) for a, b in pairs]))
+    left, right = operands
+    operand = lambda name: {"lit": literal} if name == "l" else {"col": name}  # noqa: E731
+    try:
+        sql = db.execute(f"SELECT {left} {operator} {right} AS y FROM t")
+        expected = stored(sql.column_values("y"))
+    except ExecutionError as exc:
+        expected = f"step 1 (derive): {exc}"
+    program = [
+        {"op": "load", "table": "t", "as": "main"},
+        {"op": "derive", "frame": "main", "new_column": "y",
+         "operator": operator, "left": operand(left), "right": operand(right)},
+        {"op": "select", "frame": "main", "columns": ["y"]},
+        {"op": "result", "frame": "main", "name": "out"},
+    ]
+    try:
+        got = typed(PipelineInterpreter(db).run(program).tables["out"].column_values("y"))
+    except InterpreterError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def sql_literal(value):
+    if value is None:
+        return "NULL"
+    return str(value).upper() if isinstance(value, bool) else repr(value)
+
+
+@given(st.lists(cells, max_size=8), st.sampled_from([None, 0, 1, -1, 0.0, 1.0, 1.5, True, False]))
+def test_filter_equals_on_a_non_string_keeps_the_rows_of_sql_where(xs, target):
+    """A non-string target is SQL ``=``: ``TRUE`` matches only booleans,
+    the text ``'1'`` matches ``1``, and NULL matches nothing."""
+    db = Database()
+    db.register(raw_table("t", ["i", "x"], list(enumerate(xs))))
     result = PipelineInterpreter(db).run(
         [
             {"op": "load", "table": "t", "as": "main"},
-            {"op": "derive", "frame": "main", "new_column": "y",
-             "operator": "*", "left": {"col": "x"}, "right": {"lit": 2}},
-            {"op": "select", "frame": "main", "columns": ["y"]},
+            {"op": "filter_equals", "frame": "main", "column": "x", "value": target},
+            {"op": "select", "frame": "main", "columns": ["i"]},
             {"op": "result", "frame": "main", "name": "out"},
         ]
     )
-    sql = db.execute("SELECT x * 2 AS y FROM t")
-    assert result.tables["out"].rows == sql.rows
+    sql = db.execute(f"SELECT i FROM t WHERE x = {sql_literal(target)}")
+    assert result.tables["out"].column_values("i") == sql.column_values("i")
 
 
 @given(values, labels)
@@ -248,3 +313,81 @@ def test_join_and_filter_leave_the_loaded_tables_unchanged():
     assert result.tables["out"].rows == [(1, 5, "a", "1.0", 7), (1, 5, "a", "true", 8),
                                          (None, 1, "a", None, None)]
     assert typed_columns(db, "ab") == before
+
+
+# ----------------------------------------------------------------------
+# The error contract: run returns or raises InterpreterError, nothing else.
+# ----------------------------------------------------------------------
+NAMES = ["main", "dim", "a", "b", "k", "x", "g", "ghost"]
+anything = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+              st.sampled_from(NAMES)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["col", "lit", "k", "x"]), inner,
+                                            max_size=2)),
+    max_leaves=5,
+)
+name = st.sampled_from(NAMES)
+# Per field kind, values a model may plausibly write (so the op runs)
+# beside anything at all (so the field checks run).
+plausible = {
+    "name": name,
+    "names": st.lists(name, max_size=3),
+    "keys": st.one_of(name, st.lists(name, max_size=2)),
+    "value": st.one_of(cells, st.integers(), st.floats()),
+    "operand": st.one_of(
+        st.fixed_dictionaries({"col": name}),
+        st.fixed_dictionaries({"lit": st.one_of(cells, st.integers(), st.floats())}),
+    ),
+    "records": st.lists(st.dictionaries(name, st.one_of(cells, name), max_size=3), max_size=3),
+    "mapping": st.dictionaries(name, name, max_size=2),
+    "count": st.integers(),
+    "flags": st.one_of(st.booleans(), st.lists(st.booleans(), max_size=2)),
+}
+
+
+@st.composite
+def fuzzed_steps(draw):
+    """A step of any of the 13 ops, each field plausible, arbitrary or
+    missing; now and then a step that is no object at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(anything)
+    op = draw(st.sampled_from(sorted(OP_SIGNATURES)))
+    step = {"op": op}
+    fields = {**OP_SIGNATURES[op], **OPTIONAL_FIELDS}
+    for field, kind in fields.items():
+        choice = draw(st.integers(0, 9))
+        if choice == 0 or (field in OPTIONAL_FIELDS and choice < 6):
+            continue
+        step[field] = draw(anything if choice == 1 else plausible[kind])
+    return step
+
+
+mixed = st.one_of(cells, st.integers(), st.floats(), st.sampled_from(["a", "B"]))
+
+
+@given(
+    rows_of(mixed, mixed, mixed),
+    rows_of(mixed, mixed),
+    st.lists(fuzzed_steps(), min_size=1, max_size=4),
+    st.sampled_from(["result", "none", "junk"]),
+    anything,
+)
+def test_run_returns_or_raises_interpreter_error(a_rows, b_rows, steps, ending, junk):
+    """Fuzzed field values over all 13 ops, on tables of mixed, huge and
+    non-finite values, and now and then a program that is no list of
+    steps: every failure reaches the repair loop as an
+    ``InterpreterError`` naming its step."""
+    db = Database()
+    db.register(raw_table("a", ["k", "x", "g"], a_rows))
+    db.register(raw_table("b", ["k", "x"], b_rows))
+    program = [{"op": "load", "table": "a", "as": "main"},
+               {"op": "load", "table": "b", "as": "dim"}, *steps]
+    if ending == "result":
+        program.append({"op": "result", "frame": "main", "name": "out"})
+    elif ending == "junk":
+        program = junk
+    try:
+        PipelineInterpreter(db).run(program)
+    except InterpreterError as exc:
+        assert exc.step == 0 or 0 < exc.step < len(program)

@@ -56,15 +56,8 @@ class TestSelectionAndFilter:
         with pytest.raises(FrameError):
             df["nope"]
 
-    def test_getitem_mask(self, df):
-        out = df[df["group"] == "a"]
-        assert out["id"].tolist() == [1, 3]
-
-    def test_getitem_list(self, df):
-        assert df[["id", "value"]].columns == ["id", "value"]
-
     def test_filter_null_mask_drops(self, df):
-        out = df.filter(df["value"] == 30.0)
+        out = df.filter(df["value"].map(lambda v: v == 30.0))
         assert out["id"].tolist() == [3]  # NULL comparison row dropped
 
     def test_select_missing_raises(self, df):
@@ -84,19 +77,11 @@ class TestSelectionAndFilter:
         with pytest.raises(FrameError):
             df.filter(Series([True]))
 
-    def test_getitem_unsupported_key_raises(self, df):
-        with pytest.raises(FrameError, match="unsupported index type"):
-            df[0]
-
 
 class TestAssignRenameSort:
     def test_assign_series(self, df):
-        out = df.assign(double=df["value"] * 2)
+        out = df.assign(double=df["value"].map(lambda v: v * 2))
         assert out["double"].tolist() == [20.0, 40.0, 60.0, None]
-
-    def test_assign_callable(self, df):
-        out = df.assign(double=lambda d: d["value"] * 2)
-        assert out["double"][0] == 20.0
 
     def test_assign_length_mismatch_raises(self, df):
         with pytest.raises(FrameError):
@@ -153,7 +138,7 @@ class TestMerge:
     def test_left(self, df, right):
         out = df.merge(right, on="group", how="left")
         assert len(out) == 4
-        assert out.filter(out["group"] == "b")["label"].tolist() == [None, None]
+        assert out.filter(out["group"].map(lambda g: g == "b"))["label"].tolist() == [None, None]
 
     def test_right(self, df, right):
         out = df.merge(right, on="group", how="right")
@@ -339,14 +324,15 @@ class TestGroupBy:
         assert rows["b"]["total"] == 20.0  # NULL skipped
         assert rows["a"]["n"] == 2
 
-    def test_agg_callable(self, df):
-        out = df.groupby("group").agg(spread=("value", lambda s: (s.max() or 0) - (s.min() or 0)))
-        rows = {r["group"]: r["spread"] for r in records(out)}
-        assert rows["a"] == 20.0
+    def test_agg_callable_receives_the_group_as_a_series(self, df):
+        out = df.groupby("group").agg(members=("value", lambda s: (s.name, s.tolist())))
+        rows = {r["group"]: r["members"] for r in records(out)}
+        assert rows == {"a": ("value", [10.0, 30.0]), "b": ("value", [20.0, None])}
 
-    def test_unknown_agg_raises(self, df):
-        with pytest.raises(ValueError):
-            df.groupby("group").agg(bad=("value", "frobnicate"))
+    @pytest.mark.parametrize("name", ["frobnicate", "std", "nunique", "quantile"])
+    def test_a_name_that_is_no_one_argument_aggregate_raises(self, df, name):
+        with pytest.raises(ValueError, match="not a one-argument SQL aggregate"):
+            df.groupby("group").agg(bad=("value", name))
 
     def test_unknown_key_raises(self, df):
         with pytest.raises(FrameError):

@@ -7,12 +7,16 @@ cell for cell, to the row-at-a-time body it replaced
 (``tests/oracles/frames_merge.py``).
 """
 
+import datetime
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.frames import DataFrame, FrameError, Series
-from repro.relational import Database, Table
+from repro.relational import Column, DataType, Database, Schema, Table
+from repro.relational.aggregates import AGGREGATES
+from repro.relational.errors import ExecutionError
 from tests.oracles.frames_merge import merge_rowwise
 
 def records(frame):
@@ -29,29 +33,6 @@ def both_paths(xs):
     db = Database()
     db.register(Table.from_columns("t", {"x": xs}))
     return df, db
-
-
-@given(columns)
-def test_sum_agrees(xs):
-    df, db = both_paths(xs)
-    assert df["x"].sum() == db.query_value("SELECT SUM(x) FROM t")
-
-
-@given(columns)
-def test_mean_agrees(xs):
-    df, db = both_paths(xs)
-    frame_mean = df["x"].mean()
-    sql_mean = db.query_value("SELECT AVG(x) FROM t")
-    if frame_mean is None:
-        assert sql_mean is None
-    else:
-        assert abs(frame_mean - sql_mean) < 1e-12
-
-
-@given(columns)
-def test_median_agrees(xs):
-    df, db = both_paths(xs)
-    assert df["x"].median() == db.query_value("SELECT MEDIAN(x) FROM t")
 
 
 @given(columns)
@@ -153,15 +134,46 @@ def test_merge_equals_the_row_at_a_time_oracle(case):
     )
 
 
-@given(columns)
-def test_groupby_count_agrees(xs):
-    df, db = both_paths(xs)
-    frame_counts = {
-        r["x"]: r["n"] for r in records(df.groupby("x").agg(n=("x", "count")))
-    }
-    sql = db.execute("SELECT x, COUNT(x) AS n FROM t GROUP BY x")
-    sql_counts = {row[0]: row[1] for row in sql.rows}
-    assert frame_counts == sql_counts
+ONE_ARGUMENT_AGGREGATES = sorted(n for n, agg in AGGREGATES.items() if agg.num_args == 1)
+group_keys = st.one_of(st.none(), st.sampled_from([0, 1, 1.0, True, "a"]))
+# Mostly NULL, with numbers, text and dates beside them.
+measures = st.one_of(
+    st.none(),
+    st.none(),
+    st.none(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -1.5]),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from([datetime.date(2020, 1, 31), datetime.date(2021, 3, 1)]),
+    st.booleans(),
+)
+
+
+def grouped_outcome(run):
+    """Rows (as typed, sorted) or the ``ExecutionError`` text."""
+    try:
+        rows = run()
+    except ExecutionError as exc:
+        return str(exc)
+    return sorted(([(type(v), v) for v in row] for row in rows), key=repr)
+
+
+@pytest.mark.parametrize("name", ONE_ARGUMENT_AGGREGATES)
+@given(rows=st.lists(st.tuples(group_keys, measures), max_size=10))
+def test_groupby_agg_equals_sql_group_by(name, rows):
+    """``agg(n=(col, name))`` is ``GROUP BY`` with ``name(col)``, for every
+    one-argument aggregate: the same groups (``1``, ``1.0`` and ``TRUE``
+    share one), values and types, or the same error."""
+    table = Table("t", Schema([Column("k", DataType.TEXT), Column("x", DataType.TEXT)]), rows)
+    db = Database()
+    db.register(table)
+
+    def frame_rows():
+        out = DataFrame.from_table(table).groupby("k").agg(n=("x", name))
+        return zip(out["k"], out["n"])
+
+    sql = lambda: db.execute(f"SELECT k, {name}(x) AS n FROM t GROUP BY k").rows  # noqa: E731
+    assert grouped_outcome(frame_rows) == grouped_outcome(sql)
 
 
 @given(columns)

@@ -84,6 +84,48 @@ def test_frames_is_plain_python():
             assert name.split(".")[0] != "numpy", f"{path}: imports {name}"
 
 
+#: What no class under ``frames/`` may define: comparison and arithmetic
+#: dunders and reducers.  Frames move rows; values are computed by the SQL
+#: engine's kernels (``relational.vectorized``, ``relational.aggregates``).
+FRAMES_VALUE_METHODS = {
+    *(f"__{op}__" for op in ("eq", "ne", "lt", "le", "gt", "ge")),
+    *(f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow")
+      for r in ("", "r")),
+    "count", "sum", "mean", "min", "max", "median", "std", "nunique",
+}
+
+
+def test_frames_has_no_value_semantics_of_its_own():
+    """No ``Series`` arithmetic, comparison or reducer, and ``GroupBy``
+    resolves aggregate names through ``relational.aggregates`` instead of
+    a name table of its own."""
+    for path in sorted((SRC / "frames").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        assert node.name not in FRAMES_VALUE_METHODS, (
+                            f"{path}:{node.lineno}: {cls.name}.{node.name}"
+                        )
+    groupby = SRC / "frames" / "groupby.py"
+    tree = ast.parse(groupby.read_text(), filename=str(groupby))
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]
+    for scope in scopes:
+        for node in scope.body:
+            value = getattr(node, "value", None)
+            is_table = isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", "") == "dict"
+            )
+            assert not is_table, f"{groupby}:{node.lineno}: a name table of its own"
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("aggregates")
+        for alias in node.names
+    }
+    assert "lookup_aggregate" in imported
+
+
 def test_build_kernels_have_no_scalar_twin_in_src():
     """The catalog build's array passes replaced their per-element bodies
     in place; those live on as ``tests/oracles/discovery_slotwise.py``,

@@ -125,9 +125,11 @@ def test_readers_of_results_never_write_the_shared_columns(db):
         frame = DataFrame.from_table(table)
         for name in frame.columns:
             column = frame[name]
-            column.count(), column.nunique(), column.tolist()
-            if all(v is None or isinstance(v, (int, float)) for v in column):
-                column.median(), column.interpolate()
+            column.tolist()
+            frame.groupby(name).agg(n=(name, "count"), low=(name, "min"))
+            if all(v is None or type(v) in (int, float) for v in column):
+                frame.groupby(name).agg(mid=(name, "median"))
+                column.interpolate()
             frame = frame.assign(**{name: column.map(lambda v: v)})
         frame = frame.dropna()
         if frame.columns:

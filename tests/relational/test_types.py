@@ -173,6 +173,12 @@ class TestFormatValue:
     def test_whole_floats_keep_decimal(self):
         assert format_value(2.0) == "2.0"
 
+    def test_non_finite_floats_render(self):
+        """A TEXT column stores them by this rendering: it must not raise."""
+        assert [format_value(v) for v in (float("inf"), float("-inf"), float("nan"))] == [
+            "inf", "-inf", "nan",
+        ]
+
     def test_null(self):
         assert format_value(None) == "NULL"
 

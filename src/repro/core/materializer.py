@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from ..llm.clock import TOOL_CALL_SECONDS
-from ..llm.prompts import parse_response, render_prompt
+from ..llm.prompts import PromptFormatError, parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
 from ..relational.catalog import Database
 from ..relational.table import Table
@@ -33,6 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Interpreted-plan keys whose presence means the LLM loop must run: the
 #: alignment compiler only guarantees column selection + equi-joins.
 _LOOP_ONLY_PLAN_KEYS = ("filters", "order_column", "interpolate", "join")
+
+
+def _parse_program(reply: str) -> List[Dict[str, Any]]:
+    """The ``program`` of a materializer reply; raises
+    :class:`PromptFormatError` unless the reply is a JSON object whose
+    ``program`` is a list."""
+    response = parse_response(reply)
+    program = response.get("program") if isinstance(response, dict) else None
+    if not isinstance(program, list):
+        raise PromptFormatError(
+            f"LLM response must be a JSON object whose 'program' is a list, got {reply[:80]!r}"
+        )
+    return program
 
 
 @dataclass
@@ -95,8 +108,11 @@ class Materializer:
                 sections["ERROR"] = error
                 sections["PREVIOUS_PROGRAM"] = previous or []
             prompt = render_prompt("materializer", sections)
-            response = parse_response(self.llm.complete(prompt, "materializer"))
-            program = response.get("program") or []
+            try:
+                program = _parse_program(self.llm.complete(prompt, "materializer"))
+            except PromptFormatError as exc:
+                error, previous = str(exc), None
+                continue
             outcome.programs.append(program)
             previous = program
             try:

@@ -137,7 +137,7 @@ class Series:
                 values[left + offset] = lo + (hi - lo) * offset / gap
         return Series(values, self.name)
 
-    def parse_dates(self, formats: Optional[Sequence[str]] = None) -> "Series":
+    def parse_dates(self) -> "Series":
         """Parse text dates (used for Materializer date-format repairs)."""
         from ..relational.types import parse_date
 

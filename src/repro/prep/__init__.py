@@ -3,7 +3,7 @@
 The paper's "automate discovery, guide preparation" made concrete:
 
 * :mod:`repro.prep.sketches` — per-column MinHash + HyperLogLog sketches;
-* :mod:`repro.prep.profile` — column/table profiles (sketches + statistics);
+* :mod:`repro.prep.profile` — column/table profiles (what discovery reads);
 * :mod:`repro.prep.store` — the ProfileStore (one profile per live table);
 * :mod:`repro.prep.discovery` — join candidate ranking over sketches;
 * :mod:`repro.prep.align` — the alignment compiler (reified need -> SQL);

@@ -16,12 +16,14 @@ at candidate-enumeration scale:
 
 Values are hashed deterministically (no dependence on
 ``PYTHONHASHSEED``), so sketches built in different processes are
-comparable and the equivalence tests are seed-stable.  A column is keyed
-once — text and dates once per distinct value (:func:`text_keys`,
-:func:`day_keys`), numbers through one typed array (:func:`number_keys`)
-— and :func:`sketch_columns` sketches the keys of many columns at once,
-in blocks of a fixed number of keys.  The column-at-a-time build it
-replaced is ``tests/oracles/profile_columnwise.py``.
+comparable and the equivalence tests are seed-stable.  Only a column
+discovery may propose as a key is sketched (:mod:`repro.prep.profile`
+skips measurements).  A column is keyed once — text and dates once per
+distinct value (:func:`text_keys`, :func:`day_keys`), numbers through one
+typed array (:func:`number_keys`) — and :func:`sketch_columns` sketches
+the keys of many columns at once, in blocks of a fixed number of keys.
+The column-at-a-time build it replaced is
+``tests/oracles/profile_columnwise.py``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ def typed_array(values: List[Any]) -> Optional[np.ndarray]:
     """A typed numpy view of a column, or None when no one dtype holds it
     (a None, a date, integers past 64 bits, say).
 
-    The list-to-array conversion is the expensive python boundary; callers
-    build it once per column and share it between encoding and min/max.
-    numpy settles a column of strings beside numbers as text (``1`` reads
-    ``'1'``), and its ``U`` dtype drops trailing NULs.
+    The list-to-array conversion is the expensive python boundary; a
+    column is converted once, and only when it is keyed.  numpy settles a
+    column of strings beside numbers as text (``1`` reads ``'1'``), and
+    its ``U`` dtype drops trailing NULs.
     """
     try:
         arr = np.asarray(values)
@@ -111,12 +113,10 @@ def number_keys(arr: np.ndarray, integral: Optional[np.ndarray] = None) -> np.nd
 
 @dataclass
 class ColumnSketch:
-    """MinHash signature + HLL registers + exact null/total accounting."""
+    """MinHash signature + HLL registers of one column's keys."""
 
     signature: np.ndarray  # (k,) uint64 raw OPH bins; _EMPTY_SLOT marks unfilled
     registers: np.ndarray  # (m,) uint8 HLL ranks
-    total: int  # values seen, including nulls
-    nulls: int  # ``None`` values seen (a NaN is counted in total, and neither null nor keyed)
     _dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def is_empty(self) -> bool:

@@ -1,4 +1,5 @@
-"""The ProfileStore: one table profile per live table name.
+"""The ProfileStore: one table profile (what join discovery reads of
+each column, :mod:`repro.prep.profile`) per live table name.
 
 A :class:`~repro.relational.table.TableCache` over
 :func:`~repro.prep.profile.profile_tables` — the same class behind the

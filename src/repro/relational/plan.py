@@ -861,7 +861,10 @@ def plan_select(catalog, select: ast.Select, env: Optional[Dict[str, Table]] = N
 def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) -> Table:
     """Execute a planned SELECT with fresh per-execution state."""
     ctx = ExecContext(catalog, env)
-    chunk = plan.execute(ctx)
+    try:
+        chunk = plan.execute(ctx)
+    except OverflowError as exc:  # an int past float range met float arithmetic
+        raise ExecutionError(f"numeric overflow: {exc}") from None
     # The chunk's columns (a LazyColumns built once here) become the
     # result's as_columns() memo: a later scan of the result pivots nothing.
     cols = list(chunk.cols)
@@ -914,7 +917,10 @@ def _execute_insert(catalog, stmt: ast.InsertValues) -> Table:
         # Columns not mentioned default to NULL.
         row: List[Any] = [None] * len(table.schema)
         for idx, expr in zip(targets, row_exprs):
-            (value,) = compile_vector(expr, constants, subplan)(one_row, ctx)
+            try:
+                (value,) = compile_vector(expr, constants, subplan)(one_row, ctx)
+            except OverflowError as exc:
+                raise ExecutionError(f"numeric overflow: {exc}") from None
             column = table.schema.columns[idx]
             # A NULL-typed column was inferred from all-NULL data, not declared.
             if column.dtype is not DataType.NULL:

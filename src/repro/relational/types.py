@@ -181,7 +181,7 @@ def cast_value(value: Any, target: DataType) -> Any:
             return None
     except ExecutionError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ExecutionError(f"cannot cast {value!r} to {target}") from exc
     raise ExecutionError(f"cannot cast {value!r} ({type_of_value(value)}) to {target}")
 
@@ -211,7 +211,10 @@ def coerce_for_storage(value: Any, dtype: DataType) -> Any:
     if value is None:
         return None
     if dtype == DataType.DOUBLE and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # past float range: kept exact
+            return value
     if dtype == DataType.TEXT and not isinstance(value, str):
         return format_value(value)
     return value
@@ -240,7 +243,10 @@ def sort_key(value: Any) -> tuple:
         return (2, 0, "")
     dtype = type_of_value(value)
     if is_numeric(dtype) or dtype == DataType.BOOLEAN:
-        return (0, float(value), "")
+        try:
+            return (0, float(value), "")
+        except OverflowError:  # an int past float range orders exactly
+            return (0, value, "")
     if dtype == DataType.DATE:
         return (0, float(value.toordinal()), "")
     return (1, 0.0, str(value))

@@ -144,6 +144,40 @@ class TestMaterializer:
         assert errors == ["", "step 1 (derive): division by zero"]
 
 
+    def test_repair_sees_a_reply_that_is_no_program(self, lake):
+        """A reply that is not JSON, or JSON that is not an object holding
+        a ``program`` list, is one failed attempt whose error the next
+        prompt carries."""
+        replies = [
+            "not json",
+            "[1]",
+            json.dumps(
+                {"program": [{"op": "load", "table": "orders", "as": "main"},
+                             {"op": "result", "frame": "main", "name": "orders_target"}]}
+            ),
+        ]
+        errors = []
+
+        class Scripted:
+            role = "materializer"
+
+            def respond(self, sections):
+                errors.append(sections.get("ERROR", ""))
+                return replies[len(errors) - 1]
+
+        llm = RuleLLM()
+        llm.register(Scripted())
+        state = SharedState()
+        outcome = Materializer(llm, lake, state).materialize(self._spec(["price"]), None, [])
+        assert outcome.ok and outcome.attempts == 3 == Materializer.MAX_ATTEMPTS
+        assert state.is_materialized("orders_target")
+        assert errors[0] == ""
+        assert errors[1].startswith("LLM response is not valid JSON")
+        assert errors[2] == (
+            "LLM response must be a JSON object whose 'program' is a list, got '[1]'"
+        )
+
+
 class TestSessionAnswerValue:
     def test_non_scalar_result_gives_none(self, lake, retriever):
         session = SeekerSession(lake, retriever)

@@ -305,16 +305,23 @@ class TestErrors:
                 run(source, program)
 
     def test_a_number_too_large_for_a_float_is_an_interpreter_error(self):
-        """Sorting compares through ``float()``: an integer past its range
-        is reported on the step, like every other failure."""
+        """Float arithmetic on an integer past float range is reported on
+        the step, like every other failure; sorting orders it exactly."""
         db = Database()
         db.register(Table("t", Schema([Column("x", DataType.TEXT)]), [(10**400,), (1.5,)]))
-        with pytest.raises(InterpreterError, match=r"^step 1 \(sort\): int too large"):
+        with pytest.raises(InterpreterError, match=r"^step 1 \(derive\): int too large"):
             run(db, [
                 {"op": "load", "table": "t", "as": "main"},
-                {"op": "sort", "frame": "main", "by": "x"},
+                {"op": "derive", "frame": "main", "new_column": "y",
+                 "operator": "+", "left": {"col": "x"}, "right": {"lit": 0.5}},
                 {"op": "result", "frame": "main", "name": "out"},
             ])
+        result = run(db, [
+            {"op": "load", "table": "t", "as": "main"},
+            {"op": "sort", "frame": "main", "by": "x"},
+            {"op": "result", "frame": "main", "name": "out"},
+        ])
+        assert result.tables["out"].column_values("x") == [1.5, 10**400]
 
 
 class TestSpans:

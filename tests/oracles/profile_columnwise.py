@@ -2,7 +2,9 @@
 
 Kept as the differential oracle for the block kernel in
 ``repro.prep.profile`` / ``repro.prep.sketches``, which profiles many
-columns in one pass and must reproduce every field of every profile:
+columns in one pass and must reproduce every field of every profile
+(a fractional column, which this body finds from the typed view of its
+non-null values, carries no sketch and no distinct estimate):
 
 * ``encode_values`` keys one column: a ``typed_array`` view, one
   ``np.unique`` over a text column and one ``_crc64`` per unique string,
@@ -25,7 +27,7 @@ from __future__ import annotations
 import datetime
 import math
 import zlib
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional
 
 import numpy as np
 
@@ -118,9 +120,7 @@ def _bit_length_u64(w: np.ndarray) -> np.ndarray:
     return bl + (v > 0)
 
 
-def sketch_from_keys(
-    keys: np.ndarray, k: int = 256, p: int = 10, total: int = 0, nulls: int = 0
-) -> ColumnSketch:
+def sketch_from_keys(keys: np.ndarray, k: int = 256, p: int = 10) -> ColumnSketch:
     if k & (k - 1) or k <= 0:
         raise ValueError(f"k must be a power of two, got {k}")
     kbits = k.bit_length() - 1
@@ -136,7 +136,7 @@ def sketch_from_keys(
         rank = np.where(w == 0, 64 - p + 1, 65 - _bit_length_u64(w)).astype(np.uint8)
         reg_starts = np.r_[0, np.flatnonzero(np.diff(idx)) + 1]
         registers[idx[reg_starts]] = np.maximum.reduceat(rank, reg_starts)
-    return ColumnSketch(signature=signature, registers=registers, total=total, nulls=nulls)
+    return ColumnSketch(signature=signature, registers=registers)
 
 
 def cardinality(sketch: ColumnSketch) -> float:
@@ -151,50 +151,28 @@ def cardinality(sketch: ColumnSketch) -> float:
     return estimate
 
 
-def _min_max(non_null: List[Any], arr: Optional[np.ndarray]) -> Tuple[Optional[Any], Optional[Any]]:
-    if not non_null:
-        return None, None
-    if arr is not None and not isinstance(non_null[0], datetime.date):
-        kind = arr.dtype.kind
-        if kind == "f":
-            finite = arr[~np.isnan(arr)]
-            if not finite.size:
-                return None, None
-            return finite.min().item(), finite.max().item()
-        if kind in "biu":
-            return arr.min().item(), arr.max().item()
-    try:
-        return min(non_null), max(non_null)
-    except TypeError:
-        return None, None
-
-
 def profile_column(table: Table, name: str, k: int = 256, p: int = 10) -> ColumnProfile:
     values = table.column_values(name)
     non_null = [v for v in values if v is not None]
     arr = typed_array(non_null)
-    keys = encode_values(non_null, prefiltered=True, typed=arr)
-    sketch = sketch_from_keys(keys, k=k, p=p, total=len(values), nulls=len(values) - len(non_null))
-    minimum, maximum = _min_max(non_null, arr)
+    column = table.schema.column(name)
     fractional = bool(
         arr is not None and arr.dtype.kind == "f" and not integral_mask(arr[~np.isnan(arr)]).all()
     )
+    if fractional:
+        return ColumnProfile(table.name, column.name, column.dtype, fractional=True)
+    sketch = sketch_from_keys(encode_values(non_null, prefiltered=True, typed=arr), k=k, p=p)
     return ColumnProfile(
         table=table.name,
-        name=table.schema.column(name).name,
-        dtype=table.schema.column(name).dtype,
+        name=column.name,
+        dtype=column.dtype,
         sketch=sketch,
-        count=sketch.total,
-        nulls=sketch.nulls,
         distinct_estimate=cardinality(sketch),
-        minimum=minimum,
-        maximum=maximum,
-        fractional=fractional,
     )
 
 
 def profile_table(table: Table, k: int = 256, p: int = 10) -> TableProfile:
-    profile = TableProfile(name=table.name, row_count=table.num_rows)
+    profile = TableProfile(name=table.name)
     for column in table.schema:
         profile.columns[column.name.lower()] = profile_column(table, column.name, k=k, p=p)
     return profile

@@ -42,9 +42,7 @@ def sketch_of(cells) -> ColumnSketch:
     """A non-empty sketch with exactly these raw signature bins."""
     registers = np.zeros(16, dtype=np.uint8)
     registers[0] = 1
-    return ColumnSketch(
-        signature=np.array(cells, dtype=np.uint64), registers=registers, total=len(cells), nulls=0
-    )
+    return ColumnSketch(signature=np.array(cells, dtype=np.uint64), registers=registers)
 
 
 @st.composite
@@ -79,14 +77,12 @@ def catalogs(draw):
     profiles = {}
     for position, (table, dtype, cells, filled, distinct, fractional) in enumerate(columns):
         name = f"t{table}"
-        profile = profiles.setdefault(name, TableProfile(name=name, row_count=10))
+        profile = profiles.setdefault(name, TableProfile(name=name))
         profile.columns[f"c{position}"] = ColumnProfile(
             table=name,
             name=f"c{position}",
             dtype=dtype,
             sketch=sketch_of(cells if filled else [EMPTY] * k),
-            count=10,
-            nulls=0,
             distinct_estimate=distinct,
             fractional=fractional and dtype is DataType.INTEGER,
         )
@@ -108,15 +104,12 @@ class TestAgainstTheSlotwiseBody:
         profiles = {
             name: TableProfile(
                 name=name,
-                row_count=4,
                 columns={
                     "k": ColumnProfile(
                         table=name,
                         name="k",
                         dtype=DataType.INTEGER,
                         sketch=sketch_from([1, 2, 3, 4]),
-                        count=4,
-                        nulls=0,
                         distinct_estimate=4.0,
                     )
                 },

@@ -143,17 +143,17 @@ class TestDeterminismAndEdges:
         floats = [float(v) for v in range(500)]
         assert estimate(ints, floats)[0] == 1.0
 
-    def test_nulls_counted_not_sketched(self):
+    def test_nulls_not_sketched(self):
         column = profile([1, None, 2, None, 3])
-        assert column.sketch.total == 5
-        assert column.sketch.nulls == 2
+        assert column.sketch.registers.tolist() == profile([1, 2, 3]).sketch.registers.tolist()
         assert column.distinct_estimate == pytest.approx(3, rel=CARDINALITY_REL_TOL)
 
-    def test_nan_is_counted_but_neither_null_nor_keyed(self):
-        column = profile([1.5, float("nan"), None])
-        assert (column.count, column.nulls) == (3, 1)
-        assert column.distinct_estimate == profile([1.5]).distinct_estimate
-        assert (column.minimum, column.maximum) == (1.5, 1.5)
+    def test_nan_is_neither_null_nor_keyed(self):
+        column = profile([1.0, float("nan"), None])
+        assert column.sketch.signature.tolist() == profile([1.0]).sketch.signature.tolist()
+        assert column.distinct_estimate == profile([1.0]).distinct_estimate
+        measurement = profile([1.5, float("nan"), None])
+        assert measurement.fractional and measurement.sketch is None
 
     def test_all_null_column_is_empty(self):
         column = profile([None, None])

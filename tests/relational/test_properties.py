@@ -1,9 +1,9 @@
 """Property-based tests for relational-engine invariants."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import Database, Table
+from repro.relational import Database, ExecutionError, Table
 
 # Small value domains keep example tables interpretable while still hitting
 # NULLs, duplicates, and negative numbers.
@@ -145,3 +145,50 @@ def test_like_matches_python_semantics(pattern, text):
     escaped = pattern.replace("'", "''")
     got = db.query_value(f"SELECT s LIKE '{escaped}' FROM t")
     assert got == expected
+
+
+#: Ints past 64 bits and past float range (|x| > ~1.8e308) beside small
+#: numbers, a fraction and NULL.
+_FLOAT_MAX = 2**1024
+big_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64, _FLOAT_MAX, -_FLOAT_MAX, 10**400, 0.5, -2.5]),
+)
+BIG_INT_STATEMENTS = [
+    "SELECT x FROM t ORDER BY x",
+    "SELECT x FROM t ORDER BY x DESC",
+    "SELECT x, COUNT(*) AS n FROM t GROUP BY x",
+    "SELECT DISTINCT x FROM t",
+    "SELECT MIN(x), MAX(x), SUM(x), COUNT(DISTINCT x) FROM t",
+    "SELECT AVG(x) FROM t",
+    "SELECT x + 0.5, x - 1, x * 2.0, x / 2, x % 3 FROM t",
+    "SELECT CAST(x AS DOUBLE), CAST(x AS INTEGER), CAST(x AS TEXT) FROM t",
+    "SELECT ABS(x), ROUND(x, 1), FLOOR(x), SQRT(ABS(x)), POWER(x, 2) FROM t",
+    "SELECT x FROM t WHERE x > 0.5 AND x <> 1e308",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(big_values, max_size=8))
+def test_big_ints_give_a_result_or_an_execution_error(xs):
+    """Storing, ordering and grouping hold an int past float range exactly;
+    arithmetic that needs it as a float fails as an ``ExecutionError``."""
+    db = make_db(xs)  # beside a float the column is DOUBLE
+    stored = db.execute("SELECT x FROM t").column_values("x")
+    for given_value, kept in zip(xs, stored):
+        if isinstance(given_value, int) and abs(given_value) >= _FLOAT_MAX:
+            assert type(kept) is int and kept == given_value
+    for sql in BIG_INT_STATEMENTS:
+        try:
+            db.execute(sql)
+        except ExecutionError:
+            pass
+    ordered = db.execute("SELECT x FROM t ORDER BY x").column_values("x")
+    ordered = [v for v in ordered if v is not None]
+    for a, b in zip(ordered, ordered[1:]):
+        if max(abs(a), abs(b)) >= _FLOAT_MAX:
+            assert a <= b
+    groups = db.execute("SELECT x, COUNT(*) AS n FROM t GROUP BY x")
+    assert sum(groups.column_values("n")) == len(xs)

@@ -26,6 +26,7 @@ one busy process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -59,8 +60,9 @@ def _snap(distances: np.ndarray) -> np.ndarray:
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
-    """``vector`` over its norm (a zero vector stays zero)."""
-    norm = np.linalg.norm(vector)
+    """``vector`` over its norm (a zero vector stays zero).  The norm is
+    ``np.linalg.norm``'s own ``sqrt(x.dot(x))``, without its dispatch."""
+    norm = math.sqrt(vector.dot(vector))
     return vector / norm if norm > 0 else vector
 
 

@@ -5,7 +5,9 @@ actions.  Each iteration renders the working memory into a prompt, asks the
 LLM for the next action, executes it (tool call, state modification, or
 user-facing message), and records the result.  If the limit is reached
 without a user-facing message, the harness interrupts and forces one —
-exactly the protocol the paper describes.
+exactly the protocol the paper describes.  A reply that decodes to no
+action spends its step: it is logged as a ``rejected`` action and its
+error is the next prompt's ``LAST_ERROR``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from typing import Any, Dict, List, Optional
 
 from ..ir.system import IRSystem
 from ..llm.clock import TOOL_CALL_SECONDS
-from ..llm.prompts import parse_response, render_prompt, render_section
+from ..llm.prompts import PromptFormatError, parse_response, render_prompt, render_section
 from ..llm.rule_llm import RuleLLM
 from ..obs import trace as obs
 from .actions import (
     Action,
+    ActionError,
     ExecuteSQL,
     GroundValues,
     Materialize,
@@ -46,6 +49,8 @@ class TurnLog:
     forced: bool = False
     #: True when any retrieval this turn was served on a degraded path.
     degraded: bool = False
+    #: Replies that decoded to no action (each is a ``rejected`` action).
+    rejected: int = 0
 
 
 class Conductor:
@@ -73,6 +78,9 @@ class Conductor:
         self.turns: List[TurnLog] = []
         self.last_result_view: Optional[Any] = None
         self.last_error: str = ""
+        #: Why the last reply was rejected: the next prompt's ``LAST_ERROR``
+        #: (over ``last_error``), and only that prompt's.
+        self._rejection: str = ""
         self._plans: Dict[str, Any] = {}
         #: ``render_section(list(self.docs.values()))``, rendered by the
         #: first prompt after a retrieval and sent by every later one; the
@@ -90,11 +98,9 @@ class Conductor:
 
         for step in range(self.ACTION_LIMIT):
             prompt = self._render(user_message, actions_taken, force=False)
-            action, thought = self._ask(prompt)
-            log.thoughts.append(thought)
-            log.actions.append(action_to_json(action))
-            actions_taken.append(action.kind)
-            reply = self._execute(action, log)
+            action = self._ask(prompt, log)
+            actions_taken.append(action.kind if action is not None else "rejected")
+            reply = self._execute(action, log) if action is not None else None
             if reply is not None:
                 log.reply = reply
                 self.turns.append(log)
@@ -103,11 +109,9 @@ class Conductor:
         # Action limit reached without user-facing output: interrupt and
         # force a message (§3.2).
         prompt = self._render(user_message, actions_taken, force=True)
-        action, thought = self._ask(prompt)
-        log.thoughts.append(thought)
-        log.actions.append(action_to_json(action))
+        action = self._ask(prompt, log)
         log.forced = True
-        reply = self._execute(action, log)
+        reply = self._execute(action, log) if action is not None else None
         log.reply = reply if reply is not None else "I need another turn to make progress."
         self.turns.append(log)
         return log
@@ -125,18 +129,36 @@ class Conductor:
             "ACTIONS": actions_taken,
             "TOOLS": "retrieve | ground_values | update_state | materialize | execute_sql | message_user",
         }
-        if self.last_error:
-            sections["LAST_ERROR"] = self.last_error
+        last_error, self._rejection = self._rejection or self.last_error, ""
+        if last_error:
+            sections["LAST_ERROR"] = last_error
         if self.last_result_view is not None:
             sections["LAST_RESULT"] = self.last_result_view
         if force:
             sections["FORCE_MESSAGE"] = "true"
         return render_prompt("conductor", sections)
 
-    def _ask(self, prompt: str) -> tuple:
-        payload = parse_response(self.llm.complete(prompt, "conductor"))
-        action = action_from_json(payload.get("action", {}))
-        return action, payload.get("thought", "")
+    def _ask(self, prompt: str, log: TurnLog) -> Optional[Action]:
+        """The reply's action, logged with its thought; None for a reply
+        that decodes to no action, logged as rejected with its error the
+        next prompt's ``LAST_ERROR``."""
+        reply = self.llm.complete(prompt, "conductor")
+        try:
+            payload = parse_response(reply)
+            if not isinstance(payload, dict):
+                raise PromptFormatError(
+                    f"LLM response must be a JSON object holding an 'action', got {reply[:80]!r}"
+                )
+            action = action_from_json(payload.get("action", {}))
+        except (PromptFormatError, ActionError) as exc:
+            self._rejection = f"rejected reply: {exc}"
+            log.thoughts.append("")
+            log.actions.append({"kind": "rejected", "error": str(exc)})
+            log.rejected += 1
+            return None
+        log.thoughts.append(payload.get("thought", ""))
+        log.actions.append(action_to_json(action))
+        return action
 
     # ------------------------------------------------------------------
     def _execute(self, action: Action, log: TurnLog) -> Optional[str]:

@@ -13,7 +13,7 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..documents.document import Document
 from ..retriever.index import HybridIndex
@@ -71,25 +71,32 @@ class DocumentDatabase:
             return list(self._entries.values())
 
     def search(self, query: str, k: int = 3) -> List[Document]:
+        return self.search_batch([query], k=k)[0]
+
+    def search_batch(self, queries: Sequence[str], k: int = 3) -> List[List[Document]]:
+        """:meth:`search` for each query, under one hold of the lock."""
         # Serialized against add(): unlike the frozen table index, this
         # store keeps growing while other sessions search it.
         with self._lock:
-            hits = self.index.search(query, k=k)
-        documents = []
-        for hit in hits:
-            entry = self._entries[hit.doc_id]
-            documents.append(
-                Document(
-                    doc_id=f"knowledge:{entry.entry_id}",
-                    kind="knowledge",
-                    title=entry.topic or "captured knowledge",
-                    text=entry.text,
-                    payload={"author": entry.author, "topic": entry.topic},
-                    score=hit.score,
-                    source="document-db",
+            batches = self.index.search_batch(queries, k=k)
+        results = []
+        for hits in batches:
+            documents = []
+            for hit in hits:
+                entry = self._entries[hit.doc_id]
+                documents.append(
+                    Document(
+                        doc_id=f"knowledge:{entry.entry_id}",
+                        kind="knowledge",
+                        title=entry.topic or "captured knowledge",
+                        text=entry.text,
+                        payload={"author": entry.author, "topic": entry.topic},
+                        score=hit.score,
+                        source="document-db",
+                    )
                 )
-            )
-        return documents
+            results.append(documents)
+        return results
 
     # ------------------------------------------------------------------
     # Persistence (emergent documentation should survive the session)

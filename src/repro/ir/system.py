@@ -65,7 +65,11 @@ class IRSystem:
         if web is not None:
             self.register("web", lambda q, k: web.search(q, k))
         if knowledge is not None:
-            self.register("knowledge", lambda q, k: knowledge.search(q, k))
+            self.register(
+                "knowledge",
+                lambda q, k: knowledge.search(q, k),
+                batch_fn=lambda qs, k: knowledge.search_batch(qs, k),
+            )
 
     def register(
         self, name: str, fn: RetrieverFn, batch_fn: Optional[BatchRetrieverFn] = None
@@ -108,12 +112,16 @@ class IRSystem:
     def retrieve_batch(
         self, queries: Sequence[str], k_tables: int = 6, k_other: int = 2
     ) -> List[RetrievalResult]:
-        """One :class:`RetrievalResult` per query, batching where possible.
+        """One :class:`RetrievalResult` per query.
 
-        The table source is driven through Pneuma-Retriever's
-        ``search_batch`` (one index pass for N queries); sources without a
-        batch entry point fall back to per-query calls.  Result order and
-        content match N sequential :meth:`retrieve` calls exactly.
+        Tables (Pneuma-Retriever's ``search_batch``) and knowledge (the
+        Document Database's) are each called once for the whole batch:
+        every query is still scored and fused on its own, and what runs
+        once per batch is the call, its lock, the query embedding and, for
+        tables, the payload-cache pass.  A source registered without a
+        batch entry point (web search) is called once per query.  Result
+        order and content match N sequential :meth:`retrieve` calls
+        exactly.
         """
         queries = list(queries)
         if not queries:

@@ -140,7 +140,7 @@ class AlignmentCompiler:
                 raise AlignmentError(f"column {name!r} has non-lake provenance {source!r}")
             if "." in source:
                 table_name, column = source.split(".", 1)
-                table = self._lake_table(table_name)
+                table = self.lake.find_table(table_name)
                 if table is None:
                     raise AlignmentError(f"source table {table_name!r} not in the lake")
                 if not table.schema.has_column(column):
@@ -149,13 +149,13 @@ class AlignmentCompiler:
             # A bare source names a column; fall through to search for it.
             name = source
         matches: List[Tuple[str, str]] = []
-        search_order = [t for t in spec.base_tables if self._lake_table(t) is not None]
+        search_order = [t for t in spec.base_tables if self.lake.find_table(t) is not None]
         search_order += [
             t.name for t in self.lake.tables() if t.name.lower() not in
             {s.lower() for s in search_order}
         ]
         for table_name in search_order:
-            table = self._lake_table(table_name)
+            table = self.lake.find_table(table_name)
             if table is not None and table.schema.has_column(name):
                 matches.append((table.name, table.schema.column(name).name))
         in_base = [m for m in matches if m[0].lower() in {b.lower() for b in spec.base_tables}]
@@ -167,11 +167,6 @@ class AlignmentCompiler:
                 f"target column {name!r} is ambiguous: {sorted(t for t, _ in pool)}"
             )
         return pool[0]
-
-    def _lake_table(self, name: str) -> Optional[Table]:
-        if self.lake.has_table(name):
-            return self.lake.resolve_table(name)
-        return None
 
     # ------------------------------------------------------------------
     # Join-path construction
@@ -234,8 +229,8 @@ class AlignmentCompiler:
         right_on = hint.get("right_on")
         if not (right and left_on and right_on) or not tables:
             return None
-        left_table = self._lake_table(tables[0])
-        right_table = self._lake_table(right)
+        left_table = self.lake.find_table(tables[0])
+        right_table = self.lake.find_table(right)
         if left_table is None or right_table is None:
             return None
         if not left_table.schema.has_column(left_on):

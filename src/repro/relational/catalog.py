@@ -93,6 +93,11 @@ class Database:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
+    def find_table(self, name: str) -> Optional[Table]:
+        """The table named ``name``, or None: one lookup where
+        :meth:`has_table` then :meth:`resolve_table` would take two."""
+        return self._tables.get(name.lower())
+
     def table_names(self) -> List[str]:
         return sorted(t.name for t in self._tables.values())
 

@@ -297,8 +297,11 @@ class TableCache:
     entry was built from equal content (same object or not), builds the
     values of all the others with one ``build`` call (a list of tables in,
     their values in the same order out) and replaces their entries, so
-    the cache holds one entry per live table name.  Thread-safe; ``hits``
-    and ``misses`` count tables, and ``misses`` counts the values built.
+    the cache holds one entry per live table name.  It equals one
+    :meth:`get` per table in order: a table repeated within the call is
+    built once, its repeats are hits and share the one value.
+    Thread-safe; ``hits`` and ``misses`` count tables, and ``misses``
+    counts the values built.
     """
 
     def __init__(self, build: Callable[[List[Table]], List[Any]]) -> None:
@@ -315,21 +318,35 @@ class TableCache:
         fingerprints = [table.fingerprint() for table in tables]
         values: List[Any] = [None] * len(tables)
         missed: List[int] = []
+        # name -> (fingerprint, position in ``missed``) of the entry this
+        # call will have replaced, so a repeat sees it as a get would.
+        staged: Dict[str, Tuple[Tuple[str, int], int]] = {}
+        repeats: List[Tuple[int, int]] = []
         with self._lock:
+            entries = self._entries
             for i, (table, fingerprint) in enumerate(zip(tables, fingerprints)):
-                entry = self._entries.get(table.name)
-                if entry is not None and entry[0] == fingerprint:
-                    self.hits += 1
-                    values[i] = entry[1]
-                else:
-                    self.misses += 1
-                    missed.append(i)
+                name = table.name
+                stage = staged.get(name)
+                if stage is None:
+                    entry = entries.get(name)
+                    if entry is not None and entry[0] == fingerprint:
+                        values[i] = entry[1]
+                        continue
+                elif stage[0] == fingerprint:
+                    repeats.append((i, stage[1]))
+                    continue
+                staged[name] = (fingerprint, len(missed))
+                missed.append(i)
+            self.misses += len(missed)
+            self.hits += len(tables) - len(missed)
         if missed:
             built = self._build([tables[i] for i in missed])
             with self._lock:
                 for i, value in zip(missed, built):
                     self._entries[tables[i].name] = (fingerprints[i], value)
                     values[i] = value
+            for i, position in repeats:
+                values[i] = built[position]
         return values
 
     def seed(self, table: Table, value: Any) -> None:

@@ -11,19 +11,21 @@ concurrently without coordination.
 
 :meth:`freeze` is a real compile step, not just a seal: both halves run
 their kernel compilation (every BM25 term's postings arrays, the
-compacted vector matrix) and the fusion layer
-interns both halves' ids into one hybrid int space, so RRF accumulates
-over ints and maps back to doc_id strings only for the final top-k.
-An unfrozen index (the Document Database, web search, a standalone
-retriever) runs the same fusion keyed by doc_id.  An index that holds
-no documents answers every query with no hits and does no work for it:
-no query is embedded.
+compacted vector matrix) and the fusion layer interns both halves' ids
+into one hybrid int space.  Each half's slots then map straight to
+their doc_id's rank, the order fusion breaks equal scores by, so RRF
+accumulates and sorts over ints and builds doc_id strings only for the
+final top-k.  An unfrozen index (the Document Database, web search, a
+standalone retriever) runs the same fusion keyed by doc_id.  An index
+that holds no documents answers every query with no hits and does no
+work for it: no query is embedded.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +79,11 @@ class HybridIndex:
         self._doc_list: List[str] = []
         self._bm25_map: Optional[np.ndarray] = None  # bm25 slot -> hybrid id
         self._vector_map: Optional[np.ndarray] = None  # vector node -> hybrid id
+        # Built with the maps: fusion's int keys, each hybrid id's doc_id
+        # rank, so the int order is the doc_id tie order.
+        self._by_rank: List[str] = []  # doc_ids in tie order
+        self._bm25_rank: Optional[np.ndarray] = None  # bm25 slot -> doc_id rank
+        self._vector_rank: Optional[np.ndarray] = None  # vector node -> doc_id rank
 
     # ------------------------------------------------------------------
     # Mutation
@@ -120,8 +127,9 @@ class HybridIndex:
         :class:`FrozenIndexError`.
 
         This compiles both halves (BM25 postings arrays, compacted
-        vector matrix) and interns every doc into the hybrid
-        int id space that fusion accumulates over.  Searches on a frozen
+        vector matrix), interns every doc into the hybrid int id space,
+        and gives every hybrid id its doc_id rank, the int key fusion
+        accumulates and sorts by.  Searches on a frozen
         index are lock-free — the structure can no longer change, so
         concurrent readers need no coordination.
         """
@@ -134,7 +142,19 @@ class HybridIndex:
                 self._bm25_map, self._vector_map = fusion_maps_for(
                     self.bm25, self.vectors, self._doc_list
                 )
+                self._rank_maps()
         return self
+
+    def _rank_maps(self) -> None:
+        """Compose each half's slot->hybrid map with the hybrid ids' doc_id
+        ranks (a hole stays -1; it is never a hit)."""
+        order = sorted(range(len(self._doc_list)), key=self._doc_list.__getitem__)
+        self._by_rank = [self._doc_list[i] for i in order]
+        # One entry past the ids: a hole's -1 reads it and stays -1.
+        rank = np.full(len(order) + 1, -1, dtype=np.int64)
+        rank[order] = np.arange(len(order), dtype=np.int64)
+        self._bm25_rank = rank[self._bm25_map]
+        self._vector_rank = rank[self._vector_map]
 
     # ------------------------------------------------------------------
     # Persistence (the storage subsystem's segment codec drives these)
@@ -177,6 +197,7 @@ class HybridIndex:
         index._doc_list = list(doc_list)
         index._bm25_map = np.asarray(bm25_map, dtype=np.int64)
         index._vector_map = np.asarray(vector_map, dtype=np.int64)
+        index._rank_maps()
         index._frozen = True
         return index
 
@@ -230,16 +251,16 @@ class HybridIndex:
             return [[] for _ in queries]
         n = len(queries)
         pool = max(k * 3, 10)
-        # Rank-ordered keys per half: hybrid ints once freeze() interned
+        # Rank-ordered keys per half: doc_id ranks once freeze() compiled
         # them, doc_ids before that.
-        compiled = self._bm25_map is not None
+        compiled = self._bm25_rank is not None
         bm25_lists: Sequence[Sequence[Hashable]] = [()] * n
         vector_lists: Sequence[Sequence[Hashable]] = [()] * n
         if mode in ("hybrid", "bm25"):
             with obs.span("retrieval.bm25", queries=n, pool=pool):
                 if compiled:
                     bm25_lists = [
-                        self._bm25_map[slots].tolist()
+                        self._bm25_rank[slots].tolist()
                         for slots in self.bm25.search_slots(queries, k=pool)
                     ]
                 else:
@@ -252,7 +273,7 @@ class HybridIndex:
                 vectors = self.embedder.embed_batch(queries)
                 if compiled:
                     vector_lists = [
-                        self._vector_map[nodes].tolist()
+                        self._vector_rank[nodes].tolist()
                         for nodes in self.vectors.search_batch_ids(vectors, k=pool)
                     ]
                 else:
@@ -261,10 +282,11 @@ class HybridIndex:
                         for hits in self.vectors.search_batch(vectors, k=pool)
                     ]
         # doc_id keys name themselves: str() of a str is that same str.
-        doc_id_of = self._doc_list.__getitem__ if compiled else str
+        doc_id_of = self._by_rank.__getitem__ if compiled else str
+        bm25_terms, vector_terms = _rrf_terms(pool)
         with obs.span("retrieval.fusion", queries=n):
             return [
-                _fuse(bm25_keys, vector_keys, k, doc_id_of)
+                _fuse(bm25_keys, vector_keys, k, bm25_terms, vector_terms, doc_id_of)
                 for bm25_keys, vector_keys in zip(bm25_lists, vector_lists)
             ]
 
@@ -284,31 +306,37 @@ def fusion_maps_for(
     return bm25_map, vector_map
 
 
+@lru_cache(maxsize=16)
+def _rrf_terms(pool: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Each half's RRF term ``weight / (RRF_K + rank + 1)`` for every
+    0-based rank below ``pool``."""
+    return tuple(
+        tuple(weight / (RRF_K + rank + 1) for rank in range(pool))
+        for weight in (BM25_WEIGHT, VECTOR_WEIGHT)
+    )
+
+
 def _fuse(
     bm25_keys: Sequence[Hashable],
     vector_keys: Sequence[Hashable],
     k: int,
+    bm25_terms: Sequence[float],
+    vector_terms: Sequence[float],
     doc_id_of: Callable[[Hashable], str],
 ) -> List[HybridHit]:
     """Weighted RRF over two rank-ordered key lists: descending fused
-    score, ties by ascending doc_id, top ``k``."""
-    fused: Dict[Hashable, float] = {}
-    bm25_ranks: Dict[Hashable, int] = {}
-    vector_ranks: Dict[Hashable, int] = {}
-    for ranks, keys, weight in (
-        (bm25_ranks, bm25_keys, BM25_WEIGHT),
-        (vector_ranks, vector_keys, VECTOR_WEIGHT),
-    ):
-        for rank, key in enumerate(keys):
-            ranks[key] = rank
-            fused[key] = fused.get(key, 0.0) + weight / (RRF_K + rank + 1)
-    ranked = sorted(fused.items(), key=lambda kv: (-kv[1], doc_id_of(kv[0])))
+    score, ties by ascending key, top ``k``.  A key is a doc_id or, on a
+    frozen index, its doc_id rank, so either way ties go by doc_id."""
+    # A half adds its term to 0.0 for a key it ranks first: 0.0 + t == t.
+    fused = dict(zip(bm25_keys, bm25_terms))
+    for key, term in zip(vector_keys, vector_terms):
+        fused[key] = fused.get(key, 0.0) + term
+    top = sorted([(-score, key) for key, score in fused.items()])[:k]
+    if not top:
+        return []
+    bm25_ranks = dict(zip(bm25_keys, range(len(bm25_keys))))
+    vector_ranks = dict(zip(vector_keys, range(len(vector_keys))))
     return [
-        HybridHit(
-            doc_id_of(key),
-            score,
-            bm25_rank=bm25_ranks.get(key),
-            vector_rank=vector_ranks.get(key),
-        )
-        for key, score in ranked[:k]
+        HybridHit(doc_id_of(key), -negated, bm25_ranks.get(key), vector_ranks.get(key))
+        for negated, key in top
     ]

@@ -138,30 +138,39 @@ class PneumaRetriever:
     def search_batch(
         self, queries: Sequence[str], k: int = 5, mode: str = "hybrid"
     ) -> List[List[Document]]:
-        """Top-k tables for each query — N searches, one index pass."""
+        """Top-k tables for each query.
+
+        Each query is scored by both halves and fused on its own; the
+        batch embeds its queries in one call and resolves every hit's
+        payload in one :meth:`TableCache.get_many` pass, which counts one
+        hit or miss per document served, as one ``get`` per hit would.
+        """
         batches, degraded = self._search_index(list(queries), k, mode)
-        results: List[List[Document]] = []
-        for hits in batches:
-            documents = []
-            for hit in hits:
-                if not self.database.has_table(hit.doc_id):
-                    # Dropped from the catalog; an index is never edited.
-                    continue
-                table = self.database.resolve_table(hit.doc_id)
-                documents.append(
-                    Document(
-                        doc_id=f"table:{table.name}",
-                        kind="table",
-                        title=table.name,
-                        text=self._narrations[table.name],
-                        payload=self.payloads.get(table),
-                        score=hit.score,
-                        source="pneuma-retriever",
-                        degraded=degraded,
-                    )
+        find_table = self.database.find_table
+        # A hit on a table dropped from the catalog is skipped; an index is
+        # never edited.
+        resolved = [
+            [(table, hit.score) for hit in hits if (table := find_table(hit.doc_id)) is not None]
+            for hits in batches
+        ]
+        payloads = iter(self.payloads.get_many([table for row in resolved for table, _ in row]))
+        narrations = self._narrations
+        return [
+            [
+                Document(
+                    f"table:{table.name}",
+                    "table",
+                    table.name,
+                    narrations[table.name],
+                    next(payloads),
+                    score,
+                    "pneuma-retriever",
+                    degraded,
                 )
-            results.append(documents)
-        return results
+                for table, score in row
+            ]
+            for row in resolved
+        ]
 
     def _search_index(self, queries: List[str], k: int, mode: str) -> Tuple[list, bool]:
         """Run the index search, degrading hybrid to BM25-only when the

@@ -88,6 +88,7 @@ _COUNTERS = {
     "turns_failed": "Turns where an exception escaped the turn.",
     "turns_shed": "Turns refused by admission control or expired while queued.",
     "turns_degraded": "Turns served on a degraded path.",
+    "replies_rejected": "Conductor replies that decoded to no action; each spent one.",
     "retries": "Dependency calls retried after a fault.",
     "degraded_retrievals": "Retrievals served BM25-only (dense half unavailable).",
     "reindex_swaps": "Zero-downtime generation swaps.",
@@ -497,11 +498,13 @@ class PneumaService:
     def batch_retrieve(
         self, queries: Sequence[str], k_tables: int = 6, k_other: int = 2
     ) -> List[RetrievalResult]:
-        """Answer N discovery queries in one pass over the shared index.
+        """Answer N discovery queries with one call per retrieval source.
 
-        Equivalent to N sequential ``IRSystem.retrieve`` calls (same
-        documents, same order); used by sessionless callers — dashboards,
-        prefetchers, evaluation sweeps.
+        Each query is ranked on its own; the batch shares each source's
+        call (see ``IRSystem.retrieve_batch``).  Equivalent to N
+        sequential ``IRSystem.retrieve`` calls (same documents, same
+        order); used by sessionless callers — dashboards, prefetchers,
+        evaluation sweeps.
         """
         results = self.ir.retrieve_batch(queries, k_tables=k_tables, k_other=k_other)
         self._count["batch_queries"].inc(len(results))
@@ -684,5 +687,7 @@ class PneumaService:
                 self._pending_turns -= 1
         if response.degraded:
             self._count["turns_degraded"].inc()
+        if response.turn_log.rejected:
+            self._count["replies_rejected"].inc(response.turn_log.rejected)
         self._turn_seconds.observe(time.perf_counter() - started)
         return response

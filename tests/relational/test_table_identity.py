@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.prep import ProfileStore
 from repro.relational import Column, DataType, Database, Schema, Table
+from repro.relational.table import TableCache
 from repro.retriever import NarrationCache, PneumaRetriever
 
 
@@ -149,3 +150,46 @@ def test_table_cache_contract(cache_class, method, stats_keys):
     assert all(type(value) is int for value in stats.values())
     assert (stats["hits"], stats["misses"], stats["size"]) == (4, 3, 2)  # one entry per name
     assert not hasattr(cache, "version")  # misses count the values built
+
+
+class TestGetMany:
+    """``TableCache.get_many`` equals one ``get`` per table, in order."""
+
+    @staticmethod
+    def cache():
+        built = []
+
+        def build(tables):
+            built.extend(table.name for table in tables)
+            return [object() for _ in tables]
+
+        return TableCache(build), built
+
+    def test_a_repeat_in_one_cold_call_is_built_once(self):
+        cache, built = self.cache()
+        t = ints("t", [1, 2, 3])
+        first, again = cache.get_many([t, t])
+        assert again is first and built == ["t"]
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_a_repeat_around_another_table_shares_its_value(self):
+        cache, built = self.cache()
+        t, u = ints("t", [1]), ints("u", [2])
+        values = cache.get_many([t, u, ints("t", [1])])
+        assert values[2] is values[0] and values[1] is not values[0]
+        assert built == ["t", "u"] and (cache.hits, cache.misses) == (1, 2)
+        assert cache.get_many([u, t]) == [values[1], values[0]]
+        assert (cache.hits, cache.misses) == (3, 2)
+
+    def test_equals_sequential_gets_when_one_name_changes_content(self):
+        old, new = ints("t", [1]), ints("t", [2])
+        batch, _ = self.cache()
+        single, _ = self.cache()
+        batch.get_many([old])
+        single.get(old)
+        values = batch.get_many([new, old, new])
+        sequential = [single.get(table) for table in (new, old, new)]
+        assert [values.index(v) for v in values] == [0, 1, 2]
+        assert [sequential.index(v) for v in sequential] == [0, 1, 2]
+        assert batch.stats() == single.stats() == {"hits": 0, "misses": 4, "size": 1}
+        assert batch.get(new) is values[2]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.datasets import build_procurement_lake, load_archaeology
+from repro.ir.docdb import DocumentDatabase
+from repro.relational.table import TableCache
 from repro.retriever import FrozenIndexError, HybridIndex, PneumaRetriever
 from repro.service import PneumaService
 
@@ -39,6 +41,45 @@ class TestServiceBatchRetrieve:
         with PneumaService(lake, max_workers=2) as service:
             service.batch_retrieve(QUERIES[:2])
             assert service.stats()["batch_queries"] == 2
+
+
+#: Sixteen queries, as the discovery benchmark batches them.
+SIXTEEN = [f"{query} {i}" for i in range(4) for query in QUERIES]
+
+
+class TestOnePassPerBatch:
+    """Counts, not time: a batch resolves all its hits with one
+    payload-cache call and asks the knowledge source once."""
+
+    def test_a_batch_resolves_its_hits_in_one_get_many(self, lake, monkeypatch):
+        retriever = PneumaRetriever(lake)
+        calls = []
+        get_many = TableCache.get_many
+
+        def spy(cache, tables):
+            calls.append(len(tables))
+            return get_many(cache, tables)
+
+        monkeypatch.setattr(TableCache, "get_many", spy)
+        served = sum(map(len, retriever.search_batch(SIXTEEN, k=3)))
+        assert served > len(SIXTEEN) and calls == [served]
+        stats = retriever.payloads.stats()
+        assert stats["hits"] + stats["misses"] == served
+
+    def test_retrieve_batch_asks_the_knowledge_source_once(self, lake, monkeypatch):
+        with PneumaService(lake, max_workers=1) as service:
+            service.knowledge.add("tariff rates should be compared by country", topic="tariffs")
+            calls = []
+            search_batch = DocumentDatabase.search_batch
+
+            def spy(db, queries, k=3):
+                calls.append(len(queries))
+                return search_batch(db, queries, k)
+
+            monkeypatch.setattr(DocumentDatabase, "search_batch", spy)
+            results = service.batch_retrieve(SIXTEEN)
+        assert calls == [len(SIXTEEN)]
+        assert any(result.knowledge() for result in results)
 
 
 class TestRetrieverSearchBatch:

@@ -32,6 +32,7 @@ BASE_SHAPE = {
     "turns_failed": int,
     "turns_shed": int,
     "turns_degraded": int,
+    "replies_rejected": int,
     "retries": int,
     "degraded_retrievals": int,
     "reindex_swaps": int,
@@ -166,7 +167,7 @@ SAMPLE_LINE = re.compile(r"^(pneuma_[a-zA-Z0-9_]+)(\{[^}]*\})? (\S+)$")
 EXEMPT = {"turn_p50_seconds", "turn_p95_seconds", "turn_p99_seconds", "turn_mean_seconds"}
 COUNTERS = {
     "sessions_opened", "sessions_closed", "batch_queries", "turns_failed", "turns_shed",
-    "turns_degraded", "retries", "degraded_retrievals", "reindex_swaps",
+    "turns_degraded", "replies_rejected", "retries", "degraded_retrievals", "reindex_swaps",
 }
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from .state import TargetTable
+
 
 class ActionError(ValueError):
     """Raised when an LLM response does not decode to a valid action."""
@@ -92,19 +94,50 @@ _ACTION_TYPES = {
 }
 
 
+#: The JSON type of each action field; a field that defaults to None may
+#: also be null.
+_FIELD_TYPES = {
+    "thought": str,
+    "query": str,
+    "table": str,
+    "column": str,
+    "note": str,
+    "message": str,
+    "table_spec": dict,
+    "queries": list,
+    "plan": dict,
+}
+_NULLABLE = frozenset({"table_spec", "queries", "plan"})
+
+
 def action_from_json(data: Dict[str, Any]) -> Action:
-    """Decode an action payload produced by the LLM."""
+    """Decode an action payload produced by the LLM; raises
+    :class:`ActionError` for anything that is not a well-typed action."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ActionError(f"action payload must be a dict with 'kind': {data!r}")
     kind = data["kind"]
-    cls = _ACTION_TYPES.get(kind)
+    cls = _ACTION_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ActionError(f"unknown action kind {kind!r}; known: {sorted(_ACTION_TYPES)}")
     fields = {k: v for k, v in data.items() if k != "kind"}
+    for name, value in fields.items():
+        expected = _FIELD_TYPES.get(name)
+        if expected is None or (value is None and name in _NULLABLE):
+            continue  # an unknown field fails the constructor below
+        if not isinstance(value, expected) or (
+            name == "queries" and not all(isinstance(q, str) for q in value)
+        ):
+            raise ActionError(f"field {name!r} of action {kind!r} has the wrong type: {value!r}")
     try:
-        return cls(**fields)
+        action = cls(**fields)
     except TypeError as exc:
         raise ActionError(f"bad fields for action {kind!r}: {exc}") from exc
+    if isinstance(action, UpdateState) and action.table_spec is not None:
+        try:
+            TargetTable.from_json(action.table_spec)
+        except ValueError as exc:
+            raise ActionError(f"bad table_spec for action {kind!r}: {exc}") from exc
+    return action
 
 
 def action_to_json(action: Action) -> Dict[str, Any]:

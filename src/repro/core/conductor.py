@@ -20,6 +20,7 @@ from ..llm.clock import TOOL_CALL_SECONDS
 from ..llm.prompts import PromptFormatError, parse_response, render_prompt, render_section
 from ..llm.rule_llm import RuleLLM
 from ..obs import trace as obs
+from ..relational.errors import RelationalError
 from .actions import (
     Action,
     ActionError,
@@ -49,7 +50,9 @@ class TurnLog:
     forced: bool = False
     #: True when any retrieval this turn was served on a degraded path.
     degraded: bool = False
-    #: Replies that decoded to no action (each is a ``rejected`` action).
+    #: Model replies that decoded to nothing: a Conductor reply with no
+    #: action (each is a ``rejected`` action) or a Materializer reply with
+    #: no program (each is a failed attempt).
     rejected: int = 0
 
 
@@ -181,7 +184,10 @@ class Conductor:
                 self.docs[doc.doc_id] = doc.to_json()
             return None
         if isinstance(action, GroundValues):
-            self._ground(action.table, action.column)
+            try:
+                self._ground(action.table, action.column)
+            except RelationalError as exc:
+                self.last_error = f"grounding failed: {exc}"
             self.llm.clock.tick(TOOL_CALL_SECONDS)
             return None
         if isinstance(action, UpdateState):
@@ -204,6 +210,7 @@ class Conductor:
             outcome = self.materializer.materialize(
                 spec, plan, list(self.docs.values()), note=action.note
             )
+            log.rejected += outcome.rejected
             if not outcome.ok:
                 self.last_error = f"materialization failed: {outcome.error}"
             return None

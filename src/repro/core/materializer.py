@@ -58,6 +58,7 @@ class MaterializationOutcome:
     programs: List[List[Dict[str, Any]]] = field(default_factory=list)
     seeded: bool = False  # produced by a compiled preparation plan, no LLM
     plan_sql: Optional[str] = None  # the compiled SQL when seeded
+    rejected: int = 0  # replies that held no program; each spent an attempt
 
     @property
     def ok(self) -> bool:
@@ -112,6 +113,7 @@ class Materializer:
                 program = _parse_program(self.llm.complete(prompt, "materializer"))
             except PromptFormatError as exc:
                 error, previous = str(exc), None
+                outcome.rejected += 1
                 continue
             outcome.programs.append(program)
             previous = program

@@ -16,6 +16,23 @@ from ..relational.catalog import Database
 from ..relational.table import Table
 
 
+_REQUIRED = object()
+
+
+def _typed(data: Any, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, or ``default`` when it is absent, checked to be a ``kind``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a spec must be a JSON object, got {data!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"spec {data!r} has no {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class TargetColumn:
     """One column of a target table, with its intended provenance."""
@@ -29,7 +46,13 @@ class TargetColumn:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "TargetColumn":
-        return cls(data["name"], data.get("dtype", "TEXT"), data.get("source", ""))
+        """Decode a column spec; raises ``ValueError`` on a missing name or
+        a field of the wrong JSON type."""
+        return cls(
+            _typed(data, "name", str),
+            _typed(data, "dtype", str, "TEXT"),
+            _typed(data, "source", str, ""),
+        )
 
 
 @dataclass
@@ -56,12 +79,17 @@ class TargetTable:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "TargetTable":
+        """Decode a table spec; raises ``ValueError`` on a missing name or
+        a field of the wrong JSON type."""
+        base_tables = _typed(data, "base_tables", list, [])
+        if not all(isinstance(table, str) for table in base_tables):
+            raise ValueError(f"'base_tables' must hold strings, got {base_tables!r}")
         return cls(
-            name=data["name"],
-            columns=[TargetColumn.from_json(c) for c in data.get("columns", [])],
-            base_tables=list(data.get("base_tables", [])),
-            integration=dict(data.get("integration", {})),
-            notes=data.get("notes", ""),
+            name=_typed(data, "name", str),
+            columns=[TargetColumn.from_json(c) for c in _typed(data, "columns", list, [])],
+            base_tables=list(base_tables),
+            integration=dict(_typed(data, "integration", dict, {})),
+            notes=_typed(data, "notes", str, ""),
         )
 
 

@@ -30,7 +30,7 @@ from typing import (
 
 import numpy as np
 
-from ..text.embedding import CachedEmbedder, trigram_table_stats
+from ..text.embedding import CachedEmbedder, feature_table_stats, trigram_table_stats
 from ..text.tokenize import stem_vocabulary_stats, token_cache_stats, tokenize
 
 # Memoized: policies re-score the same table/column names on every
@@ -160,7 +160,8 @@ def text_token_set(text: str) -> FrozenSet[str]:
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
     """Hits, misses and size of every table the policies' text scoring reads
-    through — process-wide, like the tables themselves."""
+    through — process-wide, like the tables themselves.  The embedder's
+    word and bigram table reports its two sizes, ``words`` and ``bigrams``."""
     return {
         "lexicon": _LEXICON.stats(),
         "questions": _QUESTIONS.stats(),
@@ -168,6 +169,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
         "embedding": _EMBEDDER.stats(),
         "stems": stem_vocabulary_stats(),
         **token_cache_stats(),
+        "features": feature_table_stats(),
         "trigrams": trigram_table_stats(),
     }
 

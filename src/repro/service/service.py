@@ -88,7 +88,7 @@ _COUNTERS = {
     "turns_failed": "Turns where an exception escaped the turn.",
     "turns_shed": "Turns refused by admission control or expired while queued.",
     "turns_degraded": "Turns served on a degraded path.",
-    "replies_rejected": "Conductor replies that decoded to no action; each spent one.",
+    "replies_rejected": "Model replies that decoded to no action or program; each spent a step.",
     "retries": "Dependency calls retried after a fault.",
     "degraded_retrievals": "Retrievals served BM25-only (dense half unavailable).",
     "reindex_swaps": "Zero-downtime generation swaps.",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +38,9 @@ _SYMBOLS = bytes(_ALPHABET.index(c) if c in _ALPHABET else 0 for c in range(256)
 #: ``np.correlate`` with it: window p -> s[p]*37**2 + s[p+1]*37 + s[p+2].
 _WINDOW = np.array([_A**2, _A, 1], dtype=np.intp)
 _TOP_BIT = np.uint64(1 << 63)
+#: A bigram's key is its first word's id shifted by this, or its second's.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 def _gram(code: int) -> str:
@@ -132,9 +134,181 @@ def trigram_table_stats() -> dict:
     return _TRIGRAMS.stats()
 
 
+#: The last merged key, which no bigram key reaches (``_BOUND`` keeps ids
+#: far below 2**31): a search never runs off the end of the arrays.
+_SENTINEL = np.iinfo(np.int64).max
+
+
+class _Features:
+    """One generation of :class:`_FeatureTable`, swapped whole on a reset.
+
+    ``ids`` maps a word to its index in ``words`` and ``word_digests``;
+    ``pairs`` is the sorted ``(keys, digests)`` of the merged bigrams, a
+    key being ``id_a << 32 | id_b``, closed by :data:`_SENTINEL`;
+    ``pending`` holds the bigrams hashed since the last merge.  Only the
+    table's lock writes any of it.
+    """
+
+    def __init__(self) -> None:
+        self.ids: Dict[str, int] = {}
+        self.words: List[str] = []
+        self.word_digests = np.zeros(1024, dtype=np.uint64)
+        self.pairs = (np.array([_SENTINEL], dtype=np.int64), np.zeros(1, dtype=np.uint64))
+        self.pending: Dict[int, bytes] = {}
+
+    def bigrams(self) -> int:
+        return self.pairs[0].size - 1 + len(self.pending)
+
+    def size(self) -> int:
+        return len(self.words) + self.bigrams()
+
+
+class _FeatureTable:
+    """Word and word-bigram digests, hashed once per process.
+
+    A word (an interned stem from the tokenizer) gets an int id, its
+    digest a slot of a ``uint64`` array; a bigram's key packs the two ids,
+    and its digest sits beside it in sorted arrays that a block reads with
+    one ``searchsorted``.  New bigrams wait in ``pending`` until it holds
+    a sixteenth of the merged ones, so K first-sight queries merge
+    O(log K) times and a stream of them soon finds its bigrams merged.
+    A reader takes one generation at the start of a block and reads the
+    word array only once it has all its ids, and a merge publishes a new
+    ``(keys, digests)`` tuple before it empties ``pending``, so a reader
+    never mixes two states; misses take the lock.  Numbers are words to
+    the tokenizer, so a service's vocabulary is unbounded: past
+    ``_BOUND`` words and bigrams the table starts over.
+    """
+
+    _BOUND = 1 << 18
+    #: Pending bigrams that always justify a merge.
+    _MERGE_MIN = 256
+
+    def __init__(self) -> None:
+        self._state = _Features()
+        self._lock = threading.Lock()
+        self._lookups = 0
+        self._misses = 0
+
+    def generation(self) -> _Features:
+        state = self._state
+        if state.size() > self._BOUND:
+            with self._lock:
+                if self._state is state:
+                    self._state = _Features()
+                state = self._state
+        return state
+
+    def word_digests(self, state: _Features, words: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, digests)`` of ``words``, hashing the ones new to ``state``."""
+        ids = list(map(state.ids.get, words))
+        if None in ids:
+            ids = self._learn_words(state, words, ids)
+        index = np.array(ids, dtype=np.int64)
+        return index, state.word_digests.take(index)
+
+    def _learn_words(
+        self, state: _Features, words: List[str], ids: List[Optional[int]]
+    ) -> List[int]:
+        """Ids of ``words``, where ``ids`` holds None for the ones not
+        known when the caller looked; hashes the ones new to ``state``."""
+        blake2b = hashlib.blake2b
+        with self._lock:
+            known = state.ids
+            fresh = list({w for w, i in zip(words, ids) if i is None}.difference(known))
+            first = len(state.words)
+            end = first + len(fresh)
+            if end > state.word_digests.size:
+                grown = np.zeros(max(2 * state.word_digests.size, end), dtype=np.uint64)
+                grown[:first] = state.word_digests[:first]
+                state.word_digests = grown
+            hashed = b"".join([blake2b(f"w:{w}".encode(), digest_size=8).digest() for w in fresh])
+            state.word_digests[first:end] = np.frombuffer(hashed, dtype="<u8")
+            state.words += fresh
+            known.update(zip(fresh, range(first, end)))  # published last: the digests are in place
+            self._misses += len(fresh)
+            return list(map(known.__getitem__, words))
+
+    def pair_digests(self, state: _Features, keys: np.ndarray) -> np.ndarray:
+        """Digests of bigram ``keys``, hashing the ones new to ``state``."""
+        while True:
+            pairs = state.pairs
+            slot = pairs[0].searchsorted(keys)
+            out = pairs[1].take(slot)
+            missing = (pairs[0].take(slot) != keys).nonzero()[0]
+            if not missing.size:
+                return out
+            lost = keys[missing].tolist()
+            # Read after the arrays: a merge publishes them before it
+            # empties ``pending``.
+            digests = list(map(state.pending.get, lost))
+            if None in digests:
+                digests = self._learn_pairs(state, pairs, lost)
+            if digests is not None:  # else a merge came between: search again
+                out[missing] = np.frombuffer(b"".join(digests), dtype="<u8")
+                return out
+
+    def _learn_pairs(
+        self, state: _Features, searched: Tuple[np.ndarray, np.ndarray], keys: List[int]
+    ) -> Optional[List[bytes]]:
+        """Digests of ``keys``, none of them in the ``searched`` arrays,
+        hashing the ones not pending either; None if a merge has published
+        other arrays since."""
+        blake2b = hashlib.blake2b
+        with self._lock:
+            if state.pairs is not searched:
+                return None
+            pending = state.pending
+            fresh = list(set(keys).difference(pending))
+            if fresh:
+                words, shift, mask = state.words, _ID_BITS, _ID_MASK
+                features = [f"b:{words[k >> shift]}_{words[k & mask]}".encode() for k in fresh]
+                hashed = [blake2b(f, digest_size=8).digest() for f in features]
+                pending.update(zip(fresh, hashed))
+                self._misses += len(fresh)
+            digests = list(map(pending.__getitem__, keys))
+            if len(pending) >= max(self._MERGE_MIN, searched[0].size >> 4):
+                self._merge(state)
+            return digests
+
+    def _merge(self, state: _Features) -> None:
+        """Fold ``pending`` into the sorted arrays (the lock is held)."""
+        keys = np.fromiter(state.pending.keys(), dtype=np.int64, count=len(state.pending))
+        digests = np.frombuffer(b"".join(state.pending.values()), dtype="<u8")
+        order = np.argsort(keys)
+        keys, digests = keys[order], digests[order]
+        merged, merged_digests = state.pairs
+        slot = np.searchsorted(merged, keys)
+        state.pairs = (np.insert(merged, slot, keys), np.insert(merged_digests, slot, digests))
+        state.pending = {}
+
+    def count(self, lookups: int) -> None:
+        with self._lock:
+            self._lookups += lookups
+
+    def stats(self) -> dict:
+        with self._lock:
+            state = self._state
+            return {
+                "hits": self._lookups - self._misses,
+                "misses": self._misses,
+                "words": len(state.words),
+                "bigrams": state.bigrams(),
+            }
+
+
+_FEATURES = _FeatureTable()
+
+
+def feature_table_stats() -> dict:
+    """Hit/miss counters and sizes of the word and bigram hash table (for
+    service stats)."""
+    return _FEATURES.stats()
+
+
 #: Features a block of texts holds at most, unless one text has more (a
-#: text is never split): bounds the arrays and the digest dicts the kernel
-#: holds at once, whatever the batch.
+#: text is never split): bounds the arrays the kernel holds at once,
+#: whatever the batch.
 _BLOCK_FEATURES = 8192
 
 
@@ -150,6 +324,11 @@ class HashingEmbedder:
         if dim < 8:
             raise ValueError(f"embedding dim must be >= 8, got {dim}")
         self.dim = dim
+        # Each family's weight, negated, as the bits of a float64: the
+        # kernel clears the sign bit where a digest's top bit is set.
+        self._negated = np.array(
+            [-self.WORD_WEIGHT, -self.BIGRAM_WEIGHT, -self.CHAR_WEIGHT]
+        ).view(np.uint64)
 
     def embed(self, text: str) -> np.ndarray:
         """Embed one text as a float64 unit vector (zero vector for empty
@@ -196,53 +375,45 @@ class HashingEmbedder:
     def _block_sums(self, block: Sequence[Tuple[Tuple[str, ...], bytes]]) -> np.ndarray:
         """The unnormalised rows of a block of ``(words, normalized)`` texts.
 
-        Each distinct word and bigram feature of the block hashes once, a
-        trigram once per process (:class:`_TrigramTable`).  ``np.bincount``
-        over ``row*dim + coordinate`` adds a bin's weights in array order
-        starting from ``0.0``, which is what a ``vec[index] += sign *
-        weight`` loop does, bit for bit; only the order within a row
-        matters, and there words come before bigrams before trigrams.
+        Words and bigrams are hashed once per process (:class:`_FeatureTable`),
+        trigrams too (:class:`_TrigramTable`).  The block's features go
+        in three runs — every word, every bigram, every trigram, each run
+        in row order.  ``np.bincount`` over ``row*dim + coordinate`` adds
+        a bin's weights in array order starting from ``0.0``, which is
+        what a ``vec[index] += sign * weight`` loop does, bit for bit; only
+        the order within a row matters, and there words come before
+        bigrams before trigrams.
         """
         dim = self.dim
-        blake2b = hashlib.blake2b  # _feature_digest's hash, without a Python call per feature
-        word_of: Dict[str, bytes] = {}
-        pair_of: Dict[Tuple[str, str], bytes] = {}
-        plain: List[bytes] = []
-        weights: List[bytes] = []
-        plain_counts: List[int] = []
-        # Each feature's weight, negated, as the bits of a float64; the
-        # sign bit is cleared below where the digest's top bit is set.
-        negated = struct.pack("<3d", -self.WORD_WEIGHT, -self.BIGRAM_WEIGHT, -self.CHAR_WEIGHT)
-        word, bigram, char = negated[:8], negated[8:16], negated[16:]
-        for words, _ in block:
-            pairs = list(zip(words, words[1:]))
-            fresh = set(words).difference(word_of)
-            if fresh:
-                word_of.update(
-                    {w: blake2b(f"w:{w}".encode(), digest_size=8).digest() for w in fresh}
-                )
-            fresh = set(pairs).difference(pair_of)
-            if fresh:
-                pair_of.update(
-                    {p: blake2b(f"b:{p[0]}_{p[1]}".encode(), digest_size=8).digest() for p in fresh}
-                )
-            plain += map(word_of.__getitem__, words)
-            plain += map(pair_of.__getitem__, pairs)
-            weights.append(word * len(words) + bigram * len(pairs))
-            plain_counts.append(len(words) + len(pairs))
+        words: List[str] = []
+        for text_words, _ in block:
+            words += text_words
+        features = _FEATURES.generation()
+        ids, word_digests = _FEATURES.word_digests(features, words)
+        # A bigram's key packs its two word ids.
+        keys = (ids[:-1] << _ID_BITS) | ids[1:]
+        if len(block) > 1:
+            # Drop the pairs that run into the next text: those starting
+            # at a text's last word.
+            word_counts = np.array([len(text_words) for text_words, _ in block], dtype=np.intp)
+            ends = np.cumsum(word_counts)
+            keep = np.ones(ids.size, dtype=bool)
+            keep[ends[ends >= 1] - 1] = False
+            keys = keys[keep[:-1]]
+        pair_digests = _FEATURES.pair_digests(features, keys)
+        _FEATURES.count(ids.size + keys.size)
         normalized = [text for _, text in block]
         codes = _gram_codes(normalized)
-        hashed = np.concatenate(
-            (np.frombuffer(b"".join(plain), dtype="<u8"), _TRIGRAMS.digests(codes))
-        )
-        weights.append(char * codes.size)
-        signed = np.frombuffer(b"".join(weights), dtype="<u8") ^ (hashed & _TOP_BIT)
+        hashed = np.concatenate((word_digests, pair_digests, _TRIGRAMS.digests(codes)))
+        weights = self._negated.repeat([ids.size, keys.size, codes.size])
+        signed = weights ^ (hashed & _TOP_BIT)
         index = (hashed % np.uint64(dim)).view(np.intp)
         if len(block) > 1:
             offsets = np.arange(0, len(block) * dim, dim)
             short = [o for o, text in zip(offsets.tolist(), normalized) if 0 < len(text) < 3]
             index += np.concatenate((
-                np.repeat(offsets, plain_counts),
+                np.repeat(offsets, word_counts),
+                np.repeat(offsets, np.maximum(word_counts - 1, 0)),
                 np.repeat(offsets, [max(len(text) - 2, 0) for text in normalized]),
                 np.array(short, dtype=np.intp),
             ))

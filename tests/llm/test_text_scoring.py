@@ -248,7 +248,8 @@ class TestTables:
         stats = cache_stats()
         assert set(stats) == {
             "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
-            "trigrams",
+            "features", "trigrams",
         }  # fmt: skip
+        assert set(stats.pop("features")) == {"hits", "misses", "words", "bigrams"}
         for counters in stats.values():
             assert set(counters) == {"hits", "misses", "size"}

@@ -1,7 +1,8 @@
 """The policies' process-wide text tables are invisible in what sessions say.
 
-The lexicon, question memo, stem vocabulary and policy embedder are shared
-by every session of every service in the process.  They are keyed by
+The lexicon, question memo, stem vocabulary, policy embedder and the
+embedder's word and bigram table are shared by every session of every
+service in the process.  They are keyed by
 content, so the same conversations must produce byte-identical transcripts
 and token ledgers whether the tables start empty, start full, or are filled
 by four workers at once.
@@ -21,6 +22,7 @@ from repro.sim.runner import SimulationRunner
 from repro.text import CachedEmbedder
 
 tokenize_module = importlib.import_module("repro.text.tokenize")
+embedding_module = importlib.import_module("repro.text.embedding")
 
 # env-01 and env-06.  Neither conversation states a reusable fact, so nothing
 # is captured into the shared knowledge base and the two sessions share only
@@ -66,6 +68,7 @@ def empty_tables(monkeypatch):
         monkeypatch.setattr(semantics, "_TEXTS", semantics._Memo(bound=64))
         monkeypatch.setattr(semantics, "_EMBEDDER", CachedEmbedder(dim=192))
         monkeypatch.setattr(tokenize_module, "_STEMS", tokenize_module._StemVocabulary())
+        monkeypatch.setattr(embedding_module, "_FEATURES", embedding_module._FeatureTable())
 
     return empty
 
@@ -133,10 +136,11 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     policy = caches["policy_text"]
     assert set(policy) == {
         "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
-        "trigrams",
+        "features", "trigrams",
     }  # fmt: skip
+    sizes = {name: ("words", "bigrams") if name == "features" else ("size",) for name in policy}
     assert policy == {
-        name: {"hits": c["hits"], "misses": c["misses"], "size": c["size"]}
+        name: {key: c[key] for key in ("hits", "misses", *sizes[name])}
         for name, c in semantics.cache_stats().items()
     }
     assert policy["lexicon"]["size"] > 0 and policy["questions"]["hits"] > 0
@@ -145,3 +149,7 @@ def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
     # first occurrence is a hit.
     assert 0 < policy["trigrams"]["size"] == policy["trigrams"]["misses"]
     assert policy["trigrams"]["hits"] > policy["trigrams"]["misses"]
+    # Its word and bigram table: a distinct word or bigram is one miss.
+    features = policy["features"]
+    assert 0 < features["words"] and 0 < features["bigrams"]
+    assert features["words"] + features["bigrams"] <= features["misses"] < features["hits"]

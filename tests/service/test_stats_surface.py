@@ -47,11 +47,14 @@ BASE_SHAPE = {
         "embedding": HIT_MISS,
         "payload": HIT_MISS,
         "policy_text": {
-            name: HIT_MISS
-            for name in (
-                "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
-                "trigrams",
-            )
+            **{
+                name: HIT_MISS
+                for name in (
+                    "lexicon", "questions", "texts", "embedding", "stems", "tokenize",
+                    "trigrams",
+                )
+            },
+            "features": {"hits": int, "misses": int, "words": int, "bigrams": int},
         },
     },
     "retrieval": {"kernel": str, "compiled": bool, "frozen": bool, "docs": int},

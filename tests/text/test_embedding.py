@@ -1,6 +1,9 @@
 """Unit and property tests for deterministic hashed embeddings."""
 
 import hashlib
+import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -170,35 +173,27 @@ class TestAgainstTheScalarLoop:
         assert vector.tobytes() == embed_scalar(embedder, text).tobytes()
 
     @pytest.mark.parametrize("cap", [embedding._BLOCK_FEATURES, 10**9])
-    def test_trigrams_are_hashed_once_per_distinct_string(self, monkeypatch, cap):
+    def test_each_feature_is_hashed_once_per_process(self, monkeypatch, cap):
         """No clock: over a catalog's narrations ``blake2b`` runs exactly
-        once per distinct word and bigram feature of each block, and once
-        per trigram the process had not seen before — a fraction of the
-        feature count the scalar loop hashed one by one.  Blocks hold whole
-        texts of at most ``_BLOCK_FEATURES`` features, so a cap above the
-        call's feature count makes the whole call one block."""
+        once per distinct word, bigram and trigram new to the process,
+        however the texts fall into blocks, and a second call hashes
+        nothing — a fraction of the feature count the scalar loop hashed
+        one by one.  A cap above the call's feature count makes the whole
+        call one block."""
         lake, _ = build_planted_catalog(seed=1, n_tables=600, rows=4)
         texts = [narrate_table(table) for table in lake.tables()]
         embedder = HashingEmbedder(dim=256)
         counts = [len(features(embedder, text)) for text in texts]
-        blocks: list = []
-        size = cap + 1
-        for text, count in zip(texts, counts):
-            if size + count > cap:
-                blocks.append([])
-                size = 0
-            blocks[-1].append(tokenize_cached(text))
-            size += count
-        plain = 0
-        for block in blocks:
-            plain += len({w for words in block for w in words})
-            plain += len({pair for words in block for pair in zip(words, words[1:])})
-        if cap > sum(counts):
-            assert len(blocks) == 1
+        tokens = [tokenize_cached(text) for text in texts]
+        words = {w for text_words in tokens for w in text_words}
+        pairs = {pair for text_words in tokens for pair in zip(text_words, text_words[1:])}
+        plain = sum(2 * len(text_words) - 1 for text_words in tokens if text_words)
         codes = np.unique(_gram_codes([normalize(text) for text in texts]))
         assert codes.size == len({gram for text in texts for gram in char_ngrams(text, 3)})
         unseen = int(np.count_nonzero(embedding._TRIGRAMS._digests[codes] == 0))
         occurrences = sum(len(char_ngrams(text, 3)) for text in texts)
+        assert plain + occurrences == sum(counts)
+        table = embedding._FeatureTable()  # every word and bigram is new to it
         digests = 0
         blake2b = hashlib.blake2b
 
@@ -208,15 +203,22 @@ class TestAgainstTheScalarLoop:
             return blake2b(*args, **kwargs)
 
         before = trigram_table_stats()
+        monkeypatch.setattr(embedding, "_FEATURES", table)
         monkeypatch.setattr(hashlib, "blake2b", counting)
         monkeypatch.setattr(embedding, "_BLOCK_FEATURES", cap)
         embedder.embed_batch(texts)
         first = digests
-        embedder.embed_batch(texts)  # every trigram known now: words and bigrams only
+        again = embedder.embed_batch(texts)
         monkeypatch.undo()
         after = trigram_table_stats()
-        assert first == plain + unseen < sum(counts) / 2
-        assert digests - first == plain
+        assert first == len(words) + len(pairs) + unseen < sum(counts) / 2
+        assert digests == first
+        for row, text in zip(again[::97], texts[::97]):
+            assert row.tobytes() == embed_scalar(embedder, text).tobytes()
+        new = len(words) + len(pairs)
+        assert table.stats() == {
+            "hits": 2 * plain - new, "misses": new, "words": len(words), "bigrams": len(pairs),
+        }  # fmt: skip
         assert after["misses"] - before["misses"] == unseen
         assert after["size"] - before["size"] == unseen
         lookups = sum(after[key] - before[key] for key in ("hits", "misses"))
@@ -224,10 +226,120 @@ class TestAgainstTheScalarLoop:
         assert codes.size <= after["size"] <= 37**3 + 37**2 + 37
 
 
+class TestFeatureTable:
+    """The process-wide word and bigram table under threads, resets and a
+    stream of first-sight queries."""
+
+    @staticmethod
+    def assert_consistent(table):
+        """Ids index the words, keys are sorted and unique, and every digest
+        is ``blake2b`` of the feature it stands for."""
+        state = table._state
+        assert len(set(state.words)) == len(state.words)
+        assert state.ids == {word: i for i, word in enumerate(state.words)}
+        for word, digest in zip(state.words, state.word_digests.tolist()):
+            assert digest.to_bytes(8, "little") == _feature_digest(f"w:{word}")
+        merged, digests = state.pairs
+        assert merged.dtype == np.int64 and digests.dtype == np.uint64
+        assert merged[-1] == embedding._SENTINEL
+        assert np.all(merged[1:] > merged[:-1])
+        merged, digests = merged[:-1], digests[:-1]
+        assert not set(merged.tolist()) & set(state.pending)
+        keys = merged.tolist() + list(state.pending)
+        values = [d.to_bytes(8, "little") for d in digests.tolist()] + list(state.pending.values())
+        for key, digest in zip(keys, values):
+            a, b = state.words[key >> 32], state.words[key & 0xFFFFFFFF]
+            assert digest == _feature_digest(f"b:{a}_{b}")
+
+    def test_threads_filling_a_fresh_table_agree_with_the_oracle(self, monkeypatch):
+        """Eight threads embed overlapping batches into an empty table that
+        merges often: every row equals the scalar loop byte for byte."""
+        lake, _ = build_planted_catalog(seed=3, n_tables=80, rows=4)
+        texts = [narrate_table(table) for table in lake.tables()]
+        names = [table.name.replace("_", " ") for table in lake.tables()]
+        texts += [f"{name} by {column}" for name in names for column in ("date", "id")]
+        table = embedding._FeatureTable()
+        monkeypatch.setattr(embedding, "_FEATURES", table)
+        monkeypatch.setattr(embedding._FeatureTable, "_MERGE_MIN", 4)
+        monkeypatch.setattr(embedding, "_BLOCK_FEATURES", 512)
+        embedder = HashingEmbedder(dim=64)
+        batches = [texts[i * len(texts) // 12 :][: len(texts) // 4] for i in range(8)]
+        results, errors = {}, []
+
+        def work(index):
+            try:
+                results[index] = embedder.embed_batch(batches[index])
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(results) == 8
+        for index, batch in enumerate(batches):
+            for row, text in zip(results[index], batch):
+                assert row.tobytes() == embed_scalar(embedder, text).tobytes()
+        self.assert_consistent(table)
+        assert table._state.pairs[0].size > 1
+
+    def test_rows_are_byte_identical_across_a_reset(self, monkeypatch):
+        """Past its bound the table starts over; what it returns does not
+        change."""
+        lake, _ = build_planted_catalog(seed=5, n_tables=30, rows=4)
+        texts = [narrate_table(table) for table in lake.tables()]
+        table = embedding._FeatureTable()
+        monkeypatch.setattr(embedding, "_FEATURES", table)
+        monkeypatch.setattr(embedding._FeatureTable, "_BOUND", 150)
+        embedder = OddWeights(dim=64)
+        generations = {id(table._state)}
+        for at in range(0, len(texts), 3):
+            batch = texts[at : at + 3] + texts[: 1 + at // 10]
+            for row, text in zip(embedder.embed_batch(batch), batch):
+                assert row.tobytes() == embed_scalar(embedder, text).tobytes()
+            generations.add(id(table._state))
+            self.assert_consistent(table)
+        assert len(generations) > 3
+        assert table._state.size() <= 150 + 2 * max(len(tokenize_cached(t)) for t in texts) * 4
+
+    def test_first_sight_queries_merge_logarithmically_often(self, monkeypatch):
+        """K one-text embeds, each with one bigram new to the table, fold
+        their pending keys into the sorted arrays O(log K) times, not K."""
+        vocabulary = [f"k{i:02d}z" for i in range(50)]
+        queries = [f"{a} {b}" for a in vocabulary for b in vocabulary if a != b][:2000]
+        table = embedding._FeatureTable()
+        monkeypatch.setattr(embedding, "_FEATURES", table)
+        merges = 0
+        merge = embedding._FeatureTable._merge
+
+        def counting(self, state):
+            nonlocal merges
+            merges += 1
+            merge(self, state)
+
+        monkeypatch.setattr(embedding._FeatureTable, "_merge", counting)
+        embedder = HashingEmbedder(dim=64)
+        embedder.embed_batch(vocabulary)  # every word known: each query adds one bigram
+        for query in queries:
+            embedder.embed(query)
+        assert table.stats()["bigrams"] == len(queries)
+        assert 0 < merges <= 2 * math.ceil(math.log2(len(queries)))
+        self.assert_consistent(table)
+        for query in queries[::150]:
+            assert embedder.embed(query).tobytes() == embed_scalar(embedder, query).tobytes()
+
+
 def test_the_kernel_holds_one_block_at_a_time():
-    """Beyond its output the kernel holds one block's arrays and digest
-    dicts, however many texts the call has (token memo warm, as on a
-    second build: the memo itself is not the kernel's)."""
+    """Beyond its output the kernel holds one block's arrays, however
+    many texts the call has (token memo and feature tables warm, as on a
+    second build: those are process-wide, not the kernel's)."""
     lake, _ = build_planted_catalog(seed=1, n_tables=600, rows=4)
     texts = [narrate_table(table) for table in lake.tables()]
     embedder = HashingEmbedder(dim=192)

@@ -19,9 +19,9 @@ preparation/SQL → LLM narration).  Design constraints, in order:
 
 A trace is single-threaded by construction: the serving layer starts the
 root span on the worker thread that runs the turn, and every child span
-is opened and closed on that same thread (the same way the per-session
-lock already serializes a turn).  Cross-thread propagation is therefore
-not needed — context is one ``threading.local``.
+is opened and closed on that same thread (a session's mailbox already
+runs one turn at a time, each wholly inside one drain task).  Cross-thread
+propagation is therefore not needed — context is one ``threading.local``.
 """
 
 from __future__ import annotations

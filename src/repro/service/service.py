@@ -11,8 +11,14 @@ Concurrency model:
 
 * a ``ThreadPoolExecutor`` runs turns; LLM/tool waits (real network I/O in
   production) overlap across sessions;
-* a per-session lock serializes turns *within* a session, so the
-  Conductor's working memory never interleaves;
+* a session is a FIFO *mailbox*: its turns run one at a time in the order
+  they were posted, so the Conductor's working memory never interleaves.
+  A nonempty mailbox has exactly one drain task in the pool, which serves
+  one turn and then queues itself behind the other sessions, so a turn
+  waiting its session's turn parks no worker and a chatty session cannot
+  starve the rest;
+* one service lock guards the session registry, every mailbox and the
+  admission count;
 * a turn reads one immutable *generation* for its whole Conductor loop:
   a catalog copy plus the frozen index and preparation pipeline built
   from it.  ``service.lake`` stages: a ``register`` there becomes visible
@@ -24,8 +30,9 @@ Concurrency model:
 Fault model (the resilience subsystem):
 
 * **admission control** — ``post_turn`` sheds load with
-  :class:`ServiceOverloaded` once the pending-turn queue hits its bound,
-  so an overloaded service fails fast instead of queuing unboundedly;
+  :class:`ServiceOverloaded` once the posted-but-unfinished turns of all
+  mailboxes hit their bound, so an overloaded service fails fast instead
+  of queuing unboundedly;
 * **deadlines** — a turn that cannot finish (or even start) within its
   deadline yields a structured :class:`DegradedResponse` instead of
   hanging the caller;
@@ -50,12 +57,14 @@ import itertools
 import threading
 import time
 import weakref
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import wait as wait_all
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.session import SeekerResponse, SeekerSession, build_seeker_llm
 from ..ir.docdb import DocumentDatabase
@@ -111,9 +120,10 @@ class ManagedSession:
     session_id: str
     session: SeekerSession
     user: str = ""
-    lock: threading.Lock = field(default_factory=threading.Lock)
     turns: int = 0
-    closed: bool = False
+    #: Posted turns ``(message, deadline_at, future)``, oldest first; the
+    #: head is the turn being served.  Guarded by the service lock.
+    mailbox: Deque[Tuple[str, Optional[float], Future]] = field(default_factory=deque)
 
 
 @dataclass
@@ -277,15 +287,15 @@ class PneumaService:
             max_workers=max_workers, thread_name_prefix="pneuma-turn"
         )
         self._sessions: Dict[str, ManagedSession] = {}
-        self._registry_lock = threading.Lock()
+        # The one service lock: the registry, every mailbox, admission.
+        self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._llm_instances = itertools.count()
         self._shutdown = False
         self._draining = False
         registry.add_collector("open_sessions", lambda: me.open_session_count())
-        # Admission control: a bounded count of submitted-but-unfinished
-        # turns; post_turn sheds (raises) instead of queuing past it.
-        self._admission_lock = threading.Lock()
+        # Admission control: a bounded count of posted-but-unfinished turns;
+        # post_turn sheds (raises) instead of queuing past it.
         self._pending_turns = 0
         self._peak_pending = 0
         self._max_pending = (
@@ -308,14 +318,16 @@ class PneumaService:
         """Stop accepting work and release the worker pool.
 
         With ``drain=True``, first stop admitting *new* sessions, then
-        close and summarize every surviving session (waiting out its
-        in-flight turn) — the graceful teardown ``close_session`` alone
-        cannot provide once the service is shut down.  Returns the drained
-        sessions' summaries (empty without ``drain``).
+        close and summarize every surviving session (waiting out the turns
+        already posted to it) — the graceful teardown ``close_session``
+        alone cannot provide once the service is shut down.  Returns the
+        drained sessions' summaries (empty without ``drain``).  Either way
+        every turn accepted before the shutdown still runs, in order, and
+        completes its future; ``wait=True`` returns once they all have.
         """
         summaries: List[SessionSummary] = []
         if drain:
-            with self._registry_lock:
+            with self._lock:
                 self._draining = True
                 remaining = list(self._sessions)
             for session_id in remaining:
@@ -323,7 +335,7 @@ class PneumaService:
                     summaries.append(self.close_session(session_id))
                 except ServiceError:
                     pass  # lost a race with a concurrent closer — fine
-        with self._registry_lock:
+        with self._lock:
             self._shutdown = True
         self._executor.shutdown(wait=wait)
         if self.store is not None and drain:
@@ -408,7 +420,7 @@ class PneumaService:
     # ------------------------------------------------------------------
     def open_session(self, user: str = "") -> str:
         """Start a session against the shared index; returns its id."""
-        with self._registry_lock:
+        with self._lock:
             if self._shutdown or self._draining:
                 raise ServiceError("service is shut down")
             session_id = f"s{next(self._ids)}"
@@ -428,7 +440,7 @@ class PneumaService:
             # SQL backend a session has, so that is what fails on schedule.
             session.state.materialized = FlakySQL(session.state.materialized, schedule)
         managed = ManagedSession(session_id=session_id, session=session, user=user)
-        with self._registry_lock:
+        with self._lock:
             # Re-check: shutdown() may have run while the session was being
             # built, and a session registered now could never be closed.
             if self._shutdown or self._draining:
@@ -444,23 +456,31 @@ class PneumaService:
         wait: bool = True,
         deadline: Optional[float] = None,
     ):
-        """Run one user turn on the worker pool.
+        """Post one user turn to the session's mailbox.
 
         With ``wait=True`` (default) blocks and returns the
         :class:`SeekerResponse`; with ``wait=False`` returns a ``Future``
         so callers can fan out turns across sessions and join later.
-        Turns posted to the same session serialize on its lock; turns on
-        different sessions run in parallel.
+        Turns posted to one session run one at a time in posting order;
+        turns on different sessions share the worker pool.  A turn that
+        is still queued can be cancelled through its future.
 
-        Admission control and deadlines: when the pending-turn queue is at
-        its bound the turn is shed with :class:`ServiceOverloaded`; when a
-        ``deadline`` (seconds; defaults to the service-wide setting) passes
-        before the turn finishes — or before it even starts — the caller
-        gets a :class:`DegradedResponse` instead of waiting forever.
+        Admission control and deadlines: when the posted-but-unfinished
+        turns are at their bound the turn is shed with
+        :class:`ServiceOverloaded`; when a ``deadline`` (seconds; defaults
+        to the service-wide setting) passes before the turn finishes — or
+        before it even starts — the caller gets a :class:`DegradedResponse`
+        instead of waiting forever.
         """
-        managed = self._resolve(session_id)
         deadline = deadline if deadline is not None else self._turn_deadline
-        with self._admission_lock:
+        deadline_at = time.monotonic() + deadline if deadline is not None else None
+        future: Future = Future()
+        with self._lock:
+            if self._shutdown:
+                raise ServiceError("service is shut down")
+            managed = self._sessions.get(session_id)
+            if managed is None:
+                raise ServiceError(f"unknown or closed session {session_id!r}")
             if self._pending_turns >= self._max_pending:
                 self._count["turns_shed"].inc()
                 raise ServiceOverloaded(
@@ -468,15 +488,10 @@ class PneumaService:
                     "turn shed — retry with backoff"
                 )
             self._pending_turns += 1
-            if self._pending_turns > self._peak_pending:
-                self._peak_pending = self._pending_turns
-        deadline_at = time.monotonic() + deadline if deadline is not None else None
-        try:
-            future: Future = self._executor.submit(self._run_turn, managed, message, deadline_at)
-        except BaseException:
-            with self._admission_lock:
-                self._pending_turns -= 1
-            raise
+            self._peak_pending = max(self._peak_pending, self._pending_turns)
+            managed.mailbox.append((message, deadline_at, future))
+            if len(managed.mailbox) == 1:  # no drain task yet: start one
+                self._executor.submit(self._drain, managed)
         if not wait:
             return future
         if deadline is None:
@@ -511,16 +526,19 @@ class PneumaService:
         return results
 
     def close_session(self, session_id: str) -> SessionSummary:
-        """End a session (waits for its in-flight turn) and summarize it."""
-        with self._registry_lock:
+        """End a session and summarize it.  Turns posted before the close
+        still run, in order, and are counted: this waits for them.  A post
+        after the close raises :class:`ServiceError`."""
+        with self._lock:
             if self._shutdown:
                 raise ServiceError("service is shut down")
-            # Pop atomically so exactly one concurrent closer wins.
+            # Pop atomically so exactly one concurrent closer wins; no post
+            # reaches the mailbox after this.
             managed = self._sessions.pop(session_id, None)
+            posted = [future for _, _, future in managed.mailbox] if managed else []
         if managed is None:
             raise ServiceError(f"unknown or closed session {session_id!r}")
-        with managed.lock:  # wait out any in-flight turn, then seal
-            managed.closed = True
+        wait_all(posted)
         self._count["sessions_closed"].inc()
         usage = managed.session.llm.ledger.total()
         return SessionSummary(
@@ -542,11 +560,11 @@ class PneumaService:
         index gate: turns that start afterwards see it, turns already
         running finish on the generation they pinned, and with
         ``drain=True`` this returns once the old one is idle.  A turn pins
-        when it takes its session's lock, so a turn queued behind that lock
-        is not waited for; a turn past its deadline keeps its pin until it
-        ends."""
+        its generation when the drain starts it, so a turn still waiting in
+        its session's mailbox is not waited for; a turn past its deadline
+        keeps its pin until it ends."""
         with self._reindex_lock:
-            with self._registry_lock:
+            with self._lock:
                 if self._shutdown:
                     raise ServiceError("service is shut down")
             trace = (
@@ -593,11 +611,11 @@ class PneumaService:
         return self._gate.current.prep
 
     def open_session_count(self) -> int:
-        with self._registry_lock:
+        with self._lock:
             return len(self._sessions)
 
     def _admission_stats(self) -> Dict[str, Any]:
-        with self._admission_lock:
+        with self._lock:
             return {
                 "pending_turns": self._pending_turns,
                 "peak_pending_turns": self._peak_pending,
@@ -617,14 +635,33 @@ class PneumaService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve(self, session_id: str) -> ManagedSession:
-        with self._registry_lock:
-            if self._shutdown:
-                raise ServiceError("service is shut down")
-            managed = self._sessions.get(session_id)
-        if managed is None or managed.closed:
-            raise ServiceError(f"unknown or closed session {session_id!r}")
-        return managed
+    def _drain(self, managed: ManagedSession) -> None:
+        """Serve the head of ``managed``'s mailbox, then queue this task
+        again behind the other sessions while turns remain.  The head is
+        popped and its admission slot released before its future completes,
+        so a caller that joins it reads both released.  Once the service is
+        shut down the pool takes no new task, so the rest of the mailbox is
+        served here, in order: every accepted future completes."""
+        while True:
+            # Only this task pops, so the head is stable without the lock.
+            message, deadline_at, future = managed.mailbox[0]
+            outcome = None  # stays None for a turn cancelled while queued
+            if future.set_running_or_notify_cancel():
+                try:
+                    outcome = (future.set_result, self._run_turn(managed, message, deadline_at))
+                except BaseException as exc:  # stored as a pool task's would be
+                    outcome = (future.set_exception, exc)
+            with self._lock:
+                managed.mailbox.popleft()
+                self._pending_turns -= 1
+                serve_here = bool(managed.mailbox) and self._shutdown
+                if managed.mailbox and not self._shutdown:
+                    self._executor.submit(self._drain, managed)
+            if outcome is not None:
+                complete, value = outcome
+                complete(value)
+            if not serve_here:
+                return
 
     def _run_turn(
         self, managed: ManagedSession, message: str, deadline_at: Optional[float]
@@ -656,35 +693,29 @@ class PneumaService:
     def _serve_turn(
         self, managed: ManagedSession, message: str, deadline_at: Optional[float]
     ) -> SeekerResponse:
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            # The deadline passed while the turn sat in the queue:
+            # shed it instead of burning a worker on a dead turn.
+            self._count["turns_shed"].inc()
+            return DegradedResponse(
+                session_id=managed.session_id,
+                reason="queue-deadline",
+                message=(
+                    "The service shed this turn: its deadline passed "
+                    "while it was queued behind other work."
+                ),
+            )
+        started = time.perf_counter()
         try:
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                # The deadline passed while the turn sat in the queue:
-                # shed it instead of burning a worker on a dead turn.
-                self._count["turns_shed"].inc()
-                return DegradedResponse(
-                    session_id=managed.session_id,
-                    reason="queue-deadline",
-                    message=(
-                        "The service shed this turn: its deadline passed "
-                        "while it was queued behind other work."
-                    ),
-                )
-            with managed.lock:
-                if managed.closed:
-                    raise ServiceError(f"session {managed.session_id!r} closed mid-flight")
-                started = time.perf_counter()
-                # One picture of the lake for the whole Conductor loop, pinned
-                # only now: a turn queued behind the session lock pins nothing.
-                with self._gate.reading() as gen:
-                    managed.session.bind(gen.catalog, gen, gen.prep)
-                    response = managed.session.submit(message)
-                managed.turns += 1
+            # One picture of the lake for the whole Conductor loop, pinned
+            # only now: a turn still in its session's mailbox pins nothing.
+            with self._gate.reading() as gen:
+                managed.session.bind(gen.catalog, gen, gen.prep)
+                response = managed.session.submit(message)
+            managed.turns += 1
         except BaseException:
             self._count["turns_failed"].inc()
             raise
-        finally:
-            with self._admission_lock:
-                self._pending_turns -= 1
         if response.degraded:
             self._count["turns_degraded"].inc()
         if response.turn_log.rejected:

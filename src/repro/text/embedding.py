@@ -94,7 +94,7 @@ class _TrigramTable:
     Zero marks a code not hashed yet: no gram of the alphabet hashes to
     zero (``tests/text/test_embedding.py`` hashes them all).  Process-wide
     like the tokenizer memos; a miss racing another thread stores the
-    same value.
+    same value, and only the first store counts as a miss.
     """
 
     def __init__(self) -> None:
@@ -109,12 +109,13 @@ class _TrigramTable:
         if np.count_nonzero(digests) < digests.size:
             fresh = np.unique(codes[digests == 0])
             hashed = b"".join(_feature_digest(f"c:{_gram(code)}") for code in fresh.tolist())
-            self._digests[fresh] = np.frombuffer(hashed, dtype="<u8")
+            with self._lock:
+                new = np.count_nonzero(self._digests[fresh] == 0)
+                self._digests[fresh] = np.frombuffer(hashed, dtype="<u8")
             digests = self._digests.take(codes)
-            new = fresh.size
         with self._lock:
             self._lookups += codes.size
-            self._misses += new
+            self._misses += int(new)
         return digests
 
     def stats(self) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -74,14 +75,16 @@ class _StemVocabulary:
     stems 3.7M tokens drawn from ~1.4k distinct ones), so the table is
     keyed by token, never by text.  Stems are interned: every token list
     in the process shares one string object per stem.  Reads are plain
-    ``dict.get`` (atomic under the GIL); misses, the oldest-first eviction
-    and the counters take the lock.
+    ``get`` (atomic under the GIL); misses, the oldest-first eviction and
+    the counters take the lock.  The table is an ``OrderedDict`` so that
+    eviction is O(1): a plain dict's oldest key is found by walking the
+    deleted slots that earlier evictions left at its front.
     """
 
     _BOUND = 32768
 
     def __init__(self) -> None:
-        self._table: Dict[str, str] = {}
+        self._table: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
         self._lookups = 0
         self._misses = 0
@@ -106,7 +109,7 @@ class _StemVocabulary:
             table = self._table
             table[token] = stemmed
             while len(table) > self._BOUND:
-                del table[next(iter(table))]
+                table.popitem(last=False)
         return stemmed
 
     def stats(self) -> Dict[str, int]:

@@ -193,7 +193,7 @@ class TestServiceReindex:
             assert len(seen) > 1  # the traffic did straddle the swaps
 
     def test_drain_waits_for_the_turn_in_flight_not_the_queued_one(self, lake):
-        """A turn pins once it holds its session's lock, so a reindex drains
+        """A turn pins when its session's drain starts it, so a reindex drains
         the turn in flight; the turn queued behind it pins the new generation."""
         first, second = QUESTION, "Now restrict it to orders from ACME."
         entered = {first: threading.Event(), second: threading.Event()}

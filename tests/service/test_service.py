@@ -1,12 +1,14 @@
 """PneumaService: session lifecycle, concurrency isolation, shared knowledge."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.core import SeekerSession
 from repro.datasets import build_procurement_lake
-from repro.service import PneumaService, ServiceError, build_shared_retriever
+from repro.service import PneumaService, ResilienceConfig, ServiceError, build_shared_retriever
+from tests.service.test_admission import GatedLLM
 
 
 @pytest.fixture
@@ -99,8 +101,8 @@ class TestConcurrencyIsolation:
             references.append(solo)
 
         session_ids = [service.open_session(user=f"u{i}") for i in range(len(self.CONVERSATIONS))]
-        # Fan out every conversation's turns; per-session locks keep each
-        # session's turn order, the pool interleaves across sessions.
+        # Fan out every conversation's turns; each session's mailbox keeps
+        # its turn order, the pool interleaves across sessions.
         for turn_index in range(max(len(c) for c in self.CONVERSATIONS)):
             futures = []
             for sid, messages in zip(session_ids, self.CONVERSATIONS):
@@ -118,21 +120,42 @@ class TestConcurrencyIsolation:
             assert served.state.to_json() == solo.state.to_json()
             assert served.answer_value == solo.answer_value
 
-    def test_same_session_turns_serialize(self, service):
-        sid = service.open_session()
-        futures = [
-            service.post_turn(sid, message, wait=False)
-            for message in (QUESTION, "Only consider orders from ACME.", "Please continue.")
-        ]
-        for future in futures:
-            future.result()
-        served = service._sessions[sid].session
-        assert served.conductor.user_messages == [
-            QUESTION,
-            "Only consider orders from ACME.",
-            "Please continue.",
-        ]
-        assert len(served.conductor.turns) == 3
+    def test_same_session_turns_serialize(self, lake):
+        """Sixteen sessions each queue eight turns behind a closed gate,
+        posted session by session, and the gate then releases them all at
+        once to more workers than cores, switching threads often: every
+        session's Conductor still sees its turns in posting order.  The
+        burst also drives the admission gauge to its size and back to zero."""
+        sessions, turns = 16, 8
+        gate = threading.Event()
+        service = PneumaService(
+            lake,
+            max_workers=8,
+            llm_factory=lambda: GatedLLM(gate),
+            resilience=ResilienceConfig(max_pending_turns=sessions * turns),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            posted, futures = {}, []
+            for _ in range(sessions):
+                sid = service.open_session()
+                posted[sid] = [QUESTION] + [f"Please continue ({t})." for t in range(1, turns)]
+                futures += [service.post_turn(sid, m, wait=False) for m in posted[sid]]
+            gate.set()
+            for future in futures:
+                assert future.result(timeout=60).message
+            for sid, messages in posted.items():
+                conductor = service._sessions[sid].session.conductor
+                assert conductor.user_messages == messages
+                assert len(conductor.turns) == turns
+            admission = service.stats()["admission"]
+            assert admission["peak_pending_turns"] == sessions * turns
+            assert admission["pending_turns"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            gate.set()
+            service.shutdown()
 
     def test_many_threads_opening_sessions(self, service):
         ids = []

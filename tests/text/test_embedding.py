@@ -366,6 +366,37 @@ def test_no_gram_hashes_to_the_unseen_mark():
     assert len({_gram(c) for c in codes}) == len(codes)
 
 
+def test_threads_racing_on_first_sight_grams_count_each_once(monkeypatch):
+    """Threads that embed the same unseen text at once may all hash its
+    grams, but each gram is one miss: the table's size equals its misses."""
+    table = embedding._TrigramTable()
+    monkeypatch.setattr(embedding, "_TRIGRAMS", table)
+    embedder = HashingEmbedder(dim=64)
+    lookups = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            text = " ".join(f"r{round_}w{i}q{i * 7}" for i in range(300))
+            barrier = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=lambda: (barrier.wait(), embedder.embed_batch([text])))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            lookups += 4 * len(char_ngrams(text, 3))
+    finally:
+        sys.setswitchinterval(interval)
+    stats = table.stats()
+    assert stats["size"] == stats["misses"] > 0
+    assert stats["hits"] + stats["misses"] == lookups
+    assert embedder.embed(text).tobytes() == embed_scalar(embedder, text).tobytes()
+
+
 class TestCachedBatch:
     def test_repeats_are_one_miss_and_rows_are_read_only(self):
         cached = CachedEmbedder(dim=64)

@@ -1,8 +1,10 @@
 """The stem vocabulary is a lookup in front of the rules, never a change to them."""
 
 import importlib
+import statistics
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,24 @@ def test_bound_evicts_oldest_first_and_counts(tiny_vocabulary):
     assert stem("readings") == "read"
     assert tiny_vocabulary.stats() == {"hits": 1, "misses": 6, "size": 4}
     assert set(stem_vocabulary_stats()) == {"hits", "misses", "size"}
+
+
+def test_learning_past_the_bound_costs_what_learning_below_it_does():
+    """Each eviction is O(1): past the bound a new token costs about what
+    it did while the table filled, however many evictions came before."""
+    vocabulary = _StemVocabulary()
+    vocabulary._BOUND = bound = 8192
+    chunk = 512
+    tokens = [f"tok{i}x" for i in range(8 * bound)]
+    seconds = []
+    for start in range(0, len(tokens), chunk):
+        began = time.perf_counter()
+        vocabulary.stem_all(tokens[start : start + chunk])
+        seconds.append(time.perf_counter() - began)
+    filling = statistics.median(seconds[: bound // chunk])
+    evicting = statistics.median(seconds[2 * bound // chunk :])
+    assert vocabulary.stats() == {"hits": 0, "misses": len(tokens), "size": bound}
+    assert evicting < 2 * filling, (filling, evicting)
 
 
 def test_a_repeated_unseen_token_is_one_miss(tiny_vocabulary):

@@ -8,7 +8,7 @@ file, the ``def``s that only the tests reach and the ones nothing
 reaches, then a production / tests-only / unreached table of ``def``s
 and lines (a ``def``'s lines exclude the ``def``s nested in it).
 
-    python scripts/census.py            # about 3 minutes on two cores
+    python scripts/census.py            # about 5 minutes on two cores
 
 The census reports what ran; deciding what is dead takes reading the
 code — a model-facing SQL form the rule-based LLM never writes is
@@ -42,9 +42,7 @@ PRODUCTION = [
         for w in WORKLOADS
         for t in ("0", "1")
     ],
-    ["scripts/run_all_experiments.py", "--scale", "0.02"],
-    ["-m", "pytest", "benchmarks", "-q", "--benchmark-disable",
-     "--ignore=benchmarks/turn_budget"],
+    ["scripts/golden.py", "--check"],
 ]
 TIER1 = [["-m", "pytest", "tests", "-q"]]
 

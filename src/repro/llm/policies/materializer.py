@@ -19,6 +19,14 @@ from .planning import plan_from_json
 _STEP_RE = re.compile(r"step (\d+) \((\w+)\)")
 
 
+def _repairable(program: Any) -> bool:
+    """Whether a previous program is steps the repair can edit: a list of
+    objects that each name their op.  Anything else is written afresh."""
+    return isinstance(program, list) and all(
+        isinstance(step, dict) and isinstance(step.get("op"), str) for step in program
+    )
+
+
 class MaterializerPolicy:
     """Produces and repairs pipeline programs."""
 
@@ -31,7 +39,7 @@ class MaterializerPolicy:
         error = sections.get("ERROR", "")
         previous = section_json(sections, "PREVIOUS_PROGRAM", None)
 
-        if error and previous:
+        if error and previous and _repairable(previous):
             program = self._repair(previous, error)
         else:
             program = self._generate(spec, plan_json, docs)

@@ -121,3 +121,5 @@ def parse_response(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise PromptFormatError(f"LLM response is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PromptFormatError("LLM response nests too deeply to parse") from exc

@@ -12,14 +12,13 @@ __all__ = ["ObservabilityConfig"]
 class ObservabilityConfig:
     """How a :class:`~repro.service.PneumaService` traces its turns.
 
-    ``tracing=False`` (or passing ``observability=None`` to the service)
-    is bit-transparent: no tracer is constructed and instrumented code
-    hits only the no-op fast path.  ``clock`` overrides the tracer's
+    Passing ``observability=None`` to the service instead is
+    bit-transparent: no tracer is constructed and instrumented code hits
+    only the no-op fast path.  ``clock`` overrides the tracer's
     timestamp source (``time.perf_counter`` by default); inject a virtual
     clock for fully reproducible span trees.
     """
 
-    tracing: bool = True
     trace_seed: int = 0
     max_traces: int = 256
     slow_turn_seconds: float = 0.5

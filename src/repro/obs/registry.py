@@ -8,10 +8,9 @@ The registry is the service's one source of numeric telemetry.  Design:
   re-registering the same name returns the existing family and a
   kind/label mismatch raises — exposition can therefore never render a
   name under two types.
-* **O(1), lock-striped hot path.**  Each child (one per label-value
-  combination) holds a reference to one of the registry's ``stripes``
-  locks, chosen by hash at creation.  Recording is one dict hit plus one
-  striped-lock increment; no registry-wide lock is ever taken to record.
+* **O(1) hot path.**  Each child (one per label-value combination)
+  holds its own lock.  Recording is one dict hit plus one locked
+  increment; no registry-wide lock is ever taken to record.
   Callers on hot paths cache the family or child itself (as
   ``PneumaService`` does), making a record exactly one lock acquire.
 * **Pull-side collectors.**  :meth:`MetricsRegistry.add_collector`
@@ -83,8 +82,8 @@ class _Counter:
 
     __slots__ = ("_lock", "_value")
 
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
+    def __init__(self):
+        self._lock = threading.Lock()
         self._value = 0
 
     def inc(self, amount: float = 1) -> None:
@@ -112,11 +111,11 @@ class _Histogram:
 
     __slots__ = ("_lock", "buckets", "max_samples", "_counts", "_sum", "_count", "_samples")
 
-    def __init__(self, lock: threading.Lock, buckets: Sequence[float], max_samples: int = 0):
+    def __init__(self, buckets: Sequence[float], max_samples: int = 0):
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
-        self._lock = lock
+        self._lock = threading.Lock()
         self.buckets = bounds
         self.max_samples = max_samples
         self._counts = [0] * (len(bounds) + 1)  # last slot is +Inf
@@ -220,9 +219,7 @@ class MetricFamily:
         with self._registry._registration_lock:
             child = self._children.get(key)
             if child is None:
-                child = _CHILD_KINDS[self.kind](
-                    self._registry._stripe(self.name, key), **self._opts
-                )
+                child = _CHILD_KINDS[self.kind](**self._opts)
                 self._children[key] = child
         return child
 
@@ -265,16 +262,10 @@ class MetricFamily:
 class MetricsRegistry:
     """The service-wide registry of metric families."""
 
-    def __init__(self, stripes: int = 64):
-        if stripes < 1:
-            raise ValueError(f"stripes must be >= 1, got {stripes}")
+    def __init__(self):
         self._registration_lock = threading.Lock()
-        self._stripes = tuple(threading.Lock() for _ in range(stripes))
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: Dict[str, Callable[[], Any]] = {}
-
-    def _stripe(self, name: str, label_values: Tuple[str, ...]) -> threading.Lock:
-        return self._stripes[hash((name,) + label_values) % len(self._stripes)]
 
     # ------------------------------------------------------------------
     def counter(self, name: str, help_text: str = "", labels: Sequence[str] = ()) -> MetricFamily:

@@ -214,7 +214,7 @@ class PneumaService:
         # across retrieval/SQL/LLM/storage all hit their no-op fast path.
         self.tracer: Optional[Tracer] = None
         self.slow_turns: Optional[SlowTurnLog] = None
-        if observability is not None and observability.tracing:
+        if observability is not None:
             self.tracer = Tracer(
                 seed=observability.trace_seed,
                 clock=observability.clock,

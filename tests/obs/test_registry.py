@@ -112,7 +112,7 @@ class TestFamilies:
 class TestConcurrency:
     def test_concurrent_recording_is_exact(self):
         """N threads x M observations: totals must be exact, not approximate."""
-        registry = MetricsRegistry(stripes=4)
+        registry = MetricsRegistry()
         counter = registry.counter("ops", labels=("worker",))
         hist = registry.histogram("lat", buckets=(0.5,), max_samples=0)
         threads_n, each = 8, 500

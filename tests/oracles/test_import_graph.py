@@ -327,13 +327,12 @@ def test_one_index_per_generation():
 
 def test_one_retriever_assembly():
     """A lake's index is built one way, ``build_shared_retriever``: the
-    service, the paper's experiments, the baselines, the benches and the
-    examples all take the bundle it returns instead of calling
+    service, the paper's experiments, the baselines and the examples all
+    take the bundle it returns instead of calling
     ``PneumaRetriever(...)`` themselves."""
     paths = [path for path in SRC.rglob("*.py") if path != SRC / "service" / "shared.py"]
     for directory in ("scripts", "examples"):
         paths += (ROOT / directory).rglob("*.py")
-    paths += (ROOT / "benchmarks").glob("bench_*.py")
     for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):

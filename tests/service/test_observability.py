@@ -76,8 +76,7 @@ class TestSpanTrees:
             assert "obs" not in service.stats()
 
     def test_tracing_disabled_config_is_untraced(self, lake):
-        config = ObservabilityConfig(tracing=False)
-        with PneumaService(lake, max_workers=2, observability=config) as service:
+        with PneumaService(lake, max_workers=2, observability=None) as service:
             assert service.tracer is None
 
     def test_stats_exposes_obs_accounting(self, lake):
@@ -114,7 +113,7 @@ class TestTransparency:
             return out
 
         baseline = transcript(None)
-        assert transcript(ObservabilityConfig(tracing=False)) == baseline
+        assert transcript(None) == baseline
         assert transcript(ObservabilityConfig()) == baseline
 
 
@@ -271,8 +270,7 @@ class TestResponseTraceIds:
         assert shed.reason == "queue-deadline" and shed.trace_id == shed_root.trace_id
         assert late.trace_id != shed.trace_id
 
-    @pytest.mark.parametrize("config", [None, ObservabilityConfig(tracing=False)])
-    def test_untraced_responses_have_no_trace_id(self, lake, config):
-        with PneumaService(lake, max_workers=2, observability=config) as service:
+    def test_untraced_responses_have_no_trace_id(self, lake):
+        with PneumaService(lake, max_workers=2, observability=None) as service:
             session = service.open_session(user="u")
             assert service.post_turn(session, RETRIEVAL_QUESTION).trace_id == ""

@@ -2,7 +2,8 @@
 
 Four action families: internal reasoning, tool calls (IR System,
 Materializer, SQL Executor, value grounding), state modification, and
-user-facing communication.  Actions cross the LLM boundary as JSON.
+user-facing communication.  Actions cross the LLM boundary as JSON, in
+the shapes :data:`repro.llm.contract.ACTIONS` declares.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .state import TargetTable
+from ..llm.contract import ACTIONS, problem
 
 
 class ActionError(ValueError):
@@ -84,60 +85,25 @@ class MessageUser(Action):
 
 
 _ACTION_TYPES = {
-    "reason": Reason,
-    "retrieve": Retrieve,
-    "ground_values": GroundValues,
-    "update_state": UpdateState,
-    "materialize": Materialize,
-    "execute_sql": ExecuteSQL,
-    "message_user": MessageUser,
+    cls.kind: cls
+    for cls in (Reason, Retrieve, GroundValues, UpdateState, Materialize, ExecuteSQL, MessageUser)
 }
-
-
-#: The JSON type of each action field; a field that defaults to None may
-#: also be null.
-_FIELD_TYPES = {
-    "thought": str,
-    "query": str,
-    "table": str,
-    "column": str,
-    "note": str,
-    "message": str,
-    "table_spec": dict,
-    "queries": list,
-    "plan": dict,
-}
-_NULLABLE = frozenset({"table_spec", "queries", "plan"})
 
 
 def action_from_json(data: Dict[str, Any]) -> Action:
     """Decode an action payload produced by the LLM; raises
-    :class:`ActionError` for anything that is not a well-typed action."""
+    :class:`ActionError` unless it meets its kind's shape in
+    :data:`~repro.llm.contract.ACTIONS`."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ActionError(f"action payload must be a dict with 'kind': {data!r}")
     kind = data["kind"]
-    cls = _ACTION_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ActionError(f"unknown action kind {kind!r}; known: {sorted(_ACTION_TYPES)}")
-    fields = {k: v for k, v in data.items() if k != "kind"}
-    for name, value in fields.items():
-        expected = _FIELD_TYPES.get(name)
-        if expected is None or (value is None and name in _NULLABLE):
-            continue  # an unknown field fails the constructor below
-        if not isinstance(value, expected) or (
-            name == "queries" and not all(isinstance(q, str) for q in value)
-        ):
-            raise ActionError(f"field {name!r} of action {kind!r} has the wrong type: {value!r}")
-    try:
-        action = cls(**fields)
-    except TypeError as exc:
-        raise ActionError(f"bad fields for action {kind!r}: {exc}") from exc
-    if isinstance(action, UpdateState) and action.table_spec is not None:
-        try:
-            TargetTable.from_json(action.table_spec)
-        except ValueError as exc:
-            raise ActionError(f"bad table_spec for action {kind!r}: {exc}") from exc
-    return action
+    shape = ACTIONS.get(kind) if isinstance(kind, str) else None
+    if shape is None:
+        raise ActionError(f"unknown action kind {kind!r}; known: {sorted(ACTIONS)}")
+    wrong = problem(shape, data)
+    if wrong:
+        raise ActionError(f"bad {kind!r} action: {wrong}")
+    return _ACTION_TYPES[kind](**data)
 
 
 def action_to_json(action: Action) -> Dict[str, Any]:

@@ -6,7 +6,7 @@ Pandas and NumPy".  Offline, generated programs are JSON pipelines over the
 rather than arbitrary ``exec`` — with the same error-capture contract:
 failures return structured messages the Materializer repairs against.
 
-Supported ops (see ``OP_SIGNATURES``, which also types every field):
+Supported ops (see :data:`repro.llm.contract.STEPS`, which types every field):
 load / join / add_from_records / parse_dates / derive / filter_not_null /
 filter_equals / sort / interpolate / rename / select / limit / result.
 
@@ -22,12 +22,12 @@ every frame or engine error are reported with the step's index.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..frames.frame import DataFrame, FrameError
 from ..frames.series import Series
+from ..llm.contract import STEPS, op_of, problem
 from ..obs import trace as obs
 from ..relational.catalog import Database
 from ..relational.errors import RelationalError
@@ -45,86 +45,20 @@ class InterpreterError(Exception):
         self.detail = message
 
 
-def _list_of(kind: type) -> Callable[[Any], bool]:
-    return lambda v: isinstance(v, list) and all(isinstance(x, kind) for x in v)
-
-
-def _is_value(v: Any) -> bool:
-    return v is None or isinstance(v, (str, int, float, datetime.date))
-
-
-def _is_operand(v: Any) -> bool:
-    if not isinstance(v, Mapping):
-        return False
-    return isinstance(v["col"], str) if "col" in v else "lit" in v and _is_value(v["lit"])
-
-
-_is_names = _list_of(str)
-
-#: Field kinds: what a field of the kind must hold (for the error) and the test.
-FIELD_KINDS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
-    "name": ("a string", lambda v: isinstance(v, str)),
-    "names": ("a list of strings", _is_names),
-    "keys": ("a string or a non-empty list of strings",
-             lambda v: isinstance(v, str) or (_is_names(v) and len(v) > 0)),
-    "value": ("a string, a number, a boolean, a date or null", _is_value),
-    "operand": ("{'col': <column>} or {'lit': <value>}", _is_operand),
-    "records": ("a list of objects", _list_of(Mapping)),
-    "mapping": ("an object of strings to strings",
-                lambda v: isinstance(v, Mapping) and _is_names([*v, *v.values()])),
-    "count": ("an integer", lambda v: type(v) is int),
-    "flags": ("a boolean or a list of booleans",
-              lambda v: isinstance(v, bool) or _list_of(bool)(v)),
-}
-
-#: Each op's required fields and their kinds.
-OP_SIGNATURES: Dict[str, Dict[str, str]] = {
-    "load": {"table": "name"},
-    "join": {"left": "name", "right": "name", "left_on": "keys", "right_on": "keys"},
-    "add_from_records": {
-        "frame": "name", "records": "records", "key": "name",
-        "record_key": "name", "value_field": "name", "new_column": "name",
-    },
-    "parse_dates": {"frame": "name", "column": "name"},
-    "derive": {
-        "frame": "name", "new_column": "name", "operator": "name",
-        "left": "operand", "right": "operand",
-    },
-    "filter_not_null": {"frame": "name", "columns": "names"},
-    "filter_equals": {"frame": "name", "column": "name", "value": "value"},
-    "sort": {"frame": "name", "by": "keys"},
-    "interpolate": {"frame": "name", "column": "name", "order_by": "keys"},
-    "rename": {"frame": "name", "mapping": "mapping"},
-    "select": {"frame": "name", "columns": "names"},
-    "limit": {"frame": "name", "n": "count"},
-    "result": {"frame": "name", "name": "name"},
-}
-
-#: Fields any op may carry, and their kinds.
-OPTIONAL_FIELDS: Dict[str, str] = {"as": "name", "how": "name", "ascending": "flags"}
-
 DERIVE_OPERATORS = ("+", "-", "*", "/")
 
 
 def _check_step(step: int, raw: Any) -> str:
-    """The step's op, once the step is an object naming a known op and
-    carrying every field it needs, each of its kind."""
-    if not isinstance(raw, Mapping):
-        raise InterpreterError(step, "program", f"a step must be an object, got {raw!r}")
-    op = raw.get("op")
-    if not isinstance(op, str) or op not in OP_SIGNATURES:
-        raise InterpreterError(step, str(op), f"unknown op; known: {sorted(OP_SIGNATURES)}")
-    signature = OP_SIGNATURES[op]
-    missing = [k for k in signature if k not in raw]
-    if missing:
-        raise InterpreterError(step, op, f"missing fields: {missing}")
-    for name, kind in (*signature.items(), *OPTIONAL_FIELDS.items()):
-        if name in raw:
-            expected, accepts = FIELD_KINDS[kind]
-            if not accepts(raw[name]):
-                raise InterpreterError(
-                    step, op, f"field {name!r} must be {expected}, got {raw[name]!r}"
-                )
+    """The step's op, once the step is an object naming a known op that
+    meets its shape in :data:`~repro.llm.contract.STEPS`."""
+    op = op_of(raw)
+    if op is None:
+        if not isinstance(raw, Mapping):
+            raise InterpreterError(step, "program", f"a step must be an object, got {raw!r}")
+        raise InterpreterError(step, str(raw.get("op")), f"unknown op; known: {sorted(STEPS)}")
+    wrong = problem(STEPS[op], raw)
+    if wrong:
+        raise InterpreterError(step, op, wrong)
     return op
 
 
@@ -274,7 +208,7 @@ class PipelineInterpreter:
         elif op == "result":
             wrote = self._frame(frames, raw["frame"], read)
             result.tables[raw["name"]] = wrote.to_table(raw["name"])
-        else:  # pragma: no cover - guarded by OP_SIGNATURES
+        else:  # pragma: no cover - guarded by STEPS
             raise InterpreterError(-1, op, "unreachable")
         return read, wrote
 

@@ -16,23 +16,6 @@ from ..relational.catalog import Database
 from ..relational.table import Table
 
 
-_REQUIRED = object()
-
-
-def _typed(data: Any, key: str, kind: type, default: Any = _REQUIRED) -> Any:
-    """``data[key]``, or ``default`` when it is absent, checked to be a ``kind``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a spec must be a JSON object, got {data!r}")
-    if key not in data:
-        if default is _REQUIRED:
-            raise ValueError(f"spec {data!r} has no {key!r}")
-        return default
-    value = data[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"{key!r} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
 @dataclass
 class TargetColumn:
     """One column of a target table, with its intended provenance."""
@@ -44,16 +27,6 @@ class TargetColumn:
     def to_json(self) -> Dict[str, Any]:
         return {"name": self.name, "dtype": self.dtype, "source": self.source}
 
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "TargetColumn":
-        """Decode a column spec; raises ``ValueError`` on a missing name or
-        a field of the wrong JSON type."""
-        return cls(
-            _typed(data, "name", str),
-            _typed(data, "dtype", str, "TEXT"),
-            _typed(data, "source", str, ""),
-        )
-
 
 @dataclass
 class TargetTable:
@@ -62,7 +35,7 @@ class TargetTable:
     name: str
     columns: List[TargetColumn] = field(default_factory=list)
     base_tables: List[str] = field(default_factory=list)
-    integration: Dict[str, Any] = field(default_factory=dict)  # join/web/transform hints
+    integration: Dict[str, Any] = field(default_factory=dict)  # join / web / interpolate hints
     notes: str = ""
 
     def column_names(self) -> List[str]:
@@ -79,18 +52,11 @@ class TargetTable:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "TargetTable":
-        """Decode a table spec; raises ``ValueError`` on a missing name or
-        a field of the wrong JSON type."""
-        base_tables = _typed(data, "base_tables", list, [])
-        if not all(isinstance(table, str) for table in base_tables):
-            raise ValueError(f"'base_tables' must hold strings, got {base_tables!r}")
-        return cls(
-            name=_typed(data, "name", str),
-            columns=[TargetColumn.from_json(c) for c in _typed(data, "columns", list, [])],
-            base_tables=list(base_tables),
-            integration=dict(_typed(data, "integration", dict, {})),
-            notes=_typed(data, "notes", str, ""),
-        )
+        """Build a table spec from JSON that meets
+        :data:`~repro.llm.contract.TABLE_SPEC`, as every ``update_state``
+        :func:`~repro.core.actions.action_from_json` returns does."""
+        columns = [TargetColumn(**column) for column in data.get("columns", [])]
+        return cls(**{**data, "columns": columns})
 
 
 class SharedState:

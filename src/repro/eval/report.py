@@ -87,7 +87,8 @@ def render_convergence_figure(results: Sequence[ConvergenceResult], title: str) 
         col = min(int(round(r.median_turns * 2)), 30)
         row = min(int(round((100 - r.percentage) / 10)), 10)
         grid[row][col] = marker
-    lines.append("")
+    # No blank line: the scatter stays in its figure's block, so a golden
+    # diff of a moved point names the figure.
     lines.append("  convergence %")
     for i, row in enumerate(grid):
         label = f"{100 - i * 10:>4}"

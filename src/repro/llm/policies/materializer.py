@@ -12,19 +12,12 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..contract import op_of
 from ..prompts import render_response, section_json
 from ..semantics import SchemaView
 from .planning import plan_from_json
 
 _STEP_RE = re.compile(r"step (\d+) \((\w+)\)")
-
-
-def _repairable(program: Any) -> bool:
-    """Whether a previous program is steps the repair can edit: a list of
-    objects that each name their op.  Anything else is written afresh."""
-    return isinstance(program, list) and all(
-        isinstance(step, dict) and isinstance(step.get("op"), str) for step in program
-    )
 
 
 class MaterializerPolicy:
@@ -39,7 +32,8 @@ class MaterializerPolicy:
         error = sections.get("ERROR", "")
         previous = section_json(sections, "PREVIOUS_PROGRAM", None)
 
-        if error and previous and _repairable(previous):
+        # The repair edits steps by their op; a program it cannot read is written afresh.
+        if error and isinstance(previous, list) and previous and all(map(op_of, previous)):
             program = self._repair(previous, error)
         else:
             program = self._generate(spec, plan_json, docs)
@@ -81,10 +75,7 @@ class MaterializerPolicy:
                 }
             )
 
-        web_specs = integration.get("web") or []
-        if isinstance(web_specs, dict):
-            web_specs = [web_specs]
-        for web in web_specs:
+        for web in integration.get("web", []):
             program.append(
                 {
                     "op": "add_from_records",

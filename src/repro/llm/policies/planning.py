@@ -10,8 +10,10 @@ accuracies in Table 3.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..contract import PLAN, problem
 from ..semantics import (
     FilterSpec,
     QueryPlan,
@@ -154,39 +156,15 @@ def build_plan(
 
 
 def plan_to_json(plan: QueryPlan) -> Dict[str, Any]:
-    return {
-        "table": plan.table,
-        "aggregate": plan.aggregate,
-        "measure": plan.measure,
-        "filters": [
-            {"column": f.column, "value": f.value, "op": f.op} for f in plan.filters
-        ],
-        "group_by": plan.group_by,
-        "order_column": plan.order_column,
-        "interpolate": plan.interpolate,
-        "first_last": plan.first_last,
-        "round_digits": plan.round_digits,
-        "join": plan.join,
-        "second_measure": plan.second_measure,
-        "measure_expr": plan.measure_expr,
-    }
+    """The plan as the JSON :data:`~repro.llm.contract.PLAN` declares."""
+    return dataclasses.asdict(plan)
 
 
 def plan_from_json(data: Mapping[str, Any]) -> QueryPlan:
-    return QueryPlan(
-        table=data["table"],
-        aggregate=data["aggregate"],
-        measure=data.get("measure"),
-        filters=[
-            FilterSpec(f["column"], f["value"], f.get("op", "="))
-            for f in data.get("filters", [])
-        ],
-        group_by=data.get("group_by"),
-        order_column=data.get("order_column"),
-        interpolate=bool(data.get("interpolate")),
-        first_last=bool(data.get("first_last")),
-        round_digits=data.get("round_digits"),
-        join=data.get("join"),
-        second_measure=data.get("second_measure"),
-        measure_expr=data.get("measure_expr"),
-    )
+    """Decode a plan; raises ``ValueError`` unless it meets
+    :data:`~repro.llm.contract.PLAN`."""
+    wrong = problem(PLAN, data, "plan")
+    if wrong:
+        raise ValueError(wrong)
+    filters = [FilterSpec(**f) for f in data.get("filters", [])]
+    return QueryPlan(**{"aggregate": None, "measure": None, **data, "filters": filters})

@@ -13,7 +13,9 @@ would sit behind.  Prompts are section-structured::
 
 ``render_prompt``/``parse_prompt`` define that format; JSON payloads ride
 inside sections.  The offline :class:`~repro.llm.rule_llm.RuleLLM` parses
-the sections back out; a hosted model would read the same text.  A body
+the sections back out; a hosted model would read the same text, and its
+replies would have to meet the shapes :mod:`repro.llm.contract` declares
+for its role, which every decoder checks.  A body
 line that would read as a section marker (a user message may carry a
 ``"## "`` heading) is escaped with one more leading backslash on render
 and unescaped on parse, so no body can open a section.

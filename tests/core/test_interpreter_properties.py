@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import InterpreterError, PipelineInterpreter
-from repro.core.interpreter import OP_SIGNATURES, OPTIONAL_FIELDS
 from repro.frames import Series
 from repro.frames.series import _gather
+from repro.llm import contract
 from repro.relational import Column, DataType, Database, Schema, Table
 from repro.relational.errors import ExecutionError
 
@@ -331,36 +331,52 @@ name = st.sampled_from(NAMES)
 # Per field kind, values a model may plausibly write (so the op runs)
 # beside anything at all (so the field checks run).
 plausible = {
-    "name": name,
-    "names": st.lists(name, max_size=3),
-    "keys": st.one_of(name, st.lists(name, max_size=2)),
-    "value": st.one_of(cells, st.integers(), st.floats()),
-    "operand": st.one_of(
+    contract.TEXT: name,
+    contract.NAMES: st.lists(name, max_size=3),
+    contract.KEYS: st.one_of(name, st.lists(name, min_size=1, max_size=2)),
+    contract.VALUE: st.one_of(cells, st.integers(), st.floats()),
+    contract.OPERAND: st.one_of(
         st.fixed_dictionaries({"col": name}),
         st.fixed_dictionaries({"lit": st.one_of(cells, st.integers(), st.floats())}),
     ),
-    "records": st.lists(st.dictionaries(name, st.one_of(cells, name), max_size=3), max_size=3),
-    "mapping": st.dictionaries(name, name, max_size=2),
-    "count": st.integers(),
-    "flags": st.one_of(st.booleans(), st.lists(st.booleans(), max_size=2)),
+    contract.RECORDS: st.lists(
+        st.dictionaries(name, st.one_of(cells, name), max_size=3), max_size=3
+    ),
+    contract.MAPPING: st.dictionaries(name, name, max_size=2),
+    contract.COUNT: st.integers(),
+    contract.FLAGS: st.one_of(st.booleans(), st.lists(st.booleans(), max_size=2)),
 }
 
 
 @st.composite
 def fuzzed_steps(draw):
-    """A step of any of the 13 ops, each field plausible, arbitrary or
-    missing; now and then a step that is no object at all."""
+    """A step of any of the 13 ops, each declared field plausible,
+    arbitrary or missing, now and then with a field no op declares; now
+    and then a step that is no object at all."""
     if draw(st.integers(0, 19)) == 0:
         return draw(anything)
-    op = draw(st.sampled_from(sorted(OP_SIGNATURES)))
+    op = draw(st.sampled_from(sorted(contract.STEPS)))
+    shape = contract.STEPS[op]
     step = {"op": op}
-    fields = {**OP_SIGNATURES[op], **OPTIONAL_FIELDS}
-    for field, kind in fields.items():
+    for field, kind in {**shape.required, **shape.optional}.items():
         choice = draw(st.integers(0, 9))
-        if choice == 0 or (field in OPTIONAL_FIELDS and choice < 6):
+        if field == "op" or choice == 0 or (field in shape.optional and choice < 6):
             continue
         step[field] = draw(anything if choice == 1 else plausible[kind])
+    if draw(st.integers(0, 19)) == 0:
+        step["note"] = draw(anything)
     return step
+
+
+@given(st.data())
+def test_a_step_of_plausible_values_meets_its_shape(data):
+    """The hand-written plausible values of each field kind are what the
+    contract accepts, so a step a model plausibly writes reaches its op."""
+    op = data.draw(st.sampled_from(sorted(contract.STEPS)))
+    shape = contract.STEPS[op]
+    fields = {**shape.required, **shape.optional}
+    step = {field: data.draw(plausible[kind]) for field, kind in fields.items()}
+    assert contract.problem(shape, {**step, "op": op}) is None
 
 
 mixed = st.one_of(cells, st.integers(), st.floats(), st.sampled_from(["a", "B"]))

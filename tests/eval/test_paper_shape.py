@@ -331,10 +331,15 @@ def test_turn_budget_golden_holds_every_benchmark_workload():
         assert re.fullmatch(r"  transcript digest: [0-9a-f]{32}", digest), name
 
 
-def test_golden_diff_names_the_changed_cell():
+def golden_script():
     spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
+    return golden
+
+
+def test_golden_diff_names_the_changed_cell():
+    golden = golden_script()
     text = (GOLDEN / "experiments.txt").read_text()
     assert golden.block_diff("golden/experiments.txt", text, text) == []
     grid = "scenario coverage (stress=drift"
@@ -347,4 +352,17 @@ def test_golden_diff_names_the_changed_cell():
     assert [line.split()[:3] for line in diff if line[:1] in "-+" and line[1:2] == " "] == [
         ["-", "UU", "ok"],
         ["+", "UU", "MISS"],
+    ]
+
+
+@pytest.mark.parametrize("title", ["Figure 4 (archaeology)", "Figure 5 (environment)"])
+def test_golden_diff_names_the_figure_of_a_moved_scatter_point(title):
+    text = (GOLDEN / "experiments.txt").read_text()
+    top = text.index(" 100 |", text.index(title)) + len(" 100 |")
+    mutated = text[:top] + "9" + text[top + 1 :]
+    diff = golden_script().block_diff("golden/experiments.txt", text, mutated)
+    assert diff[0] == f"--- golden/experiments.txt: {title}"
+    assert [line[:7] for line in diff if line[:1] in "-+" and line[1:2] == " "] == [
+        "- 100 |",
+        "+ 100 |",
     ]

@@ -1,6 +1,7 @@
 """Snapshot-swap reindexing: the gate (the handle sessions hold) and the service call."""
 
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -150,28 +151,47 @@ class TestServiceReindex:
     def test_reindex_during_traffic_fails_no_turns(self, lake):
         tracing = ObservabilityConfig(max_traces=100_000)
         with PneumaService(lake, max_workers=4, observability=tracing) as service:
-            sids = [service.open_session() for _ in range(4)]
             stop = threading.Event()
             errors = []
 
-            def chatter(sid):
+            def chatter():
+                # A fresh session every turn: a session that has grounded its
+                # question answers a repeat without searching, and every turn
+                # here must search.
                 while not stop.is_set():
                     try:
+                        sid = service.open_session()
                         service.post_turn(sid, QUESTION)
+                        service.close_session(sid)
                     except Exception as exc:  # noqa: BLE001 - the assertion
                         errors.append(exc)
                         return
 
-            threads = [threading.Thread(target=chatter, args=(sid,)) for sid in sids]
+            def searched_on(generation):
+                return any(
+                    span.attrs["generation"] == generation
+                    for root in service.tracer.traces("turn")
+                    for span in root.iter_spans()
+                    if span.name.startswith("retrieval.search")
+                )
+
+            threads = [threading.Thread(target=chatter) for _ in range(4)]
             for thread in threads:
                 thread.start()
             try:
-                for _ in range(3):
+                for generation in range(3):
+                    # Each swap waits until a turn has searched the generation
+                    # it retires, so the traffic straddles every swap.
+                    deadline = time.monotonic() + 60
+                    while not searched_on(generation) and not errors:
+                        assert time.monotonic() < deadline, f"no search on {generation}"
+                        time.sleep(0.01)
                     service.reindex()
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             stats = service.stats()
             assert stats["reindex_swaps"] == 3

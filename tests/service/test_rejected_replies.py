@@ -7,16 +7,17 @@ truncation of a real reply, through ``post_turn``."""
 
 import dataclasses
 import json
+import typing
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import _ACTION_TYPES, ActionError, action_from_json
-from repro.core.interpreter import OP_SIGNATURES, OPTIONAL_FIELDS
+from repro.core.actions import ActionError, action_from_json
 from repro.core.session import SeekerResponse, build_seeker_llm
 from repro.datasets import build_procurement_lake
+from repro.llm import contract
 from repro.llm.policies import ConductorPolicy, MaterializerPolicy
 from repro.llm.prompts import section_json
 from repro.service import PneumaService
@@ -35,14 +36,16 @@ ERRORS = [
 
 
 class ScriptedConductor(ConductorPolicy):
-    """The rule policy, except that the first reply of a turn is the next
-    scripted one (every reply, with ``always``); records each prompt's
+    """The rule policy, except that the first replies of a turn are the next
+    scripted entry: one reply, or a list of replies sent in order (every
+    reply is the first entry, with ``always``); records each prompt's
     ``ACTIONS`` and ``LAST_ERROR``."""
 
     def __init__(self, replies, always=False):
         self.replies = list(replies)
         self.always = always
         self.prompts = []
+        self.turn = []
 
     def respond(self, sections):
         actions = section_json(sections, "ACTIONS", [])
@@ -50,7 +53,10 @@ class ScriptedConductor(ConductorPolicy):
         if self.always:
             return self.replies[0]
         if not actions:
-            return self.replies.pop(0)
+            entry = self.replies.pop(0) if self.replies else []
+            self.turn = [entry] if isinstance(entry, str) else list(entry)
+        if self.turn:
+            return self.turn.pop(0)
         return super().respond(sections)
 
 
@@ -115,8 +121,36 @@ def test_a_mistyped_action_is_one_rejected_reply():
         assert response.turn_log.actions[0]["kind"] == "rejected"
 
 
-_DECLARED = {"thought": str, "query": str, "table": str, "column": str, "note": str,
-             "message": str, "table_spec": dict, "queries": list, "plan": dict}  # fmt: skip
+def target_spec(**integration):
+    """A valid table spec over the procurement lake's orders."""
+    return {"name": "orders_t", "base_tables": ["purchase_orders"],
+            "columns": [{"name": "price"}, {"name": "country"}], "integration": integration}
+
+
+LOOPED_PLAN = {"table": "purchase_orders", "aggregate": "avg", "measure": "price",
+               "order_column": "order_date"}  # an ordering keeps the Materializer's loop in charge
+
+#: An ``update_state`` whose plan or integration hint no reader can read,
+#: each followed by a ``materialize`` of its table (which used to raise).
+HOLES = {
+    "plan filters": (target_spec(), {**LOOPED_PLAN, "filters": [1]}),
+    "join hint": (target_spec(join=1), LOOPED_PLAN),
+    "web hint": (target_spec(web=5), LOOPED_PLAN),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(HOLES))
+def test_a_stored_field_no_reader_can_read_is_one_rejected_reply(hole):
+    spec, plan = HOLES[hole]
+    update = {"kind": "update_state", "table_spec": spec, "plan": plan}
+    materialize = {"kind": "materialize", "table": "orders_t"}
+    replies = [json.dumps({"action": action}) for action in (update, materialize)]
+    (response,), stats = serve(ScriptedConductor([replies]), 1)
+    assert type(response) is SeekerResponse and response.message
+    assert stats["turns_failed"] == 0 and stats["replies_rejected"] == 1
+    assert response.turn_log.rejected == 1
+    assert [a["kind"] for a in response.turn_log.actions[:2]] == ["rejected", "materialize"]
+
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)
@@ -129,15 +163,91 @@ def containers(inner):
 
 json_values = st.recursive(scalars, containers, max_leaves=6)
 
+#: Names of the procurement lake and of the rule policy's programs, so that
+#: a drawn reply can reach past its checks into the lake and the frames.
+LAKE_NAMES = ["main", "dim", "purchase_orders", "suppliers", "price", "Germany", "order_id"]
+names = st.sampled_from(LAKE_NAMES)
+#: Per kind of JSON value the contract names, values a model may plausibly write.
+PLAUSIBLE = {
+    contract.TEXT: names,
+    contract.NAMES: st.lists(names, max_size=3),
+    contract.KEYS: names | st.lists(names, min_size=1, max_size=2),
+    contract.VALUE: scalars | names,
+    contract.OPERAND: st.fixed_dictionaries({"col": names})
+    | st.fixed_dictionaries({"lit": scalars}),
+    contract.RECORDS: st.lists(st.dictionaries(names, scalars | names, max_size=3), max_size=3),
+    contract.MAPPING: st.dictionaries(names, names, max_size=2),
+    contract.COUNT: st.integers(-2, 5),
+    contract.FLAG: st.booleans(),
+    contract.FLAGS: st.booleans() | st.lists(st.booleans(), max_size=2),
+}
 
-@st.composite
-def actions(draw):
-    """An action kind with any subset of its fields, each filled with a
-    JSON value of any type."""
-    kind = draw(st.sampled_from(sorted(_ACTION_TYPES)))
-    names = [f.name for f in dataclasses.fields(_ACTION_TYPES[kind]) if f.name != "kind"]
-    chosen = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
-    return {"kind": kind, **{name: draw(json_values) for name in chosen}}
+
+def drawn(kind, junk):
+    """Values of a declared kind; with ``junk``, now and then a field or an
+    item holds any JSON value, a required field is left out or an unknown
+    one is added."""
+
+    def inner(kind):
+        values = drawn(kind, junk)
+        return st.one_of(values, values, values, json_values) if junk else values
+
+    if isinstance(kind, contract.Kind):
+        return PLAUSIBLE[kind]
+    if isinstance(kind, contract.Shape):
+        fields = {name: inner(field) for name, field in {**kind.required, **kind.optional}.items()}
+        values = st.fixed_dictionaries(
+            {name: fields[name] for name in kind.required},
+            optional={name: fields[name] for name in kind.optional},
+        )
+        if junk:
+            values |= st.fixed_dictionaries({}, optional={**fields, "extra": json_values})
+        return values
+    if isinstance(kind, list):
+        return st.lists(inner(kind[0]), max_size=2)
+    return st.none() | drawn(kind[0], junk)  # (kind, None)
+
+
+def tagged(shapes, tag, names):
+    """An object of one of the ``names`` shapes, whose ``tag`` names it:
+    as declared, or with junk in it."""
+    return st.one_of(
+        [
+            drawn(shapes[name], junk).map(lambda fields, name=name: {**fields, tag: name})
+            for name in names
+            for junk in (False, True)
+        ]
+    )
+
+
+actions = tagged(contract.ACTIONS, "kind", sorted(contract.ACTIONS))
+
+
+def decoded(payload):
+    """The action a payload decodes to; None for a rejected one."""
+    try:
+        return action_from_json(payload)
+    except ActionError:
+        return None
+
+
+def holds_annotated_types(action):
+    """Whether every field of an action holds the type its dataclass
+    annotates (``str``, ``Optional[Dict]``, ``Optional[List[str]]``): checked
+    by hand, apart from the contract the decoder reads."""
+    hints = typing.get_type_hints(type(action))
+    for field in dataclasses.fields(action):
+        value, hint = getattr(action, field.name), hints[field.name]
+        if value is None:
+            if type(None) not in typing.get_args(hint):
+                return False
+            continue
+        hint = next((h for h in typing.get_args(hint) if h is not type(None)), hint)
+        if not isinstance(value, typing.get_origin(hint) or hint):
+            return False
+        if typing.get_origin(hint) is list and not all(isinstance(v, str) for v in value):
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -154,19 +264,11 @@ def scripted_service():
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(payload=actions())
+@given(payload=actions)
 def test_any_typed_fields_decode_to_a_typed_action_or_one_rejected_reply(scripted_service, payload):
     service, policy = scripted_service
-    try:
-        action = action_from_json(payload)
-    except ActionError:
-        action = None
-    else:
-        for field in dataclasses.fields(action):
-            value = getattr(action, field.name)
-            if field.name != "kind" and value is not None:
-                assert isinstance(value, _DECLARED[field.name])
-        assert all(isinstance(q, str) for q in getattr(action, "queries", None) or [])
+    action = decoded(payload)
+    assert action is None or holds_annotated_types(action)
     failed = service.stats()["turns_failed"]
     session = service.open_session()
     policy.replies = [json.dumps({"action": payload})]
@@ -175,6 +277,43 @@ def test_any_typed_fields_decode_to_a_typed_action_or_one_rejected_reply(scripte
     assert type(response) is SeekerResponse
     assert service.stats()["turns_failed"] == failed
     assert (response.turn_log.actions[0]["kind"] == "rejected") == (action is None)
+
+
+@st.composite
+def reply_sequences(draw):
+    """Two to four Conductor replies for one turn: an ``update_state``, up
+    to two actions of any kind, and a ``materialize`` of the table the
+    update names, so that the spec and plan it stores reach their readers."""
+    junk = draw(st.booleans())
+    spec = draw(drawn(contract.TABLE_SPEC, junk))
+    update = {"kind": "update_state", "table_spec": spec, "plan": draw(drawn(contract.PLAN, junk))}
+    name = spec.get("name")
+    middle = draw(st.lists(actions, max_size=2))
+    materialize = {"kind": "materialize", "table": name if isinstance(name, str) else "main"}
+    return [update, *middle, materialize]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sequence=reply_sequences())
+def test_a_stored_field_reaches_its_reader_or_its_reply_is_rejected(scripted_service, sequence):
+    """The readers of a stored spec and plan (the Materializer's program
+    generator, the alignment compiler) are the check the contract does
+    not write: none of them fails the turn."""
+    service, policy = scripted_service
+    before = service.stats()
+    session = service.open_session()
+    policy.replies = [[json.dumps({"action": action}) for action in sequence]]
+    response = service.post_turn(session, PIPELINE_QUESTION)
+    service.close_session(session)
+    after = service.stats()
+    assert type(response) is SeekerResponse
+    assert after["turns_failed"] == before["turns_failed"]
+    actions_taken = response.turn_log.actions
+    served = min(len(sequence), len(actions_taken))
+    rejected = [decoded(action) is None for action in sequence[:served]]
+    assert [a["kind"] == "rejected" for a in actions_taken[:served]] == rejected
+    assert response.turn_log.rejected == after["replies_rejected"] - before["replies_rejected"]
+    assert response.turn_log.rejected == sum(rejected)
 
 
 class FlakyMaterializer(MaterializerPolicy):
@@ -290,26 +429,10 @@ def test_every_truncation_of_a_real_materializer_reply_is_one_rejected_reply():
             assert response.answer_value is not None, n
 
 
-#: Names of the procurement lake and of the rule policy's programs, so that
-#: fuzzed steps can reach past field checks into the frames.
-LAKE_NAMES = ["main", "dim", "purchase_orders", "suppliers", "price", "Germany", "order_id"]
-
-
-@st.composite
-def program_steps(draw):
-    """A step naming a known op with any subset of its fields, each a name
-    from the lake or a JSON value of any type."""
-    op = draw(st.sampled_from(sorted(OP_SIGNATURES)))
-    names = [*OP_SIGNATURES[op], *OPTIONAL_FIELDS]
-    chosen = draw(st.lists(st.sampled_from(names), unique=True))
-    values = st.sampled_from(LAKE_NAMES) | json_values
-    return {"op": op, **{name: draw(values) for name in chosen}}
-
-
 materializer_replies = st.one_of(
     st.text(max_size=12),
     json_values.map(json.dumps),
-    st.lists(program_steps() | json_values, max_size=5).map(
+    st.lists(tagged(contract.STEPS, "op", sorted(contract.STEPS)) | json_values, max_size=5).map(
         lambda program: json.dumps({"program": program})
     ),
 )

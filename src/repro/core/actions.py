@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..llm.contract import ACTIONS, problem
+from ..llm.contract import ACTIONS, MESSAGE, problem
 
 
 class ActionError(ValueError):
@@ -78,10 +78,15 @@ class ExecuteSQL(Action):
 
 @dataclass
 class MessageUser(Action):
-    """User-facing communication; ends the Conductor's action sequence."""
+    """User-facing communication; ends the Conductor's action sequence, so
+    its message may not be blank (the contract's ``MESSAGE``)."""
 
     message: str = ""
     kind: str = "message_user"
+
+    def __post_init__(self) -> None:
+        if not MESSAGE.accepts(self.message):
+            raise ActionError(f"a message_user action needs a message, got {self.message!r}")
 
 
 _ACTION_TYPES = {

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from ..ir.system import IRSystem
 from ..llm.clock import TOOL_CALL_SECONDS
+from ..llm.contract import REPLY, problem
 from ..llm.prompts import PromptFormatError, parse_response, render_prompt, render_section
 from ..llm.rule_llm import RuleLLM
 from ..obs import trace as obs
@@ -152,7 +153,10 @@ class Conductor:
                 raise PromptFormatError(
                     f"LLM response must be a JSON object holding an 'action', got {reply[:80]!r}"
                 )
-            action = action_from_json(payload.get("action", {}))
+            wrong = problem(REPLY, payload)
+            if wrong:
+                raise PromptFormatError(f"bad reply: {wrong}")
+            action = action_from_json(payload["action"])
         except (PromptFormatError, ActionError) as exc:
             self._rejection = f"rejected reply: {exc}"
             log.thoughts.append("")

@@ -2,7 +2,7 @@
 
 The system acts on a model reply only once it meets its shape here, as a
 hosted model's replies would have to.  The Conductor replies ``{"thought":
-..., "action": {...}}``, the action one of :data:`ACTIONS`; an
+..., "action": {...}}`` (:data:`REPLY`), the action one of :data:`ACTIONS`; an
 ``update_state`` carries a :data:`TABLE_SPEC` and the :data:`PLAN` the
 Materializer reads later.  The Materializer replies ``{"program": [...]}``,
 each step one of the 13 :data:`STEPS`.  A kind is plain data: a
@@ -120,17 +120,25 @@ PLAN = Shape({"table": TEXT}, {
     "second_measure": (TEXT, None), "measure_expr": (TEXT, None),
 })
 
-#: Each action kind's shape: its kind and its fields, none of them required.
-ACTIONS = {kind: Shape({"kind": TEXT}, fields) for kind, fields in {
-    "reason": {"thought": TEXT},
-    "retrieve": {"query": TEXT},
-    "ground_values": {"table": TEXT, "column": TEXT},
-    "update_state": {"table_spec": (TABLE_SPEC, None), "queries": (NAMES, None),
-                     "plan": (PLAN, None)},
-    "materialize": {"table": TEXT, "note": TEXT},
-    "execute_sql": {},
-    "message_user": {"message": TEXT},
+#: What a user is told: a message with something in it.
+MESSAGE = Kind("a non-blank string", lambda v: isinstance(v, str) and bool(v.strip()))
+
+#: Each action kind's shape: its kind, its required fields and its optional ones.
+ACTIONS = {kind: Shape({"kind": TEXT, **required}, optional) for kind, (required, optional) in {
+    "reason": ({}, {"thought": TEXT}),
+    "retrieve": ({}, {"query": TEXT}),
+    "ground_values": ({}, {"table": TEXT, "column": TEXT}),
+    "update_state": ({}, {"table_spec": (TABLE_SPEC, None), "queries": (NAMES, None),
+                          "plan": (PLAN, None)}),
+    "materialize": ({}, {"table": TEXT, "note": TEXT}),
+    "execute_sql": ({}, {}),
+    # It ends the turn: a reply with nothing to say is rejected instead.
+    "message_user": ({"message": MESSAGE}, {}),
 }.items()}
+
+#: A whole Conductor reply: its action (which :data:`ACTIONS` checks by the
+#: kind it names) and the thought behind it.
+REPLY = Shape({"action": Kind("an action", lambda v: True)}, {"thought": TEXT})
 
 # -------------------------------------------------------- the Materializer's
 #: Each op's shape: its op and required fields, and the fields any op may carry.

@@ -73,6 +73,31 @@ def integral_mask(arr: np.ndarray) -> np.ndarray:
     return (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
 
 
+#: Byte lengths up to which :func:`text_keys` reads a seeded CRC off
+#: :func:`_seed_shifts` rather than running CRC-32 again.
+_SHIFT_CAP = 4096
+_SEED = 0x5EED
+#: ``(shifts, seeded, plain)``: ``shifts[n] == crc32(b"\0" * n, 0x5EED) ^
+#: crc32(b"\0" * n)`` for every ``n`` below its length, and the two CRCs of
+#: the longest run of NULs, from which the table grows one byte at a time.
+#: Replaced whole, never written into, so concurrent readers need no lock.
+_seed_shifts_table = (np.array([_SEED], dtype=np.uint64), _SEED, 0)
+
+
+def _seed_shifts(length: int) -> np.ndarray:
+    """The per-length shifts, grown to cover byte lengths up to ``length``."""
+    global _seed_shifts_table
+    shifts, seeded, plain = _seed_shifts_table
+    if len(shifts) <= length:
+        grown = []
+        for _ in range(len(shifts), length + 1):
+            seeded, plain = zlib.crc32(b"\0", seeded), zlib.crc32(b"\0", plain)
+            grown.append(seeded ^ plain)
+        shifts = np.concatenate([shifts, np.array(grown, dtype=np.uint64)])
+        _seed_shifts_table = (shifts, seeded, plain)
+    return shifts
+
+
 def text_keys(strings: Collection[str]) -> np.ndarray:
     """Raw keys of distinct strings: a 64-bit CRC of each one's UTF-8 —
     its ``zlib.crc32`` in the high word, seeded ``0x5EED`` in the low.
@@ -80,12 +105,21 @@ def text_keys(strings: Collection[str]) -> np.ndarray:
     Trailing NULs are dropped first, as numpy's ``U`` dtype drops them,
     so ``'a'`` and ``'a\\x00'`` share a key whichever path keyed them.
     Every per-string step is a builtin mapped over the strings, so the
-    loop runs no Python frame per string.
+    loop runs no Python frame per string.  CRC-32 is affine in its start
+    value, ``crc(m, s) == crc(m, 0) ^ crc(0ⁿ, s) ^ crc(0ⁿ, 0)`` for ``n``
+    bytes of ``m``, so the low word is the high one XOR a per-length
+    constant; only a string past :data:`_SHIFT_CAP` bytes runs CRC-32 twice.
     """
     stripped = map(str.rstrip, strings, repeat("\x00"))
     encoded = list(map(str.encode, stripped, repeat("utf-8"), repeat("surrogatepass")))
-    high = np.fromiter(map(zlib.crc32, encoded), dtype=np.uint64, count=len(encoded))
-    low = np.fromiter(map(zlib.crc32, encoded, repeat(0x5EED)), dtype=np.uint64, count=len(encoded))
+    count = len(encoded)
+    high = np.fromiter(map(zlib.crc32, encoded), dtype=np.uint64, count=count)
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=count)
+    longest = int(lengths.max()) if count else 0
+    low = high ^ _seed_shifts(min(longest, _SHIFT_CAP))[np.minimum(lengths, _SHIFT_CAP)]
+    if longest > _SHIFT_CAP:
+        for i in np.flatnonzero(lengths > _SHIFT_CAP).tolist():
+            low[i] = zlib.crc32(encoded[i], _SEED)
     return (high << np.uint64(32)) | low
 
 

@@ -74,3 +74,26 @@ def test_a_bad_plan_is_a_bad_update_state_action():
     assert str(err.value) == (
         "bad 'update_state' action: field 'plan.filters[0]' must be an object, got 1"
     )
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ({"action": {}}, None),
+        ({"thought": "t", "action": 3}, None),  # the action's own check names it
+        ({"thought": "t"}, "missing fields: ['action']"),
+        ({"thought": 5, "action": {}}, "field 'thought' must be a string, got 5"),
+        ({"action": {}, "note": ""}, "unknown fields: ['note']"),
+    ],
+)  # fmt: skip
+def test_a_reply_envelope_holds_an_action_and_a_string_thought(reply, message):
+    assert contract.problem(contract.REPLY, reply) == message
+
+
+@pytest.mark.parametrize("payload", [{"kind": "message_user"},
+                                     {"kind": "message_user", "message": "  "}])
+def test_a_message_to_the_user_may_not_be_blank(payload):
+    with pytest.raises(ActionError, match="bad 'message_user' action"):
+        action_from_json(payload)
+    with pytest.raises(ActionError):
+        _ACTION_TYPES["message_user"](**{**payload, "kind": "message_user"})

@@ -2,6 +2,7 @@
 one per-table cache class behind ``NarrationCache`` and ``ProfileStore``."""
 
 import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from repro.prep import ProfileStore
 from repro.relational import Column, DataType, Database, Schema, Table
+from repro.relational import table as table_module
 from repro.relational.table import TableCache
 from repro.retriever import NarrationCache, PneumaRetriever
+from tests.oracles.identity_rowwise import digest_rowwise, fingerprint_rowwise
 
 
 def ints(name, values):
@@ -105,6 +108,40 @@ def _one_name_tables(draw):
 def test_equal_fingerprints_exactly_when_equal_digests(pair):
     a, b = pair
     assert (a.fingerprint() == b.fingerprint()) == (a.digest() == b.digest())
+
+
+#: Cells whose renderings or hashes sit close: signed zeros, -1 beside -2
+#: (``hash(-1) == hash(-2)``), integers past 64 bits, dates, non-ASCII text.
+_ANY_CELL = st.one_of(
+    st.sampled_from([None, -0.0, 0.0, -1, -1.0, -2, 0, True, False, 1.5]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1]),
+    st.dates(),
+    st.text(max_size=4) | st.text(st.characters(categories=["Cs"]), max_size=2),
+)
+_DTYPES = st.sampled_from([DataType.INTEGER, DataType.DOUBLE, DataType.TEXT, DataType.DATE])
+
+
+@st.composite
+def _any_tables(draw):
+    """A table of one to three columns and zero or more rows, holding any
+    cells whatever its column types say."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    schema = Schema([Column(f"c{j}", draw(_DTYPES)) for j in range(width)])
+    rows = draw(st.lists(st.tuples(*[_ANY_CELL] * width), max_size=12))
+    return Table(draw(st.text(max_size=3)), schema, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_any_tables(), block=st.integers(min_value=1, max_value=5), pivoted=st.booleans())
+def test_digest_and_fingerprint_equal_their_row_at_a_time_bodies(table, block, pivoted):
+    """Digested a few rows per ``update`` (so tables straddle blocks), and
+    fingerprinted with or without the column memo built first."""
+    if pivoted:
+        table.as_columns()
+    with mock.patch.object(table_module, "_DIGEST_BLOCK", block):
+        assert table.digest() == digest_rowwise(table)
+    assert table.fingerprint() == fingerprint_rowwise(table)
 
 
 def test_digest_is_what_the_manifests_on_disk_record():

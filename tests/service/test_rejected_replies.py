@@ -121,6 +121,28 @@ def test_a_mistyped_action_is_one_rejected_reply():
         assert response.turn_log.actions[0]["kind"] == "rejected"
 
 
+#: A message the user could not read, and a thought that is no string.
+SILENT_OR_THOUGHTLESS = [
+    {"action": {"kind": "message_user"}},
+    {"action": {"kind": "message_user", "message": ""}},
+    {"action": {"kind": "message_user", "message": " \n"}},
+    {"thought": 5, "action": {"kind": "retrieve", "query": "orders"}},
+    {"thought": "t", "action": {"kind": "retrieve", "query": "orders"}, "note": "x"},
+]
+
+
+def test_a_reply_with_nothing_to_say_or_no_string_thought_is_one_rejected_reply():
+    replies = [json.dumps(reply) for reply in SILENT_OR_THOUGHTLESS]
+    responses, stats = serve(ScriptedConductor(replies), len(replies))
+    assert stats["turns_failed"] == 0 and stats["replies_rejected"] == len(replies)
+    for response in responses:
+        assert type(response) is SeekerResponse and response.message.strip()
+        log = response.turn_log
+        assert log.rejected == 1 and log.actions[0]["kind"] == "rejected"
+        assert all(type(thought) is str for thought in log.thoughts)
+        assert len(log.thoughts) == len(log.actions)
+
+
 def target_spec(**integration):
     """A valid table spec over the procurement lake's orders."""
     return {"name": "orders_t", "base_tables": ["purchase_orders"],
@@ -170,6 +192,7 @@ names = st.sampled_from(LAKE_NAMES)
 #: Per kind of JSON value the contract names, values a model may plausibly write.
 PLAUSIBLE = {
     contract.TEXT: names,
+    contract.MESSAGE: names | st.sampled_from(["", " "]),
     contract.NAMES: st.lists(names, max_size=3),
     contract.KEYS: names | st.lists(names, min_size=1, max_size=2),
     contract.VALUE: scalars | names,

@@ -100,7 +100,7 @@ class SeekerSession:
         """Point table search, grounding, the Materializer's source and its
         pipeline at one catalog (the service binds the generation a turn pins)."""
         self.materializer.source, self.materializer.prep = lake, prep
-        self.ir.use_retriever(retriever)
+        self.ir.retriever = retriever
 
     # ------------------------------------------------------------------
     def submit(self, message: str) -> SeekerResponse:

@@ -10,7 +10,7 @@ this retriever, exactly as the paper does for KramaBench runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..documents.document import Document
 from ..retriever.index import HybridIndex
@@ -40,19 +40,23 @@ class WebSearch:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def search(self, query: str, k: int = 3) -> List[Document]:
-        documents = []
-        for hit in self.index.search(query, k=k):
-            page = self._pages[hit.doc_id]
-            documents.append(
-                Document(
-                    doc_id=f"web:{page.url}",
-                    kind="web",
-                    title=page.title,
-                    text=page.text,
-                    payload={"url": page.url, "records": page.records},
-                    score=hit.score,
-                    source="web-search",
+    def search_batch(self, queries: Sequence[str], k: int = 3) -> List[List[Document]]:
+        """The top-``k`` pages of each query, as Documents."""
+        results = []
+        for hits in self.index.search_batch(queries, k=k):
+            documents = []
+            for hit in hits:
+                page = self._pages[hit.doc_id]
+                documents.append(
+                    Document(
+                        doc_id=f"web:{page.url}",
+                        kind="web",
+                        title=page.title,
+                        text=page.text,
+                        payload={"url": page.url, "records": page.records},
+                        score=hit.score,
+                        source="web-search",
+                    )
                 )
-            )
-        return documents
+            results.append(documents)
+        return results

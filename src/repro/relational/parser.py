@@ -117,19 +117,34 @@ class _Parser:
         columns: List[ast.ColumnDef] = []
         while True:
             col_name = self.expect_ident()
-            type_name = self.expect_ident() if self.peek().kind == "ident" else self._type_keyword()
-            columns.append(ast.ColumnDef(col_name, type_name))
+            columns.append(ast.ColumnDef(col_name, self._type_name()))
             if not self.match_op(","):
                 break
         self.expect_op(")")
         return ast.CreateTable(name, columns, or_replace)
 
-    def _type_keyword(self) -> str:
+    def _type_name(self) -> str:
+        """A type name and its optional integer modifiers, as in
+        ``DECIMAL(10, 2)``; :func:`~.types.parse_type_name` drops the
+        modifiers, since no type here is bounded."""
         token = self.peek()
-        if token.kind == "keyword" and token.value in ("NULL",):
-            self.advance()
+        if token.kind != "ident" and not token.is_keyword("NULL"):
+            raise ParseError(f"expected type name, got {token.value!r}", token.position)
+        self.advance()
+        if not self.match_op("("):
             return token.value
-        raise ParseError(f"expected type name, got {token.value!r}", token.position)
+        sizes = []
+        while True:
+            size = self.peek()
+            if size.kind != "number" or not size.value.isdigit():
+                raise ParseError(
+                    f"expected an integer type modifier, got {size.value!r}", size.position
+                )
+            sizes.append(self.advance().value)
+            if not self.match_op(","):
+                break
+        self.expect_op(")")
+        return f"{token.value}({', '.join(sizes)})"
 
     def parse_insert(self) -> ast.Statement:
         self.expect_keyword("INSERT")
@@ -478,7 +493,7 @@ class _Parser:
             self.expect_op("(")
             operand = self.parse_expr()
             self.expect_keyword("AS")
-            type_name = self.expect_ident() if self.peek().kind == "ident" else self.advance().value
+            type_name = self._type_name()
             self.expect_op(")")
             return ast.Cast(operand, type_name)
         if token.is_keyword("CASE"):

@@ -30,11 +30,8 @@ from .summarizer import NarrationCache, table_payload
 
 class Searchable(Protocol):
     """What a session and the IR System need from table discovery — these
-    three calls and nothing else.  :class:`PneumaRetriever` is one; so are
-    the serving layer's catalog generations and the ``IndexGate``, which
-    pins one per call."""
-
-    def search(self, query: str, k: int = 5, mode: str = "hybrid") -> List[Document]: ...
+    two calls and nothing else.  :class:`PneumaRetriever` is one; so are
+    the serving layer's catalog generations."""
 
     def search_batch(
         self, queries: Sequence[str], k: int = 5, mode: str = "hybrid"

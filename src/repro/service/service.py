@@ -280,7 +280,8 @@ class PneumaService:
         self.knowledge = self._open_knowledge()
         registry.add_collector("knowledge_entries", lambda: len(me.knowledge))
         # Service-level IR facade for batch_retrieve; built over the gate,
-        # so it follows reindex swaps automatically.
+        # so it follows reindex swaps automatically.  Grounding reads
+        # (column_values) go through the generation a session's turn pins.
         self.ir = IRSystem(retriever=self._gate, knowledge=self.knowledge)
         self._llm_factory = llm_factory
         self._executor = ThreadPoolExecutor(

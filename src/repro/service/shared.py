@@ -125,14 +125,10 @@ class _Generation:
         self.prep = prep
         self.readers = 0
 
-    # -- Searchable: each call names the generation it ran on in its span
-    def search(self, query: str, k: int = 5, mode: str = "hybrid"):
-        with obs.span("retrieval.search", k=k, mode=mode, generation=self.number):
-            return self.bundle.retriever.search(query, k=k, mode=mode)
-
+    # -- Searchable: each search names the generation it ran on in its span
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
         attrs = dict(queries=len(queries), k=k, mode=mode, generation=self.number)
-        with obs.span("retrieval.search_batch", **attrs):
+        with obs.span("retrieval.search", **attrs):
             return self.bundle.retriever.search_batch(queries, k=k, mode=mode)
 
     def column_values(self, table_name: str, column: str, limit: int = 200):
@@ -141,13 +137,12 @@ class _Generation:
 
 class IndexGate:
     """A read–write gate over the service's current generation, and the
-    retrieval handle sessionless callers hold (a
-    :class:`~repro.retriever.Searchable`).
+    table search sessionless callers hold.
 
-    Readers (:meth:`reading`, and through it every ``search`` /
-    ``search_batch`` / ``column_values``) pin whatever generation is
-    current when they enter and keep using it even if a swap happens
-    mid-read — generations are immutable, so that is always safe.
+    Readers (:meth:`reading`, and through it every :meth:`search_batch`)
+    pin whatever generation is current when they enter and keep using it
+    even if a swap happens mid-read — generations are immutable, so that is
+    always safe.
     :meth:`swap` publishes the new generation *immediately* (new readers
     see it with zero wait) and then optionally drains: blocks until the old
     generation's readers have all exited, so it is provably idle.
@@ -191,15 +186,7 @@ class IndexGate:
         with self._cond:  # the generation number is the service's reindex_swaps
             return {"active_readers": self._current.readers}
 
-    # -- Searchable: each call pins one generation
-    def search(self, query: str, k: int = 5, mode: str = "hybrid"):
-        with self.reading() as gen:
-            return gen.search(query, k=k, mode=mode)
-
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
+        """Search the generation current at the call, pinned for its length."""
         with self.reading() as gen:
             return gen.search_batch(queries, k=k, mode=mode)
-
-    def column_values(self, table_name: str, column: str, limit: int = 200):
-        with self.reading() as gen:
-            return gen.column_values(table_name, column, limit)

@@ -140,7 +140,7 @@ class TestProcurement:
 
     def test_web_corpus_searchable(self):
         web = build_tariff_web()
-        docs = web.search("new import tariff rates by country", k=1)
+        (docs,) = web.search_batch(["new import tariff rates by country"], k=1)
         assert docs[0].payload["records"] == TARIFF_RECORDS
 
     def test_tariff_ground_truth(self):

@@ -97,7 +97,7 @@ class TestTariffFlow:
         avg = lake.query_value(
             "SELECT AVG(price) FROM purchase_orders WHERE country = 'Germany'"
         )
-        record = next(r for r in build_tariff_web().search("tariff", 1)[0].payload["records"] if r["country"] == "Germany")
+        record = next(r for r in build_tariff_web().search_batch(["tariff"], 1)[0][0].payload["records"] if r["country"] == "Germany")
         assert answer == pytest.approx(avg * (1 + record["new_tariff"]), rel=1e-9)
 
     def test_web_disabled_cannot_integrate(self, lake, retriever):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.documents import Document
 from repro.ir import DocumentDatabase, IRSystem, WebPage, WebSearch
+from repro.obs import Tracer
 from repro.relational import Database, Table
 from repro.retriever import PneumaRetriever
 
@@ -36,14 +36,14 @@ def web():
 
 class TestWebSearch:
     def test_search_returns_documents(self, web):
-        docs = web.search("import tariffs", k=1)
+        (docs,) = web.search_batch(["import tariffs"], k=1)
         assert docs[0].kind == "web"
         assert docs[0].payload["records"][0]["country"] == "Germany"
 
     def test_add_page(self, web):
         web.add_page(WebPage("https://x/other", "Rainfall", "daily rainfall data"))
         assert len(web) == 2
-        docs = web.search("rainfall", k=1)
+        (docs,) = web.search_batch(["rainfall"], k=1)
         assert docs[0].title == "Rainfall"
 
 
@@ -129,8 +129,30 @@ class TestIRSystem:
         ir.capture_knowledge("impact should be relative to previous tariffs", topic="tariffs")
         assert len(knowledge) == 1
 
-    def test_custom_retriever_registration(self, lake):
-        ir = IRSystem(retriever=PneumaRetriever(lake))
-        ir.register("custom", lambda q, k: [Document("c:1", "web", "custom", q)])
-        result = ir.retrieve("hello")
-        assert any(d.doc_id == "c:1" for d in result.documents)
+    def test_sources_merge_knowledge_then_tables_then_web(self, lake, web):
+        knowledge = DocumentDatabase()
+        knowledge.add("always compare against the previous tariff", topic="tariffs")
+        ir = IRSystem(retriever=PneumaRetriever(lake), web=web, knowledge=knowledge)
+        query = "tariff impact on purchases by country"
+        tracer = Tracer()
+        with tracer.start_trace("probe") as root:
+            result = ir.retrieve(query)
+        (batched,) = ir.retrieve_batch([query])
+        assert result == batched
+        kinds = [d.kind for d in result.documents]
+        assert kinds == sorted(kinds, key=["knowledge", "table", "web"].index)
+        assert set(kinds) == {"knowledge", "table", "web"}
+        assert list(result.per_source) == ["knowledge", "tables", "web"]
+        spans = {span.name: span.attrs for span in root.children}
+        assert list(spans) == ["ir.source.knowledge", "ir.source.tables", "ir.source.web"]
+        for name, attrs in spans.items():
+            source = name.rsplit(".", 1)[1]
+            assert attrs["queries"] == 1
+            assert attrs["documents"] == result.per_source[source]
+
+    def test_per_source_names_only_present_sources(self, lake):
+        ir = IRSystem(knowledge=DocumentDatabase())
+        assert ir.retrieve("tariffs").per_source == {"knowledge": 0}
+        ir.retriever = PneumaRetriever(lake)
+        assert list(ir.retrieve("tariffs").per_source) == ["knowledge", "tables"]
+        assert ir.retrieve_batch([]) == []

@@ -385,6 +385,12 @@ class TestDDLAndDML:
         assert db.version == version
         assert db.execute("SELECT * FROM log").rows == [("a", 1)]
 
+    def test_type_modifiers_are_read_and_dropped(self, db):
+        assert db.query_value("SELECT CAST(1.5 AS DECIMAL(10,2))") == 1.5
+        db.execute("CREATE TABLE people (name VARCHAR(20), score DECIMAL(5, 1))")
+        db.execute("INSERT INTO people VALUES ('a name longer than twenty chars', 3)")
+        assert db.execute("SELECT * FROM people").rows == [("a name longer than twenty chars", 3.0)]
+
     def test_drop_table(self, db):
         db.execute("CREATE TABLE temp AS SELECT 1 AS x")
         db.execute("DROP TABLE temp")

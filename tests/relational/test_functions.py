@@ -34,6 +34,12 @@ class TestNumericFunctions:
         with pytest.raises(ExecutionError):
             val(db, "SQRT(-1)")
 
+    def test_ln(self, db):
+        assert val(db, "LN(1)") == 0.0
+        for x in ("0", "-1"):
+            with pytest.raises(ExecutionError):
+                val(db, f"LN({x})")
+
     def test_power(self, db):
         assert val(db, "POWER(2, 10)") == 1024.0
 

@@ -143,6 +143,14 @@ class TestParserSelect:
         assert isinstance(expr, ast.Cast)
         assert expr.type_name == "INTEGER"
 
+    def test_cast_reads_type_modifiers(self):
+        expr = parse("SELECT CAST(a AS DECIMAL(10,2))").items[0].expr
+        assert expr.type_name == "DECIMAL(10, 2)"
+        assert expr_to_sql(expr) == "CAST(a AS DECIMAL(10, 2))"
+        for bad in ("DECIMAL(1.5)", "DECIMAL()", "DECIMAL(10", "5"):
+            with pytest.raises(ParseError):
+                parse(f"SELECT CAST(a AS {bad})")
+
     def test_in_list_and_subquery(self):
         expr = parse("SELECT a IN (1, 2) FROM t").items[0].expr
         assert isinstance(expr, ast.InList)
@@ -196,6 +204,10 @@ class TestParserStatements:
     def test_create_table_columns(self):
         stmt = parse("CREATE TABLE t (a INTEGER, b VARCHAR)")
         assert [c.name for c in stmt.columns] == ["a", "b"]
+
+    def test_create_table_reads_type_modifiers(self):
+        stmt = parse("CREATE TABLE t (name VARCHAR(20), price NUMERIC(8, 2), n INTEGER)")
+        assert [c.type_name for c in stmt.columns] == ["VARCHAR(20)", "NUMERIC(8, 2)", "INTEGER"]
 
     def test_insert(self):
         stmt = parse("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")

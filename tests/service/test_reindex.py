@@ -84,17 +84,15 @@ class TestIndexGate:
     def test_gate_searches_follow_the_swap(self, lake):
         gate = IndexGate(build_shared_retriever(lake), None)
         assert gate.current.bundle.retriever.index.kernel_stats()["frozen"]
-        before = [d.doc_id for d in gate.search("supplier ratings", k=3)]
+        (before,) = gate.search_batch(["supplier ratings"], k=3)
         assert before
-        assert gate.column_values("suppliers", "supplier_id")
+        assert gate.current.column_values("suppliers", "supplier_id")
 
         add_shipments_table(lake)
         gate.swap(build_shared_retriever(lake), None, drain=True)
-        hits = gate.search("ocean freight shipments by vessel", k=3)
+        (hits,) = gate.search_batch(["ocean freight shipments by vessel"], k=3)
         assert any(d.doc_id == "table:ocean_freight_shipments" for d in hits)
-        batch = gate.search_batch(["ocean freight shipments by vessel"], k=3)
-        assert [d.doc_id for d in batch[0]] == [d.doc_id for d in hits]
-        assert gate.column_values("ocean_freight_shipments", "vessel_name")
+        assert gate.current.column_values("ocean_freight_shipments", "vessel_name")
 
     def test_span_names_the_generation_the_search_ran_on(self, lake):
         new_bundle = build_shared_retriever(lake)
@@ -112,13 +110,14 @@ class TestIndexGate:
         gate = SwapRightAfterPinning(build_shared_retriever(lake), None)
         tracer = Tracer()
         with tracer.start_trace("probe") as root:
-            gate.search("supplier ratings", k=3)
             gate.search_batch(["supplier ratings"], k=3)
+            gate.search_batch(["supplier ratings", "ocean freight"], k=3)
         first, second = root.children
         # The first search was served by generation 0 although generation 1
         # was already current when its span was stamped.
-        assert first.name == "retrieval.search" and first.attrs["generation"] == 0
-        assert second.name == "retrieval.search_batch" and second.attrs["generation"] == 1
+        assert first.name == second.name == "retrieval.search"
+        assert first.attrs == {"queries": 1, "k": 3, "mode": "hybrid", "generation": 0}
+        assert second.attrs["generation"] == 1 and second.attrs["queries"] == 2
         assert gate.current.number == 1
 
 

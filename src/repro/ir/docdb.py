@@ -70,11 +70,9 @@ class DocumentDatabase:
         with self._lock:
             return list(self._entries.values())
 
-    def search(self, query: str, k: int = 3) -> List[Document]:
-        return self.search_batch([query], k=k)[0]
-
     def search_batch(self, queries: Sequence[str], k: int = 3) -> List[List[Document]]:
-        """:meth:`search` for each query, under one hold of the lock."""
+        """The top ``k`` captured entries for each query, under one hold of
+        the lock; a single query is a batch of one."""
         # Serialized against add(): unlike the frozen table index, this
         # store keeps growing while other sessions search it.
         with self._lock:

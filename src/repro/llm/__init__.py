@@ -23,7 +23,7 @@ from .prompts import (
     section_json,
 )
 from .rule_llm import Policy, RuleLLM
-from .tokens import Usage, UsageEvent, UsageLedger, count_tokens
+from .tokens import TokenMeter, Usage, UsageEvent, UsageLedger
 
 __all__ = [
     "RuleLLM",
@@ -38,7 +38,7 @@ __all__ = [
     "UsageLedger",
     "Usage",
     "UsageEvent",
-    "count_tokens",
+    "TokenMeter",
     "MODEL_PRICES",
     "TABLE2_MODEL_ORDER",
     "ModelPrice",

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from .tokens import count_tokens
-
 
 class ContextLengthExceeded(Exception):
     """Raised when a prompt exceeds the model's context window.
@@ -64,8 +62,8 @@ class ModelLimits:
 
     context_tokens: int = 200_000
 
-    def check(self, prompt: str) -> int:
-        tokens = count_tokens(prompt)
+    def check(self, tokens: int) -> int:
+        """``tokens``, a prompt's count, if the window holds it."""
         if tokens > self.context_tokens:
             raise ContextLengthExceeded(tokens, self.context_tokens)
         return tokens

@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Protocol
 from .clock import LLM_CALL_SECONDS, VirtualClock
 from .interface import ModelLimits
 from .prompts import parse_prompt
-from .tokens import UsageLedger, count_tokens
+from .tokens import TokenMeter, UsageLedger
 
 
 class Policy(Protocol):
@@ -44,6 +44,9 @@ class RuleLLM:
         self.ledger = ledger or UsageLedger()
         self.clock = clock or VirtualClock()
         self.seconds_per_call = seconds_per_call
+        #: This model's own line-count memo; its owner clears it when the
+        #: conversation ends (``PneumaService.close_session``).
+        self.meter = TokenMeter()
         self._policies: Dict[str, Policy] = {}
 
     @property
@@ -58,12 +61,13 @@ class RuleLLM:
 
     def complete(self, prompt: str, component: str = "") -> str:
         """One LLM call: context check, policy dispatch, metering."""
-        prompt_tokens = self.limits.check(prompt)  # may raise ContextLengthExceeded
+        # Counted once, through this model's memo; may raise ContextLengthExceeded.
+        prompt_tokens = self.limits.check(self.meter.count(prompt))
         role, sections = parse_prompt(prompt)
         policy = self._policies.get(role)
         if policy is None:
             raise KeyError(f"no policy registered for role {role!r}; known: {self.roles()}")
         response = policy.respond(sections)
-        self.ledger.record(component or role, prompt_tokens, count_tokens(response))
+        self.ledger.record(component or role, prompt_tokens, self.meter.count(response))
         self.clock.tick(self.seconds_per_call)
         return response

@@ -10,16 +10,18 @@ more ASCII letters, and at least one token for any non-empty text.
 
 No piece contains a newline, so the count of a text is the sum of its
 lines' counts (then the floor of one).  A Conductor turn re-sends the same
-retrieved documents on every call, so lines repeat within a turn, and
-:func:`count_tokens` counts each distinct line once from a small cache."""
+retrieved documents on every call, and the next turn re-sends most of them
+again, so each model meters through its own :class:`TokenMeter`: a 32-line
+memo that other models' calls cannot evict.  :func:`count_tokens` is the
+uncached entry point for ad-hoc callers."""
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional
+from hashlib import blake2b
+from typing import Dict, List, Optional, Union
 
 _PIECE_RE = re.compile(r"[A-Za-z]+|\d{1,4}|[^\w\s]")
 _LONG_WORD_RE = re.compile(r"[A-Za-z]{7,}")
@@ -37,16 +39,62 @@ def count_tokens(text: str) -> int:
     """
     if not text:
         return 0
-    return max(sum(map(_line_tokens, text.split("\n"))), 1)
+    return max(_line_tokens(text), 1)
 
 
-#: One turn's working set: a conductor prompt is ~20 lines and the
-#: materializer's repeats its largest one.  Keyed by the whole line, so a
-#: hit is an equal string.
-@lru_cache(maxsize=32)
 def _line_tokens(line: str) -> int:
+    """The formula itself; exact on any text, not only on one line."""
     pieces = len(_PIECE_RE.findall(line))
     return pieces + sum((len(word) - 1) // 4 for word in _LONG_WORD_RE.findall(line))
+
+
+class TokenMeter:
+    """One model's line-count memo: the counts of the last :attr:`SIZE`
+    distinct lines it metered, least recently used first.
+
+    A line of :attr:`DIGEST_AT` characters or more is keyed by a 16-byte
+    blake2b digest of its text, so the memo holds no long prompt text.  It
+    takes no lock: threads sharing one meter may count a line twice, never
+    wrongly."""
+
+    #: One turn's working set: a conductor prompt is ~20 lines and the
+    #: materializer's repeats its largest one.
+    SIZE = 32
+    DIGEST_AT = 1024
+
+    def __init__(self) -> None:
+        self._counts: "OrderedDict[Union[str, bytes], int]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def count(self, text: str) -> int:
+        """:func:`count_tokens` of ``text``, summed over memoised lines."""
+        if not text:
+            return 0
+        return max(sum(map(self._line, text.split("\n"))), 1)
+
+    def clear(self) -> None:
+        self._counts.clear()
+
+    def _line(self, line: str) -> int:
+        key: Union[str, bytes] = line
+        if len(line) >= self.DIGEST_AT:
+            key = blake2b(line.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+        counts = self._counts
+        try:
+            counts.move_to_end(key)
+            return counts[key]
+        except KeyError:  # a miss, or evicted by another thread in between
+            pass
+        tokens = _line_tokens(line)
+        counts[key] = tokens
+        if len(counts) > self.SIZE:
+            try:
+                counts.popitem(last=False)
+            except KeyError:  # another thread emptied it first
+                pass
+        return tokens
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
+from .errors import ExecutionError
+from .types import parse_type_name
+
 
 def _exprs_in(value: Any) -> Iterator["Expr"]:
     """The Exprs a node field holds: itself, or inside lists / WHEN pairs."""
@@ -141,7 +144,14 @@ class Cast(Expr):
     type_name: str
 
     def key(self) -> Tuple:
-        return ("cast", self.operand.key(), self.type_name.upper())
+        # Keyed on the type named, so FLOAT / DOUBLE and DECIMAL(10,2) /
+        # DECIMAL(10, 2) match; an unknown name keeps its text and fails
+        # where the cast runs.
+        try:
+            target: Any = parse_type_name(self.type_name)
+        except ExecutionError:
+            target = self.type_name.upper()
+        return ("cast", self.operand.key(), target)
 
 
 @dataclass

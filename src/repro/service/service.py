@@ -541,6 +541,9 @@ class PneumaService:
             raise ServiceError(f"unknown or closed session {session_id!r}")
         wait_all(posted)
         self._count["sessions_closed"].inc()
+        # Its model outlives the session wherever a caller holds it; the
+        # lines it memoised serve no later turn.
+        managed.session.llm.meter.clear()
         usage = managed.session.llm.ledger.total()
         return SessionSummary(
             session_id=session_id,

@@ -16,7 +16,7 @@ from ..datasets.questions import Question
 from ..llm.clock import VirtualClock
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
-from ..llm.tokens import UsageLedger, count_tokens
+from ..llm.tokens import UsageLedger
 from .personas import BEHAVIOR, SCENARIO, persona_for
 
 
@@ -105,14 +105,15 @@ class SimulationRunner:
 
     def _truncated(self, conversation: List[Dict[str, str]]) -> List[Dict[str, str]]:
         """Budget the sim's context: oldest system responses shrink first."""
+        count = self.sim_llm.meter.count
         view = [dict(t) for t in conversation]
-        total = sum(count_tokens(t["text"]) for t in view)
+        total = sum(count(t["text"]) for t in view)
         index = 0
         while total > self.sim_context_tokens and index < len(view):
             turn = view[index]
             if turn["speaker"] == "system" and len(turn["text"]) > 400:
-                total -= count_tokens(turn["text"])
+                total -= count(turn["text"])
                 turn["text"] = turn["text"][:400] + " ...[truncated]"
-                total += count_tokens(turn["text"])
+                total += count(turn["text"])
             index += 1
         return view

@@ -51,7 +51,7 @@ class TestDocumentDatabase:
     def test_capture_and_search(self):
         db = DocumentDatabase()
         db.add("tariff impact must include direct and indirect tariffs", topic="tariffs")
-        docs = db.search("how do I analyze tariffs", k=1)
+        (docs,) = db.search_batch(["how do I analyze tariffs"], k=1)
         assert docs[0].kind == "knowledge"
         assert "indirect" in docs[0].text
 
@@ -67,7 +67,8 @@ class TestDocumentDatabase:
         db.save(path)
         loaded = DocumentDatabase.load(path)
         assert len(loaded) == 2
-        assert loaded.search("knowledge one", k=1)[0].payload["author"] == "u1"
+        (docs,) = loaded.search_batch(["knowledge one"], k=1)
+        assert docs[0].payload["author"] == "u1"
 
     def test_save_is_atomic_under_crash(self, tmp_path, monkeypatch):
         """A crash mid-save leaves the previous file intact, never a torn one."""

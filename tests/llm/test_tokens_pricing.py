@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.llm import MODEL_PRICES, TABLE2_MODEL_ORDER, UsageLedger, count_tokens
-from repro.llm.tokens import Usage
+from repro.llm import MODEL_PRICES, TABLE2_MODEL_ORDER, UsageLedger
+from repro.llm.tokens import Usage, count_tokens
 
 
 class TestCountTokens:

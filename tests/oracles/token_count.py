@@ -1,7 +1,7 @@
 """Token metering as it was before line counting: two regex passes over the
 whole text, then the floor of one for any non-empty text.
 
-``repro.llm.tokens.count_tokens`` sums cached per-line counts instead;
+``repro.llm.tokens.TokenMeter`` sums memoised per-line counts instead;
 both must give the same number for every string.
 """
 

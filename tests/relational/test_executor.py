@@ -182,6 +182,19 @@ class TestAggregation:
         )
         assert records(result) == [{"parity": 0, "n": 2}, {"parity": 1, "n": 3}]
 
+    def test_group_by_cast_matches_the_type_named(self):
+        """A cast is keyed on the type it names, not on how the name is spelt."""
+        db = Database()
+        db.register(Table.from_columns("t", {"a": [1, 2, 2, 3, 3, 3]}))
+        for select, group in (
+            ("CAST(a AS DOUBLE)", "CAST(a AS FLOAT)"),
+            ("CAST(a AS DECIMAL(10,2))", "CAST(a AS DECIMAL(10, 2))"),
+        ):
+            result = db.execute(f"SELECT {select}, COUNT(*) FROM t GROUP BY {group} ORDER BY 1")
+            assert result.rows == [(1.0, 1), (2.0, 2), (3.0, 3)]
+        with pytest.raises(ExecutionError, match="unknown type name"):
+            db.execute("SELECT CAST(a AS BLOB), COUNT(*) FROM t GROUP BY CAST(a AS blob)")
+
     def test_having(self, db):
         result = db.execute(
             "SELECT country FROM orders GROUP BY country HAVING COUNT(*) > 1"

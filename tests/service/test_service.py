@@ -120,6 +120,34 @@ class TestConcurrencyIsolation:
             assert served.state.to_json() == solo.state.to_json()
             assert served.answer_value == solo.answer_value
 
+    def test_concurrent_sessions_meter_like_serial_ones(self, lake, service):
+        """Six sessions' turns fanned out over four workers: each session's
+        model meters its own prompts, so every summary's token counts equal
+        the same conversation's when sessions run one at a time."""
+        conversations = self.CONVERSATIONS + self.CONVERSATIONS[1::2]
+        serial = PneumaService(lake, max_workers=1)
+        try:
+            expected = []
+            for i, messages in enumerate(conversations):
+                sid = serial.open_session(user=f"u{i}")
+                for message in messages:
+                    serial.post_turn(sid, message)
+                summary = serial.close_session(sid)
+                expected.append((summary.prompt_tokens, summary.completion_tokens))
+        finally:
+            serial.shutdown()
+
+        session_ids = [service.open_session(user=f"u{i}") for i in range(len(conversations))]
+        futures = [
+            service.post_turn(sid, message, wait=False)
+            for sid, messages in zip(session_ids, conversations)
+            for message in messages
+        ]
+        for future in futures:
+            future.result()
+        summaries = [service.close_session(sid) for sid in session_ids]
+        assert [(s.prompt_tokens, s.completion_tokens) for s in summaries] == expected
+
     def test_same_session_turns_serialize(self, lake):
         """Sixteen sessions each queue eight turns behind a closed gate,
         posted session by session, and the gate then releases them all at

@@ -12,34 +12,17 @@ No piece contains a newline, so the count of a text is the sum of its
 lines' counts (then the floor of one).  A Conductor turn re-sends the same
 retrieved documents on every call, and the next turn re-sends most of them
 again, so each model meters through its own :class:`TokenMeter`: a 32-line
-memo that other models' calls cannot evict.  :func:`count_tokens` is the
-uncached entry point for ad-hoc callers."""
+memo that other models' calls cannot evict."""
 
 from __future__ import annotations
 
 import re
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from hashlib import blake2b
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 _PIECE_RE = re.compile(r"[A-Za-z]+|\d{1,4}|[^\w\s]")
 _LONG_WORD_RE = re.compile(r"[A-Za-z]{7,}")
-
-
-def count_tokens(text: str) -> int:
-    """Approximate LLM token count of ``text``.
-
-    BPE-style approximation: alphabetic runs, digit groups (up to four
-    digits per token), and punctuation marks each count as one piece, and
-    long words contribute extra subword pieces (~one per four characters).
-    This tracks real tokenizers on both prose and serialized tables — CSV
-    rows in particular, where every comma and number costs tokens even
-    though the row contains no whitespace.
-    """
-    if not text:
-        return 0
-    return max(_line_tokens(text), 1)
 
 
 def _line_tokens(line: str) -> int:
@@ -52,24 +35,22 @@ class TokenMeter:
     """One model's line-count memo: the counts of the last :attr:`SIZE`
     distinct lines it metered, least recently used first.
 
-    A line of :attr:`DIGEST_AT` characters or more is keyed by a 16-byte
-    blake2b digest of its text, so the memo holds no long prompt text.  It
-    takes no lock: threads sharing one meter may count a line twice, never
-    wrongly."""
+    Lines are keyed by their text.  It takes no lock: threads sharing one
+    meter may count a line twice, never wrongly."""
 
     #: One turn's working set: a conductor prompt is ~20 lines and the
     #: materializer's repeats its largest one.
     SIZE = 32
-    DIGEST_AT = 1024
 
     def __init__(self) -> None:
-        self._counts: "OrderedDict[Union[str, bytes], int]" = OrderedDict()
+        self._counts: "OrderedDict[str, int]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._counts)
 
     def count(self, text: str) -> int:
-        """:func:`count_tokens` of ``text``, summed over memoised lines."""
+        """The token count of ``text``: its lines' memoised counts, summed,
+        and at least one for any non-empty text."""
         if not text:
             return 0
         return max(sum(map(self._line, text.split("\n"))), 1)
@@ -78,17 +59,14 @@ class TokenMeter:
         self._counts.clear()
 
     def _line(self, line: str) -> int:
-        key: Union[str, bytes] = line
-        if len(line) >= self.DIGEST_AT:
-            key = blake2b(line.encode("utf-8", "surrogatepass"), digest_size=16).digest()
         counts = self._counts
         try:
-            counts.move_to_end(key)
-            return counts[key]
+            counts.move_to_end(line)
+            return counts[line]
         except KeyError:  # a miss, or evicted by another thread in between
             pass
         tokens = _line_tokens(line)
-        counts[key] = tokens
+        counts[line] = tokens
         if len(counts) > self.SIZE:
             try:
                 counts.popitem(last=False)

@@ -13,7 +13,6 @@ from repro.datasets import build_procurement_lake
 from repro.llm import ContextLengthExceeded, ModelLimits, RuleLLM, TokenMeter
 from repro.llm import tokens as tokens_module
 from repro.llm.prompts import render_prompt
-from repro.llm.tokens import count_tokens
 from repro.service import PneumaService
 from repro.sim import SimulationRunner
 from tests.oracles.token_count import count_tokens_two_pass
@@ -34,10 +33,10 @@ TEXTS = st.one_of(
         max_size=12,
     ).map("".join),
 )
-#: Lines either side of :attr:`TokenMeter.DIGEST_AT`, where keys turn digests.
+#: Lines of about 1 KB, the length of a retrieved document's section line.
 LONG_LINES = st.tuples(
     st.text(alphabet=ALPHABET.replace("\n", "") + string.ascii_letters, min_size=1, max_size=16),
-    st.integers(TokenMeter.DIGEST_AT - 4, TokenMeter.DIGEST_AT + 80),
+    st.integers(1020, 1104),
 ).map(lambda pair: (pair[0] * pair[1])[: pair[1]])
 
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
@@ -79,7 +78,6 @@ def truncated_two_pass(conversation, budget):
 @given(TEXTS)
 def test_cold_cache_equals_two_pass(text):
     assert TokenMeter().count(text) == count_tokens_two_pass(text)
-    assert count_tokens(text) == count_tokens_two_pass(text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,7 +112,7 @@ def test_newline_joins_equal_two_pass(texts):
 )
 def test_interleaved_models_count_exactly(pool, steps):
     """Two models and a sim runner's model take turns over one pool of
-    lines (repeats, lines either side of 1 KB, ``"\\n"``-joins): every
+    lines (repeats, lines of about 1 KB, ``"\\n"``-joins): every
     prompt, reply and truncation count is the two-pass count."""
     models = {"seeker": echo_llm(), "other": echo_llm()}
     runner = SimulationRunner(echo_llm())
@@ -158,7 +156,7 @@ def test_other_models_never_evict_a_models_lines(counted):
     """Between two calls of one model, a second model's calls (the
     simulated user's, another session's) recount none of its lines."""
     rows = "\n".join(f"row {i}, value {i * 7}" for i in range(20))
-    prompt = echo_prompt(rows + "\n" + ", ".join(["wide"] * 300))  # 24 lines, one over 1 KB
+    prompt = echo_prompt(rows + "\n" + ", ".join(["wide"] * 300))  # 24 lines, one of 1.8 KB
     user_prompts = [
         echo_prompt("\n".join(f"reply {i} line {j}" for j in range(40))) for i in range(5)
     ]
@@ -234,7 +232,7 @@ def test_close_session_empties_that_sessions_meter():
 
 def test_threads_sharing_one_meter_count_exactly():
     """A race may cost a recount, never a wrong count or an exception."""
-    lines = [f"line {i}, " + "w" * (i * 40) for i in range(48)]  # 48 > 32; 22 over 1 KB
+    lines = [f"line {i}, " + "w" * (i * 40) for i in range(48)]  # 48 > 32, up to 1.9 KB
     texts = ["\n".join(lines[(i + j) % 48] for j in range(5)) for i in range(48)]
     expected = [count_tokens_two_pass(text) for text in texts]
     meter, wrong, raised = TokenMeter(), [], []
@@ -292,17 +290,16 @@ def test_pinned_counts():
     )
     for text, expected in ((csv_row, 34), (section, 85), (prose, 58)):
         meter = TokenMeter()
-        assert count_tokens(text) == expected
         assert meter.count(text) == expected
         assert meter.count(text) == expected
 
 
 def test_a_hit_needs_an_equal_line():
     """Lines of one length, one prefix or one suffix never share a count,
-    whether keyed by their text or, over 1 KB, by their digest."""
+    short or long."""
     meter = TokenMeter()
     prefix, suffix = "x" * 300, ", 1" * 100
-    wide = "x" * TokenMeter.DIGEST_AT
+    wide = "x" * 1024
     pairs = (
         ("abcdefgh", "a,b,c,d,"),
         (prefix + "abcdefgh", prefix + "a,b,c,d,"),

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.llm import MODEL_PRICES, TABLE2_MODEL_ORDER, UsageLedger
-from repro.llm.tokens import Usage, count_tokens
+from repro.llm.tokens import TokenMeter, Usage
+
+count_tokens = TokenMeter().count
 
 
 class TestCountTokens:

@@ -123,7 +123,9 @@ class TestConcurrencyIsolation:
     def test_concurrent_sessions_meter_like_serial_ones(self, lake, service):
         """Six sessions' turns fanned out over four workers: each session's
         model meters its own prompts, so every summary's token counts equal
-        the same conversation's when sessions run one at a time."""
+        the same conversation's when sessions run one at a time.  A session's
+        turns run one at a time, so no two threads share a meter here;
+        ``test_threads_sharing_one_meter_count_exactly`` covers that race."""
         conversations = self.CONVERSATIONS + self.CONVERSATIONS[1::2]
         serial = PneumaService(lake, max_workers=1)
         try:

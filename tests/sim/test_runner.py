@@ -4,8 +4,8 @@
 from repro.core import Concept
 from repro.datasets.questions import Question
 from repro.eval import build_sim_llm
-from repro.llm.tokens import count_tokens
 from repro.sim import SimulationRunner
+from tests.oracles.token_count import count_tokens_two_pass
 
 
 def make_question(concepts):
@@ -90,6 +90,6 @@ class TestRunner:
         ]
         view = runner._truncated(conversation)
         assert "[truncated]" in view[1]["text"]
-        assert count_tokens(view[1]["text"]) < 200
+        assert count_tokens_two_pass(view[1]["text"]) < 200
         # Recent short turns survive untouched.
         assert view[2]["text"] == conversation[2]["text"]

@@ -19,7 +19,7 @@ from repro.service import build_shared_retriever
 
 def main() -> None:
     lake = build_procurement_lake(scale=0.25)
-    retriever = build_shared_retriever(lake).retriever
+    retriever = build_shared_retriever(lake)
     shared_knowledge = DocumentDatabase()
 
     print("=" * 72)

@@ -23,7 +23,7 @@ from repro.service import build_shared_retriever
 
 def main() -> None:
     lake = build_procurement_lake(scale=0.25)
-    retriever = build_shared_retriever(lake).retriever
+    retriever = build_shared_retriever(lake)
     session = SeekerSession(lake, retriever, web=build_tariff_web(), user="finance-analyst")
 
     print("=" * 72)

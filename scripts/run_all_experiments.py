@@ -70,30 +70,30 @@ def render_outcomes(results) -> str:
     return "\n".join(lines)
 
 
-def retrieval_modes(datasets, bundles) -> str:
+def retrieval_modes(datasets, retrievers) -> str:
     """Top-3 relevant-table hits per question for each half of the hybrid index."""
     lines = [
         "Ablation: retrieval mode (questions with a relevant table in the top 3)",
         f"{'Dataset':<14}" + "".join(f"{mode:>16}" for mode in RETRIEVAL_MODES),
     ]
-    for dataset, bundle in zip(datasets, bundles):
+    for dataset, retriever in zip(datasets, retrievers):
         line = f"{dataset.name:<14}"
         total = len(dataset.questions)
         for mode in RETRIEVAL_MODES:
             hits = 0
             for question in dataset.questions:
-                found = {d.title for d in bundle.retriever.search(question.text, k=3, mode=mode)}
+                found = {d.title for d in retriever.search(question.text, k=3, mode=mode)}
                 hits += bool(found & set(question.relevant_tables))
             line += f"{f'{hits}/{total}':>9}{100 * hits / total:>6.1f}%"
         lines.append(line)
     return "\n".join(lines)
 
 
-def context_specialization(dataset, bundle) -> str:
+def context_specialization(dataset, retriever) -> str:
     """Average prompt tokens per call of each specialized component on one
     question, against the union a monolithic agent would carry per call."""
     question = dataset.questions[1]  # the Maltese interpolation question
-    system = SeekerSystem(bundle)
+    system = SeekerSystem(retriever)
     system.answer(question.text)
     ledger = system.ledger
     by_component = ledger.by_component()
@@ -111,7 +111,7 @@ def context_specialization(dataset, bundle) -> str:
     )
 
 
-def action_limit_sweep(dataset, bundle) -> str:
+def action_limit_sweep(dataset, retriever) -> str:
     """Accuracy on the questions the Seeker is designed to solve as the
     Conductor's per-turn action budget varies around the paper's i = 5."""
     questions = [q for q in dataset.questions if q.design in ("both", "seeker")]
@@ -122,7 +122,7 @@ def action_limit_sweep(dataset, bundle) -> str:
         for limit in ACTION_LIMITS:
             Conductor.ACTION_LIMIT = limit
             correct = sum(
-                answers_match(truth, SeekerSystem(bundle).answer(q.text), q.tolerance)
+                answers_match(truth, SeekerSystem(retriever).answer(q.text), q.tolerance)
                 for q, truth in zip(questions, truths)
             )
             lines.append(f"  i = {limit}: {correct}/{len(questions)} correct")
@@ -149,7 +149,7 @@ def main() -> None:
     datasets = [load_archaeology(scale=args.scale), load_environment(scale=args.scale)]
     # One index per lake, built the way the service builds its own, and
     # searched by every system and every conversation below.
-    bundles = [build_shared_retriever(d.lake) for d in datasets]
+    retrievers = [build_shared_retriever(d.lake) for d in datasets]
 
     # ------------------------------------------------------------- Table 1
     print(table1)
@@ -158,13 +158,13 @@ def main() -> None:
     # -------------------------------------------------------- Figures 4, 5
     seeker_dialogues = []
     figures = ("Figure 4 (archaeology)", "Figure 5 (environment)")
-    for dataset, bundle, figure in zip(datasets, bundles, figures):
+    for dataset, retriever, figure in zip(datasets, retrievers, figures):
         fts_index = raw_text_index(dataset.lake)
         factories = {
             "FTS": lambda d=dataset, i=fts_index: FTSSystem(d.lake, i),
-            "Pneuma-Retriever": lambda b=bundle: RetrieverOnlySystem(b),
-            "LlamaIndex": lambda b=bundle: RAGSystem(b),
-            "Pneuma-Seeker": lambda b=bundle: SeekerSystem(b),
+            "Pneuma-Retriever": lambda r=retriever: RetrieverOnlySystem(r),
+            "LlamaIndex": lambda r=retriever: RAGSystem(r),
+            "Pneuma-Seeker": lambda r=retriever: SeekerSystem(r),
         }
         results = evaluate_convergence(dataset, factories, max_turns=15)
         seeker_dialogues += [r for r in results if r.system == "Pneuma-Seeker"]
@@ -174,14 +174,14 @@ def main() -> None:
     # --------------------------------------------------------------- Table 3
     # The Static-Pipeline row is the dynamic-vs-static orchestration ablation.
     accuracy = []
-    for dataset, bundle in zip(datasets, bundles):
+    for dataset, retriever in zip(datasets, retrievers):
         accuracy += evaluate_accuracy(
             dataset,
             {
-                "LlamaIndex": lambda q, b=bundle: RAGSystem(b).answer(q.text),
-                "DS-Guru(O3)": lambda q, b=bundle: DSGuruRunner(b).answer(q.text),
-                "Pneuma-Seeker": lambda q, b=bundle: SeekerSystem(b).answer(q.text),
-                "Static-Pipeline": lambda q, b=bundle: StaticPipelineRunner(b).answer(q.text),
+                "LlamaIndex": lambda q, r=retriever: RAGSystem(r).answer(q.text),
+                "DS-Guru(O3)": lambda q, r=retriever: DSGuruRunner(r).answer(q.text),
+                "Pneuma-Seeker": lambda q, r=retriever: SeekerSystem(r).answer(q.text),
+                "Static-Pipeline": lambda q, r=retriever: StaticPipelineRunner(r).answer(q.text),
             },
         )
     print(render_table3(accuracy))
@@ -200,11 +200,11 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------ Ablations
-    print(retrieval_modes(datasets, bundles))
+    print(retrieval_modes(datasets, retrievers))
     print()
-    print(context_specialization(datasets[0], bundles[0]))
+    print(context_specialization(datasets[0], retrievers[0]))
     print()
-    print(action_limit_sweep(datasets[0], bundles[0]))
+    print(action_limit_sweep(datasets[0], retrievers[0]))
     print()
 
     # ---------------------------------------------- Scenario grid coverage

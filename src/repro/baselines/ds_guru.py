@@ -16,7 +16,7 @@ from ..llm.policies import DSGuruPolicy
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
 from ..relational.errors import RelationalError
-from ..service.shared import SharedIndexBundle
+from ..retriever.retriever import PneumaRetriever
 
 
 def build_ds_guru_llm(model_name: str = "O3", **kwargs) -> RuleLLM:
@@ -28,18 +28,16 @@ def build_ds_guru_llm(model_name: str = "O3", **kwargs) -> RuleLLM:
 class DSGuruRunner:
     """question -> subtasks -> one-shot pipeline + SQL -> answer."""
 
-    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None):
+    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None):
         self.name = "DS-Guru"
-        self.lake = bundle.retriever.database
+        self.lake = retriever.database
         self.llm = llm or build_ds_guru_llm()
         # DS-Guru sees every file's schema and sample rows up front
         # (KramaBench hands the framework the dataset's files), as the index renders them.
-        self._payloads = bundle.retriever.payloads.get_many(self.lake.tables())
+        self._payloads = retriever.payloads.get_many(self.lake.tables())
 
     def answer(self, question: str) -> Any:
-        prompt = render_prompt(
-            "ds_guru", {"QUESTION": question, "SCHEMAS": self._payloads}
-        )
+        prompt = render_prompt("ds_guru", {"QUESTION": question, "SCHEMAS": self._payloads})
         payload = parse_response(self.llm.complete(prompt, "ds_guru"))
         program = payload.get("program")
         sql = payload.get("sql")

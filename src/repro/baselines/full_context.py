@@ -21,7 +21,9 @@ from ..relational.csv_io import to_csv_text
 from ..relational.errors import RelationalError
 
 
-def build_full_context_llm(model_name: str = "O3", context_tokens: int = 200_000, **kwargs) -> RuleLLM:
+def build_full_context_llm(
+    model_name: str = "O3", context_tokens: int = 200_000, **kwargs
+) -> RuleLLM:
     llm = RuleLLM(model_name=model_name, limits=ModelLimits(context_tokens), **kwargs)
     llm.register(FullContextPolicy())
     return llm
@@ -44,12 +46,9 @@ class FullContextRunner:
 
     def answer(self, question: Question) -> FullContextAnswer:
         tables = {
-            name: to_csv_text(self.lake.resolve_table(name))
-            for name in question.relevant_tables
+            name: to_csv_text(self.lake.resolve_table(name)) for name in question.relevant_tables
         }
-        prompt = render_prompt(
-            "full_context", {"QUESTION": question.text, "TABLES": tables}
-        )
+        prompt = render_prompt("full_context", {"QUESTION": question.text, "TABLES": tables})
         try:
             payload = parse_response(self.llm.complete(prompt, "full_context"))
         except ContextLengthExceeded as exc:

@@ -14,7 +14,7 @@ from ..llm.clock import INDEX_LOOKUP_SECONDS
 from ..llm.policies import RAGPolicy
 from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
-from ..service.shared import SharedIndexBundle
+from ..retriever.retriever import PneumaRetriever
 
 
 def build_rag_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
@@ -28,9 +28,9 @@ class RAGSystem:
 
     kind = "rag"
 
-    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None, k: int = 3):
+    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None, k: int = 3):
         self.name = "LlamaIndex"
-        self.retriever = bundle.retriever
+        self.retriever = retriever
         self.llm = llm or build_rag_llm()
         self.clock = self.llm.clock
         self.ledger = self.llm.ledger

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.session import SeekerSession
-from ..service.shared import SharedIndexBundle
+from ..retriever.retriever import PneumaRetriever
 
 
 class SeekerSystem:
@@ -14,9 +14,9 @@ class SeekerSystem:
 
     kind = "seeker"
 
-    def __init__(self, bundle: SharedIndexBundle):
+    def __init__(self, retriever: PneumaRetriever):
         self.name = "Pneuma-Seeker"
-        self.session = SeekerSession(bundle.retriever.database, bundle.retriever)
+        self.session = SeekerSession(retriever.database, retriever)
         self.clock = self.session.llm.clock
         self.ledger = self.session.llm.ledger
 

@@ -20,7 +20,7 @@ from ..llm.prompts import parse_response, render_prompt
 from ..llm.rule_llm import RuleLLM
 from ..llm.semantics import SchemaView
 from ..relational.errors import RelationalError
-from ..service.shared import SharedIndexBundle
+from ..retriever.retriever import PneumaRetriever
 
 
 def build_static_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
@@ -32,10 +32,10 @@ def build_static_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
 class StaticPipelineRunner:
     """retrieve top-k -> plan -> materialize once -> execute once."""
 
-    def __init__(self, bundle: SharedIndexBundle, llm: Optional[RuleLLM] = None, k: int = 6):
+    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None, k: int = 6):
         self.name = "Static-Pipeline"
-        self.retriever = bundle.retriever
-        self.lake = self.retriever.database
+        self.retriever = retriever
+        self.lake = retriever.database
         self.llm = llm or build_static_llm()
         self.k = k
         self._conductor_policy = ConductorPolicy()  # reused for spec building only
@@ -53,7 +53,13 @@ class StaticPipelineRunner:
         # Fixed step 2: materialize exactly once (no repair).
         prompt = render_prompt(
             "materializer",
-            {"TARGET": spec, "PLAN": plan_to_json(plan), "DOCS": docs, "NOTE": question, "ATTEMPT": "1"},
+            {
+                "TARGET": spec,
+                "PLAN": plan_to_json(plan),
+                "DOCS": docs,
+                "NOTE": question,
+                "ATTEMPT": "1",
+            },
         )
         payload = parse_response(self.llm.complete(prompt, "materializer"))
         scratch = self.lake.copy("static_scratch")

@@ -18,7 +18,7 @@ from ..llm.tokens import UsageLedger
 from ..relational.catalog import Database
 from ..relational.table import Table
 from ..relational.types import format_value
-from ..service.shared import SharedIndexBundle
+from ..retriever.retriever import PneumaRetriever
 from ..text.bm25 import BM25Index
 
 
@@ -70,9 +70,7 @@ class FTSSystem:
         hits = self.index.search(message, k=self.k)
         if not hits:
             return "No matching tables."
-        return "\n".join(
-            render_table_raw(self.lake.resolve_table(h.doc_id)) for h in hits
-        )
+        return "\n".join(render_table_raw(self.lake.resolve_table(h.doc_id)) for h in hits)
 
 
 class RetrieverOnlySystem:
@@ -80,10 +78,10 @@ class RetrieverOnlySystem:
 
     kind = "static"
 
-    def __init__(self, bundle: SharedIndexBundle, k: int = 3):
+    def __init__(self, retriever: PneumaRetriever, k: int = 3):
         self.name = "Pneuma-Retriever"
-        self.retriever = bundle.retriever
-        self.lake = self.retriever.database
+        self.retriever = retriever
+        self.lake = retriever.database
         self.k = k
         self.clock = VirtualClock()
         self.ledger = UsageLedger()
@@ -93,6 +91,4 @@ class RetrieverOnlySystem:
         docs = self.retriever.search(message, k=self.k)
         if not docs:
             return "No matching tables."
-        return "\n".join(
-            render_table_raw(self.lake.resolve_table(d.title)) for d in docs
-        )
+        return "\n".join(render_table_raw(self.lake.resolve_table(d.title)) for d in docs)

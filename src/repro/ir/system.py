@@ -26,15 +26,6 @@ class RetrievalResult:
     documents: List[Document]
     per_source: Dict[str, int]
 
-    def tables(self) -> List[Document]:
-        return [d for d in self.documents if d.kind == "table"]
-
-    def web(self) -> List[Document]:
-        return [d for d in self.documents if d.kind == "web"]
-
-    def knowledge(self) -> List[Document]:
-        return [d for d in self.documents if d.kind == "knowledge"]
-
     @property
     def degraded(self) -> bool:
         """True when any source served this query on a degraded path

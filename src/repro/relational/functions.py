@@ -16,6 +16,11 @@ from .errors import BindError, ExecutionError
 from .types import format_value, parse_date, type_of_value
 
 
+#: What a function's Python body raises for an argument it cannot take
+#: (``UPPER(1)``, ``SQRT('x')``); a call turns each into an ``ExecutionError``.
+ARGUMENT_ERRORS = (TypeError, ValueError, AttributeError, ArithmeticError)
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
     name: str
@@ -36,7 +41,10 @@ class ScalarFunction:
     def invoke(self, args: List[Any]) -> Any:
         if self.null_propagating and any(a is None for a in args):
             return None
-        return self.fn(*args)
+        try:
+            return self.fn(*args)
+        except ARGUMENT_ERRORS as exc:  # an argument of the wrong type or domain
+            raise ExecutionError(f"{self.name.upper()}: {exc}") from exc
 
 
 SCALAR_FUNCTIONS: Dict[str, ScalarFunction] = {}
@@ -88,6 +96,12 @@ def _safe_ln(x: Any) -> float:
     return math.log(x)
 
 
+def _mod(x: Any, y: Any) -> Any:
+    if y == 0:
+        raise ExecutionError("modulo by zero")  # as ``%`` reads
+    return math.fmod(x, y) if isinstance(x, float) or isinstance(y, float) else x % y
+
+
 _register("abs", abs, 1)
 _register("round", _round, 1, 2)
 _register("floor", lambda x: int(math.floor(x)), 1)
@@ -100,7 +114,7 @@ _register("exp", math.exp, 1)
 _register("power", lambda x, y: float(x) ** y, 2)
 _register("pow", lambda x, y: float(x) ** y, 2)
 _register("sign", lambda x: (x > 0) - (x < 0), 1)
-_register("mod", lambda x, y: math.fmod(x, y) if isinstance(x, float) or isinstance(y, float) else x % y, 2)
+_register("mod", _mod, 2)
 _register("pi", lambda: math.pi, 0)
 _register_variadic("least", lambda *xs: min(xs), 1)
 _register_variadic("greatest", lambda *xs: max(xs), 1)

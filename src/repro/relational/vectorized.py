@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from . import ast
 from .aggregates import Aggregate, lookup_aggregate
 from .errors import BindError, ExecutionError
-from .functions import lookup_scalar
+from .functions import ARGUMENT_ERRORS, lookup_scalar
 from .semantics import Binding, InvertedKey, apply_binary, apply_unary, like_regex, to_bool
 from .types import cast_value, compare_values, parse_type_name, sort_key
 
@@ -394,15 +394,19 @@ def accumulate_aggregate(
         first_seen = distinct_indices(Chunk(cols, len(cols[0])))
         cols = [[col[i] for i in first_seen] for col in cols]
     if gids is None:
-        return [agg.reduce(*cols)]
-    *arg_cols, gids = cols
-    split: List[List[List[Any]]] = []
-    for col in arg_cols:
-        buckets: List[List[Any]] = [[] for _ in range(ngroups)]
-        for g, v in zip(gids, col):
-            buckets[g].append(v)
-        split.append(buckets)
-    return list(map(agg.reduce, *split))
+        split = [[col] for col in cols]
+    else:
+        *arg_cols, gids = cols
+        split = []
+        for col in arg_cols:
+            buckets: List[List[Any]] = [[] for _ in range(ngroups)]
+            for g, v in zip(gids, col):
+                buckets[g].append(v)
+            split.append(buckets)
+    try:
+        return list(map(agg.reduce, *split))
+    except ARGUMENT_ERRORS as exc:  # e.g. STRING_AGG(b, 5), QUANTILE(a, 'x')
+        raise ExecutionError(f"{agg.name.upper()}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,15 @@ hybrid index, and answers natural-language queries with table Documents.
 This is both a component of the IR System and the standalone
 "Pneuma-Retriever" baseline of Figures 4 and 5.
 
-Narrations are produced through a :class:`NarrationCache`, and
-:meth:`reindex` skips any table whose ``Table.fingerprint()`` (memoized
-on the table) is the one it indexed — re-indexing an unchanged catalog
-costs one tuple compare per table instead of a narrate/embed/insert
-pipeline.  A table Document's payload (schema + sample rows) is rendered
-once per table content, by a :class:`TableCache`, and every hit on that
-table shares it.  A frozen retriever (see :meth:`freeze`) is safe to
-share across concurrent sessions.
+Narrations are produced through a :class:`NarrationCache`, so a fresh
+build over an unchanged table reuses its narration.  A retriever is built
+once, in one pass: every table of the catalog is narrated and indexed by
+the construction-time :meth:`reindex`, or none when the index was hydrated
+from a snapshot of exactly this catalog.  A table Document's payload
+(schema + sample rows) is rendered once per table content, by a
+:class:`TableCache`, and every hit on that table shares it.  A frozen
+retriever (see :meth:`freeze`) is safe to share across concurrent
+sessions.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class PneumaRetriever:
         self,
         database: Database,
         dim: int = 192,
-        sample_rows: int = 3,
         narration_cache: Optional[NarrationCache] = None,
         embedder=None,
         vector_breaker=None,
@@ -65,65 +65,39 @@ class PneumaRetriever:
         self.database = database
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
         #: One payload per table content, shared read-only by every hit.
-        self.payloads = TableCache(lambda tables: [table_payload(t, sample_rows) for t in tables])
+        self.payloads = TableCache(lambda tables: [table_payload(t) for t in tables])
         # A warm start (storage layer) injects an index hydrated from a
-        # snapshot of exactly this catalog: it holds every table's narration,
-        # and the construction-time reindex below finds nothing to add.
+        # snapshot of exactly this catalog: it holds every table's narration.
+        self._hydrated = index is not None
         self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
-        hydrated = database.tables() if index is not None else []
-        self._narrations: Dict[str, str] = {t.name: index.text_of(t.name) for t in hydrated}
-        self._fingerprints: Dict[str, Tuple[str, int]] = {
-            t.name: t.fingerprint() for t in hydrated
-        }
         self.build_report = self.reindex()
 
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
     def reindex(self) -> Dict[str, int]:
-        """Index the tables the index has not seen, skipping unchanged ones
-        by content fingerprint.  Returns ``{"indexed": n, "skipped": m}``.
+        """Build the index: narrate every table of the catalog and add them
+        all in one batch, or none when the index was hydrated from a
+        snapshot.  Returns ``{"indexed": n, "skipped": m}``.
 
-        An index is built once: a table whose content changed raises
-        ``KeyError`` and leaves the retriever as it was.  The serving
-        layer's ``reindex()`` and its warm start over a changed catalog
-        build a fresh retriever instead.  A table that left the catalog is
-        forgotten; its index entry stays and :meth:`search_batch` skips it.
+        Called once, by ``__init__``: an index is built once, so a second
+        pass over a built one raises (``KeyError`` for an indexed id,
+        ``FrozenIndexError`` once frozen).  A changed catalog gets a fresh
+        retriever; the serving layer's ``reindex()`` builds one over warm
+        caches.
         """
-        pending: List[Tuple[str, str]] = []
-        staged_narrations: Dict[str, str] = {}
-        staged_fingerprints: Dict[str, Tuple[str, int]] = {}
-        skipped = 0
         tables = self.database.tables()
-        for table in tables:
-            if self._fingerprints.get(table.name) == table.fingerprint():
-                skipped += 1
-                continue
-            narration = self.narrations.narrate(table)
-            staged_narrations[table.name] = narration
-            staged_fingerprints[table.name] = table.fingerprint()
-            pending.append((table.name, narration))
-        if pending:
-            # May raise FrozenIndexError or KeyError (a changed table);
-            # commit our own state only after the index accepted the batch,
-            # so a failed reindex leaves the retriever exactly as it was.
-            self.index.add_batch(pending)
-        self._narrations.update(staged_narrations)
-        self._fingerprints.update(staged_fingerprints)
-        for name in self._fingerprints.keys() - {table.name for table in tables}:
-            del self._fingerprints[name]
-            del self._narrations[name]
-        return {"indexed": len(pending), "skipped": skipped}
+        if self._hydrated:
+            return {"indexed": 0, "skipped": len(tables)}
+        self.index.add_batch([(table.name, self.narrations.narrate(table)) for table in tables])
+        return {"indexed": len(tables), "skipped": 0}
 
     def freeze(self) -> "PneumaRetriever":
         """Seal the underlying index for lock-free concurrent searching."""
         self.index.freeze()
         return self
-
-    def narration(self, table_name: str) -> str:
-        return self._narrations[table_name]
 
     # ------------------------------------------------------------------
     # Search
@@ -147,24 +121,24 @@ class PneumaRetriever:
         # A hit on a table dropped from the catalog is skipped; an index is
         # never edited.
         resolved = [
-            [(table, hit.score) for hit in hits if (table := find_table(hit.doc_id)) is not None]
+            [(table, hit) for hit in hits if (table := find_table(hit.doc_id)) is not None]
             for hits in batches
         ]
         payloads = iter(self.payloads.get_many([table for row in resolved for table, _ in row]))
-        narrations = self._narrations
+        text_of = self.index.text_of
         return [
             [
                 Document(
                     f"table:{table.name}",
                     "table",
                     table.name,
-                    narrations[table.name],
+                    text_of(hit.doc_id),
                     next(payloads),
-                    score,
+                    hit.score,
                     "pneuma-retriever",
                     degraded,
                 )
-                for table, score in row
+                for table, hit in row
             ]
             for row in resolved
         ]

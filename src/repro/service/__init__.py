@@ -32,7 +32,7 @@ from .service import (
     ServiceOverloaded,
     SessionSummary,
 )
-from .shared import IndexGate, SharedIndexBundle, build_shared_retriever
+from .shared import IndexGate, build_shared_retriever
 
 __all__ = [
     "PneumaService",
@@ -46,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "SlowTurnLog",
-    "SharedIndexBundle",
     "IndexGate",
     "build_shared_retriever",
     "CrashSpec",

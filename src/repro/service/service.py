@@ -3,9 +3,10 @@
 The paper's Conductor loop is interactive and stateful, which makes naive
 scaling expensive: every session would narrate, embed, and index the whole
 catalog before its first turn.  The service amortizes that — one frozen
-:class:`HybridIndex` (plus narration/embedding caches) is built per
-service and shared read-only by every session, so opening a session costs
-only its private state ``(T, Q)``.
+:class:`HybridIndex` per generation is shared read-only by every session,
+and the narration/embedding caches every generation's build reads belong
+to the service, so opening a session costs only its private state
+``(T, Q)``.
 
 Concurrency model:
 
@@ -83,10 +84,13 @@ from ..obs import trace as obs
 from ..prep.pipeline import PreparationPipeline
 from ..relational.catalog import Database
 from ..relational.plan import PlanCache
+from ..retriever.retriever import PneumaRetriever
+from ..retriever.summarizer import NarrationCache
 from ..storage import IndexStore
+from ..text.embedding import CachedEmbedder
 from .faults import FaultPlan, FlakyEmbedder, FlakyLLM, FlakySQL, derive_seed
 from .resilience import CircuitBreaker, ResilienceConfig, ResilientLLM
-from .shared import IndexGate, SharedIndexBundle, _Generation, build_shared_retriever
+from .shared import IndexGate, _Generation, build_shared_retriever
 
 #: The unlabeled serving counters, ``stats()`` key -> help text; each is
 #: the registry family ``pneuma_<key>``.
@@ -185,7 +189,6 @@ class PneumaService:
         observability: Optional[ObservabilityConfig] = None,
     ):
         self.lake = lake
-        self._dim = dim
         self.resilience = cfg = resilience if resilience is not None else ResilienceConfig()
         # No plan is the no-fault plan: no schedules, the inert crash injector.
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.none()
@@ -259,18 +262,29 @@ class PneumaService:
         # database key into it (keys are namespaced per catalog).
         self.sql_plan_cache = PlanCache(capacity=512)
         self.lake.share_plan_cache(self.sql_plan_cache)
+        # The caches every generation's build reads: an unchanged table is
+        # narrated and embedded once per service, not once per generation.
+        self.narrations = NarrationCache()
+        self.embedder = CachedEmbedder(dim=dim)
         # Generation 0: a snapshot in the store warm-starts it (served whole,
         # or seeding the narrations of a rebuild); only a boot that found no
         # usable snapshot publishes one for the next boot.
         self._gate = IndexGate(*self._build_generation(store=self.store))
-        self.warm_started = "restored" in self.shared.build_report
+        self.warm_started = "restored" in self.shared.retriever.build_report
         if self.store is not None and not self.warm_started:
-            self._publish(self.shared)
+            self._publish(self.shared.retriever)
         registry.add_collector("index_gate", lambda: me._gate.stats())
-        # The bundle's own caches, plus the process-wide tables the RuleLLM
-        # policies score text through (lexicon, question memo, stems, ...).
+        # The build caches, the current retriever's payloads, and the
+        # process-wide tables the RuleLLM policies score text through
+        # (lexicon, question memo, stems, ...).
         registry.add_collector(
-            "caches", lambda: {**me.shared.cache_stats(), "policy_text": policy_text_stats()}
+            "caches",
+            lambda: {
+                "narration": me.narrations.stats(),
+                "embedding": me.embedder.stats(),
+                "payload": me.shared.retriever.payloads.stats(),
+                "policy_text": policy_text_stats(),
+            },
         )
         # Which kernel serves the shared index and whether freeze() compiled it.
         registry.add_collector("retrieval", lambda: me.shared.retriever.index.kernel_stats())
@@ -350,10 +364,11 @@ class PneumaService:
         return summaries
 
     def _build_generation(self, previous: Optional[_Generation] = None, store=None):
-        """The next picture of the lake, ``(bundle, prep)`` for the gate: an
-        index bundle (with the resilience wiring) and a preparation pipeline
-        built from one copy of the staging lake — ``previous``'s own when no
-        table changed — off ``previous``'s caches or ``store``'s snapshot.
+        """The next picture of the lake, ``(retriever, prep)`` for the gate:
+        a frozen retriever (with the resilience wiring) and a preparation
+        pipeline built from one copy of the staging lake — ``previous``'s
+        own when no table changed — off the service's caches or ``store``'s
+        snapshot.
         Join discovery runs last: it is the build's memory high-water mark."""
         staged, kept = self.lake.tables(), previous.catalog.tables() if previous else []
         if kept and list(map(id, kept)) == list(map(id, staged)):  # the same table objects
@@ -361,11 +376,10 @@ class PneumaService:
         else:
             catalog = self.lake.copy()
             prep = previous.prep.successor(catalog) if previous else PreparationPipeline(catalog)
-        bundle = build_shared_retriever(
+        retriever = build_shared_retriever(
             catalog,
-            dim=self._dim,
-            narrations=previous and previous.bundle.narrations,
-            embedder=previous and previous.bundle.embedder,
+            narrations=self.narrations,
+            embedder=self.embedder,
             vector_breaker=self.breakers["vector"],
             on_degraded=self._count["degraded_retrievals"].inc,
             store=store,
@@ -373,15 +387,15 @@ class PneumaService:
         schedule = self.fault_plan.schedule("retriever")
         if schedule is not None:
             # A retriever fault is a flaky query embedder (see FlakyEmbedder).
-            index = bundle.retriever.index
+            index = retriever.index
             index.embedder = FlakyEmbedder(index.embedder, schedule)
         prep.join_candidates()
-        return bundle, prep
+        return retriever, prep
 
-    def _publish(self, bundle: SharedIndexBundle) -> int:
+    def _publish(self, retriever: PneumaRetriever) -> int:
         """Durably publish a frozen index with its own catalog's digests."""
-        tables = {table.name: table.digest() for table in bundle.retriever.database.tables()}
-        return self.store.publish(bundle.retriever.index, tables=tables)
+        tables = {table.name: table.digest() for table in retriever.database.tables()}
+        return self.store.publish(retriever.index, tables=tables)
 
     def _open_knowledge(self) -> DocumentDatabase:
         """The knowledge store, recovered when persistence is attached:
@@ -560,7 +574,7 @@ class PneumaService:
     def reindex(self, drain: bool = True) -> Dict[str, Any]:
         """Snapshot-swap reindex: make what ``service.lake`` staged visible
         without pausing traffic.  The next generation is built in the
-        background off the previous one's caches and swapped in through the
+        background off the service's caches and swapped in through the
         index gate: turns that start afterwards see it, turns already
         running finish on the generation they pinned, and with
         ``drain=True`` this returns once the old one is idle.  A turn pins
@@ -579,35 +593,36 @@ class PneumaService:
             with trace:
                 build_started = time.perf_counter()
                 with obs.span("reindex.build"):
-                    bundle, prep = self._build_generation(previous=self._gate.current)
+                    retriever, prep = self._build_generation(previous=self._gate.current)
                 build_seconds = time.perf_counter() - build_started
                 swap_started = time.perf_counter()
                 with obs.span("reindex.swap"):
-                    self._gate.swap(bundle, prep, drain=drain)
+                    self._gate.swap(retriever, prep, drain=drain)
                 swap_seconds = time.perf_counter() - swap_started
                 self._count["reindex_swaps"].inc()
                 report = {
-                    "build_report": dict(bundle.build_report),
+                    "build_report": dict(retriever.build_report),
                     "build_seconds": build_seconds,
                     "swap_seconds": swap_seconds,
                     "drained": drain,
                     "generation": self._gate.current.number,
-                    "index_size": len(bundle.retriever.index),
+                    "index_size": len(retriever.index),
                 }
                 if self.store is not None:
                     # Swap first, publish second: readers get the new index at
                     # memory speed, and a crash mid-publish leaves the previous
                     # durable snapshot intact (the manifest's rename commits).
-                    report["published_generation"] = self._publish(bundle)
+                    report["published_generation"] = self._publish(retriever)
                 return report
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def shared(self) -> SharedIndexBundle:
-        """The current generation's index bundle (changes on reindex)."""
-        return self._gate.current.bundle
+    def shared(self) -> _Generation:
+        """The current generation: its frozen ``retriever``, ``prep`` and
+        ``catalog`` (changes on reindex)."""
+        return self._gate.current
 
     @property
     def prep(self) -> PreparationPipeline:

@@ -1,20 +1,19 @@
 """The shared, immutable-after-build retrieval substrate of a service.
 
-One :class:`SharedIndexBundle` is built per service: a fingerprint-cached
-narration pass, a memoizing embedder, and a frozen :class:`HybridIndex`
-that every session searches lock-free.  Each bundle's retriever renders
-one table payload per table and shares it across hits.
+:func:`build_shared_retriever` is the one way a lake's index comes to be:
+it narrates, embeds and indexes every table in one pass and freezes the
+retriever, which every session then searches lock-free.  It renders one
+table payload per table and shares it across hits.
 
-:func:`build_shared_retriever` is the one way a bundle comes to be, and
-every bundle holds one index.  Cold, it narrates, embeds and indexes the
-whole lake.  Given a previous bundle's ``narrations``/``embedder`` it
-builds a *fresh* frozen index off warm caches (the BM25 and vector adds
-are repaid in full).  Given a ``store`` holding a published snapshot it
-serves that snapshot whole when it covers the lake exactly, and
-otherwise builds fresh, narrating only the tables that changed since.
+The caches that outlive one build belong to the caller.  Given the
+service's ``narrations``/``embedder``, a rebuild of an unchanged table
+repays only its BM25 and vector adds.  Given a ``store`` holding a
+published snapshot, the build serves that snapshot whole when it covers
+the lake exactly, and otherwise builds fresh, narrating only the tables
+that changed since.
 
-Snapshot-swap reindexing rides on the second path: the service builds a
-fresh bundle, and the preparation pipeline, over a copy of its catalog
+Snapshot-swap reindexing rides on the first path: the service builds a
+fresh retriever, and the preparation pipeline, over a copy of its catalog
 and publishes the pair as one generation through the :class:`IndexGate`.
 A turn pins one generation for its whole Conductor loop, a sessionless
 search pins one per call, and the swap waits for the old generation to
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..obs import trace as obs
@@ -33,23 +31,6 @@ from ..relational.catalog import Database
 from ..retriever.retriever import PneumaRetriever
 from ..retriever.summarizer import NarrationCache
 from ..text.embedding import CachedEmbedder
-
-
-@dataclass
-class SharedIndexBundle:
-    """A frozen retriever plus the caches that built it."""
-
-    retriever: PneumaRetriever
-    narrations: NarrationCache
-    embedder: CachedEmbedder
-    build_report: Dict[str, int] = field(default_factory=dict)
-
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        return {
-            "narration": self.narrations.stats(),
-            "embedding": self.embedder.stats(),
-            "payload": self.retriever.payloads.stats(),
-        }
 
 
 def build_shared_retriever(
@@ -60,21 +41,21 @@ def build_shared_retriever(
     vector_breaker=None,
     on_degraded: Optional[Callable[[], None]] = None,
     store=None,
-) -> SharedIndexBundle:
+) -> PneumaRetriever:
     """Narrate + embed + index every table of ``lake``, then freeze.
 
-    Passing the previous bundle's ``narrations``/``embedder`` makes this a
-    warm rebuild: unchanged tables are recognized by fingerprint inside
-    the caches and their narrations/embeddings are returned without
+    Passing warm ``narrations``/``embedder`` caches makes this a warm
+    rebuild: unchanged tables are recognized by fingerprint inside the
+    caches and their narrations/embeddings are returned without
     recomputation.  ``vector_breaker``/``on_degraded`` thread the serving
     layer's dense-half circuit breaker into the retriever so hybrid search
     degrades to BM25-only instead of failing.
 
     Passing a ``store`` (:class:`~repro.storage.store.IndexStore`) with a
     usable snapshot makes this a warm start, reconciled against the
-    manifest's ``Table.digest()`` values; the build report gains
-    ``restored``, the number of tables the snapshot still covers.  When it
-    covers the lake exactly (every table, no other document), the
+    manifest's ``Table.digest()`` values; the retriever's ``build_report``
+    gains ``restored``, the number of tables the snapshot still covers.
+    When it covers the lake exactly (every table, no other document), the
     snapshot hydrated from its mmap'd segments is the index.
     Otherwise this is the warm rebuild above, with the snapshot's texts of
     the covered tables seeding ``narrations``: only changed tables are
@@ -102,26 +83,22 @@ def build_shared_retriever(
         on_degraded=on_degraded,
         index=snapshot,
     ).freeze()
-    return SharedIndexBundle(
-        retriever=retriever,
-        narrations=narrations,
-        embedder=embedder,
-        build_report={**retriever.build_report, **report},
-    )
+    retriever.build_report.update(report)
+    return retriever
 
 
 class _Generation:
-    """One picture of the lake: its number, the catalog the bundle's
-    retriever was built over, that bundle, the preparation pipeline over the
+    """One picture of the lake: its number, the catalog its retriever was
+    built over, that frozen retriever, the preparation pipeline over the
     same catalog, and its in-flight reader count; and the
     :class:`~repro.retriever.Searchable` a pinned turn searches through."""
 
-    __slots__ = ("number", "catalog", "bundle", "prep", "readers")
+    __slots__ = ("number", "catalog", "retriever", "prep", "readers")
 
-    def __init__(self, bundle: SharedIndexBundle, prep, number: int):
+    def __init__(self, retriever: PneumaRetriever, prep, number: int):
         self.number = number
-        self.catalog = bundle.retriever.database
-        self.bundle = bundle
+        self.catalog = retriever.database
+        self.retriever = retriever
         self.prep = prep
         self.readers = 0
 
@@ -129,10 +106,10 @@ class _Generation:
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
         attrs = dict(queries=len(queries), k=k, mode=mode, generation=self.number)
         with obs.span("retrieval.search", **attrs):
-            return self.bundle.retriever.search_batch(queries, k=k, mode=mode)
+            return self.retriever.search_batch(queries, k=k, mode=mode)
 
     def column_values(self, table_name: str, column: str, limit: int = 200):
-        return self.bundle.retriever.column_values(table_name, column, limit)
+        return self.retriever.column_values(table_name, column, limit)
 
 
 class IndexGate:
@@ -148,9 +125,9 @@ class IndexGate:
     generation's readers have all exited, so it is provably idle.
     """
 
-    def __init__(self, bundle: SharedIndexBundle, prep):
+    def __init__(self, retriever: PneumaRetriever, prep):
         self._cond = threading.Condition()
-        self._current = _Generation(bundle, prep, 0)
+        self._current = _Generation(retriever, prep, 0)
 
     @property
     def current(self) -> _Generation:
@@ -171,13 +148,13 @@ class IndexGate:
                 if gen.readers == 0:
                     self._cond.notify_all()
 
-    def swap(self, bundle: SharedIndexBundle, prep, drain: bool = True) -> None:
+    def swap(self, retriever: PneumaRetriever, prep, drain: bool = True) -> None:
         """Atomically publish the next generation; with ``drain=True``
         (default) then wait until every reader that entered on the old
         generation has exited."""
         with self._cond:
             old = self._current
-            self._current = _Generation(bundle, prep, old.number + 1)
+            self._current = _Generation(retriever, prep, old.number + 1)
             if drain:
                 while old.readers > 0:
                     self._cond.wait()

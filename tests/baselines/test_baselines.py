@@ -42,7 +42,7 @@ def lake():
 
 
 @pytest.fixture(scope="module")
-def bundle(lake):
+def retriever(lake):
     """The lake's one shared index, as the service builds it."""
     return build_shared_retriever(lake)
 
@@ -62,59 +62,59 @@ class TestStaticSystems:
     def test_fts_no_match(self, lake, fts_index):
         assert FTSSystem(lake, fts_index).respond("xylophone") == "No matching tables."
 
-    def test_retriever_only(self, bundle):
-        out = RetrieverOnlySystem(bundle).respond("department budgets in usd")
+    def test_retriever_only(self, retriever):
+        out = RetrieverOnlySystem(retriever).respond("department budgets in usd")
         assert "table budgets" in out
 
     def test_static_systems_never_compute(self, lake, fts_index):
         out = FTSSystem(lake, fts_index).respond("what is the average pm25")
         assert "answer" not in out.lower()
 
-    def test_kind_markers(self, lake, bundle, fts_index):
+    def test_kind_markers(self, lake, retriever, fts_index):
         assert FTSSystem(lake, fts_index).kind == "static"
-        assert RetrieverOnlySystem(bundle).kind == "static"
-        assert RAGSystem(bundle).kind == "rag"
-        assert SeekerSystem(bundle).kind == "seeker"
+        assert RetrieverOnlySystem(retriever).kind == "static"
+        assert RAGSystem(retriever).kind == "rag"
+        assert SeekerSystem(retriever).kind == "seeker"
 
 
 class TestRAGSystem:
-    def test_interprets_but_never_answers_value(self, bundle):
-        system = RAGSystem(bundle)
+    def test_interprets_but_never_answers_value(self, retriever):
+        system = RAGSystem(retriever)
         text = system.respond("what is the average pm25 at North?")
         assert "readings" in text
         assert system.answer("average pm25") is None
 
-    def test_accumulates_context(self, bundle):
-        system = RAGSystem(bundle)
+    def test_accumulates_context(self, retriever):
+        system = RAGSystem(retriever)
         system.respond("tell me about air quality readings")
         text = system.respond("and the budgets?")
         assert "budgets" in text
 
 
 class TestDSGuru:
-    def test_solves_simple_aggregate(self, bundle):
-        runner = DSGuruRunner(bundle)
+    def test_solves_simple_aggregate(self, retriever):
+        runner = DSGuruRunner(retriever)
         answer = runner.answer("What is the average pm25 across readings?")
         assert answer == pytest.approx(7.5)
 
-    def test_misses_value_not_in_samples(self, bundle):
+    def test_misses_value_not_in_samples(self, retriever):
         # 'South' IS in sample rows? Samples show first 3 rows (all North),
         # so a South filter cannot ground and the answer is unfiltered.
-        runner = DSGuruRunner(bundle)
+        runner = DSGuruRunner(retriever)
         answer = runner.answer("What is the average pm25 at the South station?")
         assert answer == pytest.approx(7.5)  # wrong (truth is 9.0), by design
 
-    def test_unplannable_returns_none(self, bundle):
-        assert DSGuruRunner(bundle).answer("tell me a story") is None
+    def test_unplannable_returns_none(self, retriever):
+        assert DSGuruRunner(retriever).answer("tell me a story") is None
 
 
 class TestStaticPipeline:
-    def test_solves_simple_aggregate(self, bundle):
-        answer = StaticPipelineRunner(bundle).answer("What is the average pm25?")
+    def test_solves_simple_aggregate(self, retriever):
+        answer = StaticPipelineRunner(retriever).answer("What is the average pm25?")
         assert answer == pytest.approx(7.5)
 
-    def test_unplannable_returns_none(self, bundle):
-        assert StaticPipelineRunner(bundle).answer("hello there") is None
+    def test_unplannable_returns_none(self, retriever):
+        assert StaticPipelineRunner(retriever).answer("hello there") is None
 
 
 class TestFullContext:
@@ -149,8 +149,8 @@ class TestFullContext:
 
 
 class TestSeekerSystem:
-    def test_answer_and_respond(self, bundle):
-        system = SeekerSystem(bundle)
+    def test_answer_and_respond(self, retriever):
+        system = SeekerSystem(retriever)
         assert system.answer("What is the average pm25?") == pytest.approx(7.5)
         out = system.respond("What about the maximum pm25?")
         assert "STATE" in out

@@ -33,7 +33,7 @@ def lake():
 @pytest.fixture
 def retriever(lake):
     """The lake's one shared index, as the service builds it."""
-    return build_shared_retriever(lake).retriever
+    return build_shared_retriever(lake)
 
 
 def make_components(lake):

@@ -35,7 +35,7 @@ def lake():
 @pytest.fixture
 def retriever(lake):
     """The lake's one shared index, as the service builds it."""
-    return build_shared_retriever(lake).retriever
+    return build_shared_retriever(lake)
 
 
 class TestSession:
@@ -123,8 +123,9 @@ class TestKnowledgeCapture:
         second = SeekerSession(lake, retriever, knowledge=shared, user="u2")
         # The captured clarification is retrievable in the new session.
         result = second.ir.retrieve("average pm25 analysis")
-        assert result.knowledge()
-        assert "North station" in result.knowledge()[0].text
+        knowledge = [d for d in result.documents if d.kind == "knowledge"]
+        assert knowledge
+        assert "North station" in knowledge[0].text
 
 
 class TestInterpolationFlow:

@@ -85,9 +85,9 @@ class TestConvergenceEval:
 
 def _seeker_dialogues(dataset, max_turns=15):
     """The Figures' Pneuma-Seeker result over ``dataset``."""
-    bundle = build_shared_retriever(dataset.lake)
+    shared = build_shared_retriever(dataset.lake)
     (result,) = evaluate_convergence(
-        dataset, {"Pneuma-Seeker": lambda: SeekerSystem(bundle)}, max_turns=max_turns
+        dataset, {"Pneuma-Seeker": lambda: SeekerSystem(shared)}, max_turns=max_turns
     )
     return result
 
@@ -128,25 +128,25 @@ class PaperRun:
 
         monkeypatch.setattr(PneumaRetriever, "__init__", counted)
         self.version_before = dataset.lake.version
-        bundle = build_shared_retriever(dataset.lake)
+        shared = build_shared_retriever(dataset.lake)
         fts_index = raw_text_index(dataset.lake)
         self.convergence = evaluate_convergence(
             dataset,
             {
                 "FTS": lambda: FTSSystem(dataset.lake, fts_index),
-                "Pneuma-Retriever": lambda: RetrieverOnlySystem(bundle),
-                "LlamaIndex": lambda: RAGSystem(bundle),
-                "Pneuma-Seeker": lambda: SeekerSystem(bundle),
+                "Pneuma-Retriever": lambda: RetrieverOnlySystem(shared),
+                "LlamaIndex": lambda: RAGSystem(shared),
+                "Pneuma-Seeker": lambda: SeekerSystem(shared),
             },
         )
         self.seeker = self.convergence[-1]
         self.accuracy = evaluate_accuracy(
             dataset,
             {
-                "LlamaIndex": lambda q: RAGSystem(bundle).answer(q.text),
-                "DS-Guru(O3)": lambda q: DSGuruRunner(bundle).answer(q.text),
-                "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
-                "Static-Pipeline": lambda q: StaticPipelineRunner(bundle).answer(q.text),
+                "LlamaIndex": lambda q: RAGSystem(shared).answer(q.text),
+                "DS-Guru(O3)": lambda q: DSGuruRunner(shared).answer(q.text),
+                "Pneuma-Seeker": lambda q: SeekerSystem(shared).answer(q.text),
+                "Static-Pipeline": lambda q: StaticPipelineRunner(shared).answer(q.text),
             },
         )
         self.version_after = dataset.lake.version

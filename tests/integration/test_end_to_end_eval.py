@@ -29,19 +29,19 @@ def arch():
 
 
 @pytest.fixture(scope="module")
-def bundle(arch):
+def retriever(arch):
     """The lake's one shared index, as the service builds it."""
     return build_shared_retriever(arch.lake)
 
 
 class TestAccuracyShape:
-    def test_ordering(self, arch, bundle):
+    def test_ordering(self, arch, retriever):
         results = evaluate_accuracy(
             arch,
             {
-                "LlamaIndex": lambda q: RAGSystem(bundle).answer(q.text),
-                "DS-Guru(O3)": lambda q: DSGuruRunner(bundle).answer(q.text),
-                "Pneuma-Seeker": lambda q: SeekerSystem(bundle).answer(q.text),
+                "LlamaIndex": lambda q: RAGSystem(retriever).answer(q.text),
+                "DS-Guru(O3)": lambda q: DSGuruRunner(retriever).answer(q.text),
+                "Pneuma-Seeker": lambda q: SeekerSystem(retriever).answer(q.text),
             },
         )
         by_name = {r.system: r for r in results}
@@ -51,13 +51,13 @@ class TestAccuracyShape:
 
 
 class TestConvergenceShape:
-    def test_seeker_beats_static(self, arch, bundle):
+    def test_seeker_beats_static(self, arch, retriever):
         fts_index = raw_text_index(arch.lake)
         results = evaluate_convergence(
             arch,
             {
                 "FTS": lambda: FTSSystem(arch.lake, fts_index),
-                "Pneuma-Seeker": lambda: SeekerSystem(bundle),
+                "Pneuma-Seeker": lambda: SeekerSystem(retriever),
             },
             max_turns=10,
         )

@@ -25,7 +25,7 @@ def lake():
 @pytest.fixture(scope="module")
 def retriever(lake):
     """The lake's one shared index, as the service builds it."""
-    return build_shared_retriever(lake).retriever
+    return build_shared_retriever(lake)
 
 
 class TestTariffFlow:

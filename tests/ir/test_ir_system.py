@@ -109,15 +109,13 @@ class TestIRSystem:
         knowledge.add("always compare against the previous tariff", topic="tariffs")
         ir = IRSystem(retriever=PneumaRetriever(lake), web=web, knowledge=knowledge)
         result = ir.retrieve("tariff impact on purchases by country")
-        assert result.tables()
-        assert result.web()
-        assert result.knowledge()
+        assert {d.kind for d in result.documents} == {"table", "web", "knowledge"}
         assert set(result.per_source) == {"tables", "web", "knowledge"}
 
     def test_no_web_source_without_web(self, lake):
         ir = IRSystem(retriever=PneumaRetriever(lake))
         result = ir.retrieve("tariffs")
-        assert not result.web()
+        assert all(d.kind != "web" for d in result.documents)
         assert "web" not in result.per_source
 
     def test_column_values(self, lake):

@@ -328,7 +328,7 @@ def test_one_index_per_generation():
 def test_one_retriever_assembly():
     """A lake's index is built one way, ``build_shared_retriever``: the
     service, the paper's experiments, the baselines and the examples all
-    take the bundle it returns instead of calling
+    take the frozen retriever it returns instead of calling
     ``PneumaRetriever(...)`` themselves."""
     paths = [path for path in SRC.rglob("*.py") if path != SRC / "service" / "shared.py"]
     for directory in ("scripts", "examples"):
@@ -395,7 +395,6 @@ def test_service_public_surface():
         "MetricsRegistry",
         "Tracer",
         "SlowTurnLog",
-        "SharedIndexBundle",
         "IndexGate",
         "build_shared_retriever",
         "CrashSpec",

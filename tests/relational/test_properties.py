@@ -1,9 +1,21 @@
 """Property-based tests for relational-engine invariants."""
 
+import datetime
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import Database, ExecutionError, Table
+from repro.relational import (
+    Column,
+    Database,
+    DataType,
+    ExecutionError,
+    RelationalError,
+    Schema,
+    Table,
+)
+from repro.relational.aggregates import AGGREGATES
+from repro.relational.functions import SCALAR_FUNCTIONS
 
 # Small value domains keep example tables interpretable while still hitting
 # NULLs, duplicates, and negative numbers.
@@ -192,3 +204,64 @@ def test_big_ints_give_a_result_or_an_execution_error(xs):
             assert a <= b
     groups = db.execute("SELECT x, COUNT(*) AS n FROM t GROUP BY x")
     assert sum(groups.column_values("n")) == len(xs)
+
+
+#: One column of each type and one that is all NULL, with values that sit
+#: at the edges a function body trips on (zero, negatives, "", a date-like
+#: text, an overflowing double).  Ints stay small: REPEAT and LPAD allocate.
+_TYPED_SCHEMA = Schema(
+    [
+        Column("i", DataType.INTEGER),
+        Column("d", DataType.DOUBLE),
+        Column("s", DataType.TEXT),
+        Column("dt", DataType.DATE),
+        Column("b", DataType.BOOLEAN),
+        Column("n", DataType.NULL),
+    ]
+)
+_typed_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=-3, max_value=5)),
+        st.one_of(st.none(), st.sampled_from([0.0, -0.0, -2.5, 1.5, 1e308])),
+        st.one_of(st.none(), st.sampled_from(["", "a", "Abc", "2020-01-02", "x,y", "-1"])),
+        st.one_of(st.none(), st.sampled_from([datetime.date(2020, 2, 29), datetime.date(1, 1, 1)])),
+        st.one_of(st.none(), st.booleans()),
+        st.none(),
+    ),
+    max_size=4,
+)
+_ARGUMENTS = ["i", "d", "s", "dt", "b", "n", "0", "''", "'x'", "NULL"]
+
+
+def _call(name: str, min_args: int, max_args) -> st.SearchStrategy:
+    """``name(...)`` over columns and literals at a valid arity."""
+    most = max_args if max_args is not None else min_args + 2
+    arguments = st.lists(st.sampled_from(_ARGUMENTS), min_size=min_args, max_size=most)
+    return arguments.map(lambda args: f"{name}({', '.join(args)})")
+
+
+_scalar_calls = st.sampled_from(sorted(SCALAR_FUNCTIONS.values(), key=lambda f: f.name)).flatmap(
+    lambda f: _call(f.name, f.min_args, f.max_args)
+)
+_aggregate_calls = st.sampled_from(sorted(AGGREGATES.values(), key=lambda a: a.name)).flatmap(
+    lambda a: _call(a.name, a.num_args, a.num_args)
+)
+_function_statements = st.one_of(
+    _scalar_calls.map(lambda call: f"SELECT {call} FROM t"),
+    _aggregate_calls.map(lambda call: f"SELECT {call} FROM t"),
+    _aggregate_calls.map(lambda call: f"SELECT b, {call} FROM t GROUP BY b"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_typed_rows, _function_statements)
+def test_every_function_gives_a_result_or_a_relational_error(rows, sql):
+    """A function handed an argument it cannot take (``UPPER(i)``,
+    ``MOD(i, 0)``, ``STRING_AGG(s, 0)``) fails as a ``RelationalError``,
+    never as the Python error its body raised."""
+    db = Database()
+    db.register(Table("t", _TYPED_SCHEMA, rows))
+    try:
+        db.execute(sql)
+    except RelationalError:
+        pass

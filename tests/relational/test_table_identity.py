@@ -38,31 +38,29 @@ class TestFingerprint:
         assert before != after
         assert (store.hits, store.misses) == (0, 2)
 
-    def test_reindex_sees_minus_one_become_minus_two(self):
+    def test_rebuild_sees_minus_one_become_minus_two(self):
         lake = Database("lake")
         lake.register(ints("t", [-1, 5]))
-        retriever = PneumaRetriever(lake)
-        assert "-1" in retriever.narration("t")
+        narrations = NarrationCache()
+        assert "-1" in PneumaRetriever(lake, narration_cache=narrations).index.text_of("t")
         lake.register(ints("t", [-2, 5]), replace=True)
-        # The change is seen — a skip would return quietly — and a built
-        # index refuses it; a fresh build over the same cache narrates it.
-        with pytest.raises(KeyError, match="already indexed"):
-            retriever.reindex()
-        rebuilt = PneumaRetriever(lake, narration_cache=retriever.narrations)
-        assert "-2" in rebuilt.narration("t")
+        # The change is seen: a fresh build over the same cache misses it
+        # and narrates the new table.
+        rebuilt = PneumaRetriever(lake, narration_cache=narrations)
+        assert "-2" in rebuilt.index.text_of("t")
+        assert (narrations.hits, narrations.misses) == (0, 2)
 
-    def test_reindex_sees_zero_become_minus_zero(self):
+    def test_rebuild_sees_zero_become_minus_zero(self):
         # 0.0 == -0.0 and hash(0.0) == hash(-0.0), but the narration
         # renders the sign: a stale one must not be served.
         lake = Database("lake")
         lake.register(ints("t", [0.0, 1.5]))
-        retriever = PneumaRetriever(lake)
-        assert "-0.0" not in retriever.narration("t")
+        narrations = NarrationCache()
+        assert "-0.0" not in PneumaRetriever(lake, narration_cache=narrations).index.text_of("t")
         lake.register(ints("t", [-0.0, 1.5]), replace=True)
-        with pytest.raises(KeyError, match="already indexed"):
-            retriever.reindex()
-        rebuilt = PneumaRetriever(lake, narration_cache=retriever.narrations)
-        assert "-0.0" in rebuilt.narration("t")
+        rebuilt = PneumaRetriever(lake, narration_cache=narrations)
+        assert "-0.0" in rebuilt.index.text_of("t")
+        assert (narrations.hits, narrations.misses) == (0, 2)
 
     def test_memoized_per_table_object(self):
         table = ints("t", [1, 2, 3])

@@ -167,27 +167,11 @@ class TestPneumaRetriever:
         assert after.payload == table_payload(replacement) != before
         assert retriever.payloads.stats()["misses"] == 2
 
-    def test_refresh_picks_up_new_tables(self, lake):
-        retriever = PneumaRetriever(lake)
-        lake.register(Table.from_columns("budgets", {"dept": ["IT"], "usd": [1.0]}))
-        retriever.reindex()
-        docs = retriever.search("department budgets in usd", k=1)
-        assert docs[0].title == "budgets"
-
-    def test_reindex_forgets_dropped_tables(self):
+    def test_search_skips_a_dropped_table(self):
         lake = build_procurement_lake()
         retriever = PneumaRetriever(lake)
         query = "department budgets by fiscal year"
         assert retriever.search(query, k=3)[0].title == "department_budgets"
         lake.drop_table("department_budgets")
-        # The index entry outlives the table; search skips it either way.
+        # The index entry outlives the table; search skips it.
         assert "department_budgets" not in {d.title for d in retriever.search(query, k=3)}
-        assert retriever.reindex() == {"indexed": 0, "skipped": 2}
-        assert "department_budgets" not in {d.title for d in retriever.search(query, k=3)}
-        with pytest.raises(KeyError):
-            retriever.narration("department_budgets")
-        # A same-named table that comes back is not skipped — and the index
-        # already holds its id, so a standalone retriever (built once) refuses it.
-        lake.register(Table.from_columns("department_budgets", {"dept": ["IT"], "usd": [1.0]}))
-        with pytest.raises(KeyError, match="already indexed"):
-            retriever.reindex()

@@ -79,7 +79,7 @@ class TestOnePassPerBatch:
             monkeypatch.setattr(DocumentDatabase, "search_batch", spy)
             results = service.batch_retrieve(SIXTEEN)
         assert calls == [len(SIXTEEN)]
-        assert any(result.knowledge() for result in results)
+        assert any(d.kind == "knowledge" for result in results for d in result.documents)
 
 
 class TestRetrieverSearchBatch:

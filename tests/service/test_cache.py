@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets import build_procurement_lake
 from repro.relational import Table
-from repro.retriever import NarrationCache, PneumaRetriever
+from repro.retriever import FrozenIndexError, NarrationCache, PneumaRetriever
 from repro.service import build_shared_retriever
 from repro.text import CachedEmbedder
 
@@ -72,55 +72,31 @@ class TestCachedEmbedder:
         assert stats["hits"] == 2 and stats["misses"] == 3
 
 
-class TestReindex:
-    def test_unchanged_catalog_skips_everything(self):
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake)
-        report = retriever.reindex()
-        assert report == {"indexed": 0, "skipped": len(lake.tables())}
-        # The skip happened before narration: no extra cache traffic.
-        assert retriever.narrations.stats()["misses"] == len(lake.tables())
-
-    def test_new_table_is_picked_up(self):
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake)
-        lake.register(Table.from_columns("freight", {"lane": ["EU-US"], "cost": [1200.0]}))
-        report = retriever.reindex()
-        assert report["indexed"] == 1
-        assert retriever.search("freight lane costs", k=1)[0].title == "freight"
-
-    def test_changed_table_raises_and_leaves_retriever_as_it_was(self):
-        """An index is built once: a live standalone retriever refuses a
-        changed table (the service's reindex() builds a fresh bundle)."""
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake)
-        before = retriever.narration("suppliers")
-        lake.register(Table.from_columns("freight", {"lane": ["EU-US"]}))
-        bigger = Table.from_columns("suppliers", {"supplier": ["ACME", "Globex", "Initech"]})
-        lake.register(bigger, replace=True)
+class TestOneBuild:
+    def test_an_index_is_built_once(self):
+        """A second pass over a built index raises: a changed catalog gets
+        a fresh retriever (the service's reindex() builds one)."""
+        retriever = PneumaRetriever(build_procurement_lake())
         with pytest.raises(KeyError, match="already indexed"):
             retriever.reindex()
-        assert retriever.narration("suppliers") == before
-        assert "freight" not in retriever.index
+        with pytest.raises(FrozenIndexError):
+            retriever.freeze().reindex()
 
 
 class TestWarmRebuild:
     def test_rebuild_reuses_caches(self):
         lake = build_procurement_lake()
-        cold = build_shared_retriever(lake)
-        assert cold.cache_stats()["narration"]["misses"] == len(lake.tables())
-        assert cold.cache_stats()["narration"]["hits"] == 0
+        narrations, embedder = NarrationCache(), CachedEmbedder(dim=192)
+        cold = build_shared_retriever(lake, narrations=narrations, embedder=embedder)
+        assert narrations.stats()["misses"] == len(lake.tables())
+        assert narrations.stats()["hits"] == 0
 
-        warm = build_shared_retriever(
-            lake, narrations=cold.narrations, embedder=cold.embedder
-        )
-        narration_stats = warm.cache_stats()["narration"]
-        assert narration_stats["hits"] == len(lake.tables())
+        warm = build_shared_retriever(lake, narrations=narrations, embedder=embedder)
+        assert narrations.stats()["hits"] == len(lake.tables())
+        assert warm.index is not cold.index
         # A warm rebuild answers queries identically to the cold build.
         query = "purchase orders by supplier"
-        assert [d.doc_id for d in warm.retriever.search(query)] == [
-            d.doc_id for d in cold.retriever.search(query)
-        ]
+        assert [d.doc_id for d in warm.search(query)] == [d.doc_id for d in cold.search(query)]
 
 
 class TestChangedContentReindex:
@@ -132,33 +108,5 @@ class TestChangedContentReindex:
 
     def test_build_report_is_real(self):
         lake = build_procurement_lake()
-        bundle = build_shared_retriever(lake)
-        assert bundle.build_report == {"indexed": len(lake.tables()), "skipped": 0}
-        assert bundle.retriever.build_report["indexed"] == len(lake.tables())
-
-    def test_failed_frozen_reindex_leaves_retriever_intact(self):
-        """FrozenIndexError must not half-commit narrations/fingerprints."""
-        import pytest
-
-        from repro.retriever import FrozenIndexError
-
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake).freeze()
-        before = retriever.narration("suppliers")
-        lake.register(
-            Table.from_columns("suppliers", {"supplier": ["ACME", "Globex", "Initech"]}),
-            replace=True,
-        )
-        with pytest.raises(FrozenIndexError):
-            retriever.reindex()
-        # Nothing committed: narration still matches the indexed text, and
-        # the change is still seen as pending (not silently swallowed).
-        assert retriever.narration("suppliers") == before
-        assert retriever.narration("suppliers") == retriever.index.text_of("suppliers")
-        with pytest.raises(FrozenIndexError):
-            retriever.reindex()
-
-    def test_unchanged_frozen_reindex_is_allowed(self):
-        lake = build_procurement_lake()
-        retriever = PneumaRetriever(lake).freeze()
-        assert retriever.reindex() == {"indexed": 0, "skipped": len(lake.tables())}
+        retriever = build_shared_retriever(lake)
+        assert retriever.build_report == {"indexed": len(lake.tables()), "skipped": 0}

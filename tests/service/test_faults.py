@@ -121,7 +121,7 @@ class TestFaultPlan:
 class TestFlakyLLM:
     def test_passthrough_is_bit_transparent(self):
         lake = build_procurement_lake()
-        retriever = build_shared_retriever(lake).retriever
+        retriever = build_shared_retriever(lake)
         plain = SeekerSession(lake, retriever)
         plain_response = plain.submit(QUESTION)
 
@@ -138,7 +138,7 @@ class TestFlakyLLM:
         flaky = FlakyLLM(
             build_seeker_llm(), FaultSchedule("llm", FaultSpec(fail_calls=(1,)), seed=0)
         )
-        session = SeekerSession(lake, build_shared_retriever(lake).retriever, llm=flaky)
+        session = SeekerSession(lake, build_shared_retriever(lake), llm=flaky)
         with pytest.raises(TransientDependencyError):
             session.submit(QUESTION)
         # The schedule moved on; the next turn's calls succeed.

@@ -27,7 +27,7 @@ def lake():
 def serial_runs():
     """Each conversation replayed alone in a plain session, turn by turn."""
     lake = build_procurement_lake()
-    retriever = build_shared_retriever(lake).retriever
+    retriever = build_shared_retriever(lake)
     runs = []
     for messages in CONVERSATIONS:
         solo = SeekerSession(lake, retriever)

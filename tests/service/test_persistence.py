@@ -126,7 +126,7 @@ class TestStoreFromAnEarlierBuild:
         lake = build_procurement_lake()
         warm = PneumaService(lake, max_workers=1, storage_dir=store_dir)
         assert warm.warm_started
-        assert warm.shared.build_report == {
+        assert warm.shared.retriever.build_report == {
             "indexed": 0,
             "skipped": len(lake.tables()),
             "restored": len(lake.tables()),
@@ -166,8 +166,8 @@ class TestWarmStart:
         # Bit-identical: no-crash persistence is transparent to retrieval.
         assert search_results(warm) == oracle
         # A warm-started index reports zero narration work.
-        assert warm.shared.build_report["indexed"] == 0
-        assert warm.shared.build_report["restored"] > 0
+        assert warm.shared.retriever.build_report["indexed"] == 0
+        assert warm.shared.retriever.build_report["restored"] > 0
         warm.shutdown(drain=True)
 
     def test_unchanged_lake_restores_every_table(self, store_dir):
@@ -181,7 +181,7 @@ class TestWarmStart:
         lake = build_procurement_lake()
         assert published == {table.name: table.digest() for table in lake.tables()}
         warm = PneumaService(lake, max_workers=2, storage_dir=store_dir)
-        assert warm.shared.build_report == {
+        assert warm.shared.retriever.build_report == {
             "indexed": 0,
             "skipped": len(lake.tables()),
             "restored": len(lake.tables()),
@@ -198,8 +198,8 @@ class TestWarmStart:
         assert warm.warm_started
         # A fresh index holds all four tables, but only the new one was
         # narrated: the snapshot's texts seeded the other three.
-        assert warm.shared.build_report == {"indexed": 4, "skipped": 0, "restored": 3}
-        assert warm.shared.narrations.stats()["misses"] == 1
+        assert warm.shared.retriever.build_report == {"indexed": 4, "skipped": 0, "restored": 3}
+        assert warm.stats()["caches"]["narration"]["misses"] == 1
         hits = warm.shared.retriever.index.search("zebra stripes census", k=3)
         assert hits[0].doc_id == "zebra_census"
         warm.shutdown(drain=True)
@@ -264,7 +264,7 @@ class TestFusionMetaCompatibility:
         cold = PneumaService(build_procurement_lake(), max_workers=2, storage_dir=store_dir)
         # Never rank with other weights than the process uses: cold build.
         assert cold.warm_started is False
-        assert cold.shared.build_report["indexed"] == 3
+        assert cold.shared.retriever.build_report["indexed"] == 3
         assert search_results(cold) == oracle
         cold.shutdown(drain=True)
         # The cold build republished under this process's constants.
@@ -327,9 +327,9 @@ class TestReindexPublish:
         svc.shutdown(drain=True)
 
         reopened = PneumaService(lake, max_workers=2, storage_dir=store_dir)
-        assert reopened.shared.build_report == {"indexed": 3, "skipped": 0, "restored": 2}
-        assert reopened.shared.narrations.stats()["misses"] == 1
-        narration = reopened.shared.retriever.narration("department_budgets")
+        assert reopened.shared.retriever.build_report == {"indexed": 3, "skipped": 0, "restored": 2}
+        assert reopened.stats()["caches"]["narration"]["misses"] == 1
+        narration = reopened.shared.retriever.index.text_of("department_budgets")
         assert narration == NarrationCache().narrate(changed)
         reopened.shutdown(drain=True)
 
@@ -391,7 +391,7 @@ class TestRetiredWal:
         storage = recovered.stats()["storage"]
         assert storage["open_mode"] == "recovered" and storage["quarantined_files"] == ["wal.log"]
         assert recovered.warm_started and search_results(recovered) == oracle
-        assert recovered.shared.build_report["indexed"] == 0
+        assert recovered.shared.retriever.build_report["indexed"] == 0
         assert fsck(store_dir)["ok"]
         recovered.shutdown(drain=True)
 

@@ -121,7 +121,7 @@ def test_cold_warm_and_concurrent_runs_are_byte_identical(dataset, empty_tables)
     assert all(turns > 1 and prompt > 0 for _, (turns, prompt, _c) in cold)
 
 
-def test_stats_reports_the_policy_tables_beside_the_bundle_caches():
+def test_stats_reports_the_policy_tables_beside_the_build_caches():
     service = PneumaService(build_procurement_lake(), max_workers=1)
     try:
         session_id = service.open_session()

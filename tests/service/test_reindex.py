@@ -38,22 +38,22 @@ def add_shipments_table(lake):
 
 class TestIndexGate:
     def test_readers_pin_their_generation_across_a_swap(self, lake):
-        old_bundle = build_shared_retriever(lake)
-        gate = IndexGate(old_bundle, None)
-        new_bundle = build_shared_retriever(lake)
+        old_retriever = build_shared_retriever(lake)
+        gate = IndexGate(old_retriever, None)
+        new_retriever = build_shared_retriever(lake)
         with gate.reading() as pinned:
-            # Swap mid-read without draining: the reader keeps the bundle
+            # Swap mid-read without draining: the reader keeps the retriever
             # it entered with while new readers see the new one.
-            gate.swap(new_bundle, None, drain=False)
-            assert pinned.bundle is old_bundle and pinned.number == 0
+            gate.swap(new_retriever, None, drain=False)
+            assert pinned.retriever is old_retriever and pinned.number == 0
             with gate.reading() as fresh:
-                assert fresh.bundle is new_bundle and fresh.number == 1
-        assert gate.current.bundle is new_bundle and gate.current.number == 1
+                assert fresh.retriever is new_retriever and fresh.number == 1
+        assert gate.current.retriever is new_retriever and gate.current.number == 1
         assert gate.stats() == {"active_readers": 0}
 
     def test_drain_waits_for_old_readers(self, lake):
         gate = IndexGate(build_shared_retriever(lake), None)
-        new_bundle = build_shared_retriever(lake)
+        new_retriever = build_shared_retriever(lake)
         reader_entered = threading.Event()
         release_reader = threading.Event()
         swap_returned = threading.Event()
@@ -68,13 +68,13 @@ class TestIndexGate:
         assert reader_entered.wait(timeout=10)
 
         def swapper():
-            gate.swap(new_bundle, None, drain=True)
+            gate.swap(new_retriever, None, drain=True)
             swap_returned.set()
 
         swap = threading.Thread(target=swapper)
         swap.start()
         # New traffic is not blocked while the drain waits.
-        assert gate.current.bundle is new_bundle
+        assert gate.current.retriever is new_retriever
         assert not swap_returned.wait(timeout=0.2)
         release_reader.set()
         assert swap_returned.wait(timeout=10)
@@ -83,7 +83,7 @@ class TestIndexGate:
 
     def test_gate_searches_follow_the_swap(self, lake):
         gate = IndexGate(build_shared_retriever(lake), None)
-        assert gate.current.bundle.retriever.index.kernel_stats()["frozen"]
+        assert gate.current.retriever.index.kernel_stats()["frozen"]
         (before,) = gate.search_batch(["supplier ratings"], k=3)
         assert before
         assert gate.current.column_values("suppliers", "supplier_id")
@@ -95,7 +95,7 @@ class TestIndexGate:
         assert gate.current.column_values("ocean_freight_shipments", "vessel_name")
 
     def test_span_names_the_generation_the_search_ran_on(self, lake):
-        new_bundle = build_shared_retriever(lake)
+        new_retriever = build_shared_retriever(lake)
 
         class SwapRightAfterPinning(IndexGate):
             """A reindex lands between a search's pin and its span stamp."""
@@ -104,7 +104,7 @@ class TestIndexGate:
             def reading(self):
                 with super().reading() as pinned:
                     if self.current.number == 0:
-                        self.swap(new_bundle, None, drain=False)
+                        self.swap(new_retriever, None, drain=False)
                     yield pinned
 
         gate = SwapRightAfterPinning(build_shared_retriever(lake), None)
@@ -128,7 +128,7 @@ class TestServiceReindex:
             # Every table was recognized by fingerprint in the warm caches.
             assert report["build_report"] == {"indexed": len(lake.tables()), "skipped": 0}
             # The narration pass was entirely cache hits — no table changed.
-            assert service.shared.narrations.stats()["hits"] >= len(lake.tables())
+            assert service.stats()["caches"]["narration"]["hits"] >= len(lake.tables())
             assert report["generation"] == 1
             assert report["drained"] is True
             assert service.stats()["reindex_swaps"] == 1

@@ -100,6 +100,25 @@ def test_a_malformed_forced_reply_ends_the_turn_honestly():
     assert stats["turns_failed"] == 0 and stats["replies_rejected"] == 6
 
 
+def test_a_function_handed_the_wrong_type_is_an_sql_error_not_a_failed_turn():
+    """``UPPER`` of an INTEGER column fails its statement as an
+    ``ExecutionError``: the next prompt's ``LAST_ERROR`` says so and the
+    turn returns, where a bare Python error would escape ``post_turn``."""
+    sql = "SELECT UPPER(n) AS shout FROM (SELECT 7 AS n) AS s"
+    turn = [
+        json.dumps({"action": {"kind": "update_state", "queries": [sql]}}),
+        json.dumps({"action": {"kind": "execute_sql"}}),
+        json.dumps({"action": {"kind": "message_user", "message": "That query failed."}}),
+    ]
+    policy = ScriptedConductor([turn])
+    (response,), stats = serve(policy, 1)
+    assert type(response) is SeekerResponse and response.message
+    assert stats["turns_failed"] == 0
+    (error,) = [error for _, error in policy.prompts if error]
+    assert error.startswith("SQL failed: ExecutionError: UPPER: ")
+    assert error.endswith(f"(query: {sql})")
+
+
 #: Well-formed actions whose fields have the wrong JSON type, and a kind
 #: that is no string.
 MISTYPED = [

@@ -209,7 +209,7 @@ class TestResilientLLM:
 
     def test_success_path_is_bit_transparent(self):
         lake = build_procurement_lake()
-        retriever = build_shared_retriever(lake).retriever
+        retriever = build_shared_retriever(lake)
         plain = SeekerSession(lake, retriever)
         plain_response = plain.submit(QUESTION)
 
@@ -222,7 +222,7 @@ class TestResilientLLM:
 
     def test_turn_survives_scheduled_faults_with_retry(self):
         lake = build_procurement_lake()
-        retriever = build_shared_retriever(lake).retriever
+        retriever = build_shared_retriever(lake)
         plain_response = SeekerSession(lake, retriever).submit(QUESTION)
         flaky = FlakyLLM(
             build_seeker_llm(), FaultSchedule("llm", FaultSpec(fail_calls=(1, 3)), seed=0)

@@ -93,7 +93,7 @@ class TestConcurrencyIsolation:
     def test_concurrent_sessions_do_not_interleave_state(self, lake, service):
         # Reference: each conversation replayed in a plain, solo session.
         references = []
-        retriever = build_shared_retriever(lake).retriever
+        retriever = build_shared_retriever(lake)
         for messages in self.CONVERSATIONS:
             solo = SeekerSession(lake, retriever)
             for message in messages:
@@ -216,7 +216,7 @@ class TestSharedKnowledge:
 
         reader = service.open_session(user="newcomer")
         served = service._sessions[reader].session
-        docs = served.ir.retrieve("tariff impact").knowledge()
+        docs = [d for d in served.ir.retrieve("tariff impact").documents if d.kind == "knowledge"]
         assert docs, "second session should see the captured clarification"
         assert "direct and indirect" in docs[0].text
 

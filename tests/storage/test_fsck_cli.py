@@ -57,7 +57,7 @@ def test_crash_style_stop_verifies_and_recovers(tmp_path, fsck):
     recovered = boot(tmp_path / "store", lake)
     storage = recovered.stats()["storage"]
     assert storage["open_mode"] == "recovered" and storage["generation"] == 2
-    assert recovered.warm_started and recovered.shared.build_report["indexed"] == 0
+    assert recovered.warm_started and recovered.shared.retriever.build_report["indexed"] == 0
     recovered.shutdown(drain=True)
     assert fsck(tmp_path / "store")[0] == 0
 
@@ -124,7 +124,7 @@ def test_impact_sorted_bm25_store_warm_starts_and_verifies(tmp_path, fsck):
     warm, cold = boot(store_dir), PneumaService(build_procurement_lake(), max_workers=1)
     try:
         assert warm.warm_started
-        assert warm.shared.build_report == {"indexed": 0, "skipped": 3, "restored": 3}
+        assert warm.shared.retriever.build_report == {"indexed": 0, "skipped": 3, "restored": 3}
         for mode in ("bm25", "hybrid"):
             assert [
                 [(h.doc_id, h.score) for h in hits]
@@ -183,7 +183,7 @@ def test_graph_index_store_warm_starts_and_verifies(tmp_path, fsck):
     warm, cold = boot(store_dir), PneumaService(build_procurement_lake(), max_workers=1)
     try:
         assert warm.warm_started
-        assert warm.shared.build_report == {"indexed": 0, "skipped": 3, "restored": 3}
+        assert warm.shared.retriever.build_report == {"indexed": 0, "skipped": 3, "restored": 3}
         for mode in ("vector", "hybrid"):
             assert [
                 [(h.doc_id, h.score) for h in hits]

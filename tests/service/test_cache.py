@@ -72,6 +72,49 @@ class TestCachedEmbedder:
         assert stats["hits"] == 2 and stats["misses"] == 3
 
 
+class TestReindex:
+    def test_unchanged_catalog_skips_everything(self):
+        lake = build_procurement_lake()
+        built = PneumaRetriever(lake)
+        hydrated = PneumaRetriever(lake, index=built.index)
+        assert hydrated.build_report == {"indexed": 0, "skipped": len(lake.tables())}
+        # The skip happened before narration: no cache traffic at all.
+        assert hydrated.narrations.stats()["misses"] == 0
+        assert hydrated.narrations.stats()["hits"] == 0
+        query = "purchase orders by supplier"
+        assert [d.doc_id for d in hydrated.search(query)] == [
+            d.doc_id for d in built.search(query)
+        ]
+
+    def test_new_table_is_picked_up(self):
+        """A new table reaches search through a fresh build over the same
+        narration cache, which narrates only the new table."""
+        lake = build_procurement_lake()
+        narrations = NarrationCache()
+        PneumaRetriever(lake, narration_cache=narrations)
+        lake.register(Table.from_columns("freight", {"lane": ["EU-US"], "cost": [1200.0]}))
+        rebuilt = PneumaRetriever(lake, narration_cache=narrations)
+        assert rebuilt.build_report["indexed"] == len(lake.tables())
+        assert narrations.stats()["misses"] == len(lake.tables())
+        assert narrations.stats()["hits"] == len(lake.tables()) - 1
+        assert rebuilt.search("freight lane costs", k=1)[0].title == "freight"
+
+    def test_changed_table_raises_and_leaves_retriever_as_it_was(self):
+        """An index is built once: a live standalone retriever refuses a
+        changed catalog before any of it lands (the service's reindex()
+        builds a fresh retriever)."""
+        lake = build_procurement_lake()
+        retriever = PneumaRetriever(lake)
+        before = retriever.index.text_of("suppliers")
+        lake.register(Table.from_columns("freight", {"lane": ["EU-US"]}))
+        bigger = Table.from_columns("suppliers", {"supplier": ["ACME", "Globex", "Initech"]})
+        lake.register(bigger, replace=True)
+        with pytest.raises(KeyError, match="already indexed"):
+            retriever.reindex()
+        assert retriever.index.text_of("suppliers") == before
+        assert "freight" not in retriever.index
+
+
 class TestOneBuild:
     def test_an_index_is_built_once(self):
         """A second pass over a built index raises: a changed catalog gets
@@ -105,6 +148,23 @@ class TestChangedContentReindex:
         for i in range(5):
             cache.narrate(Table.from_columns("t", {"x": [i]}))
         assert cache.stats()["size"] == 1
+
+    def test_failed_frozen_reindex_leaves_retriever_intact(self):
+        """FrozenIndexError must not half-commit a changed catalog."""
+        lake = build_procurement_lake()
+        retriever = PneumaRetriever(lake).freeze()
+        before = retriever.index.text_of("suppliers")
+        lake.register(
+            Table.from_columns("suppliers", {"supplier": ["ACME", "Globex", "Initech"]}),
+            replace=True,
+        )
+        with pytest.raises(FrozenIndexError):
+            retriever.reindex()
+        # Nothing committed: the indexed text is the old table's, and a
+        # second attempt is refused the same way.
+        assert retriever.index.text_of("suppliers") == before
+        with pytest.raises(FrozenIndexError):
+            retriever.reindex()
 
     def test_build_report_is_real(self):
         lake = build_procurement_lake()

@@ -55,7 +55,6 @@ class PneumaRetriever:
     def __init__(
         self,
         database: Database,
-        dim: int = 192,
         narration_cache: Optional[NarrationCache] = None,
         embedder=None,
         vector_breaker=None,
@@ -69,7 +68,7 @@ class PneumaRetriever:
         # A warm start (storage layer) injects an index hydrated from a
         # snapshot of exactly this catalog: it holds every table's narration.
         self._hydrated = index is not None
-        self.index = index if index is not None else HybridIndex(dim=dim, embedder=embedder)
+        self.index = index if index is not None else HybridIndex(embedder=embedder)
         self.vector_breaker = vector_breaker
         self._on_degraded = on_degraded
         self.build_report = self.reindex()
@@ -90,6 +89,7 @@ class PneumaRetriever:
         """
         tables = self.database.tables()
         if self._hydrated:
+            self._hydrated = False
             return {"indexed": 0, "skipped": len(tables)}
         self.index.add_batch([(table.name, self.narrations.narrate(table)) for table in tables])
         return {"indexed": len(tables), "skipped": 0}

@@ -35,7 +35,6 @@ from ..text.embedding import CachedEmbedder
 
 def build_shared_retriever(
     lake: Database,
-    dim: int = 192,
     narrations: NarrationCache = None,
     embedder: CachedEmbedder = None,
     vector_breaker=None,
@@ -62,7 +61,7 @@ def build_shared_retriever(
     narrated, and the fresh index ranks exactly as a cold build does.
     """
     narrations = narrations if narrations is not None else NarrationCache()
-    embedder = embedder if embedder is not None else CachedEmbedder(dim=dim)
+    embedder = embedder if embedder is not None else CachedEmbedder(dim=192)
     snapshot = store.load_index(embedder=embedder) if store is not None else None
     report = {}
     if snapshot is not None:
@@ -76,7 +75,6 @@ def build_shared_retriever(
             snapshot = None
     retriever = PneumaRetriever(
         lake,
-        dim=dim,
         narration_cache=narrations,
         embedder=embedder,
         vector_breaker=vector_breaker,

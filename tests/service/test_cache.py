@@ -124,6 +124,15 @@ class TestOneBuild:
             retriever.reindex()
         with pytest.raises(FrozenIndexError):
             retriever.freeze().reindex()
+        # Over a hydrated index only the construction pass skips: a later
+        # one reaches the index and is refused, not quietly reported done.
+        lake = build_procurement_lake()
+        hydrated = PneumaRetriever(lake, index=retriever.index)
+        assert hydrated.build_report == {"indexed": 0, "skipped": len(lake.tables())}
+        lake.register(Table.from_columns("late_arrivals", {"x": [1]}))
+        with pytest.raises(FrozenIndexError):
+            hydrated.reindex()
+        assert "late_arrivals" not in hydrated.index
 
 
 class TestWarmRebuild:

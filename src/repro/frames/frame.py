@@ -67,7 +67,7 @@ class DataFrame:
         """Convert to a :class:`repro.relational.Table`."""
         from ..relational.table import Table
 
-        return Table.from_columns(name, {c: s.tolist() for c, s in self._columns.items()})
+        return Table.from_columns(name, {c: s.values for c, s in self._columns.items()})
 
     # ------------------------------------------------------------------
     # Basics

@@ -147,6 +147,3 @@ class Series:
             return parse_date(str(v))
 
         return self.map(convert)
-
-    def tolist(self) -> List[Any]:
-        return list(self.values)

@@ -15,7 +15,13 @@ from operator import eq, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
-from .types import DataType, coerce_for_storage, format_value, infer_column_type
+from .types import (
+    DataType,
+    coerce_for_storage,
+    column_type_of_types,
+    format_value,
+    stored_as_is,
+)
 
 #: Rows :meth:`Table.digest` renders and hashes per ``update``: one
 #: block's text is all it holds at once.
@@ -91,25 +97,28 @@ class Table:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_columns(cls, name: str, data: Dict[str, List[Any]]) -> "Table":
-        """Build a table from a column-name → values mapping (types inferred)."""
+    def from_columns(cls, name: str, data: Dict[str, Sequence[Any]]) -> "Table":
+        """Build a table from a column-name → values mapping (types inferred).
+
+        A column at a time: one ``set(map(type, values))`` gives its type
+        and says whether storage coercion would change any value; only a
+        column where it would (ints in a DOUBLE column, non-strings in a
+        TEXT one) is coerced, and the rows are zipped from the columns in
+        C.  No list passed in is kept or written to.
+        """
         if data:
             lengths = {len(values) for values in data.values()}
             if len(lengths) > 1:
                 raise ExecutionError(f"columns of unequal length in table {name!r}: {lengths}")
-        columns = [Column(col, infer_column_type(values)) for col, values in data.items()]
-        schema = Schema(columns)
-        names = list(data)
-        n_rows = len(data[names[0]]) if names else 0
-        rows = []
-        for i in range(n_rows):
-            rows.append(
-                tuple(
-                    coerce_for_storage(data[col.name][i], col.dtype)
-                    for col in columns
-                )
-            )
-        return cls(name, schema, rows)
+        type_sets = [set(map(type, values)) for values in data.values()]
+        dtypes = [column_type_of_types(types) for types in type_sets]
+        columns = [
+            values if stored_as_is(dtype, types)
+            else [coerce_for_storage(value, dtype) for value in values]
+            for values, dtype, types in zip(data.values(), dtypes, type_sets)
+        ]
+        schema = Schema([Column(col, dtype) for col, dtype in zip(data, dtypes)])
+        return cls.adopt(name, schema, list(zip(*columns)), None)
 
     @classmethod
     def adopt(

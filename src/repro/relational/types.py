@@ -110,19 +110,25 @@ def common_type(a: DataType, b: DataType) -> DataType:
     return DataType.TEXT
 
 
-def infer_column_type(values: Iterable[Any]) -> DataType:
-    """Infer a column type from a sequence of values, in one C-level pass.
+def column_type_of_types(types: Iterable[type]) -> DataType:
+    """The column type of values whose Python types are ``types``.
 
     ``common_type`` is a commutative/associative lattice join, so folding
     it over the *set* of Python types present gives the same answer as
-    folding over every value — at ``set(map(type, values))`` speed.  Every
-    type present is consulted (no early exit once the answer is TEXT), so
-    an unsupported one raises whatever order the set iterates in.
+    folding over every value.  Every type present is consulted (no early
+    exit once the answer is TEXT), so an unsupported one raises whatever
+    order the set iterates in.
     """
     result = DataType.NULL
-    for t in set(map(type, values)):
+    for t in types:
         result = common_type(result, _datatype_of_type(t))
     return result
+
+
+def infer_column_type(values: Iterable[Any]) -> DataType:
+    """Infer a column type from a sequence of values, in one C-level pass
+    (``set(map(type, values))``) and one fold per type present."""
+    return column_type_of_types(set(map(type, values)))
 
 
 def parse_date(text: str) -> datetime.date:
@@ -218,6 +224,20 @@ def coerce_for_storage(value: Any, dtype: DataType) -> Any:
     if dtype == DataType.TEXT and not isinstance(value, str):
         return format_value(value)
     return value
+
+
+def stored_as_is(dtype: DataType, types: Iterable[type]) -> bool:
+    """True when :func:`coerce_for_storage` returns every value unchanged
+    in a ``dtype`` column holding values of ``types``.
+
+    It does unless a DOUBLE column holds an ``int`` (widened to float) or
+    a TEXT column holds a non-``str`` (rendered by :func:`format_value`).
+    """
+    if dtype is DataType.DOUBLE:
+        return not any(issubclass(t, int) for t in types)
+    if dtype is DataType.TEXT:
+        return all(t is type(None) or issubclass(t, str) for t in types)
+    return True
 
 
 def compare_values(a: Any, b: Any) -> Optional[int]:

@@ -747,6 +747,8 @@ def _compile_like(expr: ast.Like, binding: Binding, subplan) -> VecFn:
                 continue
             if not isinstance(value, str):
                 value = str(value)
+            if not isinstance(pattern, str):  # stringified as the operand is
+                pattern = str(pattern)
             regex = cache.get(pattern)
             if regex is None:
                 regex = cache[pattern] = like_regex(pattern, ci)

@@ -58,20 +58,20 @@ class TestSelectionAndFilter:
 
     def test_filter_null_mask_drops(self, df):
         out = df.filter(df["value"].map(lambda v: v == 30.0))
-        assert out["id"].tolist() == [3]  # NULL comparison row dropped
+        assert out["id"].values == [3]  # NULL comparison row dropped
 
     def test_select_missing_raises(self, df):
         with pytest.raises(FrameError):
             df.select(["id", "ghost"])
 
     def test_head(self, df):
-        assert df.head(2)["id"].tolist() == [1, 2]
+        assert df.head(2)["id"].values == [1, 2]
 
     def test_head_past_the_end(self, df):
-        assert df.head(10)["id"].tolist() == [1, 2, 3, 4]
+        assert df.head(10)["id"].values == [1, 2, 3, 4]
 
     def test_take_reorders_and_repeats(self, df):
-        assert df.take([3, 0, 0])["id"].tolist() == [4, 1, 1]
+        assert df.take([3, 0, 0])["id"].values == [4, 1, 1]
 
     def test_filter_mask_length_mismatch_raises(self, df):
         with pytest.raises(FrameError):
@@ -81,7 +81,7 @@ class TestSelectionAndFilter:
 class TestAssignRenameSort:
     def test_assign_series(self, df):
         out = df.assign(double=df["value"].map(lambda v: v * 2))
-        assert out["double"].tolist() == [20.0, 40.0, 60.0, None]
+        assert out["double"].values == [20.0, 40.0, 60.0, None]
 
     def test_assign_length_mismatch_raises(self, df):
         with pytest.raises(FrameError):
@@ -92,14 +92,14 @@ class TestAssignRenameSort:
 
     def test_sort_values(self, df):
         out = df.sort_values("value", ascending=False)
-        assert out["id"].tolist() == [3, 2, 1, 4]  # NULL last
+        assert out["id"].values == [3, 2, 1, 4]  # NULL last
 
     def test_sort_multi_key(self, df):
         out = df.sort_values(["group", "id"], ascending=[True, False])
-        assert out["id"].tolist() == [3, 1, 4, 2]
+        assert out["id"].values == [3, 1, 4, 2]
 
     def test_sort_ascending_keeps_nulls_last(self, df):
-        assert df.sort_values("value")["id"].tolist() == [1, 2, 3, 4]
+        assert df.sort_values("value")["id"].values == [1, 2, 3, 4]
 
     def test_sort_direction_count_mismatch_raises(self, df):
         with pytest.raises(FrameError):
@@ -108,8 +108,8 @@ class TestAssignRenameSort:
     def test_assign_replaces_in_place(self, df):
         out = df.assign(value=[1, 2, 3, 4])
         assert out.columns == ["id", "group", "value"]
-        assert out["value"].tolist() == [1, 2, 3, 4]
-        assert df["value"].tolist() == [10.0, 20.0, 30.0, None]
+        assert out["value"].values == [1, 2, 3, 4]
+        assert df["value"].values == [10.0, 20.0, 30.0, None]
 
     def test_rename_keeps_column_order(self, df):
         assert df.rename({"group": "g"}).columns == ["id", "g", "value"]
@@ -123,7 +123,7 @@ class TestNullHandling:
         assert len(df.dropna(subset=["group"])) == 4
 
     def test_dropna_subset_drops_null_rows(self, df):
-        assert df.dropna(subset=["value"])["id"].tolist() == [1, 2, 3]
+        assert df.dropna(subset=["value"])["id"].values == [1, 2, 3]
 
 class TestMerge:
     @pytest.fixture
@@ -132,17 +132,17 @@ class TestMerge:
 
     def test_inner(self, df, right):
         out = df.merge(right, on="group")
-        assert sorted(out["id"].tolist()) == [1, 3]
+        assert sorted(out["id"].values) == [1, 3]
         assert set(out.columns) == {"id", "group", "value", "label"}
 
     def test_left(self, df, right):
         out = df.merge(right, on="group", how="left")
         assert len(out) == 4
-        assert out.filter(out["group"].map(lambda g: g == "b"))["label"].tolist() == [None, None]
+        assert out.filter(out["group"].map(lambda g: g == "b"))["label"].values == [None, None]
 
     def test_right(self, df, right):
         out = df.merge(right, on="group", how="right")
-        assert "gamma" in out["label"].tolist()
+        assert "gamma" in out["label"].values
 
     def test_outer(self, df, right):
         out = df.merge(right, on="group", how="outer")
@@ -151,7 +151,7 @@ class TestMerge:
     def test_left_on_right_on(self, df):
         other = DataFrame({"g": ["a"], "tag": ["T"]})
         out = df.merge(other, left_on="group", right_on="g")
-        assert out["tag"].tolist() == ["T", "T"]
+        assert out["tag"].values == ["T", "T"]
 
     def test_suffix_collision(self, df):
         other = DataFrame({"group": ["a"], "value": [99.0]})
@@ -162,7 +162,7 @@ class TestMerge:
         left = DataFrame({"k": [None, 1]})
         right = DataFrame({"k": [None, 1], "v": ["x", "y"]})
         out = left.merge(right, on="k")
-        assert out["v"].tolist() == ["y"]
+        assert out["v"].values == ["y"]
 
     def test_missing_key_raises(self, df, right):
         with pytest.raises(FrameError):
@@ -196,7 +196,7 @@ class TestMerge:
         assert [type(v) for v in out["k"]] == [int, int, int, int]
         keyed = left.merge(right, left_on="k", right_on="k", how="right")
         assert keyed.columns == ["k", "a", "k_right", "b"]
-        assert keyed["k"].tolist() == [1, 1, None]  # no `on`: nothing carried
+        assert keyed["k"].values == [1, 1, None]  # no `on`: nothing carried
         assert [repr(v) for v in keyed["k_right"]] == ["1.0", "True", "3"]
 
     def test_merge_reads_columns_not_cells(self, monkeypatch):
@@ -269,8 +269,8 @@ class TestLateMaterialization:
         frame = DataFrame(data).merge(DataFrame({"k": [2, 3]}), on="k").head(2)
         out = frame.rename({"a": "b"}).select(["b", "k"]).assign(c=[0, 0])
         assert len(out) == 2 and out.shape == (2, 3) and not counts
-        assert out["b"].tolist() == ["x", "y"] and counts == {"a": 1}
-        assert frame["a"].tolist() == ["x", "y"] and counts == {"a": 1}  # shared, not re-gathered
+        assert out["b"].values == ["x", "y"] and counts == {"a": 1}
+        assert frame["a"].values == ["x", "y"] and counts == {"a": 1}  # shared, not re-gathered
 
     def test_a_deferred_column_keeps_types_and_null_padding(self):
         left = DataFrame({"k": [1, 2, None], "v": [1, 1.0, True]}).filter(Series([True] * 3))
@@ -290,8 +290,8 @@ class TestLateMaterialization:
         own outer vector."""
         frame = DataFrame({"k": [1, 2, 1, 3], "g": ["a", "b", "c", "d"]}).head(4)
         out = frame.merge(frame, left_on="k", right_on="k")
-        assert out["g"].tolist() == ["a", "a", "b", "c", "c", "d"]
-        assert out["g_right"].tolist() == ["a", "c", "b", "a", "c", "d"]
+        assert out["g"].values == ["a", "a", "b", "c", "c", "d"]
+        assert out["g_right"].values == ["a", "c", "b", "a", "c", "d"]
 
     @pytest.mark.parametrize("how", ["right", "outer"])
     @pytest.mark.parametrize("deferred_input", [False, True])
@@ -304,13 +304,13 @@ class TestLateMaterialization:
         if deferred_input:
             left, right = left.head(3), right.take([0, 1, 2, 3])
         def state():
-            return [{c: f[c].tolist() for c in f.columns} for f in (left, right)], [
+            return [{c: list(f[c]) for c in f.columns} for f in (left, right)], [
                 list(c) for c in table.as_columns()
             ]
 
         before = state()
         out = left.merge(right, on="k", how=how)
-        assert out["k"].tolist()[-2:] == [4, 5]
+        assert out["k"].values[-2:] == [4, 5]
         assert state() == before
 
 
@@ -325,7 +325,7 @@ class TestGroupBy:
         assert rows["a"]["n"] == 2
 
     def test_agg_callable_receives_the_group_as_a_series(self, df):
-        out = df.groupby("group").agg(members=("value", lambda s: (s.name, s.tolist())))
+        out = df.groupby("group").agg(members=("value", lambda s: (s.name, s.values)))
         rows = {r["group"]: r["members"] for r in records(out)}
         assert rows == {"a": ("value", [10.0, 30.0]), "b": ("value", [20.0, None])}
 

@@ -38,7 +38,7 @@ def both_paths(xs):
 @given(columns)
 def test_filter_agrees(xs):
     df, db = both_paths(xs)
-    frame_kept = df.filter(df["x"].map(lambda v: v > 0))["x"].tolist()
+    frame_kept = df.filter(df["x"].map(lambda v: v > 0))["x"].values
     sql_kept = db.execute("SELECT x FROM t WHERE x > 0").column_values("x")
     assert frame_kept == sql_kept
 
@@ -47,7 +47,7 @@ def test_filter_agrees(xs):
 def test_dropna_matches_is_not_null(xs):
     df, db = both_paths(xs)
     assert (
-        df.dropna()["x"].tolist()
+        df.dropna()["x"].values
         == db.execute("SELECT x FROM t WHERE x IS NOT NULL").column_values("x")
     )
 
@@ -55,7 +55,7 @@ def test_dropna_matches_is_not_null(xs):
 @given(columns)
 def test_sort_agrees_on_non_nulls(xs):
     df, db = both_paths(xs)
-    frame_sorted = df.sort_values("x")["x"].tolist()
+    frame_sorted = df.sort_values("x")["x"].values
     sql_sorted = db.execute("SELECT x FROM t ORDER BY x").column_values("x")
     assert frame_sorted == sql_sorted  # both put NULLs last, stable
 

@@ -11,12 +11,12 @@ from repro.frames import Series
 
 class TestTransforms:
     def test_map_skips_nulls(self):
-        assert Series([1, None]).map(lambda v: v * 10).tolist() == [10, None]
+        assert Series([1, None]).map(lambda v: v * 10).values == [10, None]
 
     def test_rename_keeps_values(self):
         renamed = Series([1, 2], "a").rename("b")
         assert renamed.name == "b"
-        assert renamed.tolist() == [1, 2]
+        assert renamed.values == [1, 2]
 
     def test_sequence_protocol(self):
         s = Series([4, None, 6])
@@ -27,28 +27,28 @@ class TestTransforms:
 class TestInterpolate:
     def test_fills_gap_linearly(self):
         result = Series([0.0, None, None, 3.0]).interpolate()
-        assert result.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert result.values == [0.0, 1.0, 2.0, 3.0]
 
     def test_multiple_gaps(self):
         result = Series([0.0, None, 2.0, None, None, 5.0]).interpolate()
-        assert result.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert result.values == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_ends_stay_none(self):
         result = Series([None, 1.0, None, 3.0, None]).interpolate()
-        assert result.tolist() == [None, 1.0, 2.0, 3.0, None]
+        assert result.values == [None, 1.0, 2.0, 3.0, None]
 
     def test_all_none_unchanged(self):
-        assert Series([None, None]).interpolate().tolist() == [None, None]
+        assert Series([None, None]).interpolate().values == [None, None]
 
     def test_integer_endpoints(self):
-        assert Series([1, None, 2]).interpolate().tolist() == [1, 1.5, 2]
+        assert Series([1, None, 2]).interpolate().values == [1, 1.5, 2]
 
 
 class TestAccessors:
     def test_parse_dates(self):
         s = Series(["March 4, 2021", "2020-01-01"]).parse_dates()
-        assert s.tolist() == [datetime.date(2021, 3, 4), datetime.date(2020, 1, 1)]
+        assert s.values == [datetime.date(2021, 3, 4), datetime.date(2020, 1, 1)]
 
     def test_parse_dates_keeps_dates_and_nulls(self):
         day = datetime.date(2022, 5, 6)
-        assert Series([day, None]).parse_dates().tolist() == [day, None]
+        assert Series([day, None]).parse_dates().values == [day, None]

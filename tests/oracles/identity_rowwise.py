@@ -9,7 +9,9 @@ differential oracle for them:
 * ``digest_rowwise`` is ``Table.digest`` with two ``blake2b.update``
   calls per row;
 * ``fingerprint_rowwise`` is ``Table.fingerprint`` with its ``-1`` cells
-  found by a scan of every row.
+  found by a scan of every row;
+* ``from_columns_rowwise`` is ``Table.from_columns`` with every cell
+  passed through ``coerce_for_storage`` and the rows built one at a time.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import zlib
 from math import copysign
-from typing import Collection, Tuple
+from typing import Any, Collection, Dict, List, Tuple
 
 import numpy as np
 
-from repro.relational import DataType, Table
+from repro.relational import Column, DataType, ExecutionError, Schema, Table
+from repro.relational.types import coerce_for_storage, infer_column_type
 
 
 def text_keys_two_crc(strings: Collection[str]) -> np.ndarray:
@@ -65,3 +68,23 @@ def fingerprint_rowwise(table: Table) -> Tuple[str, int]:
         table.name,
         hash((schema_sig, tuple(table.rows), minus_ones, negative_zeros)),
     )
+
+
+def from_columns_rowwise(name: str, data: Dict[str, List[Any]]) -> Table:
+    if data:
+        lengths = {len(values) for values in data.values()}
+        if len(lengths) > 1:
+            raise ExecutionError(f"columns of unequal length in table {name!r}: {lengths}")
+    columns = [Column(col, infer_column_type(values)) for col, values in data.items()]
+    schema = Schema(columns)
+    names = list(data)
+    n_rows = len(data[names[0]]) if names else 0
+    rows = []
+    for i in range(n_rows):
+        rows.append(
+            tuple(
+                coerce_for_storage(data[col.name][i], col.dtype)
+                for col in columns
+            )
+        )
+    return Table(name, schema, rows)

@@ -1080,6 +1080,8 @@ class RowExecutor:
                     return None
                 if not isinstance(value, str):
                     value = str(value)
+                if not isinstance(pattern, str):
+                    pattern = str(pattern)
                 regex = cache.get(pattern)
                 if regex is None:
                     regex = _like_regex(pattern, ci)

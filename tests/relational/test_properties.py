@@ -2,6 +2,7 @@
 
 import datetime
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from repro.relational import (
 )
 from repro.relational.aggregates import AGGREGATES
 from repro.relational.functions import SCALAR_FUNCTIONS
+from repro.relational.parser import parse
+from tests.oracles.row_engine import RowExecutor
 
 # Small value domains keep example tables interpretable while still hitting
 # NULLs, duplicates, and negative numbers.
@@ -265,3 +268,45 @@ def test_every_function_gives_a_result_or_a_relational_error(rows, sql):
         db.execute(sql)
     except RelationalError:
         pass
+
+
+#: LIKE / ILIKE with an operand or a pattern of any type: a pattern that is
+#: not text is stringified as the operand is, so ``s LIKE 1`` matches "1".
+_LIKE_SIDES = _ARGUMENTS + ["1", "2.5", "TRUE", "'%1%'", "'_'"]
+_like_statements = st.builds(
+    lambda a, op, b, where: (
+        f"SELECT {a} FROM t WHERE {a} {op} {b}" if where else f"SELECT {a} {op} {b} FROM t"
+    ),
+    st.sampled_from(_LIKE_SIDES),
+    st.sampled_from(["LIKE", "NOT LIKE", "ILIKE", "NOT ILIKE"]),
+    st.sampled_from(_LIKE_SIDES),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_typed_rows, _like_statements)
+def test_like_over_any_types_agrees_with_the_row_engine(rows, sql):
+    db = Database()
+    db.register(Table("t", _TYPED_SCHEMA, rows))
+    got = db.execute(sql)
+    want = RowExecutor(db).execute_statement(parse(sql))
+    assert got.rows == want.rows, sql
+    assert got.schema == want.schema, sql
+
+
+@pytest.mark.parametrize(
+    "sql, expected",
+    [
+        ("SELECT s LIKE 1 FROM t", [(True,), (False,)]),
+        ("SELECT s FROM t WHERE s LIKE 1", [("1",)]),
+        ("SELECT i LIKE i FROM t", [(True,), (True,)]),
+        ("SELECT s ILIKE 1 FROM t", [(True,), (False,)]),
+        ("SELECT s NOT LIKE 2.5 FROM t", [(True,), (False,)]),
+        ("SELECT b LIKE TRUE FROM t", [(True,), (False,)]),
+    ],
+)
+def test_a_pattern_that_is_not_text_is_stringified(sql, expected):
+    db = Database()
+    db.register(Table.from_columns("t", {"s": ["1", "2.5"], "i": [1, 2], "b": [True, False]}))
+    assert db.execute(sql).rows == expected

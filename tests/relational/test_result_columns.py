@@ -123,9 +123,9 @@ def test_readers_of_results_never_write_the_shared_columns(db):
     for table in results + previews:
         narrate_table(table)
         frame = DataFrame.from_table(table)
+        frame.to_table(table.name)
         for name in frame.columns:
             column = frame[name]
-            column.tolist()
             frame.groupby(name).agg(n=(name, "count"), low=(name, "min"))
             if all(v is None or type(v) in (int, float) for v in column):
                 frame.groupby(name).agg(mid=(name, "median"))

@@ -12,21 +12,11 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..datasets.questions import Question
-from ..llm.interface import ContextLengthExceeded, ModelLimits
-from ..llm.policies import FullContextPolicy
-from ..llm.prompts import parse_response, render_prompt
-from ..llm.rule_llm import RuleLLM
+from ..llm import ContextLengthExceeded, RuleLLM, build_model, render_prompt
+from ..llm.contract import FULL_CONTEXT_REPLY
 from ..relational.catalog import Database
 from ..relational.csv_io import to_csv_text
-from ..relational.errors import RelationalError
-
-
-def build_full_context_llm(
-    model_name: str = "O3", context_tokens: int = 200_000, **kwargs
-) -> RuleLLM:
-    llm = RuleLLM(model_name=model_name, limits=ModelLimits(context_tokens), **kwargs)
-    llm.register(FullContextPolicy())
-    return llm
+from .one_shot import decode, run_once
 
 
 @dataclass
@@ -42,7 +32,7 @@ class FullContextRunner:
     def __init__(self, lake: Database, llm: Optional[RuleLLM] = None):
         self.name = "O3-full-context"
         self.lake = lake
-        self.llm = llm or build_full_context_llm()
+        self.llm = llm or build_model("full_context")
 
     def answer(self, question: Question) -> FullContextAnswer:
         tables = {
@@ -50,16 +40,8 @@ class FullContextRunner:
         }
         prompt = render_prompt("full_context", {"QUESTION": question.text, "TABLES": tables})
         try:
-            payload = parse_response(self.llm.complete(prompt, "full_context"))
+            reply = self.llm.complete(prompt, "full_context")
         except ContextLengthExceeded as exc:
             return FullContextAnswer(context_exceeded=True, prompt_tokens=exc.tokens)
-        sql = payload.get("sql")
-        if not sql:
-            return FullContextAnswer()
-        try:
-            table = self.lake.execute(sql)
-        except RelationalError:
-            return FullContextAnswer()
-        if table.num_rows == 1 and table.num_columns == 1:
-            return FullContextAnswer(value=table.rows[0][0])
-        return FullContextAnswer()
+        payload = decode(reply, FULL_CONTEXT_REPLY)
+        return FullContextAnswer(value=run_once(self.lake, None, payload.get("sql")))

@@ -1,0 +1,47 @@
+"""The one-shot tail of DS-Guru, Static-Pipeline and the O3 full-context
+runner: a reply's program and SQL run once, with no repair, on a scratch
+copy of the lake, which no reply can write.  Whatever goes wrong is no
+answer (``None``): a reply that does not parse or breaks its shape (read as
+empty), a failing step, SQL that does not run, a result that is not one cell.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Mapping, Optional, Sequence
+
+from ..core.interpreter import InterpreterError, PipelineInterpreter
+from ..llm.contract import Shape, problem
+from ..llm.prompts import PromptFormatError, parse_response
+from ..relational.catalog import Database
+from ..relational.errors import RelationalError
+
+
+def decode(reply: str, shape: Shape) -> Mapping[str, Any]:
+    """The reply's JSON object if it parses and meets ``shape``, else ``{}``."""
+    try:
+        payload = parse_response(reply)
+    except PromptFormatError:
+        return {}
+    return {} if problem(shape, payload) else payload
+
+
+def run_once(lake: Database, program: Optional[Sequence], sql: Optional[str]) -> Any:
+    """Run ``program`` (if any) on a scratch copy of ``lake``, then ``sql``
+    there; the result's one cell, else None."""
+    if not sql:
+        return None
+    scratch = lake.copy("one_shot_scratch")
+    if program:
+        try:
+            result = PipelineInterpreter(scratch).run(program)
+        except InterpreterError:
+            return None
+        for table in result.tables.values():
+            scratch.register(table, replace=True)
+    try:
+        table = scratch.execute(sql)
+    except RelationalError:
+        return None
+    if table.num_rows == 1 and table.num_columns == 1:
+        return table.rows[0][0]
+    return None

@@ -10,17 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..llm.clock import INDEX_LOOKUP_SECONDS
-from ..llm.policies import RAGPolicy
-from ..llm.prompts import parse_response, render_prompt
-from ..llm.rule_llm import RuleLLM
+from ..llm import INDEX_LOOKUP_SECONDS, RuleLLM, build_model, parse_response, render_prompt
 from ..retriever.retriever import PneumaRetriever
-
-
-def build_rag_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
-    llm = RuleLLM(model_name=model_name, **kwargs)
-    llm.register(RAGPolicy())
-    return llm
 
 
 class RAGSystem:
@@ -31,7 +22,7 @@ class RAGSystem:
     def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None, k: int = 3):
         self.name = "LlamaIndex"
         self.retriever = retriever
-        self.llm = llm or build_rag_llm()
+        self.llm = llm or build_model("rag")
         self.clock = self.llm.clock
         self.ledger = self.llm.ledger
         self.k = k

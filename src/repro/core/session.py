@@ -22,8 +22,7 @@ from typing import Any, List, Optional
 from ..ir.docdb import DocumentDatabase
 from ..ir.system import IRSystem
 from ..ir.web import WebSearch
-from ..llm.policies import ConductorPolicy, MaterializerPolicy
-from ..llm.rule_llm import RuleLLM
+from ..llm import RuleLLM, build_model
 from ..relational.catalog import Database
 from ..retriever.retriever import Searchable
 from .conductor import Conductor
@@ -56,12 +55,9 @@ class SeekerResponse:
         return f"{self.message}\n\n{self.state_view}"
 
 
-def build_seeker_llm(model_name: str = "O4-mini", **kwargs) -> RuleLLM:
-    """A RuleLLM with the Seeker-side policies registered."""
-    llm = RuleLLM(model_name=model_name, **kwargs)
-    llm.register(ConductorPolicy())
-    llm.register(MaterializerPolicy())
-    return llm
+def build_seeker_llm(**kwargs) -> RuleLLM:
+    """The Seeker's model: its Conductor and Materializer roles."""
+    return build_model("seeker", **kwargs)
 
 
 class SeekerSession:

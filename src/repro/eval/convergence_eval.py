@@ -9,21 +9,18 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..datasets.questions import BenchmarkDataset
-from ..llm.policies import UserSimPolicy
-from ..llm.rule_llm import RuleLLM
-from ..llm.tokens import Usage
+from ..llm import RuleLLM, Usage, build_model
 from ..sim.runner import ConversationalSystem, SimulationOutcome, SimulationRunner
 
 SystemFactory = Callable[[], ConversationalSystem]
 
 
-def build_sim_llm(model_name: str = "GPT-4o", **kwargs) -> RuleLLM:
-    llm = RuleLLM(model_name=model_name, **kwargs)
-    llm.register(UserSimPolicy())
-    return llm
+def build_sim_llm(**kwargs) -> RuleLLM:
+    """LLM Sim's model: the simulated user."""
+    return build_model("user_sim", **kwargs)
 
 
 @dataclass
@@ -85,7 +82,6 @@ def evaluate_convergence(
     dataset: BenchmarkDataset,
     factories: Dict[str, SystemFactory],
     max_turns: int = 15,
-    sim_llm: Optional[RuleLLM] = None,
 ) -> List[ConvergenceResult]:
     """Run LLM Sim against each system on every question of ``dataset``."""
     results: List[ConvergenceResult] = []
@@ -95,8 +91,7 @@ def evaluate_convergence(
         seconds = []
         for question in dataset.questions:
             system = factory()
-            llm = sim_llm or build_sim_llm()
-            runner = SimulationRunner(llm, max_turns=max_turns)
+            runner = SimulationRunner(build_sim_llm(), max_turns=max_turns)
             before = system.clock.now
             outcome = runner.run(system, question)
             outcomes.append(outcome)

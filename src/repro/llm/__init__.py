@@ -3,7 +3,9 @@
 Components talk to the model through prompt strings and parse text
 responses (:mod:`repro.llm.prompts`); :class:`RuleLLM` answers them with
 deterministic role policies, meters token usage (:mod:`repro.llm.tokens`),
-enforces a context window, and ticks a virtual latency clock.
+enforces a context window, and ticks a virtual latency clock.  Every
+system's model comes from :func:`build_model`; nothing outside this package
+imports the policies or the text semantics they score with.
 """
 
 from .clock import (
@@ -13,6 +15,7 @@ from .clock import (
     VirtualClock,
 )
 from .interface import ContextLengthExceeded, LanguageModel, ModelLimits
+from .models import build_model
 from .pricing import MODEL_PRICES, TABLE2_MODEL_ORDER, CostBreakdown, ModelPrice
 from .prompts import (
     PromptFormatError,
@@ -23,11 +26,14 @@ from .prompts import (
     section_json,
 )
 from .rule_llm import Policy, RuleLLM
+from .semantics import cache_stats as policy_text_stats
 from .tokens import TokenMeter, Usage, UsageEvent, UsageLedger
 
 __all__ = [
     "RuleLLM",
     "Policy",
+    "build_model",
+    "policy_text_stats",
     "LanguageModel",
     "ModelLimits",
     "ContextLengthExceeded",

@@ -4,12 +4,14 @@ The system acts on a model reply only once it meets its shape here, as a
 hosted model's replies would have to.  The Conductor replies ``{"thought":
 ..., "action": {...}}`` (:data:`REPLY`), the action one of :data:`ACTIONS`; an
 ``update_state`` carries a :data:`TABLE_SPEC` and the :data:`PLAN` the
-Materializer reads later.  The Materializer replies ``{"program": [...]}``,
-each step one of the 13 :data:`STEPS`.  A kind is plain data: a
-:class:`Kind` of JSON value, a :class:`Shape` of object, ``[kind]`` for a
-list of them or ``(kind, None)`` for one or null.  :func:`problem` names
-the first field of a value that breaks its kind (a dotted path into nested
-objects), and the decoders report that as the reply's error.
+Materializer reads later.  The Materializer replies ``{"program": [...]}``
+(:data:`PROGRAM_REPLY`), each step one of the 13 :data:`STEPS`; the one-shot
+baselines reply :data:`DS_GURU_REPLY` and :data:`FULL_CONTEXT_REPLY`.  A
+kind is plain data: a :class:`Kind` of JSON value, a :class:`Shape` of
+object, ``[kind]`` for a list of them or ``(kind, None)`` for one or null.
+:func:`problem` names the first field of a value that breaks its kind (a
+dotted path into nested objects), and the decoders report that as the
+reply's error.
 """
 
 from __future__ import annotations
@@ -140,7 +142,16 @@ ACTIONS = {kind: Shape({"kind": TEXT, **required}, optional) for kind, (required
 #: kind it names) and the thought behind it.
 REPLY = Shape({"action": Kind("an action", lambda v: True)}, {"thought": TEXT})
 
-# -------------------------------------------------------- the Materializer's
+# -------------------------------------- the Materializer's and the one-shots'
+#: A program: the interpreter checks each step against :data:`STEPS` as it runs.
+PROGRAM = Kind("a list of steps", lambda v: isinstance(v, list))
+PROGRAM_REPLY = Shape({"program": PROGRAM})
+#: DS-Guru's subtasks and plan, its program and the SQL over the program's result;
+#: the O3 full-context answerer's SQL over the tables it was shown.
+DS_GURU_REPLY = Shape({}, {"subtasks": NAMES, "plan": (PLAN, None), "program": (PROGRAM, None),
+                           "sql": (TEXT, None)})
+FULL_CONTEXT_REPLY = Shape({}, {"answer_value": VALUE, "sql": (TEXT, None), "plan_table": TEXT})
+
 #: Each op's shape: its op and required fields, and the fields any op may carry.
 STEPS = {op: Shape({"op": TEXT, **fields}, {"as": TEXT, "how": TEXT, "ascending": FLAGS})
          for op, fields in {

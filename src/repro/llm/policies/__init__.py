@@ -5,16 +5,8 @@ from .ds_guru import DSGuruPolicy
 from .full_context import FullContextPolicy
 from .materializer import MaterializerPolicy
 from .rag import RAGPolicy
+from .static_planner import StaticPlannerPolicy
 from .user_sim import UserSimPolicy
-
-ALL_POLICIES = (
-    ConductorPolicy,
-    MaterializerPolicy,
-    RAGPolicy,
-    UserSimPolicy,
-    DSGuruPolicy,
-    FullContextPolicy,
-)
 
 __all__ = [
     "ConductorPolicy",
@@ -23,5 +15,5 @@ __all__ = [
     "UserSimPolicy",
     "DSGuruPolicy",
     "FullContextPolicy",
-    "ALL_POLICIES",
+    "StaticPlannerPolicy",
 ]

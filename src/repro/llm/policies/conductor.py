@@ -40,6 +40,129 @@ def _target_name(table: str) -> str:
     return f"{table}_target"
 
 
+def update_state_action(
+    plan, tables: List[SchemaView], docs: List[Dict[str, Any]], intent: Question
+) -> Dict[str, Any]:
+    """``plan`` reified as (T, Q): the Conductor's and the Static-Pipeline
+    planner's ``update_state`` action (web records in ``docs`` become columns)."""
+    target = _target_name(plan.table)
+    primary = next(s for s in tables if s.table == plan.table)
+    columns: List[Dict[str, str]] = []
+
+    def add_column(name: str, dtype: str, source: str) -> None:
+        if name and all(c["name"] != name for c in columns):
+            columns.append({"name": name, "dtype": dtype, "source": source})
+
+    web_specs = _web_integration(plan, primary, docs, intent)
+    for spec in web_specs:
+        add_column(spec["new_column"], "DOUBLE", f"web:{spec['doc_id']}")
+
+    if plan.measure:
+        col = primary.column(plan.measure)
+        add_column(plan.measure, col.dtype if col else "DOUBLE", f"{plan.table}.{plan.measure}")
+    if plan.second_measure:
+        add_column(plan.second_measure, "DOUBLE", f"{plan.table}.{plan.second_measure}")
+    if plan.order_column:
+        col = primary.column(plan.order_column)
+        add_column(plan.order_column, col.dtype if col else "DATE", f"{plan.table}.{plan.order_column}")
+    for f in plan.filters:
+        source_table = plan.join["table"] if plan.join and primary.column(f.column) is None else plan.table
+        add_column(f.column, "TEXT" if isinstance(f.value, str) else "DOUBLE", f"{source_table}.{f.column}")
+    if plan.join:
+        add_column(plan.join["left_on"], "TEXT", f"{plan.table}.{plan.join['left_on']}")
+
+    integration: Dict[str, Any] = {}
+    if plan.join:
+        integration["join"] = plan.join
+    if plan.interpolate:
+        integration["interpolate"] = {"column": plan.measure, "order_by": plan.order_column}
+    if web_specs:
+        integration["web"] = [
+            {k: v for k, v in spec.items() if k != "doc_id"} for spec in web_specs
+        ]
+        add_column(web_specs[0]["key"], "TEXT", f"{plan.table}.{web_specs[0]['key']}")
+
+    table_spec = {
+        "name": target,
+        "columns": columns,
+        "base_tables": [plan.table] + ([plan.join["table"]] if plan.join else []),
+        "integration": integration,
+        "notes": plan.describe(),
+    }
+    return {
+        "kind": "update_state",
+        "table_spec": table_spec,
+        "queries": [plan_to_sql(plan, target)],
+        "plan": plan_to_json(plan),
+    }
+
+
+def _web_integration(
+    plan, primary: SchemaView, docs: List[Dict[str, Any]], intent: Question
+) -> List[Dict[str, Any]]:
+    """Integrate web-page records as new columns (the §3.6 tariff flow).
+
+    A web document's records become a column when (a) one record field
+    matches a text column of the primary table (the join key, e.g.
+    ``country``) and (b) the remaining numeric fields look relevant to
+    the intent.  When the integrated fields are tariff-like, the plan's
+    measure becomes the derived impact expression the paper walks
+    through: ``price * (1 + new_tariff - previous_tariff)``.
+    """
+    intent = question_view(intent)
+    specs: List[Dict[str, Any]] = []
+    for doc in docs:
+        if doc.get("kind") != "web":
+            continue
+        records = doc.get("payload", {}).get("records") or []
+        if not records:
+            continue
+        fields = list(records[0].keys())
+        key_field = None
+        key_column = None
+        best = 0.0
+        for f in fields:
+            for col in primary.text_columns():
+                score = name_match_score(QuestionView(name_entry(col.name).tokens), f)
+                if score > max(best, 0.45):
+                    best = score
+                    key_field, key_column = f, col.name
+        if key_field is None:
+            continue
+        for f in fields:
+            if f == key_field:
+                continue
+            if not any(isinstance(r.get(f), (int, float)) for r in records):
+                continue
+            if name_match_score(intent, f) <= 0.05:
+                continue
+            specs.append(
+                {
+                    "doc_id": doc.get("doc_id", ""),
+                    "records": records,
+                    "key": key_column,
+                    "record_key": key_field,
+                    "value_field": f,
+                    "new_column": f,
+                }
+            )
+    # Derived tariff-impact measure (§3.6): relative to the previous
+    # active tariff when the user said so, else the new rate alone.
+    new_cols = [s["new_column"] for s in specs]
+    tariff_new = next((c for c in new_cols if "new" in c.lower() and "tariff" in c.lower()), None)
+    tariff_prev = next(
+        (c for c in new_cols if ("prev" in c.lower() or "old" in c.lower()) and "tariff" in c.lower()),
+        None,
+    )
+    lowered = intent.text.lower()
+    if plan.measure and tariff_new:
+        if tariff_prev and ("previous" in lowered or "relative" in lowered):
+            plan.measure_expr = f"{plan.measure} * (1 + {tariff_new} - {tariff_prev})"
+        else:
+            plan.measure_expr = f"{plan.measure} * (1 + {tariff_new})"
+    return specs
+
+
 class ConductorPolicy:
     """Selects the Conductor's next action."""
 
@@ -172,7 +295,7 @@ class ConductorPolicy:
                 return self._emit(
                     f"Interpreting the need as: {plan.describe()}. I will reify it as "
                     "a target schema and a SQL query over the materialized table.",
-                    self._update_state_action(plan, tables, docs, need),
+                    update_state_action(plan, tables, docs, need),
                 )
             linked = self._enrichment_targets(message, tables)
             if len(linked) >= 2:
@@ -338,133 +461,6 @@ class ConductorPolicy:
     # ------------------------------------------------------------------
     # Action builders
     # ------------------------------------------------------------------
-    def _update_state_action(
-        self,
-        plan,
-        tables: List[SchemaView],
-        docs: List[Dict[str, Any]],
-        intent: Question,
-    ) -> Dict[str, Any]:
-        target = _target_name(plan.table)
-        primary = next(s for s in tables if s.table == plan.table)
-        columns: List[Dict[str, str]] = []
-
-        def add_column(name: str, dtype: str, source: str) -> None:
-            if name and all(c["name"] != name for c in columns):
-                columns.append({"name": name, "dtype": dtype, "source": source})
-
-        web_specs = self._web_integration(plan, primary, docs, intent)
-        for spec in web_specs:
-            add_column(spec["new_column"], "DOUBLE", f"web:{spec['doc_id']}")
-
-        if plan.measure:
-            col = primary.column(plan.measure)
-            add_column(plan.measure, col.dtype if col else "DOUBLE", f"{plan.table}.{plan.measure}")
-        if plan.second_measure:
-            add_column(plan.second_measure, "DOUBLE", f"{plan.table}.{plan.second_measure}")
-        if plan.order_column:
-            col = primary.column(plan.order_column)
-            add_column(plan.order_column, col.dtype if col else "DATE", f"{plan.table}.{plan.order_column}")
-        for f in plan.filters:
-            source_table = plan.join["table"] if plan.join and primary.column(f.column) is None else plan.table
-            add_column(f.column, "TEXT" if isinstance(f.value, str) else "DOUBLE", f"{source_table}.{f.column}")
-        if plan.join:
-            add_column(plan.join["left_on"], "TEXT", f"{plan.table}.{plan.join['left_on']}")
-
-        integration: Dict[str, Any] = {}
-        if plan.join:
-            integration["join"] = plan.join
-        if plan.interpolate:
-            integration["interpolate"] = {"column": plan.measure, "order_by": plan.order_column}
-        if web_specs:
-            integration["web"] = [
-                {k: v for k, v in spec.items() if k != "doc_id"} for spec in web_specs
-            ]
-            add_column(web_specs[0]["key"], "TEXT", f"{plan.table}.{web_specs[0]['key']}")
-
-        table_spec = {
-            "name": target,
-            "columns": columns,
-            "base_tables": [plan.table] + ([plan.join["table"]] if plan.join else []),
-            "integration": integration,
-            "notes": plan.describe(),
-        }
-        return {
-            "kind": "update_state",
-            "table_spec": table_spec,
-            "queries": [plan_to_sql(plan, target)],
-            "plan": plan_to_json(plan),
-        }
-
-    def _web_integration(
-        self,
-        plan,
-        primary: SchemaView,
-        docs: List[Dict[str, Any]],
-        intent: Question,
-    ) -> List[Dict[str, Any]]:
-        """Integrate web-page records as new columns (the §3.6 tariff flow).
-
-        A web document's records become a column when (a) one record field
-        matches a text column of the primary table (the join key, e.g.
-        ``country``) and (b) the remaining numeric fields look relevant to
-        the intent.  When the integrated fields are tariff-like, the plan's
-        measure becomes the derived impact expression the paper walks
-        through: ``price * (1 + new_tariff - previous_tariff)``.
-        """
-        intent = question_view(intent)
-        specs: List[Dict[str, Any]] = []
-        for doc in docs:
-            if doc.get("kind") != "web":
-                continue
-            records = doc.get("payload", {}).get("records") or []
-            if not records:
-                continue
-            fields = list(records[0].keys())
-            key_field = None
-            key_column = None
-            best = 0.0
-            for f in fields:
-                for col in primary.text_columns():
-                    score = name_match_score(QuestionView(name_entry(col.name).tokens), f)
-                    if score > max(best, 0.45):
-                        best = score
-                        key_field, key_column = f, col.name
-            if key_field is None:
-                continue
-            for f in fields:
-                if f == key_field:
-                    continue
-                if not any(isinstance(r.get(f), (int, float)) for r in records):
-                    continue
-                if name_match_score(intent, f) <= 0.05:
-                    continue
-                specs.append(
-                    {
-                        "doc_id": doc.get("doc_id", ""),
-                        "records": records,
-                        "key": key_column,
-                        "record_key": key_field,
-                        "value_field": f,
-                        "new_column": f,
-                    }
-                )
-        # Derived tariff-impact measure (§3.6): relative to the previous
-        # active tariff when the user said so, else the new rate alone.
-        new_cols = [s["new_column"] for s in specs]
-        tariff_new = next((c for c in new_cols if "new" in c.lower() and "tariff" in c.lower()), None)
-        tariff_prev = next(
-            (c for c in new_cols if ("prev" in c.lower() or "old" in c.lower()) and "tariff" in c.lower()),
-            None,
-        )
-        lowered = intent.text.lower()
-        if plan.measure and tariff_new:
-            if tariff_prev and ("previous" in lowered or "relative" in lowered):
-                plan.measure_expr = f"{plan.measure} * (1 + {tariff_new} - {tariff_prev})"
-            else:
-                plan.measure_expr = f"{plan.measure} * (1 + {tariff_new})"
-        return specs
-
     def _enrichment_state_action(self, matched) -> Dict[str, Any]:
         """Reify an enrichment need as one target spanning several tables.
 

@@ -31,33 +31,18 @@ class Policy(Protocol):
 class RuleLLM:
     """Deterministic multi-role language model with usage metering."""
 
-    def __init__(
-        self,
-        model_name: str = "O4-mini",
-        limits: Optional[ModelLimits] = None,
-        ledger: Optional[UsageLedger] = None,
-        clock: Optional[VirtualClock] = None,
-        seconds_per_call: float = LLM_CALL_SECONDS,
-    ):
-        self._model_name = model_name
+    def __init__(self, model_name: str = "O4-mini", limits: Optional[ModelLimits] = None):
+        self.model_name = model_name
         self.limits = limits or ModelLimits()
-        self.ledger = ledger or UsageLedger()
-        self.clock = clock or VirtualClock()
-        self.seconds_per_call = seconds_per_call
+        self.ledger = UsageLedger()
+        self.clock = VirtualClock()
         #: This model's own line-count memo; its owner clears it when the
         #: conversation ends (``PneumaService.close_session``).
         self.meter = TokenMeter()
         self._policies: Dict[str, Policy] = {}
 
-    @property
-    def model_name(self) -> str:
-        return self._model_name
-
     def register(self, policy: Policy) -> None:
         self._policies[policy.role] = policy
-
-    def roles(self) -> list:
-        return sorted(self._policies)
 
     def complete(self, prompt: str, component: str = "") -> str:
         """One LLM call: context check, policy dispatch, metering."""
@@ -66,8 +51,9 @@ class RuleLLM:
         role, sections = parse_prompt(prompt)
         policy = self._policies.get(role)
         if policy is None:
-            raise KeyError(f"no policy registered for role {role!r}; known: {self.roles()}")
+            known = sorted(self._policies)
+            raise KeyError(f"no policy registered for role {role!r}; known: {known}")
         response = policy.respond(sections)
         self.ledger.record(component or role, prompt_tokens, self.meter.count(response))
-        self.clock.tick(self.seconds_per_call)
+        self.clock.tick(LLM_CALL_SECONDS)
         return response

@@ -70,8 +70,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, 
 from ..core.session import SeekerResponse, SeekerSession, build_seeker_llm
 from ..ir.docdb import DocumentDatabase
 from ..ir.system import IRSystem, RetrievalResult
-from ..llm.rule_llm import RuleLLM
-from ..llm.semantics import cache_stats as policy_text_stats
+from ..llm import RuleLLM, policy_text_stats
 from ..obs import (
     MetricsRegistry,
     ObservabilityConfig,
@@ -297,7 +296,7 @@ class PneumaService:
         # so it follows reindex swaps automatically.  Grounding reads
         # (column_values) go through the generation a session's turn pins.
         self.ir = IRSystem(retriever=self._gate, knowledge=self.knowledge)
-        self._llm_factory = llm_factory
+        self._llm_factory = llm_factory or build_seeker_llm
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="pneuma-turn"
         )
@@ -414,10 +413,7 @@ class PneumaService:
         return knowledge
 
     def _build_llm(self) -> RuleLLM:
-        if self._llm_factory is not None:
-            llm = self._llm_factory()
-        else:
-            llm = build_seeker_llm()
+        llm = self._llm_factory()
         instance = next(self._llm_instances)
         schedule = self.fault_plan.schedule("llm")
         if schedule is not None:

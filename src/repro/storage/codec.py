@@ -32,7 +32,7 @@ from ..ann.exact import ExactIndex
 from ..retriever.index import HybridIndex
 from ..text.bm25 import BM25Index
 from .crash import NO_CRASH, CrashInjector
-from .segment import Segment, read_segment, write_segment
+from .segment import Segment, write_segment
 
 __all__ = [
     "pack_strings",
@@ -174,7 +174,8 @@ def rebuild_bm25_half(meta: Dict[str, object], docs: Sequence[Tuple[str, str]]) 
     """Rebuild the lexical half from preserved texts (insertion order =
     hybrid id order, as at the original freeze), then compile."""
     index = BM25Index(k1=float(meta.get("k1", 1.5)), b=float(meta.get("b", 0.75)))
-    index.add_batch(list(docs))
+    for doc_id, text in docs:
+        index.add(doc_id, text)
     index.compile()
     return index
 

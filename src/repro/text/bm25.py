@@ -137,20 +137,12 @@ class BM25Index:
             self._postings.setdefault(term, {})[slot] = tf
         self._compiled = None
 
-    def add_batch(self, items: Sequence[Tuple[str, str]]) -> None:
-        """Index many ``(doc_id, text)`` pairs in one call."""
-        for doc_id, text in items:
-            self.add(doc_id, text)
-
     def _check_mutable(self) -> None:
         if self._hydrated:
             raise RuntimeError(
                 "this BM25Index was hydrated from a persistent segment and is "
                 "search-only; rebuild from source texts to add"
             )
-
-    def __len__(self) -> int:
-        return len(self._doc_index)
 
     # ------------------------------------------------------------------
     # Interning introspection (the hybrid index fuses over these ints)

@@ -14,8 +14,8 @@ from repro.baselines import (
     StaticPipelineRunner,
     raw_text_index,
 )
-from repro.baselines.full_context import build_full_context_llm
 from repro.datasets.questions import Question
+from repro.llm import ModelLimits, build_model
 from repro.relational import Database, Table
 from repro.service import build_shared_retriever
 
@@ -140,7 +140,7 @@ class TestFullContext:
         assert outcome.value == pytest.approx(9.0)
 
     def test_context_overflow(self, lake):
-        llm = build_full_context_llm(context_tokens=50)
+        llm = build_model("full_context", limits=ModelLimits(50))
         runner = FullContextRunner(lake, llm=llm)
         outcome = runner.answer(self._question("average pm25?", ["readings"]))
         assert outcome.context_exceeded

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.llm import ContextLengthExceeded, ModelLimits, RuleLLM, render_prompt
-from repro.llm.clock import VirtualClock
+from repro.llm.clock import LLM_CALL_SECONDS, VirtualClock
 
 
 class EchoPolicy:
@@ -45,12 +45,11 @@ class TestRuleLLM:
         assert llm.ledger.num_calls() == 0
 
     def test_clock_ticks(self):
-        clock = VirtualClock()
-        llm = RuleLLM(clock=clock, seconds_per_call=7.0)
+        llm = RuleLLM()
         llm.register(EchoPolicy())
         llm.complete(render_prompt("echo", {"MESSAGE": "x"}))
         llm.complete(render_prompt("echo", {"MESSAGE": "y"}))
-        assert clock.now == pytest.approx(14.0)
+        assert llm.clock.now == pytest.approx(2 * LLM_CALL_SECONDS)
 
     def test_model_name(self):
         assert RuleLLM(model_name="O3").model_name == "O3"

@@ -341,6 +341,48 @@ def test_one_retriever_assembly():
                 assert name != "PneumaRetriever", f"{path}:{node.lineno}: builds a PneumaRetriever"
 
 
+def _absolute_imports(path):
+    """Every module ``path`` imports, relative imports resolved, with each
+    ``from m import n`` also read as ``m.n`` (``n`` may be a submodule)."""
+    package = ["repro", *path.relative_to(SRC).parent.parts]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_one_model_boundary():
+    """The program reaches the simulated model through ``complete()``:
+    outside ``repro/llm/`` no module imports the role policies or the text
+    semantics they score with, and every system's model is built by
+    ``llm/models.py::build_model``, the one place in ``src/`` that
+    registers a policy on a model."""
+    factory = SRC / "llm" / "models.py"
+    simulator = ("repro.llm.policies", "repro.llm.semantics")
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "llm" not in path.parents:
+            for name in _absolute_imports(path):
+                assert not name.startswith(simulator), f"{path}: imports {name}"
+        if path == factory:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "register"):
+                continue
+            # ``Database.register`` is the other ``register``: a model's
+            # receiver is named for it, and its argument is a policy.
+            owner = node.func.value
+            receiver = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+            policies = [arg for arg in node.args if isinstance(arg, ast.Call)
+                        and getattr(arg.func, "id", "").endswith("Policy")]
+            assert not ("llm" in receiver.lower() or policies), (
+                f"{path}:{node.lineno}: registers a policy outside the factory"
+            )
+
+
 def test_one_catalog_clock():
     """A service's catalog has one clock, the generation its gate swaps in:
     outside ``relational/`` (whose plan cache keys on it) nothing reads a

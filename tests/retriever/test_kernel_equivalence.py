@@ -57,7 +57,8 @@ class TestBM25Equivalence:
         legacy = ClosedFormBM25()
         legacy.add_batch(docs)
         kernel = BM25Index()
-        kernel.add_batch(docs)
+        for doc_id, text in docs:
+            kernel.add(doc_id, text)
         # Term entries built lazily, per queried term.
         for query in qs:
             assert_hits_equal(
@@ -78,7 +79,8 @@ class TestBM25Equivalence:
         legacy = ClosedFormBM25()
         legacy.add_batch(docs)
         kernel = BM25Index()
-        kernel.add_batch(docs)
+        for doc_id, text in docs:
+            kernel.add(doc_id, text)
         kernel.compile()
         for k in (1, 3, 10, 50, 1000):
             for legacy_hits, kernel_hits in zip(

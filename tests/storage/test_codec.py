@@ -33,7 +33,8 @@ def bm25_fixture(hole=7):
     segment written by a store that still removed documents carries; the
     hole must survive the round trip."""
     index = BM25Index()
-    index.add_batch(DOCS)
+    for doc_id, text in DOCS:
+        index.add(doc_id, text)
     data = index.export_compiled()
     counts = np.diff(data["offsets"])
     owner = np.repeat(np.arange(counts.size), counts)
@@ -88,7 +89,8 @@ class TestBM25Codec:
         ranks bit-identically: each slot appears once per term, so the
         order within a term cannot change a sum."""
         fresh = BM25Index()  # lengths vary, so a term's contributions differ
-        fresh.add_batch([(d, text + " note" * (i % 5)) for i, (d, text) in enumerate(DOCS)])
+        for i, (doc_id, text) in enumerate(DOCS):
+            fresh.add(doc_id, text + " note" * (i % 5))
         write_bm25_segment(tmp_path / "b.seg", fresh)
         segment = read_segment(tmp_path / "b.seg")
         arrays = impact_sorted(segment)

@@ -51,8 +51,8 @@ class TestMaintenance:
             index.add("weather", "tariff tariff tariff")
         assert [h.doc_id for h in index.search("tariff", k=3)] == ["tariffs"]
 
-    def test_len(self, index):
-        assert len(index) == 3
+    def test_slot_count(self, index):
+        assert index.slot_count == 3
 
 
 class TestValidation:
@@ -99,13 +99,9 @@ class TestBatchAPI:
     @pytest.fixture
     def index(self):
         idx = BM25Index()
-        idx.add_batch(
-            [
-                ("a", "tariff schedule for imported goods"),
-                ("b", "purchase orders by supplier"),
-                ("c", "daily rainfall by station"),
-            ]
-        )
+        idx.add("a", "tariff schedule for imported goods")
+        idx.add("b", "purchase orders by supplier")
+        idx.add("c", "daily rainfall by station")
         return idx
 
     def test_search_batch_matches_search(self, index):
@@ -117,8 +113,3 @@ class TestBatchAPI:
 
     def test_search_batch_empty_index(self):
         assert BM25Index().search_batch(["anything"], k=3) == [[]]
-
-    def test_add_batch_rejects_an_indexed_id_like_add(self, index):
-        with pytest.raises(KeyError, match="already indexed"):
-            index.add_batch([("a", "completely different words now")])
-        assert index.search("different words", k=1) == []

@@ -51,7 +51,8 @@ def rows(hits):
 def test_compiled_postings_equal_the_termwise_build_and_rank_like_the_oracle(corpus):
     docs, queries = corpus
     index, oracle = BM25Index(), ClosedFormBM25()
-    index.add_batch(docs)
+    for doc_id, text in docs:
+        index.add(doc_id, text)
     oracle.add_batch(docs)
     export = index.compile().export_compiled()
     same_export(export, export_termwise(index))
@@ -66,13 +67,16 @@ def test_compiled_postings_equal_the_termwise_build_and_rank_like_the_oracle(cor
 
 def test_an_add_after_compile_invalidates_the_postings():
     index = BM25Index()
-    index.add_batch([("a", "alpha beta"), ("b", "alpha gamma")])
+    index.add("a", "alpha beta")
+    index.add("b", "alpha gamma")
     before = index.compile().export_compiled()
     kept = {name: before[name].copy() for name in ARRAYS}
     index.add("c", "gamma gamma delta")
     after = index.export_compiled()
     fresh = BM25Index()
-    fresh.add_batch([("a", "alpha beta"), ("b", "alpha gamma"), ("c", "gamma gamma delta")])
+    fresh.add("a", "alpha beta")
+    fresh.add("b", "alpha gamma")
+    fresh.add("c", "gamma gamma delta")
     same_export(after, fresh.export_compiled())
     assert "delta" in after["terms"] and "delta" not in before["terms"]
     for name in ARRAYS:  # the earlier export is a structure of its own
@@ -83,7 +87,8 @@ def test_an_add_after_compile_invalidates_the_postings():
 def test_export_hydrate_export_is_bit_identical():
     docs = [(f"d{i}", " ".join(WORDS[j % 8] for j in range(i % 11 + 1))) for i in range(40)]
     index = BM25Index(k1=1.2, b=0.6)
-    index.add_batch(docs)
+    for doc_id, text in docs:
+        index.add(doc_id, text)
     export = index.export_compiled()
     hydrated = BM25Index.hydrate_compiled(**export)
     same_export(hydrated.export_compiled(), export)

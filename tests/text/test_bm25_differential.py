@@ -47,7 +47,8 @@ def rows(hits):
 def test_every_search_path_equals_the_oracle(case):
     docs, queries, k, compiled = case
     index, oracle = BM25Index(), ClosedFormBM25()
-    index.add_batch(docs)
+    for doc_id, text in docs:
+        index.add(doc_id, text)
     oracle.add_batch(docs)
     if compiled:
         index.compile()

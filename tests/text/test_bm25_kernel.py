@@ -11,7 +11,8 @@ from repro.text.tokenize import TOKEN_CACHE_SIZE, token_cache_stats
 class TestBuildOnce:
     def test_readd_raises_and_leaves_index_unchanged(self):
         index = BM25Index()
-        index.add_batch([("a", "alpha beta"), ("b", "gamma delta")])
+        index.add("a", "alpha beta")
+        index.add("b", "gamma delta")
         before = [(h.doc_id, h.score) for h in index.search("alpha gamma", k=5)]
         with pytest.raises(KeyError, match="already indexed"):
             index.add("a", "gamma gamma gamma")
@@ -33,7 +34,8 @@ class TestCompile:
         assert ranked(index, "alpha gamma") == once
         index.add("b", "alpha delta")  # new corpus statistics: every entry is rebuilt
         fresh = BM25Index()
-        fresh.add_batch([("a", "alpha beta gamma"), ("b", "alpha delta")])
+        fresh.add("a", "alpha beta gamma")
+        fresh.add("b", "alpha delta")
         for query in ("alpha gamma", "delta", "alpha"):
             assert ranked(index, query) == ranked(fresh, query)
             index.compile()
@@ -42,9 +44,11 @@ class TestCompile:
     def test_compiled_and_lazy_paths_agree(self):
         docs = [(f"d{i}", " ".join(f"t{j}x" for j in range(i % 7 + 1))) for i in range(60)]
         lazy = BM25Index()
-        lazy.add_batch(docs)
+        for doc_id, text in docs:
+            lazy.add(doc_id, text)
         compiled = BM25Index()
-        compiled.add_batch(docs)
+        for doc_id, text in docs:
+            compiled.add(doc_id, text)
         compiled.compile()
         for query in ("t0x", "t0x t3x t6x", "t5x t6x"):
             assert [(h.doc_id, h.score) for h in lazy.search(query, k=30)] == [
@@ -53,7 +57,9 @@ class TestCompile:
 
     def test_search_slots_order_matches_search(self):
         index = BM25Index()
-        index.add_batch([("b", "alpha"), ("a", "alpha"), ("c", "alpha beta")])
+        index.add("b", "alpha")
+        index.add("a", "alpha")
+        index.add("c", "alpha beta")
         index.compile()
         (slots,) = index.search_slots(["alpha beta"], k=3)
         by_slot = {slot: doc for doc, slot in index.slot_items()}
@@ -70,7 +76,8 @@ class TestCompile:
 class TestK:
     def test_negative_k_raises_on_every_entry_point(self):
         index = BM25Index()
-        index.add_batch([("a", "alpha beta"), ("b", "alpha")])
+        index.add("a", "alpha beta")
+        index.add("b", "alpha")
         with pytest.raises(ValueError, match="k must be >= 0"):
             index.search("alpha", k=-1)
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -84,7 +91,8 @@ class TestK:
 
     def test_zero_k_is_empty(self):
         index = BM25Index()
-        index.add_batch([("a", "alpha beta"), ("b", "alpha")])
+        index.add("a", "alpha beta")
+        index.add("b", "alpha")
         assert index.search("alpha", k=0) == []
         assert index.search_batch(["alpha", "beta"], k=0) == [[], []]
         (slots,) = index.search_slots(["alpha"], k=0)

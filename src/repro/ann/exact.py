@@ -186,10 +186,13 @@ def _top_k(rows: np.ndarray, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.
     distances = rows @ query
     np.subtract(1.0, distances, out=distances)
     _snap(distances)
+    # ndarray methods, not the np.* functions: the same C kernels without
+    # the Python-level dispatch each function adds per call.
     if k < distances.size:
-        kth = np.partition(distances, k - 1)[k - 1]
-        nodes = np.flatnonzero(distances <= kth)
+        part = distances.copy()
+        part.partition(k - 1)
+        nodes = (distances <= part[k - 1]).nonzero()[0]
     else:
         nodes = np.arange(distances.size)
-    nodes = nodes[np.argsort(distances[nodes], kind="stable")[:k]]
+    nodes = nodes[distances[nodes].argsort(kind="stable")[:k]]
     return nodes, distances[nodes]

@@ -13,10 +13,10 @@ from typing import Any, Optional
 
 from ..datasets.questions import Question
 from ..llm import ContextLengthExceeded, RuleLLM, build_model, render_prompt
-from ..llm.contract import FULL_CONTEXT_REPLY
+from ..llm.contract import FULL_CONTEXT_REPLY, decode
 from ..relational.catalog import Database
 from ..relational.csv_io import to_csv_text
-from .one_shot import decode, run_once
+from .one_shot import run_once
 
 
 @dataclass

@@ -7,22 +7,11 @@ empty), a failing step, SQL that does not run, a result that is not one cell.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..core.interpreter import InterpreterError, PipelineInterpreter
-from ..llm.contract import Shape, problem
-from ..llm.prompts import PromptFormatError, parse_response
 from ..relational.catalog import Database
 from ..relational.errors import RelationalError
-
-
-def decode(reply: str, shape: Shape) -> Mapping[str, Any]:
-    """The reply's JSON object if it parses and meets ``shape``, else ``{}``."""
-    try:
-        payload = parse_response(reply)
-    except PromptFormatError:
-        return {}
-    return {} if problem(shape, payload) else payload
 
 
 def run_once(lake: Database, program: Optional[Sequence], sql: Optional[str]) -> Any:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..llm import INDEX_LOOKUP_SECONDS, RuleLLM, build_model, parse_response, render_prompt
+from ..llm import INDEX_LOOKUP_SECONDS, RuleLLM, build_model, render_prompt
+from ..llm.contract import RAG_REPLY, decode
 from ..retriever.retriever import PneumaRetriever
 
 
@@ -40,8 +41,8 @@ class RAGSystem:
                 "CONTEXT": [d.to_json() for d in docs],
             },
         )
-        payload = parse_response(self.llm.complete(prompt, "rag"))
-        return payload.get("answer", "")
+        # A reply that does not parse or breaks its shape answers nothing.
+        return decode(self.llm.complete(prompt, "rag"), RAG_REPLY).get("answer", "")
 
     def answer(self, question: str):
         """RQ2 interface: RAG produces prose, never a computed value."""

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..llm import RuleLLM, build_model, render_prompt
-from ..llm.contract import ACTIONS, PROGRAM_REPLY
+from ..llm.contract import ACTIONS, PROGRAM_REPLY, decode
 from ..retriever.retriever import PneumaRetriever
-from .one_shot import decode, run_once
+from .one_shot import run_once
 
 
 class StaticPipelineRunner:

@@ -73,6 +73,8 @@ class DocumentDatabase:
     def search_batch(self, queries: Sequence[str], k: int = 3) -> List[List[Document]]:
         """The top ``k`` captured entries for each query, under one hold of
         the lock; a single query is a batch of one."""
+        if not self._entries:  # nothing captured yet: nothing to rank
+            return [[] for _ in queries]
         # Serialized against add(): unlike the frozen table index, this
         # store keeps growing while other sessions search it.
         with self._lock:

@@ -4,6 +4,14 @@ Sends every query to its three sources (Pneuma-Retriever for tables,
 Document Database for captured knowledge, Web Search for external pages),
 each of which answers a batch of queries in one call, and merges what
 they return as :class:`Document` objects.
+
+The facade adds one span per source and the merge to what its sources
+cost.  On the serving layer's sessionless path (``batch_retrieve`` → the
+gate's pinned generation → ``PneumaRetriever.search_batch`` →
+``HybridIndex.search_batch``) a table query pays for BM25, the vector scan
+and fusion; its hits resolve through the retriever's per-document
+entries, not a catalog lookup, payload-cache pass and narration lookup
+each.
 """
 
 from __future__ import annotations
@@ -53,33 +61,30 @@ class IRSystem:
         """One :class:`RetrievalResult` per query, equal to the
         :meth:`retrieve` of each: every query is still scored and fused on
         its own, and what runs once per batch is each source's call, its
-        lock, the query embedding and, for tables, the payload-cache pass.
+        lock, the query embedding and, for tables, the payload-cache pass
+        over hits no kept entry covers.
         """
         return self._gather(list(queries), k_tables, k_other)
 
     def _gather(self, queries: List[str], k_tables: int, k_other: int) -> List[RetrievalResult]:
         if not queries:
             return []
-        merged: List[List[Document]] = [[] for _ in queries]
-        per_source: List[Dict[str, int]] = [{} for _ in queries]
-        sources = (
-            ("knowledge", self.knowledge, k_other),
-            ("tables", self.retriever, k_tables),
-            ("web", self.web, k_other),
-        )
-        for name, source, k in sources:
+        n = len(queries)
+        results = [RetrievalResult(query, [], {}) for query in queries]
+        for name, span_name, source, k in (
+            ("knowledge", "ir.source.knowledge", self.knowledge, k_other),
+            ("tables", "ir.source.tables", self.retriever, k_tables),
+            ("web", "ir.source.web", self.web, k_other),
+        ):
             if source is None:
                 continue
-            with obs.span(f"ir.source.{name}", k=k, queries=len(queries)) as sp:
+            with obs.span(span_name, k=k, queries=n) as sp:
                 batches = source.search_batch(queries, k=k)
                 sp.set_attr("documents", sum(map(len, batches)))
-            for docs, found, counts in zip(batches, merged, per_source):
-                counts[name] = len(docs)
-                found.extend(docs)
-        return [
-            RetrievalResult(query=q, documents=docs, per_source=counts)
-            for q, docs, counts in zip(queries, merged, per_source)
-        ]
+            for result, docs in zip(results, batches):
+                result.documents += docs
+                result.per_source[name] = len(docs)
+        return results
 
     # ------------------------------------------------------------------
     # Grounding hooks used by Conductor (see §3.2: grounding decisions on

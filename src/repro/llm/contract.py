@@ -6,12 +6,13 @@ hosted model's replies would have to.  The Conductor replies ``{"thought":
 ``update_state`` carries a :data:`TABLE_SPEC` and the :data:`PLAN` the
 Materializer reads later.  The Materializer replies ``{"program": [...]}``
 (:data:`PROGRAM_REPLY`), each step one of the 13 :data:`STEPS`; the one-shot
-baselines reply :data:`DS_GURU_REPLY` and :data:`FULL_CONTEXT_REPLY`.  A
+baselines reply :data:`DS_GURU_REPLY` and :data:`FULL_CONTEXT_REPLY`, the
+RAG baseline :data:`RAG_REPLY` and the simulated user :data:`USER_SIM_REPLY`.  A
 kind is plain data: a :class:`Kind` of JSON value, a :class:`Shape` of
 object, ``[kind]`` for a list of them or ``(kind, None)`` for one or null.
 :func:`problem` names the first field of a value that breaks its kind (a
 dotted path into nested objects), and the decoders report that as the
-reply's error.
+reply's error; :func:`decode` reads a reply that breaks its shape as empty.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import datetime
 from collections.abc import Mapping
 from typing import Any, Callable, NamedTuple, Optional
+
+from .prompts import PromptFormatError, parse_response
 
 
 class Kind(NamedTuple):
@@ -67,6 +70,15 @@ def problem(kind: Any, value: Any, where: str = "") -> Optional[str]:
         if wrong:
             return wrong
     return None
+
+
+def decode(reply: str, shape: Shape) -> Mapping[str, Any]:
+    """The reply's JSON object if it parses and meets ``shape``, else ``{}``."""
+    try:
+        payload = parse_response(reply)
+    except PromptFormatError:
+        return {}
+    return {} if problem(shape, payload) else payload
 
 
 def _list_of(kind: type) -> Callable[[Any], bool]:
@@ -151,6 +163,10 @@ PROGRAM_REPLY = Shape({"program": PROGRAM})
 DS_GURU_REPLY = Shape({}, {"subtasks": NAMES, "plan": (PLAN, None), "program": (PROGRAM, None),
                            "sql": (TEXT, None)})
 FULL_CONTEXT_REPLY = Shape({}, {"answer_value": VALUE, "sql": (TEXT, None), "plan_table": TEXT})
+#: The RAG baseline's prose answer over what its retriever found.
+RAG_REPLY = Shape({"answer": TEXT})
+#: The simulated user's next message, and whether its need is met.
+USER_SIM_REPLY = Shape({"message": TEXT, "converged": FLAG})
 
 #: Each op's shape: its op and required fields, and the fields any op may carry.
 STEPS = {op: Shape({"op": TEXT, **fields}, {"as": TEXT, "how": TEXT, "ascending": FLAGS})

@@ -51,7 +51,17 @@ def derive_id(stream: str, n: int, size: int = 8) -> str:
     return hashlib.blake2b(f"{stream}:{n}".encode("utf-8"), digest_size=size).hexdigest()
 
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    """Each thread's trace context; ``None`` on a thread with no trace.
+
+    The class-level default makes the no-trace read a plain attribute
+    lookup: ``getattr`` with a default on a bare ``threading.local``
+    raises and catches an ``AttributeError`` on every call."""
+
+    ctx: Optional["_TraceContext"] = None
+
+
+_ACTIVE = _Active()
 
 
 class _NoopSpan:
@@ -161,7 +171,7 @@ class Span:
             self.attrs.setdefault("error", exc_type.__name__)
         self._ctx.current = self._parent
         if self._parent is None:
-            if getattr(_ACTIVE, "ctx", None) is self._ctx:
+            if _ACTIVE.ctx is self._ctx:
                 _ACTIVE.ctx = None
             self._ctx.tracer._finish_trace(self)
         return False
@@ -288,7 +298,7 @@ class Tracer:
 # ----------------------------------------------------------------------
 def span(name: str, **attrs: Any):
     """Open a child span of the current thread's trace (or a no-op)."""
-    ctx = getattr(_ACTIVE, "ctx", None)
+    ctx = _ACTIVE.ctx
     if ctx is None:
         return NOOP_SPAN
     return Span(ctx, name, ctx.current, attrs)
@@ -296,23 +306,23 @@ def span(name: str, **attrs: Any):
 
 def event(name: str, **attrs: Any) -> None:
     """Record a point-in-time event on the current span (or nothing)."""
-    ctx = getattr(_ACTIVE, "ctx", None)
+    ctx = _ACTIVE.ctx
     if ctx is not None and ctx.current is not None:
         ctx.current.event(name, **attrs)
 
 
 def set_attr(key: str, value: Any) -> None:
     """Set an attribute on the current span (or nothing)."""
-    ctx = getattr(_ACTIVE, "ctx", None)
+    ctx = _ACTIVE.ctx
     if ctx is not None and ctx.current is not None:
         ctx.current.set_attr(key, value)
 
 
 def active_span() -> Optional[Span]:
-    ctx = getattr(_ACTIVE, "ctx", None)
+    ctx = _ACTIVE.ctx
     return ctx.current if ctx is not None else None
 
 
 def active_tracer() -> Optional[Tracer]:
-    ctx = getattr(_ACTIVE, "ctx", None)
+    ctx = _ACTIVE.ctx
     return ctx.tracer if ctx is not None else None

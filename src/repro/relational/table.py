@@ -320,7 +320,9 @@ class TableCache:
     :meth:`get` per table in order: a table repeated within the call is
     built once, its repeats are hits and share the one value.
     Thread-safe; ``hits`` and ``misses`` count tables, and ``misses``
-    counts the values built.
+    counts the values built.  A caller that keeps a returned value beside
+    the table object it was returned for may serve later lookups of that
+    same object itself and report them with :meth:`count_hits`.
     """
 
     def __init__(self, build: Callable[[List[Table]], List[Any]]) -> None:
@@ -367,6 +369,12 @@ class TableCache:
             for i, position in repeats:
                 values[i] = built[position]
         return values
+
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` lookups its caller served from values this cache
+        returned earlier, each for the very table object it was built for."""
+        with self._lock:
+            self.hits += count
 
     def seed(self, table: Table, value: Any) -> None:
         """Keep ``value`` as ``table``'s entry without building it: one

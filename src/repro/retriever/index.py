@@ -326,17 +326,20 @@ def _fuse(
 ) -> List[HybridHit]:
     """Weighted RRF over two rank-ordered key lists: descending fused
     score, ties by ascending key, top ``k``.  A key is a doc_id or, on a
-    frozen index, its doc_id rank, so either way ties go by doc_id."""
-    # A half adds its term to 0.0 for a key it ranks first: 0.0 + t == t.
-    fused = dict(zip(bm25_keys, bm25_terms))
-    for key, term in zip(vector_keys, vector_terms):
-        fused[key] = fused.get(key, 0.0) + term
-    top = sorted([(-score, key) for key, score in fused.items()])[:k]
-    if not top:
-        return []
+    frozen index, its doc_id rank, so either way ties go by doc_id.
+
+    The dict and sort work runs in C: only a key both halves ranked costs
+    a Python step, its two terms summed in the order the halves come."""
     bm25_ranks = dict(zip(bm25_keys, range(len(bm25_keys))))
     vector_ranks = dict(zip(vector_keys, range(len(vector_keys))))
+    # A key one half ranked scores that half's term (0.0 + t == t).
+    fused = dict(zip(vector_keys, vector_terms))
+    fused.update(zip(bm25_keys, bm25_terms))
+    for key in bm25_ranks.keys() & vector_ranks.keys():
+        fused[key] = bm25_terms[bm25_ranks[key]] + vector_terms[vector_ranks[key]]
+    # Ascending keys, then a stable sort by descending score: ties stay by key.
+    top = sorted(sorted(fused), key=fused.__getitem__, reverse=True)[:k]
     return [
-        HybridHit(doc_id_of(key), -negated, bm25_ranks.get(key), vector_ranks.get(key))
-        for negated, key in top
+        HybridHit(doc_id_of(key), fused[key], bm25_ranks.get(key), vector_ranks.get(key))
+        for key in top
     ]

@@ -11,14 +11,17 @@ once, in one pass: every table of the catalog is narrated and indexed by
 the construction-time :meth:`reindex`, or none when the index was hydrated
 from a snapshot of exactly this catalog.  A table Document's payload
 (schema + sample rows) is rendered once per table content, by a
-:class:`TableCache`, and every hit on that table shares it.  A frozen
-retriever (see :meth:`freeze`) is safe to share across concurrent
-sessions.
+:class:`TableCache`, and every hit on that table shares it.
+
+A search pays for ranking, not for turning hits into Documents: each
+indexed document resolves once, on its first hit, and later hits reuse
+that (see :class:`PneumaRetriever`).  A frozen retriever (see
+:meth:`freeze`) is safe to share across concurrent sessions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..documents.document import Document
 from ..llm.interface import TransientDependencyError
@@ -27,6 +30,9 @@ from ..relational.catalog import Database
 from ..relational.table import TableCache
 from .index import HybridIndex
 from .summarizer import NarrationCache, table_payload
+
+#: The ``source`` of every Document a retriever serves.
+_SOURCE = "pneuma-retriever"
 
 
 class Searchable(Protocol):
@@ -50,6 +56,13 @@ class PneumaRetriever:
     the query is re-served BM25-only with every document flagged
     ``degraded=True``; while the breaker is open the dense half is skipped
     outright, so a dead embedding service costs nothing per query.
+
+    A fused hit becomes a Document through its document's kept entry
+    (table, Document id, title, narration text, payload), made on the
+    document's first hit.  An entry serves only while the catalog still
+    holds the very table object it was made for, so a standalone
+    retriever over a catalog edited after its build gives a replaced
+    table a fresh payload and skips a dropped one.
     """
 
     def __init__(
@@ -65,6 +78,11 @@ class PneumaRetriever:
         self.narrations = narration_cache if narration_cache is not None else NarrationCache()
         #: One payload per table content, shared read-only by every hit.
         self.payloads = TableCache(lambda tables: [table_payload(t) for t in tables])
+        #: doc_id -> (table, Document id, title, narration text, payload),
+        #: filled on the document's first hit and kept while the catalog
+        #: holds that same table.  Entries are replaced whole, never edited,
+        #: so concurrent searches share them without a lock.
+        self._resolved: Dict[str, Tuple[Any, ...]] = {}
         # A warm start (storage layer) injects an index hydrated from a
         # snapshot of exactly this catalog: it holds every table's narration.
         self._hydrated = index is not None
@@ -112,36 +130,47 @@ class PneumaRetriever:
         """Top-k tables for each query.
 
         Each query is scored by both halves and fused on its own; the
-        batch embeds its queries in one call and resolves every hit's
-        payload in one :meth:`TableCache.get_many` pass, which counts one
-        hit or miss per document served, as one ``get`` per hit would.
+        batch embeds its queries in one call.  A hit resolves through its
+        document's entry while the catalog still holds the table the entry
+        was made for; the batch's other hits (a first hit, or a table
+        replaced since) get their payloads in one :meth:`TableCache.get_many`
+        pass.  The payload cache counts one hit or miss per document
+        served, as one ``get`` per hit would.  A hit on a table dropped
+        from the catalog is skipped: an index is never edited.
         """
-        batches, degraded = self._search_index(list(queries), k, mode)
+        batches, degraded = self._search_index(queries, k, mode)
         find_table = self.database.find_table
-        # A hit on a table dropped from the catalog is skipped; an index is
-        # never edited.
-        resolved = [
-            [(table, hit) for hit in hits if (table := find_table(hit.doc_id)) is not None]
-            for hits in batches
-        ]
-        payloads = iter(self.payloads.get_many([table for row in resolved for table, _ in row]))
-        text_of = self.index.text_of
-        return [
-            [
-                Document(
-                    f"table:{table.name}",
-                    "table",
-                    table.name,
-                    text_of(hit.doc_id),
-                    next(payloads),
-                    hit.score,
-                    "pneuma-retriever",
-                    degraded,
-                )
-                for table, hit in row
-            ]
-            for row in resolved
-        ]
+        resolved = self._resolved
+        rows = []
+        fresh = []  # (row, position, doc_id, table) of each hit no entry covers
+        for hits in batches:
+            row = []
+            for hit in hits:
+                doc_id = hit.doc_id
+                table = find_table(doc_id)
+                if table is None:
+                    continue
+                entry = resolved.get(doc_id)
+                if entry is None or entry[0] is not table:
+                    fresh.append((row, len(row), doc_id, table))
+                    row.append(hit)  # a Document once its payload is in
+                    continue
+                _, did, title, text, payload = entry
+                score = hit.score
+                row.append(Document(did, "table", title, text, payload, score, _SOURCE, degraded))
+            rows.append(row)
+        kept = sum(map(len, rows)) - len(fresh)
+        if kept:
+            self.payloads.count_hits(kept)
+        if fresh:
+            text_of = self.index.text_of
+            payloads = self.payloads.get_many([table for *_, table in fresh])
+            for (row, at, doc_id, table), payload in zip(fresh, payloads):
+                did, title, text = f"table:{table.name}", table.name, text_of(doc_id)
+                resolved[doc_id] = (table, did, title, text, payload)
+                score = row[at].score
+                row[at] = Document(did, "table", title, text, payload, score, _SOURCE, degraded)
+        return rows
 
     def _search_index(self, queries: List[str], k: int, mode: str) -> Tuple[list, bool]:
         """Run the index search, degrading hybrid to BM25-only when the

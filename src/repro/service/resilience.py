@@ -126,6 +126,8 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     def allow(self) -> bool:
         """May the caller issue a request right now?"""
+        if self._state == self.CLOSED:  # one read: a closed breaker admits everyone
+            return True
         with self._lock:
             if self._state == self.CLOSED:
                 return True
@@ -141,6 +143,8 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
+        if self._state == self.CLOSED and not self._failures:
+            return  # nothing to reset
         with self._lock:
             self._failures = 0
             if self._state != self.CLOSED:

@@ -530,8 +530,11 @@ class PneumaService:
         call (see ``IRSystem.retrieve_batch``).  Equivalent to N
         sequential ``IRSystem.retrieve`` calls (same documents, same
         order); used by sessionless callers — dashboards, prefetchers,
-        evaluation sweeps.
+        evaluation sweeps.  Raises :class:`ServiceError` once the service
+        is shut down.
         """
+        if self._shutdown:
+            raise ServiceError("service is shut down")
         results = self.ir.retrieve_batch(queries, k_tables=k_tables, k_other=k_other)
         self._count["batch_queries"].inc(len(results))
         return results

@@ -23,7 +23,6 @@ drain.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Callable, Dict, Optional
 
 from ..obs import trace as obs
@@ -89,21 +88,38 @@ class _Generation:
     """One picture of the lake: its number, the catalog its retriever was
     built over, that frozen retriever, the preparation pipeline over the
     same catalog, and its in-flight reader count; and the
-    :class:`~repro.retriever.Searchable` a pinned turn searches through."""
+    :class:`~repro.retriever.Searchable` a pinned turn searches through.
 
-    __slots__ = ("number", "catalog", "retriever", "prep", "readers")
+    :meth:`IndexGate.reading` pins a generation and returns it as the
+    context manager whose exit unpins it."""
 
-    def __init__(self, retriever: PneumaRetriever, prep, number: int):
+    __slots__ = ("number", "catalog", "retriever", "prep", "readers", "retired", "_cond")
+
+    def __init__(self, retriever: PneumaRetriever, prep, number: int, cond: threading.Condition):
         self.number = number
         self.catalog = retriever.database
         self.retriever = retriever
         self.prep = prep
         self.readers = 0
+        self.retired = False  # set by the swap that supersedes it
+        self._cond = cond  # the gate's: a swap waits on it for the drain
+
+    def __enter__(self) -> "_Generation":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        cond = self._cond
+        with cond:
+            self.readers -= 1
+            # Only a swap draining a retired generation waits on the gate.
+            if self.retired and not self.readers:
+                cond.notify_all()
 
     # -- Searchable: each search names the generation it ran on in its span
     def search_batch(self, queries, k: int = 5, mode: str = "hybrid"):
-        attrs = dict(queries=len(queries), k=k, mode=mode, generation=self.number)
-        with obs.span("retrieval.search", **attrs):
+        with obs.span(
+            "retrieval.search", queries=len(queries), k=k, mode=mode, generation=self.number
+        ):
             return self.retriever.search_batch(queries, k=k, mode=mode)
 
     def column_values(self, table_name: str, column: str, limit: int = 200):
@@ -117,7 +133,8 @@ class IndexGate:
     Readers (:meth:`reading`, and through it every :meth:`search_batch`)
     pin whatever generation is current when they enter and keep using it
     even if a swap happens mid-read — generations are immutable, so that is
-    always safe.
+    always safe.  A pin is a count under the gate's lock, taken when
+    :meth:`reading` returns and released when its block exits.
     :meth:`swap` publishes the new generation *immediately* (new readers
     see it with zero wait) and then optionally drains: blocks until the old
     generation's readers have all exited, so it is provably idle.
@@ -125,26 +142,20 @@ class IndexGate:
 
     def __init__(self, retriever: PneumaRetriever, prep):
         self._cond = threading.Condition()
-        self._current = _Generation(retriever, prep, 0)
+        self._current = _Generation(retriever, prep, 0, self._cond)
 
     @property
     def current(self) -> _Generation:
         """The generation new readers pin."""
         return self._current
 
-    @contextmanager
-    def reading(self):
-        """Pin the current generation for the block."""
+    def reading(self) -> _Generation:
+        """Pin the current generation for a ``with`` block: ``with
+        gate.reading() as gen:`` unpins it when the block exits."""
         with self._cond:
             gen = self._current
             gen.readers += 1
-        try:
-            yield gen
-        finally:
-            with self._cond:
-                gen.readers -= 1
-                if gen.readers == 0:
-                    self._cond.notify_all()
+        return gen
 
     def swap(self, retriever: PneumaRetriever, prep, drain: bool = True) -> None:
         """Atomically publish the next generation; with ``drain=True``
@@ -152,7 +163,8 @@ class IndexGate:
         generation has exited."""
         with self._cond:
             old = self._current
-            self._current = _Generation(retriever, prep, old.number + 1)
+            old.retired = True
+            self._current = _Generation(retriever, prep, old.number + 1, self._cond)
             if drain:
                 while old.readers > 0:
                     self._cond.wait()

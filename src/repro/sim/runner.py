@@ -14,7 +14,8 @@ from typing import Dict, List, Protocol
 
 from ..datasets.questions import Question
 from ..llm.clock import VirtualClock
-from ..llm.prompts import parse_response, render_prompt
+from ..llm.contract import USER_SIM_REPLY, decode
+from ..llm.prompts import render_prompt
 from ..llm.rule_llm import RuleLLM
 from ..llm.tokens import UsageLedger
 from .personas import BEHAVIOR, SCENARIO, persona_for
@@ -80,17 +81,19 @@ class SimulationRunner:
                     "CONVERSATION": self._truncated(conversation),
                 },
             )
-            payload = parse_response(self.sim_llm.complete(prompt, "user_sim"))
-            if payload.get("converged"):
+            payload = decode(self.sim_llm.complete(prompt, "user_sim"), USER_SIM_REPLY)
+            if not payload:
+                break  # a reply the runner cannot read ends the dialogue unconverged
+            if payload["converged"]:
                 return SimulationOutcome(
                     question_id=question.qid,
                     system=system.name,
                     converged=True,
                     turns=len(transcript),
                     transcript=transcript,
-                    final_message=payload.get("message", ""),
+                    final_message=payload["message"],
                 )
-            message = payload.get("message", "")
+            message = payload["message"]
             response = system.respond(message)
             conversation.append({"speaker": "you", "text": message})
             conversation.append({"speaker": "system", "text": response})
@@ -99,7 +102,7 @@ class SimulationRunner:
             question_id=question.qid,
             system=system.name,
             converged=False,
-            turns=self.max_turns,
+            turns=len(transcript),
             transcript=transcript,
         )
 

@@ -327,11 +327,14 @@ class BM25Index:
         scores = np.bincount(
             np.concatenate(slots), weights=np.concatenate(contrib), minlength=len(self._doc_ids)
         )
-        slots = np.flatnonzero(scores)
+        # ndarray methods, not the np.* functions: the same C kernels
+        # without the Python-level dispatch each function adds per call.
+        slots = scores.nonzero()[0]
         values = scores[slots]
         if k < slots.size:
-            kth = np.partition(values, slots.size - k)[slots.size - k]
-            keep = values >= kth
+            part = values.copy()
+            part.partition(slots.size - k)
+            keep = values >= part[slots.size - k]
             slots, values = slots[keep], values[keep]
         order = np.lexsort((compiled.id_rank[slots], -values))[:k]
         return slots[order], values[order]

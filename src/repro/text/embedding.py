@@ -476,7 +476,7 @@ class CachedEmbedder:
                 return fresh
             row_of = dict(zip(missing, fresh))
             found = [v if v is not None else row_of[t] for t, v in zip(texts, found)]
-        matrix = np.stack(found) if found else np.zeros((0, self.dim), dtype=np.float64)
+        matrix = np.array(found) if found else np.zeros((0, self.dim), dtype=np.float64)
         matrix.setflags(write=False)
         return matrix
 

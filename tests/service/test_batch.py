@@ -6,7 +6,7 @@ from repro.datasets import build_procurement_lake, load_archaeology
 from repro.ir.docdb import DocumentDatabase
 from repro.relational.table import TableCache
 from repro.retriever import FrozenIndexError, HybridIndex, PneumaRetriever
-from repro.service import PneumaService
+from repro.service import PneumaService, ServiceError
 
 QUERIES = [
     "tariff rates for imported goods by country",
@@ -42,6 +42,16 @@ class TestServiceBatchRetrieve:
             service.batch_retrieve(QUERIES[:2])
             assert service.stats()["batch_queries"] == 2
 
+    def test_a_shut_down_service_refuses_batches(self, lake):
+        service = PneumaService(lake, max_workers=1)
+        assert service.batch_retrieve(QUERIES[:1])[0].documents
+        service.shutdown()
+        with pytest.raises(ServiceError, match="service is shut down"):
+            service.batch_retrieve(QUERIES[:1])
+        with pytest.raises(ServiceError, match="service is shut down"):
+            service.batch_retrieve([])
+        assert service.stats()["batch_queries"] == 1
+
 
 #: Sixteen queries, as the discovery benchmark batches them.
 SIXTEEN = [f"{query} {i}" for i in range(4) for query in QUERIES]
@@ -65,6 +75,12 @@ class TestOnePassPerBatch:
         assert served > len(SIXTEEN) and calls == [served]
         stats = retriever.payloads.stats()
         assert stats["hits"] + stats["misses"] == served
+        # A later batch over the same tables resolves every hit through the
+        # entries the first one made: no payload-cache pass, one hit each.
+        again = sum(map(len, retriever.search_batch(SIXTEEN, k=3)))
+        assert again == served and calls == [served]
+        assert retriever.payloads.stats()["hits"] == stats["hits"] + served
+        assert retriever.payloads.stats()["misses"] == stats["misses"]
 
     def test_retrieve_batch_asks_the_knowledge_source_once(self, lake, monkeypatch):
         with PneumaService(lake, max_workers=1) as service:

@@ -1,10 +1,13 @@
 """Unit tests for the LLM-Sim runner."""
 
 
+import pytest
+
 from repro.core import Concept
 from repro.datasets.questions import Question
 from repro.eval import build_sim_llm
 from repro.sim import SimulationRunner
+from tests.baselines.test_one_shot import Scripted
 from tests.oracles.token_count import count_tokens_two_pass
 
 
@@ -93,3 +96,41 @@ class TestRunner:
         assert count_tokens_two_pass(view[1]["text"]) < 200
         # Recent short turns survive untouched.
         assert view[2]["text"] == conversation[2]["text"]
+
+
+class TestUnreadableSimReplies:
+    """The runner reads the sim's reply against ``USER_SIM_REPLY``: one it
+    cannot read ends that dialogue unconverged instead of raising."""
+
+    def run_with_reply(self, reply):
+        llm = build_sim_llm()
+        llm.register(Scripted("user_sim", reply))
+        system = ScriptedSystem([])
+        outcome = SimulationRunner(llm, max_turns=4).run(system, make_question([]))
+        return outcome, system
+
+    def test_a_well_formed_reply_drives_the_dialogue(self):
+        outcome, system = self.run_with_reply('{"message": "more please", "converged": false}')
+        assert not outcome.converged and outcome.turns == 4
+        assert system.received == ["more please"] * 4
+
+    def test_a_converged_reply_ends_the_dialogue(self):
+        outcome, system = self.run_with_reply('{"message": "thanks", "converged": true}')
+        assert outcome.converged and outcome.turns == 0
+        assert outcome.final_message == "thanks" and system.received == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "not json",
+            "[1, 2]",
+            '{"message": 5, "converged": false}',
+            '{"message": "hi", "converged": "yes"}',
+            '{"message": "hi"}',
+            '{"message": "hi", "converged": true, "extra": 1}',
+        ],
+    )
+    def test_a_reply_that_cannot_be_read_ends_the_dialogue_unconverged(self, reply):
+        outcome, system = self.run_with_reply(reply)
+        assert not outcome.converged
+        assert outcome.turns == 0 and outcome.transcript == [] and system.received == []

@@ -14,26 +14,28 @@ from ..llm import INDEX_LOOKUP_SECONDS, RuleLLM, build_model, render_prompt
 from ..llm.contract import RAG_REPLY, decode
 from ..retriever.retriever import PneumaRetriever
 
+#: Tables retrieved per message.
+_TOP_K = 3
+
 
 class RAGSystem:
     """Vector top-k retrieval plus LLM interpretation (no computation)."""
 
     kind = "rag"
 
-    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None, k: int = 3):
+    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None):
         self.name = "LlamaIndex"
         self.retriever = retriever
         self.llm = llm or build_model("rag")
         self.clock = self.llm.clock
         self.ledger = self.llm.ledger
-        self.k = k
         self._history: List[str] = []
 
     def respond(self, message: str) -> str:
         self._history.append(message)
         question = " ".join(self._history)
         self.llm.clock.tick(INDEX_LOOKUP_SECONDS)
-        docs = self.retriever.search(question, k=self.k, mode="vector")
+        docs = self.retriever.search(question, k=_TOP_K, mode="vector")
         prompt = render_prompt(
             "rag",
             {

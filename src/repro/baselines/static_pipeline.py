@@ -18,19 +18,21 @@ from ..llm.contract import ACTIONS, PROGRAM_REPLY, decode
 from ..retriever.retriever import PneumaRetriever
 from .one_shot import run_once
 
+#: Tables retrieved per question.
+_TOP_K = 6
+
 
 class StaticPipelineRunner:
     """retrieve top-k -> plan -> materialize once -> execute once."""
 
-    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None, k: int = 6):
+    def __init__(self, retriever: PneumaRetriever, llm: Optional[RuleLLM] = None):
         self.name = "Static-Pipeline"
         self.retriever = retriever
         self.lake = retriever.database
         self.llm = llm or build_model("static_pipeline")
-        self.k = k
 
     def answer(self, question: str) -> Any:
-        docs = [d.to_json() for d in self.retriever.search(question, k=self.k)]
+        docs = [d.to_json() for d in self.retriever.search(question, k=_TOP_K)]
         # Fixed step 1: interpret (T, Q) from samples only — no grounding.
         prompt = render_prompt("static_planner", {"QUESTION": question, "DOCS": docs})
         action = decode(self.llm.complete(prompt, "static_planner"), ACTIONS["update_state"])

@@ -22,21 +22,29 @@ from ..retriever.retriever import PneumaRetriever
 from ..text.bm25 import BM25Index
 
 
-def render_table_raw(table: Table, sample_rows: int = 3) -> str:
+#: Tables a static system returns per message.
+_TOP_K = 3
+#: Sample rows shown of each returned table.
+_SAMPLE_ROWS = 3
+#: Leading rows whose cells the full-text index reads of each table.
+_INDEXED_ROWS = 50
+
+
+def render_table_raw(table: Table) -> str:
     """The raw output a static system returns for one table."""
     header = ", ".join(table.column_names())
     lines = [f"table {table.name} | columns: {header}"]
-    for row in table.rows[:sample_rows]:
+    for row in table.rows[:_SAMPLE_ROWS]:
         rendered = ", ".join(format_value(v) for v in row)
         lines.append(f"  row: {rendered}")
     return "\n".join(lines)
 
 
-def _raw_text(table: Table, max_rows: int = 50) -> str:
+def _raw_text(table: Table) -> str:
     """What a full-text index over the file contents sees."""
     cells: List[str] = [table.name]
     cells.extend(table.column_names())
-    for row in table.rows[:max_rows]:
+    for row in table.rows[:_INDEXED_ROWS]:
         cells.extend(format_value(v) for v in row if v is not None)
     return " ".join(cells)
 
@@ -57,17 +65,16 @@ class FTSSystem:
 
     kind = "static"
 
-    def __init__(self, lake: Database, index: BM25Index, k: int = 3):
+    def __init__(self, lake: Database, index: BM25Index):
         self.name = "FTS"
         self.lake = lake
         self.index = index
-        self.k = k
         self.clock = VirtualClock()
         self.ledger = UsageLedger()
 
     def respond(self, message: str) -> str:
         self.clock.tick(INDEX_LOOKUP_SECONDS)
-        hits = self.index.search(message, k=self.k)
+        hits = self.index.search(message, k=_TOP_K)
         if not hits:
             return "No matching tables."
         return "\n".join(render_table_raw(self.lake.resolve_table(h.doc_id)) for h in hits)
@@ -78,17 +85,16 @@ class RetrieverOnlySystem:
 
     kind = "static"
 
-    def __init__(self, retriever: PneumaRetriever, k: int = 3):
+    def __init__(self, retriever: PneumaRetriever):
         self.name = "Pneuma-Retriever"
         self.retriever = retriever
         self.lake = retriever.database
-        self.k = k
         self.clock = VirtualClock()
         self.ledger = UsageLedger()
 
     def respond(self, message: str) -> str:
         self.clock.tick(INDEX_LOOKUP_SECONDS)
-        docs = self.retriever.search(message, k=self.k)
+        docs = self.retriever.search(message, k=_TOP_K)
         if not docs:
             return "No matching tables."
         return "\n".join(render_table_raw(self.lake.resolve_table(d.title)) for d in docs)

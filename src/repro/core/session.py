@@ -119,17 +119,20 @@ class SeekerSession:
         """The uniform system interface (message + state view as one text)."""
         return self.submit(message).render()
 
-    def ask(self, question: str, max_turns: int = 3) -> Any:
+    #: Turns :meth:`ask` spends on one question, the first included.
+    ASK_TURNS = 3
+
+    def ask(self, question: str) -> Any:
         """RQ2 mode: submit a fully specified information need, return the
         computed answer value (None when the system did not produce one).
 
         If a turn ends without an executed result (e.g. the action limit
         interrupted the plan), nudge the system to continue — the same thing
-        an interactive user does.
+        an interactive user does, up to :data:`ASK_TURNS` turns in all.
         """
         self.submit(question)
         turns = 1
-        while self.answer_value is None and turns < max_turns:
+        while self.answer_value is None and turns < self.ASK_TURNS:
             self.submit("Please continue with the analysis.")
             turns += 1
         return self.answer_value

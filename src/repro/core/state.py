@@ -115,7 +115,10 @@ class SharedState:
             "materialized": sorted(self.materialized.table_names()),
         }
 
-    def render(self, max_rows: int = 5) -> str:
+    #: Rows the state view shows of each materialized table and the result.
+    RENDER_ROWS = 5
+
+    def render(self) -> str:
         """The state view page (Figure 2, box 3): T, Q, and sample rows."""
         lines = [f"STATE (version {self.version})"]
         if not self.tables:
@@ -130,7 +133,7 @@ class SharedState:
             if self.is_materialized(spec.name):
                 table = self.materialized.resolve_table(spec.name)
                 lines.append(f"  materialized ({table.num_rows} rows), sample:")
-                for row_line in table.head(max_rows).pretty(max_rows).split("\n"):
+                for row_line in table.head(self.RENDER_ROWS).pretty(self.RENDER_ROWS).split("\n"):
                     lines.append(f"    {row_line}")
         if self.queries:
             lines.append("Q:")
@@ -140,6 +143,6 @@ class SharedState:
             lines.append("Q: (empty)")
         if self.last_result is not None:
             lines.append("last result:")
-            for row_line in self.last_result.pretty(max_rows).split("\n"):
+            for row_line in self.last_result.pretty(self.RENDER_ROWS).split("\n"):
                 lines.append(f"  {row_line}")
         return "\n".join(lines)

@@ -30,16 +30,10 @@ def uniform_int(rng: np.random.Generator, lo: int, hi: int, n: int) -> List[int]
 
 
 def dates_between(
-    rng: np.random.Generator,
-    start: datetime.date,
-    end: datetime.date,
-    n: int,
-    sort: bool = False,
+    rng: np.random.Generator, start: datetime.date, end: datetime.date, n: int
 ) -> List[datetime.date]:
     span = (end - start).days
     offsets = rng.integers(0, span + 1, n)
-    if sort:
-        offsets = np.sort(offsets)
     return [start + datetime.timedelta(days=int(o)) for o in offsets]
 
 
@@ -60,7 +54,6 @@ def build_planted_catalog(
     seed: int = 11,
     n_tables: int = 8,
     rows: int = 1500,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[Any, List[Tuple[str, str, str, str]]]:
     """A synthetic catalog with planted FK->PK joins and distractor columns.
 
@@ -70,11 +63,8 @@ def build_planted_catalog(
     so the planted pairs have true containment 1.0.  Distractor columns —
     per-table numeric offsets, per-table string vocabularies, per-table
     date windows — are constructed to *not* overlap across tables, which
-    makes the planted list the discovery ground truth.
-
-    Pass an explicit ``rng`` to drive the draws from a caller-owned seeded
-    generator (scenario grids build many catalogs cell-by-cell from one
-    stream); ``seed`` then only names the lake.
+    makes the planted list the discovery ground truth.  ``seed`` names the
+    lake and seeds every draw.
 
     Returns ``(lake, planted)`` where ``planted`` is a list of
     ``(fk_table, fk_column, pk_table, pk_column)`` tuples.
@@ -82,8 +72,7 @@ def build_planted_catalog(
     from ..relational.catalog import Database
     from ..relational.table import Table
 
-    if rng is None:
-        rng = make_rng(seed)
+    rng = make_rng(seed)
     names = [f"rel_{i:02d}" for i in range(n_tables)]
     lake = Database(f"planted_{seed}")
     planted: List[Tuple[str, str, str, str]] = []

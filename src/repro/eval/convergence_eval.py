@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List
 
 from ..datasets.questions import BenchmarkDataset
 from ..llm import RuleLLM, Usage, build_model
@@ -59,6 +59,17 @@ class ConvergenceResult:
         return 100.0 * self.converged / self.total if self.total else 0.0
 
 
+def _fold(outcomes: List[SimulationOutcome], max_turns: int) -> Dict[str, Any]:
+    """``total``, ``converged`` and ``median_turns`` of some dialogues; one
+    that did not converge counts ``max_turns``."""
+    turns = [o.turns if o.converged else max_turns for o in outcomes]
+    return {
+        "total": len(outcomes),
+        "converged": sum(o.converged for o in outcomes),
+        "median_turns": float(statistics.median(turns)) if turns else 0.0,
+    }
+
+
 def _class_breakdowns(
     questions, outcomes: List[SimulationOutcome], max_turns: int
 ) -> Dict[str, ClassBreakdown]:
@@ -66,16 +77,10 @@ def _class_breakdowns(
     grouped: Dict[str, List[SimulationOutcome]] = {}
     for question, outcome in zip(questions, outcomes):
         grouped.setdefault(question.design or "unclassified", []).append(outcome)
-    breakdowns: Dict[str, ClassBreakdown] = {}
-    for scenario_class, members in grouped.items():
-        turns = [o.turns if o.converged else max_turns for o in members]
-        breakdowns[scenario_class] = ClassBreakdown(
-            scenario_class=scenario_class,
-            total=len(members),
-            converged=sum(o.converged for o in members),
-            median_turns=float(statistics.median(turns)) if turns else 0.0,
-        )
-    return breakdowns
+    return {
+        scenario_class: ClassBreakdown(scenario_class, **_fold(members, max_turns))
+        for scenario_class, members in grouped.items()
+    }
 
 
 def evaluate_convergence(
@@ -98,14 +103,11 @@ def evaluate_convergence(
             usage.append(system.ledger.total())
             if outcome.turns:
                 seconds.append((system.clock.now - before) / outcome.turns)
-        turns = [o.turns if o.converged else max_turns for o in outcomes]
         results.append(
             ConvergenceResult(
                 system=name,
                 dataset=dataset.name,
-                total=len(outcomes),
-                converged=sum(o.converged for o in outcomes),
-                median_turns=float(statistics.median(turns)) if turns else 0.0,
+                **_fold(outcomes, max_turns),
                 avg_seconds_per_prompt=(
                     sum(seconds) / len(seconds) if seconds else 0.0
                 ),

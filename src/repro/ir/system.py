@@ -43,20 +43,26 @@ class RetrievalResult:
 
 @dataclass(eq=False)
 class IRSystem:
-    """Multi-source retrieval with a uniform Document interface.  A source
-    left ``None`` is skipped; :meth:`retrieve` and :meth:`retrieve_batch`
-    reach the others in one order, knowledge, then tables, then web."""
+    """Multi-source retrieval with a uniform Document interface.  Web
+    Search is optional and skipped when ``None``; :meth:`retrieve` and
+    :meth:`retrieve_batch` reach the sources in one order, knowledge, then
+    tables, then web."""
 
-    retriever: Optional[Searchable] = None
+    retriever: Searchable
+    knowledge: DocumentDatabase
     web: Optional[WebSearch] = None
-    knowledge: Optional[DocumentDatabase] = None
 
-    def retrieve(self, query: str, k_tables: int = 6, k_other: int = 2) -> RetrievalResult:
+    #: Table hits per query, unless a batch asks for another depth.
+    K_TABLES = 6
+    #: Hits per query from the Document Database and from Web Search.
+    K_OTHER = 2
+
+    def retrieve(self, query: str) -> RetrievalResult:
         """Query every source and merge the results."""
-        return self._gather([query], k_tables, k_other)[0]
+        return self._gather([query], self.K_TABLES)[0]
 
     def retrieve_batch(
-        self, queries: Sequence[str], k_tables: int = 6, k_other: int = 2
+        self, queries: Sequence[str], k_tables: int = K_TABLES
     ) -> List[RetrievalResult]:
         """One :class:`RetrievalResult` per query, equal to the
         :meth:`retrieve` of each: every query is still scored and fused on
@@ -64,17 +70,17 @@ class IRSystem:
         lock, the query embedding and, for tables, the payload-cache pass
         over hits no kept entry covers.
         """
-        return self._gather(list(queries), k_tables, k_other)
+        return self._gather(list(queries), k_tables)
 
-    def _gather(self, queries: List[str], k_tables: int, k_other: int) -> List[RetrievalResult]:
+    def _gather(self, queries: List[str], k_tables: int) -> List[RetrievalResult]:
         if not queries:
             return []
         n = len(queries)
         results = [RetrievalResult(query, [], {}) for query in queries]
         for name, span_name, source, k in (
-            ("knowledge", "ir.source.knowledge", self.knowledge, k_other),
+            ("knowledge", "ir.source.knowledge", self.knowledge, self.K_OTHER),
             ("tables", "ir.source.tables", self.retriever, k_tables),
-            ("web", "ir.source.web", self.web, k_other),
+            ("web", "ir.source.web", self.web, self.K_OTHER),
         ):
             if source is None:
                 continue
@@ -91,11 +97,8 @@ class IRSystem:
     # retrieved data instead of assumptions)
     # ------------------------------------------------------------------
     def column_values(self, table_name: str, column: str, limit: int = 200) -> List:
-        if self.retriever is None:
-            return []
         return self.retriever.column_values(table_name, column, limit)
 
     def capture_knowledge(self, text: str, topic: str = "", author: str = "") -> None:
         """Persist a clarification into the Document Database."""
-        if self.knowledge is not None:
-            self.knowledge.add(text, topic=topic, author=author)
+        self.knowledge.add(text, topic=topic, author=author)

@@ -367,17 +367,16 @@ class FilterSpec:
     value: Any
     op: str = "="  # '=' | 'contains' | 'year'
 
-    def to_sql(self, qualifier: str = "") -> str:
-        prefix = f"{qualifier}." if qualifier else ""
+    def to_sql(self) -> str:
         if self.op == "contains":
             escaped = str(self.value).replace("'", "''")
-            return f"LOWER({prefix}{self.column}) LIKE '%{escaped.lower()}%'"
+            return f"LOWER({self.column}) LIKE '%{escaped.lower()}%'"
         if self.op == "year":
-            return f"YEAR({prefix}{self.column}) = {int(self.value)}"
+            return f"YEAR({self.column}) = {int(self.value)}"
         if isinstance(self.value, str):
             escaped = self.value.replace("'", "''")
-            return f"{prefix}{self.column} = '{escaped}'"
-        return f"{prefix}{self.column} = {self.value}"
+            return f"{self.column} = '{escaped}'"
+        return f"{self.column} = {self.value}"
 
 
 def ground_filters(

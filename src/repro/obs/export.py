@@ -91,7 +91,7 @@ def registry_to_stats(registry: MetricsRegistry) -> Dict[str, Any]:
     return stats
 
 
-def render_span_tree(trace: Dict[str, Any], unit_ms: bool = True) -> str:
+def render_span_tree(trace: Dict[str, Any]) -> str:
     """Pretty-print one exported trace tree (the ``Span.to_json()`` shape).
 
     Durations render relative to the root so virtual-clock and wall-clock
@@ -103,13 +103,11 @@ def render_span_tree(trace: Dict[str, Any], unit_ms: bool = True) -> str:
         │  └─ retrieval.vector 1.711ms [ok]
         └─ llm.complete 9.882ms [ok] attempts=1
     """
-    scale = 1000.0 if unit_ms else 1.0
-    unit = "ms" if unit_ms else "s"
     lines: List[str] = []
 
     def describe(node: Dict[str, Any]) -> str:
-        duration = (node.get("end", node["start"]) - node["start"]) * scale
-        text = f"{node['name']} {duration:.3f}{unit} [{node.get('status', 'ok')}]"
+        duration = (node.get("end", node["start"]) - node["start"]) * 1000.0
+        text = f"{node['name']} {duration:.3f}ms [{node.get('status', 'ok')}]"
         attrs = node.get("attrs") or {}
         if attrs:
             rendered = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))

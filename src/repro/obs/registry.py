@@ -275,12 +275,12 @@ class MetricsRegistry:
         self,
         name: str,
         help_text: str = "",
-        labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         max_samples: int = 0,
     ) -> MetricFamily:
+        """An unlabelled histogram family."""
         return self._family(
-            name, "histogram", help_text, labels, buckets=tuple(buckets), max_samples=max_samples
+            name, "histogram", help_text, (), buckets=tuple(buckets), max_samples=max_samples
         )
 
     def _family(

@@ -39,6 +39,10 @@ from .sketches import _EMPTY_SLOT, ColumnSketch, dense_signatures
 #: is set inside discovery on a wide catalog).
 _BLOCK_CELLS = 1 << 15
 
+#: A column with fewer estimated distinct values joins nothing: a constant
+#: column is contained in every column that holds its one value.
+_MIN_DISTINCT = 2.0
+
 
 @dataclass(frozen=True)
 class JoinCandidate:
@@ -154,7 +158,6 @@ def _slot_match_counts(
 def discover_join_candidates(
     profiles: Mapping[str, TableProfile],
     min_containment: float = 0.5,
-    min_distinct: float = 2.0,
 ) -> List[JoinCandidate]:
     """Rank cross-table column pairs by estimated containment.
 
@@ -168,7 +171,7 @@ def discover_join_candidates(
     for column in _flatten(profiles):
         if column.family == "null" or column.fractional or column.sketch.is_empty():
             continue
-        if column.distinct_estimate < min_distinct:
+        if column.distinct_estimate < _MIN_DISTINCT:
             continue
         by_family.setdefault(column.family, []).append(column)
 

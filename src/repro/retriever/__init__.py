@@ -2,7 +2,7 @@
 
 from .index import FrozenIndexError, HybridHit, HybridIndex
 from .retriever import PneumaRetriever, Searchable
-from .summarizer import NarrationCache, sample_rows, table_payload
+from .summarizer import NarrationCache, table_payload
 
 __all__ = [
     "PneumaRetriever",
@@ -11,6 +11,5 @@ __all__ = [
     "HybridHit",
     "FrozenIndexError",
     "NarrationCache",
-    "sample_rows",
     "table_payload",
 ]

@@ -183,6 +183,9 @@ class PneumaRetriever:
                 batches = self.index.search_batch(queries, k=k, mode="hybrid")
             except TransientDependencyError:
                 breaker.record_failure()
+            except BaseException:
+                breaker.release()  # no verdict on the dense half
+                raise
             else:
                 breaker.record_success()
                 return batches, False

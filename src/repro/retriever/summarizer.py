@@ -15,6 +15,12 @@ from ..relational.types import format_value
 from ..text.tokenize import tokenize
 
 
+#: Distinct example values a column narration spells out.
+_COLUMN_EXAMPLES = 4
+#: Leading rows a table payload carries as samples.
+_PAYLOAD_SAMPLES = 3
+
+
 class NarrationCache(TableCache):
     """Table narrations, one per live table name (a :class:`TableCache`).
 
@@ -29,7 +35,7 @@ class NarrationCache(TableCache):
     narrate = TableCache.get
 
 
-def narrate_column(table: Table, name: str, max_examples: int = 4) -> str:
+def narrate_column(table: Table, name: str) -> str:
     """One sentence describing a column: name words, type, example values."""
     column = table.schema.column(name)
     words = " ".join(tokenize(name, stop=False, do_stem=False))
@@ -43,7 +49,7 @@ def narrate_column(table: Table, name: str, max_examples: int = 4) -> str:
             continue
         seen.add(rendered)
         examples.append(rendered)
-        if len(examples) >= max_examples:
+        if len(examples) >= _COLUMN_EXAMPLES:
             break
     example_text = ", ".join(examples) if examples else "no non-null examples"
     return f"column {name} ({words}) of type {column.dtype} with values such as {example_text}"
@@ -61,10 +67,11 @@ def narrate_table(table: Table) -> str:
     return " ".join(lines)
 
 
-def sample_rows(table: Table, n: int = 3) -> List[Dict[str, Any]]:
-    """The first ``n`` rows as JSON-safe records (what prompts may show)."""
+def sample_rows(table: Table) -> List[Dict[str, Any]]:
+    """The first :data:`_PAYLOAD_SAMPLES` rows as JSON-safe records (what
+    prompts may show)."""
     records = []
-    for row in table.rows[:n]:
+    for row in table.rows[:_PAYLOAD_SAMPLES]:
         record = {}
         for column, value in zip(table.schema, row):
             record[column.name] = format_value(value) if value is not None else None
@@ -72,11 +79,11 @@ def sample_rows(table: Table, n: int = 3) -> List[Dict[str, Any]]:
     return records
 
 
-def table_payload(table: Table, sample_n: int = 3) -> Dict[str, Any]:
+def table_payload(table: Table) -> Dict[str, Any]:
     """The structured payload carried by a table Document."""
     return {
         "name": table.name,
         "columns": [{"name": c.name, "dtype": str(c.dtype)} for c in table.schema],
         "num_rows": table.num_rows,
-        "samples": sample_rows(table, sample_n),
+        "samples": sample_rows(table),
     }

@@ -15,12 +15,15 @@ exercise the serving layers, not a shortcut harness.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..sim.scenario import ScenarioPersona, run_scenario
 from .generator import PlantedScenario, build_scenario
 from .grid import ScenarioCell, cells_for
 from .report import CellResult, CoverageReport
+
+#: Embedding dimension of the service a cell runs on.
+SCENARIO_DIM = 64
 
 
 def _check_retrieved(session, scenario: PlantedScenario) -> str:
@@ -77,10 +80,8 @@ def _check_rows(session, scenario: PlantedScenario) -> str:
 
 def run_cell(
     scenario: PlantedScenario,
-    max_turns: int = 8,
-    dim: int = 64,
+    dim: int = SCENARIO_DIM,
     service: Optional[object] = None,
-    after_turn: Optional[Callable[[int], None]] = None,
 ) -> CellResult:
     """Run one cell's session and grade it against the planted truth.
 
@@ -95,14 +96,12 @@ def run_cell(
         service = PneumaService(scenario.lake, max_workers=1, dim=dim)
     try:
         session_id = service.open_session(user=scenario.cell.cell_id)
-        persona = ScenarioPersona(scenario, max_turns=max_turns)
+        persona = ScenarioPersona(scenario)
 
         def respond(message: str) -> str:
             return service.post_turn(session_id, message).render()
 
-        hooks: List[Callable[[int], None]] = []
-        if after_turn is not None:
-            hooks.append(after_turn)
+        drift_hook = None
         if scenario.stress == "drift" and scenario.drift is not None:
             from .stress import apply_drift
 
@@ -110,13 +109,7 @@ def run_cell(
                 if turn == scenario.drift.after_turn and not scenario.drift.applied:
                     apply_drift(service, scenario)
 
-            hooks.append(drift_hook)
-
-        def run_hooks(turn: int) -> None:
-            for hook in hooks:
-                hook(turn)
-
-        transcript = run_scenario(persona, respond, after_turn=run_hooks)
+        transcript = run_scenario(persona, respond, after_turn=drift_hook)
         session = service._sessions[session_id].session
         retrieved = _check_retrieved(session, scenario)
         aligned = _check_aligned(service, session, scenario)
@@ -149,8 +142,6 @@ def run_grid(
     seed: int = 7,
     stress: str = "none",
     rows: int = 48,
-    max_turns: int = 8,
-    dim: int = 64,
     storage_root=None,
     break_chain: bool = False,
 ) -> CoverageReport:
@@ -171,8 +162,8 @@ def run_grid(
         if stress == "append":
             if storage_root is None:
                 raise ValueError("append stress needs a storage_root directory")
-            result = run_append_cell(scenario, storage_root, max_turns=max_turns, dim=dim)
+            result = run_append_cell(scenario, storage_root)
         else:
-            result = run_cell(scenario, max_turns=max_turns, dim=dim)
+            result = run_cell(scenario)
         report.cells.append(result)
     return report

@@ -53,8 +53,13 @@ def apply_drift(service, scenario: PlantedScenario) -> None:
     service.reindex(drain=True)
 
 
-def append_rows(scenario: PlantedScenario, count: int = 16) -> None:
-    """Grow the far endpoint by ``count`` rows referencing live parents.
+#: Rows :func:`append_rows` adds to the far endpoint.
+_APPENDED_ROWS = 16
+
+
+def append_rows(scenario: PlantedScenario) -> None:
+    """Grow the far endpoint by :data:`_APPENDED_ROWS` rows referencing
+    live parents.
 
     Ids continue the table's domain, labels continue its numbering, and
     every new foreign key resolves — so the planted join oracle (computed
@@ -72,23 +77,19 @@ def append_rows(scenario: PlantedScenario, count: int = 16) -> None:
     parent = scenario.edges[-1].parent
     parent_ids = scenario.lake.resolve_table(parent).column_values(scenario.edges[-1].pk)
     additions = {
-        f"{singular}_id": [max(ids) + 1 + j for j in range(count)],
-        scenario.labels[deep]: [f"{singular}-{start + j:04d}" for j in range(count)],
-        scenario.attrs[deep]: normal(rng, 40.0 + 10.0 * len(scenario.edges), 9.0, count, lo=1.0),
-        scenario.edges[-1].fk: pick(rng, parent_ids, count),
+        f"{singular}_id": [max(ids) + 1 + j for j in range(_APPENDED_ROWS)],
+        scenario.labels[deep]: [f"{singular}-{start + j:04d}" for j in range(_APPENDED_ROWS)],
+        scenario.attrs[deep]: normal(
+            rng, 40.0 + 10.0 * len(scenario.edges), 9.0, _APPENDED_ROWS, lo=1.0
+        ),
+        scenario.edges[-1].fk: pick(rng, parent_ids, _APPENDED_ROWS),
     }
     for name in columns:
         columns[name] = columns[name] + additions[name]
     scenario.lake.register(Table.from_columns(deep, columns), replace=True)
 
 
-def run_append_cell(
-    scenario: PlantedScenario,
-    storage_root,
-    max_turns: int = 8,
-    dim: int = 64,
-    count: int = 16,
-) -> CellResult:
+def run_append_cell(scenario: PlantedScenario, storage_root) -> CellResult:
     """The append-heavy cell runner: publish, restart, grow, converge.
 
     A first service builds and durably publishes the index, then shuts
@@ -98,16 +99,18 @@ def run_append_cell(
     converge on the grown oracle.
     """
     from ..service.service import PneumaService
-    from .harness import run_cell
+    from .harness import SCENARIO_DIM, run_cell
 
     storage_dir = Path(storage_root) / scenario.cell.cell_id
-    first = PneumaService(scenario.lake, max_workers=1, dim=dim, storage_dir=storage_dir)
+    first = PneumaService(scenario.lake, max_workers=1, dim=SCENARIO_DIM, storage_dir=storage_dir)
     first.shutdown(drain=True)
-    append_rows(scenario, count=count)
+    append_rows(scenario)
     service: Optional[PneumaService] = None
     try:
-        service = PneumaService(scenario.lake, max_workers=1, dim=dim, storage_dir=storage_dir)
-        result = run_cell(scenario, max_turns=max_turns, dim=dim, service=service)
+        service = PneumaService(
+            scenario.lake, max_workers=1, dim=SCENARIO_DIM, storage_dir=storage_dir
+        )
+        result = run_cell(scenario, service=service)
         if not service.warm_started:
             result.service_ok = False
             result.detail = "; ".join(

@@ -84,9 +84,10 @@ class CircuitBreaker:
     * **closed** — traffic flows; ``failure_threshold`` consecutive
       failures trip it open (any success resets the count);
     * **open** — :meth:`allow` refuses instantly for ``recovery_seconds``;
-    * **half-open** — after the cool-down, up to ``half_open_probes``
-      trial calls pass; one success closes the breaker, one failure
-      re-opens it.
+    * **half-open** — after the cool-down, one trial call passes; its
+      success closes the breaker, its failure re-opens it, and a probe
+      that ends without a verdict (:meth:`release`) lets the next call
+      probe instead.
 
     ``time_fn`` is injectable so tests drive recovery with a fake clock.
     ``on_transition(dependency, old, new)`` observes every state change —
@@ -102,25 +103,21 @@ class CircuitBreaker:
         dependency: str,
         failure_threshold: int = 5,
         recovery_seconds: float = 30.0,
-        half_open_probes: int = 1,
         time_fn: Callable[[], float] = time.monotonic,
         on_transition: Optional[Callable[[str, str, str], None]] = None,
     ):
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if half_open_probes < 1:
-            raise ValueError(f"half_open_probes must be >= 1, got {half_open_probes}")
         self.dependency = dependency
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
-        self.half_open_probes = half_open_probes
         self._time_fn = time_fn
         self._on_transition = on_transition
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._probes = 0
+        self._probing = False  # half-open: the one trial call is in flight
         self.trips = 0  # lifetime closed/half-open -> open transitions
 
     # ------------------------------------------------------------------
@@ -135,12 +132,11 @@ class CircuitBreaker:
                 if self._time_fn() - self._opened_at < self.recovery_seconds:
                     return False
                 self._transition(self.HALF_OPEN)
-                self._probes = 0
-            # HALF_OPEN: admit a bounded number of trial calls.
-            if self._probes < self.half_open_probes:
-                self._probes += 1
-                return True
-            return False
+            # HALF_OPEN: admit one trial call at a time.
+            if self._probing:
+                return False
+            self._probing = True
+            return True
 
     def record_success(self) -> None:
         if self._state == self.CLOSED and not self._failures:
@@ -160,6 +156,18 @@ class CircuitBreaker:
                     self._trip()
             # OPEN: a straggler that raced past allow(); stays open.
 
+    def release(self) -> None:
+        """An admitted call ended without a verdict on the dependency (it
+        raised an error that is not the dependency's fault).  A closed
+        breaker's failure count stays as it is; a half-open probe gives its
+        slot back, so the next call probes instead of the breaker refusing
+        every call for good."""
+        if self._state == self.CLOSED:
+            return
+        with self._lock:
+            if self._state == self.HALF_OPEN:
+                self._probing = False
+
     # ------------------------------------------------------------------
     def _trip(self) -> None:
         self.trips += 1
@@ -169,6 +177,7 @@ class CircuitBreaker:
 
     def _transition(self, new_state: str) -> None:
         old, self._state = self._state, new_state
+        self._probing = False
         if self._on_transition is not None:
             self._on_transition(self.dependency, old, new_state)
 
@@ -193,9 +202,11 @@ class ResilientLLM:
     the backoff delay, and the call is retried up to
     ``RetryPolicy.max_attempts`` times total.  Non-retryable errors —
     :class:`ContextLengthExceeded` above all — propagate immediately and
-    leave breaker state untouched (the model is healthy; the prompt is
-    not).  When the breaker is open the call is refused up front with
-    :class:`DependencyUnavailable`, shedding load off a dead backend.
+    are no verdict on the model (it is healthy; the prompt is not): the
+    breaker counts no failure, and a half-open probe hands its slot back.
+    When the breaker refuses (open, or half-open with its probe in flight)
+    the call is refused up front with :class:`DependencyUnavailable`,
+    shedding load off a dead backend.
 
     The success path is bit-transparent: same response, same metering,
     and all other attributes (``ledger``, ``clock``, …) delegate inward.
@@ -225,15 +236,18 @@ class ResilientLLM:
             attempt = 0
             while True:
                 if self.breaker is not None and not self.breaker.allow():
-                    sp.event("breaker_refused", state=self.breaker.state)
+                    state = self.breaker.state
+                    sp.event("breaker_refused", state=state)
                     raise DependencyUnavailable(
                         self.breaker.dependency,
-                        f"{self.breaker.dependency} circuit open; call refused",
+                        f"{self.breaker.dependency} circuit {state}; call refused",
                     )
                 try:
                     response = self._inner.complete(prompt, component)
                 except Exception as exc:
                     if not is_retryable(exc):
+                        if self.breaker is not None:
+                            self.breaker.release()
                         raise
                     if self.breaker is not None:
                         self.breaker.record_failure()

@@ -522,7 +522,7 @@ class PneumaService:
             )
 
     def batch_retrieve(
-        self, queries: Sequence[str], k_tables: int = 6, k_other: int = 2
+        self, queries: Sequence[str], k_tables: int = IRSystem.K_TABLES
     ) -> List[RetrievalResult]:
         """Answer N discovery queries with one call per retrieval source.
 
@@ -535,7 +535,7 @@ class PneumaService:
         """
         if self._shutdown:
             raise ServiceError("service is shut down")
-        results = self.ir.retrieve_batch(queries, k_tables=k_tables, k_other=k_other)
+        results = self.ir.retrieve_batch(queries, k_tables=k_tables)
         self._count["batch_queries"].inc(len(results))
         return results
 

@@ -42,9 +42,11 @@ class ScenarioTranscript:
 class ScenarioPersona:
     """A scripted investigator for one planted scenario."""
 
-    def __init__(self, scenario, max_turns: int = 8):
+    #: Messages the persona sends before it gives up unsatisfied.
+    MAX_TURNS = 8
+
+    def __init__(self, scenario):
         self.scenario = scenario
-        self.max_turns = max_turns
         self.satisfied = False
         self._responses: List[str] = []
         self._opened = False
@@ -158,7 +160,7 @@ def run_scenario(
     stress harness uses to apply schema drift *between* turns.
     """
     turns: List[SimTurn] = []
-    for turn in range(1, persona.max_turns + 1):
+    for turn in range(1, persona.MAX_TURNS + 1):
         message = persona.next_message()
         if message is None:
             break

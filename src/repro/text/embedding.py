@@ -425,19 +425,21 @@ class HashingEmbedder:
 
 
 class CachedEmbedder:
-    """A memoizing wrapper around :class:`HashingEmbedder`.
+    """A memoizing :class:`HashingEmbedder` of ``dim`` dimensions.
 
     Narrations are re-embedded every time a catalog is (re)indexed; for an
     unchanged catalog that work is pure waste.  The cache is keyed by the
-    text itself, bounded by ``max_entries`` (FIFO eviction), thread-safe,
-    and counts hits/misses so the serving layer can expose the numbers.
-    Cached vectors are read-only: they are shared across threads.
+    text itself, bounded by :data:`MAX_ENTRIES` (FIFO eviction),
+    thread-safe, and counts hits/misses so the serving layer can expose
+    the numbers.  Cached vectors are read-only: they are shared across
+    threads.
     """
 
-    def __init__(self, inner: Optional[HashingEmbedder] = None, dim: int = 256,
-                 max_entries: int = 50_000):
-        self.inner = inner if inner is not None else HashingEmbedder(dim=dim)
-        self.max_entries = max_entries
+    #: Texts the cache holds before it evicts the oldest.
+    MAX_ENTRIES = 50_000
+
+    def __init__(self, dim: int = 256):
+        self.inner = HashingEmbedder(dim=dim)
         self._cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -484,7 +486,7 @@ class CachedEmbedder:
         with self._lock:
             for text, vector in zip(texts, vectors):
                 self._cache[text] = vector
-            while len(self._cache) > self.max_entries:
+            while len(self._cache) > self.MAX_ENTRIES:
                 self._cache.popitem(last=False)
 
     def stats(self) -> dict:

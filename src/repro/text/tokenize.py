@@ -155,22 +155,18 @@ TOKEN_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=TOKEN_CACHE_SIZE)
-def _tokenize_cached(text: str, stop: bool, do_stem: bool) -> Tuple[str, ...]:
-    return tuple(tokenize(text, stop=stop, do_stem=do_stem))
-
-
-def tokenize_cached(text: str, stop: bool = True, do_stem: bool = True) -> Tuple[str, ...]:
+def tokenize_cached(text: str) -> Tuple[str, ...]:
     """Memoized :func:`tokenize` for hot query strings (bounded LRU).
 
     Returns an immutable tuple (the cached value is shared between
-    callers); identical to ``tuple(tokenize(text, ...))``.
+    callers); identical to ``tuple(tokenize(text))``.
     """
-    return _tokenize_cached(text, stop, do_stem)
+    return tuple(tokenize(text))
 
 
 def token_cache_stats() -> dict:
     """Hit/miss/size counters of the tokenization memo (for service stats)."""
-    tok = _tokenize_cached.cache_info()
+    tok = tokenize_cached.cache_info()
     return {"tokenize": {"hits": tok.hits, "misses": tok.misses, "size": tok.currsize}}
 
 

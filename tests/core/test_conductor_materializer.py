@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import Conductor, Materializer, SeekerSession, SharedState, TargetColumn, TargetTable
 from repro.core.session import build_seeker_llm
-from repro.ir import IRSystem
+from repro.ir import DocumentDatabase, IRSystem
 from repro.llm import RuleLLM
 from repro.relational import Database, Table
 from repro.retriever import PneumaRetriever, table_payload
@@ -40,7 +40,7 @@ def make_components(lake):
     llm = build_seeker_llm()
     state = SharedState()
     materializer = Materializer(llm, lake, state)
-    ir = IRSystem(retriever=PneumaRetriever(lake))
+    ir = IRSystem(retriever=PneumaRetriever(lake), knowledge=DocumentDatabase())
     conductor = Conductor(llm, ir, state, materializer)
     return conductor, materializer, state
 

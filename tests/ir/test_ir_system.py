@@ -113,13 +113,13 @@ class TestIRSystem:
         assert set(result.per_source) == {"tables", "web", "knowledge"}
 
     def test_no_web_source_without_web(self, lake):
-        ir = IRSystem(retriever=PneumaRetriever(lake))
+        ir = IRSystem(retriever=PneumaRetriever(lake), knowledge=DocumentDatabase())
         result = ir.retrieve("tariffs")
         assert all(d.kind != "web" for d in result.documents)
         assert "web" not in result.per_source
 
     def test_column_values(self, lake):
-        ir = IRSystem(retriever=PneumaRetriever(lake))
+        ir = IRSystem(retriever=PneumaRetriever(lake), knowledge=DocumentDatabase())
         assert ir.column_values("purchase_orders", "country") == ["Germany", "Japan"]
 
     def test_capture_knowledge_roundtrip(self, lake):
@@ -149,9 +149,9 @@ class TestIRSystem:
             assert attrs["queries"] == 1
             assert attrs["documents"] == result.per_source[source]
 
-    def test_per_source_names_only_present_sources(self, lake):
-        ir = IRSystem(knowledge=DocumentDatabase())
-        assert ir.retrieve("tariffs").per_source == {"knowledge": 0}
-        ir.retriever = PneumaRetriever(lake)
+    def test_per_source_names_only_present_sources(self, lake, web):
+        ir = IRSystem(retriever=PneumaRetriever(lake), knowledge=DocumentDatabase())
         assert list(ir.retrieve("tariffs").per_source) == ["knowledge", "tables"]
+        ir.web = web
+        assert list(ir.retrieve("tariffs").per_source) == ["knowledge", "tables", "web"]
         assert ir.retrieve_batch([]) == []

@@ -313,6 +313,76 @@ def test_the_storage_options_no_caller_set_are_gone():
     assert list(inspect.signature(read_segment).parameters) == ["path"]
 
 
+def test_the_options_no_caller_set_are_gone():
+    """An option stays only when two non-test callers need different
+    values, or when it is a fake-substitution seam or an operator setting.
+    Each callable below had options no caller set; its parameter list is
+    pinned so that none returns, and the IR System's table and knowledge
+    sources are required."""
+    from repro.baselines.rag_system import RAGSystem
+    from repro.baselines.static_pipeline import StaticPipelineRunner
+    from repro.baselines.static_systems import (
+        FTSSystem,
+        RetrieverOnlySystem,
+        _raw_text,
+        render_table_raw,
+    )
+    from repro.core import SeekerSession, SharedState
+    from repro.datasets.generator import build_planted_catalog, dates_between
+    from repro.ir import IRSystem
+    from repro.llm.semantics import FilterSpec
+    from repro.obs import MetricsRegistry, render_span_tree
+    from repro.prep.discovery import discover_join_candidates
+    from repro.retriever.summarizer import narrate_column, sample_rows, table_payload
+    from repro.scenarios.harness import run_cell, run_grid
+    from repro.scenarios.stress import append_rows, run_append_cell
+    from repro.service import CircuitBreaker, PneumaService
+    from repro.sim.scenario import ScenarioPersona
+    from repro.text import CachedEmbedder, tokenize_cached
+
+    pinned = {
+        IRSystem: ["retriever", "knowledge", "web"],
+        IRSystem.retrieve: ["self", "query"],
+        IRSystem.retrieve_batch: ["self", "queries", "k_tables"],
+        PneumaService.batch_retrieve: ["self", "queries", "k_tables"],
+        CachedEmbedder: ["dim"],
+        narrate_column: ["table", "name"],
+        table_payload: ["table"],
+        sample_rows: ["table"],
+        tokenize_cached: ["text"],
+        SeekerSession.ask: ["self", "question"],
+        SharedState.render: ["self"],
+        CircuitBreaker: [
+            "dependency", "failure_threshold", "recovery_seconds", "time_fn", "on_transition"
+        ],
+        discover_join_candidates: ["profiles", "min_containment"],
+        FTSSystem: ["lake", "index"],
+        RetrieverOnlySystem: ["retriever"],
+        RAGSystem: ["retriever", "llm"],
+        StaticPipelineRunner: ["retriever", "llm"],
+        render_table_raw: ["table"],
+        _raw_text: ["table"],
+        MetricsRegistry.histogram: ["self", "name", "help_text", "buckets", "max_samples"],
+        render_span_tree: ["trace"],
+        run_cell: ["scenario", "dim", "service"],
+        run_grid: ["cells", "seed", "stress", "rows", "storage_root", "break_chain"],
+        run_append_cell: ["scenario", "storage_root"],
+        append_rows: ["scenario"],
+        ScenarioPersona: ["scenario"],
+        build_planted_catalog: ["seed", "n_tables", "rows"],
+        dates_between: ["rng", "start", "end", "n"],
+        FilterSpec.to_sql: ["self"],
+    }
+    for target, names in pinned.items():
+        assert list(inspect.signature(target).parameters) == names, target
+    sources = inspect.signature(IRSystem).parameters
+    assert [n for n, p in sources.items() if p.default is inspect.Parameter.empty] == [
+        "retriever",
+        "knowledge",
+    ]
+    assert CachedEmbedder.MAX_ENTRIES == 50_000
+
+
 def test_one_index_per_generation():
     """A generation serves one ``HybridIndex``: a warm start either serves
     the snapshot whole or builds a fresh index, so there is no overlay of

@@ -4,8 +4,8 @@ import pytest
 
 from repro.datasets import build_procurement_lake
 from repro.relational import Database, Table
-from repro.retriever import HybridIndex, PneumaRetriever, sample_rows, table_payload
-from repro.retriever.summarizer import narrate_table
+from repro.retriever import HybridIndex, PneumaRetriever, table_payload
+from repro.retriever.summarizer import narrate_table, sample_rows
 from repro.text import HashingEmbedder
 
 
@@ -42,8 +42,11 @@ class TestNarration:
         assert "DOUBLE" in text
 
     def test_sample_rows_json_safe(self, lake):
-        rows = sample_rows(lake.resolve_table("tariff_rates"), n=1)
-        assert rows == [{"country": "Germany", "new_tariff": "0.15"}]
+        rows = sample_rows(lake.resolve_table("tariff_rates"))
+        assert rows == [
+            {"country": "Germany", "new_tariff": "0.15"},
+            {"country": "France", "new_tariff": "0.12"},
+        ]
 
     def test_payload_shape(self, lake):
         payload = table_payload(lake.resolve_table("tariff_rates"))

@@ -64,7 +64,7 @@ class TestStressCells:
     def test_append_restart_converges_on_grown_lake(self, tmp_path):
         scenario = build_scenario(cell(hops=1), seed=7, stress="append")
         before = scenario.lake.resolve_table(scenario.deep).num_rows
-        result = run_append_cell(scenario, tmp_path, count=16)
+        result = run_append_cell(scenario, tmp_path)
         assert scenario.lake.resolve_table(scenario.deep).num_rows == before + 16
         assert result.converged, result.detail
         assert result.service_ok  # second service warm-started from disk
@@ -72,7 +72,7 @@ class TestStressCells:
     def test_append_rows_extend_the_oracle(self):
         scenario = build_scenario(cell(hops=1), seed=7, stress="append")
         before = len(scenario.oracle_rows())
-        append_rows(scenario, count=16)
+        append_rows(scenario)
         assert len(scenario.oracle_rows()) == before + 16  # appended fks non-null
 
     def test_broken_chain_is_reported_not_converged(self):

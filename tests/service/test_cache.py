@@ -58,8 +58,9 @@ class TestCachedEmbedder:
         plain = cached.inner
         assert (cached.embed("hello world") == plain.embed("hello world")).all()
 
-    def test_bounded(self):
-        embedder = CachedEmbedder(dim=64, max_entries=3)
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(CachedEmbedder, "MAX_ENTRIES", 3)
+        embedder = CachedEmbedder(dim=64)
         for i in range(10):
             embedder.embed(f"text number {i}")
         assert embedder.stats()["size"] <= 3

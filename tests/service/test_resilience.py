@@ -1,6 +1,8 @@
 """Retry policy, circuit breaker, and the resilient LLM wrapper."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -126,6 +128,65 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.stats() == {"state": "closed", "consecutive_failures": 1, "trips": 0}
 
+    def test_a_probe_without_a_verdict_gives_its_slot_back(self):
+        breaker = self.make()
+        breaker.release()  # closed: nothing to give back, nothing counted
+        breaker.record_failure()
+        breaker.release()
+        assert breaker.stats()["consecutive_failures"] == 1
+        for _ in range(2):
+            breaker.record_failure()
+        self.time.now = 10.0
+        assert breaker.allow()
+        assert not breaker.allow()  # the probe is in flight
+        breaker.release()
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        assert breaker.allow()  # the next call probes instead
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_racing_callers_admit_exactly_one_half_open_probe(self):
+        """Threads released together on one breaker, past its cool-down and
+        then half-open with the slot given back: each race admits one probe
+        and refuses the rest, and the last probe's success closes it."""
+        breaker = self.make(failure_threshold=1)
+        breaker.record_failure()
+        n = 8
+        barrier = threading.Barrier(n)
+        admitted = []
+
+        def caller():
+            barrier.wait()
+            if breaker.allow():
+                admitted.append(threading.get_ident())
+
+        def race():
+            admitted.clear()
+            threads = [threading.Thread(target=caller) for _ in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(admitted) == 1
+            assert breaker.state == CircuitBreaker.HALF_OPEN
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                self.time.now += 10.0
+                race()  # open -> half-open
+                breaker.release()
+                race()  # half-open, the slot given back
+                breaker.record_failure()  # the probe failed: open again
+            self.time.now += 10.0
+            race()
+        finally:
+            sys.setswitchinterval(interval)
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.CLOSED
+        assert breaker.allow() and breaker.allow()
+
 
 class CountingLLM:
     """A minimal model that fails its first ``failures`` calls."""
@@ -181,12 +242,44 @@ class TestResilientLLM:
         # A healthy model with an oversized prompt must not trip the breaker.
         assert breaker.state == CircuitBreaker.CLOSED
 
+    def test_a_non_retryable_half_open_probe_does_not_wedge_the_breaker(self):
+        """A half-open probe that overflows the context window is no verdict
+        on the model: the next call probes again instead of every later
+        call being refused for good."""
+
+        class ScriptedLLM(CountingLLM):
+            def complete(self, prompt, component=""):
+                self.calls += 1
+                if self.calls == 1:
+                    raise TransientDependencyError("llm", "down")
+                if self.calls == 2:
+                    raise ContextLengthExceeded(999, 10)
+                return "ok"
+
+        time = FakeTime()
+        breaker = CircuitBreaker("llm", failure_threshold=1, recovery_seconds=1.0, time_fn=time)
+        llm = ResilientLLM(ScriptedLLM(), retry=RetryPolicy(max_attempts=1), breaker=breaker)
+        with pytest.raises(TransientDependencyError):
+            llm.complete("p")
+        assert breaker.state == CircuitBreaker.OPEN
+        time.now = 2.0
+        with pytest.raises(ContextLengthExceeded):
+            llm.complete("p")
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        assert breaker.allow()  # take the probe slot: the next call is refused
+        with pytest.raises(DependencyUnavailable, match="llm circuit half_open; call refused"):
+            llm.complete("p")
+        breaker.release()
+        time.now = 10.0
+        assert llm.complete("p") == "ok"
+        assert breaker.state == CircuitBreaker.CLOSED
+
     def test_open_breaker_refuses_before_calling(self):
         inner = CountingLLM(failures=0)
         breaker = CircuitBreaker("llm", failure_threshold=1, recovery_seconds=1e9)
         breaker.record_failure()
         llm = ResilientLLM(inner, breaker=breaker)
-        with pytest.raises(DependencyUnavailable):
+        with pytest.raises(DependencyUnavailable, match="llm circuit open; call refused"):
             llm.complete("p")
         assert inner.calls == 0
 
@@ -231,6 +324,29 @@ class TestResilientLLM:
         response = SeekerSession(lake, retriever, llm=llm).submit(QUESTION)
         # Retried calls repeat the same prompt, so the answer is unchanged.
         assert response.message == plain_response.message
+
+
+def test_a_failed_vector_probe_does_not_pin_retrieval_to_bm25(monkeypatch):
+    """A half-open probe of the dense half that fails with an error that is
+    not the dependency's gives its slot back: the next search probes the
+    dense half again instead of degrading to BM25 for good."""
+    time = FakeTime()
+    breaker = CircuitBreaker("vector", failure_threshold=1, recovery_seconds=1.0, time_fn=time)
+    breaker.record_failure()
+    retriever = build_shared_retriever(build_procurement_lake(), vector_breaker=breaker)
+    search_batch = retriever.index.search_batch
+
+    def broken(queries, k, mode="hybrid"):
+        raise RuntimeError("not the dense half's fault")
+
+    time.now = 2.0
+    monkeypatch.setattr(retriever.index, "search_batch", broken)
+    with pytest.raises(RuntimeError):
+        retriever.search_batch(["tariff rates"], k=3)
+    monkeypatch.setattr(retriever.index, "search_batch", search_batch)
+    (docs,) = retriever.search_batch(["tariff rates"], k=3)
+    assert docs and not any(doc.degraded for doc in docs)
+    assert breaker.state == CircuitBreaker.CLOSED
 
 
 def test_model_limits_still_enforced_through_the_stack():

@@ -6,13 +6,7 @@ retriever, storage, core) may import it without cycles.
 
 from .config import ObservabilityConfig
 from .export import registry_to_stats, render_prometheus, render_span_tree
-from .registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricFamily,
-    MetricsRegistry,
-    percentile,
-    percentile_sorted,
-)
+from .registry import MetricsRegistry, percentile_sorted
 from .slowlog import SlowTurnLog
 from .trace import (
     NOOP_SPAN,
@@ -28,9 +22,6 @@ from .trace import (
 __all__ = [
     "ObservabilityConfig",
     "MetricsRegistry",
-    "MetricFamily",
-    "DEFAULT_LATENCY_BUCKETS",
-    "percentile",
     "percentile_sorted",
     "SlowTurnLog",
     "Span",

@@ -1,18 +1,20 @@
 """Exposition: Prometheus text and the flat ``stats()`` dict for the
 registry, pretty span trees.
 
-All three renderers are pure functions over snapshot data so they can be
-called from the service (``metrics_text()`` / ``stats()``), the
-benchmarks, and ``scripts/tracetool.py`` without touching live metric
-state.
+The two registry renderers walk its ``metrics`` table and its
+collectors' reports and change no metric, so the service
+(``metrics_text()`` / ``stats()``), the benchmarks and
+``scripts/tracetool.py`` read one state two ways; ``render_span_tree``
+is a pure function over an exported trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Tuple
 
-from .registry import COLLECTOR_PREFIX, MetricsRegistry, percentile_sorted
+from .registry import COLLECTOR_PREFIX, LATENCY_BUCKETS, Counter, MetricsRegistry, percentile_sorted
 
 __all__ = ["render_prometheus", "registry_to_stats", "render_span_tree"]
 
@@ -29,37 +31,48 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _label_str(names: List[str], values: List[str], extra: str = "") -> str:
-    parts = [f'{n}="{_escape_label(v)}"' for n, v in zip(names, values)]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
+def _numeric_leaves(name: str, report: Any) -> Iterator[Tuple[str, float]]:
+    """``(gauge name, value)`` for every number in a collector's report."""
+    if isinstance(report, dict):
+        for key, inner in report.items():
+            yield from _numeric_leaves(f"{name}_{key}", inner)
+    elif isinstance(report, (bool, int, float)):
+        yield name, int(report) if isinstance(report, bool) else report
+
+
+def _metric_lines(metric) -> List[str]:
+    """One counter's or histogram's exposition lines, ``# HELP`` first."""
+    name = metric.name
+    lines = [f"# HELP {name} {metric.help}"] if metric.help else []
+    if isinstance(metric, Counter):
+        lines.append(f"# TYPE {name} counter")
+        for values, count in metric.series():
+            pairs = zip(metric.label_names, values)
+            labels = ",".join(f'{n}="{_escape_label(v)}"' for n, v in pairs)
+            labels = "{" + labels + "}" if labels else ""
+            lines.append(f"{name}_total{labels} {_format_value(count)}")
+        return lines
+    counts, observed = metric.snapshot()
+    lines.append(f"# TYPE {name} histogram")
+    for bound, cumulative in zip(LATENCY_BUCKETS, itertools.accumulate(counts)):
+        lines.append(f'{name}_bucket{{le="{_format_value(bound)}"}} {cumulative}')
+    count = sum(counts)
+    lines.append(f'{name}_bucket{{le="+Inf"}} {count}')
+    lines.append(f"{name}_sum {observed!r}")
+    lines.append(f"{name}_count {count}")
+    return lines
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
-    lines: List[str] = []
-    for family in registry.collect():
-        name, kind, names = family["name"], family["kind"], family["label_names"]
-        if family["help"]:
-            lines.append(f"# HELP {name} {family['help']}")
-        lines.append(f"# TYPE {name} {kind}")
-        for series in family["series"]:
-            values = series["labels"]
-            if kind in ("counter", "gauge"):
-                suffix = "_total" if kind == "counter" and not name.endswith("_total") else ""
-                lines.append(
-                    f"{name}{suffix}{_label_str(names, values)} {_format_value(series['value'])}"
-                )
-            else:  # histogram
-                for bound, cumulative in series["buckets"]:
-                    le = _label_str(names, values, f'le="{_format_value(float(bound))}"')
-                    lines.append(f"{name}_bucket{le} {cumulative}")
-                inf = _label_str(names, values, 'le="+Inf"')
-                lines.append(f"{name}_bucket{inf} {series['count']}")
-                lines.append(f"{name}_sum{_label_str(names, values)} {repr(series['sum'])}")
-                lines.append(f"{name}_count{_label_str(names, values)} {series['count']}")
-    return "\n".join(lines) + "\n"
+    """The registry in Prometheus text exposition format (version 0.0.4):
+    every metric, then one gauge per number a collector reports, sorted
+    by name."""
+    blocks = [(name, _metric_lines(metric)) for name, metric in registry.metrics.items()]
+    for key, report in registry.collected().items():
+        for name, value in _numeric_leaves(COLLECTOR_PREFIX + key, report):
+            blocks.append((name, [f"# TYPE {name} gauge", f"{name} {_format_value(value)}"]))
+    blocks.sort(key=lambda block: block[0])
+    return "\n".join(line for _, lines in blocks for line in lines) + "\n"
 
 
 def registry_to_stats(registry: MetricsRegistry) -> Dict[str, Any]:
@@ -71,19 +84,20 @@ def registry_to_stats(registry: MetricsRegistry) -> Dict[str, Any]:
     ``turns_served`` plus four cuts of its reservoir.  Pull side: every
     collector's report under its key, nesting intact.
     """
+    metrics = registry.metrics
     stats: Dict[str, Any] = {
-        family.name[len(COLLECTOR_PREFIX) :]: int(family.value)
-        for family in registry.families()
-        if family.kind == "counter" and not family.label_names
+        name[len(COLLECTOR_PREFIX) :]: int(metric.value())
+        for name, metric in sorted(metrics.items())
+        if isinstance(metric, Counter) and not metric.label_names
     }
     stats["breaker_transitions"] = {
-        f"{dependency}:{old}->{new}": int(child.value)
-        for (dependency, old, new), child in registry.get("pneuma_breaker_transitions").items()
+        f"{dependency}:{old}->{new}": int(count)
+        for (dependency, old, new), count in metrics["pneuma_breaker_transitions"].series()
     }
-    turns = registry.get("pneuma_turn_seconds").labels()
+    turns = metrics["pneuma_turn_seconds"]
     samples = turns.samples()
     samples.sort()
-    stats["turns_served"] = turns.count
+    stats["turns_served"] = sum(turns.snapshot()[0])
     for cut in (50, 95, 99):
         stats[f"turn_p{cut}_seconds"] = percentile_sorted(samples, float(cut))
     stats["turn_mean_seconds"] = sum(samples) / len(samples) if samples else 0.0

@@ -8,9 +8,8 @@ small tree of operator nodes:
     scan → filter → project / hash-aggregate → sort → limit → set-op
 
 A plan is immutable and reusable: per-execution state (CTE
-materializations, subquery results, the environment of bound tables)
-lives in an :class:`ExecContext`, so one plan can serve concurrent
-sessions.  :class:`PlanCache` is the LRU that
+materializations, subquery results) lives in an :class:`ExecContext`, so
+one plan can serve concurrent sessions.  :class:`PlanCache` is the LRU that
 :class:`repro.relational.catalog.Database` keys by
 ``(normalized SQL text, catalog version)`` — a warm hit skips
 parse+bind+plan entirely.
@@ -62,11 +61,10 @@ from .vectorized import (
 class ExecContext:
     """Per-execution state threaded through one plan run."""
 
-    __slots__ = ("catalog", "env", "cte", "subq")
+    __slots__ = ("catalog", "cte", "subq")
 
-    def __init__(self, catalog, env: Optional[Dict[str, Table]] = None):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.env: Dict[str, Table] = env or {}
         self.cte: Dict[int, Chunk] = {}
         self.subq: Dict[Any, Any] = {}
 
@@ -100,19 +98,6 @@ class ScanNode(PlanNode):
 
     def execute(self, ctx: ExecContext) -> Chunk:
         table = ctx.catalog.resolve_table(self.table_name)
-        return Chunk(table.as_columns(), table.num_rows)
-
-
-class EnvScanNode(PlanNode):
-    """Scan a table bound into the execution environment by name."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def execute(self, ctx: ExecContext) -> Chunk:
-        table = ctx.env[self.key]
         return Chunk(table.as_columns(), table.num_rows)
 
 
@@ -529,23 +514,17 @@ class LazySubplan:
 class Planner:
     """Lowers SELECT ASTs into :class:`SelectPlan` trees.
 
-    ``env`` entries describe FROM-resolvable names beyond the catalog:
-    ``("cte", id, names)`` for planned CTEs and ``("table", key)`` for
-    tables bound at execution time (``plan_select(catalog, select, env)``).
-    Names resolve in the environment first, then in the catalog.
+    ``env`` maps each CTE name in scope to its ``(id, names)``; a FROM
+    name resolves among the CTEs first, then in the catalog.
     """
 
-    def __init__(self, catalog, env_tables: Optional[Dict[str, Table]] = None):
+    def __init__(self, catalog):
         self.catalog = catalog
         self._cte_ids = itertools.count(1)
-        self.env: Dict[str, Tuple] = {}
-        if env_tables:
-            for key, table in env_tables.items():
-                self.env[key.lower()] = ("table", key.lower(), table.schema.names())
 
     # -- entry points ---------------------------------------------------
     def plan(self, select: ast.Select) -> SelectPlan:
-        return self._plan_select(select, self.env)
+        return self._plan_select(select, {})
 
     # -- SELECT ---------------------------------------------------------
     def _plan_select(self, select: ast.Select, env: Dict[str, Tuple]) -> SelectPlan:
@@ -555,7 +534,7 @@ class Planner:
             sub_plan = self._plan_select(sub, local_env)
             cte_id = next(self._cte_ids)
             ctes.append((cte_id, sub_plan))
-            local_env[name.lower()] = ("cte", cte_id, sub_plan.names)
+            local_env[name.lower()] = (cte_id, sub_plan.names)
 
         node, names = self._plan_core(select, local_env)
         for set_op in select.set_ops:
@@ -612,21 +591,11 @@ class Planner:
         self, texpr: ast.TableExpr, env: Dict[str, Tuple]
     ) -> Tuple[Binding, PlanNode]:
         if isinstance(texpr, ast.TableRef):
-            lowered = texpr.name.lower()
-            entry = env.get(lowered)
+            entry = env.get(texpr.name.lower())
             if entry is not None:
-                kind = entry[0]
-                if kind == "cte":
-                    _, cte_id, names = entry
-                    binding = Binding(
-                        [(self._qualifier(texpr.binding_name), n) for n in names]
-                    )
-                    return binding, CTERefNode(cte_id)
-                _, key, names = entry
-                binding = Binding(
-                    [(self._qualifier(texpr.binding_name), n) for n in names]
-                )
-                return binding, EnvScanNode(key)
+                cte_id, names = entry
+                binding = Binding([(self._qualifier(texpr.binding_name), n) for n in names])
+                return binding, CTERefNode(cte_id)
             table = self.catalog.resolve_table(texpr.name)
             binding = Binding.for_table(texpr.binding_name, table.schema)
             return binding, ScanNode(texpr.name)
@@ -853,14 +822,14 @@ class Planner:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def plan_select(catalog, select: ast.Select, env: Optional[Dict[str, Table]] = None) -> SelectPlan:
-    """Lower one SELECT against the catalog (and optional env tables)."""
-    return Planner(catalog, env).plan(select)
+def plan_select(catalog, select: ast.Select) -> SelectPlan:
+    """Lower one SELECT against the catalog."""
+    return Planner(catalog).plan(select)
 
 
-def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) -> Table:
+def run_plan(plan: SelectPlan, catalog) -> Table:
     """Execute a planned SELECT with fresh per-execution state."""
-    ctx = ExecContext(catalog, env)
+    ctx = ExecContext(catalog)
     try:
         chunk = plan.execute(ctx)
     except OverflowError as exc:  # an int past float range met float arithmetic
@@ -907,8 +876,7 @@ def _execute_insert(catalog, stmt: ast.InsertValues) -> Table:
     table = catalog.resolve_table(stmt.table)
     names = stmt.columns or table.column_names()
     targets = [table.schema.index_of(n) for n in names]
-    planner = Planner(catalog)
-    subplan = planner._subplanner(planner.env)
+    subplan = Planner(catalog)._subplanner({})
     constants, one_row, ctx = Binding([]), Chunk([], 1), ExecContext(catalog)
     new_rows = list(table.rows)
     for row_exprs in stmt.rows:

@@ -7,7 +7,7 @@ breakers, degraded retrieval, and a deterministic fault-injection
 harness.  See :class:`PneumaService` for the serving API.
 """
 
-from ..obs import MetricsRegistry, ObservabilityConfig, SlowTurnLog, Tracer, percentile
+from ..obs import MetricsRegistry, ObservabilityConfig, SlowTurnLog, Tracer
 from .faults import (
     CrashSpec,
     FaultPlan,
@@ -41,7 +41,6 @@ __all__ = [
     "SessionSummary",
     "DegradedResponse",
     "ManagedSession",
-    "percentile",
     "ObservabilityConfig",
     "MetricsRegistry",
     "Tracer",

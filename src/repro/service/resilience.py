@@ -91,7 +91,7 @@ class CircuitBreaker:
 
     ``time_fn`` is injectable so tests drive recovery with a fake clock.
     ``on_transition(dependency, old, new)`` observes every state change —
-    the service counts them in its ``pneuma_breaker_transitions`` family.
+    the service counts them in its ``pneuma_breaker_transitions`` counter.
     """
 
     CLOSED = "closed"
@@ -216,13 +216,13 @@ class ResilientLLM:
     def __init__(
         self,
         inner,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        on_retry: Optional[Callable[[], None]] = None,
+        retry: RetryPolicy,
+        breaker: CircuitBreaker,
+        on_retry: Callable[[], None],
         seed: int = 0,
     ):
         self._inner = inner
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = retry
         self.breaker = breaker
         self._on_retry = on_retry
         self._rng = random.Random(seed)
@@ -235,7 +235,7 @@ class ResilientLLM:
         with obs.span("llm.complete", component=component) as sp:
             attempt = 0
             while True:
-                if self.breaker is not None and not self.breaker.allow():
+                if not self.breaker.allow():
                     state = self.breaker.state
                     sp.event("breaker_refused", state=state)
                     raise DependencyUnavailable(
@@ -246,32 +246,26 @@ class ResilientLLM:
                     response = self._inner.complete(prompt, component)
                 except Exception as exc:
                     if not is_retryable(exc):
-                        if self.breaker is not None:
-                            self.breaker.release()
+                        self.breaker.release()
                         raise
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
-                        sp.event(
-                            "attempt_failed",
-                            attempt=attempt + 1,
-                            error=type(exc).__name__,
-                            breaker_state=self.breaker.state,
-                        )
-                    else:
-                        sp.event("attempt_failed", attempt=attempt + 1, error=type(exc).__name__)
+                    self.breaker.record_failure()
+                    sp.event(
+                        "attempt_failed",
+                        attempt=attempt + 1,
+                        error=type(exc).__name__,
+                        breaker_state=self.breaker.state,
+                    )
                     attempt += 1
                     if attempt >= self.retry.max_attempts:
                         raise
-                    if self._on_retry is not None:
-                        self._on_retry()
+                    self._on_retry()
                     delay = self.retry.backoff(attempt, self._rng)
                     sp.event("retry", attempt=attempt, backoff_seconds=delay)
                     clock = getattr(self._inner, "clock", None)
                     if clock is not None:
                         clock.tick(delay)
                 else:
-                    if self.breaker is not None:
-                        self.breaker.record_success()
+                    self.breaker.record_success()
                     sp.set_attr("attempts", attempt + 1)
                     return response
 

@@ -47,7 +47,7 @@ Fault model (the resilience subsystem):
   reproducible offline; a no-fault plan is bit-transparent.
 
 Telemetry is one table, a :class:`~repro.obs.MetricsRegistry`: hot paths
-increment its families directly, ``__init__`` registers each subsystem's
+record into its counters and histogram directly, ``__init__`` registers each subsystem's
 own ``stats()`` reporter as a collector where it builds that subsystem,
 and ``stats()`` / ``metrics_text()`` are two renderings of it.
 """
@@ -92,7 +92,7 @@ from .resilience import CircuitBreaker, ResilienceConfig, ResilientLLM
 from .shared import IndexGate, _Generation, build_shared_retriever
 
 #: The unlabeled serving counters, ``stats()`` key -> help text; each is
-#: the registry family ``pneuma_<key>``.
+#: the registry counter ``pneuma_<key>``.
 _COUNTERS = {
     "sessions_opened": "Sessions opened.",
     "sessions_closed": "Sessions closed.",
@@ -206,9 +206,7 @@ class PneumaService:
         )
         # Turn count == histogram count, so serving a turn is one lock
         # acquire; the reservoir feeds the stats() percentiles.
-        self._turn_seconds = registry.histogram(
-            "pneuma_turn_seconds", "End-to-end turn latency.", max_samples=10_000
-        )
+        self._turn_seconds = registry.histogram("pneuma_turn_seconds", "End-to-end turn latency.")
         if fault_plan is not None:
             registry.add_collector("faults", lambda: me.fault_plan.stats())
         # Tracing is opt-in and bit-transparent when off: with no tracer,
@@ -246,7 +244,7 @@ class PneumaService:
                 name,
                 failure_threshold=threshold,
                 recovery_seconds=recovery,
-                on_transition=lambda *edge: transitions.labels(*edge).inc(),
+                on_transition=lambda *edge: transitions.inc(labels=edge),
             )
             for name, threshold, recovery in (
                 ("llm", cfg.llm_breaker_threshold, cfg.llm_breaker_recovery_seconds),

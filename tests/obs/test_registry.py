@@ -1,44 +1,41 @@
-"""Metrics registry: typed families, labels, percentiles, thread safety."""
+"""Metrics registry: counters, histograms, collectors, percentiles,
+thread safety and the exact Prometheus exposition."""
 
+import sys
 import threading
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    percentile,
-    percentile_sorted,
-    render_prometheus,
-)
+from repro.obs import MetricsRegistry, percentile_sorted, render_prometheus
+from repro.obs.registry import LATENCY_BUCKETS, RESERVOIR
 
 
 class TestPercentile:
     def test_empty_returns_zero(self):
-        assert percentile([], 50) == 0.0
+        assert percentile_sorted([], 50) == 0.0
         assert percentile_sorted([], 99) == 0.0
 
     def test_single_sample_is_every_percentile(self):
         for p in (0, 37.5, 50, 99, 100):
-            assert percentile([4.2], p) == 4.2
+            assert percentile_sorted([4.2], p) == 4.2
 
     def test_p0_and_p100_are_min_and_max(self):
-        samples = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert percentile(samples, 0) == 1.0
-        assert percentile(samples, 100) == 5.0
+        ordered = sorted([5.0, 1.0, 3.0, 2.0, 4.0])
+        assert percentile_sorted(ordered, 0) == 1.0
+        assert percentile_sorted(ordered, 100) == 5.0
 
-    def test_unsorted_input_sorted_internally(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
+    def test_median_of_a_sorted_copy(self):
+        assert percentile_sorted(sorted([3.0, 1.0, 2.0]), 50) == 2.0
 
     def test_linear_interpolation_between_ranks(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
-        assert percentile([10.0, 20.0], 75) == pytest.approx(17.5)
+        assert percentile_sorted([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
+        assert percentile_sorted([10.0, 20.0], 75) == pytest.approx(17.5)
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            percentile([1.0], -1)
+            percentile_sorted([1.0], -1)
         with pytest.raises(ValueError):
-            percentile([1.0], 100.1)
+            percentile_sorted([1.0], 100.1)
 
     def test_percentile_sorted_trusts_its_input(self):
         # The contract: callers sort once, then cut many times cheaply.
@@ -46,67 +43,79 @@ class TestPercentile:
         assert percentile_sorted(ordered, 50) == 0.5
 
 
-class TestFamilies:
+class TestMetrics:
     def test_counter_monotonic(self):
         registry = MetricsRegistry()
         c = registry.counter("events", "help")
+        assert c.value() == 0  # an unlabeled counter reads 0 before its first inc
         c.inc()
         c.inc(3)
-        assert c.value == 4
+        assert c.value() == 4
         with pytest.raises(ValueError):
             c.inc(-1)
 
     def test_histogram_buckets_and_percentiles(self):
         registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(0.1, 1.0), max_samples=100)
+        h = registry.histogram("lat")
         for v in (0.05, 0.5, 0.5, 5.0):
             h.observe(v)
-        default = h._default()
-        assert default.count == 4
-        assert default.sum == pytest.approx(6.05)
-        snap = default.snapshot()
-        assert snap["buckets"] == [(0.1, 1), (1.0, 3)]  # cumulative
-        assert default.percentile(100) == 5.0
+        counts, observed = h.snapshot()
+        assert sum(counts) == 4
+        assert observed == pytest.approx(6.05)
+        # A bound is inclusive (``le``); the last slot is +Inf.
+        assert {LATENCY_BUCKETS[i]: n for i, n in enumerate(counts) if n} == {
+            0.05: 1,
+            0.5: 2,
+            5.0: 1,
+        }
+        assert percentile_sorted(sorted(h.samples()), 100) == 5.0
 
     def test_histogram_reservoir_trims_oldest_half(self):
         registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(1.0,), max_samples=10)
-        for i in range(11):
+        h = registry.histogram("lat")
+        for i in range(RESERVOIR + 1):
             h.observe(float(i))
-        samples = h._default().samples()
-        # One splice dropped the oldest max_samples//2 observations, but
-        # count/sum keep the full history.
-        assert samples == [float(i) for i in range(5, 11)]
-        assert h._default().count == 11
+        # One splice dropped the oldest RESERVOIR//2 observations, but the
+        # bucket counts keep the full history.
+        assert h.samples() == [float(i) for i in range(RESERVOIR // 2, RESERVOIR + 1)]
+        assert sum(h.snapshot()[0]) == RESERVOIR + 1
 
-    def test_registration_idempotent_but_typed(self):
+    def test_labeled_counts_are_distinct(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits", labels=("route",))
+        assert hits.series() == []
+        hits.inc(2, labels=("a",))
+        hits.inc(labels=("b",))
+        assert hits.series() == [(("a",), 2), (("b",), 1)]
+
+    def test_label_count_must_match(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            registry.counter("hits", labels=("route",)).inc(labels=("a", "extra"))
+        with pytest.raises(ValueError):
+            registry.counter("plain").inc(labels=("a",))
+
+    def test_labeled_counter_rejects_bare_recording(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits", labels=("route",))
+        with pytest.raises(ValueError):
+            hits.inc()
+        assert hits.series() == []
+
+    def test_a_name_registers_once(self):
         registry = MetricsRegistry()
         first = registry.counter("x", "help")
-        assert registry.counter("x") is first
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("x", "help")
+        with pytest.raises(ValueError, match="already registered"):
             registry.histogram("x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="already registered"):
             registry.counter("x", labels=("kind",))
+        # A refused registration leaves the first metric in place.
+        assert registry.metrics == {"x": first}
 
-    def test_labeled_children_are_distinct_and_cached(self):
-        registry = MetricsRegistry()
-        family = registry.counter("hits", labels=("route",))
-        a = family.labels("a")
-        a.inc(2)
-        family.labels("b").inc()
-        assert family.labels("a") is a
-        assert {k: child.value for (k,), child in family.items()} == {"a": 2, "b": 1}
-
-    def test_labeled_family_rejects_bare_recording(self):
-        registry = MetricsRegistry()
-        family = registry.counter("hits", labels=("route",))
-        with pytest.raises(ValueError):
-            family.inc()
-        with pytest.raises(ValueError):
-            family.labels("a", "extra")
-
-    def test_default_latency_buckets_sorted(self):
-        assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
+    def test_latency_buckets_sorted(self):
+        assert list(LATENCY_BUCKETS) == sorted(LATENCY_BUCKETS)
 
 
 class TestConcurrency:
@@ -114,53 +123,101 @@ class TestConcurrency:
         """N threads x M observations: totals must be exact, not approximate."""
         registry = MetricsRegistry()
         counter = registry.counter("ops", labels=("worker",))
-        hist = registry.histogram("lat", buckets=(0.5,), max_samples=0)
-        threads_n, each = 8, 500
+        hist = registry.histogram("lat")
+        threads_n, each = 8, 5000
         barrier = threading.Barrier(threads_n)
 
         def work(worker):
-            child = counter.labels(f"w{worker % 2}")  # contend on two children
+            labels = (f"w{worker % 2}",)  # contend on two label tuples
             barrier.wait()
             for _ in range(each):
-                child.inc()
+                counter.inc(labels=labels)
                 hist.observe(0.25)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside every read-modify-write
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
 
-        total = sum(child.value for _, child in counter.items())
-        assert total == threads_n * each
-        assert hist._default().count == threads_n * each
+        half = threads_n * each // 2
+        assert counter.series() == [(("w0",), half), (("w1",), half)]
+        assert sum(hist.snapshot()[0]) == threads_n * each
 
-    def test_concurrent_registration_yields_one_family(self):
-        registry = MetricsRegistry()
-        found = []
-        barrier = threading.Barrier(8)
 
-        def register():
-            barrier.wait()
-            found.append(registry.counter("shared"))
-
-        threads = [threading.Thread(target=register) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(f is found[0] for f in found)
-        found[0].inc()
-        assert registry.get("shared").value == 1
+#: Every line kind the exposition writes, in order: a labeled counter with
+#: escaped values, collector gauges (nested, bool; the string and None
+#: leaves left out), an unlabeled counter at 0 and a histogram.
+EXPECTED_EXPOSITION = r"""# HELP pneuma_edges Breaker edges.
+# TYPE pneuma_edges counter
+pneuma_edges_total{dependency="back\\slash",to_state="open"} 1
+pneuma_edges_total{dependency="say \"hi\"\n",to_state="open"} 2
+# TYPE pneuma_gate_frozen gauge
+pneuma_gate_frozen 1
+# TYPE pneuma_gate_inner_hits gauge
+pneuma_gate_inner_hits 2
+# TYPE pneuma_gate_inner_ratio gauge
+pneuma_gate_inner_ratio 0.5
+# TYPE pneuma_gate_warm gauge
+pneuma_gate_warm 0
+# HELP pneuma_idle Never incremented.
+# TYPE pneuma_idle counter
+pneuma_idle_total 0
+# HELP pneuma_lat Latency.
+# TYPE pneuma_lat histogram
+pneuma_lat_bucket{le="0.001"} 0
+pneuma_lat_bucket{le="0.0025"} 0
+pneuma_lat_bucket{le="0.005"} 0
+pneuma_lat_bucket{le="0.01"} 0
+pneuma_lat_bucket{le="0.025"} 0
+pneuma_lat_bucket{le="0.05"} 0
+pneuma_lat_bucket{le="0.1"} 0
+pneuma_lat_bucket{le="0.25"} 1
+pneuma_lat_bucket{le="0.5"} 2
+pneuma_lat_bucket{le="1"} 2
+pneuma_lat_bucket{le="2.5"} 2
+pneuma_lat_bucket{le="5"} 2
+pneuma_lat_bucket{le="10"} 2
+pneuma_lat_bucket{le="+Inf"} 3
+pneuma_lat_sum 12.75
+pneuma_lat_count 3
+"""
 
 
 class TestExposition:
+    def test_exposition_bytes(self):
+        registry = MetricsRegistry()
+        registry.counter("pneuma_idle", "Never incremented.")
+        edges = registry.counter(
+            "pneuma_edges", "Breaker edges.", labels=("dependency", "to_state")
+        )
+        edges.inc(2, labels=('say "hi"\n', "open"))
+        edges.inc(labels=("back\\slash", "open"))
+        latency = registry.histogram("pneuma_lat", "Latency.")
+        for v in (0.5, 0.25, 12.0):
+            latency.observe(v)
+        report = {
+            "frozen": True,
+            "warm": False,
+            "state": "open",
+            "deadline": None,
+            "inner": {"hits": 2, "ratio": 0.5, "label": "x"},
+        }
+        registry.add_collector("gate", lambda: report)
+        assert render_prometheus(registry) == EXPECTED_EXPOSITION
+
     def test_prometheus_text(self):
         registry = MetricsRegistry()
         registry.counter("jobs", "jobs processed").inc(2)
         registry.add_collector("depth", lambda: 3)
-        registry.counter("moves", labels=("from", "to")).labels("a", "b").inc()
-        registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
+        registry.counter("moves", labels=("from", "to")).inc(labels=("a", "b"))
+        registry.histogram("lat").observe(0.5)
         text = render_prometheus(registry)
         assert "# HELP jobs jobs processed" in text
         assert "# TYPE jobs counter" in text
@@ -175,10 +232,9 @@ class TestExposition:
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("c", labels=("msg",)).labels('say "hi"\n').inc()
+        registry.counter("c", labels=("msg",)).inc(labels=('say "hi"\n',))
         text = render_prometheus(registry)
         assert 'msg="say \\"hi\\"\\n"' in text
-
 
 
 class TestCollectors:
@@ -187,11 +243,11 @@ class TestCollectors:
         registry.add_collector("depth", lambda: 3)
         registry.add_collector("cache", lambda: {"hits": 2, "inner": {"misses": 0.5}})
         assert registry.collected() == {"depth": 3, "cache": {"hits": 2, "inner": {"misses": 0.5}}}
-        gauges = {f["name"]: f for f in registry.collect()}
-        assert sorted(gauges) == ["pneuma_cache_hits", "pneuma_cache_inner_misses", "pneuma_depth"]
-        assert all(f["kind"] == "gauge" for f in gauges.values())
-        assert gauges["pneuma_cache_inner_misses"]["series"] == [{"labels": [], "value": 0.5}]
-        assert "pneuma_cache_hits 2\n" in render_prometheus(registry)
+        assert render_prometheus(registry) == (
+            "# TYPE pneuma_cache_hits gauge\npneuma_cache_hits 2\n"
+            "# TYPE pneuma_cache_inner_misses gauge\npneuma_cache_inner_misses 0.5\n"
+            "# TYPE pneuma_depth gauge\npneuma_depth 3\n"
+        )
 
     def test_collectors_are_read_at_render_time(self):
         registry = MetricsRegistry()
@@ -211,11 +267,12 @@ class TestCollectors:
         for key in ("state", "deadline", "files"):
             assert f"pneuma_gate_{key}" not in text
 
-    def test_exposition_is_sorted_across_families_and_collectors(self):
+    def test_exposition_is_sorted_across_metrics_and_collectors(self):
         registry = MetricsRegistry()
         registry.counter("pneuma_zeta").inc()
         registry.add_collector("alpha", lambda: 1)
-        assert [f["name"] for f in registry.collect()] == ["pneuma_alpha", "pneuma_zeta"]
+        types = [line for line in render_prometheus(registry).splitlines() if "TYPE" in line]
+        assert types == ["# TYPE pneuma_alpha gauge", "# TYPE pneuma_zeta counter"]
 
     def test_name_collisions_raise_in_both_directions(self):
         registry = MetricsRegistry()
@@ -227,4 +284,6 @@ class TestCollectors:
             registry.add_collector("turns_failed", lambda: 0)
         with pytest.raises(ValueError, match="already registered"):
             registry.counter("pneuma_caches")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("pneuma_turns_failed")
         registry.counter("caches")  # no prefix, no clash: the collector is pneuma_caches

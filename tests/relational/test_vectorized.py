@@ -360,13 +360,17 @@ class TestJoinShapes:
 class TestPlanSelectApi:
     """``plan_select`` / ``run_plan`` are the parsed-statement entry points."""
 
-    def test_env_bound_tables_resolve(self, db):
-        env = {"bound": Table.from_columns("bound", {"z": [7, 8]})}
-        select = parse("SELECT SUM(z) FROM bound")
-        result = run_plan(plan_select(db, select, env), db, env)
-        assert result.single_value() == 15
-
     def test_planned_statement_matches_execute(self, db):
         sql = "SELECT COUNT(*) FROM orders"
         result = run_plan(plan_select(db, parse(sql)), db)
         assert result.single_value() == db.execute(sql).single_value() == 6
+
+    def test_a_planned_cte_shadows_the_catalog_on_every_run(self, db):
+        # The planner's scope holds only CTEs: one named like a catalog
+        # table wins, and each run re-evaluates it from fresh state.
+        select = parse(
+            "WITH orders AS (SELECT 7 AS z UNION ALL SELECT 8) SELECT SUM(z) FROM orders"
+        )
+        plan = plan_select(db, select)
+        assert run_plan(plan, db).single_value() == 15
+        assert run_plan(plan, db).single_value() == 15

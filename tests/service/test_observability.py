@@ -194,9 +194,9 @@ class TestMetricsSurface:
 
     def test_breaker_transition_labels_round_trip(self):
         registry = serving_registry()
-        transitions = registry.get("pneuma_breaker_transitions")
-        transitions.labels("llm", "closed", "open").inc(2)
-        transitions.labels("vector", "open", "half-open").inc()
+        transitions = registry.metrics["pneuma_breaker_transitions"]
+        transitions.inc(2, labels=("llm", "closed", "open"))
+        transitions.inc(labels=("vector", "open", "half-open"))
         assert registry_to_stats(registry)["breaker_transitions"] == {
             "llm:closed->open": 2,
             "vector:open->half-open": 1,
@@ -205,7 +205,7 @@ class TestMetricsSurface:
     def test_turn_latency_single_sort(self):
         registry = serving_registry()
         for v in (0.3, 0.1, 0.2):
-            registry.get("pneuma_turn_seconds").observe(v)
+            registry.metrics["pneuma_turn_seconds"].observe(v)
         stats = registry_to_stats(registry)
         assert stats["turns_served"] == 3
         assert stats["turn_p50_seconds"] == pytest.approx(0.2)
@@ -214,10 +214,10 @@ class TestMetricsSurface:
 
 
 def serving_registry() -> MetricsRegistry:
-    """A bare registry with the two families ``registry_to_stats`` re-keys."""
+    """A bare registry with the two metrics ``registry_to_stats`` re-keys."""
     registry = MetricsRegistry()
     registry.counter("pneuma_breaker_transitions", labels=("dependency", "from_state", "to_state"))
-    registry.histogram("pneuma_turn_seconds", max_samples=100)
+    registry.histogram("pneuma_turn_seconds")
     return registry
 
 

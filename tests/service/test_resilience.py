@@ -28,6 +28,10 @@ from repro.service import (
 QUESTION = "What is the total purchase order cost impact of the new tariffs by supplier?"
 
 
+def ignore_retry():
+    """The ``on_retry`` of a wrapper whose retries no test counts."""
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,20 +213,22 @@ class TestResilientLLM:
     def test_retries_through_transient_failures(self):
         inner = CountingLLM(failures=2)
         retries = MetricsRegistry().counter("pneuma_retries")
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=3), on_retry=retries.inc)
+        llm = ResilientLLM(
+            inner, RetryPolicy(max_attempts=3), CircuitBreaker("llm"), on_retry=retries.inc
+        )
         assert llm.complete("p") == "ok after 3"
-        assert retries.value == 2
+        assert retries.value() == 2
 
     def test_exhausted_retries_raise_the_transient_error(self):
         inner = CountingLLM(failures=5)
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=3))
+        llm = ResilientLLM(inner, RetryPolicy(max_attempts=3), CircuitBreaker("llm"), ignore_retry)
         with pytest.raises(TransientDependencyError):
             llm.complete("p")
         assert inner.calls == 3
 
     def test_max_attempts_one_disables_retry(self):
         inner = CountingLLM(failures=1)
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=1))
+        llm = ResilientLLM(inner, RetryPolicy(max_attempts=1), CircuitBreaker("llm"), ignore_retry)
         with pytest.raises(TransientDependencyError):
             llm.complete("p")
         assert inner.calls == 1
@@ -235,7 +241,7 @@ class TestResilientLLM:
 
         inner = OverflowLLM()
         breaker = CircuitBreaker("llm", failure_threshold=1)
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=3), breaker=breaker)
+        llm = ResilientLLM(inner, RetryPolicy(max_attempts=3), breaker, ignore_retry)
         with pytest.raises(ContextLengthExceeded):
             llm.complete("p")
         assert inner.calls == 1
@@ -258,7 +264,7 @@ class TestResilientLLM:
 
         time = FakeTime()
         breaker = CircuitBreaker("llm", failure_threshold=1, recovery_seconds=1.0, time_fn=time)
-        llm = ResilientLLM(ScriptedLLM(), retry=RetryPolicy(max_attempts=1), breaker=breaker)
+        llm = ResilientLLM(ScriptedLLM(), RetryPolicy(max_attempts=1), breaker, ignore_retry)
         with pytest.raises(TransientDependencyError):
             llm.complete("p")
         assert breaker.state == CircuitBreaker.OPEN
@@ -278,7 +284,7 @@ class TestResilientLLM:
         inner = CountingLLM(failures=0)
         breaker = CircuitBreaker("llm", failure_threshold=1, recovery_seconds=1e9)
         breaker.record_failure()
-        llm = ResilientLLM(inner, breaker=breaker)
+        llm = ResilientLLM(inner, RetryPolicy(), breaker, ignore_retry)
         with pytest.raises(DependencyUnavailable, match="llm circuit open; call refused"):
             llm.complete("p")
         assert inner.calls == 0
@@ -286,7 +292,7 @@ class TestResilientLLM:
     def test_failures_feed_the_breaker(self):
         inner = CountingLLM(failures=10)
         breaker = CircuitBreaker("llm", failure_threshold=3, recovery_seconds=1e9)
-        llm = ResilientLLM(inner, retry=RetryPolicy(max_attempts=5), breaker=breaker)
+        llm = ResilientLLM(inner, RetryPolicy(max_attempts=5), breaker, ignore_retry)
         with pytest.raises((TransientDependencyError, DependencyUnavailable)):
             llm.complete("p")
         assert breaker.state == CircuitBreaker.OPEN
@@ -295,7 +301,7 @@ class TestResilientLLM:
         inner = CountingLLM(failures=1)
         inner.clock = VirtualClock()
         retry = RetryPolicy(max_attempts=2, base_delay_seconds=3.0, jitter=0.0)
-        llm = ResilientLLM(inner, retry=retry)
+        llm = ResilientLLM(inner, retry, CircuitBreaker("llm"), ignore_retry)
         llm.complete("hello")
         # One retry -> one 3-second backoff tick on the virtual clock.
         assert inner.clock.now == pytest.approx(3.0)
@@ -306,7 +312,9 @@ class TestResilientLLM:
         plain = SeekerSession(lake, retriever)
         plain_response = plain.submit(QUESTION)
 
-        resilient = ResilientLLM(build_seeker_llm(), retry=RetryPolicy())
+        resilient = ResilientLLM(
+            build_seeker_llm(), RetryPolicy(), CircuitBreaker("llm"), ignore_retry
+        )
         wrapped = SeekerSession(lake, retriever, llm=resilient)
         wrapped_response = wrapped.submit(QUESTION)
         assert wrapped_response.message == plain_response.message
@@ -320,7 +328,7 @@ class TestResilientLLM:
         flaky = FlakyLLM(
             build_seeker_llm(), FaultSchedule("llm", FaultSpec(fail_calls=(1, 3)), seed=0)
         )
-        llm = ResilientLLM(flaky, retry=RetryPolicy(max_attempts=3))
+        llm = ResilientLLM(flaky, RetryPolicy(max_attempts=3), CircuitBreaker("llm"), ignore_retry)
         response = SeekerSession(lake, retriever, llm=llm).submit(QUESTION)
         # Retried calls repeat the same prompt, so the answer is unchanged.
         assert response.message == plain_response.message
@@ -354,7 +362,9 @@ def test_model_limits_still_enforced_through_the_stack():
     tiny = build_seeker_llm(limits=ModelLimits(context_tokens=10))
     stack = ResilientLLM(
         FlakyLLM(tiny, FaultSchedule("llm", FaultSpec(rate=0.0), seed=0)),
-        retry=RetryPolicy(max_attempts=3),
+        RetryPolicy(max_attempts=3),
+        CircuitBreaker("llm"),
+        ignore_retry,
     )
     with pytest.raises(ContextLengthExceeded):
         stack.complete("a definitely much too long prompt " * 40)

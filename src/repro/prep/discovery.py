@@ -169,11 +169,11 @@ def discover_join_candidates(
     """
     by_family: Dict[str, List[ColumnProfile]] = {}
     for column in _flatten(profiles):
-        if column.family == "null" or column.fractional or column.sketch.is_empty():
+        family = column.family
+        # A fractional column has no sketch, and an empty sketch estimates 0.0.
+        if family == "null" or column.fractional or column.distinct_estimate < _MIN_DISTINCT:
             continue
-        if column.distinct_estimate < _MIN_DISTINCT:
-            continue
-        by_family.setdefault(column.family, []).append(column)
+        by_family.setdefault(family, []).append(column)
 
     candidates: List[JoinCandidate] = []
     for columns in by_family.values():
@@ -190,21 +190,29 @@ def discover_join_candidates(
             continue
         jaccards = counts / float(sketches[0].signature.size)
         ci, cj = cards[idx[:, 0]], cards[idx[:, 1]]
-        inter = np.clip(jaccards / (1.0 + jaccards) * (ci + cj), 0.0, np.minimum(ci, cj))
+        smaller = np.minimum(ci, cj)
+        inter = np.clip(jaccards / (1.0 + jaccards) * (ci + cj), 0.0, smaller)
         for li, ri, card in ((0, 1, ci), (1, 0, cj)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 containment = np.where(card > 0, np.minimum(1.0, inter / card), 0.0)
-            for row in np.flatnonzero(containment >= min_containment):
-                left, right = columns[idx[row, li]], columns[idx[row, ri]]
+            rows = np.flatnonzero(containment >= min_containment)
+            for left, right, jaccard, contained, cardinality in zip(
+                idx[rows, li].tolist(),
+                idx[rows, ri].tolist(),
+                jaccards[rows].tolist(),
+                containment[rows].tolist(),
+                smaller[rows].tolist(),
+            ):
+                left, right = columns[left], columns[right]
                 candidates.append(
                     JoinCandidate(
                         left_table=left.table,
                         left_column=left.name,
                         right_table=right.table,
                         right_column=right.name,
-                        jaccard=float(jaccards[row]),
-                        containment=float(containment[row]),
-                        key_cardinality=float(min(ci[row], cj[row])),
+                        jaccard=jaccard,
+                        containment=contained,
+                        key_cardinality=cardinality,
                     )
                 )
     candidates.sort(key=lambda c: (-c.containment, -c.jaccard, c.key()))

@@ -18,10 +18,11 @@ Values are hashed deterministically (no dependence on
 ``PYTHONHASHSEED``), so sketches built in different processes are
 comparable and the equivalence tests are seed-stable.  Only a column
 discovery may propose as a key is sketched (:mod:`repro.prep.profile`
-skips measurements).  A column is keyed once — text and dates once per
-distinct value (:func:`text_keys`, :func:`day_keys`), numbers through one
-typed array (:func:`number_keys`) — and :func:`sketch_columns` sketches
-the keys of many columns at once, in blocks of a fixed number of keys.
+skips measurements).  Text and dates are keyed once per distinct value
+(:func:`text_keys`, :func:`day_keys`, each over the distinct values of
+many columns at once), numbers as their int64 or float bits
+(:func:`number_keys`), and :func:`sketch_columns` sketches the keys of
+many columns at once, in blocks of a fixed number of keys.
 The column-at-a-time build it replaced is
 ``tests/oracles/profile_columnwise.py``.
 """
@@ -33,7 +34,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Collection, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +99,8 @@ def _seed_shifts(length: int) -> np.ndarray:
     return shifts
 
 
-def text_keys(strings: Collection[str]) -> np.ndarray:
-    """Raw keys of distinct strings: a 64-bit CRC of each one's UTF-8 —
+def text_keys(strings: Iterable[str]) -> np.ndarray:
+    """Raw keys of strings: a 64-bit CRC of each one's UTF-8 —
     its ``zlib.crc32`` in the high word, seeded ``0x5EED`` in the low.
 
     Trailing NULs are dropped first, as numpy's ``U`` dtype drops them,
@@ -123,9 +124,9 @@ def text_keys(strings: Collection[str]) -> np.ndarray:
     return (high << np.uint64(32)) | low
 
 
-def day_keys(dates: Collection[datetime.date]) -> np.ndarray:
-    """Raw keys of distinct dates: days since the epoch, as int64 bits."""
-    days = np.fromiter(map(datetime.date.toordinal, dates), dtype=np.int64, count=len(dates))
+def day_keys(dates: Iterable[datetime.date]) -> np.ndarray:
+    """Raw keys of dates: days since the epoch, as int64 bits."""
+    days = np.fromiter(map(datetime.date.toordinal, dates), dtype=np.int64)
     return (days - np.int64(_EPOCH_ORDINAL)).view(np.uint64)
 
 
@@ -152,9 +153,6 @@ class ColumnSketch:
     signature: np.ndarray  # (k,) uint64 raw OPH bins; _EMPTY_SLOT marks unfilled
     registers: np.ndarray  # (m,) uint8 HLL ranks
     _dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def is_empty(self) -> bool:
-        return not self.registers.any()
 
 
 #: Keys hashed and scattered per step.  A step's temporaries are a few
@@ -202,20 +200,30 @@ def _scatter(
 
 def _cardinalities(registers: np.ndarray) -> List[float]:
     """HLL distinct-count estimates of every register row, with the
-    small-range correction (0.0 for a row with no register set)."""
+    small-range correction (0.0 for a row with no register set).
+
+    A row's ``2^-rank`` sum is at least its count of zero registers, so a
+    row with at least ``linear`` of them always takes linear counting:
+    its estimate is read off that count alone, and only the other rows
+    pay the gather and the sum.
+    """
     n, m = registers.shape
     alpha = 0.7213 / (1.0 + 1.079 / m)
+    # Past this many zeros the raw estimate is at most alpha * m^2 / zeros
+    # <= 2.5 * m (one zero of margin for the float rounding).
+    linear = int(alpha * m / 2.5) + 2
     inverse = np.ldexp(1.0, -np.arange(66, dtype=np.int64))  # 2^-rank of every rank
     estimates: List[float] = []
     for at in range(0, n, _ESTIMATE_ROWS):
         block = registers[at : at + _ESTIMATE_ROWS]
-        sums = np.sum(inverse[block], axis=1).tolist()
-        zeros = (m - np.count_nonzero(block, axis=1)).tolist()
-        for total, empty in zip(sums, zeros):
-            if empty == m:
-                estimates.append(0.0)
+        zeros = m - np.count_nonzero(block, axis=1)
+        dense = np.flatnonzero(zeros < linear)
+        sums = iter(np.sum(inverse[block[dense]], axis=1).tolist() if dense.size else ())
+        for empty in zeros.tolist():
+            if empty >= linear:
+                estimates.append(m * math.log(m / empty) if empty < m else 0.0)
                 continue
-            estimate = alpha * m * m / total
+            estimate = alpha * m * m / next(sums)
             estimates.append(m * math.log(m / empty) if estimate <= 2.5 * m and empty else estimate)
     return estimates
 

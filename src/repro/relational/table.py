@@ -1,7 +1,9 @@
 """In-memory tables: the engine's single physical data structure.
 
 A :class:`Table` is a named schema plus a list of row tuples.  Tables are
-immutable in spirit: operators build new tables rather than mutating inputs.
+immutable in spirit: operators build new tables rather than mutating inputs,
+so a table memoizes what it derives from its rows: its column-major view,
+the Python types each column holds, and its content identities.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from math import copysign
 from operator import eq, itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .errors import BindError, ExecutionError
 from .types import (
@@ -26,6 +39,15 @@ from .types import (
 #: Rows :meth:`Table.digest` renders and hashes per ``update``: one
 #: block's text is all it holds at once.
 _DIGEST_BLOCK = 4096
+
+#: Every column type set any table has held, each kept as one object that
+#: equal sets share: a catalog of thousands of columns holds a handful of
+#: distinct sets.  ``setdefault`` is atomic, so racing tables intern one.
+_TYPE_SETS: Dict[FrozenSet[type], FrozenSet[type]] = {}
+
+
+def _interned(types: FrozenSet[type]) -> FrozenSet[type]:
+    return _TYPE_SETS.setdefault(types, types)
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,7 @@ class Table:
         self.schema = schema
         self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self._columns: Optional[List[List[Any]]] = None
+        self._types: Optional[List[Optional[FrozenSet[type]]]] = None
         self._fingerprint: Optional[Tuple[str, int]] = None
         self._digest: Optional[str] = None
         width = len(schema)
@@ -100,25 +123,30 @@ class Table:
     def from_columns(cls, name: str, data: Dict[str, Sequence[Any]]) -> "Table":
         """Build a table from a column-name → values mapping (types inferred).
 
-        A column at a time: one ``set(map(type, values))`` gives its type
-        and says whether storage coercion would change any value; only a
-        column where it would (ints in a DOUBLE column, non-strings in a
+        A column at a time: one ``frozenset(map(type, values))`` gives its
+        type and says whether storage coercion would change any value; only
+        a column where it would (ints in a DOUBLE column, non-strings in a
         TEXT one) is coerced, and the rows are zipped from the columns in
-        C.  No list passed in is kept or written to.
+        C.  The type set of every column stored as passed is kept as its
+        :meth:`column_types` entry; a coerced column's is left to be read
+        off its stored values when first asked for, so no column is
+        scanned twice here.  No list passed in is kept or written to.
         """
         if data:
             lengths = {len(values) for values in data.values()}
             if len(lengths) > 1:
                 raise ExecutionError(f"columns of unequal length in table {name!r}: {lengths}")
-        type_sets = [set(map(type, values)) for values in data.values()]
+        type_sets = [_interned(frozenset(map(type, values))) for values in data.values()]
         dtypes = [column_type_of_types(types) for types in type_sets]
+        kept = [stored_as_is(dtype, types) for dtype, types in zip(dtypes, type_sets)]
         columns = [
-            values if stored_as_is(dtype, types)
-            else [coerce_for_storage(value, dtype) for value in values]
-            for values, dtype, types in zip(data.values(), dtypes, type_sets)
+            values if keep else [coerce_for_storage(value, dtype) for value in values]
+            for values, dtype, keep in zip(data.values(), dtypes, kept)
         ]
         schema = Schema([Column(col, dtype) for col, dtype in zip(data, dtypes)])
-        return cls.adopt(name, schema, list(zip(*columns)), None)
+        table = cls.adopt(name, schema, list(zip(*columns)), None)
+        table._types = [types if keep else None for types, keep in zip(type_sets, kept)]
+        return table
 
     @classmethod
     def adopt(
@@ -141,6 +169,7 @@ class Table:
         table.schema = schema
         table.rows = rows
         table._columns = columns
+        table._types = None
         table._fingerprint = None
         table._digest = None
         return table
@@ -190,6 +219,26 @@ class Table:
                 cols = [[] for _ in self.schema]
             self._columns = cols
         return cols
+
+    def column_types(self) -> List[FrozenSet[type]]:
+        """The set of Python types each column holds, memoized like
+        :meth:`as_columns` (``type(None)`` for a NULL).
+
+        Equal sets are one shared object.  :meth:`from_columns` fills the
+        entries of the columns it stored as passed; every other entry is
+        read off the column view (one ``frozenset(map(type, column))``)
+        on first use.  The memo is replaced whole, never written into, so
+        racing readers each get a complete list of the same sets.
+        """
+        types = self._types
+        if types is None or None in types:
+            known = repeat(None) if types is None else types
+            types = [
+                _interned(frozenset(map(type, column))) if entry is None else entry
+                for entry, column in zip(known, self.as_columns())
+            ]
+            self._types = types
+        return types
 
     def fingerprint(self) -> Tuple[str, int]:
         """The in-process identity of this table's *content*: ``(name, hash)``.

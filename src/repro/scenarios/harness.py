@@ -24,6 +24,10 @@ from .report import CellResult, CoverageReport
 
 #: Embedding dimension of the service a cell runs on.
 SCENARIO_DIM = 64
+#: The seed and the rows per table :func:`run_grid` generates every cell
+#: with (a test that needs a larger grid monkeypatches ``GRID_ROWS``).
+GRID_SEED = 7
+GRID_ROWS = 48
 
 
 def _check_retrieved(session, scenario: PlantedScenario) -> str:
@@ -139,26 +143,22 @@ def run_cell(
 
 def run_grid(
     cells: Optional[List[ScenarioCell]] = None,
-    seed: int = 7,
     stress: str = "none",
-    rows: int = 48,
     storage_root=None,
-    break_chain: bool = False,
 ) -> CoverageReport:
-    """Run every cell the stress mode is defined on (or ``cells``) and
-    report coverage.
+    """Run every cell the stress mode is defined on and report coverage.
 
+    Each cell is generated with :data:`GRID_SEED` and :data:`GRID_ROWS`.
+    ``cells`` is a test seam: the subset of the grid to run instead.
     ``stress='append'`` needs ``storage_root``: each cell persists its
     index there, grows the far endpoint, and warm-starts a service over
     the grown lake before the session runs (see :mod:`.stress`).
     """
     from .stress import run_append_cell
 
-    report = CoverageReport(seed=seed, stress=stress)
+    report = CoverageReport(seed=GRID_SEED, stress=stress)
     for cell in cells if cells is not None else cells_for(stress):
-        scenario = build_scenario(
-            cell, seed=seed, rows=rows, stress=stress, break_chain=break_chain
-        )
+        scenario = build_scenario(cell, seed=GRID_SEED, rows=GRID_ROWS, stress=stress)
         if stress == "append":
             if storage_root is None:
                 raise ValueError("append stress needs a storage_root directory")

@@ -55,7 +55,7 @@ def discover_join_candidates_slotwise(
 ) -> List[JoinCandidate]:
     by_family: Dict[str, List[ColumnProfile]] = {}
     for column in _flatten(profiles):
-        if column.family == "null" or column.fractional or column.sketch.is_empty():
+        if column.family == "null" or column.fractional or not column.sketch.registers.any():
             continue
         if column.distinct_estimate < min_distinct:
             continue

@@ -366,7 +366,7 @@ def test_the_options_no_caller_set_are_gone():
         ResilientLLM: ["inner", "retry", "breaker", "on_retry", "seed"],
         render_span_tree: ["trace"],
         run_cell: ["scenario", "dim", "service"],
-        run_grid: ["cells", "seed", "stress", "rows", "storage_root", "break_chain"],
+        run_grid: ["cells", "stress", "storage_root"],
         run_append_cell: ["scenario", "storage_root"],
         append_rows: ["scenario"],
         ScenarioPersona: ["scenario"],

@@ -191,7 +191,7 @@ def families(profiles):
     """The columns discovery compares, by type family."""
     by_family = {}
     for column in discovery._flatten(profiles):
-        if column.family == "null" or column.fractional or column.sketch.is_empty():
+        if column.family == "null" or column.fractional or not column.sketch.registers.any():
             continue
         if column.distinct_estimate >= 2.0:
             by_family.setdefault(column.family, []).append(column)

@@ -94,4 +94,4 @@ class TestProfileContents:
         x, y = profile.columns["x"], profile.columns["y"]
         dense = store.profile(Table.from_columns("dense", {"x": [1, 3]})).columns["x"]
         assert x.sketch.signature.tolist() == dense.sketch.signature.tolist()
-        assert y.sketch.is_empty()
+        assert not y.sketch.registers.any()

@@ -157,7 +157,7 @@ class TestDeterminismAndEdges:
 
     def test_all_null_column_is_empty(self):
         column = profile([None, None])
-        assert column.sketch.is_empty()
+        assert not column.sketch.registers.any()
         assert column.distinct_estimate == 0.0
         assert estimate([None, None], [1, 2, 3]) == (0.0, 0.0)
 

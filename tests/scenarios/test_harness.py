@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scenarios import (
+    CoverageReport,
     ScenarioCell,
     build_scenario,
     enumerate_grid,
@@ -11,6 +12,7 @@ from repro.scenarios import (
     run_cell,
     run_grid,
 )
+from repro.scenarios import harness
 from repro.scenarios.stress import append_rows, run_append_cell
 
 
@@ -91,17 +93,18 @@ class TestFullGrid:
         "stress, cells", [("none", 24), ("noisy", 24), ("drift", 18), ("append", 12)]
     )
     def test_every_cell_converges(self, stress, cells, tmp_path):
-        report = run_grid(seed=7, stress=stress, storage_root=tmp_path)
+        report = run_grid(stress=stress, storage_root=tmp_path)
         assert [c.cell_id for c in report.failing()] == []
         assert len(report.cells) == cells and report.coverage == 1.0
 
-    def test_measurement_columns_are_not_join_keys_at_scale(self):
+    def test_measurement_columns_are_not_join_keys_at_scale(self, monkeypatch):
         """At 20k rows two-decimal attribute columns overlap almost fully;
         these three cells used to align through that shortcut and
         materialise ~2x the planted oracle's rows."""
         at_risk = {"KK-2hop-enrich", "KK-3hop-discover", "UU-3hop-discover"}
         cells = [c for c in enumerate_grid() if c.cell_id in at_risk]
-        report = run_grid(cells, seed=7, rows=20000)
+        monkeypatch.setattr(harness, "GRID_ROWS", 20000)
+        report = run_grid(cells)
         assert len(report.cells) == 3
         assert [(c.cell_id, c.detail) for c in report.failing()] == []
 
@@ -114,12 +117,12 @@ class TestReports:
         ]
 
     def test_report_is_byte_identical_across_runs(self):
-        first = report_to_json(run_grid(cells=self.subset(), seed=7))
-        second = report_to_json(run_grid(cells=self.subset(), seed=7))
+        first = report_to_json(run_grid(cells=self.subset()))
+        second = report_to_json(run_grid(cells=self.subset()))
         assert first == second
 
     def test_report_json_shape(self):
-        report = run_grid(cells=self.subset(), seed=7)
+        report = run_grid(cells=self.subset())
         payload = report.to_json()
         assert payload["cells_total"] == 2
         assert payload["cells_converged"] == 2
@@ -130,14 +133,15 @@ class TestReports:
         }
 
     def test_render_grid_marks_cells(self):
-        report = run_grid(cells=self.subset(), seed=7)
+        report = run_grid(cells=self.subset())
         text = render_grid(report)
         assert "2/2 cells" in text
         assert "KK" in text and "KU" in text
         assert "FAIL" not in text
 
     def test_render_grid_lists_failing_cells(self):
-        report = run_grid(cells=[cell(hops=2)], seed=7, break_chain=True)
+        report = CoverageReport(seed=7, stress="none")
+        report.cells.append(run_cell(build_scenario(cell(hops=2), seed=7, break_chain=True)))
         text = render_grid(report)
         assert "FAIL KK-2hop-enrich" in text
         assert "alignment refused" in text
